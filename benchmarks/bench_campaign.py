@@ -30,8 +30,7 @@ the network round trip per cell operation actually costs).
 
 The report's first-class ``per_cell`` section tracks the cost of the
 unit everything above is built from: per-cell seconds at N in
-{50, 100, 200}, fresh-engine vs warm :class:`CellTemplate` path, and
-the N=200 speedup over the seed tree (``test_per_cell_n200_beats_seed``
+{50, 100, 200} and the N=200 speedup over the seed tree (``test_per_cell_n200_beats_seed``
 guards the >=2x floor).
 
 The ``faults`` section runs the canonical fault grid (drop/dup/
@@ -365,39 +364,24 @@ def _measure_two_workers(mode: str, transport: str = "sqlite"):
 
 
 # ----------------------------------------------------------------------
-# per-cell costs, fresh vs warm — the fast unit of everything
+# per-cell costs — the fast unit of everything
 # ----------------------------------------------------------------------
 _PER_CELL_N_VALUES = (50, 100, 200)
 _PER_CELL_SEEDS = (0, 1, 2)
 
 
-def _per_cell_fresh_vs_warm(n):
-    """Mean per-cell seconds at node count ``n``, both ways: fresh
-    (bindings + engine built from scratch per cell, the pre-batching
-    path) vs warm (one :class:`~repro.engine.batch.CellTemplate`
-    shared across the seeds, construction amortised in the total —
-    what the campaign workers actually run).  Asserts the two paths
-    agree bit-for-bit while it is at it."""
-    from repro.engine import CellTemplate
+def _per_cell_seconds(n):
+    """Mean seconds of one burst cell at node count ``n``, run the way
+    the campaign workers run it: ``run_scenario(spec.build_scenario())``."""
     from repro.workload.runner import run_scenario
 
     specs = scale_campaign(
         ("rcv",), n_values=(n,), seeds=_PER_CELL_SEEDS
     ).cells
-
     start = time.perf_counter()
-    fresh = [run_scenario(spec.build_scenario()) for spec in specs]
-    fresh_secs = (time.perf_counter() - start) / len(specs)
-
-    start = time.perf_counter()
-    template = CellTemplate(specs[0])
-    warm = [template.run(spec.seed) for spec in specs]
-    warm_secs = (time.perf_counter() - start) / len(specs)
-
-    assert [result_to_dict(a) for a in warm] == [
-        result_to_dict(b) for b in fresh
-    ], f"warm-template results diverged from fresh at N={n}"
-    return fresh_secs, warm_secs
+    for spec in specs:
+        run_scenario(spec.build_scenario())
+    return (time.perf_counter() - start) / len(specs)
 
 
 def _seed_n200_cell_seconds(repeats=2):
@@ -459,40 +443,34 @@ def test_per_cell_n200_beats_seed():
     seed_secs = _seed_n200_cell_seconds()
     if seed_secs is None:
         pytest.skip("seed tree not reconstructable from git history")
-    _fresh_secs, warm_secs = _per_cell_fresh_vs_warm(200)
-    ratio = seed_secs / warm_secs
+    cell_secs = _per_cell_seconds(200)
+    ratio = seed_secs / cell_secs
     print(
-        f"\nN=200 cell: seed={seed_secs:.3f}s warm={warm_secs:.3f}s "
+        f"\nN=200 cell: seed={seed_secs:.3f}s now={cell_secs:.3f}s "
         f"speedup={ratio:.2f}x"
     )
     assert ratio > 2.0, (
-        f"N=200 cell ({warm_secs:.3f}s) lost the >=2x floor over the "
+        f"N=200 cell ({cell_secs:.3f}s) lost the >=2x floor over the "
         f"seed tree ({seed_secs:.3f}s)"
     )
 
 
 def _per_cell_section():
     """The first-class ``per_cell`` report block: per-cell seconds at
-    N in {50, 100, 200}, fresh vs warm, plus the N=200 seed-tree
-    speedup when git history allows."""
+    N in {50, 100, 200}, plus the N=200 seed-tree speedup when git
+    history allows."""
     section = {
         "n_values": list(_PER_CELL_N_VALUES),
         "seeds": list(_PER_CELL_SEEDS),
-        "fresh_seconds": {},
-        "warm_seconds": {},
+        "fresh_seconds": {
+            str(n): round(_per_cell_seconds(n), 3) for n in _PER_CELL_N_VALUES
+        },
     }
-    for n in _PER_CELL_N_VALUES:
-        fresh_secs, warm_secs = _per_cell_fresh_vs_warm(n)
-        section["fresh_seconds"][str(n)] = round(fresh_secs, 3)
-        section["warm_seconds"][str(n)] = round(warm_secs, 3)
-    section["warm_over_fresh_n200"] = round(
-        section["fresh_seconds"]["200"] / section["warm_seconds"]["200"], 2
-    )
     seed_secs = _seed_n200_cell_seconds()
     if seed_secs is not None:
         section["seed_n200_seconds"] = round(seed_secs, 3)
         section["n200_speedup_over_seed"] = round(
-            seed_secs / section["warm_seconds"]["200"], 2
+            seed_secs / section["fresh_seconds"]["200"], 2
         )
     return section
 

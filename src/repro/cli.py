@@ -415,12 +415,7 @@ def _parse_spec(text: str, what: str):
     the model once — so a bad spec dies with a one-line message
     before any directories are created or pool workers launched.
     """
-    from repro.experiments.parallel import (
-        build_cs_time,
-        build_delay_model,
-        normalize_cs_time_spec,
-        normalize_delay_spec,
-    )
+    from repro.experiments.spec import AXES
 
     parts = text.split(":")
     kind, params = parts[0], parts[1:]
@@ -430,12 +425,8 @@ def _parse_spec(text: str, what: str):
         raise SystemExit(f"malformed spec {text!r} (want kind:num[:num])")
     flag = "--delay-spec" if what == "delay" else "--cs-spec"
     try:
-        if what == "delay":
-            spec = normalize_delay_spec(spec)
-            build_delay_model(spec)
-        else:
-            spec = normalize_cs_time_spec(spec)
-            build_cs_time(spec)
+        spec = AXES[what].normalize(spec)
+        AXES[what].build(spec)
     except ValueError as exc:  # UnrepresentableScenarioError included
         raise SystemExit(f"bad {flag}: {exc}")
     return spec
@@ -528,11 +519,11 @@ def _parse_fault_specs(texts, n_values):
             spec.append(("recover", tuple(recovers)))
         return tuple(spec)
 
-    from repro.experiments.parallel import normalize_fault_spec
+    from repro.experiments.spec import AXES
 
     for n in n_values:
         try:
-            normalize_fault_spec(faults_for(n), n)
+            AXES["faults"].normalize(faults_for(n), n)
         except ValueError as exc:
             raise SystemExit(f"bad --fault-spec at N={n}: {exc}")
     return faults_for
@@ -541,14 +532,14 @@ def _parse_fault_specs(texts, n_values):
 def _parse_retx_spec(text):
     """Parse ``--retx RTO[:BACKOFF[:MAX]]`` into a retx spec tuple.
 
-    Validated eagerly through the campaign layer's typed guard
-    (:func:`~repro.experiments.parallel.normalize_retx_spec`), which
+    Validated eagerly through the campaign layer's typed guard (the
+    ``retx`` entry of :data:`repro.experiments.spec.AXES`), which
     names the bad field — so a malformed spec dies with a one-line
     message before any work starts.
     """
     if text is None:
         return ()
-    from repro.experiments.parallel import normalize_retx_spec
+    from repro.experiments.spec import AXES
 
     parts = text.split(":")
     if not (1 <= len(parts) <= 3):
@@ -565,7 +556,7 @@ def _parse_retx_spec(text):
             "numeric)"
         )
     try:
-        return normalize_retx_spec(("retx", rto, backoff, max_retries))
+        return AXES["retx"].normalize(("retx", rto, backoff, max_retries))
     except ValueError as exc:  # UnrepresentableScenarioError included
         raise SystemExit(f"bad --retx: {exc}")
 

@@ -6,15 +6,14 @@ Public surface:
   metrics + safety wiring for one scenario; observers may attach
   between construction and ``start()``;
 * :func:`~repro.engine.engine.run_scenario` — build + run + result;
-* :class:`~repro.engine.batch.CellTemplate` /
-  :func:`~repro.engine.batch.run_cell_batched` — multi-seed cell
-  execution with the seed-independent bindings built once;
+* :class:`~repro.engine.batch.CellTemplate` — one cell family run
+  under many seeds (``CellTemplate(spec).run(seed)``);
 * :data:`IncompleteRunError` — re-exported liveness failure.
 
 See ARCHITECTURE.md for the layer diagram and determinism rules.
 """
 
-from repro.engine.batch import CellTemplate, run_cell_batched
+from repro.engine.batch import CellTemplate
 from repro.engine.engine import Engine, run_scenario
 from repro.workload.runner import IncompleteRunError
 
@@ -22,6 +21,5 @@ __all__ = [
     "CellTemplate",
     "Engine",
     "IncompleteRunError",
-    "run_cell_batched",
     "run_scenario",
 ]

@@ -1,147 +1,70 @@
-"""Batched multi-seed cell execution — the N=200 cell as a fast unit.
+"""Multi-seed cell execution: one cell family, many seeds.
 
 A campaign "cell" is one point of an experiment grid run under many
 seeds.  The seeds share *everything except randomness*: the same
 algorithm, node count, workload shape, delay model, and CS-time
-distribution.  :class:`CellTemplate` resolves all of those
-seed-independent bindings **once** — the delay model and cs-time
-callables are built once and shared across every seed's engine (they
-are stateless: every draw goes through the per-run RNG stream passed
-in at call time), and the spec normalization/validation work is not
-repeated per seed.
+distribution.  :class:`CellTemplate` is the explicit API for running
+such a family — ``CellTemplate(spec).run(seed)`` — used where the
+caller already iterates seeds itself (``figures.fault_sweep``).  It
+builds the stateless delay model and cs-time callable once (every draw
+goes through the per-run RNG stream passed in at call time) and
+everything else per run, through the same
+:mod:`repro.experiments.spec` codecs and the one canonical
+:class:`~repro.engine.engine.Engine` path as
+``run_scenario(spec.build_scenario())`` — so a template run is
+bit-for-bit identical to a fresh run of the same (spec, seed), which
+the seed-independence tests pin.
 
-Only the genuinely seed-dependent state is rebuilt per run:
-
-* the arrival process — :class:`~repro.workload.arrivals.BurstArrivals`
-  and :class:`~repro.workload.arrivals.PoissonArrivals` carry per-run
-  issue counters, so sharing one instance across seeds would corrupt
-  every run after the first (the seed-independence tests pin this);
-* the engine itself (kernel, network, nodes, drivers) — per-run
-  mutable state by definition, constructed through the one canonical
-  :class:`~repro.engine.engine.Engine` path so a batched run is
-  bit-for-bit identical to a fresh ``run_scenario`` of the same
-  (spec, seed).
-
-:func:`run_cell_batched` is the driving loop; the campaign workers
-(:mod:`repro.experiments.parallel`) keep a process-pinned
-:class:`CellTemplate` registry so consecutive cells of the same
-family reuse the warm bindings across task boundaries (see
-docs/performance.md, "Batched cells and warm workers").
+It is *not* an optimisation: a template run measures 1.00–1.02x a
+fresh one (docs/performance.md), which is why the campaign workers no
+longer keep a template registry and simply build each cell fresh.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import replace
 
 from repro.engine.engine import run_scenario
 from repro.metrics.records import RunResult
 
-__all__ = ["CellTemplate", "run_cell_batched"]
+__all__ = ["CellTemplate"]
+
+#: the fields whose bindings are stateless across runs and so built
+#: once per template; the rest — the arrival process above all, which
+#: carries per-run issue counters — are rebuilt for every seed
+_SHARED = ("cs_time", "delay")
 
 
 class CellTemplate:
-    """Warm, seed-independent bindings of one cell family.
+    """One cell family: a :class:`~repro.experiments.spec.CellSpec`
+    with its ``seed`` field factored out.
 
-    Built from a :class:`~repro.experiments.parallel.CellSpec` (whose
-    ``seed`` field is irrelevant here and canonicalised to 0 in
-    :attr:`key`); :meth:`scenario_for` stamps out a runnable
-    :class:`~repro.workload.scenario.Scenario` for each seed,
-    rebuilding only the stateful arrival process.
+    :attr:`key` — the normalized spec with the seed zeroed — is the
+    family's identity: two cells differing only in seed share it, two
+    cells differing in anything else (faults and retx included) do
+    not.
     """
 
-    __slots__ = ("spec", "key", "delay_model", "cs_time", "algo_kwargs")
+    __slots__ = ("spec", "key", "_shared", "_per_run")
 
     def __init__(self, spec) -> None:
-        from repro.experiments.parallel import (
-            build_cs_time,
-            build_delay_model,
-        )
+        # Imported here: repro.experiments imports this package.
+        from repro.experiments.spec import FIELD_NAMES, scenario_bindings
 
-        spec = spec.normalized()
-        if spec.seed != 0:
-            from dataclasses import replace
-
-            spec = replace(spec, seed=0)
-        #: the normalized, seed-zeroed spec — the template's identity
-        #: (two cells differing only in seed share one template)
-        self.spec = spec
-        self.key = spec
-        #: stateless across runs: every draw takes the per-run RNG
-        self.delay_model = build_delay_model(spec.delay)
-        self.cs_time = build_cs_time(spec.cs_time)
-        self.algo_kwargs = dict(spec.algo_kwargs)
-
-    # ------------------------------------------------------------------
-    def _build_arrivals(self):
-        """Fresh arrival process + deadlines for one run.
-
-        Arrival processes are per-run mutable state (issue counters);
-        this is the only piece rebuilt for every seed.
-        """
-        from repro.workload.arrivals import BurstArrivals, PoissonArrivals
-
-        workload = self.spec.workload
-        kind = workload[0]
-        if kind == "burst":
-            return BurstArrivals(requests_per_node=int(workload[1])), None, None
-        if kind == "poisson":
-            mean, horizon = float(workload[1]), float(workload[2])
-            arrivals = PoissonArrivals.from_mean_interarrival(mean)
-            return arrivals, horizon, horizon * 3
-        raise ValueError(f"unknown workload kind {kind!r}")
-
-    def scenario_for(self, seed: int):
-        """A runnable scenario for ``seed``, sharing the warm
-        stateless bindings.  Bit-for-bit identical in behavior to
-        ``replace(spec, seed=seed).build_scenario()``."""
-        from repro.workload.scenario import Scenario
-
-        arrivals, issue_deadline, drain_deadline = self._build_arrivals()
-        return Scenario(
-            algorithm=self.spec.algorithm,
-            n_nodes=self.spec.n_nodes,
-            arrivals=arrivals,
-            seed=seed,
-            cs_time=self.cs_time,
-            delay_model=self.delay_model,
-            issue_deadline=issue_deadline,
-            drain_deadline=drain_deadline,
-            algo_kwargs=dict(self.algo_kwargs),
-            # Fault specs are normalized pure data (the engine builds
-            # per-run FaultPlan/FaultyChannel state from them), and the
-            # template key is the normalized spec *including* faults —
-            # so warm reuse can never leak a fault schedule into a
-            # different cell family.  The retx spec is pure data the
-            # same way (per-run ReliableChannel state is engine-built).
-            faults=self.spec.faults,
-            retx=self.spec.retx,
-        )
+        self.spec = self.key = replace(spec.normalized(), seed=0)
+        self._shared = scenario_bindings(self.spec, _SHARED)
+        self._per_run = tuple(n for n in FIELD_NAMES if n not in _SHARED)
 
     def run(self, seed: int, *, require_completion: bool = True) -> RunResult:
-        """Run one seed through the canonical engine path."""
-        return run_scenario(
-            self.scenario_for(seed), require_completion=require_completion
+        """Run one seed through the canonical engine path — bit-for-bit
+        what ``replace(spec, seed=seed).build_scenario()`` would run."""
+        from repro.experiments.spec import scenario_bindings
+        from repro.workload.scenario import Scenario
+
+        per_run = scenario_bindings(
+            replace(self.spec, seed=seed), self._per_run
         )
-
-
-def run_cell_batched(
-    spec,
-    seeds: Iterable[int],
-    *,
-    require_completion: bool = True,
-    template: Optional[CellTemplate] = None,
-) -> List[RunResult]:
-    """Run one cell under many seeds, building the shared bindings once.
-
-    ``spec`` is a :class:`~repro.experiments.parallel.CellSpec` (its
-    own ``seed`` field is ignored — ``seeds`` governs).  Results come
-    back in ``seeds`` order, each bit-for-bit identical to the
-    corresponding fresh per-seed ``run_scenario`` (the
-    seed-independence suite pins this).  Pass a prebuilt ``template``
-    to amortise across calls as well (the warm campaign workers do).
-    """
-    tmpl = template if template is not None else CellTemplate(spec)
-    return [
-        tmpl.run(seed, require_completion=require_completion)
-        for seed in seeds
-    ]
+        return run_scenario(
+            Scenario(**self._shared, **per_run),
+            require_completion=require_completion,
+        )

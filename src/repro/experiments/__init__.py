@@ -8,7 +8,7 @@ benchmark harness (``benchmarks/``) and the CLI both call these.
 
 Scale campaigns (N=100–200) layer on top: a
 :class:`~repro.experiments.campaign.Campaign` of picklable
-:class:`~repro.experiments.parallel.CellSpec` cells runs through
+:class:`~repro.experiments.spec.CellSpec` cells runs through
 :func:`~repro.experiments.parallel.run_cells` with an optional
 content-addressed :class:`~repro.experiments.cache.CellCache`
 (resumable, shardable — see docs/campaigns.md).
@@ -44,15 +44,12 @@ from repro.experiments.figures import (
     theory_table,
 )
 from repro.experiments.parallel import (
-    CellSpec,
     ProgressReporter,
-    UnrepresentableScenarioError,
-    normalize_fault_spec,
-    normalize_retx_spec,
     parallel_burst_sweep,
     parallel_lambda_sweep,
     run_cells,
 )
+from repro.experiments.spec import CellSpec, UnrepresentableScenarioError
 from repro.experiments.tables import (
     render_figure,
     render_markdown,
@@ -83,8 +80,6 @@ __all__ = [
     "figure7",
     "comparison_campaign",
     "lambda_sweep",
-    "normalize_fault_spec",
-    "normalize_retx_spec",
     "parallel_burst_sweep",
     "parallel_lambda_sweep",
     "render_chart",

@@ -1,7 +1,7 @@
 """Pluggable storage backends for the cell cache.
 
 :class:`~repro.experiments.cache.CellCache` is a spec-hashing façade:
-it turns a :class:`~repro.experiments.parallel.CellSpec` into an
+it turns a :class:`~repro.experiments.spec.CellSpec` into an
 opaque sha256 key and a JSON document, and delegates storage to a
 :class:`CacheBackend`.  A backend stores opaque ``key -> text``
 pairs and — the part that makes distributed campaigns possible —
@@ -370,13 +370,18 @@ class DirectoryBackend:
 class MemoryBackend:
     """Dict-backed backend; leases work across threads, not processes.
 
-    Single-process, so lease expiry runs on ``time.monotonic()`` like
-    the cell service — immune to wall-clock steps mid-campaign.
+    Single-process, so lease expiry runs on ``time.monotonic()`` —
+    immune to wall-clock steps mid-campaign.  This is also the cell
+    service's lease, failure and quarantine arbitration
+    (:mod:`repro.experiments.service` keeps a private instance), so
+    the in-memory lease contract is implemented exactly once.
     """
 
     def __init__(self) -> None:
         self._store: Dict[str, str] = {}
-        self._leases: Dict[str, Tuple[str, float]] = {}
+        #: ``key -> (owner, monotonic expiry)``; read (never written)
+        #: by the cell service's ``/stats`` view
+        self.leases: Dict[str, Tuple[str, float]] = {}
         self._failures: Dict[str, List[dict]] = {}
         self._quarantined: Dict[str, dict] = {}
         self._lock = threading.Lock()
@@ -391,34 +396,42 @@ class MemoryBackend:
         with self._lock:
             if key in self._quarantined:
                 return False
-            held = self._leases.get(key)
+            held = self.leases.get(key)
             if held is not None:
                 holder, expires = held
                 if holder != owner and expires > time.monotonic():
                     return False
-            self._leases[key] = (owner, time.monotonic() + ttl)
+            self.leases[key] = (owner, time.monotonic() + ttl)
             return True
 
-    def release(self, key: str, owner: str) -> None:
+    def release(self, key: str, owner: str) -> bool:
+        """Also reports whether ``owner`` held the lease (the cell
+        service counts releases per worker)."""
         with self._lock:
-            held = self._leases.get(key)
-            if held is not None and held[0] == owner:
-                del self._leases[key]
+            held = self.leases.get(key)
+            if held is None or held[0] != owner:
+                return False
+            del self.leases[key]
+            return True
 
     def renew(self, key: str, owner: str, ttl: float) -> bool:
         with self._lock:
-            held = self._leases.get(key)
+            held = self.leases.get(key)
             if held is None or held[0] != owner or held[1] <= time.monotonic():
                 return False
-            self._leases[key] = (owner, time.monotonic() + ttl)
+            self.leases[key] = (owner, time.monotonic() + ttl)
             return True
 
-    def record_failure(self, key: str, owner: str, error: str) -> int:
+    def record_failure(
+        self, key: str, owner: str, error: str, **extra
+    ) -> int:
+        """``extra`` fields ride along in the record (the cell service
+        stores each report's request id there)."""
         with self._lock:
             records = self._failures.setdefault(key, [])
             records.append(
                 # repro-lint: allow(determinism) -- human-readable failure timestamp
-                {"owner": owner, "error": error, "time": time.time()}
+                {"owner": owner, "error": error, "time": time.time(), **extra}
             )
             return len(records)
 

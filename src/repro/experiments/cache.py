@@ -1,6 +1,6 @@
 """Content-addressed cache of simulation cells.
 
-Every :class:`~repro.experiments.parallel.CellSpec` hashes to a
+Every :class:`~repro.experiments.spec.CellSpec` hashes to a
 stable key (:meth:`CellSpec.cache_key` — sha256 over the normalized
 spec plus the result-format version), and :class:`CellCache` stores
 one JSON document per cell in a pluggable
@@ -16,9 +16,10 @@ identical to fresh runs (the parity tests pin this).
 
 The façade owns spec hashing and document (de)serialization; the
 backend owns durability and lease arbitration.  Each document embeds
-the normalized spec alongside the result, so a cache is
-self-describing and a key collision (or a hand-edited entry) is
-detected at load instead of silently returning the wrong cell.
+the normalized spec (:meth:`CellSpec.document`) alongside the result,
+so a cache is self-describing and a key collision (or a hand-edited
+entry) is detected at load instead of silently returning the wrong
+cell.
 
 ``hits`` / ``misses`` / ``writes`` count **this process's** work
 only: cells another worker owns are probed through :meth:`peek`,
@@ -46,21 +47,6 @@ from repro.metrics.io import (
 from repro.metrics.records import RunResult
 
 __all__ = ["CellCache"]
-
-
-def _spec_to_jsonable(spec) -> dict:
-    spec = spec.normalized()
-    return {
-        "algorithm": spec.algorithm,
-        "n_nodes": spec.n_nodes,
-        "seed": spec.seed,
-        "workload": list(spec.workload),
-        "cs_time": list(spec.cs_time),
-        "delay": list(spec.delay),
-        "algo_kwargs": repr(spec.algo_kwargs),
-        "faults": repr(spec.faults),
-        "retx": repr(spec.retx),
-    }
 
 
 class CellCache:
@@ -160,7 +146,7 @@ class CellCache:
                 "(fresh --out directory / backend file) or delete the "
                 "stale cache and re-run."
             )
-        if doc.get("spec") != _spec_to_jsonable(spec):
+        if doc.get("spec") != spec.document():
             raise ValueError(
                 f"cached cell {self._describe(key)} was written for a "
                 f"different spec ({doc.get('spec')!r}) — cache corruption "
@@ -210,7 +196,7 @@ class CellCache:
         key = spec.cache_key()
         doc = {
             "format_version": FORMAT_VERSION,
-            "spec": _spec_to_jsonable(spec),
+            "spec": spec.document(),
             "result": result_to_dict(result),
         }
         self._call(self.backend.put, key, json.dumps(doc, indent=1))

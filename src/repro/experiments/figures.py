@@ -307,16 +307,15 @@ def fault_sweep(
     loss/partition/crash is a *measured outcome* here (the completion
     rate quantifies it), not an error — campaign runs of the same
     cells keep the strict default and quarantine instead (see
-    docs/faults.md).  Each (algo, n, fault) family goes through the
-    warm :class:`~repro.engine.batch.CellTemplate` path, so this
-    sweep also exercises batched fault runs end to end.
+    docs/faults.md).  Each (algo, n, fault) family is one
+    :class:`~repro.engine.batch.CellTemplate` run under every seed.
 
     ``retx`` runs the whole grid over the reliable (ack/retransmit)
     channel — the with-retx columns of the resilience figures
     (docs/faults.md, "Recovery").
     """
     from repro.engine.batch import CellTemplate
-    from repro.experiments.parallel import CellSpec
+    from repro.experiments.spec import CellSpec
 
     out: Dict[str, Dict[str, Dict[int, List[RunResult]]]] = {}
     for algo in algorithms:

@@ -6,21 +6,16 @@ simulation.  ``run_cells`` fans cells out over a process pool
 (processes, not threads: the simulator is pure Python and CPU-bound,
 so the GIL rules threads out — the standard HPC-Python trade-off).
 
-Cells are described by picklable :class:`CellSpec` values rather than
+Cells are described by picklable
+:class:`~repro.experiments.spec.CellSpec` values rather than
 :class:`~repro.workload.scenario.Scenario` objects (scenarios carry
-callables); the worker reconstructs the scenario, runs it through the
+callables); the worker rebuilds the scenario, runs it through the
 unified :class:`repro.engine.Engine`, and ships back the
 :class:`~repro.metrics.records.RunResult`.  Sequential and pooled
 execution share that single construction path, so they are
-bit-for-bit identical per (cell, seed).
-
-A :class:`CellSpec` covers the full scenario matrix the sequential
-sweeps can express — every :class:`~repro.net.delay.DelayModel`
-(constant / uniform / exponential / jittered), burst size, cs-time
-distribution, and ``algo_kwargs`` — and
-:meth:`CellSpec.from_scenario` converts a scenario back into a spec,
-raising :class:`UnrepresentableScenarioError` rather than silently
-running a different experiment.
+bit-for-bit identical per (cell, seed).  What a cell *is* — its
+fields, their codecs, the cache key — lives in
+:mod:`repro.experiments.spec`; this module only schedules.
 
 ``run_cells`` optionally reads and writes a
 :class:`~repro.experiments.cache.CellCache` (content-addressed by
@@ -41,481 +36,23 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.spec import CellSpec
 from repro.metrics.records import RunResult
 
 __all__ = [
     "CellSpec",
-    "UnrepresentableScenarioError",
     "ProgressReporter",
-    "RESULTS_EPOCH",
-    "build_cs_time",
-    "build_delay_model",
     "default_owner",
-    "delay_model_spec",
-    "normalize_cs_time_spec",
-    "normalize_delay_spec",
-    "normalize_fault_spec",
-    "normalize_retx_spec",
     "run_cells",
     "parallel_burst_sweep",
     "parallel_lambda_sweep",
 ]
 
 
-#: Simulation-behavior epoch, mixed into every cell cache key.  The
-#: cache identifies a cell by its *spec*, not by the code that ran it;
-#: a code change that alters simulation results (which the determinism
-#: test suite makes loud) MUST bump this, or stale cells from the old
-#: behavior would be served as if freshly computed.  Schema changes
-#: are covered separately by :data:`repro.metrics.io.FORMAT_VERSION`.
-RESULTS_EPOCH = 2
-
-
-class UnrepresentableScenarioError(ValueError):
-    """A scenario uses a component :class:`CellSpec` cannot encode.
-
-    Raised by :meth:`CellSpec.from_scenario` (and the spec codecs) so
-    a campaign never silently substitutes a different delay model,
-    arrival process, or cs-time distribution for the one requested —
-    the failure mode that previously downgraded every stochastic
-    delay model to ``ConstantDelay``.
-    """
-
-
-# ----------------------------------------------------------------------
-# spec <-> model codecs
-# ----------------------------------------------------------------------
-#: delay spec shapes accepted by :func:`build_delay_model`
-_DELAY_KINDS = {
-    "constant": 2,  # ("constant", delay)
-    "uniform": 3,  # ("uniform", low, high)
-    "exponential": 3,  # ("exponential", mean, minimum)
-    "jittered": 3,  # ("jittered", base, jitter)
-}
-
-_CS_KINDS = {
-    "constant": 2,  # ("constant", value)
-    "uniform": 3,  # ("uniform", low, high)
-    "exponential": 3,  # ("exponential", mean, minimum)
-}
-
-
-def _normalize_spec(spec, kinds, what: str) -> Tuple:
-    """Validate a spec tuple; a bare number means constant."""
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return ("constant", float(spec))
-    spec = tuple(spec)
-    if not spec or spec[0] not in kinds:
-        raise UnrepresentableScenarioError(
-            f"unknown {what} spec kind {spec[:1]!r} "
-            f"(expected one of {sorted(kinds)})"
-        )
-    if len(spec) != kinds[spec[0]]:
-        raise UnrepresentableScenarioError(
-            f"{what} spec {spec!r}: expected {kinds[spec[0]]} elements"
-        )
-    return (spec[0],) + tuple(float(v) for v in spec[1:])
-
-
-def normalize_delay_spec(spec) -> Tuple:
-    """Canonical delay spec tuple, or :class:`UnrepresentableScenarioError`."""
-    return _normalize_spec(spec, _DELAY_KINDS, "delay")
-
-
-def normalize_cs_time_spec(spec) -> Tuple:
-    """Canonical cs-time spec tuple, or :class:`UnrepresentableScenarioError`."""
-    return _normalize_spec(spec, _CS_KINDS, "cs_time")
-
-
-def normalize_fault_spec(faults, n_nodes: Optional[int] = None) -> Tuple:
-    """Canonical fault-spec tuple, or :class:`UnrepresentableScenarioError`.
-
-    The grammar itself lives with the fabric
-    (:func:`repro.net.faults.normalize_faults`); this wrapper maps its
-    :class:`ValueError` onto the campaign layer's typed guard so an
-    unknown fault kind — like an unknown delay or cs-time kind — can
-    never silently run a different experiment.  With ``n_nodes``,
-    partition groups and crash targets are range-checked too.
-    """
-    from repro.net.faults import normalize_faults
-
-    try:
-        return normalize_faults(faults, n_nodes=n_nodes)
-    except UnrepresentableScenarioError:
-        raise
-    except ValueError as exc:
-        raise UnrepresentableScenarioError(str(exc)) from None
-
-
-def normalize_retx_spec(retx) -> Tuple:
-    """Canonical retx spec tuple, or :class:`UnrepresentableScenarioError`.
-
-    Like :func:`normalize_fault_spec`, the grammar lives with the
-    transport (:func:`repro.net.retx.normalize_retx`); this wrapper
-    maps its :class:`ValueError` — which names the bad field — onto
-    the campaign layer's typed guard.
-    """
-    from repro.net.retx import normalize_retx
-
-    try:
-        return normalize_retx(retx)
-    except UnrepresentableScenarioError:
-        raise
-    except ValueError as exc:
-        raise UnrepresentableScenarioError(str(exc)) from None
-
-
-def build_delay_model(spec):
-    """Construct the :class:`~repro.net.delay.DelayModel` a spec names."""
-    from repro.net.delay import (
-        ConstantDelay,
-        ExponentialDelay,
-        JitteredDelay,
-        UniformDelay,
-    )
-
-    kind, *params = _normalize_spec(spec, _DELAY_KINDS, "delay")
-    if kind == "constant":
-        return ConstantDelay(params[0])
-    if kind == "uniform":
-        return UniformDelay(params[0], params[1])
-    if kind == "exponential":
-        return ExponentialDelay(params[0], minimum=params[1])
-    return JitteredDelay(params[0], params[1])
-
-
-def delay_model_spec(model) -> Tuple:
-    """Encode a delay model instance as a picklable spec tuple.
-
-    The inverse of :func:`build_delay_model`; raises
-    :class:`UnrepresentableScenarioError` for models carrying state a
-    spec cannot capture (e.g. :class:`~repro.net.delay.MatrixDelay`
-    or a jittered per-pair base).
-    """
-    from repro.net.delay import (
-        ConstantDelay,
-        ExponentialDelay,
-        JitteredDelay,
-        UniformDelay,
-    )
-
-    if model is None:
-        return ("constant", 5.0)  # the Scenario/Network default Tn
-    if type(model) is ConstantDelay:
-        return ("constant", model.delay)
-    if type(model) is UniformDelay:
-        return ("uniform", model.low, model.high)
-    if type(model) is ExponentialDelay:
-        return ("exponential", model.mean_delay, model.minimum)
-    if type(model) is JitteredDelay and not callable(model._base):
-        return ("jittered", float(model._base), model.jitter)
-    raise UnrepresentableScenarioError(
-        f"delay model {model!r} cannot be encoded as a CellSpec "
-        "(per-pair matrices and custom models are not picklable specs)"
-    )
-
-
-def build_cs_time(spec) -> Callable:
-    """Construct the tagged cs-time callable a spec names."""
-    from repro.workload.scenario import (
-        constant_cs_time,
-        exponential_cs_time,
-        uniform_cs_time,
-    )
-
-    kind, *params = _normalize_spec(spec, _CS_KINDS, "cs_time")
-    if kind == "constant":
-        return constant_cs_time(params[0])
-    if kind == "uniform":
-        return uniform_cs_time(params[0], params[1])
-    return exponential_cs_time(params[0], minimum=params[1])
-
-
-def _cs_time_spec(fn) -> Tuple:
-    """Read the spec tag the scenario cs-time factories attach."""
-    spec = getattr(fn, "spec", None)
-    if spec is None:
-        raise UnrepresentableScenarioError(
-            f"cs_time callable {fn!r} carries no spec tag; use the "
-            "factories in repro.workload.scenario "
-            "(constant/uniform/exponential_cs_time)"
-        )
-    return _normalize_spec(spec, _CS_KINDS, "cs_time")
-
-
-def _workload_spec(arrivals, issue_deadline) -> Tuple:
-    from repro.workload.arrivals import BurstArrivals, PoissonArrivals
-
-    if type(arrivals) is BurstArrivals:
-        if arrivals.start != 0.0:
-            raise UnrepresentableScenarioError(
-                "burst workloads with a delayed start are not encodable"
-            )
-        return ("burst", arrivals.requests_per_node)
-    if type(arrivals) is PoissonArrivals:
-        if issue_deadline is None:
-            raise UnrepresentableScenarioError(
-                "poisson scenarios need an issue_deadline (horizon)"
-            )
-        mean = arrivals.mean_interarrival
-        # The spec stores the mean and build_scenario re-inverts it;
-        # double float inversion is not exact for every rate, so a
-        # rate whose mean does not invert back exactly would rebuild
-        # an imperceptibly different process whose expovariate draws
-        # diverge in the last ulp — breaking bit-for-bit parity.
-        if 1.0 / mean != arrivals.rate:
-            raise UnrepresentableScenarioError(
-                f"poisson rate {arrivals.rate!r} has no exact "
-                "mean-interarrival encoding; construct the process via "
-                "PoissonArrivals.from_mean_interarrival"
-            )
-        return ("poisson", mean, float(issue_deadline))
-    raise UnrepresentableScenarioError(
-        f"arrival process {arrivals!r} cannot be encoded as a CellSpec"
-    )
-
-
-# ----------------------------------------------------------------------
-# cell specification
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CellSpec:
-    """One independent simulation cell, fully picklable.
-
-    ``workload`` is ``("burst", requests_per_node)`` or
-    ``("poisson", mean_interarrival, horizon)``.  ``cs_time`` and
-    ``delay`` accept either a bare number (constant — the historical
-    form) or a spec tuple naming the distribution:
-    ``("constant", v)`` / ``("uniform", lo, hi)`` /
-    ``("exponential", mean, minimum)`` and, for delays only,
-    ``("jittered", base, jitter)``.  ``algo_kwargs`` must itself be
-    picklable and hashable (dict items tuple; RCVConfig is a frozen
-    dataclass — fine).
-
-    ``faults`` is an adversarial-network spec per the grammar in
-    :mod:`repro.net.faults` — a tuple of fault tuples such as
-    ``(("drop", 0.02), ("reorder", 10.0))``; ``()`` is the clean
-    fabric.  The normalized faults participate in :meth:`cache_key`,
-    so a faulty cell and its clean twin can never alias in any cache
-    backend.
-
-    ``retx`` is the reliable-delivery spec ``("retx", rto, backoff,
-    max_retries)`` per :func:`repro.net.retx.normalize_retx` (``()``
-    disables it).  Like ``faults``, it participates in
-    :meth:`cache_key`, so a retx cell can never alias its no-retx
-    twin.
-    """
-
-    algorithm: str
-    n_nodes: int
-    seed: int
-    workload: Tuple
-    cs_time: Union[float, Tuple] = 10.0
-    delay: Union[float, Tuple] = 5.0
-    algo_kwargs: tuple = field(default=())  # dict items, hashable form
-    faults: Tuple = ()
-    retx: Tuple = ()
-
-    # ------------------------------------------------------------------
-    def normalized(self) -> "CellSpec":
-        """Canonical form: bare numbers become constant-spec tuples,
-        workload params become floats/ints, algo_kwargs sorted.  Two
-        specs describing the same cell normalize identically, so they
-        share one :meth:`cache_key`."""
-        kind = self.workload[0]
-        if kind == "burst":
-            workload = ("burst", int(self.workload[1]))
-        elif kind == "poisson":
-            workload = (
-                "poisson",
-                float(self.workload[1]),
-                float(self.workload[2]),
-            )
-        else:
-            raise ValueError(f"unknown workload kind {kind!r}")
-        return replace(
-            self,
-            workload=workload,
-            cs_time=_normalize_spec(self.cs_time, _CS_KINDS, "cs_time"),
-            delay=_normalize_spec(self.delay, _DELAY_KINDS, "delay"),
-            algo_kwargs=tuple(sorted(self.algo_kwargs)),
-            faults=normalize_fault_spec(self.faults, self.n_nodes),
-            retx=normalize_retx_spec(self.retx),
-        )
-
-    def cache_key(self) -> str:
-        """Content address of this cell (sha256 over the normalized
-        spec repr + result-format version).
-
-        Stable across processes and sessions: every field is a
-        number, string, or tuple/frozen-dataclass thereof, whose
-        reprs are deterministic (no ``PYTHONHASHSEED`` dependence).
-        Bumping :data:`repro.metrics.io.FORMAT_VERSION` (archive
-        schema) or :data:`RESULTS_EPOCH` (simulation behavior)
-        invalidates every cached cell, by construction.
-        """
-        import hashlib
-
-        from repro.metrics.io import FORMAT_VERSION
-
-        spec = self.normalized()
-        canon = repr(
-            (
-                FORMAT_VERSION,
-                RESULTS_EPOCH,
-                spec.algorithm,
-                spec.n_nodes,
-                spec.seed,
-                spec.workload,
-                spec.cs_time,
-                spec.delay,
-                spec.algo_kwargs,
-                spec.faults,
-                spec.retx,
-            )
-        )
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-    # ------------------------------------------------------------------
-    def build_scenario(self):
-        from repro.workload.arrivals import BurstArrivals, PoissonArrivals
-        from repro.workload.scenario import Scenario
-
-        kind = self.workload[0]
-        if kind == "burst":
-            arrivals = BurstArrivals(requests_per_node=int(self.workload[1]))
-            issue_deadline = None
-            drain_deadline = None
-        elif kind == "poisson":
-            mean, horizon = float(self.workload[1]), float(self.workload[2])
-            arrivals = PoissonArrivals.from_mean_interarrival(mean)
-            issue_deadline = horizon
-            drain_deadline = horizon * 3
-        else:
-            raise ValueError(f"unknown workload kind {kind!r}")
-        return Scenario(
-            algorithm=self.algorithm,
-            n_nodes=self.n_nodes,
-            arrivals=arrivals,
-            seed=self.seed,
-            cs_time=build_cs_time(self.cs_time),
-            delay_model=build_delay_model(self.delay),
-            issue_deadline=issue_deadline,
-            drain_deadline=drain_deadline,
-            algo_kwargs=dict(self.algo_kwargs),
-            faults=normalize_fault_spec(self.faults, self.n_nodes),
-            retx=normalize_retx_spec(self.retx),
-        )
-
-    @classmethod
-    def from_scenario(cls, scenario) -> "CellSpec":
-        """Encode a scenario as a spec, or raise
-        :class:`UnrepresentableScenarioError`.
-
-        Round-trip contract: ``CellSpec.from_scenario(s)
-        .build_scenario()`` produces a scenario that runs bit-for-bit
-        identically to ``s`` (the parity tests pin this for every
-        delay model and workload kind).
-        """
-        from repro.workload.scenario import Scenario as _Scenario
-
-        if scenario.channel is not None:
-            raise UnrepresentableScenarioError(
-                "non-default channel disciplines are not encodable"
-            )
-        if scenario.max_events != _Scenario.max_events:
-            raise UnrepresentableScenarioError(
-                f"non-default max_events ({scenario.max_events}) is not "
-                "encodable"
-            )
-        workload = _workload_spec(scenario.arrivals, scenario.issue_deadline)
-        # build_scenario derives the deadlines from the workload alone
-        # (burst: none; poisson: horizon and 3x horizon); any other
-        # combination would silently rebuild a different experiment.
-        if workload[0] == "burst":
-            if scenario.issue_deadline is not None:
-                raise UnrepresentableScenarioError(
-                    "burst scenarios with an issue_deadline are not encodable"
-                )
-            if scenario.drain_deadline is not None:
-                raise UnrepresentableScenarioError(
-                    "burst scenarios with a drain_deadline are not encodable"
-                )
-        elif scenario.drain_deadline != scenario.issue_deadline * 3:
-            raise UnrepresentableScenarioError(
-                f"poisson drain_deadline {scenario.drain_deadline!r} is not "
-                "the 3x-horizon convention build_scenario reproduces"
-            )
-        return cls(
-            algorithm=scenario.algorithm,
-            n_nodes=scenario.n_nodes,
-            seed=scenario.seed,
-            workload=workload,
-            cs_time=_cs_time_spec(scenario.cs_time),
-            delay=delay_model_spec(scenario.delay_model),
-            algo_kwargs=tuple(sorted(scenario.algo_kwargs.items())),
-            faults=scenario.faults,
-            retx=scenario.retx,
-        ).normalized()
-
-
-#: process-pinned warm templates: seed-zeroed normalized spec ->
-#: CellTemplate.  Campaign workers run many cells that differ only in
-#: seed (and x-value), so the seed-independent bindings are resolved
-#: once per (algorithm, N, workload, delay, cs_time, kwargs) family
-#: and reused across task boundaries.  Insertion-ordered dict doubles
-#: as the LRU ledger; bounded so a worker cycling through a huge grid
-#: cannot hoard templates.
-_WARM_TEMPLATES: Dict[object, object] = {}
-_WARM_TEMPLATES_CAP = 16
-
-
-def _warm_cells_enabled() -> bool:
-    """``REPRO_WARM_CELLS=0`` disables warm-template reuse (escape
-    hatch: always build every binding fresh per cell)."""
-    return os.environ.get("REPRO_WARM_CELLS", "1") != "0"
-
-
-def _warm_template(spec: CellSpec):
-    """The warm :class:`~repro.engine.batch.CellTemplate` for
-    ``spec``'s seed-independent family (building and caching it on
-    first use)."""
-    from repro.engine.batch import CellTemplate
-
-    key = replace(spec.normalized(), seed=0)
-    template = _WARM_TEMPLATES.get(key)
-    if template is None:
-        template = CellTemplate(spec)
-        if len(_WARM_TEMPLATES) >= _WARM_TEMPLATES_CAP:
-            # Drop the least recently used entry (front of the dict).
-            _WARM_TEMPLATES.pop(next(iter(_WARM_TEMPLATES)))
-        _WARM_TEMPLATES[key] = template
-    else:
-        # Refresh LRU position.
-        _WARM_TEMPLATES.pop(key)
-        _WARM_TEMPLATES[key] = template
-    return template
-
-
 def _run_cell(spec: CellSpec) -> RunResult:
-    # One construction path for every pipeline: the unified engine —
-    # reached through the process-pinned warm template so consecutive
-    # cells of one family skip the repeated spec/binding resolution.
-    # Bit-for-bit identical to a fresh build (the batched-equivalence
-    # suite pins it); REPRO_WARM_CELLS=0 restores the cold path.
-    if _warm_cells_enabled():
-        return _warm_template(spec).run(spec.seed)
+    # One construction path for every pipeline: the unified engine.
     from repro.engine import run_scenario
 
     return run_scenario(spec.build_scenario())
@@ -893,52 +430,49 @@ def run_cells(
 # ----------------------------------------------------------------------
 # parallel variants of the figure sweeps
 # ----------------------------------------------------------------------
+def _sweep(points, algorithms, seeds, max_workers, cache, fields):
+    """``results[algorithm][x]`` = one run per seed, for every x in
+    ``points`` (x -> the :class:`CellSpec` fields that vary with it;
+    ``fields`` are the ones that do not)."""
+    grid = [
+        (a, x, CellSpec(algorithm=a, seed=s, **varying, **fields))
+        for a in algorithms
+        for x, varying in points.items()
+        for s in seeds
+    ]
+    results = run_cells(
+        [spec for _, _, spec in grid], max_workers=max_workers, cache=cache
+    )
+    out: Dict[str, dict] = {a: {x: [] for x in points} for a in algorithms}
+    for (a, x, _), result in zip(grid, results):
+        out[a][x].append(result)
+    return out
+
+
 def parallel_burst_sweep(
     n_values: Sequence[int],
     algorithms: Sequence[str],
     seeds: Sequence[int],
     *,
     requests_per_node: int = 1,
-    cs_time: Union[float, Tuple] = 10.0,
-    delay: Union[float, Tuple] = 5.0,
-    algo_kwargs: tuple = (),
-    faults: Tuple = (),
-    retx: Tuple = (),
     max_workers: Optional[int] = None,
     cache=None,
+    **fields,
 ) -> Dict[str, Dict[int, List[RunResult]]]:
     """Drop-in replacement for
     :func:`repro.experiments.figures.burst_sweep`.
 
     Takes the same workload parameters as the sequential sweep —
-    ``requests_per_node``, ``cs_time``, ``delay_model`` (as a spec) —
-    so the parallel twin of *any* sequential burst sweep exists
-    (previously the burst size was hardcoded to 1, diverging from the
-    ``requests_per_node=3`` runs in :mod:`repro.experiments.figures`).
+    ``requests_per_node`` and, as ``fields``, any other
+    :class:`CellSpec` field (``cs_time``, ``delay`` as specs,
+    ``algo_kwargs``, ``faults``, ``retx``) — so the parallel twin of
+    *any* sequential burst sweep exists.
     """
-    specs = [
-        CellSpec(
-            algorithm=a,
-            n_nodes=n,
-            seed=s,
-            workload=("burst", int(requests_per_node)),
-            cs_time=cs_time,
-            delay=delay,
-            algo_kwargs=algo_kwargs,
-            faults=faults,
-            retx=retx,
-        )
-        for a in algorithms
+    points = {
+        n: {"n_nodes": n, "workload": ("burst", requests_per_node)}
         for n in n_values
-        for s in seeds
-    ]
-    results = run_cells(specs, max_workers=max_workers, cache=cache)
-    out: Dict[str, Dict[int, List[RunResult]]] = {
-        a: {n: [] for n in n_values} for a in algorithms
     }
-    for spec, result in zip(specs, results):
-        out[spec.algorithm][spec.n_nodes].append(result)
-    return out
+    return _sweep(points, algorithms, seeds, max_workers, cache, fields)
 
 
 def parallel_lambda_sweep(
@@ -948,36 +482,15 @@ def parallel_lambda_sweep(
     seeds: Sequence[int],
     horizon: float,
     *,
-    cs_time: Union[float, Tuple] = 10.0,
-    delay: Union[float, Tuple] = 5.0,
-    algo_kwargs: tuple = (),
-    faults: Tuple = (),
-    retx: Tuple = (),
     max_workers: Optional[int] = None,
     cache=None,
+    **fields,
 ) -> Dict[str, Dict[float, List[RunResult]]]:
     """Drop-in replacement for
-    :func:`repro.experiments.figures.lambda_sweep`."""
-    specs = [
-        CellSpec(
-            algorithm=a,
-            n_nodes=n_nodes,
-            seed=s,
-            workload=("poisson", float(v), horizon),
-            cs_time=cs_time,
-            delay=delay,
-            algo_kwargs=algo_kwargs,
-            faults=faults,
-            retx=retx,
-        )
-        for a in algorithms
+    :func:`repro.experiments.figures.lambda_sweep`; ``fields`` as for
+    :func:`parallel_burst_sweep`."""
+    points = {
+        float(v): {"n_nodes": n_nodes, "workload": ("poisson", float(v), horizon)}
         for v in inv_lambdas
-        for s in seeds
-    ]
-    results = run_cells(specs, max_workers=max_workers, cache=cache)
-    out: Dict[str, Dict[float, List[RunResult]]] = {
-        a: {float(v): [] for v in inv_lambdas} for a in algorithms
     }
-    for spec, result in zip(specs, results):
-        out[spec.algorithm][float(spec.workload[1])].append(result)
-    return out
+    return _sweep(points, algorithms, seeds, max_workers, cache, fields)

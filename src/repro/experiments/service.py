@@ -45,12 +45,17 @@ import threading
 import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.experiments.backends import CacheBackend, MemoryBackend
 from repro.experiments.protocol import API_PREFIX, PROTOCOL_VERSION
 
 __all__ = ["CellServer", "PROTOCOL_VERSION", "API_PREFIX"]
+
+
+#: largest request body the server will read — a cell document is a
+#: few KB to a few hundred KB; nothing legitimate comes near this
+_MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 def _owner_record() -> dict:
@@ -67,24 +72,29 @@ def _owner_record() -> dict:
 class _ServiceState:
     """Everything the handlers mutate, behind one lock.
 
-    Cell text is delegated to ``store``; leases, failures, quarantine,
-    and per-owner counters are in-memory (see module docstring for
-    why that is a feature).
+    Cell text is delegated to ``store``.  Leases, failures and
+    quarantine are in-memory (see module docstring for why that is a
+    feature) and arbitrated by a private
+    :class:`~repro.experiments.backends.MemoryBackend` — the one
+    in-memory implementation of the lease contract — so the server
+    adds only what is its own: per-owner counters, the request-id
+    dedupe on ``/fail``, and the ``/stats`` view.
     """
 
     def __init__(self, store: CacheBackend) -> None:
         self.store = store
+        self.arbiter = MemoryBackend()
+        #: makes "touch the owner, arbitrate, count" one atomic step
         self.lock = threading.Lock()
-        self.leases: Dict[str, Tuple[str, float]] = {}
-        self.failures: Dict[str, List[dict]] = {}
-        self.quarantine: Dict[str, dict] = {}
         self.owners: Dict[str, dict] = {}
         # repro-lint: allow(determinism) -- display-only start timestamp
         self.started = time.time()
-        # Lease arbitration runs on the monotonic clock: immune to NTP
-        # steps and host suspend, which would otherwise expire (or
-        # immortalize) every lease in one jump.
         self._started_mono = time.monotonic()
+
+    @property
+    def leases(self) -> Dict[str, tuple]:
+        """The live lease table: ``key -> (owner, monotonic expiry)``."""
+        return self.arbiter.leases
 
     def _touch(self, owner: str) -> dict:
         record = self.owners.setdefault(owner, _owner_record())
@@ -95,39 +105,26 @@ class _ServiceState:
     def claim(self, key: str, owner: str, ttl: float) -> dict:
         with self.lock:
             record = self._touch(owner)
-            if key in self.quarantine:
-                return {"granted": False, "quarantined": True}
-            held = self.leases.get(key)
-            if held is not None:
-                holder, expires = held
-                if holder != owner and expires > time.monotonic():
-                    return {"granted": False, "quarantined": False}
-            self.leases[key] = (owner, time.monotonic() + ttl)
-            record["claims"] += 1
-            return {"granted": True, "quarantined": False}
+            granted = self.arbiter.claim(key, owner, ttl)
+            record["claims"] += granted
+            return {
+                "granted": granted,
+                "quarantined": self.arbiter.is_quarantined(key),
+            }
 
     def release(self, key: str, owner: str) -> dict:
         with self.lock:
             record = self._touch(owner)
-            held = self.leases.get(key)
-            if held is not None and held[0] == owner:
-                del self.leases[key]
-                record["releases"] += 1
-                return {"released": True}
-            return {"released": False}
+            released = self.arbiter.release(key, owner)
+            record["releases"] += released
+            return {"released": released}
 
     def renew(self, key: str, owner: str, ttl: float) -> dict:
         with self.lock:
             record = self._touch(owner)
-            held = self.leases.get(key)
-            if held is None or held[0] != owner or held[1] <= time.monotonic():
-                # Expired (or stolen) leases are NOT renewable — the
-                # worker must re-claim, which can fail, which is how
-                # it learns a peer may be recomputing its cell.
-                return {"renewed": False}
-            self.leases[key] = (owner, time.monotonic() + ttl)
-            record["renews"] += 1
-            return {"renewed": True}
+            renewed = self.arbiter.renew(key, owner, ttl)
+            record["renews"] += renewed
+            return {"renewed": renewed}
 
     # -- cells ---------------------------------------------------------
     def put(self, key: str, value: str) -> None:
@@ -144,7 +141,7 @@ class _ServiceState:
         self, key: str, owner: str, error: str, request_id: str = ""
     ) -> dict:
         with self.lock:
-            records = self.failures.setdefault(key, [])
+            records = self.arbiter.failures(key)
             # Idempotency: a client that lost the *response* retries
             # the report; the echoed id identifies the duplicate so
             # one real crash never spends two units of the
@@ -154,39 +151,29 @@ class _ServiceState:
                 r.get("id") == request_id for r in records
             )
             record = self._touch(owner)
+            count = len(records)
             if not duplicate:
                 record["failures"] += 1
-                records.append(
-                    {
-                        "owner": owner,
-                        "error": error,
-                        # repro-lint: allow(determinism) -- human-readable failure timestamp
-                        "time": time.time(),
-                        "id": request_id,
-                    }
+                count = self.arbiter.record_failure(
+                    key, owner, error, id=request_id
                 )
             return {
-                "count": len(records),
-                "quarantined": key in self.quarantine,
+                "count": count,
+                "quarantined": self.arbiter.is_quarantined(key),
             }
 
     def mark_quarantined(self, key: str) -> dict:
-        with self.lock:
-            records = list(self.failures.get(key, []))
-            self.quarantine.setdefault(
-                key, {"count": len(records), "failures": records}
-            )
-            return {"quarantined": True}
+        self.arbiter.quarantine(key)
+        return {"quarantined": True}
 
     def quarantine_entry(self, key: str) -> dict:
-        with self.lock:
-            entry = self.quarantine.get(key)
-            failures = list(self.failures.get(key, []))
-            return {
-                "quarantined": entry is not None,
-                "count": entry["count"] if entry else len(failures),
-                "failures": entry["failures"] if entry else failures,
-            }
+        entry = self.arbiter.quarantined().get(key)
+        failures = self.arbiter.failures(key)
+        return {
+            "quarantined": entry is not None,
+            "count": entry["count"] if entry else len(failures),
+            "failures": entry["failures"] if entry else failures,
+        }
 
     # -- monitoring ----------------------------------------------------
     def stats(self) -> dict:
@@ -221,7 +208,7 @@ class _ServiceState:
             }
             quarantined = {
                 key: {"count": entry["count"]}
-                for key, entry in sorted(self.quarantine.items())
+                for key, entry in sorted(self.arbiter.quarantined().items())
             }
         return {
             "protocol": PROTOCOL_VERSION,
@@ -247,16 +234,39 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     # -- plumbing ------------------------------------------------------
-    def _reply(self, code: int, payload: dict) -> None:
+    def _reply(self, code: int, payload: dict, *, close: bool = False) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # An unread (or unreadable) body is still on the socket:
+            # the connection cannot carry another request.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _body_json(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length") or 0)
+        # Content-Length is bytes off a socket: a non-number used to
+        # kill the handler thread with no reply, a negative one made
+        # rfile.read block until the peer hung up, and a huge one
+        # raised MemoryError.
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        refusal = None
+        if length < 0:
+            refusal = 400, f"Content-Length {header!r} is not a non-negative integer"
+        elif length > _MAX_BODY_BYTES:
+            refusal = 413, (
+                f"request body of {length} bytes exceeds the "
+                f"{_MAX_BODY_BYTES}-byte limit"
+            )
+        if refusal is not None:
+            self._reply(refusal[0], {"error": refusal[1]}, close=True)
+            return None
         raw = self.rfile.read(length)
         try:
             doc = json.loads(raw.decode("utf-8")) if raw else {}
@@ -314,9 +324,7 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._reply(200, {"found": True, "value": value})
         elif parts == ["quarantine"]:
-            with state.lock:
-                cells = {k: dict(v) for k, v in state.quarantine.items()}
-            self._reply(200, {"cells": cells})
+            self._reply(200, {"cells": state.arbiter.quarantined()})
         elif len(parts) == 2 and parts[0] == "quarantine":
             self._reply(200, state.quarantine_entry(parts[1]))
         else:

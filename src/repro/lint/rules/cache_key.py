@@ -1,28 +1,25 @@
-"""Rule ``cache-key`` — every ``CellSpec`` field is in every key.
+"""Rule ``cache-key`` — every ``CellSpec`` field moves every identity.
 
-The PR-7 aliasing bug class: a field added to ``CellSpec`` but not
-threaded into ``cache_key()`` makes two *different* cells share one
-cache entry — on every backend, silently, with bit-for-bit plausible
-results.  The same omission in the warm-template key leaks one cell
-family's bindings into another, and in ``_spec_to_jsonable`` it
-weakens the embedded-spec corruption guard.  This rule cross-checks
-the ``CellSpec`` dataclass fields, by AST, against all three:
+The PR-7 aliasing bug class: a ``CellSpec`` field that does not reach
+``cache_key()`` makes two *different* cells share one cache entry — on
+every backend, silently, with bit-for-bit plausible results.  The same
+omission in the embedded cell document weakens the stored-spec
+corruption guard, and in the template identity it merges two cell
+families.
 
-1. the ``cache_key`` canon tuple (``experiments/parallel.py``) —
-   every field must appear as ``spec.<field>``;
-2. the warm-template key — ``_warm_template``'s lookup key and
-   ``CellTemplate.__init__``'s ``self.key`` must be derived from the
-   *whole* normalized spec (``replace(spec.normalized(), seed=0)`` /
-   the normalized spec object), or, if ever rewritten as an explicit
-   tuple, must enumerate every field except ``seed``;
-3. the ``_spec_to_jsonable`` document (``experiments/cache.py``) —
-   its key set must equal the field set exactly.
+Key, document and template identity are derived from
+``dataclasses.fields(CellSpec)`` (:mod:`repro.experiments.spec`), so
+there is no hand-written field list left to parse.  This rule is
+therefore a *runtime* guard, the one rule here that imports the
+package it lints: it perturbs one field at a time and checks that the
+key and the document move, that the document's key set is the field
+set, and that the template identity ignores ``seed`` and nothing else.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Iterator, List, Optional, Set
+from dataclasses import fields, replace
+from typing import Iterator
 
 from repro.lint.context import LintContext
 from repro.lint.findings import Finding
@@ -30,342 +27,71 @@ from repro.lint.registry import rule
 
 RULE_ID = "cache-key"
 
-PARALLEL = "src/repro/experiments/parallel.py"
-BATCH = "src/repro/engine/batch.py"
-CACHE = "src/repro/experiments/cache.py"
+SPEC = "src/repro/experiments/spec.py"
 
 
-def _find_class(tree: ast.AST, name: str) -> Optional[ast.ClassDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    return None
+#: two valid cells that differ in every field
+_BASE = ("rcv", 6, 0, ("burst", 1))
+_OTHER = (
+    "maekawa", 9, 1, ("poisson", 40.0, 300.0), ("uniform", 2.0, 6.0),
+    ("exponential", 4.0, 0.5), (("quorum_system", "grid"),),
+    (("dup", 0.1),), ("retx", 20.0, 2.0, 10),
+)  # fmt: skip
 
 
-def _find_function(
-    node: ast.AST, name: str
-) -> Optional[ast.FunctionDef]:
-    for child in ast.walk(node):
-        if isinstance(child, ast.FunctionDef) and child.name == name:
-            return child
-    return None
+def identity_violations(spec_cls=None, template_cls=None) -> Iterator[str]:
+    """One message per way ``spec_cls`` / ``template_cls`` (default:
+    the shipped ``CellSpec`` / ``CellTemplate``) let a field slip."""
+    from repro.engine import CellTemplate
+    from repro.experiments.spec import CellSpec
 
-
-def _dataclass_fields(cls: ast.ClassDef) -> List[str]:
-    fields = []
-    for stmt in cls.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(
-            stmt.target, ast.Name
-        ):
-            fields.append(stmt.target.id)
-    return fields
-
-
-def _spec_attrs(node: ast.AST, base: str = "spec") -> Set[str]:
-    """Names of ``<base>.<attr>`` accesses anywhere under ``node``."""
-    return {
-        child.attr
-        for child in ast.walk(node)
-        if isinstance(child, ast.Attribute)
-        and isinstance(child.value, ast.Name)
-        and child.value.id == base
-    }
-
-
-def _is_normalized_spec_expr(value: ast.AST) -> bool:
-    """Whether an expression is the whole (normalized, possibly
-    seed-replaced) spec: ``replace(spec.normalized(), seed=0)``,
-    ``replace(spec, seed=0)``, ``spec.normalized()``, or a bare name
-    (a local the function derived from the spec)."""
-    if isinstance(value, ast.Name):
-        return True
-    if isinstance(value, ast.Call):
-        func = value.func
-        if isinstance(func, ast.Name) and func.id == "replace":
-            return bool(value.args) and _is_normalized_spec_expr(
-                value.args[0]
+    spec_cls = spec_cls or CellSpec
+    template_cls = template_cls or CellTemplate
+    base, other = spec_cls(*_BASE), spec_cls(*_OTHER)
+    names = [f.name for f in fields(spec_cls)]
+    if set(base.document()) != set(names):
+        yield (
+            f"embedded cell document keys {sorted(base.document())} are "
+            f"not the CellSpec fields {sorted(names)}"
+        )
+    for name in names:
+        if getattr(base, name) == getattr(other, name):
+            yield (
+                f"the cache-key guard's sample cells do not differ in "
+                f"CellSpec field {name!r} — extend them"
             )
-        if isinstance(func, ast.Attribute) and func.attr == "normalized":
-            return True
-    return False
-
-
-def _tuple_completeness(
-    value: ast.Tuple,
-    fields: List[str],
-    *,
-    relpath: str,
-    what: str,
-    exempt: Set[str],
-) -> Iterator[Finding]:
-    present = set()
-    for element in value.elts:
-        if isinstance(element, ast.Attribute):
-            present.add(element.attr)
-    for field in fields:
-        if field in exempt:
             continue
-        if field not in present:
-            yield Finding(
-                path=relpath,
-                line=value.lineno,
-                col=value.col_offset,
-                rule=RULE_ID,
-                message=(
-                    f"CellSpec field {field!r} is missing from {what} — "
-                    "two specs differing only in that field would alias "
-                    "to one entry"
-                ),
+        changed = replace(base, **{name: getattr(other, name)})
+        if changed.cache_key() == base.cache_key():
+            yield (
+                f"CellSpec field {name!r} does not reach cache_key — cells "
+                "differing only in it would alias in every cache backend"
+            )
+        if changed.document() == base.document():
+            yield (
+                f"CellSpec field {name!r} does not reach the embedded cell "
+                "document — the stored-spec corruption check cannot see it"
+            )
+        same_family = template_cls(changed).key == template_cls(base).key
+        if same_family != (name == "seed"):
+            yield (
+                f"CellSpec field {name!r} "
+                + ("splits" if name == "seed" else "does not reach")
+                + " CellTemplate.key — the template identity must ignore "
+                "seed and nothing else"
             )
 
 
-@rule(RULE_ID, "every CellSpec field is in cache_key, template key, and doc")
+@rule(RULE_ID, "every CellSpec field moves cache_key, cell document, template key")
 def check(ctx: LintContext) -> Iterator[Finding]:
-    tree = ctx.tree(PARALLEL)
-    if tree is None:
-        yield Finding(
-            path=PARALLEL,
-            line=0,
-            col=0,
-            rule=RULE_ID,
-            message="anchor file missing or unparseable (CellSpec home)",
-        )
-        return
-    spec_cls = _find_class(tree, "CellSpec")
-    if spec_cls is None:
-        yield Finding(
-            path=PARALLEL,
-            line=0,
-            col=0,
-            rule=RULE_ID,
-            message="class CellSpec not found",
-        )
-        return
-    fields = _dataclass_fields(spec_cls)
-
-    # -- 1. cache_key canon tuple --------------------------------------
-    cache_key = _find_function(spec_cls, "cache_key")
-    if cache_key is None:
-        yield Finding(
-            path=PARALLEL,
-            line=spec_cls.lineno,
-            col=spec_cls.col_offset,
-            rule=RULE_ID,
-            message="CellSpec.cache_key not found",
-        )
-    else:
-        canon_tuple: Optional[ast.Tuple] = None
-        for node in ast.walk(cache_key):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "repr"
-                and node.args
-                and isinstance(node.args[0], ast.Tuple)
-            ):
-                canon_tuple = node.args[0]
-                break
-        if canon_tuple is None:
-            yield Finding(
-                path=PARALLEL,
-                line=cache_key.lineno,
-                col=cache_key.col_offset,
-                rule=RULE_ID,
-                message=(
-                    "cache_key no longer builds its canon via "
-                    "repr((...)) — update the cache-key rule alongside "
-                    "the implementation so completeness stays checked"
-                ),
-            )
-        else:
-            present = _spec_attrs(canon_tuple)
-            for field in fields:
-                if field not in present:
-                    yield Finding(
-                        path=PARALLEL,
-                        line=canon_tuple.lineno,
-                        col=canon_tuple.col_offset,
-                        rule=RULE_ID,
-                        message=(
-                            f"CellSpec field {field!r} is missing from "
-                            "the cache_key canon tuple — cells differing "
-                            "only in that field would alias in every "
-                            "cache backend (the PR-7 bug class)"
-                        ),
-                    )
-            for extra in sorted(present - set(fields)):
-                yield Finding(
-                    path=PARALLEL,
-                    line=canon_tuple.lineno,
-                    col=canon_tuple.col_offset,
-                    rule=RULE_ID,
-                    message=(
-                        f"cache_key canon references spec.{extra}, "
-                        "which is not a CellSpec field"
-                    ),
-                )
-
-    # -- 2a. warm-template lookup key ----------------------------------
-    warm = _find_function(tree, "_warm_template")
-    if warm is not None:
-        key_value: Optional[ast.AST] = None
-        for node in ast.walk(warm):
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "key"
-                for t in node.targets
-            ):
-                key_value = node.value
-                break
-        if key_value is None:
-            yield Finding(
-                path=PARALLEL,
-                line=warm.lineno,
-                col=warm.col_offset,
-                rule=RULE_ID,
-                message="_warm_template no longer assigns a lookup key",
-            )
-        elif isinstance(key_value, ast.Tuple):
-            yield from _tuple_completeness(
-                key_value,
-                fields,
-                relpath=PARALLEL,
-                what="the warm-template lookup key",
-                exempt={"seed"},
-            )
-        elif not _is_normalized_spec_expr(key_value):
-            yield Finding(
-                path=PARALLEL,
-                line=key_value.lineno,
-                col=key_value.col_offset,
-                rule=RULE_ID,
-                message=(
-                    "warm-template lookup key is not derived from the "
-                    "whole normalized spec (nor an explicit field "
-                    "tuple) — a partial key leaks one cell family's "
-                    "bindings into another"
-                ),
-            )
-
-    # -- 2b. CellTemplate.key ------------------------------------------
-    btree = ctx.tree(BATCH)
-    if btree is None:
-        yield Finding(
-            path=BATCH,
-            line=0,
-            col=0,
-            rule=RULE_ID,
-            message="anchor file missing or unparseable (CellTemplate home)",
-        )
-    else:
-        template = _find_class(btree, "CellTemplate")
-        init = _find_function(template, "__init__") if template else None
-        if template is None or init is None:
-            yield Finding(
-                path=BATCH,
-                line=0,
-                col=0,
-                rule=RULE_ID,
-                message="CellTemplate.__init__ not found",
-            )
-        else:
-            key_value = None
-            for node in ast.walk(init):
-                if isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Attribute)
-                    and t.attr == "key"
-                    and isinstance(t.value, ast.Name)
-                    and t.value.id == "self"
-                    for t in node.targets
-                ):
-                    key_value = node.value
-                    break
-            if key_value is None:
-                yield Finding(
-                    path=BATCH,
-                    line=init.lineno,
-                    col=init.col_offset,
-                    rule=RULE_ID,
-                    message="CellTemplate.__init__ no longer sets self.key",
-                )
-            elif isinstance(key_value, ast.Tuple):
-                yield from _tuple_completeness(
-                    key_value,
-                    fields,
-                    relpath=BATCH,
-                    what="CellTemplate.key",
-                    exempt={"seed"},
-                )
-            elif not _is_normalized_spec_expr(key_value):
-                yield Finding(
-                    path=BATCH,
-                    line=key_value.lineno,
-                    col=key_value.col_offset,
-                    rule=RULE_ID,
-                    message=(
-                        "CellTemplate.key is not the whole normalized "
-                        "spec (nor an explicit field tuple)"
-                    ),
-                )
-
-    # -- 3. the embedded-spec document ---------------------------------
-    ctree = ctx.tree(CACHE)
-    if ctree is None:
-        yield Finding(
-            path=CACHE,
-            line=0,
-            col=0,
-            rule=RULE_ID,
-            message="anchor file missing or unparseable (cell-doc home)",
-        )
-    else:
-        jsonable = _find_function(ctree, "_spec_to_jsonable")
-        doc_dict: Optional[ast.Dict] = None
-        if jsonable is not None:
-            for node in ast.walk(jsonable):
-                if isinstance(node, ast.Return) and isinstance(
-                    node.value, ast.Dict
-                ):
-                    doc_dict = node.value
-                    break
-        if doc_dict is None:
-            yield Finding(
-                path=CACHE,
-                line=0,
-                col=0,
-                rule=RULE_ID,
-                message=(
-                    "_spec_to_jsonable (the embedded-spec corruption "
-                    "guard) no longer returns a dict literal"
-                ),
-            )
-        else:
-            keys = {
-                k.value
-                for k in doc_dict.keys
-                if isinstance(k, ast.Constant) and isinstance(k.value, str)
-            }
-            for field in fields:
-                if field not in keys:
-                    yield Finding(
-                        path=CACHE,
-                        line=doc_dict.lineno,
-                        col=doc_dict.col_offset,
-                        rule=RULE_ID,
-                        message=(
-                            f"CellSpec field {field!r} is missing from "
-                            "the embedded cell document "
-                            "(_spec_to_jsonable) — the stored-spec "
-                            "corruption check cannot see it"
-                        ),
-                    )
-            for extra in sorted(keys - set(fields)):
-                yield Finding(
-                    path=CACHE,
-                    line=doc_dict.lineno,
-                    col=doc_dict.col_offset,
-                    rule=RULE_ID,
-                    message=(
-                        f"embedded cell document key {extra!r} is not "
-                        "a CellSpec field"
-                    ),
-                )
+    try:
+        if not ctx.exists(SPEC):
+            raise FileNotFoundError("anchor file missing (CellSpec home)")
+        messages = list(identity_violations())
+    except Exception as exc:
+        # A missing anchor, or a tree too broken to import, must fail
+        # the gate with a finding — not pass silently, and not crash
+        # the linter and hide the other rules.
+        messages = [f"the runtime guard could not run: {exc!r}"]
+    for message in messages:
+        yield Finding(path=SPEC, line=0, col=0, rule=RULE_ID, message=message)

@@ -1,0 +1,173 @@
+"""Property tests for the cell-spec codecs (``repro.experiments.spec``).
+
+Every :class:`CellSpec` field goes through one ``AXES`` entry, so the
+properties are stated once and run per axis:
+
+* normalisation is idempotent — ``normalize(normalize(x)) ==
+  normalize(x)`` — for every spelling of a valid value;
+* spec -> scenario -> spec is the identity on normalized specs;
+* the embedded cache document survives JSON and identifies the spec —
+  equal documents mean equal cells;
+* junk is refused with the typed error, never with whatever exception
+  the first operation on it happens to raise.
+"""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.experiments.spec import (
+    AXES,
+    FIELD_NAMES,
+    CellSpec,
+    UnrepresentableScenarioError,
+)
+
+COMMON = dict(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+N_NODES = 6
+
+amounts = st.floats(0.0, 100.0) | st.integers(0, 100)
+positives = st.floats(0.001, 100.0) | st.integers(1, 100)
+probabilities = st.floats(0.0, 1.0)
+
+
+def spellings(*parts):
+    """``(kind, *params)`` as a tuple or a list."""
+    return st.tuples(*parts) | st.tuples(*parts).map(list)
+
+
+def ordered_pairs(kind):
+    return st.tuples(amounts, amounts).flatmap(
+        lambda pair: spellings(st.just(kind), st.just(min(pair)), st.just(max(pair)))
+    )
+
+
+workloads = (
+    spellings(st.just("burst"), st.integers(1, 5))
+    | spellings(st.just("burst"), st.integers(1, 5).map(float))
+    | spellings(st.just("poisson"), positives, positives)
+)
+cs_times = (
+    amounts
+    | spellings(st.just("constant"), amounts)
+    | ordered_pairs("uniform")
+    | spellings(st.just("exponential"), positives, amounts)
+)
+delays = cs_times | spellings(st.just("jittered"), amounts, amounts)
+kwarg_values = st.integers() | st.text(max_size=5) | st.booleans()
+algo_kwargs = st.dictionaries(st.text(max_size=6), kwarg_values, max_size=4).flatmap(
+    lambda d: st.sampled_from(
+        [d, tuple(d.items()), [list(i) for i in reversed(d.items())]]
+    )
+)
+faults = st.lists(
+    st.one_of(
+        st.tuples(st.just("drop"), probabilities),
+        st.tuples(st.just("dup"), probabilities),
+        st.tuples(st.just("reorder"), amounts),
+        st.tuples(
+            st.just("crash"),
+            st.lists(
+                st.tuples(st.integers(0, N_NODES - 1), amounts),
+                max_size=2,
+                unique_by=lambda entry: entry[0],
+            ).map(tuple),
+        ),
+    ),
+    unique_by=lambda fault: fault[0],
+    max_size=4,
+).map(tuple)
+retx = st.just(()) | st.tuples(
+    st.just("retx"),
+    positives,
+    st.floats(1.0, 4.0) | st.integers(1, 4),
+    st.integers(1, 20),
+)
+
+VALUES = {
+    "algorithm": st.sampled_from(["rcv", "maekawa", "ricart_agrawala"]),
+    "n_nodes": st.just(N_NODES),
+    "seed": st.integers(0, 2**31),
+    "workload": workloads,
+    "cs_time": cs_times,
+    "delay": delays,
+    "algo_kwargs": algo_kwargs,
+    "faults": faults,
+    "retx": retx,
+}
+specs = st.builds(CellSpec, **VALUES)
+
+
+def test_every_field_has_an_axis_and_a_strategy():
+    assert set(VALUES) == set(AXES) == set(FIELD_NAMES)
+
+
+@pytest.mark.parametrize("name", FIELD_NAMES)
+@settings(**COMMON)
+@given(data=st.data())
+def test_normalisation_is_idempotent(name, data):
+    normalize = AXES[name].normalize
+    once = normalize(data.draw(VALUES[name]), N_NODES)
+    assert normalize(once, N_NODES) == once
+    assert repr(normalize(once, N_NODES)) == repr(once)  # 1 vs 1.0 matters
+
+
+@settings(**COMMON)
+@given(spec=specs)
+def test_spec_normalisation_is_idempotent_and_keeps_the_key(spec):
+    once = spec.normalized()
+    assert once.normalized() == once
+    assert once.cache_key() == spec.cache_key()
+
+
+@settings(**COMMON)
+@given(spec=specs)
+def test_scenario_round_trip_is_the_identity(spec):
+    assert CellSpec.from_scenario(spec.build_scenario()) == spec.normalized()
+
+
+@settings(**COMMON)
+@given(a=specs, b=specs)
+def test_document_survives_json_and_identifies_the_spec(a, b):
+    stored = json.loads(json.dumps(a.document()))
+    assert stored == a.document() == a.normalized().document()
+    assert list(stored) == list(FIELD_NAMES)
+    assert (stored == b.document()) == (a.normalized() == b.normalized())
+    assert (a.cache_key() == b.cache_key()) == (a.normalized() == b.normalized())
+
+
+junk = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=True)
+    | st.text(max_size=4)
+    | st.sampled_from(
+        ["burst", "poisson", "constant", "uniform", "drop", "crash", "retx"]
+    ),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=8,
+)
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in FIELD_NAMES if n not in ("algorithm", "n_nodes", "seed")]
+)
+@settings(**COMMON)
+@given(value=junk)
+def test_junk_is_refused_with_the_typed_error(name, value):
+    try:
+        once = AXES[name].normalize(value, N_NODES)
+    except UnrepresentableScenarioError as exc:
+        assert str(exc)
+    else:  # it was a valid spelling after all
+        assert AXES[name].normalize(once, N_NODES) == once

@@ -14,13 +14,14 @@ import pytest
 from repro.experiments.cache import CellCache
 from repro.experiments.figures import burst_sweep, lambda_sweep
 from repro.experiments.parallel import (
-    CellSpec,
-    UnrepresentableScenarioError,
-    build_delay_model,
-    delay_model_spec,
     parallel_burst_sweep,
     parallel_lambda_sweep,
     run_cells,
+)
+from repro.experiments.spec import (
+    AXES,
+    CellSpec,
+    UnrepresentableScenarioError,
 )
 from repro.metrics.io import result_to_dict
 from repro.net.delay import (
@@ -347,7 +348,7 @@ def test_parallel_lambda_sweep_matches_sequential_with_delay_model():
         4,
         (0,),
         400.0,
-        delay_model=build_delay_model(delay),
+        delay_model=AXES["delay"].build(delay)["delay_model"],
     )
     par = parallel_lambda_sweep(
         (25.0,), ("rcv",), 4, (0,), 400.0, delay=delay, max_workers=1
@@ -384,7 +385,8 @@ def test_theory_table_shared_results_path():
     ids=lambda m: type(m).__name__,
 )
 def test_delay_spec_roundtrip(model):
-    rebuilt = build_delay_model(delay_model_spec(model))
+    scenario = Scenario("rcv", 3, BurstArrivals(), delay_model=model)
+    rebuilt = CellSpec.from_scenario(scenario).build_scenario().delay_model
     assert type(rebuilt) is type(model)
     assert repr(rebuilt) == repr(model)
 
@@ -399,17 +401,18 @@ def test_delay_model_no_longer_silently_downgraded():
 
 
 def test_unrepresentable_delay_model_raises():
-    matrix = MatrixDelay(lambda s, d: 1.0)
-    with pytest.raises(UnrepresentableScenarioError):
-        delay_model_spec(matrix)
-    scenario = Scenario(
-        algorithm="rcv",
-        n_nodes=3,
-        arrivals=BurstArrivals(),
-        delay_model=matrix,
-    )
-    with pytest.raises(UnrepresentableScenarioError):
-        CellSpec.from_scenario(scenario)
+    for model in (
+        MatrixDelay(lambda s, d: 1.0),
+        JitteredDelay(lambda s, d: 5.0, 1.0),  # per-pair base
+    ):
+        scenario = Scenario(
+            algorithm="rcv",
+            n_nodes=3,
+            arrivals=BurstArrivals(),
+            delay_model=model,
+        )
+        with pytest.raises(UnrepresentableScenarioError, match="delay"):
+            CellSpec.from_scenario(scenario)
 
 
 def test_unknown_spec_kinds_raise():
@@ -515,11 +518,13 @@ def test_poisson_rate_without_exact_mean_raises():
 
 def test_cache_key_depends_on_results_epoch(monkeypatch):
     """Bumping the behavior epoch must invalidate every cached cell."""
-    from repro.experiments import parallel
+    from repro.experiments import spec as spec_module
 
     spec = CellSpec("rcv", 5, 0, ("burst", 1))
     before = spec.cache_key()
-    monkeypatch.setattr(parallel, "RESULTS_EPOCH", parallel.RESULTS_EPOCH + 1)
+    monkeypatch.setattr(
+        spec_module, "RESULTS_EPOCH", spec_module.RESULTS_EPOCH + 1
+    )
     assert spec.cache_key() != before
 
 

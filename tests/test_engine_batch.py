@@ -1,14 +1,12 @@
-"""Seed-independence of the batched cell path.
+"""Seed-independence of the multi-seed cell path.
 
-:class:`~repro.engine.batch.CellTemplate` shares the seed-independent
-bindings (delay model, cs-time distribution, normalized spec) across
-every seed of a cell, and the warm campaign workers keep templates
-alive across task boundaries.  That is only sound if **no state leaks
-between runs**: a batched run must be bit-for-bit identical to a
-fresh ``run_scenario`` of the same (spec, seed), regardless of how
-many other seeds the template ran before, in what order, and whether
-the worker-level template registry was involved.  These tests pin
-exactly that.
+:class:`~repro.engine.batch.CellTemplate` shares the stateless
+bindings (delay model, cs-time distribution) across every seed of a
+cell family.  That is only sound if **no state leaks between runs**:
+a template run must be bit-for-bit identical to a fresh
+``run_scenario`` of the same (spec, seed), regardless of how many
+other seeds the template ran before and in what order.  These tests
+pin exactly that.
 """
 
 from __future__ import annotations
@@ -17,12 +15,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.engine import CellTemplate, run_cell_batched
-from repro.experiments.parallel import (
-    _WARM_TEMPLATES,
-    CellSpec,
-    _run_cell,
-)
+from repro.engine import CellTemplate
+from repro.experiments.spec import CellSpec
 from repro.metrics.io import result_to_dict
 
 SEEDS = (0, 1, 2)
@@ -58,7 +52,8 @@ def _fresh(spec, seed):
 )
 def test_batched_equals_fresh_per_seed(spec):
     """One template across many seeds == a fresh engine per seed."""
-    batched = run_cell_batched(spec, SEEDS)
+    template = CellTemplate(spec)
+    batched = [template.run(seed) for seed in SEEDS]
     fresh = [_fresh(spec, seed) for seed in SEEDS]
     assert [result_to_dict(a) for a in batched] == [
         result_to_dict(b) for b in fresh
@@ -72,20 +67,18 @@ def test_batched_equals_fresh_per_seed(spec):
 )
 def test_batched_is_order_independent(spec):
     """Earlier seeds must not contaminate later ones: running the
-    seeds reversed, or one at a time through a reused template,
-    yields the same per-seed results."""
-    forward = run_cell_batched(spec, SEEDS)
-    backward = run_cell_batched(spec, tuple(reversed(SEEDS)))
+    seeds reversed through the same (by then well-used) template, or
+    each through a template of its own, yields the same per-seed
+    results."""
+    template = CellTemplate(spec)
+    forward = [template.run(seed) for seed in SEEDS]
+    backward = [template.run(seed) for seed in reversed(SEEDS)]
     assert [result_to_dict(r) for r in forward] == [
         result_to_dict(r) for r in reversed(backward)
     ]
 
-    template = CellTemplate(spec)
-    one_at_a_time = [
-        run_cell_batched(spec, (seed,), template=template)[0]
-        for seed in SEEDS
-    ]
-    assert [result_to_dict(r) for r in one_at_a_time] == [
+    one_template_each = [CellTemplate(spec).run(seed) for seed in SEEDS]
+    assert [result_to_dict(r) for r in one_template_each] == [
         result_to_dict(r) for r in forward
     ]
 
@@ -101,50 +94,8 @@ def test_template_key_ignores_seed():
 
 def test_template_key_separates_fault_families():
     """A faulty cell and its clean twin are different template
-    families — warm reuse must never serve one for the other."""
+    families."""
     assert CellTemplate(FAULTY_SPEC).key != CellTemplate(BURST_SPEC).key
     # ...but a no-op fault spec IS the clean family.
     noop = replace(BURST_SPEC, faults=(("drop", 0.0),))
     assert CellTemplate(noop).key == CellTemplate(BURST_SPEC).key
-
-
-def test_warm_templates_do_not_leak_fault_schedules(monkeypatch):
-    """Interleaving a fault family with its clean twin through the
-    process-pinned warm registry keeps both bit-for-bit identical to
-    fresh builds — the LRU must key on the faults field."""
-    monkeypatch.setenv("REPRO_WARM_CELLS", "1")
-    _WARM_TEMPLATES.clear()
-    interleaved = {}
-    for seed in SEEDS:
-        for spec in (FAULTY_SPEC, BURST_SPEC):
-            interleaved[(spec.faults, seed)] = result_to_dict(
-                _run_cell(replace(spec, seed=seed))
-            )
-    assert len(_WARM_TEMPLATES) == 2  # two families, two templates
-    for seed in SEEDS:
-        for spec in (FAULTY_SPEC, BURST_SPEC):
-            assert interleaved[(spec.faults, seed)] == result_to_dict(
-                _fresh(spec, seed)
-            )
-    # The fault runs really injected faults (and the clean ones
-    # really did not).
-    for (faults, _seed), doc in interleaved.items():
-        assert ("net_fault_dups" in doc["extra"]) == bool(faults)
-
-
-def test_warm_worker_equals_cold_worker(monkeypatch):
-    """The campaign worker's warm-template path returns exactly what
-    the cold build-everything-per-cell path returns."""
-    specs = [replace(BURST_SPEC, seed=seed) for seed in SEEDS]
-
-    monkeypatch.setenv("REPRO_WARM_CELLS", "0")
-    cold = [result_to_dict(_run_cell(spec)) for spec in specs]
-
-    monkeypatch.setenv("REPRO_WARM_CELLS", "1")
-    _WARM_TEMPLATES.clear()
-    warm = [result_to_dict(_run_cell(spec)) for spec in specs]
-    assert len(_WARM_TEMPLATES) == 1  # one family -> one warm template
-    # a second pass reuses the (now maximally warm) template
-    rewarm = [result_to_dict(_run_cell(spec)) for spec in specs]
-
-    assert cold == warm == rewarm

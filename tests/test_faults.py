@@ -6,10 +6,10 @@ from dataclasses import replace
 import pytest
 
 from repro.engine.engine import Engine, run_scenario
-from repro.experiments.parallel import (
+from repro.experiments.spec import (
+    AXES,
     CellSpec,
     UnrepresentableScenarioError,
-    normalize_fault_spec,
 )
 from repro.net.channels import RawChannel
 from repro.net.delay import ConstantDelay
@@ -83,10 +83,11 @@ def test_normalize_range_checks_nodes_against_n():
 
 
 def test_campaign_wrapper_raises_typed_guard():
+    normalize = AXES["faults"].normalize
     with pytest.raises(UnrepresentableScenarioError):
-        normalize_fault_spec((("gamma-burst", 1.0),))
+        normalize((("gamma-burst", 1.0),))
     with pytest.raises(UnrepresentableScenarioError):
-        normalize_fault_spec((("crash", ((9, 1.0),)),), 4)
+        normalize((("crash", ((9, 1.0),)),), 4)
 
 
 def test_fault_plan_unpacks_spec():

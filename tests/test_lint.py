@@ -13,35 +13,26 @@ Covers, per docs/static-analysis.md:
 
 from __future__ import annotations
 
-import ast
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
+from repro.engine import CellTemplate
+from repro.experiments.spec import CellSpec
 from repro.lint import run_lint
 from repro.lint.pragmas import parse_pragmas
+from repro.lint.rules.cache_key import identity_violations
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "tests" / "lint_fixtures"
 
-PARALLEL = "src/repro/experiments/parallel.py"
-BATCH = "src/repro/engine/batch.py"
-CACHE = "src/repro/experiments/cache.py"
-
-CELLSPEC_FIELDS = (
-    "algorithm",
-    "n_nodes",
-    "seed",
-    "workload",
-    "cs_time",
-    "delay",
-    "algo_kwargs",
-    "faults",
-)
+CELLSPEC_FIELDS = tuple(f.name for f in fields(CellSpec))
+_DEFAULTS = CellSpec("rcv", 6, 0, ("burst", 1))
 
 
 def _lines(report, rule, path_suffix=None):
@@ -139,90 +130,76 @@ def test_rng_streams_missing_registry_is_itself_a_finding(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# cache-key (mutation-proof)
+# cache-key (mutation-proof): a runtime guard, so the mutants are
+# CellSpec / CellTemplate subclasses that let one field slip
 # ----------------------------------------------------------------------
-def _drop_field_from_canon(field_name: str) -> str:
-    """Real parallel.py with ``spec.<field>`` removed from the canon."""
-    tree = ast.parse((ROOT / PARALLEL).read_text())
-    dropped = 0
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "repr"
-            and node.args
-            and isinstance(node.args[0], ast.Tuple)
-        ):
-            elts = node.args[0].elts
-            keep = [
-                e
-                for e in elts
-                if not (
-                    isinstance(e, ast.Attribute) and e.attr == field_name
-                )
-            ]
-            dropped += len(elts) - len(keep)
-            node.args[0].elts = keep
-    assert dropped == 1, f"canon tuple does not mention spec.{field_name}"
-    return ast.unparse(tree)
+def _forgets(method_name: str, field_name: str):
+    """A CellSpec whose ``method_name`` ignores ``field_name``."""
+    real = getattr(CellSpec, method_name)
+
+    def forgetful(self):
+        return real(
+            replace(self, **{field_name: getattr(_DEFAULTS, field_name)})
+        )
+
+    return type("Forgetful", (CellSpec,), {method_name: forgetful})
 
 
 @pytest.mark.parametrize("field_name", CELLSPEC_FIELDS)
 def test_cache_key_rule_catches_any_dropped_canon_field(field_name):
-    report = run_lint(
-        ROOT,
-        select=["cache-key"],
-        overlay={PARALLEL: _drop_field_from_canon(field_name)},
-    )
+    messages = list(identity_violations(_forgets("cache_key", field_name)))
     assert any(
-        f.rule == "cache-key"
-        and f.path == PARALLEL
-        and f"{field_name!r} is missing from the cache_key canon" in f.message
-        for f in report.findings
-    ), report.findings
+        f"{field_name!r} does not reach cache_key" in m for m in messages
+    ), messages
 
 
 def test_cache_key_rule_catches_partial_template_key():
-    source = (ROOT / PARALLEL).read_text()
-    wanted = "key = replace(spec.normalized(), seed=0)"
-    assert wanted in source
-    mutated = source.replace(
-        wanted, "key = (spec.algorithm, spec.n_nodes)"
-    )
-    report = run_lint(
-        ROOT, select=["cache-key"], overlay={PARALLEL: mutated}
-    )
+    class PartialKey(CellTemplate):
+        def __init__(self, spec):
+            super().__init__(spec)
+            self.key = (self.spec.algorithm, self.spec.n_nodes)
+
     missing = {
-        m
-        for f in report.findings
-        for m in CELLSPEC_FIELDS
-        if f"{m!r} is missing from the warm-template lookup key" in f.message
+        m.split("'")[1]
+        for m in identity_violations(template_cls=PartialKey)
+        if "does not reach CellTemplate.key" in m
     }
     # every field except the two kept and the seed (exempt by design)
     assert missing == set(CELLSPEC_FIELDS) - {"algorithm", "n_nodes", "seed"}
 
 
 def test_cache_key_rule_catches_dropped_doc_field():
-    source = (ROOT / CACHE).read_text()
-    wanted = '"workload": '
-    assert wanted in source
-    mutated = source.replace(wanted, '"work_load": ')
-    report = run_lint(ROOT, select=["cache-key"], overlay={CACHE: mutated})
-    messages = " | ".join(f.message for f in report.findings)
-    assert "'workload' is missing from the embedded cell document" in messages
-    assert "'work_load' is not a CellSpec field" in messages
+    class Renamed(CellSpec):
+        def document(self):
+            doc = CellSpec.document(self)
+            doc["work_load"] = doc.pop("workload")
+            return doc
+
+    messages = " | ".join(identity_violations(Renamed))
+    assert "'work_load'" in messages and "are not the CellSpec fields" in messages
+    messages = " | ".join(identity_violations(_forgets("document", "workload")))
+    assert "'workload' does not reach the embedded cell document" in messages
 
 
 def test_cache_key_rule_catches_lost_template_key_derivation():
-    source = (ROOT / BATCH).read_text()
-    wanted = "self.key = spec"
-    assert wanted in source
-    mutated = source.replace(wanted, "self.key = spec.algorithm")
-    report = run_lint(ROOT, select=["cache-key"], overlay={BATCH: mutated})
+    class SeededKey(CellTemplate):
+        def __init__(self, spec):
+            super().__init__(spec)
+            self.key = spec.normalized()  # the seed is still in there
+
     assert any(
-        f.rule == "cache-key" and "CellTemplate.key" in f.message
-        for f in report.findings
+        "'seed' splits CellTemplate.key" in m
+        for m in identity_violations(template_cls=SeededKey)
     )
+
+
+def test_cache_key_rule_reports_through_the_linter(monkeypatch):
+    monkeypatch.setattr(
+        CellSpec, "cache_key", _forgets("cache_key", "retx").cache_key
+    )
+    report = run_lint(ROOT, select=["cache-key"])
+    assert [f.rule for f in report.findings] == ["cache-key"]
+    assert "'retx' does not reach cache_key" in report.findings[0].message
 
 
 # ----------------------------------------------------------------------

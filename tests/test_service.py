@@ -160,6 +160,44 @@ def test_malformed_requests_get_400_not_500(server):
         conn.close()
 
 
+@pytest.mark.parametrize(
+    "content_length, status, wanted",
+    [
+        ("abc", 400, "not a non-negative integer"),
+        ("-1", 400, "not a non-negative integer"),
+        ("99999999999", 413, "exceeds"),
+    ],
+)
+def test_untrustworthy_content_length_is_refused(
+    server, content_length, status, wanted
+):
+    """Content-Length is bytes off a socket: a non-number used to kill
+    the handler thread with no reply, -1 blocked it until the peer
+    hung up, and a huge value raised MemoryError.  Each now gets a
+    JSON error reply and a closed connection — without waiting for a
+    body that will never come."""
+    import socket
+
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.sendall(
+            f"POST {API_PREFIX}/claim HTTP/1.1\r\n"
+            f"Host: {server.host}\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode("ascii")
+        )
+        chunks = []
+        while True:  # the server closes the connection after replying
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    assert head.startswith(f"HTTP/1.1 {status} ".encode("ascii")), head
+    assert b"connection: close" in head.lower()
+    assert wanted in json.loads(body.decode("utf-8"))["error"]
+    # ...and the server is still serving.
+    assert _raw(server, "GET", f"{API_PREFIX}/stats")[0] == 200
+
+
 def test_unknown_endpoints_get_404(server):
     status, doc = _raw(server, "GET", f"{API_PREFIX}/nope")
     assert status == 404 and "no such endpoint" in doc["error"]

@@ -1,0 +1,221 @@
+"""The cell spec boundary: byte compatibility and input validation.
+
+``CellSpec.cache_key()`` and the embedded cache document are derived
+from the dataclass fields through ``repro.experiments.spec.AXES``.
+The literals below were computed on the commit *before* that
+derivation existed (hand-written canon tuple and document dict), so
+they pin that existing caches keep loading: same keys, same bytes,
+no ``RESULTS_EPOCH`` bump.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from repro.engine import run_scenario
+from repro.experiments.backends import DirectoryBackend
+from repro.experiments.cache import CellCache
+from repro.experiments.spec import CellSpec, UnrepresentableScenarioError
+from repro.metrics.io import result_to_dict
+
+DATA = Path(__file__).resolve().parent / "data"
+
+#: (spec, cache_key() at PR 11) — every delay and cs_time kind, both
+#: workloads, bare-number shorthands, algo_kwargs, faults and retx
+PINNED_KEYS = [
+    (
+        CellSpec("rcv", 10, 0, ("burst", 1)),
+        "2fcce70cf32a0724746ad692c7c6a59710191e782fc0ab32c12600e6849f1ec9",
+    ),
+    (
+        CellSpec("maekawa", 9, 3, ("burst", 2), cs_time=7, delay=2.5),
+        "d0f243418ebc86d21133030d9a5b5714340bd2fe37fc8b313994f01559ad759d",
+    ),
+    (
+        CellSpec(
+            "rcv",
+            8,
+            1,
+            ("poisson", 40.0, 300.0),
+            delay=("uniform", 1.0, 9.0),
+            cs_time=("exponential", 8.0, 0.5),
+        ),
+        "56895c39dcf87f1b63ea451767aff05bce1824755044da70a6ce6808ce8c3d72",
+    ),
+    (
+        CellSpec(
+            "ricart_agrawala",
+            6,
+            2,
+            ("poisson", 25, 200),
+            delay=("exponential", 4.0, 0.5),
+            cs_time=("uniform", 2.0, 6.0),
+        ),
+        "44835be5196f4106a8407b9d5afc56e8351fd9fc599a0b88f37ebe8b94a85cb4",
+    ),
+    (
+        CellSpec(
+            "maekawa",
+            9,
+            4,
+            ("burst", 1),
+            delay=("jittered", 5.0, 1.5),
+            algo_kwargs=(("quorum_system", "grid"),),
+        ),
+        "f5a89c9e03de695655cf87deb971265906bb47902b2d920d9d73d1e8bd5c2ae9",
+    ),
+    (
+        CellSpec("rcv", 5, 5, ("burst", 1), algo_kwargs=(("b", 2), ("a", 1))),
+        "dc549cceb1e9c66b6ed31ec8b2d577198df5841303cd09bb0246593c384f4858",
+    ),
+    (
+        CellSpec(
+            "rcv",
+            6,
+            6,
+            ("burst", 1),
+            faults=(("reorder", 6.0), ("dup", 0.15), ("drop", 0.0)),
+        ),
+        "ecf821654e77a459348e07512fd5fad0622214177af27597ef0783e303a207e2",
+    ),
+    (
+        CellSpec(
+            "rcv",
+            6,
+            7,
+            ("burst", 1),
+            faults=(
+                ("partition", ((30.0, 60.0, (0, 1, 2), (3, 4, 5)),)),
+                ("crash", ((5, 20.0),)),
+            ),
+        ),
+        "f291e18ba35671ebdc935c2d67c2a8f5473d7bdf1a65af02ecae5820acb67509",
+    ),
+    (
+        CellSpec(
+            "rcv",
+            6,
+            8,
+            ("burst", 1),
+            faults=(("drop", 0.1),),
+            retx=("retx", 20.0, 2.0, 10),
+        ),
+        "7482df1e8fa950ce6271dffa4d7c2f6ac5781c98a732e7a23373821f1cb9b05a",
+    ),
+]
+
+#: the cell stored in ``data/cell_written_by_pr11.json`` — written by
+#: ``CellCache(dir).put`` on PR 11, copied byte for byte
+STORED_SPEC = CellSpec(
+    "maekawa",
+    4,
+    2,
+    ("burst", 1),
+    delay=("uniform", 1.0, 9.0),
+    cs_time=8,
+    algo_kwargs=(("quorum_system", "grid"),),
+    faults=(("reorder", 6.0), ("dup", 0.15)),
+)
+STORED_KEY = "f43b0475716d89dcc203282a213c0775c9cd0511f830211d70ef51d2dc3b057e"
+STORED_TEXT = (DATA / "cell_written_by_pr11.json").read_text()
+
+
+@pytest.mark.parametrize("spec, key", PINNED_KEYS, ids=lambda v: str(v)[:12])
+def test_cache_keys_are_byte_compatible_with_pr11(spec, key):
+    assert spec.cache_key() == key
+
+
+def test_directory_cache_written_by_pr11_still_loads(tmp_path):
+    path = DirectoryBackend(tmp_path).path_for(STORED_KEY)
+    path.parent.mkdir(parents=True)
+    path.write_text(STORED_TEXT)
+
+    cache = CellCache(tmp_path)
+    assert cache.path_for(STORED_SPEC) == path
+    loaded = cache.get(STORED_SPEC)
+    assert (cache.hits, cache.misses) == (1, 0)
+    fresh = run_scenario(STORED_SPEC.build_scenario())
+    assert result_to_dict(loaded) == result_to_dict(fresh)
+
+
+def test_stored_document_is_reproduced_byte_for_byte(tmp_path):
+    cache = CellCache(tmp_path)
+    cache.put(STORED_SPEC, run_scenario(STORED_SPEC.build_scenario()))
+    assert cache.path_for(STORED_SPEC).read_text() == STORED_TEXT
+
+
+# ----------------------------------------------------------------------
+# algo_kwargs: a mapping used to be iterated as its *keys*
+# ----------------------------------------------------------------------
+def test_algo_kwargs_mapping_means_its_items():
+    as_mapping = CellSpec(
+        "maekawa", 4, 0, ("burst", 1), algo_kwargs={"quorum_system": "grid"}
+    )
+    as_pairs = CellSpec(
+        "maekawa", 4, 0, ("burst", 1), algo_kwargs=(("quorum_system", "grid"),)
+    )
+    assert as_mapping.normalized() == as_pairs.normalized()
+    assert as_mapping.cache_key() == as_pairs.cache_key()
+    assert as_mapping.build_scenario().algo_kwargs == {"quorum_system": "grid"}
+    # The two-character key that used to run {'a': 'b'} instead.
+    two = CellSpec("rcv", 3, 0, ("burst", 1), algo_kwargs={"ab": 1})
+    assert two.normalized().algo_kwargs == (("ab", 1),)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ("ab",),  # a name without a value
+        "quorum_system",
+        (("quorum_system", "grid", "extra"),),
+        ((1, "grid"),),  # names are strings
+        (("a", 1), ("a", 2)),  # one keyword, two values
+        7,
+    ],
+    ids=repr,
+)
+def test_algo_kwargs_rejects_anything_but_name_value_pairs(bad):
+    spec = CellSpec("rcv", 3, 0, ("burst", 1), algo_kwargs=bad)
+    for use in (spec.normalized, spec.cache_key, spec.build_scenario):
+        with pytest.raises(UnrepresentableScenarioError, match="algo_kwargs"):
+            use()
+
+
+# ----------------------------------------------------------------------
+# workload: arity and range, like delay and cs_time
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ("burst",),
+        ("burst", 1, 2, 3),  # used to normalise to ("burst", 1)
+        ("burst", 1.7),  # used to truncate to 1
+        ("burst", -1),
+        ("burst", 0),
+        ("poisson", 100.0),
+        ("poisson", 0.0, 300.0),
+        ("poisson", 40.0, -1.0),
+        ("poisson", float("inf"), 300.0),
+        ("trace", 1),
+        (),
+        None,
+        3,  # no "constant" workload: a bare number means nothing here
+    ],
+    ids=repr,
+)
+def test_workload_rejects_wrong_arity_and_range(bad):
+    spec = CellSpec("rcv", 3, 0, bad)
+    for use in (spec.normalized, spec.cache_key, spec.build_scenario):
+        with pytest.raises(UnrepresentableScenarioError, match="workload"):
+            use()
+    assert issubclass(UnrepresentableScenarioError, ValueError)
+
+
+def test_workload_integral_spellings_share_one_cell():
+    a = CellSpec("rcv", 3, 0, ("burst", 2))
+    b = CellSpec("rcv", 3, 0, ["burst", 2.0])
+    assert a.normalized() == b.normalized()
+    assert b.normalized().workload == ("burst", 2)
+    assert type(b.normalized().workload[1]) is int
