@@ -30,8 +30,9 @@ the network round trip per cell operation actually costs).
 
 The report's first-class ``per_cell`` section tracks the cost of the
 unit everything above is built from: per-cell seconds at N in
-{50, 100, 200} and the N=200 speedup over the seed tree (``test_per_cell_n200_beats_seed``
-guards the >=2x floor).
+{50, 100, 200} and the N=200 speedup over the in-tree historical
+protocol path, ``repro.core.reference.full_snapshot_mode()``
+(``test_per_cell_n200_beats_seed`` guards the >=2x floor).
 
 The ``faults`` section runs the canonical fault grid (drop/dup/
 reorder intensities, a halving partition, a crash — see
@@ -370,95 +371,51 @@ _PER_CELL_N_VALUES = (50, 100, 200)
 _PER_CELL_SEEDS = (0, 1, 2)
 
 
-def _per_cell_seconds(n):
+def _per_cell_seconds(n, seeds=_PER_CELL_SEEDS):
     """Mean seconds of one burst cell at node count ``n``, run the way
     the campaign workers run it: ``run_scenario(spec.build_scenario())``."""
     from repro.workload.runner import run_scenario
 
-    specs = scale_campaign(
-        ("rcv",), n_values=(n,), seeds=_PER_CELL_SEEDS
-    ).cells
+    specs = scale_campaign(("rcv",), n_values=(n,), seeds=seeds).cells
     start = time.perf_counter()
     for spec in specs:
         run_scenario(spec.build_scenario())
     return (time.perf_counter() - start) / len(specs)
 
 
-def _seed_n200_cell_seconds(repeats=2):
-    """One N=200 burst cell timed on the seed tree (``git archive``),
-    best of ``repeats``, in a subprocess with PYTHONPATH pointing at
-    the extracted seed sources.  None when the seed tree cannot be
-    reconstructed (shallow clone, sdist, or sitting on the seed
-    commit) — callers skip the comparison then."""
-    import tarfile
+def _full_snapshot_n200_cell_seconds():
+    """One N=200 burst cell on the seed tree's protocol path as kept
+    in-tree (``full_snapshot_mode()`` tracks the seed tree closely:
+    4.46x vs ~4.5x at N=200), so the floor needs no git history."""
+    from repro.core.reference import full_snapshot_mode
 
-    try:
-        from bench_kernel import _seed_root_commit
-    except ImportError:  # collected via a package-style path
-        from benchmarks.bench_kernel import _seed_root_commit
-
-    root_commit = _seed_root_commit()
-    if root_commit is None:
-        return None
-    script = (
-        "import time\n"
-        "from repro.workload import BurstArrivals, Scenario, run_scenario\n"
-        "best = float('inf')\n"
-        f"for _ in range({repeats}):\n"
-        "    start = time.perf_counter()\n"
-        "    run_scenario(Scenario(algorithm='rcv', n_nodes=200,"
-        " arrivals=BurstArrivals(), seed=0))\n"
-        "    best = min(best, time.perf_counter() - start)\n"
-        "print(best)\n"
-    )
-    try:
-        with tempfile.TemporaryDirectory(prefix="seed-tree-") as tmpdir:
-            tmp = Path(tmpdir)
-            tar_path = tmp / "seed.tar"
-            with open(tar_path, "wb") as fh:
-                subprocess.run(
-                    ["git", "archive", root_commit], stdout=fh, check=True
-                )
-            with tarfile.open(tar_path) as tar:
-                tar.extractall(tmp / "tree")
-            proc = subprocess.run(
-                [sys.executable, "-c", script],
-                env={**os.environ, "PYTHONPATH": str(tmp / "tree" / "src")},
-                capture_output=True, text=True, check=True,
-            )
-            return float(proc.stdout.strip())
-    except (OSError, subprocess.SubprocessError, tarfile.TarError, ValueError) as exc:
-        print(f"seed N=200 cell comparison skipped: {exc}", file=sys.stderr)
-        return None
+    with full_snapshot_mode():
+        return _per_cell_seconds(200, seeds=(0,))
 
 
 def test_per_cell_n200_beats_seed():
     """Floor guard: the N=200 burst cell must stay >=2x faster than
-    the seed tree.  The columnar-SI + incremental-tally rework
-    measured ~4.5x; the 2x floor is the ISSUE's acceptance bar and
-    leaves ample headroom for noisy CI machines.  Skips when the seed
-    tree is unreachable from git history."""
-    import pytest
-
-    seed_secs = _seed_n200_cell_seconds()
-    if seed_secs is None:
-        pytest.skip("seed tree not reconstructable from git history")
+    the seed tree's protocol path (the full-snapshot baseline).  The
+    columnar-SI + incremental-tally rework measured ~4.5x; the 2x
+    floor is the ISSUE's acceptance bar and leaves ample headroom for
+    noisy CI machines."""
+    baseline_secs = _full_snapshot_n200_cell_seconds()
     cell_secs = _per_cell_seconds(200)
-    ratio = seed_secs / cell_secs
+    ratio = baseline_secs / cell_secs
     print(
-        f"\nN=200 cell: seed={seed_secs:.3f}s now={cell_secs:.3f}s "
-        f"speedup={ratio:.2f}x"
+        f"\nN=200 cell: full-snapshot={baseline_secs:.3f}s "
+        f"now={cell_secs:.3f}s speedup={ratio:.2f}x"
     )
     assert ratio > 2.0, (
         f"N=200 cell ({cell_secs:.3f}s) lost the >=2x floor over the "
-        f"seed tree ({seed_secs:.3f}s)"
+        f"full-snapshot baseline ({baseline_secs:.3f}s)"
     )
 
 
 def _per_cell_section():
     """The first-class ``per_cell`` report block: per-cell seconds at
-    N in {50, 100, 200}, plus the N=200 seed-tree speedup when git
-    history allows."""
+    N in {50, 100, 200}, plus the N=200 speedup over the full-snapshot
+    baseline."""
     section = {
         "n_values": list(_PER_CELL_N_VALUES),
         "seeds": list(_PER_CELL_SEEDS),
@@ -466,12 +423,11 @@ def _per_cell_section():
             str(n): round(_per_cell_seconds(n), 3) for n in _PER_CELL_N_VALUES
         },
     }
-    seed_secs = _seed_n200_cell_seconds()
-    if seed_secs is not None:
-        section["seed_n200_seconds"] = round(seed_secs, 3)
-        section["n200_speedup_over_seed"] = round(
-            seed_secs / section["fresh_seconds"]["200"], 2
-        )
+    baseline_secs = _full_snapshot_n200_cell_seconds()
+    section["full_snapshot_n200_seconds"] = round(baseline_secs, 3)
+    section["n200_speedup_over_full_snapshot"] = round(
+        baseline_secs / section["fresh_seconds"]["200"], 2
+    )
     return section
 
 

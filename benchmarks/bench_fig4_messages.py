@@ -16,12 +16,12 @@ SEEDS = (0, 1, 2)
 
 
 def test_fig4_regenerates(benchmark):
-    shared = benchmark.pedantic(
+    results = benchmark.pedantic(
         lambda: burst_sweep(n_values=N_VALUES, seeds=SEEDS),
         rounds=1,
         iterations=1,
     )
-    fig = figure4(N_VALUES, seeds=SEEDS, _shared=shared)
+    fig = figure4(results)
     report(render_figure(fig))
 
     # Shape assertions — the reproduction criteria from DESIGN.md.

@@ -14,12 +14,12 @@ SEEDS = (0, 1, 2)
 
 
 def test_fig5_regenerates(benchmark):
-    shared = benchmark.pedantic(
+    results = benchmark.pedantic(
         lambda: burst_sweep(n_values=N_VALUES, seeds=SEEDS),
         rounds=1,
         iterations=1,
     )
-    fig = figure5(N_VALUES, seeds=SEEDS, _shared=shared)
+    fig = figure5(results)
     report(render_figure(fig))
 
     idx = fig.x.index(N_VALUES[-1])

@@ -16,7 +16,7 @@ HORIZON = 20_000.0
 
 
 def test_fig6_regenerates(benchmark):
-    shared = benchmark.pedantic(
+    results = benchmark.pedantic(
         lambda: lambda_sweep(
             INV_LAMBDAS,
             algorithms=("rcv", "maekawa"),
@@ -27,9 +27,7 @@ def test_fig6_regenerates(benchmark):
         rounds=1,
         iterations=1,
     )
-    fig = figure6(
-        INV_LAMBDAS, ("rcv", "maekawa"), 30, SEEDS, HORIZON, _shared=shared
-    )
+    fig = figure6(results)
     report(render_figure(fig))
 
     heavy = fig.x.index(1.0)

@@ -15,14 +15,14 @@ HORIZON = 20_000.0
 
 
 def test_fig7_regenerates(benchmark):
-    shared = benchmark.pedantic(
+    results = benchmark.pedantic(
         lambda: lambda_sweep(
             INV_LAMBDAS, ALGOS, n_nodes=30, seeds=SEEDS, horizon=HORIZON
         ),
         rounds=1,
         iterations=1,
     )
-    fig = figure7(INV_LAMBDAS, ALGOS, 30, SEEDS, HORIZON, _shared=shared)
+    fig = figure7(results)
     report(render_figure(fig))
 
     heavy = fig.x.index(1.0)

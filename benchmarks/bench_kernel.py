@@ -20,10 +20,9 @@ Run as a script to (re)generate ``BENCH_engine.json``::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py --json BENCH_engine.json
 
-which records events/sec for both modes, the fast/legacy ratio, an
-end-to-end fig4-style burst sweep timing, and — when the seed commit
-is reachable in git history — the seed kernel measured live in the
-same process for an apples-to-apples ratio.
+which records events/sec for both modes, the fast/legacy ratio, and
+an end-to-end fig4-style burst sweep timed on the shipped stack and
+on the in-tree historical one (``repro.core.reference``).
 """
 
 import json
@@ -31,6 +30,7 @@ import time
 
 from repro.core.exchange import exchange
 from repro.core.order import run_order
+from repro.core.reference import full_snapshot_mode
 from repro.core.state import SystemInfo
 from repro.core.tuples import ReqTuple
 from repro.sim.kernel import Simulator
@@ -61,16 +61,15 @@ def _run_chain(schedule, run, n):
     return (n + 1) / elapsed
 
 
-def events_per_sec(mode, n=CHAIN_EVENTS, repeats=5, simulator_cls=Simulator):
+def events_per_sec(mode, n=CHAIN_EVENTS, repeats=5):
     """Best-of-``repeats`` events/sec for a kernel scheduling mode.
 
     ``mode`` is ``"fast"`` (handle-free tuples) or ``"legacy"``
-    (cancellable handles).  ``simulator_cls`` lets the JSON report
-    benchmark a historical kernel class in the same process.
+    (cancellable handles).
     """
     best = 0.0
     for _ in range(repeats):
-        sim = simulator_cls()
+        sim = Simulator()
         if mode == "fast":
             schedule = sim.schedule_fast
         elif mode == "legacy":
@@ -141,28 +140,26 @@ def test_fast_mode_beats_legacy_mode():
 
 
 def test_fig4_sweep_beats_seed():
-    """Floor guard for the end-to-end figure-4 sweep vs the seed tree.
+    """Floor guard for the end-to-end figure-4 sweep.
 
-    The columnar-SI rework measured ~2.4x over the seed commit on the
-    full burst sweep (N=5..30 x 3 seeds); asserting a conservative
-    1.2x keeps the guard robust to noisy CI machines while catching
-    any change that gives the win back.  Skips when the seed tree is
-    unreachable (shallow clone, sdist, or sitting on the seed commit).
+    The baseline is the seed tree's protocol path as kept in-tree:
+    the same sweep under ``full_snapshot_mode()`` (0.280 s against
+    0.276 s measured on the seed tree itself, so the name stays).  The
+    columnar-SI rework measured ~2.4x over it on the burst sweep
+    (N=5..30 x 3 seeds); asserting a conservative 1.2x keeps the guard
+    robust to noisy CI machines while catching any change that gives
+    the win back.  Needs no git history, so it never skips.
     """
-    import pytest
-
-    seed_sweep = _seed_fig4_sweep_seconds()
-    if seed_sweep is None:
-        pytest.skip("seed tree not reconstructable from git history")
-    current = _fig4_sweep_seconds()
-    ratio = seed_sweep / current
+    _fig4_sweep_seconds(repeats=1)  # warmup (imports, allocator)
+    current, baseline = _fig4_sweep_and_baseline_seconds()
+    ratio = baseline / current
     print(
-        f"\nfig4 sweep: seed={seed_sweep:.3f}s current={current:.3f}s "
+        f"\nfig4 sweep: full-snapshot={baseline:.3f}s current={current:.3f}s "
         f"speedup={ratio:.2f}x"
     )
     assert ratio > 1.2, (
         f"fig4 sweep ({current:.3f}s) no longer meaningfully faster "
-        f"than the seed tree ({seed_sweep:.3f}s)"
+        f"than the full-snapshot baseline ({baseline:.3f}s)"
     )
 
 
@@ -225,122 +222,22 @@ def _fig4_sweep_seconds(repeats=3):
     return best
 
 
-def _seed_root_commit():
-    import subprocess
-
-    def _git(*args):
-        return subprocess.run(
-            ["git", *args], capture_output=True, text=True, check=True
-        ).stdout.strip()
-
-    try:
-        # In a shallow clone, rev-list's "root" is the truncation
-        # boundary — benchmarking that would compare the current code
-        # against itself and publish bogus ratios.  Bail out instead.
-        if _git("rev-parse", "--is-shallow-repository") == "true":
-            return None
-        root = _git("rev-list", "--max-parents=0", "HEAD").split()[0]
-        if root == _git("rev-parse", "HEAD"):
-            return None  # sitting on the seed commit: nothing to compare
-        return root
-    except (OSError, subprocess.SubprocessError, IndexError):
-        return None
+def _fig4_sweep_and_baseline_seconds():
+    """The sweep on the shipped stack, then on the in-tree historical
+    one (``full_snapshot_mode()``)."""
+    current = _fig4_sweep_seconds()
+    with full_snapshot_mode():
+        return current, _fig4_sweep_seconds()
 
 
-def _seed_kernel_events_per_sec():
-    """Measure the pre-refactor (seed commit) kernel live, if git has it.
-
-    Returns None outside a git checkout (e.g. an sdist) — the report
-    then simply omits the seed comparison.
-    """
-    import importlib.util
-    import subprocess
-    import tempfile
-
-    import os
-
-    root_commit = _seed_root_commit()
-    if root_commit is None:
-        return None
-    try:
-        source = subprocess.run(
-            ["git", "show", f"{root_commit}:src/repro/sim/kernel.py"],
-            capture_output=True, text=True, check=True,
-        ).stdout
-    except (OSError, subprocess.SubprocessError):
-        return None
-    with tempfile.NamedTemporaryFile("w", suffix=".py", delete=False) as fh:
-        fh.write(source)
-        path = fh.name
-    try:
-        spec = importlib.util.spec_from_file_location("seed_kernel", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return events_per_sec("legacy", simulator_cls=module.Simulator)
-    except Exception as exc:  # incompatible historical kernel: skip, don't crash
-        import sys
-
-        print(f"seed kernel comparison skipped: {exc}", file=sys.stderr)
-        return None
-    finally:
-        os.unlink(path)
-
-
-def _seed_fig4_sweep_seconds():
-    """Time the same burst sweep on the seed tree (via ``git archive``).
-
-    Returns None when the seed tree cannot be reconstructed.  The
-    sweep runs in a subprocess with PYTHONPATH pointing at the
-    extracted seed sources, so the comparison is end-to-end honest.
-    """
-    import os
-    import subprocess
-    import sys
-    import tarfile
-    import tempfile
-    from pathlib import Path
-
-    root_commit = _seed_root_commit()
-    if root_commit is None:
-        return None
-    script = (
-        "import time\n"
-        "from repro.workload import BurstArrivals, Scenario, run_scenario\n"
-        "best = float('inf')\n"
-        "for _ in range(3):\n"
-        "    start = time.perf_counter()\n"
-        "    for n in (5, 10, 20, 30):\n"
-        "        for seed in (0, 1, 2):\n"
-        "            run_scenario(Scenario(algorithm='rcv', n_nodes=n,"
-        " arrivals=BurstArrivals(), seed=seed))\n"
-        "    best = min(best, time.perf_counter() - start)\n"
-        "print(best)\n"
-    )
-    try:
-        with tempfile.TemporaryDirectory(prefix="seed-tree-") as tmpdir:
-            tmp = Path(tmpdir)
-            tar_path = tmp / "seed.tar"
-            with open(tar_path, "wb") as fh:
-                subprocess.run(
-                    ["git", "archive", root_commit], stdout=fh, check=True
-                )
-            with tarfile.open(tar_path) as tar:
-                tar.extractall(tmp / "tree")
-            proc = subprocess.run(
-                [sys.executable, "-c", script],
-                env={**os.environ, "PYTHONPATH": str(tmp / "tree" / "src")},
-                capture_output=True, text=True, check=True,
-            )
-            return float(proc.stdout.strip())
-    except (OSError, subprocess.SubprocessError, tarfile.TarError, ValueError) as exc:
-        print(f"seed fig4 comparison skipped: {exc}", file=sys.stderr)
-        return None
-
-
-def build_report(include_seed=True):
+def build_report():
     legacy = events_per_sec("legacy")
     fast = events_per_sec("fast")
-    report = {
+    sweep, baseline_sweep = _fig4_sweep_and_baseline_seconds()
+    # Context for the end-to-end number: profiling shows >90% of sweep
+    # time inside the RCV protocol procedures (Exchange/Order), not the
+    # execution layer the events/sec rows measure.
+    return {
         "bench": "bench_kernel chain (schedule+run chained events)",
         "chain_events": CHAIN_EVENTS,
         "kernel_events_per_sec": {
@@ -348,24 +245,12 @@ def build_report(include_seed=True):
             "fast_path_mode": round(fast),
             "fast_over_legacy": round(fast / legacy, 2),
         },
-        "fig4_burst_sweep_seconds": round(_fig4_sweep_seconds(), 4),
+        "fig4_burst_sweep_seconds": round(sweep, 4),
+        "full_snapshot_fig4_burst_sweep_seconds": round(baseline_sweep, 4),
+        "fig4_sweep_speedup_over_full_snapshot": round(
+            baseline_sweep / sweep, 2
+        ),
     }
-    seed_eps = _seed_kernel_events_per_sec() if include_seed else None
-    if seed_eps is not None:
-        report["seed_kernel_events_per_sec"] = round(seed_eps)
-        report["fast_over_seed"] = round(fast / seed_eps, 2)
-        report["legacy_over_seed"] = round(legacy / seed_eps, 2)
-    seed_sweep = _seed_fig4_sweep_seconds() if include_seed else None
-    if seed_sweep is not None:
-        report["seed_fig4_burst_sweep_seconds"] = round(seed_sweep, 4)
-        report["fig4_sweep_speedup_over_seed"] = round(
-            seed_sweep / report["fig4_burst_sweep_seconds"], 2
-        )
-        # Context for the end-to-end number: post-refactor profiling
-        # shows >90% of sweep time inside the RCV protocol procedures
-        # (Exchange/Order), not the execution layer this report
-        # measures — Amdahl caps the whole-sweep speedup accordingly.
-    return report
 
 
 def main(argv=None):
@@ -376,12 +261,8 @@ def main(argv=None):
         "--json", metavar="PATH", default=None,
         help="write the report to PATH (default: print to stdout)",
     )
-    parser.add_argument(
-        "--no-seed", action="store_true",
-        help="skip the git-history seed-kernel comparison",
-    )
     args = parser.parse_args(argv)
-    report = build_report(include_seed=not args.no_seed)
+    report = build_report()
     text = json.dumps(report, indent=2) + "\n"
     if args.json:
         with open(args.json, "w") as fh:

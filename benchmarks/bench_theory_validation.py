@@ -8,7 +8,8 @@ Tn, heavy-load message band) and the §1–2 complexity table.
 """
 
 from benchmarks.conftest import report
-from repro.experiments import render_rows, theory_table
+from repro.experiments import burst_sweep, render_rows, theory_table
+from repro.experiments.figures import THEORY_REQUESTS_PER_NODE
 
 N_VALUES = (9, 16, 25, 36, 49)
 ALGOS = ("rcv", "maekawa", "ricart_agrawala", "broadcast")
@@ -16,7 +17,14 @@ ALGOS = ("rcv", "maekawa", "ricart_agrawala", "broadcast")
 
 def test_theory_table_regenerates(benchmark):
     rows = benchmark.pedantic(
-        lambda: theory_table(n_values=N_VALUES, algorithms=ALGOS, seeds=(0, 1)),
+        lambda: theory_table(
+            burst_sweep(
+                N_VALUES,
+                ALGOS,
+                (0, 1),
+                requests_per_node=THEORY_REQUESTS_PER_NODE,
+            )
+        ),
         rounds=1,
         iterations=1,
     )

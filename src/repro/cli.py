@@ -2,7 +2,7 @@
 
 ::
 
-    repro-mutex fig4 [--paper-scale] [--seeds K]
+    repro-mutex fig4 [--paper-scale] [--seeds K] [--chart] [--save PATH]
     repro-mutex fig5 ...
     repro-mutex fig6 ...
     repro-mutex fig7 ...
@@ -17,7 +17,10 @@
 
 ``--paper-scale`` restores the paper's full parameters (N up to 50,
 100 000 time-unit horizon) at the cost of minutes of runtime; the
-default is a faster sweep whose curves have the same shape.
+default is a faster sweep whose curves have the same shape.  The
+figure commands run their cells through the same ``run_cells`` the
+campaigns use, over a process pool sized to the CPUs available (none
+on a one-CPU host); the numbers do not depend on it.
 """
 
 from __future__ import annotations
@@ -54,11 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--chart",
             action="store_true",
             help="render an ASCII line chart instead of the table",
-        )
-        p.add_argument(
-            "--parallel",
-            action="store_true",
-            help="fan simulation cells out over a process pool",
         )
         p.add_argument(
             "--save",
@@ -332,59 +330,34 @@ def _figure_args(args) -> dict:
 
 def _cmd_figure(args) -> int:
     from repro.experiments import (
+        burst_sweep,
         figure4,
         figure5,
         figure6,
         figure7,
+        lambda_sweep,
         render_figure,
     )
     from repro.experiments.figures import DEFAULT_BURST_ALGOS
 
     params = _figure_args(args)
-    burst, lam = params["burst"], params["lam"]
-
-    # Run the sweep once up front on either path (parallel twin or
-    # sequential original) and hand it to the figure function, so the
-    # raw runs are always retained and --save works without --parallel.
     if args.command in ("fig4", "fig5"):
-        if args.parallel:
-            from repro.experiments.parallel import parallel_burst_sweep
-
-            shared = parallel_burst_sweep(
-                burst["n_values"], DEFAULT_BURST_ALGOS, burst["seeds"]
-            )
-        else:
-            from repro.experiments.figures import burst_sweep
-
-            shared = burst_sweep(
-                burst["n_values"], DEFAULT_BURST_ALGOS, burst["seeds"]
-            )
+        results = burst_sweep(**params["burst"])
     else:
         algos = (
             ("rcv", "maekawa")
             if args.command == "fig6"
             else DEFAULT_BURST_ALGOS
         )
-        if args.parallel:
-            from repro.experiments.parallel import parallel_lambda_sweep
+        results = lambda_sweep(algorithms=algos, n_nodes=30, **params["lam"])
 
-            shared = parallel_lambda_sweep(
-                lam["inv_lambdas"], algos, 30, lam["seeds"], lam["horizon"]
-            )
-        else:
-            from repro.experiments.figures import lambda_sweep
-
-            shared = lambda_sweep(
-                lam["inv_lambdas"], algos, 30, lam["seeds"], lam["horizon"]
-            )
-
-    fig_fn = {
-        "fig4": lambda: figure4(**burst, _shared=shared),
-        "fig5": lambda: figure5(**burst, _shared=shared),
-        "fig6": lambda: figure6(**lam, _shared=shared),
-        "fig7": lambda: figure7(**lam, _shared=shared),
+    figure = {
+        "fig4": figure4,
+        "fig5": figure5,
+        "fig6": figure6,
+        "fig7": figure7,
     }[args.command]
-    fig = fig_fn()
+    fig = figure(results)
     if args.chart:
         from repro.experiments.charts import render_chart
 
@@ -394,16 +367,26 @@ def _cmd_figure(args) -> int:
     if args.save:
         from repro.metrics.io import save_results
 
-        flat = [r for per_x in shared.values() for runs in per_x.values() for r in runs]
+        flat = [r for per_x in results.values() for runs in per_x.values() for r in runs]
         save_results(args.save, flat)
         print(f"(raw results saved to {args.save})")
     return 0
 
 
 def _cmd_theory(_args) -> int:
-    from repro.experiments import render_rows, theory_table
+    from repro.experiments import burst_sweep, render_rows, theory_table
+    from repro.experiments.figures import THEORY_REQUESTS_PER_NODE
 
-    print(render_rows(theory_table(), title="Measured vs closed-form (§6.1)"))
+    results = burst_sweep(
+        (9, 16, 25, 36, 49),
+        seeds=tuple(range(3)),
+        requests_per_node=THEORY_REQUESTS_PER_NODE,
+    )
+    print(
+        render_rows(
+            theory_table(results), title="Measured vs closed-form (§6.1)"
+        )
+    )
     return 0
 
 

@@ -1,17 +1,22 @@
-"""Experiment harness: one entry point per paper figure.
+"""Experiment harness: one sweep per figure family, one reducer per
+figure.
 
-Each ``figureN`` function sweeps the paper's parameter, repeats over
-seeds, and returns a :class:`~repro.experiments.figures.FigureData`
-holding per-point :class:`~repro.metrics.summary.Summary` values; the
-``render`` helpers print the same series the paper plots.  The
-benchmark harness (``benchmarks/``) and the CLI both call these.
+``burst_sweep`` (Figures 4–5, the §6.1 table) and ``lambda_sweep``
+(Figures 6–7) sweep the paper's parameter over algorithms and seeds;
+each ``figureN`` reduces a sweep's results to a
+:class:`~repro.experiments.figures.FigureData` holding per-point
+:class:`~repro.metrics.summary.Summary` values, and the ``render``
+helpers print the same series the paper plots.  The benchmark harness
+(``benchmarks/``) and the CLI both call these.
 
-Scale campaigns (N=100–200) layer on top: a
-:class:`~repro.experiments.campaign.Campaign` of picklable
-:class:`~repro.experiments.spec.CellSpec` cells runs through
-:func:`~repro.experiments.parallel.run_cells` with an optional
-content-addressed :class:`~repro.experiments.cache.CellCache`
-(resumable, shardable — see docs/campaigns.md).
+Sweeps and campaigns are the same thing underneath: a
+:func:`~repro.experiments.spec.cell_grid` of picklable
+:class:`~repro.experiments.spec.CellSpec` cells run through
+:func:`~repro.experiments.parallel.run_cells`, with an optional
+content-addressed :class:`~repro.experiments.cache.CellCache`.  A
+:class:`~repro.experiments.campaign.Campaign` names such a grid and
+adds aggregation, reports and the resumable/shardable/stealing
+schedules (see docs/campaigns.md).
 """
 
 from repro.experiments.backends import (
@@ -43,13 +48,12 @@ from repro.experiments.figures import (
     lambda_sweep,
     theory_table,
 )
-from repro.experiments.parallel import (
-    ProgressReporter,
-    parallel_burst_sweep,
-    parallel_lambda_sweep,
-    run_cells,
+from repro.experiments.parallel import ProgressReporter, run_cells
+from repro.experiments.spec import (
+    CellSpec,
+    UnrepresentableScenarioError,
+    cell_grid,
 )
-from repro.experiments.spec import CellSpec, UnrepresentableScenarioError
 from repro.experiments.tables import (
     render_figure,
     render_markdown,
@@ -72,6 +76,7 @@ __all__ = [
     "ProgressReporter",
     "UnrepresentableScenarioError",
     "burst_sweep",
+    "cell_grid",
     "fault_grid",
     "fault_sweep",
     "figure4",
@@ -80,8 +85,6 @@ __all__ = [
     "figure7",
     "comparison_campaign",
     "lambda_sweep",
-    "parallel_burst_sweep",
-    "parallel_lambda_sweep",
     "render_chart",
     "run_cells",
     "render_figure",

@@ -28,9 +28,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.parallel import CellSpec, run_cells
+from repro.experiments.spec import cell_grid
 from repro.metrics.io import load_results, save_results
 from repro.metrics.records import RunResult
 from repro.metrics.summary import summarize
@@ -69,45 +70,26 @@ class Campaign:
         seeds: Sequence[int],
         *,
         workload: Tuple = ("burst", 1),
-        cs_time: Union[float, Tuple] = 10.0,
-        delay: Union[float, Tuple] = 5.0,
-        algo_kwargs: tuple = (),
-        faults=(),
-        retx: Tuple = (),
+        **fields,
     ) -> "Campaign":
         """Append the cross product of (algorithm, n, seed) cells.
 
-        ``cs_time``, ``delay``, and ``algo_kwargs`` follow the
-        :class:`CellSpec` spec forms, so a sweep can cover the full
-        scenario matrix (stochastic delays, cs-time distributions,
-        algorithm variants) — not just the constant-delay default.
-
-        ``faults`` is a fault spec per :mod:`repro.net.faults` — or a
-        callable ``faults(n) -> spec`` for faults whose shape depends
-        on the node count (a partition of "the first K nodes vs the
-        rest" names different groups at each N of the sweep).
-
-        ``retx`` attaches the reliable-delivery spec (``("retx", rto,
-        backoff, max_retries)`` per :mod:`repro.net.retx`) to every
-        cell of the sweep; ``()`` leaves the transport untouched.
+        ``fields`` are the other :class:`CellSpec` fields, in their
+        spec forms, so a sweep can cover the full scenario matrix
+        (``cs_time``/``delay`` distributions, ``algo_kwargs``
+        variants, ``faults``, ``retx``) — not just the constant-delay
+        default.  A callable value is a function of the node count:
+        ``faults(n) -> spec`` for faults whose shape depends on it (a
+        partition of "the first K nodes vs the rest" names different
+        groups at each N of the sweep).
         """
-        for algo in algorithms:
-            for n in n_values:
-                cell_faults = faults(n) if callable(faults) else faults
-                for seed in seeds:
-                    self.cells.append(
-                        CellSpec(
-                            algorithm=algo,
-                            n_nodes=n,
-                            seed=seed,
-                            workload=workload,
-                            cs_time=cs_time,
-                            delay=delay,
-                            algo_kwargs=algo_kwargs,
-                            faults=cell_faults,
-                            retx=retx,
-                        )
-                    )
+        points = {n: {"n_nodes": n} for n in n_values}
+        self.cells += [
+            cell
+            for _, _, cell in cell_grid(
+                algorithms, points, seeds, workload=workload, **fields
+            )
+        ]
         return self
 
     def run(
@@ -340,11 +322,8 @@ def scale_campaign(
     n_values: Sequence[int] = SCALE_N_VALUES,
     seeds: Sequence[int] = (0, 1, 2),
     requests_per_node: int = 1,
-    cs_time: Union[float, Tuple] = 10.0,
-    delay: Union[float, Tuple] = 5.0,
-    faults=(),
-    retx: Tuple = (),
     name: str = "scale-sweep",
+    **fields,
 ) -> Campaign:
     """The N=50..200 scale sweep the incremental protocol unlocked.
 
@@ -352,31 +331,29 @@ def scale_campaign(
     N=50 ceiling; run with a cell cache and (optionally) shards — see
     docs/campaigns.md for the full recipe and
     ``python -m repro.cli campaign`` for the command-line front end.
-    ``faults`` (a spec tuple or ``faults(n) -> spec`` callable, see
-    :meth:`Campaign.add_sweep`) runs the whole grid under an
-    adversarial network — docs/faults.md has the recipe; cells that
+    ``fields`` go to :meth:`Campaign.add_sweep`: ``faults`` (a spec
+    tuple or ``faults(n) -> spec`` callable) runs the whole grid under
+    an adversarial network — docs/faults.md has the recipe; cells that
     lose liveness under the faults are absorbed by the
-    retry/quarantine machinery.  ``retx`` layers the reliable
-    (ack/retransmit) channel under the same grid — the with-retx
+    retry/quarantine machinery — and ``retx`` layers the reliable
+    (ack/retransmit) channel under the same grid, the with-retx
     column of the fault benchmarks (docs/faults.md, "Recovery").
     """
-    fault_note = " Fault spec attached (see docs/faults.md)." if faults else ""
-    retx_note = f" Reliable channel {retx!r}." if retx else ""
+    settings = "".join(
+        f" {key} {'per N' if callable(value) else repr(value)}."
+        for key, value in fields.items()
+        if value != ()
+    )
     return Campaign(
         name=name,
         description=(
             f"Burst workload ({requests_per_node}/node), "
-            f"N in {list(n_values)}, seeds {list(seeds)}, "
-            f"delay spec {delay!r}, cs-time spec {cs_time!r}."
-            f"{fault_note}{retx_note}"
+            f"N in {list(n_values)}, seeds {list(seeds)}.{settings}"
         ),
     ).add_sweep(
         algorithms,
         n_values,
         seeds,
         workload=("burst", int(requests_per_node)),
-        cs_time=cs_time,
-        delay=delay,
-        faults=faults,
-        retx=retx,
+        **fields,
     )

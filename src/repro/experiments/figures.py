@@ -20,13 +20,12 @@ the original.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.parallel import run_cells
+from repro.experiments.spec import UnrepresentableScenarioError, cell_grid
 from repro.metrics.records import RunResult
 from repro.metrics.summary import Summary, summarize
-from repro.workload.arrivals import BurstArrivals, PoissonArrivals
-from repro.workload.runner import run_scenario
-from repro.workload.scenario import Scenario, constant_cs_time
 
 __all__ = [
     "FigureData",
@@ -51,7 +50,10 @@ DEFAULT_BURST_ALGOS: Tuple[str, ...] = (
 )
 
 TN = 5.0
-TC = 10.0
+
+#: ``results[algorithm][x]`` = one run per seed — what a sweep returns
+#: and a figure reduces
+SweepResults = Dict[str, Dict[object, List[RunResult]]]
 
 
 @dataclass
@@ -75,107 +77,58 @@ class FigureData:
 
 
 # ----------------------------------------------------------------------
-# Figures 4 & 5: burst workload, sweep N
+# the two sweeps: a grid of cells through run_cells
 # ----------------------------------------------------------------------
+def _sweep(
+    points, algorithms, seeds, max_workers, cache, fields
+) -> SweepResults:
+    """Run the ``algorithms`` x ``points`` x ``seeds`` grid (see
+    :func:`~repro.experiments.spec.cell_grid`) and regroup the runs."""
+    for name, value in fields.items():
+        if callable(value):
+            # A Scenario component (cs-time function, delay model
+            # object) is not a picklable spec; a pool would die on it
+            # with a pickling error, so name the field here instead.
+            raise UnrepresentableScenarioError(
+                f"{name}={value!r}: sweeps take CellSpec spec forms, e.g. "
+                f"cs_time=('uniform', 8, 12) or delay=('exponential', 4, 1)"
+            )
+    grid = cell_grid(algorithms, points, seeds, **fields)
+    runs = run_cells(
+        [cell for _, _, cell in grid], max_workers=max_workers, cache=cache
+    )
+    results: SweepResults = {a: {x: [] for x in points} for a in algorithms}
+    for (algorithm, x, _), run in zip(grid, runs):
+        results[algorithm][x].append(run)
+    return results
+
+
 def burst_sweep(
     n_values: Sequence[int] = tuple(range(5, 51, 5)),
     algorithms: Sequence[str] = DEFAULT_BURST_ALGOS,
     seeds: Sequence[int] = tuple(range(5)),
     *,
     requests_per_node: int = 1,
-    cs_time: Optional[Callable] = None,
-    delay_model=None,
-) -> Dict[str, Dict[int, List[RunResult]]]:
-    """Run the Figure 4/5 workload; returns results[algo][n] = runs.
+    max_workers: Optional[int] = None,
+    cache=None,
+    **fields,
+) -> SweepResults:
+    """The Figure 4/5 workload — every node requests
+    ``requests_per_node`` times from t=0 — swept over N;
+    ``results[algo][n]`` = runs.
 
-    ``requests_per_node``, ``cs_time`` (a scenario cs-time callable;
-    default Tc=10), and ``delay_model`` (default ConstantDelay(Tn))
-    parameterise the sweep; the parallel twin
-    :func:`repro.experiments.parallel.parallel_burst_sweep` takes the
-    same parameters (in picklable spec form) and must stay
-    bit-for-bit identical per cell — see tests/test_campaign_parity.py.
+    ``fields`` are the other :class:`~repro.experiments.spec.CellSpec`
+    fields in spec form (``cs_time``, ``delay``, ``algo_kwargs``,
+    ``faults``, ``retx``; default Tc=10, Tn=5); ``max_workers`` and
+    ``cache`` go to :func:`~repro.experiments.parallel.run_cells`.
     """
-    out: Dict[str, Dict[int, List[RunResult]]] = {}
-    for algo in algorithms:
-        per_n: Dict[int, List[RunResult]] = {}
-        for n in n_values:
-            runs = []
-            for seed in seeds:
-                scenario = Scenario(
-                    algorithm=algo,
-                    n_nodes=n,
-                    arrivals=BurstArrivals(
-                        requests_per_node=requests_per_node
-                    ),
-                    seed=seed,
-                    cs_time=(
-                        cs_time if cs_time is not None
-                        else constant_cs_time(TC)
-                    ),
-                    delay_model=delay_model,
-                )
-                runs.append(run_scenario(scenario))
-            per_n[n] = runs
-        out[algo] = per_n
-    return out
+    points = {
+        n: {"n_nodes": n, "workload": ("burst", requests_per_node)}
+        for n in n_values
+    }
+    return _sweep(points, algorithms, seeds, max_workers, cache, fields)
 
 
-def _reduce(
-    results: Dict[str, Dict[int, List[RunResult]]],
-    metric: str,
-) -> Dict[str, List[Summary]]:
-    series: Dict[str, List[Summary]] = {}
-    for algo, per_x in results.items():
-        series[algo] = [
-            summarize(getattr(r, metric) for r in runs)
-            for runs in per_x.values()
-        ]
-    return series
-
-
-def figure4(
-    n_values: Sequence[int] = tuple(range(5, 51, 5)),
-    algorithms: Sequence[str] = DEFAULT_BURST_ALGOS,
-    seeds: Sequence[int] = tuple(range(5)),
-    *,
-    _shared: Optional[Dict] = None,
-) -> FigureData:
-    """Figure 4: average NME vs node count under the burst workload."""
-    results = _shared if _shared is not None else burst_sweep(
-        n_values, algorithms, seeds
-    )
-    return FigureData(
-        figure="Figure 4",
-        x_label="N",
-        y_label="messages per CS (NME)",
-        x=list(n_values),
-        series=_reduce(results, "nme"),
-    )
-
-
-def figure5(
-    n_values: Sequence[int] = tuple(range(5, 51, 5)),
-    algorithms: Sequence[str] = DEFAULT_BURST_ALGOS,
-    seeds: Sequence[int] = tuple(range(5)),
-    *,
-    _shared: Optional[Dict] = None,
-) -> FigureData:
-    """Figure 5: average response time vs node count (burst)."""
-    results = _shared if _shared is not None else burst_sweep(
-        n_values, algorithms, seeds
-    )
-    return FigureData(
-        figure="Figure 5",
-        x_label="N",
-        y_label="response time",
-        x=list(n_values),
-        series=_reduce(results, "mean_response_time"),
-    )
-
-
-# ----------------------------------------------------------------------
-# Figures 6 & 7: Poisson workload at N=30, sweep 1/λ
-# ----------------------------------------------------------------------
 def lambda_sweep(
     inv_lambdas: Sequence[float] = (1, 2, 5, 10, 15, 20, 25, 30),
     algorithms: Sequence[str] = DEFAULT_BURST_ALGOS,
@@ -183,84 +136,74 @@ def lambda_sweep(
     seeds: Sequence[int] = tuple(range(3)),
     horizon: float = 20_000.0,
     *,
-    cs_time: Optional[Callable] = None,
-    delay_model=None,
-) -> Dict[str, Dict[float, List[RunResult]]]:
-    """Run the Figure 6/7 workload; results[algo][1/λ] = runs.
-
-    Requests stop arriving at ``horizon``; in-flight requests drain
-    (bounded at 3× horizon as a liveness backstop).  ``cs_time`` and
-    ``delay_model`` parameterise the sweep exactly as in
-    :func:`burst_sweep`, mirrored by the parallel twin.
+    max_workers: Optional[int] = None,
+    cache=None,
+    **fields,
+) -> SweepResults:
+    """The Figure 6/7 workload — Poisson arrivals at ``n_nodes`` —
+    swept over the mean inter-arrival time; ``results[algo][1/λ]`` =
+    runs.  Requests stop arriving at ``horizon`` and in-flight ones
+    drain (the ``poisson`` workload of
+    :class:`~repro.experiments.spec.CellSpec`); ``fields``,
+    ``max_workers`` and ``cache`` as for :func:`burst_sweep`.
     """
-    out: Dict[str, Dict[float, List[RunResult]]] = {}
-    for algo in algorithms:
-        per_x: Dict[float, List[RunResult]] = {}
-        for inv_lambda in inv_lambdas:
-            runs = []
-            for seed in seeds:
-                scenario = Scenario(
-                    algorithm=algo,
-                    n_nodes=n_nodes,
-                    arrivals=PoissonArrivals.from_mean_interarrival(
-                        float(inv_lambda)
-                    ),
-                    seed=seed,
-                    cs_time=(
-                        cs_time if cs_time is not None
-                        else constant_cs_time(TC)
-                    ),
-                    delay_model=delay_model,
-                    issue_deadline=horizon,
-                    drain_deadline=horizon * 3,
-                )
-                runs.append(run_scenario(scenario))
-            per_x[float(inv_lambda)] = runs
-        out[algo] = per_x
-    return out
+    points = {
+        float(v): {
+            "n_nodes": n_nodes,
+            "workload": ("poisson", float(v), horizon),
+        }
+        for v in inv_lambdas
+    }
+    return _sweep(points, algorithms, seeds, max_workers, cache, fields)
 
 
-def figure6(
-    inv_lambdas: Sequence[float] = (1, 2, 5, 10, 15, 20, 25, 30),
-    algorithms: Sequence[str] = ("rcv", "maekawa"),
-    n_nodes: int = 30,
-    seeds: Sequence[int] = tuple(range(3)),
-    horizon: float = 20_000.0,
-    *,
-    _shared: Optional[Dict] = None,
-) -> FigureData:
-    """Figure 6: NME vs 1/λ at N=30 (RCV vs Maekawa)."""
-    results = _shared if _shared is not None else lambda_sweep(
-        inv_lambdas, algorithms, n_nodes, seeds, horizon
-    )
+# ----------------------------------------------------------------------
+# Figures 4-7: reducers of a sweep's results
+# ----------------------------------------------------------------------
+def _figure(figure, x_label, y_label, metric, results) -> FigureData:
+    # The x axis is the sweep's own (its first series' keys), and each
+    # series is looked up by x — never zipped against a caller's list.
+    xs = list(next(iter(results.values()), {}))
     return FigureData(
-        figure="Figure 6",
-        x_label="1/lambda",
-        y_label="messages per CS (NME)",
-        x=[float(v) for v in inv_lambdas],
-        series=_reduce(results, "nme"),
+        figure=figure,
+        x_label=x_label,
+        y_label=y_label,
+        x=xs,
+        series={
+            algo: [
+                summarize(getattr(r, metric) for r in per_x[x]) for x in xs
+            ]
+            for algo, per_x in results.items()
+        },
     )
 
 
-def figure7(
-    inv_lambdas: Sequence[float] = (1, 2, 5, 10, 15, 20, 25, 30),
-    algorithms: Sequence[str] = DEFAULT_BURST_ALGOS,
-    n_nodes: int = 30,
-    seeds: Sequence[int] = tuple(range(3)),
-    horizon: float = 20_000.0,
-    *,
-    _shared: Optional[Dict] = None,
-) -> FigureData:
-    """Figure 7: response time vs 1/λ at N=30 (all four)."""
-    results = _shared if _shared is not None else lambda_sweep(
-        inv_lambdas, algorithms, n_nodes, seeds, horizon
+def figure4(results: SweepResults) -> FigureData:
+    """Figure 4: average NME vs node count, from a :func:`burst_sweep`."""
+    return _figure("Figure 4", "N", "messages per CS (NME)", "nme", results)
+
+
+def figure5(results: SweepResults) -> FigureData:
+    """Figure 5: average response time vs node count, from a
+    :func:`burst_sweep`."""
+    return _figure(
+        "Figure 5", "N", "response time", "mean_response_time", results
     )
-    return FigureData(
-        figure="Figure 7",
-        x_label="1/lambda",
-        y_label="response time",
-        x=[float(v) for v in inv_lambdas],
-        series=_reduce(results, "mean_response_time"),
+
+
+def figure6(results: SweepResults) -> FigureData:
+    """Figure 6: NME vs 1/λ at N=30 (the paper plots RCV vs Maekawa),
+    from a :func:`lambda_sweep`."""
+    return _figure(
+        "Figure 6", "1/lambda", "messages per CS (NME)", "nme", results
+    )
+
+
+def figure7(results: SweepResults) -> FigureData:
+    """Figure 7: response time vs 1/λ at N=30 (all four), from a
+    :func:`lambda_sweep`."""
+    return _figure(
+        "Figure 7", "1/lambda", "response time", "mean_response_time", results
     )
 
 
@@ -307,7 +250,7 @@ def fault_sweep(
     loss/partition/crash is a *measured outcome* here (the completion
     rate quantifies it), not an error — campaign runs of the same
     cells keep the strict default and quarantine instead (see
-    docs/faults.md).  Each (algo, n, fault) family is one
+    docs/faults.md).  Each (algo, fault, n) family of the grid is one
     :class:`~repro.engine.batch.CellTemplate` run under every seed.
 
     ``retx`` runs the whole grid over the reliable (ack/retransmit)
@@ -315,29 +258,25 @@ def fault_sweep(
     (docs/faults.md, "Recovery").
     """
     from repro.engine.batch import CellTemplate
-    from repro.experiments.spec import CellSpec
 
+    points = {
+        (label, n): {"n_nodes": n, "faults": faults}
+        for n in n_values
+        for label, faults in grid(n)
+    }
+    families = cell_grid(
+        algorithms,
+        points,
+        (0,),  # one cell per family; the template re-seeds it
+        workload=("burst", requests_per_node),
+        retx=retx,
+    )
     out: Dict[str, Dict[str, Dict[int, List[RunResult]]]] = {}
-    for algo in algorithms:
-        per_label: Dict[str, Dict[int, List[RunResult]]] = {}
-        for n in n_values:
-            for label, faults in grid(n):
-                template = CellTemplate(
-                    CellSpec(
-                        algorithm=algo,
-                        n_nodes=n,
-                        seed=0,
-                        workload=("burst", int(requests_per_node)),
-                        faults=faults,
-                        retx=retx,
-                    )
-                )
-                runs = [
-                    template.run(seed, require_completion=False)
-                    for seed in seeds
-                ]
-                per_label.setdefault(label, {})[n] = runs
-        out[algo] = per_label
+    for algo, (label, n), family in families:
+        template = CellTemplate(family)
+        out.setdefault(algo, {}).setdefault(label, {})[n] = [
+            template.run(seed, require_completion=False) for seed in seeds
+        ]
     return out
 
 
@@ -345,42 +284,24 @@ def fault_sweep(
 # §6.1 analytical table
 # ----------------------------------------------------------------------
 #: burst size of the §6.1 heavy-load runs (distinct from the
-#: Figure 4/5 single-request burst — the parallel twins must
-#: propagate it, not assume 1)
+#: Figure 4/5 single-request burst): sweep with
+#: ``burst_sweep(..., requests_per_node=THEORY_REQUESTS_PER_NODE)``
 THEORY_REQUESTS_PER_NODE = 3
 
 
-def theory_table(
-    n_values: Sequence[int] = (9, 16, 25, 36, 49),
-    algorithms: Sequence[str] = DEFAULT_BURST_ALGOS,
-    seeds: Sequence[int] = tuple(range(3)),
-    *,
-    _shared: Optional[Dict] = None,
-) -> List[dict]:
-    """Measured heavy-load metrics vs the §6.1/related-work model.
-
-    ``_shared`` accepts precomputed ``burst_sweep``-shaped results
-    (e.g. from ``parallel_burst_sweep(..., requests_per_node=3)``),
-    exactly like the ``figureN`` functions.
-    """
+def theory_table(results: SweepResults) -> List[dict]:
+    """Measured heavy-load metrics vs the §6.1/related-work model, one
+    row per (algorithm, N) of a :func:`burst_sweep`."""
     from repro.analysis.validate import compare_to_theory
 
-    results = _shared if _shared is not None else burst_sweep(
-        n_values,
-        algorithms,
-        seeds,
-        requests_per_node=THEORY_REQUESTS_PER_NODE,
-    )
     rows: List[dict] = []
-    for algo in algorithms:
-        for n in n_values:
-            runs = results[algo][n]
+    for per_n in results.values():
+        for runs in per_n.values():
             # Compare the seed-averaged run to the model.
-            merged = runs[0]
-            nme = summarize(r.nme for r in runs).mean
-            sync = summarize(r.mean_sync_delay for r in runs).mean
-            comparison = compare_to_theory(merged, tn=TN)
-            comparison.measured_nme = nme
-            comparison.measured_sync = sync
+            comparison = compare_to_theory(runs[0], tn=TN)
+            comparison.measured_nme = summarize(r.nme for r in runs).mean
+            comparison.measured_sync = summarize(
+                r.mean_sync_delay for r in runs
+            ).mean
             rows.append(comparison.row())
     return rows

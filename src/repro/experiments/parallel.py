@@ -25,9 +25,11 @@ progress/ETA, and accepts a ``shard=(index, count)`` filter so a
 campaign can be split across independent processes or hosts that
 share a cache directory.  See docs/campaigns.md.
 
-``python -m repro.cli fig4 --parallel`` and ``python -m repro.cli
-campaign`` use this path; the sequential path remains the default so
-results stay reproducible on machines without fork semantics.
+Every grid of cells in the repo — the figure sweeps
+(:mod:`repro.experiments.figures`, ``python -m repro.cli fig4``) and
+the campaigns (``python -m repro.cli campaign``) — runs through
+``run_cells``.  With one usable CPU (or one pending cell) it runs the
+cells in this process and creates no pool.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.spec import CellSpec
 from repro.metrics.records import RunResult
@@ -46,8 +48,6 @@ __all__ = [
     "ProgressReporter",
     "default_owner",
     "run_cells",
-    "parallel_burst_sweep",
-    "parallel_lambda_sweep",
 ]
 
 
@@ -149,6 +149,17 @@ def default_owner() -> str:
     import socket
 
     return f"{socket.gethostname()}:{os.getpid()}"
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: an affinity mask (taskset, a
+    container's cpuset) can leave far fewer than the host has, and a
+    pool sized by ``os.cpu_count()`` would then oversubscribe them."""
+    if hasattr(os, "process_cpu_count"):  # Python >= 3.13
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):  # not on macOS/Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_cells(
@@ -274,7 +285,7 @@ def run_cells(
         return results
 
     if max_workers is None:
-        max_workers = min(len(pending), os.cpu_count() or 1)
+        max_workers = min(len(pending), _usable_cpus())
     if chunk_size is None:
         # Chunks bound the work lost to an interrupt while keeping
         # every worker busy between cache commits.  Without a cache
@@ -425,72 +436,3 @@ def run_cells(
             )
         )
     return results
-
-
-# ----------------------------------------------------------------------
-# parallel variants of the figure sweeps
-# ----------------------------------------------------------------------
-def _sweep(points, algorithms, seeds, max_workers, cache, fields):
-    """``results[algorithm][x]`` = one run per seed, for every x in
-    ``points`` (x -> the :class:`CellSpec` fields that vary with it;
-    ``fields`` are the ones that do not)."""
-    grid = [
-        (a, x, CellSpec(algorithm=a, seed=s, **varying, **fields))
-        for a in algorithms
-        for x, varying in points.items()
-        for s in seeds
-    ]
-    results = run_cells(
-        [spec for _, _, spec in grid], max_workers=max_workers, cache=cache
-    )
-    out: Dict[str, dict] = {a: {x: [] for x in points} for a in algorithms}
-    for (a, x, _), result in zip(grid, results):
-        out[a][x].append(result)
-    return out
-
-
-def parallel_burst_sweep(
-    n_values: Sequence[int],
-    algorithms: Sequence[str],
-    seeds: Sequence[int],
-    *,
-    requests_per_node: int = 1,
-    max_workers: Optional[int] = None,
-    cache=None,
-    **fields,
-) -> Dict[str, Dict[int, List[RunResult]]]:
-    """Drop-in replacement for
-    :func:`repro.experiments.figures.burst_sweep`.
-
-    Takes the same workload parameters as the sequential sweep —
-    ``requests_per_node`` and, as ``fields``, any other
-    :class:`CellSpec` field (``cs_time``, ``delay`` as specs,
-    ``algo_kwargs``, ``faults``, ``retx``) — so the parallel twin of
-    *any* sequential burst sweep exists.
-    """
-    points = {
-        n: {"n_nodes": n, "workload": ("burst", requests_per_node)}
-        for n in n_values
-    }
-    return _sweep(points, algorithms, seeds, max_workers, cache, fields)
-
-
-def parallel_lambda_sweep(
-    inv_lambdas: Sequence[float],
-    algorithms: Sequence[str],
-    n_nodes: int,
-    seeds: Sequence[int],
-    horizon: float,
-    *,
-    max_workers: Optional[int] = None,
-    cache=None,
-    **fields,
-) -> Dict[str, Dict[float, List[RunResult]]]:
-    """Drop-in replacement for
-    :func:`repro.experiments.figures.lambda_sweep`; ``fields`` as for
-    :func:`parallel_burst_sweep`."""
-    points = {
-        float(v): {"n_nodes": n_nodes, "workload": ("poisson", float(v), horizon)}
-        for v in inv_lambdas
-    }
-    return _sweep(points, algorithms, seeds, max_workers, cache, fields)

@@ -25,7 +25,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import partial
 from operator import attrgetter, itemgetter
-from typing import Callable, Dict, NamedTuple, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from repro.metrics.io import FORMAT_VERSION
 from repro.net.delay import (
@@ -51,6 +51,7 @@ __all__ = [
     "FIELD_NAMES",
     "RESULTS_EPOCH",
     "UnrepresentableScenarioError",
+    "cell_grid",
     "scenario_bindings",
 ]
 
@@ -480,3 +481,33 @@ class CellSpec:
 #: the fields of a cell, in declaration order — the order of the
 #: cache-key canon and of the embedded document
 FIELD_NAMES: Tuple[str, ...] = tuple(f.name for f in fields(CellSpec))
+
+
+def cell_grid(
+    algorithms: Sequence[str],
+    points: Mapping,
+    seeds: Sequence[int],
+    **fields,
+) -> List[Tuple[str, object, CellSpec]]:
+    """The evaluation's one shape: ``(algorithm, x, cell)`` for every
+    algorithm, every x of ``points`` and every seed, nested in that
+    order (algorithm-major, seed innermost).
+
+    ``points`` maps each x to the :class:`CellSpec` fields that vary
+    with it; ``fields`` are shared by every cell, and a callable value
+    there is a function of x (a fault spec whose partition groups
+    depend on N).  A name that is not a field is a ``TypeError``.
+    """
+    at = {
+        x: {
+            **{k: v(x) if callable(v) else v for k, v in fields.items()},
+            **varying,
+        }
+        for x, varying in points.items()
+    }
+    return [
+        (algorithm, x, CellSpec(algorithm=algorithm, seed=seed, **at_x))
+        for algorithm in algorithms
+        for x, at_x in at.items()
+        for seed in seeds
+    ]

@@ -10,6 +10,10 @@ properties are stated once and run per axis:
   equal documents mean equal cells;
 * junk is refused with the typed error, never with whatever exception
   the first operation on it happens to raise.
+
+And for the one builder of grids of cells, ``cell_grid``: it is the
+algorithm-major cross product, and the campaign sweeps built on it
+produce the cells their hand-written predecessor did.
 """
 
 import json
@@ -18,11 +22,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.campaign import Campaign, scale_campaign
 from repro.experiments.spec import (
     AXES,
     FIELD_NAMES,
     CellSpec,
     UnrepresentableScenarioError,
+    cell_grid,
 )
 
 COMMON = dict(
@@ -171,3 +177,123 @@ def test_junk_is_refused_with_the_typed_error(name, value):
         assert str(exc)
     else:  # it was a valid spelling after all
         assert AXES[name].normalize(once, N_NODES) == once
+
+
+# ----------------------------------------------------------------------
+# the grid builder
+# ----------------------------------------------------------------------
+algorithm_lists = st.lists(VALUES["algorithm"], unique=True, max_size=3)
+n_lists = st.lists(st.integers(3, 12), unique=True, max_size=4)
+seed_lists = st.lists(st.integers(0, 99), unique=True, max_size=3)
+
+
+def halves(n):
+    """A fault spec that depends on the node count."""
+    half = n // 2
+    return (("partition", ((1.0, 2.0, tuple(range(half)), tuple(range(half, n))),)),)
+
+
+@settings(**COMMON)
+@given(
+    algorithms=algorithm_lists,
+    ns=n_lists,
+    seeds=seed_lists,
+    workload=workloads,
+    cs_time=cs_times,
+)
+def test_cell_grid_is_the_algorithm_major_cross_product(
+    algorithms, ns, seeds, workload, cs_time
+):
+    points = {n: {"n_nodes": n, "workload": workload} for n in ns}
+    grid = cell_grid(algorithms, points, seeds, cs_time=cs_time, faults=halves)
+    assert len(grid) == len(algorithms) * len(ns) * len(seeds)
+    assert [(algo, x, cell.seed) for algo, x, cell in grid] == [
+        (algo, n, seed) for algo in algorithms for n in ns for seed in seeds
+    ]
+    for algo, x, cell in grid:
+        # shared fields as given, per-point fields from the point, and
+        # the callable resolved at this cell's own x
+        assert cell == CellSpec(
+            algo, x, cell.seed, workload, cs_time=cs_time, faults=halves(x)
+        )
+
+
+def pr12_add_sweep(
+    algorithms,
+    n_values,
+    seeds,
+    *,
+    workload=("burst", 1),
+    cs_time=10.0,
+    delay=5.0,
+    algo_kwargs=(),
+    faults=(),
+    retx=(),
+):
+    """``Campaign.add_sweep`` as PR 12 had it — three nested loops and
+    every field listed — kept as the oracle for its replacement."""
+    cells = []
+    for algo in algorithms:
+        for n in n_values:
+            cell_faults = faults(n) if callable(faults) else faults
+            for seed in seeds:
+                cells.append(
+                    CellSpec(
+                        algorithm=algo,
+                        n_nodes=n,
+                        seed=seed,
+                        workload=workload,
+                        cs_time=cs_time,
+                        delay=delay,
+                        algo_kwargs=algo_kwargs,
+                        faults=cell_faults,
+                        retx=retx,
+                    )
+                )
+    return cells
+
+
+def keys(cells):
+    return [cell.cache_key() for cell in cells]
+
+
+@settings(**COMMON)
+@given(
+    algorithms=algorithm_lists,
+    ns=n_lists,
+    first_seed=st.integers(0, 50),
+    seed_count=st.integers(0, 3),
+    requests=st.integers(1, 3),
+    cs_time=cs_times,
+    delay=delays,
+    retx=retx,
+)
+def test_campaign_sweeps_build_the_cells_pr12_built(
+    algorithms, ns, first_seed, seed_count, requests, cs_time, delay, retx
+):
+    workload = ("burst", requests)
+    # the shape benchmarks/suite/workloads.py uses
+    seeds = range(first_seed, first_seed + seed_count)
+    suite = scale_campaign(
+        algorithms, n_values=ns, seeds=seeds, requests_per_node=requests
+    )
+    assert keys(suite.cells) == keys(
+        pr12_add_sweep(algorithms, ns, seeds, workload=workload)
+    )
+    # the shape cli._cmd_campaign uses: every field, faults per N
+    fields = dict(cs_time=cs_time, delay=delay, faults=halves, retx=retx)
+    from_cli = scale_campaign(
+        tuple(algorithms),
+        n_values=tuple(ns),
+        seeds=tuple(range(seed_count)),
+        requests_per_node=requests,
+        **fields,
+    )
+    expected = pr12_add_sweep(
+        algorithms, ns, range(seed_count), workload=workload, **fields
+    )
+    assert keys(from_cli.cells) == keys(expected)
+    direct = Campaign("x").add_sweep(
+        algorithms, ns, range(seed_count), workload=workload, **fields
+    )
+    assert direct.cells == from_cli.cells == expected

@@ -97,6 +97,66 @@ def test_scale_campaign_defaults():
     assert "N in [50, 100, 150, 200]" in c.description
 
 
+def test_sweep_cells_are_the_ones_pr12_built():
+    """Digests of the cell keys, in order, computed at PR 12 — before
+    ``add_sweep``/``scale_campaign`` moved onto ``cell_grid`` — for the
+    call shapes of benchmarks/suite/workloads.py, of ``repro.cli
+    campaign`` (every field passed, faults resolved per N) and of a
+    direct poisson ``add_sweep``."""
+    import hashlib
+
+    from repro import cli
+    from repro.experiments.campaign import scale_campaign
+
+    def digest(campaign):
+        keys = "".join(cell.cache_key() for cell in campaign.cells)
+        return len(campaign.cells), hashlib.sha256(keys.encode()).hexdigest()
+
+    suite = scale_campaign(
+        ("rcv", "maekawa"),
+        n_values=(6, 8, 10, 12),
+        seeds=range(3, 7),
+        requests_per_node=2,
+    )
+    assert digest(suite) == (
+        32,
+        "72dabc932ebde239c94b8695d9471c65c4a88e651c28028b7f4b421a1dc97355",
+    )
+    from_cli = scale_campaign(
+        ("rcv", "maekawa"),
+        n_values=(6, 8),
+        seeds=(0, 1),
+        requests_per_node=1,
+        cs_time=cli._parse_spec("uniform:8:12", "cs_time"),
+        delay=cli._parse_spec("constant:5", "delay"),
+        faults=cli._parse_fault_specs(
+            ["drop:0.1", "partition:10:20:2"], (6, 8)
+        ),
+        retx=cli._parse_retx_spec("5:1:20"),
+    )
+    assert digest(from_cli) == (
+        8,
+        "af72e16f2636b2b2dc561665b62649855260c8abdd1871070f655b3a2455294a",
+    )
+    assert "faults per N" in from_cli.description
+    poisson = Campaign("x").add_sweep(
+        ("rcv",),
+        (5, 7),
+        (0, 1),
+        workload=("poisson", 20.0, 500.0),
+        algo_kwargs=(("forwarding", "random"),),
+    )
+    assert digest(poisson) == (
+        4,
+        "e63a9eaa086189d6797be3646e4a4216c544dd178c25a070f21868dadd53f516",
+    )
+
+
+def test_add_sweep_names_an_unknown_field():
+    with pytest.raises(TypeError, match="delay_model"):
+        Campaign("x").add_sweep(("rcv",), (5,), (0,), delay_model=None)
+
+
 def test_run_with_cache_dir_resumes(tmp_path):
     campaign = comparison_campaign(("rcv",), n_values=(5,), seeds=(0, 1))
     first = campaign.run(max_workers=1, cache_dir=tmp_path / "cells")

@@ -9,15 +9,14 @@ campaign sharded over processes must aggregate into exactly the
 numbers a single-process sweep would print.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.cache import CellCache
 from repro.experiments.figures import burst_sweep, lambda_sweep
-from repro.experiments.parallel import (
-    parallel_burst_sweep,
-    parallel_lambda_sweep,
-    run_cells,
-)
+from repro.experiments.parallel import run_cells
 from repro.experiments.spec import (
     AXES,
     CellSpec,
@@ -327,48 +326,87 @@ def test_campaign_surfaces_quarantined_cells(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# sweep twins: same parameters in, same cells out
+# the sweeps reproduce the numbers of the sequential path they replaced
 # ----------------------------------------------------------------------
-def test_parallel_burst_sweep_propagates_requests_per_node():
-    seq = burst_sweep((6,), ("rcv",), (0, 1), requests_per_node=3)
-    par = parallel_burst_sweep(
-        (6,), ("rcv",), (0, 1), requests_per_node=3, max_workers=2
-    )
-    assert _dicts(par["rcv"][6]) == _dicts(seq["rcv"][6])
-    # 3 requests/node x 6 nodes actually happened (not the old
-    # hardcoded single-request burst).
-    assert all(r.completed_count == 18 for r in par["rcv"][6])
+PINNED_SWEEPS = Path(__file__).parent / "data" / "sweeps_written_by_pr12.json"
+_LAMBDA_ARGS = ((5.0, 25.0), ("rcv", "ricart_agrawala"), 6, (0,), 600.0)
 
 
-def test_parallel_lambda_sweep_matches_sequential_with_delay_model():
-    delay = ("exponential", 4.0, 1.0)
-    seq = lambda_sweep(
-        (25.0,),
-        ("rcv",),
-        4,
-        (0,),
-        400.0,
-        delay_model=AXES["delay"].build(delay)["delay_model"],
+@pytest.mark.parametrize("max_workers", [1, 2])
+def test_sweeps_reproduce_the_sequential_sweeps_of_pr12(max_workers):
+    """``burst_sweep``/``lambda_sweep`` used to hand-build ``Scenario``
+    objects and loop over ``run_scenario`` in-process, with
+    ``parallel_*`` twins over ``run_cells``.  The data file holds what
+    that sequential path produced at PR 12 — written there, before it
+    was deleted, by::
+
+        dump = lambda results: {
+            a: {str(x): [result_to_dict(r) for r in runs]
+                for x, runs in per_x.items()}
+            for a, per_x in results.items()}
+        lam = ((5.0, 25.0), ("rcv", "ricart_agrawala"), 6, (0,), 600.0)
+        doc = {
+            "burst": dump(burst_sweep(
+                (6, 8), ("rcv", "maekawa"), (0, 1), requests_per_node=3)),
+            "lambda": dump(lambda_sweep(*lam)),
+            "lambda_exponential_delay": dump(lambda_sweep(
+                *lam, delay_model=ExponentialDelay(4.0, 1.0))),
+        }
+        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+    and the one ``run_cells`` path must reproduce it byte for byte,
+    in-process and through a two-worker pool.
+    """
+    burst = burst_sweep(
+        (6, 8), ("rcv", "maekawa"), (0, 1),
+        requests_per_node=3, max_workers=max_workers,
     )
-    par = parallel_lambda_sweep(
-        (25.0,), ("rcv",), 4, (0,), 400.0, delay=delay, max_workers=1
+    doc = {
+        "burst": burst,
+        "lambda": lambda_sweep(*_LAMBDA_ARGS, max_workers=max_workers),
+        "lambda_exponential_delay": lambda_sweep(
+            *_LAMBDA_ARGS,
+            delay=("exponential", 4.0, 1.0),
+            max_workers=max_workers,
+        ),
+    }
+    text = json.dumps(
+        {
+            name: {
+                algo: {str(x): _dicts(runs) for x, runs in per_x.items()}
+                for algo, per_x in results.items()
+            }
+            for name, results in doc.items()
+        },
+        sort_keys=True,
+        separators=(",", ":"),
     )
-    assert _dicts(par["rcv"][25.0]) == _dicts(seq["rcv"][25.0])
+    assert text + "\n" == PINNED_SWEEPS.read_text()
+    # requests_per_node reaches the cells: 3 requests x 6 nodes each
+    # (a twin once hardcoded the single-request burst).
+    assert all(r.completed_count == 18 for r in burst["rcv"][6])
 
 
 def test_theory_table_shared_results_path():
+    """The §6.1 table reduces whatever burst sweep it is handed: one
+    row per (algorithm, N) of the results, the same rows from a pooled
+    sweep as from an in-process one."""
     from repro.experiments.figures import THEORY_REQUESTS_PER_NODE, theory_table
 
-    shared = parallel_burst_sweep(
-        (9,),
-        ("rcv",),
-        (0,),
-        requests_per_node=THEORY_REQUESTS_PER_NODE,
-        max_workers=1,
-    )
-    via_shared = theory_table((9,), ("rcv",), (0,), _shared=shared)
-    direct = theory_table((9,), ("rcv",), (0,))
-    assert via_shared == direct
+    def sweep(max_workers):
+        return burst_sweep(
+            (16, 9),
+            ("rcv", "maekawa"),
+            (0,),
+            requests_per_node=THEORY_REQUESTS_PER_NODE,
+            max_workers=max_workers,
+        )
+
+    rows = theory_table(sweep(1))
+    assert [(row["algorithm"], row["n"]) for row in rows] == [
+        ("rcv", 16), ("rcv", 9), ("maekawa", 16), ("maekawa", 9),
+    ]
+    assert rows == theory_table(sweep(2))
 
 
 # ----------------------------------------------------------------------

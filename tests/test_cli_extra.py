@@ -21,16 +21,17 @@ def test_figure_args_default_vs_paper_scale():
 
 
 def test_cli_theory_command(capsys, monkeypatch):
-    # Shrink the sweep: patch the underlying table function's defaults.
+    # Shrink the sweep the command hands to the table.
     from repro.experiments import figures
 
-    original = figures.theory_table
-
-    def small_table():
-        return original(n_values=(9,), algorithms=("rcv",), seeds=(0,))
+    def small_sweep(n_values, *, seeds, requests_per_node):
+        assert requests_per_node == figures.THEORY_REQUESTS_PER_NODE
+        return figures.burst_sweep(
+            (9,), ("rcv",), (0,), requests_per_node=requests_per_node
+        )
 
     monkeypatch.setattr(
-        "repro.experiments.theory_table", small_table, raising=True
+        "repro.experiments.burst_sweep", small_sweep, raising=True
     )
     assert cli.main(["theory"]) == 0
     out = capsys.readouterr().out
@@ -38,11 +39,12 @@ def test_cli_theory_command(capsys, monkeypatch):
     assert "rcv" in out
 
 
-def test_cli_save_works_without_parallel(capsys, monkeypatch, tmp_path):
-    """--save retains raw runs on the sequential path too (it used to
-    silently discard them unless --parallel was given)."""
-    from repro.metrics.io import load_results
+def _small_figures(monkeypatch, cpus):
+    """Shrink the figure sweeps, on a host with ``cpus`` usable CPUs —
+    the one thing that decides in-process vs pool."""
+    from repro.experiments import parallel
 
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(
         cli,
         "_figure_args",
@@ -51,6 +53,14 @@ def test_cli_save_works_without_parallel(capsys, monkeypatch, tmp_path):
             "lam": dict(inv_lambdas=(5,), seeds=(0,), horizon=300.0),
         },
     )
+
+
+def test_cli_save_works_without_parallel(capsys, monkeypatch, tmp_path):
+    """--save retains the raw runs when the sweep ran in-process (one
+    usable CPU, no pool)."""
+    from repro.metrics.io import load_results
+
+    _small_figures(monkeypatch, cpus=1)
     out_file = tmp_path / "raw.json"
     assert cli.main(["fig4", "--save", str(out_file)]) == 0
     out = capsys.readouterr().out
@@ -59,21 +69,19 @@ def test_cli_save_works_without_parallel(capsys, monkeypatch, tmp_path):
     assert loaded and all(r.algorithm for r in loaded)
 
 
-def test_cli_save_sequential_equals_parallel(monkeypatch, tmp_path):
-    monkeypatch.setattr(
-        cli,
-        "_figure_args",
-        lambda args: {
-            "burst": dict(n_values=(5,), seeds=(0,)),
-            "lam": dict(inv_lambdas=(5,), seeds=(0,), horizon=300.0),
-        },
-    )
+def test_cli_save_sequential_equals_parallel(capsys, monkeypatch, tmp_path):
+    """The same command on a one-CPU and a two-CPU host: in-process vs
+    pool, identical table and raw runs."""
     from repro.metrics.io import load_results, result_to_dict
 
     seq_file = tmp_path / "seq.json"
     par_file = tmp_path / "par.json"
+    _small_figures(monkeypatch, cpus=1)
     assert cli.main(["fig4", "--save", str(seq_file)]) == 0
-    assert cli.main(["fig4", "--parallel", "--save", str(par_file)]) == 0
+    seq_table = capsys.readouterr().out.replace(str(seq_file), "")
+    _small_figures(monkeypatch, cpus=2)
+    assert cli.main(["fig4", "--save", str(par_file)]) == 0
+    assert capsys.readouterr().out.replace(str(par_file), "") == seq_table
     seq = [result_to_dict(r) for r in load_results(seq_file)]
     par = [result_to_dict(r) for r in load_results(par_file)]
     assert seq == par
@@ -156,15 +164,8 @@ def test_cli_campaign_rejects_malformed_args(tmp_path):
 
 
 def test_cli_fig6_parallel(capsys, monkeypatch):
-    monkeypatch.setattr(
-        cli,
-        "_figure_args",
-        lambda args: {
-            "burst": dict(n_values=(5,), seeds=(0,)),
-            "lam": dict(inv_lambdas=(5,), seeds=(0,), horizon=300.0),
-        },
-    )
-    assert cli.main(["fig6", "--parallel"]) == 0
+    _small_figures(monkeypatch, cpus=2)
+    assert cli.main(["fig6"]) == 0
     out = capsys.readouterr().out
     assert "Figure 6" in out and "maekawa" in out
 

@@ -5,15 +5,10 @@ import math
 
 import pytest
 
-from repro.experiments import figure4
+from repro.experiments import burst_sweep, figure4, lambda_sweep
 from repro.experiments.charts import render_chart
 from repro.experiments.figures import FigureData
-from repro.experiments.parallel import (
-    CellSpec,
-    parallel_burst_sweep,
-    parallel_lambda_sweep,
-    run_cells,
-)
+from repro.experiments.parallel import CellSpec, run_cells
 from repro.metrics.io import (
     FORMAT_VERSION,
     load_results,
@@ -74,7 +69,7 @@ def test_chart_skips_nan_points():
 
 
 def test_real_figure_renders():
-    fig = figure4((5,), ("rcv",), (0,))
+    fig = figure4(burst_sweep((5,), ("rcv",), (0,)))
     assert "rcv" in render_chart(fig)
 
 
@@ -115,21 +110,39 @@ def test_run_cells_sequential_fallback():
 
 
 def test_parallel_matches_sequential_exactly():
-    from repro.experiments.figures import burst_sweep
-
-    par = parallel_burst_sweep((8,), ("rcv",), (0, 1), max_workers=2)
-    seq = burst_sweep((8,), ("rcv",), (0, 1))
-    assert [r.messages_total for r in par["rcv"][8]] == [
-        r.messages_total for r in seq["rcv"][8]
+    par = burst_sweep((8,), ("rcv",), (0, 1), max_workers=2)
+    seq = burst_sweep((8,), ("rcv",), (0, 1), max_workers=1)
+    assert [result_to_dict(r) for r in par["rcv"][8]] == [
+        result_to_dict(r) for r in seq["rcv"][8]
     ]
 
 
-def test_parallel_lambda_sweep_shape():
-    out = parallel_lambda_sweep(
-        (5.0,), ("rcv",), 5, (0,), 500.0, max_workers=2
-    )
+def test_lambda_sweep_shape():
+    out = lambda_sweep((5, 25.0), ("rcv",), 5, (0,), 500.0, max_workers=2)
     assert set(out) == {"rcv"}
+    assert list(out["rcv"]) == [5.0, 25.0]  # keyed by float(1/lambda)
     assert len(out["rcv"][5.0]) == 1
+
+
+def test_default_pool_is_sized_by_the_cpus_this_process_may_use(monkeypatch):
+    """A process pinned to one CPU of a many-CPU host (taskset, a
+    container's cpuset) must run its cells in-process: a pool sized by
+    ``os.cpu_count()`` would oversubscribe the one CPU it has."""
+    from repro.experiments import parallel
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was created on a one-CPU affinity")
+
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 64)
+    if hasattr(parallel.os, "process_cpu_count"):
+        monkeypatch.setattr(parallel.os, "process_cpu_count", lambda: 1)
+    else:
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    specs = [CellSpec("rcv", 4, s, ("burst", 1)) for s in range(3)]
+    assert [r.seed for r in run_cells(specs)] == [0, 1, 2]
+    with pytest.raises(AssertionError, match="pool was created"):
+        run_cells(specs, max_workers=2)  # the guard itself works
 
 
 # ----------------------------------------------------------------------
@@ -215,8 +228,19 @@ def test_cli_chart_flag(capsys, monkeypatch):
 
 
 def test_cli_parallel_and_save(capsys, monkeypatch, tmp_path):
+    """On a multi-CPU host the figure commands fan out over a pool,
+    with no flag asking for it, and --save still gets every run."""
     from repro import cli
+    from repro.experiments import parallel
 
+    pools = []
+    real_pool = parallel.ProcessPoolExecutor
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(
+        parallel,
+        "ProcessPoolExecutor",
+        lambda **kwargs: pools.append(kwargs) or real_pool(**kwargs),
+    )
     monkeypatch.setattr(
         cli,
         "_figure_args",
@@ -226,7 +250,8 @@ def test_cli_parallel_and_save(capsys, monkeypatch, tmp_path):
         },
     )
     out_file = tmp_path / "raw.json"
-    assert cli.main(["fig4", "--parallel", "--save", str(out_file)]) == 0
+    assert cli.main(["fig4", "--save", str(out_file)]) == 0
+    assert pools == [{"max_workers": 2}]
     assert out_file.exists()
     loaded = load_results(out_file)
     assert loaded and all(r.algorithm for r in loaded)
