@@ -712,6 +712,14 @@ def _render_status(stats: dict, url: str) -> str:
         f"quarantined  : {len(stats['quarantined'])}",
     ]
     owners = stats["owners"]
+    # "requests" is additive within protocol v1: older servers omit it
+    requests = sum(stats.get("requests", {}).values())
+    if requests:
+        commits = sum(rec["commits"] for rec in owners.values())
+        per_cell = (
+            f" ({requests / commits:.1f} per committed cell)" if commits else ""
+        )
+        lines.append(f"requests     : {requests}{per_cell}")
     if owners:
         lines += ["", "worker                          leases  claims  commits  failures  cells/min"]
         uptime = max(stats["uptime_seconds"], 1e-9)

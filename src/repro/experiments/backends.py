@@ -12,7 +12,7 @@ Four implementations ship:
 
 * :class:`DirectoryBackend` — the original one-JSON-file-per-cell
   directory layout (``<root>/<key[:2]>/<key>.json``).  Works over any
-  shared filesystem; leases are ``O_EXCL``-created files under
+  shared filesystem; leases are files hard-linked into
   ``<root>/.leases/``.
 * :class:`MemoryBackend` — a dict, for tests and throwaway runs.
 * :class:`SQLiteBackend` — a single database file in WAL mode.  One
@@ -170,11 +170,11 @@ class DirectoryBackend:
 
     The historical ``CellCache`` on-disk layout, unchanged — caches
     written by earlier versions keep working.  Leases are files under
-    ``<root>/.leases/`` created with ``O_EXCL`` (atomic on local
-    filesystems; close-to-open consistency over NFS makes stealing a
-    *nearly*-atomic read-then-replace there — good enough for an
-    advisory lease whose worst failure is a duplicated deterministic
-    cell).
+    ``<root>/.leases/`` hard-linked into place complete (``link`` is
+    atomic and exclusive, so a fresh cell has one holder); taking
+    over an *expired* lease is a read-then-replace, which two
+    survivors of a crashed peer can both win — good enough for a
+    lease whose worst failure is a duplicated deterministic cell.
 
     Opening the backend garbage-collects stale ``*.tmp.<pid>`` files:
     atomic writes go through a temp file + ``os.replace``, and a
@@ -225,8 +225,15 @@ class DirectoryBackend:
         path.parent.mkdir(parents=True, exist_ok=True)
         # repro-lint: allow(determinism) -- lease expiry needs a clock all hosts share
         payload = json.dumps({"owner": owner, "expires": time.time() + ttl})
+        # The lease must appear with its payload or not at all: a file
+        # created empty and written afterwards reads as garbage in
+        # between, and garbage is stolen.  (Thread id in the name: two
+        # owners may share a pid; the pid stays last for the tmp GC.)
+        tmp = path.with_suffix(f".tmp.{threading.get_ident()}.{os.getpid()}")
+        tmp.write_text(payload)
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            os.link(tmp, path)
+            return True
         except FileExistsError:
             try:
                 doc = json.loads(path.read_text())
@@ -238,13 +245,10 @@ class DirectoryBackend:
                 and doc.get("expires", 0.0) > time.time()
             ):
                 return False
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(payload)
             os.replace(tmp, path)
             return True
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        return True
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def release(self, key: str, owner: str) -> None:
         path = self._lease_path(key)

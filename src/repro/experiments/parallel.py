@@ -203,7 +203,14 @@ def run_cells(
     peer are deferred and re-polled every ``poll_interval`` seconds —
     either the peer commits the cell (it is adopted from the cache)
     or its lease expires (a crashed peer) and the cell is re-claimed
-    and recomputed here.  ``shard`` degrades to a *priority seed*:
+    and recomputed here.  A cell is claimed, and *then* read, when a
+    round reaches it: a peer commits before it releases, so a cell
+    absent under this worker's own lease was computed by no live
+    peer, and every cell is computed exactly once.  Once a chunk is
+    full the rest are deferred untouched, so a fresh cell costs the
+    backend two reads (start-up pass, then under the lease), one
+    claim, one write and one release however large the slice.
+    ``shard`` degrades to a *priority seed*:
     this worker claims its own shard's cells first, then steals the
     rest.  Leases on claimed-but-uncomputed cells are **renewed**
     while the worker chews through a chunk, so ``lease_ttl`` needs to
@@ -364,34 +371,45 @@ def run_cells(
             claimed: List[int] = []
             deferred: List[int] = []
             adopted = 0
-            for i in work:
-                cached = cache.adopt(specs[i])
-                if cached is not None:
-                    # A peer committed it since our last look.
-                    results[i] = cached
-                    adopted += 1
-                    if progress:
-                        progress.step(fresh=False)
-                    continue
-                if len(claimed) < chunk_size:
-                    if cache.claim(specs[i], owner, lease_ttl):
-                        # Now it's this worker's cell to compute: the
-                        # miss is real (and matches a later write).
-                        # Once per cell — a crashed-then-retried cell
-                        # is still one miss, not one per attempt.
-                        if i not in missed:
-                            cache.misses += 1
-                            missed.add(i)
-                        claimed.append(i)
-                        continue
+            for pos, i in enumerate(work):
+                if len(claimed) == chunk_size:
+                    # The chunk is full: the rest wait untouched — each
+                    # is looked at when a later round reaches it, so a
+                    # slice costs O(n) backend calls, not O(n²/chunk).
+                    deferred.extend(work[pos:])
+                    break
+                if not cache.claim(specs[i], owner, lease_ttl):
                     if cache.is_quarantined(specs[i]):
                         # Poisoned by repeated crashes (here or on a
                         # peer): drop it — the slot stays None and
                         # the campaign summary carries the case file.
                         if progress:
                             progress.step(fresh=False)
-                        continue
-                deferred.append(i)
+                    else:
+                        deferred.append(i)  # a live peer holds it
+                    continue
+                # Claim first, then look: peers put before they
+                # release, so under our own lease an absent result
+                # means no live peer computed the cell — probing
+                # before the claim would leave a gap for a peer's
+                # commit to fall into, and the cell computed twice.
+                cached = cache.adopt(specs[i])
+                if cached is not None:
+                    # A peer committed it since our last look.
+                    cache.release(specs[i], owner)
+                    results[i] = cached
+                    adopted += 1
+                    if progress:
+                        progress.step(fresh=False)
+                    continue
+                # Now it's this worker's cell to compute: the miss is
+                # real (and matches a later write).  Once per cell — a
+                # crashed-then-retried cell is still one miss, not one
+                # per attempt.
+                if i not in missed:
+                    cache.misses += 1
+                    missed.add(i)
+                claimed.append(i)
             retry: List[int] = []
             if claimed:
                 retry = _run_claimed(run_map, claimed)

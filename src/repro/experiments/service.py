@@ -35,15 +35,33 @@ Design decisions worth knowing:
 * **Monitoring built in.**  ``GET /v1/stats`` exposes the live lease
   table and per-owner counters (claims, commits, failures, renews) —
   per-worker throughput for a running campaign without touching the
-  workers.
+  workers — and a per-endpoint ``requests`` count, so the scheduler's
+  request budget (docs/operations.md, "Lease and TTL tuning") is
+  visible on a live campaign.
+* **One send per reply.**  ``_reply`` hands status line, headers and
+  body to the socket in a single write, and accepted connections set
+  ``TCP_NODELAY``.  Written the stdlib way (``end_headers()``, then
+  ``wfile.write(body)``: two small sends on an unbuffered socket),
+  Nagle on the server holds the body until the client's *delayed* ACK
+  of the headers — 40 ms added to every round trip on loopback, 44 ms
+  measured against 0.3 ms of actual work.  ``TCP_NODELAY`` covers what
+  one write cannot: the stdlib's own ``send_error`` replies, and the
+  short tail segment of a cell document larger than one MSS.
+* **Prompt shutdown.**  The accept loop blocks until a connection
+  arrives rather than polling a flag (``serve_forever`` wakes every
+  0.5 s, and ``shutdown()`` waits that out); ``stop()`` sets the flag
+  and then connects to the listening socket to wake it.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import socket
 import threading
 import time
 import urllib.parse
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional
 
@@ -56,7 +74,6 @@ __all__ = ["CellServer", "PROTOCOL_VERSION", "API_PREFIX"]
 #: largest request body the server will read — a cell document is a
 #: few KB to a few hundred KB; nothing legitimate comes near this
 _MAX_BODY_BYTES = 8 * 1024 * 1024
-
 
 def _owner_record() -> dict:
     return {
@@ -87,6 +104,8 @@ class _ServiceState:
         #: makes "touch the owner, arbitrate, count" one atomic step
         self.lock = threading.Lock()
         self.owners: Dict[str, dict] = {}
+        #: requests answered since start, by ``"<METHOD> <resource>"``
+        self.requests: Counter = Counter()
         # repro-lint: allow(determinism) -- display-only start timestamp
         self.started = time.time()
         self._started_mono = time.monotonic()
@@ -176,6 +195,10 @@ class _ServiceState:
         }
 
     # -- monitoring ----------------------------------------------------
+    def count_request(self, endpoint: str) -> None:
+        with self.lock:
+            self.requests[endpoint] += 1
+
     def stats(self) -> dict:
         now = time.monotonic()
         with self.lock:
@@ -210,6 +233,7 @@ class _ServiceState:
                 key: {"count": entry["count"]}
                 for key, entry in sorted(self.arbiter.quarantined().items())
             }
+            requests = dict(self.requests)
         return {
             "protocol": PROTOCOL_VERSION,
             "uptime_seconds": round(now - self._started_mono, 3),
@@ -217,6 +241,7 @@ class _ServiceState:
             "leases": leases,
             "owners": owners,
             "quarantined": quarantined,
+            "requests": requests,
         }
 
 
@@ -225,6 +250,9 @@ class _Handler(BaseHTTPRequestHandler):
     # campaign instead of a TCP handshake per cell operation.
     protocol_version = "HTTP/1.1"
     server_version = f"repro-cell-server/{PROTOCOL_VERSION}"
+    # TCP_NODELAY on every accepted connection (see module docstring,
+    # "One send per reply").
+    disable_nagle_algorithm = True
 
     @property
     def state(self) -> _ServiceState:
@@ -234,7 +262,21 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     # -- plumbing ------------------------------------------------------
-    def _reply(self, code: int, payload: dict, *, close: bool = False) -> None:
+    def _reply(
+        self,
+        code: int,
+        payload: dict,
+        *,
+        endpoint: Optional[str] = None,
+        close: bool = False,
+    ) -> None:
+        """Send one JSON reply.  ``endpoint`` is the resource the
+        dispatch matched (``/stats`` counts requests by it); refusals
+        and unknown paths pass none and are counted together, so a
+        stray client cannot grow that map."""
+        self.state.count_request(
+            f"{self.command} {endpoint}" if endpoint else "other"
+        )
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
@@ -243,8 +285,16 @@ class _Handler(BaseHTTPRequestHandler):
             # An unread (or unreadable) body is still on the socket:
             # the connection cannot carry another request.
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        # One write for head and body: end_headers() on the socket
+        # would send the head by itself, and the body would then wait
+        # out the client's delayed ACK (see module docstring).
+        sock_file, self.wfile = self.wfile, io.BytesIO()
+        try:
+            self.end_headers()
+            head = self.wfile.getvalue()
+        finally:
+            self.wfile = sock_file
+        self.wfile.write(head + body)
 
     def _body_json(self) -> Optional[dict]:
         # Content-Length is bytes off a socket: a non-number used to
@@ -313,20 +363,24 @@ class _Handler(BaseHTTPRequestHandler):
             return
         state = self.state
         if parts == ["stats"]:
-            self._reply(200, state.stats())
+            self._reply(200, state.stats(), endpoint="stats")
         elif parts == ["cells"]:
             keys = sorted(state.store.keys())
-            self._reply(200, {"keys": keys, "count": len(keys)})
+            self._reply(200, {"keys": keys, "count": len(keys)}, endpoint="cells")
         elif len(parts) == 2 and parts[0] == "cells":
             value = state.store.get(parts[1])
             if value is None:
-                self._reply(404, {"found": False})
+                self._reply(404, {"found": False}, endpoint="cells")
             else:
-                self._reply(200, {"found": True, "value": value})
+                self._reply(200, {"found": True, "value": value}, endpoint="cells")
         elif parts == ["quarantine"]:
-            self._reply(200, {"cells": state.arbiter.quarantined()})
+            self._reply(
+                200, {"cells": state.arbiter.quarantined()}, endpoint="quarantine"
+            )
         elif len(parts) == 2 and parts[0] == "quarantine":
-            self._reply(200, state.quarantine_entry(parts[1]))
+            self._reply(
+                200, state.quarantine_entry(parts[1]), endpoint="quarantine"
+            )
         else:
             self._reply(404, {"error": f"no such endpoint: GET {self.path}"})
 
@@ -344,7 +398,7 @@ class _Handler(BaseHTTPRequestHandler):
                 )
                 return
             self.state.put(parts[1], doc["value"])
-            self._reply(200, {"stored": True})
+            self._reply(200, {"stored": True}, endpoint="cells")
         else:
             self._reply(404, {"error": f"no such endpoint: PUT {self.path}"})
 
@@ -363,15 +417,21 @@ class _Handler(BaseHTTPRequestHandler):
                     state.claim(
                         doc["key"], doc["owner"], float(doc["ttl"])
                     ),
+                    endpoint="claim",
                 )
             elif parts == ["release"]:
-                self._reply(200, state.release(doc["key"], doc["owner"]))
+                self._reply(
+                    200,
+                    state.release(doc["key"], doc["owner"]),
+                    endpoint="release",
+                )
             elif parts == ["renew"]:
                 self._reply(
                     200,
                     state.renew(
                         doc["key"], doc["owner"], float(doc["ttl"])
                     ),
+                    endpoint="renew",
                 )
             elif parts == ["fail"]:
                 self._reply(
@@ -382,9 +442,12 @@ class _Handler(BaseHTTPRequestHandler):
                         str(doc["error"]),
                         str(doc.get("id", "")),
                     ),
+                    endpoint="fail",
                 )
             elif parts == ["quarantine"]:
-                self._reply(200, state.mark_quarantined(doc["key"]))
+                self._reply(
+                    200, state.mark_quarantined(doc["key"]), endpoint="quarantine"
+                )
             else:
                 self._reply(
                     404, {"error": f"no such endpoint: POST {self.path}"}
@@ -405,6 +468,20 @@ class _Server(ThreadingHTTPServer):
     def __init__(self, address, state: _ServiceState) -> None:
         super().__init__(address, _Handler)
         self.state = state
+        self.stopping = False
+
+    def serve_until_stopped(self) -> None:
+        """``serve_forever`` without its poll: each ``handle_request``
+        blocks until a connection arrives, and ``CellServer.stop``
+        sets ``stopping`` *before* it connects, so the wake-up is
+        always seen."""
+        while not self.stopping:
+            self.handle_request()
+
+    def verify_request(self, request, client_address) -> bool:
+        # The wake-up connection (and anything racing it) is closed
+        # unserved: a stopping server starts no new handler.
+        return not self.stopping
 
 
 class CellServer:
@@ -445,7 +522,7 @@ class CellServer:
     def start(self) -> "CellServer":
         """Serve on a daemon thread; returns self (``CellServer().start()``)."""
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
+            target=self._httpd.serve_until_stopped,
             name=f"cell-server:{self.port}",
             daemon=True,
         )
@@ -453,14 +530,25 @@ class CellServer:
         return self
 
     def serve_forever(self) -> None:
-        self._httpd.serve_forever()
+        self._httpd.serve_until_stopped()
 
     def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        self._httpd.stopping = True
+        try:
+            # Wake the accept loop now; nothing is sent.
+            socket.create_connection((self.host, self.port), timeout=1.0).close()
+        except ConnectionRefusedError:
+            pass  # not listening: already stopped
         if self._thread is not None:
             self._thread.join(timeout=5.0)
+            if self._thread.is_alive():
+                # Closing the socket under a thread still blocked in
+                # accept would hide the failure; say so instead.
+                raise RuntimeError(
+                    f"cell server on {self.url} did not stop within 5 s"
+                )
             self._thread = None
+        self._httpd.server_close()
 
     def __repr__(self) -> str:
         return f"CellServer({self.url!r}, store={self.state.store!r})"

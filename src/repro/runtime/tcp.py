@@ -188,11 +188,22 @@ class TcpCluster:
     def _pick_free_ports(host: str, n: int) -> int:
         import socket
 
-        # Find a base so that [base, base+n) are all free right now.
-        with socket.socket() as probe:
-            probe.bind((host, 0))
-            base = probe.getsockname()[1]
-        return base
+        # Find a base so that [base, base+n) are all free right now:
+        # the kernel vouches only for the port it picks, and a busy
+        # host has neighbours in use (or in TIME_WAIT), so bind them all.
+        for _ in range(64):
+            with contextlib.ExitStack() as probes:
+                first = probes.enter_context(socket.socket())
+                first.bind((host, 0))
+                base = first.getsockname()[1]
+                try:
+                    for offset in range(1, n):
+                        probe = probes.enter_context(socket.socket())
+                        probe.bind((host, base + offset))
+                except (OSError, OverflowError):
+                    continue
+                return base
+        raise OSError(f"no run of {n} free consecutive ports on {host}")
 
     def _make_grant_cb(self):
         def cb(node_id: int) -> None:

@@ -11,6 +11,8 @@ import json
 import os
 import subprocess
 import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -273,6 +275,20 @@ def test_gc_leaves_cells_and_leases_alone(tmp_path):
     assert not reopened.claim("aabbcc", "bob", ttl=60.0)
 
 
+def test_directory_lease_appears_complete_and_leaves_no_tmp(tmp_path):
+    """A lease is linked into place with its payload — a peer never
+    reads a half-made one (an empty file used to read as garbage and
+    be stolen) — and granted, refused and takeover claims all clean
+    up the temp file they were written to."""
+    backend = DirectoryBackend(tmp_path / "cells")
+    leases = backend.root / ".leases"
+    assert backend.claim("k", "alice", ttl=60.0)
+    assert json.loads((leases / "k.lease").read_text())["owner"] == "alice"
+    assert not backend.claim("k", "bob", ttl=60.0)  # refused
+    assert backend.claim("k", "alice", ttl=60.0)  # own lease: takeover
+    assert sorted(path.name for path in leases.iterdir()) == ["k.lease"]
+
+
 # ----------------------------------------------------------------------
 # CellCache façade over every backend
 # ----------------------------------------------------------------------
@@ -323,6 +339,101 @@ def test_faulty_cell_never_aliases_its_clean_twin(kind, tmp_path):
         assert result_to_dict(cache.peek(noop)) == result_to_dict(fresh)
     finally:
         close_backend(backend)
+
+
+# ----------------------------------------------------------------------
+# the stealing loop's request budget (every backend call may be a
+# network round trip, so the scheduler owes each backend a bound)
+# ----------------------------------------------------------------------
+class CountingBackend:
+    """Forwards to ``inner``, counting calls by method name."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self.inner, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+    def __len__(self) -> int:
+        return len(self.inner)
+
+
+@pytest.mark.parametrize("n", (8, 32))
+def test_stolen_slice_costs_a_linear_number_of_requests(backend, n):
+    """One read in the pre-pass and one more under the lease, when a
+    round reaches the cell; one claim, put and release each.  The loop
+    used to re-read every pending cell every round: n=8 at
+    chunk_size=2 made 28 gets, n=32 made 304."""
+    counting = CountingBackend(backend)
+    cache = CellCache(backend=counting)
+    specs = [_spec(seed) for seed in range(n)]
+    results = run_cells(
+        specs, max_workers=1, cache=cache, steal=True, chunk_size=2, owner="w"
+    )
+    assert all(result is not None for result in results)
+    calls = counting.calls
+    assert calls["get"] <= 2 * n
+    assert (calls["claim"], calls["put"], calls["release"]) == (n, n, n)
+    assert (cache.hits, cache.misses, cache.writes) == (0, n, n)
+
+
+def _peer_handle(backend):
+    """A second worker's own handle on the same shared state."""
+    if isinstance(backend, ServiceBackend):
+        return ServiceBackend(backend.url)  # one connection per worker
+    if isinstance(backend, SQLiteBackend):
+        return SQLiteBackend(backend.path)
+    if isinstance(backend, DirectoryBackend):
+        return DirectoryBackend(backend.root)
+    return backend  # memory: shared by reference
+
+
+def test_two_concurrent_owners_each_compute_or_adopt_every_cell(backend):
+    """Whatever the interleaving, each owner ends with every result,
+    and got each cell exactly one way — computed (one miss, one write)
+    or adopted from the peer (one hit) — and no cell is computed by
+    both: a worker reads a cell only under its own lease, and a peer
+    commits before it releases."""
+    specs = [_spec(seed) for seed in range(12)]
+    reference = [result_to_dict(r) for r in run_cells(specs, max_workers=1)]
+    peer = _peer_handle(backend)
+    caches = [CellCache(backend=backend), CellCache(backend=peer)]
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [
+                pool.submit(
+                    run_cells,
+                    specs,
+                    max_workers=1,
+                    cache=cache,
+                    steal=True,
+                    chunk_size=2,
+                    owner=f"worker-{index}",
+                    poll_interval=0.005,
+                    steal_timeout=60.0,
+                )
+                for index, cache in enumerate(caches)
+            ]
+            for run in runs:
+                got = run.result(timeout=120)
+                assert [result_to_dict(r) for r in got] == reference
+    finally:
+        if peer is not backend:
+            close_backend(peer)
+    for cache in caches:
+        assert cache.hits + cache.writes == len(specs)
+        assert cache.misses == cache.writes
+    # ...and the leases made it exactly once across the two
+    assert sum(cache.writes for cache in caches) == len(specs)
 
 
 def test_path_for_requires_a_directory_backend(tmp_path):

@@ -6,12 +6,17 @@ against the live service via the ``http`` kind in
 ``tests/test_backends.py`` / ``tests/test_campaign_parity.py``.  This
 file pins what only the *wire* can get wrong: the versioned protocol
 gate, response shapes (``/stats`` in particular — the monitoring
-contract), server-side arbitration between independent clients, and
-the typed unavailability error.
+contract), server-side arbitration between independent clients, the
+typed unavailability error, and the send pattern of a reply (one
+write, ``TCP_NODELAY`` — or every round trip waits out a delayed ACK).
 """
 
 import http.client
 import json
+import socket
+import statistics
+import time
+import types
 
 import pytest
 
@@ -86,6 +91,7 @@ def test_stats_shape_is_pinned(server, backend):
         "owners",
         "protocol",
         "quarantined",
+        "requests",
         "uptime_seconds",
     ]
     assert stats["protocol"] == PROTOCOL_VERSION
@@ -108,11 +114,30 @@ def test_stats_shape_is_pinned(server, backend):
     assert worker["claims"] == 1 and worker["failures"] == 1
     assert worker["active_leases"] == 1
     assert stats["quarantined"] == {"cell-3": {"count": 1}}
+    # every request answered before this one, the constructor's
+    # reachability probe included
+    assert stats["requests"] == {
+        "GET stats": 1,
+        "POST claim": 1,
+        "POST fail": 1,
+        "POST quarantine": 1,
+        "PUT cells": 1,
+    }
+
+
+def test_requests_outside_the_protocol_are_counted_together(server):
+    """The ``requests`` map is keyed by the endpoint the dispatch
+    matched: a wrong version, an unknown path and a refused body all
+    land in one bucket, so a stray client cannot grow the map."""
+    for path in ("/v2/stats", f"{API_PREFIX}/nope", f"{API_PREFIX}/{'x' * 40}"):
+        _raw(server, "GET", path)
+    _raw(server, "POST", f"{API_PREFIX}/claim", {"key": "k"})  # 400: no owner
+    _raw(server, "GET", f"{API_PREFIX}/stats")
+    status, stats = _raw(server, "GET", f"{API_PREFIX}/stats")
+    assert stats["requests"] == {"GET stats": 1, "other": 4}
 
 
 def test_expired_leases_drop_out_of_stats(server, backend):
-    import time
-
     assert backend.claim("k", "w", ttl=0.05)
     time.sleep(0.06)
     stats = backend.stats()
@@ -206,6 +231,83 @@ def test_unknown_endpoints_get_404(server):
 
 
 # ----------------------------------------------------------------------
+# the send pattern: one write per reply, Nagle off, prompt shutdown
+# ----------------------------------------------------------------------
+@pytest.fixture
+def wire(monkeypatch):
+    """What the handlers put on their sockets: every ``wfile.write``
+    payload, and each accepted connection's ``TCP_NODELAY`` flag."""
+    from repro.experiments import service
+
+    seen = types.SimpleNamespace(writes=[], nodelay=[])
+    setup = service._Handler.setup
+
+    def recording_setup(handler):
+        setup(handler)
+        seen.nodelay.append(
+            handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+        write = handler.wfile.write
+
+        def recording_write(data):
+            seen.writes.append(bytes(data))
+            return write(data)
+
+        handler.wfile.write = recording_write
+
+    monkeypatch.setattr(service._Handler, "setup", recording_setup)
+    return seen
+
+
+def test_each_reply_is_one_socket_write_on_a_nodelay_connection(server, wire):
+    """Head and body in two writes cost a delayed ACK (40 ms) per
+    round trip — that was 44 ms of every 44.3 ms request.  Holds for
+    the success path, a miss and a refusal alike."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        for method, path, body, status in (
+            ("GET", f"{API_PREFIX}/stats", None, 200),
+            ("GET", f"{API_PREFIX}/cells/absent", None, 404),
+            ("POST", f"{API_PREFIX}/claim", b"{not json", 400),
+        ):
+            before = len(wire.writes)
+            conn.request(method, path, body=body)
+            response = conn.getresponse()
+            payload = response.read()
+            assert response.status == status
+            assert len(wire.writes) == before + 1, (method, path)
+            sent = wire.writes[-1]
+            assert sent.startswith(f"HTTP/1.1 {status} ".encode("ascii"))
+            assert payload and sent.endswith(b"\r\n\r\n" + payload)
+    finally:
+        conn.close()
+    assert len(wire.nodelay) == 1 and wire.nodelay[0]  # one keep-alive connection
+
+
+def test_keepalive_claim_round_trip_is_under_10_ms(server, backend):
+    """The loopback floor: 44 ms a round trip with the stall, 0.3 ms
+    without — 10 ms fails the first and passes the second by 30x."""
+    trips = []
+    for i in range(20):
+        start = time.perf_counter()
+        assert backend.claim(f"cell-{i}", "worker-a", ttl=60.0)
+        trips.append(time.perf_counter() - start)
+    assert statistics.median(trips) < 0.010, sorted(trips)
+
+
+def test_stop_does_not_wait_out_a_poll_interval(backend, server):
+    """``serve_forever`` polls every 0.5 s and ``shutdown()`` waits
+    for the next poll; the accept loop here is woken instead — with a
+    keep-alive client still connected."""
+    thread = server._thread
+    start = time.perf_counter()
+    server.stop()
+    assert time.perf_counter() - start < 0.25
+    assert not thread.is_alive()
+    server.stop()  # idempotent (the fixture stops it again)
+
+
+# ----------------------------------------------------------------------
 # shared-nothing: independent clients, one arbiter
 # ----------------------------------------------------------------------
 def test_two_clients_share_cells_leases_and_quarantine(server):
@@ -293,6 +395,8 @@ def test_campaign_status_renders_workers_and_quarantine(server, capsys):
     out = capsys.readouterr().out
     assert f"cell-server {server.url}" in out
     assert "cells stored : 1" in out
+    # 4 calls above + 2 reachability probes (not this status request)
+    assert "requests     : 6 (6.0 per committed cell)" in out
     assert "worker-a" in out
     assert "quarantined cells" in out
 
