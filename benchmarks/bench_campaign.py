@@ -13,20 +13,21 @@ Run as a script to (re)generate ``BENCH_campaign.json``::
     PYTHONPATH=src python benchmarks/bench_campaign.py --json BENCH_campaign.json
 
 ``test_campaign_cache_resume_smoke`` is the CI smoke: a tiny
-campaign (N=6/8, 2 seeds) run fresh, interrupted half-way (simulated
-by sharding), resumed, and checked cell-for-cell against the
-sequential reference path.  ``test_campaign_work_stealing_smoke`` is
-its distributed twin: two processes over one shared SQLite backend,
-one killed after a single commit with cells still leased, the
-survivor stealing the expired leases and finishing — union checked
-bit-for-bit.  ``test_campaign_http_stealing_smoke`` is the
-shared-nothing variant: a real ``python -m repro.cli cell-server``
-subprocess, a victim worker killed mid-campaign, and a survivor that
-finishes over HTTP alone.  The report additionally records the
-two-worker stolen-vs-static wall clock on the N∈{50..200} sweep
-(static ``index % 2`` shards pay for their imbalance; stealing does
-not) and the served-HTTP-vs-shared-SQLite stealing wall clock (what
-the network round trip per cell operation actually costs).
+campaign (N=6/8, 2 seeds) interrupted half-way (a
+``KeyboardInterrupt`` after the second commit), resumed, and checked
+cell-for-cell against the sequential reference path.
+``test_campaign_work_stealing_smoke`` is its distributed twin: two
+processes over one shared SQLite backend, one killed after a single
+commit with cells still leased, the survivor stealing the expired
+leases and finishing — union checked bit-for-bit.
+``test_campaign_http_stealing_smoke`` is the shared-nothing variant:
+a real ``python -m repro.cli cell-server`` subprocess, a victim worker
+killed mid-campaign, and a survivor that finishes over HTTP alone.
+The report additionally records what distribution buys — two stealing
+workers against one on the same N∈{50, 200} cells, over a shared
+SQLite file and over a served HTTP backend (null, with a note, on a
+host with one usable CPU) — and the served-HTTP-vs-shared-SQLite wall
+clock (what the network round trip per cell operation actually costs).
 
 The report's first-class ``per_cell`` section tracks the cost of the
 unit everything above is built from: per-cell seconds at N in
@@ -52,6 +53,7 @@ guards the >= 0.99 with-retx completion floor at drop p = 0.1 for
 N in {50, 100, 200}.
 """
 
+import io
 import json
 import math
 import multiprocessing
@@ -72,6 +74,7 @@ from repro.experiments import (
     fault_sweep,
     scale_campaign,
 )
+from repro.experiments.parallel import ProgressReporter, _usable_cpus
 from repro.metrics.io import result_to_dict
 
 
@@ -87,12 +90,24 @@ def test_campaign_cache_resume_smoke(tmp_path=None):
         ("rcv",), n_values=(6, 8), seeds=(0, 1), requests_per_node=2
     )
 
-    # "Interrupt": run only shard 0 of 2, as a killed campaign would
-    # leave a partially populated cache.
-    partial = campaign.run(max_workers=1, cache=cache, shard=(0, 2))
-    assert not partial.complete
-    committed = sum(1 for r in partial.results if r is not None)
-    assert 0 < committed < len(campaign.cells)
+    # Interrupt: Ctrl-C lands as the second cell's commit is reported,
+    # leaving a partially populated cache.
+    committed = 2
+
+    class _InterruptsAfterCommits(ProgressReporter):
+        def step(self, count=1, *, fresh=True):
+            super().step(count, fresh=fresh)
+            if self.done == committed:
+                raise KeyboardInterrupt
+
+    interrupter = _InterruptsAfterCommits(
+        len(campaign.cells), stream=io.StringIO()
+    )
+    try:
+        campaign.run(max_workers=1, cache=cache, progress=interrupter)
+    except KeyboardInterrupt:
+        pass
+    assert len(cache) == committed < len(campaign.cells)
 
     # Resume: the full run must only compute the missing cells...
     cache.hits = cache.misses = 0
@@ -255,72 +270,35 @@ def test_campaign_http_stealing_smoke(tmp_path=None):
 
 
 # ----------------------------------------------------------------------
-# two workers, stolen vs static: the wall-clock comparison
+# what distribution buys: two stealing workers vs one, same cells
 # ----------------------------------------------------------------------
-# Two node counts x three seeds: the index % 2 split strands two of
-# the three heavy N=200 cells on one shard (the "no-feedback"
-# schedule's worst case), while stealing rebalances them.
+# Two node counts x three seeds: three light N=50 cells and three
+# heavy N=200 ones, so a schedule has an imbalance to get wrong.
 _TWO_WORKER_N_VALUES = (50, 200)
 _TWO_WORKER_SEEDS = (0, 1, 2)
 
 
-def _two_worker_campaign(locator: str, mode: str, index: int) -> None:
-    cache = CellCache(backend=_shared_backend(locator))
-    campaign = scale_campaign(
+def _two_worker_campaign():
+    return scale_campaign(
         ("rcv",), n_values=_TWO_WORKER_N_VALUES, seeds=_TWO_WORKER_SEEDS
     )
-    if mode == "static":
-        campaign.run(max_workers=1, cache=cache, shard=(index, 2))
-    else:
-        campaign.run(
-            max_workers=1,
-            cache=cache,
-            steal=True,
-            owner=f"worker-{index}",
-            shard=(index, 2),  # claim-priority seed only
-            lease_ttl=600.0,
-            chunk_size=1,  # claim one cell at a time: finest balancing
-        )
 
 
-def _per_cell_costs():
-    """Sequential per-cell wall clock (and results) for the
-    two-worker cell list — the input to the schedule model."""
-    from repro.experiments.parallel import _run_cell
-
-    campaign = scale_campaign(
-        ("rcv",), n_values=_TWO_WORKER_N_VALUES, seeds=_TWO_WORKER_SEEDS
+def _stealing_worker(locator: str, index: int) -> None:
+    _two_worker_campaign().run(
+        max_workers=1,
+        cache=CellCache(backend=_shared_backend(locator)),
+        steal=True,
+        owner=f"worker-{index}",
+        lease_ttl=600.0,
+        chunk_size=1,  # claim one cell at a time: finest balancing
     )
-    costs, reference = [], []
-    for spec in campaign.cells:
-        start = time.perf_counter()
-        result = _run_cell(spec)
-        costs.append(time.perf_counter() - start)
-        reference.append(result_to_dict(result))
-    return costs, reference
 
 
-def _model_makespans(costs):
-    """What each schedule costs on two genuinely parallel workers.
-
-    Measured walls flatten to total work on a single-CPU host (the
-    two processes time-slice one core), so the report also records
-    the schedule-model makespans: static ``index % 2`` shards pay the
-    heavier shard; stealing behaves like greedy list scheduling
-    (chunk_size=1: the next free worker claims the next cell).
-    """
-    shards = [0.0, 0.0]
-    for index, cost in enumerate(costs):
-        shards[index % 2] += cost
-    workers = [0.0, 0.0]
-    for cost in costs:
-        workers[workers.index(min(workers))] += cost
-    return max(shards), max(workers)
-
-
-def _measure_two_workers(mode: str, transport: str = "sqlite"):
-    """Wall clock until BOTH workers finish, plus the aggregated
-    per-cell results (read back from the shared backend).
+def _measure_workers(count: int, transport: str):
+    """Wall clock until all ``count`` stealing workers finish, plus
+    the aggregated per-cell results (read back from the shared
+    backend).
 
     ``transport="sqlite"`` shares a WAL database file (single-host);
     ``transport="http"`` shares nothing but a TCP route to an
@@ -338,10 +316,8 @@ def _measure_two_workers(mode: str, transport: str = "sqlite"):
         try:
             start = time.perf_counter()
             workers = [
-                ctx.Process(
-                    target=_two_worker_campaign, args=(locator, mode, i)
-                )
-                for i in range(2)
+                ctx.Process(target=_stealing_worker, args=(locator, i))
+                for i in range(count)
             ]
             for w in workers:
                 w.start()
@@ -350,18 +326,60 @@ def _measure_two_workers(mode: str, transport: str = "sqlite"):
             wall = time.perf_counter() - start
             assert all(
                 w.exitcode == 0 for w in workers
-            ), f"{mode}/{transport} worker failed"
+            ), f"{count}-worker/{transport} worker failed"
             cache = CellCache(backend=_shared_backend(locator))
-            aggregated = scale_campaign(
-                ("rcv",),
-                n_values=_TWO_WORKER_N_VALUES,
-                seeds=_TWO_WORKER_SEEDS,
-            ).run(max_workers=1, cache=cache)
+            aggregated = _two_worker_campaign().run(max_workers=1, cache=cache)
             assert aggregated.complete
             return wall, [result_to_dict(r) for r in aggregated.results]
         finally:
             if server is not None:
                 server.stop()
+
+
+def _two_workers_block(transport: str, reference) -> dict:
+    """One ``two_workers_*`` report block: the same cells through one
+    stealing worker, then two, over ``transport``.  Two processes on
+    one usable CPU time-slice it, so any schedule then costs total
+    work: the ratio is recorded as null there, not as a speed-up."""
+    one_wall, one_results = _measure_workers(1, transport)
+    two_wall, two_results = _measure_workers(2, transport)
+    assert one_results == two_results == reference, (
+        f"stolen ({transport}) / sequential results diverged"
+    )
+    cpus = _usable_cpus()
+    block = {
+        "n_values": list(_TWO_WORKER_N_VALUES),
+        "seeds": list(_TWO_WORKER_SEEDS),
+        "usable_cpus": cpus,
+        "one_worker_seconds": round(one_wall, 3),
+        "two_worker_seconds": round(two_wall, 3),
+        "speedup_over_one_worker": (
+            round(one_wall / two_wall, 2) if cpus >= 2 else None
+        ),
+        "stolen_equals_sequential": True,
+    }
+    if cpus < 2:
+        block["skipped"] = "1 usable CPU"
+    return block
+
+
+def _two_workers_sections() -> dict:
+    """Both ``two_workers_*`` blocks.  The served one adds the wall
+    clock of two HTTP workers over two SQLite workers: the
+    per-operation network cost of the multi-host deployment."""
+    reference = [
+        result_to_dict(r)
+        for r in _two_worker_campaign().run(max_workers=1).results
+    ]
+    sqlite = _two_workers_block("sqlite", reference)
+    http = _two_workers_block("http", reference)
+    http["http_over_sqlite"] = round(
+        http["two_worker_seconds"] / sqlite["two_worker_seconds"], 2
+    )
+    return {
+        "two_workers_shared_sqlite": sqlite,
+        "two_workers_served_http": http,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -659,27 +677,6 @@ def build_report(n_values=(100, 200), seeds=(0,)):
         )
     assert identical, "cached campaign results diverged from fresh ones"
 
-    # Two workers over one shared SQLite backend: static index % 2
-    # shards (one worker draws the heavy N=100+200 cells and becomes
-    # the wall clock) vs lease-based work stealing (whoever frees up
-    # claims the next cell).  Same cells, same backend, same hardware.
-    costs, reference = _per_cell_costs()
-    static_model, steal_model = _model_makespans(costs)
-    static_wall, static_results = _measure_two_workers("static")
-    steal_wall, steal_results = _measure_two_workers("steal")
-    assert static_results == steal_results == reference, (
-        "stolen / static-shard / sequential results diverged"
-    )
-
-    # Same stealing campaign again, but shared-nothing: the workers
-    # talk to a cell server over HTTP instead of a shared SQLite file.
-    # The wall-clock delta is the per-operation network cost of the
-    # multi-host deployment, measured on one host.
-    http_wall, http_results = _measure_two_workers("steal", transport="http")
-    assert http_results == reference, (
-        "HTTP-served stealing results diverged from sequential"
-    )
-
     return {
         "bench": (
             "bench_campaign — RCV burst scale campaign "
@@ -700,40 +697,7 @@ def build_report(n_values=(100, 200), seeds=(0,)):
             "speedup_over_fresh": round(fresh_secs / cached_secs, 1),
         },
         "cached_equals_fresh": identical,
-        "two_workers_shared_sqlite": {
-            "n_values": list(_TWO_WORKER_N_VALUES),
-            "seeds": list(_TWO_WORKER_SEEDS),
-            # measured walls coincide on a single-CPU host (the two
-            # worker processes time-slice one core; any schedule then
-            # costs total work) — the model rows carry the schedule
-            # comparison there
-            "host_cpus": os.cpu_count(),
-            "per_cell_seconds": [round(c, 3) for c in costs],
-            "static_shards": {
-                "seconds": round(static_wall, 3),
-                "model_makespan_2cpu": round(static_model, 3),
-            },
-            "work_stealing": {
-                "seconds": round(steal_wall, 3),
-                "model_makespan_2cpu": round(steal_model, 3),
-            },
-            "measured_steal_speedup": round(static_wall / steal_wall, 2),
-            "model_steal_speedup_2cpu": round(static_model / steal_model, 2),
-            "stolen_equals_static_equals_sequential": (
-                static_results == steal_results == reference
-            ),
-        },
-        "two_workers_served_http": {
-            # the same stealing campaign as above, arbitrated by an
-            # HTTP cell server instead of a shared SQLite file — the
-            # shared-nothing multi-host deployment, on one host
-            "n_values": list(_TWO_WORKER_N_VALUES),
-            "seeds": list(_TWO_WORKER_SEEDS),
-            "seconds": round(http_wall, 3),
-            "sqlite_steal_seconds": round(steal_wall, 3),
-            "http_over_sqlite": round(http_wall / steal_wall, 2),
-            "served_equals_sequential": http_results == reference,
-        },
+        **_two_workers_sections(),
     }
 
 

@@ -7,8 +7,8 @@
     repro-mutex fig6 ...
     repro-mutex fig7 ...
     repro-mutex theory
-    repro-mutex campaign [--n-values 50 100 150 200] [--shard I/K]
-                 [--backend dir|sqlite|http] [--server URL] [--steal]
+    repro-mutex campaign [--n-values 50 100 150 200] [--steal]
+                 [--backend dir|sqlite|http] [--server URL]
     repro-mutex cell-server [--port 8400] [--store dir:PATH]
     repro-mutex campaign-status --server URL
     repro-mutex run --algorithm rcv --nodes 20 --workload burst
@@ -166,21 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="cell-server URL for --backend http (e.g. http://10.0.0.5:8400)",
     )
     camp.add_argument(
-        "--shard",
-        metavar="I/K",
-        default=None,
-        help=(
-            "run only cells with index %% K == I (shards share the "
-            "cache); with --steal this is only a claim-priority seed"
-        ),
-    )
-    camp.add_argument(
         "--steal",
         action="store_true",
         help=(
-            "work-stealing scheduling: lease pending cells through the "
-            "shared cache backend instead of a static shard split; "
-            "workers recover crashed peers' expired leases"
+            "work-stealing scheduling: workers sharing the cache backend "
+            "split the campaign by leasing pending cells through it, and "
+            "recover crashed peers' expired leases"
         ),
     )
     camp.add_argument(
@@ -544,21 +535,6 @@ def _parse_retx_spec(text):
         raise SystemExit(f"bad --retx: {exc}")
 
 
-def _parse_shard(text):
-    if text is None:
-        return None
-    try:
-        index, count = text.split("/")
-        index, count = int(index), int(count)
-    except ValueError:
-        raise SystemExit(f"malformed shard {text!r} (want I/K, e.g. 0/4)")
-    if count < 1 or not (0 <= index < count):
-        raise SystemExit(
-            f"shard {text!r} out of range (want 0 <= I < K, e.g. 0/4)"
-        )
-    return (index, count)
-
-
 def _cmd_campaign(args) -> int:
     import json
     from pathlib import Path
@@ -577,7 +553,6 @@ def _cmd_campaign(args) -> int:
         faults=_parse_fault_specs(args.fault_spec, n_values),
         retx=_parse_retx_spec(args.retx),
     )
-    shard = _parse_shard(args.shard)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.backend == "http":
@@ -603,7 +578,6 @@ def _cmd_campaign(args) -> int:
     result = campaign.run(
         max_workers=args.workers,
         cache=cache,
-        shard=shard,
         chunk_size=args.chunk_size,
         progress=not args.no_progress,
         steal=args.steal,
@@ -625,15 +599,12 @@ def _cmd_campaign(args) -> int:
         result.save(out / "results.json")
         print(f"(raw results saved to {out / 'results.json'})")
     else:
-        done = sum(1 for r in result.results if r is not None)
-        print(
-            f"(shard run: {done}/{len(result.results)} cells in cache; "
-            "run without --shard to aggregate)"
-        )
+        print(f"({result.holes()}: results.json not written)")
 
     if args.bench_json:
         # Rate over the cells this run actually handled (cache reads
-        # + computed) — on a shard that is a fraction of the campaign.
+        # + computed) — for one of several stealing workers that is a
+        # fraction of the campaign.
         processed = cache.hits + cache.writes
         elapsed = result.elapsed_seconds
         report = {

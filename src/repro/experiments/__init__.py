@@ -15,7 +15,7 @@ Sweeps and campaigns are the same thing underneath: a
 :func:`~repro.experiments.parallel.run_cells`, with an optional
 content-addressed :class:`~repro.experiments.cache.CellCache`.  A
 :class:`~repro.experiments.campaign.Campaign` names such a grid and
-adds aggregation, reports and the resumable/shardable/stealing
+adds aggregation, reports and the resumable and work-stealing
 schedules (see docs/campaigns.md).
 """
 

@@ -22,9 +22,10 @@ entry) is detected at load instead of silently returning the wrong
 cell.
 
 ``hits`` / ``misses`` / ``writes`` count **this process's** work
-only: cells another worker owns are probed through :meth:`peek`,
-which leaves the counters alone, so a ``--bench-json`` report from a
-sharded run describes that shard, not the whole campaign.
+only: a stealing worker's probe of a cell a peer may yet compute
+(:meth:`adopt`) counts a hit when the cell is found and nothing when
+it is not, so a ``--bench-json`` report from one of several workers
+describes that worker, not the whole campaign.
 """
 
 from __future__ import annotations
@@ -159,8 +160,8 @@ class CellCache:
     def get(self, spec) -> Optional[RunResult]:
         """The cached result for ``spec``, or None when absent.
 
-        Counts a hit or a miss; use :meth:`peek` for probes on behalf
-        of cells this process does not own.
+        Counts a hit or a miss; a stealing worker, which may never
+        compute the cell it probes, reads through :meth:`adopt`.
         """
         key = spec.cache_key()
         text = self._call(self.backend.get, key)

@@ -18,9 +18,10 @@ results are bit-for-bit identical to direct ``run_scenario`` calls.
 Scale campaigns (N=100–200, the range the PR-2 protocol speedup
 unlocked) run through the same path with a
 :class:`~repro.experiments.cache.CellCache` attached: interrupted
-runs resume recomputing only missing cells, and ``shard=(i, k)``
+runs resume recomputing only missing cells, and ``steal=True``
 splits the cell list across independent worker processes or hosts
-sharing the cache directory.  See docs/campaigns.md for the recipe.
+that lease cells through the cache backend they share.  See
+docs/campaigns.md for the recipe.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ class Campaign:
         max_workers: Optional[int] = None,
         cache=None,
         cache_dir=None,
-        shard: Optional[Tuple[int, int]] = None,
         chunk_size: Optional[int] = None,
         progress=None,
         steal: bool = False,
@@ -111,13 +111,9 @@ class Campaign:
 
         ``cache``/``cache_dir`` attach a cell cache (a
         :class:`~repro.experiments.cache.CellCache` instance, or a
-        directory to open one in), making the run resumable.  With
-        ``shard=(i, k)``, only this shard's cells are computed; cells
-        another shard has already committed to the shared cache are
-        loaded, the rest stay ``None`` in the result (aggregate after
-        all shards finish by re-running shard-free over the cache).
-        ``steal=True`` replaces the static partition with lease-based
-        work stealing through the shared cache backend (see
+        directory to open one in), making the run resumable.
+        ``steal=True`` splits the campaign across workers by
+        lease-based work stealing through the shared cache backend (see
         :func:`~repro.experiments.parallel.run_cells`): workers claim
         pending cells, recover crashed peers' expired leases, retry
         crashing cells up to ``max_failures`` times campaign-wide and
@@ -136,7 +132,6 @@ class Campaign:
             max_workers=max_workers,
             cache=cache,
             chunk_size=chunk_size,
-            shard=shard,
             progress=progress,
             steal=steal,
             owner=owner,
@@ -163,10 +158,9 @@ class Campaign:
 class CampaignResult:
     """Raw results bound to the campaign that produced them.
 
-    ``results`` aligns with ``campaign.cells``; entries may be
-    ``None`` after a sharded run (cells owned by other shards) or for
-    **quarantined** cells (crashed ``max_failures`` times
-    campaign-wide), and are skipped by the aggregations.
+    ``results`` aligns with ``campaign.cells``; an entry is ``None``
+    only for a **quarantined** cell (crashed ``max_failures`` times
+    campaign-wide), and is skipped by the aggregations.
     ``quarantined`` maps cell index to the backend's case file
     (``{"count": int, "failures": [{owner, error, time}, ...]}``).
     """
@@ -190,8 +184,17 @@ class CampaignResult:
 
     @property
     def complete(self) -> bool:
-        """Every cell has a result (no holes from sharded runs)."""
+        """Every cell has a result (no quarantined holes)."""
         return all(r is not None for r in self.results)
+
+    def holes(self) -> str:
+        """``"d/n cells present, k quarantined"`` — what an incomplete
+        result is missing, for the summary, ``save()`` and the CLI."""
+        done = sum(1 for r in self.results if r is not None)
+        return (
+            f"{done}/{len(self.results)} cells present, "
+            f"{len(self.quarantined)} quarantined"
+        )
 
     # ------------------------------------------------------------------
     # aggregation
@@ -231,13 +234,8 @@ class CampaignResult:
         lines = [f"## Campaign: {self.campaign.name}", ""]
         if self.campaign.description:
             lines += [self.campaign.description, ""]
-        done = sum(1 for r in self.results if r is not None)
-        if done < len(self.results):
-            lines += [
-                f"Partial (sharded) run: {done}/{len(self.results)} "
-                "cells present.",
-                "",
-            ]
+        if not self.complete:
+            lines += [f"Partial run: {self.holes()}.", ""]
         if self.quarantined:
             lines += [
                 f"**Quarantined: {len(self.quarantined)} cell(s)** crashed "
@@ -270,16 +268,16 @@ class CampaignResult:
     def save(self, path) -> None:
         """Archive the raw runs (self-describing via campaign meta).
 
-        Sharded (incomplete) results cannot be archived — the flat
-        results list would silently misalign with the cell list on
-        reload; finish the campaign (or aggregate over the shared
-        cache) first.
+        Incomplete results cannot be archived — the flat results
+        list would silently misalign with the cell list on reload;
+        triage the quarantined cells and re-run over the same cache
+        first.
         """
         if not self.complete:
             raise ValueError(
-                "cannot save a partial campaign result (sharded holes "
-                "or quarantined cells); aggregate over the shared cell "
-                "cache — and triage any quarantined cells — first"
+                f"cannot save a partial campaign result ({self.holes()}); "
+                "triage the quarantined cells (docs/operations.md) and "
+                "re-run over the same cell cache first"
             )
         save_results(
             path,
@@ -328,8 +326,8 @@ def scale_campaign(
     """The N=50..200 scale sweep the incremental protocol unlocked.
 
     Same workload family as Figures 4–5 but extended past the paper's
-    N=50 ceiling; run with a cell cache and (optionally) shards — see
-    docs/campaigns.md for the full recipe and
+    N=50 ceiling; run with a cell cache and (optionally) stealing
+    workers — see docs/campaigns.md for the full recipe and
     ``python -m repro.cli campaign`` for the command-line front end.
     ``fields`` go to :meth:`Campaign.add_sweep`: ``faults`` (a spec
     tuple or ``faults(n) -> spec`` callable) runs the whole grid under

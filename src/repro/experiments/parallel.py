@@ -21,9 +21,9 @@ fields, their codecs, the cache key — lives in
 :class:`~repro.experiments.cache.CellCache` (content-addressed by
 :meth:`CellSpec.cache_key`), runs in cache-committed chunks so an
 interrupted campaign resumes recomputing only missing cells, reports
-progress/ETA, and accepts a ``shard=(index, count)`` filter so a
-campaign can be split across independent processes or hosts that
-share a cache directory.  See docs/campaigns.md.
+progress/ETA, and with ``steal=True`` splits a campaign across
+independent processes or hosts by leasing cells through the cache
+backend they share.  See docs/campaigns.md.
 
 Every grid of cells in the repo — the figure sweeps
 (:mod:`repro.experiments.figures`, ``python -m repro.cli fig4``) and
@@ -168,7 +168,6 @@ def run_cells(
     max_workers: Optional[int] = None,
     cache=None,
     chunk_size: Optional[int] = None,
-    shard: Optional[Tuple[int, int]] = None,
     progress=None,
     steal: bool = False,
     owner: Optional[str] = None,
@@ -188,15 +187,8 @@ def run_cells(
     of re-run, and fresh results are committed chunk by chunk, so an
     interrupted campaign loses at most the in-flight chunk.
 
-    **Static sharding** — ``shard=(i, k)`` computes only cells whose
-    index satisfies ``index % k == i`` (cells outside the shard still
-    resolve from the cache when present, else stay ``None``); shards
-    sharing a cache partition a campaign across processes or hosts.
-    Only cells this worker may compute touch the cache hit/miss
-    counters; out-of-shard cells are probed without counting.
-
-    **Work stealing** — ``steal=True`` (requires ``cache``) replaces
-    the static partition with lease-based claiming through the shared
+    **Work stealing** — ``steal=True`` (requires ``cache``) splits a
+    campaign across workers by lease-based claiming through the shared
     backend: each worker claims up to ``chunk_size`` pending cells at
     a time (``cache.claim(key, owner, lease_ttl)``), computes and
     commits them, and releases the leases.  Cells leased by a live
@@ -210,11 +202,9 @@ def run_cells(
     full the rest are deferred untouched, so a fresh cell costs the
     backend two reads (start-up pass, then under the lease), one
     claim, one write and one release however large the slice.
-    ``shard`` degrades to a *priority seed*:
-    this worker claims its own shard's cells first, then steals the
-    rest.  Leases on claimed-but-uncomputed cells are **renewed**
-    while the worker chews through a chunk, so ``lease_ttl`` needs to
-    cover one *cell*, not one chunk; a too-short ttl only duplicates
+    Leases on claimed-but-uncomputed cells are **renewed** while the
+    worker chews through a chunk, so ``lease_ttl`` needs to cover one
+    *cell*, not one chunk; a too-short ttl only duplicates
     deterministic work, never corrupts results.  ``steal_timeout``
     bounds how long the worker will go *without making progress*
     while foreign leases block it (None: wait as long as it takes).
@@ -239,10 +229,6 @@ def run_cells(
     throughput.
     """
     specs = list(specs)
-    if shard is not None:
-        index, count = shard
-        if not (0 <= index < count):
-            raise ValueError(f"shard index {index} not in [0, {count})")
     if steal:
         if cache is None:
             raise ValueError("steal=True requires a cache (shared backend)")
@@ -256,35 +242,19 @@ def run_cells(
     pending: List[int] = []
     resolved = 0
     for i, spec in enumerate(specs):
-        # A stealing worker may end up computing any cell; a static
-        # shard only its own.  The hit/miss counters must describe
-        # this worker's work, so out-of-shard cells resolve through
-        # peek(), and under steal a pending cell is NOT a miss yet —
-        # a peer may compute it; the miss is counted at claim time,
-        # when this worker commits to doing the work itself.
-        mine = steal or shard is None or i % shard[1] == shard[0]
         if cache is not None:
-            if steal:
-                cached = cache.adopt(spec)
-            else:
-                cached = cache.get(spec) if mine else cache.peek(spec)
+            # Under steal a pending cell is NOT a miss yet — a peer may
+            # compute it; the miss is counted at claim time, when this
+            # worker commits to doing the work itself.
+            cached = cache.adopt(spec) if steal else cache.get(spec)
             if cached is not None:
                 results[i] = cached
                 resolved += 1
                 continue
-        if mine:
-            pending.append(i)
-    if steal and shard is not None:
-        # Compatibility: the static partition becomes a claim-priority
-        # seed — own-shard cells first, the rest stolen afterwards.
-        pending.sort(key=lambda i: (i % shard[1] != shard[0], i))
+        pending.append(i)
 
     if progress is True:
-        # Size the reporter to the cells THIS run handles — under a
-        # static shard that is far fewer than len(specs), and a total
-        # of len(specs) would inflate the ETA by the shard count and
-        # never reach 100%.
-        progress = ProgressReporter(resolved + len(pending))
+        progress = ProgressReporter(len(specs))
     if progress and resolved:
         progress.step(resolved, fresh=False)
 

@@ -68,7 +68,7 @@ def test_parallel_run_matches_sequential():
 
 
 # ----------------------------------------------------------------------
-# scale campaigns: specs, cache, shards
+# scale campaigns: specs, cache, partial results
 # ----------------------------------------------------------------------
 def test_add_sweep_carries_full_scenario_space():
     c = Campaign(name="x").add_sweep(
@@ -168,19 +168,31 @@ def test_run_with_cache_dir_resumes(tmp_path):
 
 
 def test_sharded_result_partial_and_save_rejected(tmp_path):
-    campaign = comparison_campaign(("rcv",), n_values=(5,), seeds=(0, 1))
+    """The only hole a result can have is a quarantined cell (static
+    shards, which used to leave holes too, are gone): the summary, the
+    ``save()`` refusal and the CLI all name that cause and its remedy."""
+    from repro.experiments.parallel import CellSpec
+
+    campaign = comparison_campaign(("rcv",), n_values=(5,), seeds=(0,))
+    campaign.cells.append(CellSpec("no-such-algorithm", 5, 0, ("burst", 1)))
     partial = campaign.run(
-        max_workers=1, cache_dir=tmp_path / "cells", shard=(0, 2)
+        max_workers=1,
+        cache_dir=tmp_path / "cells",
+        steal=True,
+        max_failures=1,
+        steal_timeout=60.0,
     )
     assert not partial.complete
     assert partial.results.count(None) == 1
     md = partial.to_markdown()
-    assert "Partial (sharded) run: 1/2" in md
-    with pytest.raises(ValueError, match="partial"):
+    assert "Partial run: 1/2 cells present, 1 quarantined." in md
+    assert "shard" not in md
+    with pytest.raises(ValueError, match="partial.*1/2 cells present, 1 q"):
         partial.save(tmp_path / "nope.json")
     # groups skip the missing cell instead of crashing
     (runs,) = partial.grouped().values()
     assert len(runs) == 1
+    assert "docs/operations.md" in md
 
 
 def test_save_embeds_campaign_meta(tmp_path):

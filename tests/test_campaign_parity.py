@@ -5,10 +5,12 @@ model and both workload kinds, the sequential reference path
 (explicit :class:`Scenario` + ``run_scenario``), the ``run_cells``
 path (sequential fallback *and* process pool), and the cell-cache
 path all produce byte-identical :class:`RunResult` payloads.  A
-campaign sharded over processes must aggregate into exactly the
-numbers a single-process sweep would print.
+campaign split over stealing workers, or interrupted and resumed,
+must aggregate into exactly the numbers a single-process sweep would
+print.
 """
 
+import io
 import json
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import pytest
 
 from repro.experiments.cache import CellCache
 from repro.experiments.figures import burst_sweep, lambda_sweep
-from repro.experiments.parallel import run_cells
+from repro.experiments.parallel import ProgressReporter, run_cells
 from repro.experiments.spec import (
     AXES,
     CellSpec,
@@ -114,20 +116,72 @@ def _steal_specs():
     ]
 
 
+class _InterruptsAfter(ProgressReporter):
+    """Ctrl-C arriving while the ``commits``-th cell is reported."""
+
+    def __init__(self, total, commits):
+        super().__init__(total, stream=io.StringIO())
+        self.commits = commits
+
+    def step(self, count=1, *, fresh=True):
+        super().step(count, fresh=fresh)
+        if self.done >= self.commits:
+            raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("steal", [False, True], ids=["chunks", "steal"])
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
-def test_sharded_union_equals_unsharded(kind, tmp_path, make_cache):
+def test_interrupted_run_loses_only_the_in_flight_chunk(
+    kind, steal, make_cache, capsys
+):
+    """An interrupt two commits into a three-cell chunk keeps exactly
+    those two cells, strands no lease, and the resumed run recomputes
+    only the rest — bit for bit the uncached run."""
     specs = _steal_specs()
     reference = _dicts(run_cells(specs, max_workers=1))
     cache = make_cache(kind)
-    for index in range(3):
-        run_cells(specs, max_workers=1, cache=cache, shard=(index, 3))
-    merged = run_cells(specs, max_workers=1, cache=cache)
-    assert cache.hits >= len(specs)  # final pass re-simulated nothing
-    assert _dicts(merged) == reference
+    committed = 2
+    with pytest.raises(KeyboardInterrupt):
+        run_cells(
+            specs,
+            max_workers=1,
+            cache=cache,
+            chunk_size=3,
+            steal=steal,
+            owner="interrupted",
+            lease_ttl=600.0,
+            progress=_InterruptsAfter(len(specs), committed),
+        )
+    assert len(cache) == committed
+    assert [cache.peek(spec) is not None for spec in specs] == [
+        True, True, False, False,
+    ]
+    # The in-flight chunk's leases went with the interrupt: a peer
+    # claims every cell now, not once the ten-minute ttl has run out.
+    for spec in specs:
+        assert cache.claim(spec, "peer", 600.0)
+        cache.release(spec, "peer")
+
+    cache.hits = cache.misses = cache.writes = 0
+    resumed = run_cells(
+        specs,
+        max_workers=1,
+        cache=cache,
+        steal=steal,
+        owner="resumed",
+        steal_timeout=60.0,
+        progress=True,
+    )
+    assert _dicts(resumed) == reference
+    assert cache.hits == committed
+    assert cache.misses == cache.writes == len(specs) - committed
+    # progress=True sizes the reporter to the whole cell list, resumed
+    # cells included
+    assert "4/4 cells (100%)" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
-# work stealing: sequential = pooled = static shards = stolen union
+# work stealing: sequential = pooled = cache hit = stolen union
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
 def test_work_stealing_matches_sequential(kind, tmp_path, make_cache):
@@ -164,26 +218,6 @@ def test_work_stealing_matches_sequential(kind, tmp_path, make_cache):
     assert cache.hits == len(specs)
     assert cache.writes == 0
     assert cache.misses == 0  # it computed (and thus missed) nothing
-
-
-def test_steal_with_shard_priority_completes_everything(tmp_path, make_cache):
-    """shard=(i, k) under steal=True is a claim-priority seed, not a
-    filter: a lone worker finishes the whole campaign (stealing the
-    other shards' cells), bit-for-bit equal to the sequential run."""
-    specs = _steal_specs()
-    reference = _dicts(run_cells(specs, max_workers=1))
-    cache = make_cache("sqlite")
-    result = run_cells(
-        specs,
-        max_workers=1,
-        cache=cache,
-        steal=True,
-        shard=(0, 2),
-        owner="worker-0",
-        steal_timeout=60.0,
-    )
-    assert all(r is not None for r in result)  # no None holes
-    assert _dicts(result) == reference
 
 
 def test_steal_recovers_a_crashed_peers_expired_leases(tmp_path, make_cache):

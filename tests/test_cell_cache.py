@@ -141,11 +141,6 @@ def test_no_tmp_files_left_behind(tmp_path):
     assert leftovers == []
 
 
-def test_shard_validation():
-    with pytest.raises(ValueError, match="shard index"):
-        run_cells([_spec()], shard=(3, 2))
-
-
 def test_progress_reporter_counts(tmp_path, capsys):
     from repro.experiments.parallel import ProgressReporter
 
@@ -155,29 +150,6 @@ def test_progress_reporter_counts(tmp_path, capsys):
     assert reporter.done == len(specs)
     err = capsys.readouterr().err
     assert "3/3 cells" in err and "100%" in err
-
-
-def test_shard_counters_only_count_own_cells(tmp_path):
-    """hits/misses describe THIS worker's work: probing a cell that
-    belongs to another static shard must not count a miss (it used
-    to, misstating the --bench-json report K-fold)."""
-    specs = [_spec(seed=s) for s in range(4)]
-    cache = CellCache(tmp_path)
-    run_cells(specs, max_workers=1, cache=cache, shard=(0, 2))
-    assert cache.misses == 2 and cache.hits == 0 and cache.writes == 2
-
-    # The other shard commits its cells (its own counters likewise
-    # cover only its two cells)...
-    cache.hits = cache.misses = cache.writes = 0
-    run_cells(specs, max_workers=1, cache=cache, shard=(1, 2))
-    assert cache.misses == 2 and cache.hits == 0 and cache.writes == 2
-
-    # ...and a shard-0 re-run serves its own cells as hits while
-    # still resolving the out-of-shard cells — uncounted.
-    cache.hits = cache.misses = cache.writes = 0
-    results = run_cells(specs, max_workers=1, cache=cache, shard=(0, 2))
-    assert all(r is not None for r in results)
-    assert cache.hits == 2 and cache.misses == 0 and cache.writes == 0
 
 
 def test_eta_is_based_on_fresh_cells_only(capsys):
@@ -204,20 +176,6 @@ def test_no_eta_before_the_first_fresh_cell(capsys):
     reporter = ProgressReporter(4, min_interval=0.0)
     reporter.step(2, fresh=False)
     assert "ETA" not in capsys.readouterr().err
-
-
-def test_default_progress_sized_to_shard(tmp_path, capsys):
-    """progress=True under a shard reports this run's cells, not the
-    whole campaign's — the ETA must not be inflated K-fold."""
-    specs = [_spec(seed=s) for s in range(4)]
-    cache = CellCache(tmp_path)
-    run_cells(specs, max_workers=1, cache=cache, shard=(0, 2), progress=True)
-    err = capsys.readouterr().err
-    assert "2/2 cells (100%)" in err
-    # Resume over the full list: 2 cached + 2 fresh, all reported.
-    run_cells(specs, max_workers=1, cache=cache, progress=True)
-    err = capsys.readouterr().err
-    assert "4/4 cells (100%)" in err
 
 
 # ----------------------------------------------------------------------

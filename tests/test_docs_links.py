@@ -1,8 +1,10 @@
-"""Documentation link check.
+"""Documentation link and command-line check.
 
 Every relative markdown link in the documentation set must resolve to
 a real file (anchors are stripped; external http(s)/mailto links are
-skipped).  Run standalone by the CI docs step::
+skipped), and every ``--flag`` a fenced ``repro.cli <subcommand>``
+recipe passes must be one that subcommand accepts.  Run standalone by
+the CI docs step::
 
     PYTHONPATH=src python -m pytest tests/test_docs_links.py -q
 """
@@ -26,6 +28,8 @@ DOC_FILES = sorted(
 )
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_FENCED = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+_CLI_LINE = re.compile(r"repro\.cli[ \t]+([a-z][\w-]*)(.*)")
 
 
 def _relative_links(path: Path):
@@ -71,3 +75,53 @@ def test_relative_links_resolve(doc):
         if not resolved.exists():
             broken.append(target)
     assert not broken, f"{doc.name}: broken relative links {broken}"
+
+
+def _cli_recipes(path: Path):
+    """``(subcommand, [--flag, ...])`` per ``repro.cli`` command line
+    inside the fenced blocks of ``path`` (continuation lines joined;
+    a line ends at a shell operator or comment)."""
+    for block in _FENCED.findall(path.read_text(encoding="utf-8")):
+        for command, rest in _CLI_LINE.findall(block.replace("\\\n", " ")):
+            flags = []
+            for token in rest.split():
+                if token in {"&", "&&", "|", ";", ">", ">>"} or token[0] == "#":
+                    break
+                if token.startswith("--"):
+                    flags.append(token.split("=", 1)[0])
+            yield command, flags
+
+
+def _subcommand_parsers():
+    import argparse
+
+    from repro import cli
+
+    (subparsers,) = (
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return subparsers.choices
+
+
+def test_the_flag_check_sees_the_recipes():
+    """The check below passes vacuously if the extraction rots."""
+    recipes = list(_cli_recipes(REPO / "docs" / "campaigns.md"))
+    assert ("campaign", ["--backend", "--steal", "--out"]) in recipes
+    assert ("cell-server", ["--host", "--port"]) in recipes
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
+def test_cli_recipes_pass_only_flags_the_cli_accepts(doc):
+    """A recipe for a removed flag (``--parallel``, ``--shard``) must
+    not outlive the flag."""
+    parsers = _subcommand_parsers()
+    unknown = [
+        f"{command} {flag}"
+        for command, flags in _cli_recipes(doc)
+        for flag in flags
+        if command not in parsers
+        or flag not in parsers[command]._option_string_actions
+    ]
+    assert not unknown, f"{doc.name}: the CLI does not accept {unknown}"
