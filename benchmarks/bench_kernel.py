@@ -11,8 +11,10 @@ Since the unified-engine refactor the kernel has two scheduling
 modes, and this file measures **both** so a future PR cannot
 silently regress either:
 
-* ``legacy`` — ``Simulator.schedule``: cancellable ``Handle`` per
-  event, trace label support;
+* ``cancellable-handle`` — ``Simulator.schedule``: a ``Handle`` per
+  event (the JSON keys keep their historical names,
+  ``legacy_handle_mode`` / ``fast_over_legacy``, so the trajectory
+  stays comparable);
 * ``fast`` — ``Simulator.schedule_fast``: fire-once plain-tuple
   entries (the path network delivery and the workload drivers use).
 
@@ -20,7 +22,7 @@ Run as a script to (re)generate ``BENCH_engine.json``::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py --json BENCH_engine.json
 
-which records events/sec for both modes, the fast/legacy ratio, and
+which records events/sec for both modes, the fast/handle ratio, and
 an end-to-end fig4-style burst sweep timed on the shipped stack and
 on the in-tree historical one (``repro.core.reference``).
 """
@@ -64,15 +66,15 @@ def _run_chain(schedule, run, n):
 def events_per_sec(mode, n=CHAIN_EVENTS, repeats=5):
     """Best-of-``repeats`` events/sec for a kernel scheduling mode.
 
-    ``mode`` is ``"fast"`` (handle-free tuples) or ``"legacy"``
-    (cancellable handles).
+    ``mode`` is ``"fast"`` (handle-free tuples) or
+    ``"cancellable-handle"``.
     """
     best = 0.0
     for _ in range(repeats):
         sim = Simulator()
         if mode == "fast":
             schedule = sim.schedule_fast
-        elif mode == "legacy":
+        elif mode == "cancellable-handle":
             schedule = sim.schedule
         else:
             raise ValueError(f"unknown kernel mode {mode!r}")
@@ -81,7 +83,7 @@ def events_per_sec(mode, n=CHAIN_EVENTS, repeats=5):
 
 
 def test_event_heap_throughput(benchmark):
-    """Schedule+run 10k chained events (legacy-handle mode)."""
+    """Schedule+run 10k chained events (cancellable-handle mode)."""
 
     def run_chain():
         sim = Simulator()
@@ -127,15 +129,15 @@ def test_fast_mode_beats_legacy_mode():
     the guard robust to noisy CI machines while still catching any
     change that collapses the two paths back together.
     """
-    legacy = events_per_sec("legacy", n=50_000)
+    handle = events_per_sec("cancellable-handle", n=50_000)
     fast = events_per_sec("fast", n=50_000)
     print(
-        f"\nkernel events/sec: legacy={legacy:,.0f} fast={fast:,.0f} "
-        f"ratio={fast / legacy:.2f}x"
+        f"\nkernel events/sec: cancellable-handle={handle:,.0f} "
+        f"fast={fast:,.0f} ratio={fast / handle:.2f}x"
     )
-    assert fast > legacy * 1.2, (
+    assert fast > handle * 1.2, (
         f"fast path ({fast:,.0f} ev/s) no longer meaningfully faster "
-        f"than legacy ({legacy:,.0f} ev/s)"
+        f"than the cancellable-handle path ({handle:,.0f} ev/s)"
     )
 
 
@@ -231,7 +233,7 @@ def _fig4_sweep_and_baseline_seconds():
 
 
 def build_report():
-    legacy = events_per_sec("legacy")
+    handle = events_per_sec("cancellable-handle")
     fast = events_per_sec("fast")
     sweep, baseline_sweep = _fig4_sweep_and_baseline_seconds()
     # Context for the end-to-end number: profiling shows >90% of sweep
@@ -241,9 +243,9 @@ def build_report():
         "bench": "bench_kernel chain (schedule+run chained events)",
         "chain_events": CHAIN_EVENTS,
         "kernel_events_per_sec": {
-            "legacy_handle_mode": round(legacy),
+            "legacy_handle_mode": round(handle),
             "fast_path_mode": round(fast),
-            "fast_over_legacy": round(fast / legacy, 2),
+            "fast_over_legacy": round(fast / handle, 2),
         },
         "fig4_burst_sweep_seconds": round(sweep, 4),
         "full_snapshot_fig4_burst_sweep_seconds": round(baseline_sweep, 4),

@@ -117,8 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
             "resolved per N) | crash:NODE:T | recover:NODE:T (revive "
             "a node crashed earlier in the same spec; the node "
             "rejoins and resyncs — see docs/faults.md, Recovery). "
-            "Cells that lose liveness under faults are retried then "
-            "quarantined — see docs/faults.md"
+            "With --steal, cells that lose liveness under faults are "
+            "retried then quarantined; without it the first one stops "
+            "the campaign with IncompleteRunError — see docs/faults.md"
         ),
     )
     camp.add_argument(

@@ -158,13 +158,13 @@ class LemmaMonitor:
         self._before: set = set()
 
     def start(self) -> None:
-        self.sim.schedule(self.period, self._tick, label="lemma-monitor")
+        self.sim.schedule_fast(self.period, self._tick)
 
     def _tick(self) -> None:
         self.check_now()
         # keep sampling only while protocol activity remains
         if self.sim.pending > 0:
-            self.sim.schedule(self.period, self._tick, label="lemma-monitor")
+            self.sim.schedule_fast(self.period, self._tick)
 
     def check_now(self) -> None:
         self.checks += 1

@@ -173,27 +173,17 @@ class Engine:
         for t_cut, t_heal, group_a, group_b in plan.partitions:
             # start() runs at t=0, so a relative delay IS the
             # absolute fault time.
-            self.sim.schedule(
-                t_cut,
-                lambda a=group_a, b=group_b: _cut(a, b),
-                label="fault:partition",
+            self.sim.schedule_fast(
+                t_cut, lambda a=group_a, b=group_b: _cut(a, b)
             )
-            self.sim.schedule(
-                t_heal,
-                lambda a=group_a, b=group_b: _heal(a, b),
-                label="fault:heal",
+            self.sim.schedule_fast(
+                t_heal, lambda a=group_a, b=group_b: _heal(a, b)
             )
         for node_id, t in plan.crashes:
-            self.sim.schedule(
-                t,
-                lambda n=node_id: network.fail_node(n),
-                label="fault:crash",
-            )
+            self.sim.schedule_fast(t, lambda n=node_id: network.fail_node(n))
         for node_id, t in plan.recovers:
-            self.sim.schedule(
-                t,
-                lambda n=node_id: self._recover_fault(n),
-                label="fault:recover",
+            self.sim.schedule_fast(
+                t, lambda n=node_id: self._recover_fault(n)
             )
 
     def _recover_fault(self, node_id: int) -> None:

@@ -314,7 +314,14 @@ class DirectoryBackend:
         tmp.write_text(
             json.dumps({"count": len(records), "failures": records}, indent=1)
         )
-        os.replace(tmp, path)
+        # Linked into place like a lease: the first case file wins, so
+        # a failure recorded after the quarantine cannot rewrite it.
+        try:
+            os.link(tmp, path)
+        except FileExistsError:
+            pass
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def is_quarantined(self, key: str) -> bool:
         return self._quarantine_path(key).exists()
@@ -590,7 +597,7 @@ class SQLiteBackend:
         with self._lock:
             rows = self._conn.execute(
                 "SELECT owner, error, time FROM failures "
-                "WHERE key = ? ORDER BY time",
+                "WHERE key = ? ORDER BY rowid",
                 (key,),
             ).fetchall()
         return [

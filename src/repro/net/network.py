@@ -139,12 +139,12 @@ class Network:
         self._failed: set[int] = set()
         # Fast-path delivery: on a RawChannel (no per-pair ordering
         # state) with a delay model that exposes fixed per-pair delays
-        # (pair_constant), sends can enqueue directly via the kernel's
-        # handle-free path.  The cache holds the pre-bound per-(src,
-        # dst) delay; it is disabled entirely (None) for stateful
-        # channels (exact-type check) and for delay models whose
-        # pair_constant cannot be trusted to describe sample(), and
-        # lazily when pair_constant reports a stochastic pair.
+        # (pair_constant), sends skip the channel discipline and the
+        # sampler.  The cache holds the pre-bound per-(src, dst)
+        # delay; it is disabled entirely (None) for stateful channels
+        # (exact-type check) and for delay models whose pair_constant
+        # cannot be trusted to describe sample(), and lazily when
+        # pair_constant reports a stochastic pair.
         self._pair_delays: Optional[Dict[Tuple[int, int], float]] = (
             {}
             if type(self.channel) is RawChannel
@@ -247,30 +247,25 @@ class Network:
                     pair_delays[(src, dst)] = delay
             if delay is not None:
                 self.sim.schedule_fast(
-                    delay, partial(self._fast_deliver, actor, src, message)
+                    delay, partial(self._deliver, actor, src, message)
                 )
                 return
         # A discipline may deliver a send zero times (fault-dropped),
         # once (the normal case), or twice (fault-duplicated); taps
         # observe each scheduled delivery, so dropped messages leave
-        # no tap record.
+        # no tap record.  The kernel takes delays, so a discipline
+        # answering with a time already past is refused there.
+        now = self.sim.now
         for deliver_at in self.channel.delivery_times(
-            src, dst, self.sim.now, self.delay_model, self.rng
+            src, dst, now, self.delay_model, self.rng
         ):
             for tap in self._taps:
                 tap(src, dst, message, deliver_at)
-
-            def _deliver(actor=actor, src=src, message=message) -> None:
-                self.stats.delivered_total += 1
-                actor.deliver(src, message)
-
-            self.sim.schedule_at(
-                deliver_at,
-                _deliver,
-                label=f"deliver:{message.kind}:{src}->{dst}",
+            self.sim.schedule_fast(
+                deliver_at - now, partial(self._deliver, actor, src, message)
             )
 
-    def _fast_deliver(self, actor: Actor, src: int, message: Message) -> None:
+    def _deliver(self, actor: Actor, src: int, message: Message) -> None:
         self.stats.delivered_total += 1
         actor.deliver(src, message)
 

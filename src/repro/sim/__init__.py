@@ -18,7 +18,6 @@ Everything is deterministic given ``(scenario, seed)``.
 from repro.sim.kernel import (
     EventBudgetExceeded,
     Handle,
-    PastScheduleError,
     SimulationError,
     Simulator,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "Actor",
     "EventBudgetExceeded",
     "Handle",
-    "PastScheduleError",
     "RngRegistry",
     "SimulationError",
     "Simulator",

@@ -1,29 +1,30 @@
 """Event-heap simulation kernel.
 
-The kernel is intentionally small: a priority queue of ``(time, tie,
-seq)`` keys mapped to callbacks.  Determinism rules:
+The kernel is intentionally small: a priority queue of ``(time, seq)``
+keys mapped to callbacks.  Determinism rules:
 
-* events at equal times fire in ``(tie, seq)`` order, where ``tie`` is
-  a caller-supplied priority (lower first) and ``seq`` is a global
-  insertion counter — so runs are bit-for-bit reproducible;
+* events at equal times fire in ``seq`` order, where ``seq`` is a
+  global insertion counter — so runs are bit-for-bit reproducible;
 * cancelled events stay in the heap but are skipped (lazy deletion),
   which keeps :meth:`Simulator.schedule` and :meth:`Handle.cancel`
   O(log n) / O(1); the heap compacts itself automatically once more
   than half of it is dead weight (see :meth:`Simulator._compact`).
 
-Two scheduling paths share one heap and one ``seq`` counter (so their
-events interleave deterministically):
+Two ways in share one heap and one ``seq`` counter (so their events
+interleave deterministically), and the rule between them is that a
+:class:`Handle` exists only for an event someone can cancel:
 
-* :meth:`Simulator.schedule` — the legacy-handle path: returns a
-  cancellable :class:`Handle` and carries a trace label;
-* :meth:`Simulator.schedule_fast` — the fast path for fire-once
-  events: the heap entry is a plain ``(time, tie, seq, callback)``
-  tuple, with no handle allocation and no label.  Network delivery
-  and the workload drivers use it; anything that may need
+* :meth:`Simulator.schedule` — returns a cancellable :class:`Handle`;
+  the heap entry is ``(time, seq, Handle)``;
+* :meth:`Simulator.schedule_fast` — fire-once: the heap entry is a
+  plain ``(time, seq, callback)`` tuple and nothing is allocated
+  besides it.  Network delivery, the workload drivers, the fault
+  schedule and the lemma monitor use it; anything that may need
   ``cancel()`` must use :meth:`Simulator.schedule`.
 
 The kernel knows nothing about networks or algorithms; those live in
-:mod:`repro.net` and :mod:`repro.mutex`.
+:mod:`repro.net` and :mod:`repro.mutex`.  Observation happens above it
+too: :mod:`repro.trace` records through network taps and node hooks.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Callable, Optional
 
 __all__ = [
     "Handle",
-    "PastScheduleError",
     "Simulator",
     "SimulationError",
     "EventBudgetExceeded",
@@ -42,6 +42,7 @@ __all__ = [
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+_NEVER = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -58,26 +59,19 @@ class EventBudgetExceeded(SimulationError):
     """
 
 
-class PastScheduleError(ValueError):
-    """Raised by :meth:`Simulator.schedule_at` for a timestamp that is
-    already in the past, naming the absolute times involved."""
-
-
 class Handle:
     """Cancellable reference to a scheduled event."""
 
-    __slots__ = ("time", "label", "callback", "_cancelled", "_sim")
+    __slots__ = ("time", "callback", "_cancelled", "_sim")
 
     def __init__(
         self,
         time: float,
         callback: Callable[[], None],
-        label: str = "",
         sim: "Optional[Simulator]" = None,
     ) -> None:
         self.time = time
         self.callback: Optional[Callable[[], None]] = callback
-        self.label = label
         self._cancelled = False
         self._sim = sim
 
@@ -112,10 +106,6 @@ class Simulator:
     max_events:
         Hard cap on the number of events executed by :meth:`run`;
         exceeding it raises :class:`EventBudgetExceeded`.
-    trace:
-        Optional callable invoked as ``trace(time, label)`` before each
-        event executes; used by :mod:`repro.trace`.  Fast-path events
-        carry the empty label.
     """
 
     __slots__ = (
@@ -124,7 +114,6 @@ class Simulator:
         "_count",
         "_events_run",
         "max_events",
-        "trace",
         "_running",
         "_cancelled_pending",
     )
@@ -133,17 +122,12 @@ class Simulator:
     #: heap is never rebuilt (rebuilds would cost more than the skips)
     COMPACT_MIN_CANCELLED = 64
 
-    def __init__(
-        self,
-        max_events: int = 10_000_000,
-        trace: Optional[Callable[[float, str], None]] = None,
-    ) -> None:
+    def __init__(self, max_events: int = 10_000_000) -> None:
         self._now = 0.0
         self._heap: list[tuple] = []
         self._count = count(1)
         self._events_run = 0
         self.max_events = int(max_events)
-        self.trace = trace
         self._running = False
         self._cancelled_pending = 0
 
@@ -165,109 +149,37 @@ class Simulator:
         """Number of scheduled (possibly cancelled) events remaining."""
         return len(self._heap)
 
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        *,
-        tie: int = 0,
-        label: str = "",
-    ) -> Handle:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> Handle:
         """Schedule ``callback`` to run ``delay`` time units from now.
 
-        ``tie`` orders events that share a firing time (lower first);
-        insertion order breaks remaining ties.  Negative delays are
-        rejected — simulated time never flows backwards.
+        Events that share a firing time run in insertion order.
+        Negative delays are rejected — simulated time never flows
+        backwards.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay!r})")
-        handle = Handle(self._now + delay, callback, label, self)
-        _heappush(self._heap, (handle.time, tie, next(self._count), handle))
+        handle = Handle(self._now + delay, callback, self)
+        _heappush(self._heap, (handle.time, next(self._count), handle))
         return handle
 
-    def schedule_fast(
-        self, delay: float, callback: Callable[[], None], tie: int = 0
-    ) -> None:
+    def schedule_fast(self, delay: float, callback: Callable[[], None]) -> None:
         """Fast path: schedule a fire-once event with no handle.
 
-        The event cannot be cancelled or labelled; in exchange the
-        heap entry is a bare tuple.  Shares the ``seq`` counter with
+        The event cannot be cancelled; in exchange the heap entry is
+        a bare tuple.  Shares the ``seq`` counter with
         :meth:`schedule`, so mixing both paths keeps the global event
         order deterministic.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay!r})")
-        _heappush(
-            self._heap, (self._now + delay, tie, next(self._count), callback)
-        )
-
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        *,
-        tie: int = 0,
-        label: str = "",
-    ) -> Handle:
-        """Schedule ``callback`` at an absolute simulated time.
-
-        A timestamp earlier than the current clock raises
-        :class:`PastScheduleError` naming both absolute times (rather
-        than a confusing relative "negative delay" complaint).
-        """
-        if time < self._now:
-            raise PastScheduleError(
-                f"cannot schedule at absolute time t={time!r}: the "
-                f"simulated clock is already at t={self._now!r}"
-            )
-        return self.schedule(time - self._now, callback, tie=tie, label=label)
+        _heappush(self._heap, (self._now + delay, next(self._count), callback))
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _pop_live(self) -> Optional[tuple]:
-        """Pop the next live entry, discarding cancelled ones.
-
-        Each lazily-deleted entry is popped (and accounted) exactly
-        once, here — no other code path re-scans it.
-        """
-        heap = self._heap
-        while heap:
-            entry = _heappop(heap)
-            cb = entry[3]
-            if cb.__class__ is Handle and cb.callback is None:
-                self._cancelled_pending -= 1
-                continue
-            return entry
-        return None
-
-    def _fire(self, entry: tuple) -> None:
-        """Execute one live heap entry popped by :meth:`_pop_live`."""
-        cb = entry[3]
-        if cb.__class__ is Handle:
-            handle = cb
-            cb = handle.callback
-            handle.callback = None
-            label = handle.label
-        else:
-            label = ""
-        self._now = entry[0]
-        self._events_run += 1
-        if self._events_run > self.max_events:
-            raise EventBudgetExceeded(
-                f"exceeded {self.max_events} events at t={self._now}"
-            )
-        if self.trace is not None:
-            self.trace(entry[0], label)
-        cb()
-
     def step(self) -> bool:
         """Execute the next event.  Returns False when the heap is empty."""
-        entry = self._pop_live()
-        if entry is None:
-            return False
-        self._fire(entry)
-        return True
+        return self._execute(_NEVER, True)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run events until the heap drains or ``until`` is reached.
@@ -281,23 +193,30 @@ class Simulator:
         self._running = True
         try:
             if until is None:
-                self._run_all()
+                self._execute(_NEVER, False)
             else:
-                self._run_until(until)
+                self._execute(until, False)
+                if until > self._now:
+                    self._now = until
         finally:
             self._running = False
         return self._now
 
-    def _run_all(self) -> None:
-        # The kernel's hot loop.  Locals are bound once so the
-        # per-event cost is a heappop, a class check, the event
-        # accounting, and the callback itself.  ``self._events_run``
-        # is re-read and written back every iteration (not cached in
-        # a local across events) so callbacks observe an accurate
-        # count and nested ``step()`` calls stay within the budget.
-        # ``self._heap`` is only ever mutated in place (push / pop /
-        # compact), so the local alias stays valid even when a
-        # callback triggers compaction.
+    def _execute(self, until: float, single: bool) -> bool:
+        """The kernel's one event loop: fire the events due by ``until``.
+
+        With ``single`` it returns True after the first one; it returns
+        False once nothing (more) is due.
+        """
+        # Locals are bound once so the per-event cost is a heappop, a
+        # horizon compare, a class check, the event accounting, and
+        # the callback itself.  ``self._events_run`` is re-read and
+        # written back every iteration (not cached in a local across
+        # events) so callbacks observe an accurate count and nested
+        # ``step()`` calls stay within the budget.  ``self._heap`` is
+        # only ever mutated in place (push / pop / compact), so the
+        # local alias stays valid even when a callback triggers
+        # compaction.
         heap = self._heap
         pop = _heappop
         max_events = self.max_events
@@ -305,52 +224,31 @@ class Simulator:
             try:
                 entry = pop(heap)
             except IndexError:
-                break
-            cb = entry[3]
+                return False
+            if entry[0] > until:
+                # Not due yet: push the identical tuple back (same
+                # seq, so ordering is untouched).
+                _heappush(heap, entry)
+                return False
+            cb = entry[2]
             if cb.__class__ is Handle:
                 handle = cb
                 cb = handle.callback
                 if cb is None:
+                    # Lazily deleted: popped (and accounted) exactly
+                    # once, here, without touching the clock.
                     self._cancelled_pending -= 1
                     continue
                 handle.callback = None
-                self._now = entry[0]
-                self._events_run = events = self._events_run + 1
-                if events > max_events:
-                    raise EventBudgetExceeded(
-                        f"exceeded {max_events} events at t={self._now}"
-                    )
-                trace = self.trace
-                if trace is not None:
-                    trace(entry[0], handle.label)
-                cb()
-            else:
-                self._now = entry[0]
-                self._events_run = events = self._events_run + 1
-                if events > max_events:
-                    raise EventBudgetExceeded(
-                        f"exceeded {max_events} events at t={self._now}"
-                    )
-                trace = self.trace
-                if trace is not None:
-                    trace(entry[0], "")
-                cb()
-
-    def _run_until(self, until: float) -> None:
-        heap = self._heap
-        while True:
-            entry = self._pop_live()
-            if entry is None:
-                break
-            if entry[0] > until:
-                # Not due yet: push the identical tuple back (same
-                # seq, so ordering is untouched) instead of the old
-                # peek-then-re-pop dance that scanned entries twice.
-                _heappush(heap, entry)
-                break
-            self._fire(entry)
-        if until > self._now:
-            self._now = until
+            self._now = entry[0]
+            self._events_run = events = self._events_run + 1
+            if events > max_events:
+                raise EventBudgetExceeded(
+                    f"exceeded {max_events} events at t={self._now}"
+                )
+            cb()
+            if single:
+                return True
 
     # ------------------------------------------------------------------
     # heap maintenance
@@ -375,33 +273,12 @@ class Simulator:
         live = [
             e
             for e in heap
-            if e[3].__class__ is not Handle or e[3].callback is not None
+            if e[2].__class__ is not Handle or e[2].callback is not None
         ]
         heap[:] = live
         heapq.heapify(heap)
         self._cancelled_pending = 0
         return before - len(heap)
-
-    def drain_cancelled(self) -> int:
-        """Compact the heap by dropping cancelled entries.
-
-        Kept for explicit maintenance in tests/tools; normal runs rely
-        on the automatic trigger in :meth:`_note_cancelled`.
-        """
-        return self._compact()
-
-    def _peek_time(self) -> Optional[float]:
-        """Earliest non-cancelled event time, or None."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            cb = entry[3]
-            if cb.__class__ is Handle and cb.callback is None:
-                _heappop(heap)
-                self._cancelled_pending -= 1
-                continue
-            return entry[0]
-        return None
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -164,6 +164,34 @@ def test_quarantined_cell_refuses_claims(backend):
     assert backend.quarantined()["k"]["count"] == 1
 
 
+def test_quarantine_keeps_the_first_case_file(backend):
+    # "Idempotent; the recorded failures become its case file": a
+    # failure reported after the quarantine must not rewrite it.
+    backend.record_failure("k", "w1", "boom")
+    backend.quarantine("k")
+    backend.record_failure("k", "w2", "boom again")
+    backend.quarantine("k")
+    case = backend.quarantined()["k"]
+    assert case["count"] == 1
+    assert [r["owner"] for r in case["failures"]] == ["w1"]
+
+
+@pytest.mark.parametrize("kind", ("dir", "memory", "sqlite"))
+def test_failures_keep_insertion_order_when_the_clock_steps_back(
+    kind, tmp_path, monkeypatch
+):
+    # "Oldest first" means recorded first: the timestamp is for humans.
+    b = make_backend(kind, tmp_path)
+    try:
+        monkeypatch.setattr(time, "time", lambda: 2_000.0)
+        b.record_failure("k", "first", "boom")
+        monkeypatch.setattr(time, "time", lambda: 1_000.0)
+        b.record_failure("k", "second", "boom")
+        assert [r["owner"] for r in b.failures("k")] == ["first", "second"]
+    finally:
+        close_backend(b)
+
+
 def test_quarantine_does_not_affect_other_keys(backend):
     backend.quarantine("poisoned")
     assert backend.claim("healthy", "w1", ttl=60.0)

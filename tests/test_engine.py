@@ -275,6 +275,67 @@ def test_fast_path_preserved_metrics_under_faults():
     assert result.all_completed()
 
 
+_LOSSY = (("drop", 0.05), ("dup", 0.05))
+_HANDLE_FREE_CELLS = {
+    "constant": {},
+    "exponential": {"delay": ("exponential", 5.0, 1.0)},
+    "faults": {"faults": _LOSSY},
+    "faults+retx": {"faults": _LOSSY, "retx": ("retx", 5.0, 2.0, 10)},
+    # the engine's own scheduled events: cut, heal, crash, recover
+    "scheduled-faults": {
+        "faults": (
+            ("partition", ((20.0, 60.0, (0, 1), (2, 3, 4, 5)),)),
+            ("crash", ((5, 30.0),)),
+            ("recover", ((5, 90.0),)),
+        )
+    },
+}
+
+
+def _scheduled_handles(engine):
+    from repro.sim.kernel import Handle
+
+    return [e[-1] for e in engine.sim._heap if isinstance(e[-1], Handle)]
+
+
+@pytest.mark.parametrize("cell", sorted(_HANDLE_FREE_CELLS))
+def test_no_delivery_allocates_a_handle(cell):
+    # A Handle is allocated only where .cancel() is reachable; nothing
+    # a plain run schedules — deliveries on either send path, arrivals,
+    # fault events — can be cancelled, so none of it may carry one.
+    spec = CellSpec("rcv", 6, 3, ("burst", 1), **_HANDLE_FREE_CELLS[cell])
+    engine = Engine(spec.build_scenario())
+    engine.start()
+    assert engine.sim.pending > 0
+    assert _scheduled_handles(engine) == []
+    while engine.sim.step():
+        assert _scheduled_handles(engine) == []
+    assert engine.network.stats.delivered_total > 0
+
+
+def test_only_recovery_timers_hold_handles():
+    from repro.core.config import RCVConfig
+
+    spec = CellSpec(
+        "rcv", 6, 3, ("burst", 1),
+        delay=("exponential", 5.0, 1.0),
+        algo_kwargs={"config": RCVConfig(rm_timeout=40.0)},
+    )
+    engine = Engine(spec.build_scenario())
+    engine.start()
+    seen = 0
+    while engine.sim.step():
+        live = [h for h in _scheduled_handles(engine) if h.active]
+        timers = [
+            n._recovery_timer
+            for n in engine.nodes
+            if n._recovery_timer is not None and n._recovery_timer.active
+        ]
+        assert sorted(map(id, live)) == sorted(map(id, timers))
+        seen = max(seen, len(live))
+    assert seen > 0  # the opt-in timer really was armed
+
+
 def test_incomplete_run_raises_with_partial_result():
     # A drain deadline of ~0 cuts the run before anything completes.
     scenario = Scenario(

@@ -112,8 +112,11 @@ def test_timer_cancelled_on_grant():
     assert node.cs_count == 1
     assert node.state is NodeState.IDLE
     assert node.counters["rm_relaunched"] == 0
-    # No stray timer left: the sim drained completely.
-    assert h.sim._peek_time() is None
+    # No stray timer left: the sim drained completely, and the
+    # cancelled timer's slot (t=500) never advanced the clock.
+    assert node._recovery_timer is None
+    assert h.sim.pending == 0
+    assert h.sim.now < 500.0
 
 
 # ----------------------------------------------------------------------

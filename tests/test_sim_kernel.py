@@ -5,7 +5,6 @@ import pytest
 from repro.sim.kernel import (
     EventBudgetExceeded,
     Handle,
-    PastScheduleError,
     SimulationError,
     Simulator,
 )
@@ -37,15 +36,6 @@ def test_equal_times_fire_in_insertion_order():
     assert fired == [0, 1, 2, 3, 4]
 
 
-def test_tie_parameter_overrides_insertion_order():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, lambda: fired.append("late"), tie=5)
-    sim.schedule(1.0, lambda: fired.append("early"), tie=1)
-    sim.run()
-    assert fired == ["early", "late"]
-
-
 def test_nested_scheduling_from_callback():
     sim = Simulator()
     fired = []
@@ -71,15 +61,6 @@ def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.schedule(-1.0, lambda: None)
-
-
-def test_schedule_at_absolute_time():
-    sim = Simulator()
-    sim.schedule(5.0, lambda: None)
-    times = []
-    sim.schedule_at(2.5, lambda: times.append(sim.now))
-    sim.run()
-    assert times == [2.5]
 
 
 def test_cancel_prevents_execution():
@@ -145,17 +126,9 @@ def test_drain_cancelled_compacts_heap():
     handles = [sim.schedule(float(i + 1), lambda: None) for i in range(10)]
     for h in handles[:7]:
         h.cancel()
-    removed = sim.drain_cancelled()
-    assert removed == 7
+    assert sim.pending == 10  # lazily deleted: still in the heap
+    assert sim._compact() == 7
     assert sim.pending == 3
-
-
-def test_trace_callback_invoked_with_labels():
-    seen = []
-    sim = Simulator(trace=lambda t, label: seen.append((t, label)))
-    sim.schedule(1.0, lambda: None, label="x")
-    sim.run()
-    assert seen == [(1.0, "x")]
 
 
 def test_run_not_reentrant():
@@ -227,27 +200,6 @@ def test_run_until_does_not_fire_event_beyond_horizon():
 
 
 # ----------------------------------------------------------------------
-# schedule_at in the past
-# ----------------------------------------------------------------------
-def test_schedule_at_past_time_raises_dedicated_error():
-    sim = Simulator()
-    sim.schedule(10.0, lambda: None)
-    sim.run()
-    assert sim.now == 10.0
-    with pytest.raises(PastScheduleError, match=r"t=4\.0.*t=10\.0"):
-        sim.schedule_at(4.0, lambda: None)
-
-
-def test_schedule_at_past_error_is_a_value_error():
-    # Callers catching the historical ValueError keep working.
-    sim = Simulator()
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    with pytest.raises(ValueError):
-        sim.schedule_at(0.5, lambda: None)
-
-
-# ----------------------------------------------------------------------
 # fast path (handle-free fire-once events)
 # ----------------------------------------------------------------------
 def test_schedule_fast_fires_in_time_order():
@@ -262,8 +214,8 @@ def test_schedule_fast_fires_in_time_order():
 
 
 def test_schedule_fast_interleaves_deterministically_with_handles():
-    # Both paths share the seq counter: equal (time, tie) falls back
-    # to global insertion order regardless of which path was used.
+    # Both paths share the seq counter: equal times fall back to
+    # global insertion order regardless of which path was used.
     sim = Simulator()
     fired = []
     sim.schedule(1.0, lambda: fired.append("h1"))
@@ -272,15 +224,6 @@ def test_schedule_fast_interleaves_deterministically_with_handles():
     sim.schedule_fast(1.0, lambda: fired.append("f2"))
     sim.run()
     assert fired == ["h1", "f1", "h2", "f2"]
-
-
-def test_schedule_fast_tie_overrides_insertion_order():
-    sim = Simulator()
-    fired = []
-    sim.schedule_fast(1.0, lambda: fired.append("late"), 5)
-    sim.schedule_fast(1.0, lambda: fired.append("early"), 1)
-    sim.run()
-    assert fired == ["early", "late"]
 
 
 def test_schedule_fast_negative_delay_rejected():
@@ -324,7 +267,7 @@ def test_heap_compacts_automatically_when_mostly_cancelled():
     # lazily deleted again until the next threshold crossing.
     assert sim.pending == len(keep) + (len(doomed) - 64)
     assert all(h.active for h in keep)
-    assert sim.drain_cancelled() == len(doomed) - 64
+    assert sim._compact() == len(doomed) - 64
     assert sim.pending == len(keep)
 
 
@@ -335,7 +278,7 @@ def test_no_compaction_below_cancelled_floor():
         h.cancel()
     # 15 < COMPACT_MIN_CANCELLED: lazy deletion only.
     assert sim.pending == 20
-    assert sim.drain_cancelled() == 15
+    assert sim._compact() == 15
     assert sim.pending == 5
 
 
