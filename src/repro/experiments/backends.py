@@ -8,44 +8,53 @@ pairs and — the part that makes distributed campaigns possible —
 arbitrates **leases** over keys, so workers on different processes or
 hosts can claim pending cells instead of partitioning them up front.
 
-Four implementations ship:
-
-* :class:`DirectoryBackend` — the original one-JSON-file-per-cell
-  directory layout (``<root>/<key[:2]>/<key>.json``).  Works over any
-  shared filesystem; leases are files hard-linked into
-  ``<root>/.leases/``.
-* :class:`MemoryBackend` — a dict, for tests and throwaway runs.
-* :class:`SQLiteBackend` — a single database file in WAL mode.  One
-  file instead of thousands keeps 10k-cell campaigns out of the
-  filesystem's dentry cache, and claims are single atomic UPSERTs —
-  the right arbitration primitive for many worker processes on one
-  host.  WAL needs coherent shared memory, so this backend is
-  **single-host**: workers on different machines must share a
-  :class:`DirectoryBackend` filesystem instead.
-* :class:`ServiceBackend` — an HTTP client for the cell service
-  (:mod:`repro.experiments.service`, ``python -m repro.cli
-  cell-server``).  The **shared-nothing** option: workers on any
-  number of hosts need only a TCP route to the server; leases,
-  failure records, and quarantine are arbitrated server-side.
-
-Lease contract (all backends): ``claim(key, owner, ttl)`` returns
-True when ``owner`` now holds the lease — either it was free, it had
-expired (a crashed peer's lease is stolen), or ``owner`` already held
-it (re-claiming refreshes the expiry).  ``release(key, owner)`` drops
-the lease only if ``owner`` holds it.  ``renew(key, owner, ttl)``
-extends a lease ``owner`` still holds un-expired — and refuses
+Lease contract: ``claim(key, owner, ttl)`` returns True when ``owner``
+now holds the lease — either it was free, it had expired (a crashed
+peer's lease is stolen), or ``owner`` already held it (re-claiming
+refreshes the expiry).  ``release(key, owner)`` drops the lease only
+if ``owner`` holds it, and says whether it did.  ``renew(key, owner,
+ttl)`` extends a lease ``owner`` still holds un-expired — and refuses
 otherwise, which is how a slow worker discovers its cell may have
 been stolen.  A lease is advisory: ``put`` never checks one, so the
 worst a misconfigured ttl causes is a duplicate computation of a
 deterministic cell, never a wrong result.
 
-Failure/quarantine contract (all backends; see
-``docs/operations.md`` for triage): ``record_failure(key, owner,
-error)`` appends a failure record and returns the total count for the
-key; ``quarantine(key)`` marks the cell poisoned (idempotent) —
-``claim`` refuses quarantined cells, so a cell that crashes its
-worker deterministically stops ping-ponging between stealers once a
-worker observes the failure budget spent and quarantines it.
+Failure/quarantine contract (see ``docs/operations.md`` for triage):
+``record_failure(key, owner, error)`` appends a failure record and
+returns the total count for the key; ``quarantine(key)`` marks the
+cell poisoned (idempotent) — ``claim`` refuses quarantined cells, so a
+cell that crashes its worker deterministically stops ping-ponging
+between stealers once a worker observes the failure budget spent and
+quarantines it.
+
+Each rule has one body ("the lease rules" below, bound into the three
+local classes), written against a **record store**: ``leases``,
+``failures`` and ``quarantine`` tables of JSON records behind
+``read(table, key)``, ``write(table, key, record, new=False)``
+(``new``: first writer wins; returns whether this call stored it),
+``delete(table, key)`` and ``items(table)``, plus the medium's clock
+and the atomic section a rule reads and writes in.  Four media ship:
+
+* :class:`DirectoryBackend` — one JSON file per cell
+  (``<root>/<key[:2]>/<key>.json``) and per record, over any shared
+  filesystem; wall clock, the one hosts share.  Atomic section: a lock
+  over the handle's threads — **nothing beyond the process**.  Across
+  processes a ``new`` write is still exclusive (a hard link), but two
+  survivors can both take over an *expired* lease and two simultaneous
+  failure reports can lose one: one extra run of a deterministic cell.
+* :class:`MemoryBackend` — dicts and ``time.monotonic``, for tests and
+  throwaway runs; its lock covers every thread that can see them.
+* :class:`SQLiteBackend` — a single database file in WAL mode; wall
+  clock.  Atomic section: one ``BEGIN IMMEDIATE`` transaction, so
+  SQLite's write lock serialises whole rules (a claim's quarantine
+  check included) across every process on the host.  WAL needs
+  coherent shared memory, so this backend is **single-host**: workers
+  on different machines share a :class:`DirectoryBackend` instead.
+* :class:`ServiceBackend` — an HTTP client for the cell service
+  (:mod:`repro.experiments.service`, ``python -m repro.cli
+  cell-server``).  The **shared-nothing** option: workers on any
+  number of hosts need only a TCP route to the server, which runs the
+  rules over a :class:`MemoryBackend` — one clock, one lock.
 """
 
 from __future__ import annotations
@@ -57,8 +66,9 @@ import sqlite3
 import threading
 import time
 import urllib.parse
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Protocol, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Protocol, Tuple, Union
 
 from repro.experiments.protocol import API_PREFIX
 
@@ -105,8 +115,8 @@ class CacheBackend(Protocol):
         is held by someone else **or the key is quarantined**.
         """
 
-    def release(self, key: str, owner: str) -> None:
-        """Drop the lease on ``key`` if (and only if) ``owner`` holds it."""
+    def release(self, key: str, owner: str) -> bool:
+        """Drop ``owner``'s lease on ``key``; False when it holds none."""
 
     def renew(self, key: str, owner: str, ttl: float) -> bool:
         """Extend a lease ``owner`` still holds un-expired.
@@ -144,6 +154,85 @@ class CacheBackend(Protocol):
 
 
 # ----------------------------------------------------------------------
+# the lease rules: one body each, run by every local medium
+# ----------------------------------------------------------------------
+# ``self`` is a medium: the four primitives, ``_now()`` and ``_atomic``.
+# A lease is ``{"owner", "expires"}``, a failure log a list (oldest
+# first), a case file ``{"count", "failures"}``; see CacheBackend.
+def _wall_clock() -> float:
+    # repro-lint: allow(determinism) -- lease expiry needs a clock hosts share; failure times are for humans
+    return time.time()
+
+
+def _claim(self, key: str, owner: str, ttl: float) -> bool:
+    with self._atomic:
+        if self.read("quarantine", key) is not None:
+            return False
+        now = self._now()
+        lease = {"owner": owner, "expires": now + ttl}
+        if not self.write("leases", key, lease, new=True):
+            held = self.read("leases", key) or {}  # unreadable: nobody's
+            if held.get("owner") != owner and held.get("expires", 0.0) > now:
+                return False
+            self.write("leases", key, lease)
+        return True
+
+
+def _release(self, key: str, owner: str) -> bool:
+    with self._atomic:
+        held = self.read("leases", key) or {}
+        if held.get("owner") != owner:
+            return False
+        self.delete("leases", key)
+        return True
+
+
+def _renew(self, key: str, owner: str, ttl: float) -> bool:
+    with self._atomic:
+        now = self._now()
+        held = self.read("leases", key) or {}
+        if held.get("owner") != owner or held.get("expires", 0.0) <= now:
+            return False
+        self.write("leases", key, {"owner": owner, "expires": now + ttl})
+        return True
+
+
+def _record_failure(self, key: str, owner: str, error: str, **extra) -> int:
+    """``extra`` fields ride along in the record (the cell service
+    stores each report's request id there)."""
+    record = {"owner": owner, "error": error, "time": _wall_clock(), **extra}
+    with self._atomic:
+        # A new list, never an append in place: a case file and a
+        # caller of failures() may still hold the old one.
+        records = [*(self.read("failures", key) or ()), record]
+        self.write("failures", key, records)
+        return len(records)
+
+
+def _failures(self, key: str) -> List[dict]:
+    with self._atomic:
+        return list(self.read("failures", key) or ())
+
+
+def _quarantine(self, key: str) -> None:
+    with self._atomic:
+        records = self.read("failures", key) or []
+        case = {"count": len(records), "failures": records}
+        # ``new``: the first case file wins over any later failure.
+        self.write("quarantine", key, case, new=True)
+
+
+def _is_quarantined(self, key: str) -> bool:
+    with self._atomic:
+        return self.read("quarantine", key) is not None
+
+
+def _quarantined(self) -> Dict[str, dict]:
+    with self._atomic:
+        return {key: dict(case) for key, case in self.items("quarantine")}
+
+
+# ----------------------------------------------------------------------
 # directory backend (the original CellCache layout)
 # ----------------------------------------------------------------------
 
@@ -153,6 +242,15 @@ class CacheBackend(Protocol):
 #: no atomic write is in flight for an hour.
 _TMP_GRACE_SECONDS = 60.0
 _TMP_MAX_AGE_SECONDS = 3600.0
+
+#: record table -> (file suffix, json indent) under ``<root>/.<table>/``.
+#: Distinct suffixes (not .json): keys() globs */*.json, and cell
+#: listings must never pick up failure case files.
+_RECORD_FILES = {
+    "leases": ("lease", None),
+    "failures": ("failures", 1),
+    "quarantine": ("quarantine", 1),
+}
 
 
 def _pid_alive(pid: int) -> bool:
@@ -176,7 +274,7 @@ class DirectoryBackend:
     survivors of a crashed peer can both win — good enough for a
     lease whose worst failure is a duplicated deterministic cell.
 
-    Opening the backend garbage-collects stale ``*.tmp.<pid>`` files:
+    Opening the backend garbage-collects stale ``*.tmp.<tid>.<pid>`` files:
     atomic writes go through a temp file + ``os.replace``, and a
     worker killed between the two used to leave the temp file behind
     forever.  A tmp file is removed when its writer's pid is dead and
@@ -188,11 +286,33 @@ class DirectoryBackend:
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._atomic = threading.Lock()
         self._gc_stale_tmp()
 
     # -- storage -------------------------------------------------------
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
+
+    def _write_atomic(self, path: Path, text: str, new: bool = False) -> bool:
+        """The one way anything is written here: ``path`` appears with
+        all of ``text`` or not at all (a lease created empty and filled
+        afterwards reads as garbage in between, and garbage is stolen).
+        With ``new`` an existing ``path`` stays and the answer is False."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # Thread id: two writers of one path may share a pid.  The pid
+        # stays last, where the tmp GC looks for it.
+        tmp = path.with_suffix(f".tmp.{threading.get_ident()}.{os.getpid()}")
+        tmp.write_text(text)
+        if not new:
+            os.replace(tmp, path)
+            return True
+        try:
+            os.link(tmp, path)
+            return True
+        except FileExistsError:
+            return False
+        finally:
+            tmp.unlink()
 
     def get(self, key: str) -> Optional[str]:
         try:
@@ -201,11 +321,7 @@ class DirectoryBackend:
             return None
 
     def put(self, key: str, value: str) -> None:
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(value)
-        os.replace(tmp, path)
+        self._write_atomic(self.path_for(key), value)
 
     def keys(self) -> Iterator[str]:
         for path in self.root.glob("*/*.json"):
@@ -214,126 +330,34 @@ class DirectoryBackend:
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.json"))
 
-    # -- leases --------------------------------------------------------
-    def _lease_path(self, key: str) -> Path:
-        return self.root / ".leases" / f"{key}.lease"
+    # -- the record store ----------------------------------------------
+    def _record_path(self, table: str, key: str) -> Path:
+        return self.root / f".{table}" / f"{key}.{_RECORD_FILES[table][0]}"
 
-    def claim(self, key: str, owner: str, ttl: float) -> bool:
-        if self.is_quarantined(key):
-            return False
-        path = self._lease_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # repro-lint: allow(determinism) -- lease expiry needs a clock all hosts share
-        payload = json.dumps({"owner": owner, "expires": time.time() + ttl})
-        # The lease must appear with its payload or not at all: a file
-        # created empty and written afterwards reads as garbage in
-        # between, and garbage is stolen.  (Thread id in the name: two
-        # owners may share a pid; the pid stays last for the tmp GC.)
-        tmp = path.with_suffix(f".tmp.{threading.get_ident()}.{os.getpid()}")
-        tmp.write_text(payload)
+    def read(self, table: str, key: str) -> Any:
         try:
-            os.link(tmp, path)
-            return True
-        except FileExistsError:
-            try:
-                doc = json.loads(path.read_text())
-            except (FileNotFoundError, json.JSONDecodeError):
-                doc = {}  # holder vanished or wrote garbage: steal
-            if (
-                doc.get("owner") != owner
-                # repro-lint: allow(determinism) -- lease expiry needs a clock all hosts share
-                and doc.get("expires", 0.0) > time.time()
-            ):
-                return False
-            os.replace(tmp, path)
-            return True
-        finally:
-            tmp.unlink(missing_ok=True)
-
-    def release(self, key: str, owner: str) -> None:
-        path = self._lease_path(key)
-        try:
-            doc = json.loads(path.read_text())
+            return json.loads(self._record_path(table, key).read_text())
         except (FileNotFoundError, json.JSONDecodeError):
-            return
-        if doc.get("owner") == owner:
-            path.unlink(missing_ok=True)
+            return None  # absent, or damaged by hand: the same thing
 
-    def renew(self, key: str, owner: str, ttl: float) -> bool:
-        path = self._lease_path(key)
-        try:
-            doc = json.loads(path.read_text())
-        except (FileNotFoundError, json.JSONDecodeError):
-            return False
-        # repro-lint: allow(determinism) -- lease expiry needs a clock all hosts share
-        if doc.get("owner") != owner or doc.get("expires", 0.0) <= time.time():
-            return False
-        # repro-lint: allow(determinism) -- lease expiry needs a clock all hosts share
-        payload = json.dumps({"owner": owner, "expires": time.time() + ttl})
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(payload)
-        os.replace(tmp, path)
-        return True
+    def write(self, table: str, key: str, record: Any, new: bool = False) -> bool:
+        text = json.dumps(record, indent=_RECORD_FILES[table][1])
+        return self._write_atomic(self._record_path(table, key), text, new)
 
-    # -- failures / quarantine -----------------------------------------
-    # Distinct suffixes (not .json): keys() globs */*.json, and cell
-    # listings must never pick up failure case files.
-    def _failure_path(self, key: str) -> Path:
-        return self.root / ".failures" / f"{key}.failures"
+    def delete(self, table: str, key: str) -> None:
+        self._record_path(table, key).unlink(missing_ok=True)
 
-    def _quarantine_path(self, key: str) -> Path:
-        return self.root / ".quarantine" / f"{key}.quarantine"
+    def items(self, table: str) -> Iterator[Tuple[str, Any]]:
+        for path in self.root.glob(f".{table}/*.{_RECORD_FILES[table][0]}"):
+            record = self.read(table, path.stem)
+            if record is not None:
+                yield path.stem, record
 
-    def record_failure(self, key: str, owner: str, error: str) -> int:
-        # Read-modify-write without a cross-host lock: two workers
-        # failing the same cell at the same instant may drop a record.
-        # The count is a retry *budget*, not an audit log — a lost
-        # update means at most one extra retry of a deterministic
-        # cell, so the simplicity is worth it.
-        records = self.failures(key)
-        # repro-lint: allow(determinism) -- human-readable failure timestamp
-        records.append({"owner": owner, "error": error, "time": time.time()})
-        path = self._failure_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(records, indent=1))
-        os.replace(tmp, path)
-        return len(records)
+    _now = staticmethod(_wall_clock)
 
-    def failures(self, key: str) -> List[dict]:
-        try:
-            return json.loads(self._failure_path(key).read_text())
-        except (FileNotFoundError, json.JSONDecodeError):
-            return []
-
-    def quarantine(self, key: str) -> None:
-        path = self._quarantine_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        records = self.failures(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(
-            json.dumps({"count": len(records), "failures": records}, indent=1)
-        )
-        # Linked into place like a lease: the first case file wins, so
-        # a failure recorded after the quarantine cannot rewrite it.
-        try:
-            os.link(tmp, path)
-        except FileExistsError:
-            pass
-        finally:
-            tmp.unlink(missing_ok=True)
-
-    def is_quarantined(self, key: str) -> bool:
-        return self._quarantine_path(key).exists()
-
-    def quarantined(self) -> Dict[str, dict]:
-        table: Dict[str, dict] = {}
-        for path in self.root.glob(".quarantine/*.quarantine"):
-            try:
-                table[path.stem] = json.loads(path.read_text())
-            except (FileNotFoundError, json.JSONDecodeError):
-                continue  # mid-write; the writer will land it
-        return table
+    claim, release, renew = _claim, _release, _renew
+    record_failure, failures = _record_failure, _failures
+    quarantine, is_quarantined, quarantined = _quarantine, _is_quarantined, _quarantined
 
     # -- maintenance ---------------------------------------------------
     def _gc_stale_tmp(self) -> int:
@@ -349,8 +373,7 @@ class DirectoryBackend:
         cell, never a wrong result).
         """
         removed = 0
-        # repro-lint: allow(determinism) -- ages compared against filesystem mtimes
-        now = time.time()
+        now = self._now()  # compared against filesystem mtimes too
         for tmp in self.root.rglob("*.tmp.*"):
             pid_text = tmp.name.rsplit(".", 1)[-1]
             try:
@@ -361,13 +384,9 @@ class DirectoryBackend:
             if (dead and age > _TMP_GRACE_SECONDS) or age > _TMP_MAX_AGE_SECONDS:
                 tmp.unlink(missing_ok=True)
                 removed += 1
-        for lease in self.root.glob(".leases/*.lease"):
-            try:
-                expires = json.loads(lease.read_text()).get("expires", 0.0)
-            except (FileNotFoundError, json.JSONDecodeError):
-                continue  # mid-claim or already reaped
-            if now - expires > _TMP_MAX_AGE_SECONDS:
-                lease.unlink(missing_ok=True)
+        for key, lease in self.items("leases"):
+            if now - lease.get("expires", 0.0) > _TMP_MAX_AGE_SECONDS:
+                self.delete("leases", key)
                 removed += 1
         return removed
 
@@ -390,12 +409,8 @@ class MemoryBackend:
 
     def __init__(self) -> None:
         self._store: Dict[str, str] = {}
-        #: ``key -> (owner, monotonic expiry)``; read (never written)
-        #: by the cell service's ``/stats`` view
-        self.leases: Dict[str, Tuple[str, float]] = {}
-        self._failures: Dict[str, List[dict]] = {}
-        self._quarantined: Dict[str, dict] = {}
-        self._lock = threading.Lock()
+        self._records = {"leases": {}, "failures": {}, "quarantine": {}}
+        self._atomic = threading.Lock()
 
     def get(self, key: str) -> Optional[str]:
         return self._store.get(key)
@@ -403,67 +418,28 @@ class MemoryBackend:
     def put(self, key: str, value: str) -> None:
         self._store[key] = value
 
-    def claim(self, key: str, owner: str, ttl: float) -> bool:
-        with self._lock:
-            if key in self._quarantined:
-                return False
-            held = self.leases.get(key)
-            if held is not None:
-                holder, expires = held
-                if holder != owner and expires > time.monotonic():
-                    return False
-            self.leases[key] = (owner, time.monotonic() + ttl)
-            return True
+    # -- the record store ----------------------------------------------
+    def read(self, table: str, key: str) -> Any:
+        return self._records[table].get(key)
 
-    def release(self, key: str, owner: str) -> bool:
-        """Also reports whether ``owner`` held the lease (the cell
-        service counts releases per worker)."""
-        with self._lock:
-            held = self.leases.get(key)
-            if held is None or held[0] != owner:
-                return False
-            del self.leases[key]
-            return True
+    def write(self, table: str, key: str, record: Any, new: bool = False) -> bool:
+        rows = self._records[table]
+        if new and key in rows:
+            return False
+        rows[key] = record
+        return True
 
-    def renew(self, key: str, owner: str, ttl: float) -> bool:
-        with self._lock:
-            held = self.leases.get(key)
-            if held is None or held[0] != owner or held[1] <= time.monotonic():
-                return False
-            self.leases[key] = (owner, time.monotonic() + ttl)
-            return True
+    def delete(self, table: str, key: str) -> None:
+        self._records[table].pop(key, None)
 
-    def record_failure(
-        self, key: str, owner: str, error: str, **extra
-    ) -> int:
-        """``extra`` fields ride along in the record (the cell service
-        stores each report's request id there)."""
-        with self._lock:
-            records = self._failures.setdefault(key, [])
-            records.append(
-                # repro-lint: allow(determinism) -- human-readable failure timestamp
-                {"owner": owner, "error": error, "time": time.time(), **extra}
-            )
-            return len(records)
+    def items(self, table: str) -> List[Tuple[str, Any]]:
+        return list(self._records[table].items())
 
-    def failures(self, key: str) -> List[dict]:
-        with self._lock:
-            return list(self._failures.get(key, []))
+    _now = staticmethod(time.monotonic)
 
-    def quarantine(self, key: str) -> None:
-        with self._lock:
-            records = list(self._failures.get(key, []))
-            self._quarantined.setdefault(
-                key, {"count": len(records), "failures": records}
-            )
-
-    def is_quarantined(self, key: str) -> bool:
-        with self._lock:
-            return key in self._quarantined
-
-    def quarantined(self) -> Dict[str, dict]:
-        with self._lock:
-            return {k: dict(v) for k, v in self._quarantined.items()}
+    claim, release, renew = _claim, _release, _renew
+    record_failure, failures = _record_failure, _failures
+    quarantine, is_quarantined, quarantined = _quarantine, _is_quarantined, _quarantined
 
     def keys(self) -> Iterator[str]:
         return iter(list(self._store))
@@ -482,9 +458,9 @@ class SQLiteBackend:
     """All cells in one WAL-mode SQLite file.
 
     A 10k-cell campaign is one database file instead of 10k JSON
-    files, and a ``claim`` is a single atomic UPSERT — SQLite's
-    locking arbitrates writers from any number of processes on one
-    host.  WAL mode relies on a coherent ``-shm`` memory map, which
+    files, and a ``claim`` is a single ``BEGIN IMMEDIATE`` transaction
+    — SQLite's locking arbitrates writers from any number of processes
+    on one host.  WAL mode relies on a coherent ``-shm`` memory map, which
     network filesystems do not provide, so do **not** point workers
     on different hosts at one database file — use a
     :class:`DirectoryBackend` on the shared filesystem for that.
@@ -507,21 +483,12 @@ class SQLiteBackend:
             "CREATE TABLE IF NOT EXISTS cells ("
             "key TEXT PRIMARY KEY, value TEXT NOT NULL)"
         )
+        # One JSON row per lease, failure log and case file (a file from
+        # an older build keeps its three tables, unread: docs/operations.md).
         self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS leases ("
-            "key TEXT PRIMARY KEY, owner TEXT NOT NULL, expires REAL NOT NULL)"
-        )
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS failures ("
-            "key TEXT NOT NULL, owner TEXT NOT NULL, "
-            "error TEXT NOT NULL, time REAL NOT NULL)"
-        )
-        self._conn.execute(
-            "CREATE INDEX IF NOT EXISTS failures_key ON failures(key)"
-        )
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS quarantine ("
-            "key TEXT PRIMARY KEY, record TEXT NOT NULL)"
+            "CREATE TABLE IF NOT EXISTS records ("
+            "tbl TEXT NOT NULL, key TEXT NOT NULL, record TEXT NOT NULL, "
+            "PRIMARY KEY (tbl, key))"
         )
 
     def get(self, key: str) -> Optional[str]:
@@ -539,94 +506,44 @@ class SQLiteBackend:
                 (key, value),
             )
 
-    def claim(self, key: str, owner: str, ttl: float) -> bool:
-        # repro-lint: allow(determinism) -- lease expiry shared across processes via the db
-        now = time.time()
-        with self._lock:
-            quarantined = self._conn.execute(
-                "SELECT 1 FROM quarantine WHERE key = ?", (key,)
-            ).fetchone()
-            if quarantined:
-                return False
-            before = self._conn.total_changes
-            # One atomic statement: insert a fresh lease, or take over
-            # an expired/own one; a live foreign lease leaves the row
-            # untouched (the WHERE fails) and total_changes unmoved.
-            self._conn.execute(
-                "INSERT INTO leases(key, owner, expires) VALUES(?, ?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET "
-                "owner = excluded.owner, expires = excluded.expires "
-                "WHERE leases.expires <= ? OR leases.owner = excluded.owner",
-                (key, owner, now + ttl, now),
-            )
-            return self._conn.total_changes > before
+    # -- the record store (use under ``with self._atomic``) ------------
+    def read(self, table: str, key: str) -> Any:
+        query = "SELECT record FROM records WHERE tbl = ? AND key = ?"
+        row = self._conn.execute(query, (table, key)).fetchone()
+        return json.loads(row[0]) if row else None
 
-    def release(self, key: str, owner: str) -> None:
-        with self._lock:
-            self._conn.execute(
-                "DELETE FROM leases WHERE key = ? AND owner = ?", (key, owner)
-            )
+    def write(self, table: str, key: str, record: Any, new: bool = False) -> bool:
+        cursor = self._conn.execute(
+            f"INSERT OR {'IGNORE' if new else 'REPLACE'} "
+            "INTO records(tbl, key, record) VALUES(?, ?, ?)",
+            (table, key, json.dumps(record)),
+        )
+        return cursor.rowcount > 0
 
-    def renew(self, key: str, owner: str, ttl: float) -> bool:
-        # repro-lint: allow(determinism) -- lease expiry shared across processes via the db
-        now = time.time()
-        with self._lock:
-            before = self._conn.total_changes
-            self._conn.execute(
-                "UPDATE leases SET expires = ? "
-                "WHERE key = ? AND owner = ? AND expires > ?",
-                (now + ttl, key, owner, now),
-            )
-            return self._conn.total_changes > before
+    def delete(self, table: str, key: str) -> None:
+        query = "DELETE FROM records WHERE tbl = ? AND key = ?"
+        self._conn.execute(query, (table, key))
 
-    # -- failures / quarantine -----------------------------------------
-    def record_failure(self, key: str, owner: str, error: str) -> int:
-        with self._lock:
-            self._conn.execute(
-                "INSERT INTO failures(key, owner, error, time) "
-                "VALUES(?, ?, ?, ?)",
-                # repro-lint: allow(determinism) -- human-readable failure timestamp
-                (key, owner, error, time.time()),
-            )
-            (count,) = self._conn.execute(
-                "SELECT COUNT(*) FROM failures WHERE key = ?", (key,)
-            ).fetchone()
-        return count
+    def items(self, table: str) -> List[Tuple[str, Any]]:
+        query = "SELECT key, record FROM records WHERE tbl = ?"
+        rows = self._conn.execute(query, (table,))
+        return [(key, json.loads(record)) for key, record in rows]
 
-    def failures(self, key: str) -> List[dict]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT owner, error, time FROM failures "
-                "WHERE key = ? ORDER BY rowid",
-                (key,),
-            ).fetchall()
-        return [
-            {"owner": owner, "error": error, "time": when}
-            for owner, error, when in rows
-        ]
+    _now = staticmethod(_wall_clock)
 
-    def quarantine(self, key: str) -> None:
-        records = self.failures(key)
-        record = json.dumps({"count": len(records), "failures": records})
-        with self._lock:
-            self._conn.execute(
-                "INSERT OR IGNORE INTO quarantine(key, record) VALUES(?, ?)",
-                (key, record),
-            )
+    @property
+    @contextmanager
+    def _atomic(self) -> Iterator[None]:
+        """One write transaction: the lock keeps this handle's threads
+        off the shared connection, ``BEGIN IMMEDIATE`` keeps every
+        other connection's rules out until the commit."""
+        with self._lock, self._conn:  # commits; rolls back on an error
+            self._conn.execute("BEGIN IMMEDIATE")
+            yield
 
-    def is_quarantined(self, key: str) -> bool:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT 1 FROM quarantine WHERE key = ?", (key,)
-            ).fetchone()
-        return row is not None
-
-    def quarantined(self) -> Dict[str, dict]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT key, record FROM quarantine"
-            ).fetchall()
-        return {key: json.loads(record) for key, record in rows}
+    claim, release, renew = _claim, _release, _renew
+    record_failure, failures = _record_failure, _failures
+    quarantine, is_quarantined, quarantined = _quarantine, _is_quarantined, _quarantined
 
     def keys(self) -> Iterator[str]:
         with self._lock:
@@ -766,8 +683,9 @@ class ServiceBackend:
         self._claim_quarantined[key] = doc.get("quarantined", False)
         return doc["granted"]
 
-    def release(self, key: str, owner: str) -> None:
-        self._json("POST", f"{API_PREFIX}/release", {"key": key, "owner": owner})
+    def release(self, key: str, owner: str) -> bool:
+        body = {"key": key, "owner": owner}
+        return self._json("POST", f"{API_PREFIX}/release", body)[1]["released"]
 
     def renew(self, key: str, owner: str, ttl: float) -> bool:
         _, doc = self._json(

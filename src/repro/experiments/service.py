@@ -92,8 +92,8 @@ class _ServiceState:
     Cell text is delegated to ``store``.  Leases, failures and
     quarantine are in-memory (see module docstring for why that is a
     feature) and arbitrated by a private
-    :class:`~repro.experiments.backends.MemoryBackend` — the one
-    in-memory implementation of the lease contract — so the server
+    :class:`~repro.experiments.backends.MemoryBackend` — the shared
+    lease rules over the memory medium — so the server
     adds only what is its own: per-owner counters, the request-id
     dedupe on ``/fail``, and the ``/stats`` view.
     """
@@ -112,8 +112,11 @@ class _ServiceState:
 
     @property
     def leases(self) -> Dict[str, tuple]:
-        """The live lease table: ``key -> (owner, monotonic expiry)``."""
-        return self.arbiter.leases
+        """The lease table, read-only: ``key -> (owner, monotonic expiry)``."""
+        return {
+            key: (lease["owner"], lease["expires"])
+            for key, lease in self.arbiter.items("leases")
+        }
 
     def _touch(self, owner: str) -> dict:
         record = self.owners.setdefault(owner, _owner_record())
@@ -150,8 +153,8 @@ class _ServiceState:
         # Attribute the commit to the lease holder (the façade's put
         # carries no owner; the lease table knows whose cell this is).
         with self.lock:
-            held = self.leases.get(key)
-            owner = held[0] if held is not None else "(unleased)"
+            held = self.arbiter.read("leases", key)
+            owner = held["owner"] if held is not None else "(unleased)"
             self._touch(owner)["commits"] += 1
         self.store.put(key, value)
 
@@ -202,14 +205,14 @@ class _ServiceState:
     def stats(self) -> dict:
         now = time.monotonic()
         with self.lock:
+            live = {k: held for k, held in self.leases.items() if held[1] > now}
             leases = [
                 {
                     "key": key,
                     "owner": owner,
                     "expires_in": round(expires - now, 3),
                 }
-                for key, (owner, expires) in sorted(self.leases.items())
-                if expires > now
+                for key, (owner, expires) in sorted(live.items())
             ]
             owners = {
                 owner: {
@@ -219,9 +222,7 @@ class _ServiceState:
                     "renews": rec["renews"],
                     "failures": rec["failures"],
                     "active_leases": sum(
-                        1
-                        for holder, expires in self.leases.values()
-                        if holder == owner and expires > now
+                        1 for holder, _ in live.values() if holder == owner
                     ),
                     "last_seen_seconds_ago": round(
                         now - rec["last_seen"], 3

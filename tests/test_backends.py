@@ -9,11 +9,16 @@ work-stealing scheduler in ``run_cells`` relies on nothing else.
 
 import json
 import os
+import shutil
 import subprocess
+import sys
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -487,3 +492,189 @@ def test_memory_backend_leases_survive_wall_clock_jumps(monkeypatch):
     monkeypatch.setattr(time, "time", lambda: 4e12)
     assert not backend.claim("k", "bob", ttl=30.0)
     assert backend.renew("k", "alice", ttl=30.0)
+
+
+# ----------------------------------------------------------------------
+# the atomicity the shared lease rules must keep
+# ----------------------------------------------------------------------
+def _race(calls):
+    """Run ``calls`` on one thread each, released together; their
+    results in order (an exception in any is raised here)."""
+    barrier = threading.Barrier(len(calls))
+
+    def run(call):
+        barrier.wait(timeout=30)
+        return call()
+
+    with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+        futures = [pool.submit(run, call) for call in calls]
+        return [future.result(timeout=60) for future in futures]
+
+
+@pytest.mark.parametrize(
+    "kind, takeover", [("sqlite", True), ("memory", True), ("dir", False)]
+)
+def test_racing_claimants_have_exactly_one_winner(kind, takeover, tmp_path):
+    """K claimants racing for one key — each through its *own* handle,
+    so for SQLite it is the database's locking that arbitrates, not a
+    Python lock — produce one winner, every round.  ``takeover``: the
+    key carries a crashed peer's expired lease.  (A directory takeover
+    is a read-then-replace two survivors can both win: documented, so
+    only its fresh claim is held to this.)"""
+    first = make_backend(kind, tmp_path)
+    handles = [first] + [_peer_handle(first) for _ in range(4)]
+    try:
+        for round_no in range(60):
+            key = f"cell-{round_no}"
+            if takeover:
+                assert first.claim(key, "crashed", ttl=-1.0)  # expired on arrival
+            granted = _race(
+                [
+                    partial(handle.claim, key, f"survivor-{index}", 60.0)
+                    for index, handle in enumerate(handles)
+                ]
+            )
+            assert granted.count(True) == 1, (round_no, granted)
+    finally:
+        for handle in handles:
+            close_backend(handle)
+
+
+@pytest.fixture
+def eager_thread_switches():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def test_same_key_threads_put_whole_values(tmp_path, eager_thread_switches):
+    """Two threads of one process writing one key used to share the
+    temp name ``.tmp.<pid>``: one's ``os.replace`` took the other's
+    file away (``FileNotFoundError``), or landed a torn document."""
+    backend = DirectoryBackend(tmp_path / "cells")
+    values = ("a" * 2048, "b" * 2048)
+
+    def writer(value):
+        for _ in range(3000):
+            backend.put("k", value)
+            assert backend.get("k") in values
+
+    _race([partial(writer, value) for value in values])
+    assert backend.get("k") in values
+    assert list(backend.root.rglob("*.tmp.*")) == []
+
+
+def test_same_key_threads_record_every_failure(tmp_path, eager_thread_switches):
+    backend = DirectoryBackend(tmp_path / "cells")
+
+    def reporter(owner):
+        return [backend.record_failure("k", owner, "boom") for _ in range(500)]
+
+    counts = _race([partial(reporter, owner) for owner in ("w1", "w2")])
+    assert sorted(counts[0] + counts[1]) == list(range(1, 1001))
+    assert len(backend.failures("k")) == 1000
+    assert list(backend.root.rglob("*.tmp.*")) == []
+
+
+# ----------------------------------------------------------------------
+# caches written before the rules were shared still open
+# ----------------------------------------------------------------------
+WRITTEN_BY_PR17 = Path(__file__).parent / "data" / "cache_written_by_pr17"
+
+
+@pytest.fixture
+def pr17_cache(tmp_path):
+    """A scratch copy of ``data/cache_written_by_pr17`` — a directory
+    cache and a SQLite file holding two committed cells, one failure
+    log, one quarantine case file and one expired lease, written at
+    PR 17 (the parent of the shared lease rules) by::
+
+        specs = [CellSpec("rcv", 4, seed, ("burst", 1)) for seed in (0, 1)]
+        results = run_cells(specs, max_workers=1)
+        for backend in (DirectoryBackend(out / "cells"),
+                        SQLiteBackend(out / "cells.sqlite")):
+            cache = CellCache(backend=backend)
+            for spec, result in zip(specs, results):
+                cache.put(spec, result)
+            backend.record_failure("poisoned", "w1", "Traceback...\\nKeyError: 'a'")
+            backend.quarantine("poisoned")
+            backend.claim("crashed", "ghost", ttl=-7200.0)
+            getattr(backend, "close", lambda: None)()
+    """
+    shutil.copytree(WRITTEN_BY_PR17, tmp_path / "cache")
+    return tmp_path / "cache"
+
+
+def _serves_the_pr17_cells(backend):
+    specs = [_spec(seed) for seed in (0, 1)]
+    stored = {
+        path.stem: path.read_text()
+        for path in (WRITTEN_BY_PR17 / "cells").glob("*/*.json")
+    }
+    assert sorted(backend.keys()) == sorted(stored)
+    assert {key: backend.get(key) for key in stored} == stored
+    cache = CellCache(backend=backend)
+    fresh = run_cells(specs, max_workers=1)
+    assert [result_to_dict(cache.get(spec)) for spec in specs] == [
+        result_to_dict(result) for result in fresh
+    ]
+
+
+def test_directory_cache_written_by_pr17_still_opens(pr17_cache):
+    root = pr17_cache / "cells"
+    case_file = root / ".quarantine" / "poisoned.quarantine"
+    log_file = root / ".failures" / "poisoned.failures"
+    case_text, log_text = case_file.read_text(), log_file.read_text()
+
+    backend = DirectoryBackend(root)
+    _serves_the_pr17_cells(backend)
+    # the record files are read as they are...
+    assert backend.failures("poisoned") == json.loads(log_text)
+    assert backend.quarantined() == {"poisoned": json.loads(case_text)}
+    assert backend.is_quarantined("poisoned")
+    assert not backend.claim("poisoned", "w2", ttl=60.0)
+    # ...the lease, two hours expired when written, was reaped on open...
+    assert not (root / ".leases" / "crashed.lease").exists()
+    # ...and what is written next has the bytes PR 17 would have written
+    assert backend.claim("crashed", "survivor", ttl=60.0)
+    lease_text = (root / ".leases" / "crashed.lease").read_text()
+    lease = json.loads(lease_text)
+    assert list(lease) == ["owner", "expires"] and lease_text == json.dumps(lease)
+    assert backend.record_failure("poisoned", "w2", "boom again") == 2
+    assert log_file.read_text() == json.dumps(backend.failures("poisoned"), indent=1)
+    backend.quarantine("poisoned")
+    assert case_file.read_text() == case_text
+
+
+def test_sqlite_cache_written_by_pr17_still_opens(pr17_cache):
+    """The ``cells`` table is served as is.  PR 17's ``leases``,
+    ``failures`` and ``quarantine`` rows are ignored (records live in
+    one ``records`` table now — docs/operations.md): a poisoned cell
+    is claimable again and re-quarantines after its next crashes."""
+    backend = SQLiteBackend(pr17_cache / "cells.sqlite")
+    try:
+        _serves_the_pr17_cells(backend)
+        assert backend.failures("poisoned") == []
+        assert backend.quarantined() == {}
+        assert backend.claim("poisoned", "w2", ttl=60.0)
+        assert backend.claim("crashed", "survivor", ttl=60.0)
+        for table in ("leases", "failures", "quarantine"):  # left alone
+            (rows,) = backend._conn.execute(
+                f"SELECT COUNT(*) FROM {table}"
+            ).fetchone()
+            assert rows == 1
+        assert backend.record_failure("poisoned", "w2", "boom") == 1
+        backend.quarantine("poisoned")
+        assert not backend.claim("poisoned", "w3", ttl=60.0)
+        # the triage recipes of docs/operations.md name tables that exist
+        [(key, record)] = backend._conn.execute(
+            "SELECT key, record FROM records WHERE tbl = 'quarantine'"
+        ).fetchall()
+        assert key == "poisoned" and json.loads(record)["count"] == 1
+        backend._conn.execute(
+            "DELETE FROM records WHERE tbl IN ('quarantine', 'failures')"
+        )
+        assert not backend.is_quarantined("poisoned")
+    finally:
+        backend.close()
