@@ -542,7 +542,6 @@ def test_campaign_fault_recovery_smoke(tmp_path=None):
     reference = run_scenario(clean.build_scenario())
     assert result_to_dict(result.results[0]) == result_to_dict(reference)
     assert not any(
-        # repro-lint: allow(counter-registry) -- prefix probe, not a counter name
         key.startswith("net_retx_") for key in result.results[0].extra
     )
     # ...and the retx cell can never be served from the bare cell's

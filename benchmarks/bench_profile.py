@@ -42,7 +42,6 @@ from repro.workload.runner import run_scenario
 PHASES = (
     ("exchange", ("/core/exchange.py",)),
     ("order", ("/core/order.py",)),
-    # repro-lint: allow(counter-registry) -- phase label, not a RunResult counter
     ("si_state", ("/core/state.py", "/core/tuples.py")),
     (
         "node_protocol",
@@ -130,7 +129,6 @@ def test_profile_attribution_smoke():
     split = phase_split(stats)
     assert split["exchange"]["calls"] > 0
     assert split["order"]["calls"] > 0
-    # repro-lint: allow(counter-registry) -- phase label, not a RunResult counter
     assert split["si_state"]["calls"] > 0
     assert split["kernel"]["calls"] > 0
     counters = counter_block(result)

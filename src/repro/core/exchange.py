@@ -169,10 +169,6 @@ class ExchangeStats:
         self.prunes_run = 0
         self.prunes_deferred = 0
 
-    def as_dict(self) -> dict:
-        """Counter snapshot (for metrics aggregation)."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
 
 def _merge_diverged(
     si: SystemInfo,

@@ -464,10 +464,6 @@ class RCVNode(MutexNode):
         )
 
     # ------------------------------------------------------------------
-    @property
-    def parked_count(self) -> int:
-        return len(self._parked)
-
     def counter_snapshot(self) -> Dict[str, int]:
         """Protocol counters merged into :class:`RunResult.extra`.
 

@@ -144,11 +144,6 @@ class Row:
         row.shared = False
         return row
 
-    def node_map(self) -> Dict[int, int]:
-        """``{node: ts}`` view of the MNL — now simply the storage
-        itself (treat as read-only).  Kept for compatibility."""
-        return self.cols
-
     def front(self) -> Optional[ReqTuple]:
         """This row's vote: the oldest pending request it received. O(1)."""
         cols = self.cols

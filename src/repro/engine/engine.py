@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.metrics.collector import MetricsCollector
+from repro.metrics.counters import COUNTERS, UndeclaredCounterError
 from repro.metrics.records import RunResult
 from repro.metrics.safety import SafetyMonitor
 from repro.mutex.base import Hooks, SimEnv
@@ -241,6 +242,13 @@ class Engine:
             extra["net_retx_suppressed"] = self.reliable_channel.suppressed
             extra["net_retx_giveups"] = self.reliable_channel.giveups
             extra["net_retx_acks_lost"] = self.reliable_channel.acks_lost
+        undeclared = extra.keys() - COUNTERS.keys()
+        if undeclared:
+            raise UndeclaredCounterError(
+                f"run emitted counters {sorted(undeclared)} that COUNTERS "
+                "in src/repro/metrics/counters.py does not declare — "
+                "register each there with its meaning"
+            )
         return self.collector.finalize(
             algorithm=self.scenario.algorithm,
             n_nodes=self.scenario.n_nodes,

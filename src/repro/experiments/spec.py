@@ -5,14 +5,13 @@ workload, seed)`` cells, and :class:`CellSpec` *is* that cell.  Its
 dataclass fields are the single source of truth for what a cell is:
 :data:`AXES` holds one entry per field — how a value is normalised,
 which :class:`~repro.workload.scenario.Scenario` arguments it builds,
-how it is read back off a scenario, and how it is written into a cache
-document — and the canonical form, the cache key, the embedded cache
-document, the scenario and its inverse are all *derived* by walking
-``dataclasses.fields(CellSpec)`` through that table.  Adding a field
-means adding one ``AXES`` entry; nothing else enumerates the fields
-(the ``cache-key`` lint rule checks, at run time, that every field
-moves the key, the document and — bar ``seed`` — the template
-identity).
+and how it is written into a cache document — and the canonical form,
+the cache key, the embedded cache document and the scenario are all
+*derived* by walking ``dataclasses.fields(CellSpec)`` through that
+table.  Adding a field means adding one ``AXES`` entry; nothing else
+enumerates the fields (the ``cache-key`` lint rule checks, at run
+time, that every field moves the key, the document and — bar ``seed``
+— the template identity).
 
 Pure data and codecs: no executor, no clock, no filesystem.  The
 scheduler lives in :mod:`repro.experiments.parallel`.
@@ -24,7 +23,7 @@ import hashlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import partial
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from repro.metrics.io import FORMAT_VERSION
@@ -66,13 +65,13 @@ RESULTS_EPOCH = 2
 
 
 class UnrepresentableScenarioError(ValueError):
-    """A scenario uses a component :class:`CellSpec` cannot encode.
+    """A cell names a component :class:`CellSpec` cannot encode.
 
-    Raised by :meth:`CellSpec.from_scenario` (and every axis
-    normaliser) so a campaign never silently substitutes a different
-    delay model, arrival process, or cs-time distribution for the one
-    requested — the failure mode that previously downgraded every
-    stochastic delay model to ``ConstantDelay``.
+    Raised by every axis normaliser so a campaign never silently
+    substitutes a different delay model, arrival process, or cs-time
+    distribution for the one requested — the failure mode that
+    previously downgraded every stochastic delay model to
+    ``ConstantDelay``.
     """
 
 
@@ -84,9 +83,6 @@ class Axis(NamedTuple):
     normalize: Callable
     #: ``canonical value -> Scenario keyword arguments``
     build: Callable
-    #: ``Scenario -> value`` (not necessarily canonical), or
-    #: :class:`UnrepresentableScenarioError`
-    inverse: Callable
     #: ``canonical value -> JSON-able`` form in the cache document
     document: Callable = lambda value: value
 
@@ -100,8 +96,6 @@ class Kind(NamedTuple):
     params: Tuple[Callable, ...]
     #: ``(*params) -> component``
     build: Callable
-    #: delay models only: the attributes holding the parameters
-    attrs: Tuple[str, ...] = ()
 
 
 def _count(value) -> int:
@@ -119,13 +113,11 @@ def _positive(value) -> float:
 
 
 _DELAY_KINDS = {
-    "constant": Kind((float,), ConstantDelay, ("delay",)),
-    "uniform": Kind((float, float), UniformDelay, ("low", "high")),
-    "exponential": Kind(
-        (float, float), ExponentialDelay, ("mean_delay", "minimum")
-    ),
+    "constant": Kind((float,), ConstantDelay),
+    "uniform": Kind((float, float), UniformDelay),
+    "exponential": Kind((float, float), ExponentialDelay),
     # a per-pair (callable) base fails the float converter: unencodable
-    "jittered": Kind((float, float), JitteredDelay, ("_base", "jitter")),
+    "jittered": Kind((float, float), JitteredDelay),
 }
 
 _CS_KINDS = {
@@ -194,85 +186,11 @@ def _build_kind(kinds: dict, value):
     return kinds[value[0]].build(*value[1:])
 
 
-def _delay_of(scenario) -> Tuple:
-    model = scenario.delay_model
-    if model is None:
-        return ("constant", 5.0)  # the Scenario/Network default Tn
-    for kind, entry in _DELAY_KINDS.items():
-        if type(model) is entry.build:
-            return (kind, *[getattr(model, attr) for attr in entry.attrs])
-    raise UnrepresentableScenarioError(
-        f"delay model {model!r} cannot be encoded as a CellSpec "
-        "(per-pair matrices and custom models are not picklable specs)"
-    )
-
-
-def _cs_time_of(scenario) -> Tuple:
-    spec = getattr(scenario.cs_time, "spec", None)
-    if spec is None:
-        raise UnrepresentableScenarioError(
-            f"cs_time callable {scenario.cs_time!r} carries no spec tag; "
-            "use the factories in repro.workload.scenario "
-            "(constant/uniform/exponential_cs_time)"
-        )
-    return spec
-
-
-def _workload_of(scenario) -> Tuple:
-    """The workload a scenario runs — provided its deadlines are the
-    ones the builders above derive from the workload alone (burst:
-    none; poisson: horizon and 3x horizon).  Any other combination
-    would silently rebuild a different experiment."""
-    arrivals = scenario.arrivals
-    issue, drain = scenario.issue_deadline, scenario.drain_deadline
-    if type(arrivals) is BurstArrivals:
-        if arrivals.start != 0.0:
-            raise UnrepresentableScenarioError(
-                "burst workloads with a delayed start are not encodable"
-            )
-        if issue is not None:
-            raise UnrepresentableScenarioError(
-                "burst scenarios with an issue_deadline are not encodable"
-            )
-        if drain is not None:
-            raise UnrepresentableScenarioError(
-                "burst scenarios with a drain_deadline are not encodable"
-            )
-        return ("burst", arrivals.requests_per_node)
-    if type(arrivals) is PoissonArrivals:
-        if issue is None:
-            raise UnrepresentableScenarioError(
-                "poisson scenarios need an issue_deadline (horizon)"
-            )
-        mean = arrivals.mean_interarrival
-        # The spec stores the mean and the builder re-inverts it;
-        # double float inversion is not exact for every rate, so a
-        # rate whose mean does not invert back exactly would rebuild
-        # an imperceptibly different process whose expovariate draws
-        # diverge in the last ulp — breaking bit-for-bit parity.
-        if 1.0 / mean != arrivals.rate:
-            raise UnrepresentableScenarioError(
-                f"poisson rate {arrivals.rate!r} has no exact "
-                "mean-interarrival encoding; construct the process via "
-                "PoissonArrivals.from_mean_interarrival"
-            )
-        if drain != issue * 3:
-            raise UnrepresentableScenarioError(
-                f"poisson drain_deadline {drain!r} is not the 3x-horizon "
-                "convention build_scenario reproduces"
-            )
-        return ("poisson", mean, issue)
-    raise UnrepresentableScenarioError(
-        f"arrival process {arrivals!r} cannot be encoded as a CellSpec"
-    )
-
-
-def _kind_axis(what, kinds, inverse, target=None) -> Axis:
+def _kind_axis(what, kinds, target=None) -> Axis:
     build = partial(_build_kind, kinds)
     return Axis(
         normalize=partial(_normalize_kind, what, kinds),
         build=build if target is None else lambda v: {target: build(v)},
-        inverse=inverse,
         document=list,
     )
 
@@ -325,7 +243,7 @@ def _net_grammar(what: str, normalize) -> Callable:
 
 def _plain(name, normalize=lambda value, n_nodes=None: value, **codec) -> Axis:
     """A field that is a :class:`Scenario` field of the same name."""
-    return Axis(normalize, lambda v: {name: v}, attrgetter(name), **codec)
+    return Axis(normalize, lambda v: {name: v}, **codec)
 
 
 #: field name -> codec; one entry per :class:`CellSpec` field
@@ -333,14 +251,11 @@ AXES: Dict[str, Axis] = {
     "algorithm": _plain("algorithm"),
     "n_nodes": _plain("n_nodes"),
     "seed": _plain("seed"),
-    "workload": _kind_axis("workload", _WORKLOAD_KINDS, _workload_of),
-    "cs_time": _kind_axis("cs_time", _CS_KINDS, _cs_time_of, "cs_time"),
-    "delay": _kind_axis("delay", _DELAY_KINDS, _delay_of, "delay_model"),
+    "workload": _kind_axis("workload", _WORKLOAD_KINDS),
+    "cs_time": _kind_axis("cs_time", _CS_KINDS, "cs_time"),
+    "delay": _kind_axis("delay", _DELAY_KINDS, "delay_model"),
     "algo_kwargs": Axis(
-        _normalize_algo_kwargs,
-        lambda v: {"algo_kwargs": dict(v)},
-        lambda scenario: scenario.algo_kwargs,
-        repr,
+        _normalize_algo_kwargs, lambda v: {"algo_kwargs": dict(v)}, repr
     ),
     # With n_nodes, partition groups and crash targets are range-checked.
     "faults": _plain(
@@ -453,29 +368,6 @@ class CellSpec:
     # ------------------------------------------------------------------
     def build_scenario(self) -> Scenario:
         return Scenario(**scenario_bindings(self.normalized()))
-
-    @classmethod
-    def from_scenario(cls, scenario) -> "CellSpec":
-        """Encode a scenario as a spec, or raise
-        :class:`UnrepresentableScenarioError`.
-
-        Round-trip contract: ``CellSpec.from_scenario(s)
-        .build_scenario()`` produces a scenario that runs bit-for-bit
-        identically to ``s`` (the parity tests pin this for every
-        delay model and workload kind).
-        """
-        if scenario.channel is not None:
-            raise UnrepresentableScenarioError(
-                "non-default channel disciplines are not encodable"
-            )
-        if scenario.max_events != Scenario.max_events:
-            raise UnrepresentableScenarioError(
-                f"non-default max_events ({scenario.max_events}) is not "
-                "encodable"
-            )
-        return cls(
-            *[AXES[name].inverse(scenario) for name in FIELD_NAMES]
-        ).normalized()
 
 
 #: the fields of a cell, in declaration order — the order of the

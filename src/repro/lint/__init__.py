@@ -3,10 +3,12 @@
 The reproduction's guarantees (bit-for-bit replay, cache-key
 soundness across all four backends, warm-template parity) rest on
 conventions that no runtime test can see being broken *by the next
-edit*: all randomness through named ``sim/rng.py`` streams, no
-wall-clock in the deterministic core, every ``CellSpec`` field in
-every cache/template key.  This package turns those conventions into
-machine-checked invariants.
+edit*: no wall-clock or ad-hoc randomness in the deterministic core,
+every ``CellSpec`` field in every cache/template key, one home for
+the wire protocol's version and paths.  This package turns those
+conventions into machine-checked invariants.  (Invariants that have a
+chokepoint at run time — stream names, counter names, the model
+checker's canon tables — are checked there, not here.)
 
 Run it::
 
@@ -21,7 +23,7 @@ and how to add a rule live in docs/static-analysis.md.
 
 from repro.lint.context import LintContext, default_root
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, all_rules, rule, rule_ids
+from repro.lint.registry import Rule, all_rules, rule
 from repro.lint.runner import LintReport, run_lint
 
 __all__ = [
@@ -32,6 +34,5 @@ __all__ = [
     "all_rules",
     "default_root",
     "rule",
-    "rule_ids",
     "run_lint",
 ]

@@ -8,8 +8,8 @@ under a stable id with the :func:`rule` decorator::
         ...
 
 Rules are whole-tree passes, not per-file visitors: cross-file
-invariants (cache-key completeness, registry membership) are the
-point of this linter, and a rule that only needs per-file scanning
+invariants (cache-key completeness, wire-protocol single-homing) are
+the point of this linter, and a rule that only needs per-file scanning
 simply iterates ``ctx.scan_trees()``.
 """
 
@@ -20,7 +20,7 @@ from typing import Callable, Dict, Iterable, NamedTuple
 from repro.lint.context import LintContext
 from repro.lint.findings import Finding
 
-__all__ = ["Rule", "rule", "all_rules", "rule_ids"]
+__all__ = ["Rule", "rule", "all_rules"]
 
 CheckFn = Callable[[LintContext], Iterable[Finding]]
 
@@ -50,7 +50,3 @@ def all_rules() -> Dict[str, Rule]:
     import repro.lint.rules  # noqa: F401
 
     return dict(_RULES)
-
-
-def rule_ids() -> list:
-    return sorted(all_rules())

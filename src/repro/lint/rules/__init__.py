@@ -2,11 +2,4 @@
 :mod:`repro.lint.registry`; add a module here (with an ``@rule(...)``
 function) to ship a new rule — see docs/static-analysis.md."""
 
-from repro.lint.rules import (  # noqa: F401
-    cache_key,
-    counters,
-    determinism,
-    rng_streams,
-    state_canon,
-    wire_protocol,
-)
+from repro.lint.rules import cache_key, determinism, wire_protocol  # noqa: F401

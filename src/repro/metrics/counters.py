@@ -6,26 +6,24 @@ work counters through ``RunResult.extra`` (aggregated across nodes by
 one-line description each, so the producers (``core/node.py``,
 ``engine/engine.py``), the profiling harness
 (``benchmarks/bench_profile.py``), and the docs can never drift
-apart.  ``repro.lint``'s ``counter-registry`` rule rejects any
-``si_*`` / ``exch_*`` / ``net_fault_*`` string literal in the tree
-that is not registered below.
+apart.  The registry enforces itself where the counters flow:
+``Engine._finalize`` raises :class:`UndeclaredCounterError` for any
+``extra`` key — whatever its spelling — that is not a key of
+:data:`COUNTERS`, so every run checks its emitters.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
-__all__ = ["COUNTERS", "PROFILE_COUNTER_KEYS", "RESERVED_PREFIXES"]
+__all__ = ["COUNTERS", "PROFILE_COUNTER_KEYS", "UndeclaredCounterError"]
 
-#: String-literal prefixes reserved for registered counters; the
-#: linter flags any literal with one of these prefixes that is not a
-#: key of :data:`COUNTERS`.
-RESERVED_PREFIXES: Tuple[str, ...] = (
-    "si_",
-    "exch_",
-    "net_fault_",
-    "net_retx_",
-)
+
+class UndeclaredCounterError(ValueError):
+    """A run emitted a ``RunResult.extra`` key that :data:`COUNTERS`
+    does not declare: a reader spelling the registered name would
+    silently compare ``extra.get(name, 0)`` — zero against zero."""
+
 
 #: Every deterministic counter a run may carry in ``RunResult.extra``,
 #: with what it measures.  Producers and consumers both reference
@@ -35,6 +33,13 @@ COUNTERS: Dict[str, str] = {
     "exchanges": "Exchange procedures executed (one per IM received)",
     "nonl_inconsistencies": "non-Lemma-1 SI inconsistencies observed",
     "parked_now": "messages parked awaiting order at finalize time",
+    "rm_launched": "Request Messages launched (one per CS request)",
+    "rm_forwarded": "RM hops: an undecided RM sent on to an unvisited node",
+    "rm_parked": "undecided RMs parked with an empty unvisited list",
+    "rm_relaunched": "RMs launched again by the recovery timer or a rejoin",
+    "rejoins": "crash recoveries (rejoin() calls)",
+    "stale_rm": "RMs discarded on arrival: their request was already done",
+    "stale_em": "EMs ignored on arrival: not for the outstanding request",
     # -- incremental-exchange instrumentation (ExchangeStats) ----------
     "exch_rows_merged": "SI rows adopted or merged from a peer snapshot",
     "exch_rows_skipped": "SI rows skipped as not fresher (row_ts sweep)",

@@ -64,10 +64,6 @@ class RunResult:
         return sum(1 for r in self.records if r.completed)
 
     @property
-    def granted_count(self) -> int:
-        return sum(1 for r in self.records if r.grant_time is not None)
-
-    @property
     def issued_count(self) -> int:
         return len(self.records)
 

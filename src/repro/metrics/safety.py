@@ -77,8 +77,3 @@ class SafetyMonitor:
         self._release_had_waiters = (
             self._waiting_probe() if self._waiting_probe is not None else True
         )
-
-    # ------------------------------------------------------------------
-    @property
-    def currently_held(self) -> bool:
-        return self.holder is not None

@@ -16,7 +16,7 @@ import hashlib
 import random
 from typing import Dict
 
-from repro.sim.streams import node_stream_name
+from repro.sim.streams import check_stream_name, node_stream_name
 
 __all__ = ["RngRegistry", "spawn_seed"]
 
@@ -39,15 +39,21 @@ class RngRegistry:
         self._streams: Dict[str, random.Random] = {}
 
     def stream(self, name: str) -> random.Random:
-        """Return the stream for ``name``, creating it on first use."""
+        """Return the stream for ``name``, creating it on first use.
+
+        Creation checks ``name`` against :mod:`repro.sim.streams` and
+        raises :class:`~repro.sim.streams.UnregisteredStreamError`
+        for a name that is not declared there.
+        """
         rng = self._streams.get(name)
         if rng is None:
+            check_stream_name(name)
             rng = random.Random(spawn_seed(self.root_seed, name))
             self._streams[name] = rng
         return rng
 
     def node_stream(self, kind: str, node_id: int) -> random.Random:
-        """Convenience: per-node stream, e.g. ``node_stream('arrivals', 3)``."""
+        """Convenience: per-node stream, e.g. ``node_stream('driver', 3)``."""
         return self.stream(node_stream_name(kind, node_id))
 
     def __contains__(self, name: str) -> bool:

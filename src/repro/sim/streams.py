@@ -3,10 +3,12 @@
 Every random draw in the deterministic core flows through a *named*
 stream of :class:`~repro.sim.rng.RngRegistry` (see ``sim/rng.py``);
 the stream **names** are declared here, once, so they cannot silently
-collide or typo-fork across call sites.  ``repro.lint``'s
-``rng-streams`` rule reads this module via AST and rejects any
-``stream(...)`` / ``node_stream(...)`` / ``env.rng(...)`` name
-literal that is not registered below.
+collide or typo-fork across call sites.  The registry enforces itself
+where the names flow: :meth:`RngRegistry.stream` checks a name the
+first time it creates that stream (:func:`check_stream_name`), and
+:func:`node_stream_name` checks the kind it formats — both raise
+:class:`UnregisteredStreamError`.  Every ``Env.rng`` (simulated,
+asyncio, and the model checker's) is reached through one of the two.
 
 Two kinds of entry:
 
@@ -16,9 +18,9 @@ Two kinds of entry:
   stream name is ``"<kind>/<node_id>"``, built by
   :func:`node_stream_name` (or ``RngRegistry.node_stream``).
 
-Adding a stream is a one-line change here plus the call site; the
-linter keeps the two in sync in both directions (an unused registry
-entry is harmless, an unregistered call-site name is a finding).
+Adding a stream is a one-line change here — the constant plus its
+membership in :data:`STREAM_NAMES` or :data:`NODE_STREAM_KINDS` — and
+the call site.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ __all__ = [
     "NODE_KIND_RCV_FORWARD",
     "STREAM_NAMES",
     "NODE_STREAM_KINDS",
+    "UnregisteredStreamError",
+    "check_stream_name",
     "node_stream_name",
 ]
 
@@ -62,12 +66,36 @@ STREAM_NAMES = frozenset(
 NODE_STREAM_KINDS = frozenset({NODE_KIND_DRIVER, NODE_KIND_RCV_FORWARD})
 
 
+class UnregisteredStreamError(ValueError):
+    """A stream name or per-node kind that this module does not
+    declare: a typo here would silently fork the draws every other
+    run sees — still deterministic, just *different*."""
+
+
+def check_stream_name(name: str) -> None:
+    """Raise unless ``name`` is a registered full stream name or
+    ``"<registered kind>/<suffix>"``."""
+    kind, sep, _ = name.partition("/")
+    if name not in STREAM_NAMES and not (sep and kind in NODE_STREAM_KINDS):
+        raise UnregisteredStreamError(
+            f"rng stream {name!r} is not registered in "
+            f"src/repro/sim/streams.py (names: {sorted(STREAM_NAMES)}; "
+            f"per-node kinds: {sorted(NODE_STREAM_KINDS)})"
+        )
+
+
 def node_stream_name(kind: str, node_id: int) -> str:
     """The full stream name of a per-node stream: ``"<kind>/<id>"``.
 
     The single formatting point for per-node names — used by
     :meth:`~repro.sim.rng.RngRegistry.node_stream` and by call sites
     that only hold an :class:`~repro.mutex.base.Env` (whose ``rng``
-    takes a full name).
+    takes a full name).  An unregistered ``kind`` is an
+    :class:`UnregisteredStreamError`.
     """
+    if kind not in NODE_STREAM_KINDS:
+        raise UnregisteredStreamError(
+            f"per-node rng stream kind {kind!r} is not registered in "
+            f"src/repro/sim/streams.py (kinds: {sorted(NODE_STREAM_KINDS)})"
+        )
     return f"{kind}/{node_id}"

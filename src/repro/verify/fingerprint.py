@@ -11,15 +11,15 @@ listed in exactly one of two literal tables per structure:
 * ``*_EXCLUDED`` — attribute name → justification string explaining
   why leaving it out cannot hide a reachable state.
 
-The tables are **dict literals with string-constant keys** on
-purpose: the ``state-canon`` lint rule cross-checks them, by AST,
-against the attributes actually assigned in ``RCVNode.__init__`` (and
-its bases) and ``SystemInfo.__init__`` — the same mutation-proof
-pattern as the ``cache-key`` rule.  Adding an attribute to the
-protocol state without deciding its fingerprint fate fails CI.  A
-second, runtime line of defense (:func:`assert_canon_complete`)
-compares the tables against the live instance's attributes when a
-world is built, catching attributes assigned outside ``__init__``.
+One guard keeps the tables honest, and it runs where they are used:
+:func:`assert_canon_complete` compares them against the live
+instance's attributes every time a model builds its nodes, so every
+``repro.verify`` world construction checks them.  Adding an attribute
+to the protocol state — in ``__init__`` or anywhere else that runs
+before the world is built — without deciding its fingerprint fate is
+a :class:`FingerprintError`; so is an entry naming an attribute the
+instance no longer has, an attribute in both tables, and an exclusion
+whose justification is blank.
 
 Message fingerprints need no table: they are derived generically from
 ``__slots__`` across the MRO, so a new message field is included
@@ -173,7 +173,7 @@ RCV_NODE_EXCLUDED = {
 
 
 # ----------------------------------------------------------------------
-# Baseline nodes (runtime-guarded; the lint rule anchors on RCV only)
+# Baseline nodes
 # ----------------------------------------------------------------------
 def _enc_sorted(values) -> Tuple:
     return tuple(sorted(values))
@@ -241,35 +241,57 @@ QUORUM_NODE_EXCLUDED = {
 # ----------------------------------------------------------------------
 # generic machinery
 # ----------------------------------------------------------------------
-def assert_canon_complete(obj, canon: dict, excluded: dict, what: str) -> None:
-    """Runtime guard: every attribute of ``obj`` is accounted for.
-
-    Complements the AST-level ``state-canon`` rule — this catches
-    attributes assigned outside ``__init__`` (or on instances the rule
-    does not anchor on).  Called once per world construction, so the
-    cost is negligible.
+def assert_canon_complete(obj, tables: str) -> None:
+    """The one guard on the canon tables: ``obj``'s attributes are
+    exactly the entries of this module's ``<tables>_CANON`` and
+    ``<tables>_EXCLUDED``, each in one of the two, every exclusion
+    justified.  Called once per world construction, so the cost is
+    negligible; every failure is a :class:`FingerprintError` naming
+    the attributes and the table to edit.
     """
-    if hasattr(obj, "__dict__"):
-        attrs = set(vars(obj))
-    else:
-        attrs = {
-            name
-            for klass in type(obj).__mro__
-            for name in getattr(klass, "__slots__", ())
-        }
-    both = set(canon) & set(excluded)
-    if both:
-        raise FingerprintError(
-            f"{what}: attributes listed as both canon and excluded: "
-            f"{sorted(both)}"
-        )
-    missing = attrs - set(canon) - set(excluded)
-    if missing:
-        raise FingerprintError(
-            f"{what}: attributes not covered by the fingerprint canon "
-            f"(add to the CANON or EXCLUDED table in "
-            f"repro/verify/fingerprint.py): {sorted(missing)}"
-        )
+    canon_name, excluded_name = f"{tables}_CANON", f"{tables}_EXCLUDED"
+    excluded = globals()[excluded_name]
+    in_canon, in_excluded = set(globals()[canon_name]), set(excluded)
+    # slots along the MRO plus the instance dict: a subclass of a
+    # slotted class that declares no __slots__ of its own has both
+    attrs = set(getattr(obj, "__dict__", ())) | {
+        name
+        for klass in type(obj).__mro__
+        for name in getattr(klass, "__slots__", ())
+    }
+    stale = "the instance has no such attribute"
+    for names, problem in (
+        (
+            in_canon & in_excluded,
+            f"are in both {canon_name} and {excluded_name} — pick one",
+        ),
+        (
+            attrs - in_canon - in_excluded,
+            f"are in neither {canon_name} nor {excluded_name} — two "
+            "states differing only there would fingerprint equal and "
+            "the checker would skip reachable states",
+        ),
+        (in_canon - attrs, f"are stale entries of {canon_name} — {stale}"),
+        (
+            in_excluded - attrs,
+            f"are stale entries of {excluded_name} — {stale}",
+        ),
+        (
+            {
+                name
+                for name, why in excluded.items()
+                if not (isinstance(why, str) and why.strip())
+            },
+            f"have no justification in {excluded_name} — leaving state "
+            "out of the fingerprint is a soundness claim and must say "
+            "why it is safe",
+        ),
+    ):
+        if names:
+            raise FingerprintError(
+                f"{type(obj).__name__} attributes {sorted(names)} "
+                f"{problem} (src/repro/verify/fingerprint.py)"
+            )
 
 
 def fingerprint_from_table(obj, canon: dict) -> Tuple:

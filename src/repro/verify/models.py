@@ -33,13 +33,8 @@ from repro.net.message import Message
 from repro.verify.errors import VerifyError
 from repro.verify.fingerprint import (
     QUORUM_NODE_CANON,
-    QUORUM_NODE_EXCLUDED,
     RA_NODE_CANON,
-    RA_NODE_EXCLUDED,
     RCV_NODE_CANON,
-    RCV_NODE_EXCLUDED,
-    SYSTEMINFO_CANON,
-    SYSTEMINFO_EXCLUDED,
     assert_canon_complete,
     fingerprint_from_table,
 )
@@ -154,12 +149,8 @@ class RCVModel(AlgorithmModel):
             self.node_cls(i, self.n, env, self.hooks, self.config)
             for i in range(self.n)
         ]
-        assert_canon_complete(
-            nodes[0], RCV_NODE_CANON, RCV_NODE_EXCLUDED, "RCVNode"
-        )
-        assert_canon_complete(
-            nodes[0].si, SYSTEMINFO_CANON, SYSTEMINFO_EXCLUDED, "SystemInfo"
-        )
+        assert_canon_complete(nodes[0], "RCV_NODE")
+        assert_canon_complete(nodes[0].si, "SYSTEMINFO")
         return nodes
 
     def clone_node(self, node: RCVNode, env: Env) -> RCVNode:
@@ -214,9 +205,7 @@ class RicartAgrawalaModel(AlgorithmModel):
             RicartAgrawalaNode(i, self.n, env, self.hooks)
             for i in range(self.n)
         ]
-        assert_canon_complete(
-            nodes[0], RA_NODE_CANON, RA_NODE_EXCLUDED, "RicartAgrawalaNode"
-        )
+        assert_canon_complete(nodes[0], "RA_NODE")
         return nodes
 
     def clone_node(
@@ -251,9 +240,7 @@ class MaekawaModel(AlgorithmModel):
             )
             for i in range(self.n)
         ]
-        assert_canon_complete(
-            nodes[0], QUORUM_NODE_CANON, QUORUM_NODE_EXCLUDED, "MaekawaNode"
-        )
+        assert_canon_complete(nodes[0], "QUORUM_NODE")
         return nodes
 
     def clone_node(self, node: QuorumMutexNode, env: Env) -> QuorumMutexNode:

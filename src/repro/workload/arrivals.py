@@ -70,12 +70,6 @@ class PoissonArrivals(ArrivalProcess):
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.rate = float(rate)
-        #: the paper's x-axis quantity 1/λ.  Kept as a stored value —
-        #: overwritten with the *exact* constructor argument by
-        #: :meth:`from_mean_interarrival` — because double float
-        #: inversion (1/(1/x)) is not exact, and the campaign specs
-        #: encode the mean; see CellSpec.from_scenario.
-        self.mean_interarrival = 1.0 / self.rate
 
     def first_delay(self, node_id: int, rng: random.Random) -> Optional[float]:
         return rng.expovariate(self.rate)
@@ -88,9 +82,7 @@ class PoissonArrivals(ArrivalProcess):
         """Construct from the paper's x-axis quantity 1/λ."""
         if mean <= 0:
             raise ValueError("mean inter-arrival must be positive")
-        obj = cls(1.0 / mean)
-        obj.mean_interarrival = float(mean)
-        return obj
+        return cls(1.0 / mean)
 
 
 class TraceArrivals(ArrivalProcess):

@@ -24,7 +24,6 @@ def constant_cs_time(value: float) -> Callable:
         return value
 
     fn.__name__ = f"constant_cs_time_{value}"
-    fn.spec = ("constant", float(value))
     return fn
 
 
@@ -37,7 +36,6 @@ def uniform_cs_time(low: float, high: float) -> Callable:
         return rng.uniform(low, high)
 
     fn.__name__ = f"uniform_cs_time_{low}_{high}"
-    fn.spec = ("uniform", float(low), float(high))
     return fn
 
 
@@ -53,7 +51,6 @@ def exponential_cs_time(mean: float, minimum: float = 0.0) -> Callable:
         return minimum + rng.expovariate(1.0 / mean)
 
     fn.__name__ = f"exponential_cs_time_{mean}_{minimum}"
-    fn.spec = ("exponential", float(mean), float(minimum))
     return fn
 
 

@@ -29,15 +29,11 @@ from repro.net.delay import (
     ConstantDelay,
     ExponentialDelay,
     JitteredDelay,
-    MatrixDelay,
     UniformDelay,
 )
 from repro.workload import (
-    BurstArrivals,
     PoissonArrivals,
     Scenario,
-    constant_cs_time,
-    exponential_cs_time,
     run_scenario,
     uniform_cs_time,
 )
@@ -447,20 +443,19 @@ def test_theory_table_shared_results_path():
 # spec codecs: full scenario space, loud failures
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "model",
+    "delay, model",
     [
-        ConstantDelay(7.0),
-        UniformDelay(2.0, 8.0),
-        ExponentialDelay(4.0, minimum=1.0),
-        JitteredDelay(5.0, 2.0),
+        (7.0, ConstantDelay(7.0)),
+        (("uniform", 2, 8), UniformDelay(2.0, 8.0)),
+        (("exponential", 4.0, 1.0), ExponentialDelay(4.0, minimum=1.0)),
+        (("jittered", 5.0, 2.0), JitteredDelay(5.0, 2.0)),
     ],
-    ids=lambda m: type(m).__name__,
+    ids=["ConstantDelay", "UniformDelay", "ExponentialDelay", "JitteredDelay"],
 )
-def test_delay_spec_roundtrip(model):
-    scenario = Scenario("rcv", 3, BurstArrivals(), delay_model=model)
-    rebuilt = CellSpec.from_scenario(scenario).build_scenario().delay_model
-    assert type(rebuilt) is type(model)
-    assert repr(rebuilt) == repr(model)
+def test_delay_spec_roundtrip(delay, model):
+    built = CellSpec("rcv", 3, 0, ("burst", 1), delay=delay).build_scenario()
+    assert type(built.delay_model) is type(model)
+    assert repr(built.delay_model) == repr(model)
 
 
 def test_delay_model_no_longer_silently_downgraded():
@@ -473,18 +468,12 @@ def test_delay_model_no_longer_silently_downgraded():
 
 
 def test_unrepresentable_delay_model_raises():
-    for model in (
-        MatrixDelay(lambda s, d: 1.0),
-        JitteredDelay(lambda s, d: 5.0, 1.0),  # per-pair base
+    for delay in (
+        ("matrix", lambda s, d: 1.0),
+        ("jittered", lambda s, d: 5.0, 1.0),  # per-pair base
     ):
-        scenario = Scenario(
-            algorithm="rcv",
-            n_nodes=3,
-            arrivals=BurstArrivals(),
-            delay_model=model,
-        )
         with pytest.raises(UnrepresentableScenarioError, match="delay"):
-            CellSpec.from_scenario(scenario)
+            CellSpec("rcv", 3, 0, ("burst", 1), delay=delay).normalized()
 
 
 def test_unknown_spec_kinds_raise():
@@ -525,41 +514,9 @@ def test_faulty_cells_run_identically_across_paths(tmp_path):
     assert cache.hits == len(specs) and cache.misses == 0
 
 
-def test_nonconventional_deadlines_and_max_events_raise():
-    """from_scenario must not drop fields build_scenario cannot
-    reproduce — it would silently rebuild a different experiment."""
-    burst_with_deadline = Scenario(
-        algorithm="rcv",
-        n_nodes=3,
-        arrivals=BurstArrivals(),
-        drain_deadline=500.0,
-    )
-    with pytest.raises(UnrepresentableScenarioError, match="drain_deadline"):
-        CellSpec.from_scenario(burst_with_deadline)
-
-    poisson_odd_drain = Scenario(
-        algorithm="rcv",
-        n_nodes=3,
-        arrivals=PoissonArrivals.from_mean_interarrival(20.0),
-        issue_deadline=300.0,
-        drain_deadline=500.0,  # not the 3x-horizon convention
-    )
-    with pytest.raises(UnrepresentableScenarioError, match="3x-horizon"):
-        CellSpec.from_scenario(poisson_odd_drain)
-
-    capped = Scenario(
-        algorithm="rcv",
-        n_nodes=3,
-        arrivals=BurstArrivals(),
-        max_events=1_000,
-    )
-    with pytest.raises(UnrepresentableScenarioError, match="max_events"):
-        CellSpec.from_scenario(capped)
-
-
 def test_poisson_mean_roundtrip_is_exact():
-    """1/(1/x) is not exact for every float; from_scenario must carry
-    the constructing mean, not a re-inverted rate (bit-for-bit)."""
+    """1/(1/x) is not exact for every float; the spec carries the
+    mean and builds the process from it (bit-for-bit)."""
     scenario = Scenario(
         algorithm="rcv",
         n_nodes=3,
@@ -567,25 +524,13 @@ def test_poisson_mean_roundtrip_is_exact():
         issue_deadline=300.0,
         drain_deadline=900.0,
     )
-    spec = CellSpec.from_scenario(scenario)
-    assert spec.workload == ("poisson", 49.0, 300.0)
+    spec = CellSpec("rcv", 3, 0, ("poisson", 49, 300))
+    assert spec.normalized().workload == ("poisson", 49.0, 300.0)
     rebuilt = spec.build_scenario().arrivals
     assert rebuilt.rate == scenario.arrivals.rate
     assert result_to_dict(run_scenario(spec.build_scenario())) == (
         result_to_dict(run_scenario(scenario))
     )
-
-
-def test_poisson_rate_without_exact_mean_raises():
-    scenario = Scenario(
-        algorithm="rcv",
-        n_nodes=3,
-        arrivals=PoissonArrivals(49.0),  # 1/(1/49) != 49
-        issue_deadline=300.0,
-        drain_deadline=900.0,
-    )
-    with pytest.raises(UnrepresentableScenarioError, match="exact"):
-        CellSpec.from_scenario(scenario)
 
 
 def test_cache_key_depends_on_results_epoch(monkeypatch):
@@ -600,18 +545,7 @@ def test_cache_key_depends_on_results_epoch(monkeypatch):
     assert spec.cache_key() != before
 
 
-def test_untagged_cs_time_raises():
-    scenario = Scenario(
-        algorithm="rcv",
-        n_nodes=3,
-        arrivals=BurstArrivals(),
-        cs_time=lambda rng: 10.0,
-    )
-    with pytest.raises(UnrepresentableScenarioError, match="spec tag"):
-        CellSpec.from_scenario(scenario)
-
-
-def test_from_scenario_roundtrip_all_components():
+def test_build_scenario_matches_handwritten_all_components():
     scenario = Scenario(
         algorithm="rcv",
         n_nodes=4,
@@ -622,29 +556,32 @@ def test_from_scenario_roundtrip_all_components():
         issue_deadline=300.0,
         drain_deadline=900.0,
     )
-    spec = CellSpec.from_scenario(scenario)
-    assert spec.workload == ("poisson", 30.0, 300.0)
-    assert spec.cs_time == ("uniform", 8.0, 12.0)
-    assert spec.delay == ("jittered", 5.0, 2.0)
+    spec = CellSpec(
+        "rcv",
+        4,
+        7,
+        ("poisson", 30.0, 300.0),
+        cs_time=("uniform", 8.0, 12.0),
+        delay=("jittered", 5.0, 2.0),
+    )
     assert result_to_dict(run_scenario(spec.build_scenario())) == (
         result_to_dict(run_scenario(scenario))
     )
 
 
 @pytest.mark.parametrize(
-    "factory",
+    "cs_time",
     [
-        lambda: constant_cs_time(10.0),
-        lambda: uniform_cs_time(8.0, 12.0),
-        lambda: exponential_cs_time(10.0, minimum=2.0),
+        ("constant", 10.0),
+        ("uniform", 8.0, 12.0),
+        ("exponential", 10.0, 2.0),
     ],
     ids=["constant", "uniform", "exponential"],
 )
-def test_cs_time_specs_are_exercised(factory):
+def test_cs_time_specs_are_exercised(cs_time):
     """Cells built from a cs-time spec draw from that distribution
     (and stay deterministic per seed)."""
-    fn = factory()
-    spec = CellSpec("centralized", 4, 3, ("burst", 2), cs_time=fn.spec)
+    spec = CellSpec("centralized", 4, 3, ("burst", 2), cs_time=cs_time)
     a = run_scenario(spec.build_scenario())
     b = run_scenario(spec.build_scenario())
     assert result_to_dict(a) == result_to_dict(b)

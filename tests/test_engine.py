@@ -348,3 +348,45 @@ def test_incomplete_run_raises_with_partial_result():
     with pytest.raises(IncompleteRunError) as exc_info:
         run_scenario(scenario)
     assert exc_info.value.result.completed_count == 0
+
+
+# ----------------------------------------------------------------------
+# the counter registry (metrics/counters.py) checks every run's extra
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "key",
+    [
+        "si_cow_clone",  # an emitter typo-forks a registered name
+        "handoffs",  # a new counter under no particular prefix
+    ],
+)
+def test_undeclared_counter_fails_the_run(key, monkeypatch):
+    from repro.core.node import RCVNode
+    from repro.metrics.counters import COUNTERS, UndeclaredCounterError
+    from repro.registry import ALGORITHMS
+
+    class Chatty(RCVNode):
+        def counter_snapshot(self):
+            return {**super().counter_snapshot(), key: 1}
+
+    assert key not in COUNTERS
+    monkeypatch.setitem(ALGORITHMS, "chatty", Chatty)
+    scenario = Scenario(algorithm="chatty", n_nodes=3, arrivals=BurstArrivals())
+    with pytest.raises(UndeclaredCounterError) as err:
+        run_scenario(scenario)
+    assert repr(key) in str(err.value)
+    assert "src/repro/metrics/counters.py" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "workload", [("burst", 2), ("poisson", 20.0, 200.0)], ids=["burst", "poisson"]
+)
+def test_every_algorithm_emits_only_declared_counters(workload):
+    from repro.metrics.counters import COUNTERS
+    from repro.registry import algorithm_names
+
+    emitted = set()
+    for algorithm in algorithm_names():
+        spec = CellSpec(algorithm, 5, 3, workload)
+        emitted |= set(run_scenario(spec.build_scenario()).extra)
+    assert {"exchanges", "rm_launched", "stale_em"} <= emitted <= set(COUNTERS)

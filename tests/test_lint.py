@@ -3,7 +3,7 @@
 Covers, per docs/static-analysis.md:
 
 * the pragma grammar (inline and standalone, required justification);
-* each rule against purpose-built fixture trees
+* each rule against a purpose-built fixture tree
   (``tests/lint_fixtures/``) or source overlays on the real tree;
 * mutation-proofing — programmatically breaking each guarded
   invariant in an overlay and asserting the rule catches it;
@@ -113,23 +113,6 @@ def test_determinism_operational_layer_policy():
 
 
 # ----------------------------------------------------------------------
-# rng-streams
-# ----------------------------------------------------------------------
-def test_rng_streams_fixture():
-    report = run_lint(FIXTURES / "streams", select=["rng-streams"])
-    assert _lines(report, "rng-streams", "engine/use.py") == [14, 15, 16]
-
-
-def test_rng_streams_missing_registry_is_itself_a_finding(tmp_path):
-    (tmp_path / "src").mkdir()
-    report = run_lint(tmp_path, select=["rng-streams"])
-    assert any(
-        f.rule == "rng-streams" and "registry" in f.message
-        for f in report.findings
-    )
-
-
-# ----------------------------------------------------------------------
 # cache-key (mutation-proof): a runtime guard, so the mutants are
 # CellSpec / CellTemplate subclasses that let one field slip
 # ----------------------------------------------------------------------
@@ -200,60 +183,6 @@ def test_cache_key_rule_reports_through_the_linter(monkeypatch):
     report = run_lint(ROOT, select=["cache-key"])
     assert [f.rule for f in report.findings] == ["cache-key"]
     assert "'retx' does not reach cache_key" in report.findings[0].message
-
-
-# ----------------------------------------------------------------------
-# counter-registry
-# ----------------------------------------------------------------------
-def test_counter_registry_flags_undeclared_reserved_name():
-    overlay = {
-        "src/repro/experiments/fake.py": 'BAD = extra["si_bogus_counter"]\n'
-    }
-    report = run_lint(ROOT, select=["counter-registry"], overlay=overlay)
-    assert _lines(report, "counter-registry", "fake.py") == [1]
-
-
-def test_counter_registry_ignores_prose_and_exports():
-    overlay = {
-        "src/repro/experiments/fake.py": (
-            '"""si_cow_clones and si_bogus notes."""\n'
-            '__all__ = ["si_state"]\n'
-            'DOC = "si_ prefixed counters are reserved"\n'
-        )
-    }
-    report = run_lint(ROOT, select=["counter-registry"], overlay=overlay)
-    assert not _lines(report, "counter-registry", "fake.py")
-
-
-def test_counter_registry_requires_profile_to_import_registry():
-    source = (ROOT / "benchmarks/bench_profile.py").read_text()
-    mutated = source.replace(
-        "from repro.metrics.counters import PROFILE_COUNTER_KEYS as COUNTER_KEYS",
-        "COUNTER_KEYS = ('exchanges',)",
-    )
-    assert mutated != source
-    report = run_lint(
-        ROOT,
-        select=["counter-registry"],
-        overlay={"benchmarks/bench_profile.py": mutated},
-    )
-    assert any(
-        "must import PROFILE_COUNTER_KEYS" in f.message
-        for f in report.findings
-    )
-
-
-def test_counter_mutation_emitter_typo_is_caught():
-    # The scenario the rule exists for: an emitter typo-forks a name.
-    path = "src/repro/core/node.py"
-    source = (ROOT / path).read_text()
-    mutated = source.replace('"si_cow_clones"', '"si_cow_clone"', 1)
-    assert mutated != source
-    report = run_lint(ROOT, select=["counter-registry"], overlay={path: mutated})
-    assert any(
-        "'si_cow_clone'" in f.message and f.path == path
-        for f in report.findings
-    )
 
 
 # ----------------------------------------------------------------------
@@ -342,8 +271,10 @@ def test_unparseable_file_is_reported_not_crashed():
 def test_shipped_tree_lints_clean():
     report = run_lint(ROOT)
     assert report.ok, "\n".join(f.render() for f in report.findings)
-    # every suppression in the tree carries a recorded justification
-    assert report.suppressed, "expected at least one pragma'd wall-clock site"
+    # every suppression in the tree carries a recorded justification;
+    # all three are wall-clock sites in the operational layers
+    assert {f.rule for f in report.suppressed} == {"determinism"}
+    assert len(report.suppressed) == 3
 
 
 def _cli(*args, cwd=ROOT):
@@ -386,108 +317,11 @@ def test_cli_unknown_rule_exits_two():
     assert proc.returncode == 2
 
 
-def test_cli_list_rules_names_all_six():
+def test_cli_list_rules_names_exactly_the_three():
     proc = _cli("--list-rules")
     assert proc.returncode == 0
-    for rid in (
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == [
         "cache-key",
-        "counter-registry",
         "determinism",
-        "rng-streams",
-        "state-canon",
         "wire-protocol",
-    ):
-        assert rid in proc.stdout
-
-
-# ----------------------------------------------------------------------
-# state-canon (the model checker's fingerprint coverage)
-# ----------------------------------------------------------------------
-FINGERPRINT = "src/repro/verify/fingerprint.py"
-CORE_NODE = "src/repro/core/node.py"
-CORE_STATE = "src/repro/core/state.py"
-
-
-def _state_canon_findings(overlay):
-    report = run_lint(ROOT, select=["state-canon"], overlay=overlay)
-    return [f for f in report.findings if f.rule == "state-canon"]
-
-
-def test_state_canon_catches_new_node_attribute():
-    source = (ROOT / CORE_NODE).read_text()
-    anchor = "self.current_tup: Optional[ReqTuple] = None"
-    assert anchor in source
-    mutated = source.replace(
-        anchor, anchor + "\n        self.shiny_new_state = 0"
-    )
-    findings = _state_canon_findings({CORE_NODE: mutated})
-    assert any(
-        "'shiny_new_state'" in f.message and "RCV_NODE_CANON" in f.message
-        for f in findings
-    ), findings
-
-
-def test_state_canon_catches_new_systeminfo_slot():
-    source = (ROOT / CORE_STATE).read_text()
-    anchor = '"_need_share",'
-    assert anchor in source
-    mutated = source.replace(anchor, anchor + '\n        "_shiny_slot",', 1)
-    findings = _state_canon_findings({CORE_STATE: mutated})
-    assert any(
-        "'_shiny_slot'" in f.message and "SYSTEMINFO_CANON" in f.message
-        for f in findings
-    ), findings
-
-
-def test_state_canon_catches_dropped_canon_entry():
-    source = (ROOT / FINGERPRINT).read_text()
-    anchor = '"_parked": _enc_parked,'
-    assert anchor in source
-    findings = _state_canon_findings(
-        {FINGERPRINT: source.replace(anchor, "")}
-    )
-    assert any(
-        "'_parked'" in f.message and "neither RCV_NODE_CANON" in f.message
-        for f in findings
-    ), findings
-
-
-def test_state_canon_catches_stale_table_entry():
-    source = (ROOT / FINGERPRINT).read_text()
-    anchor = '"_parked": _enc_parked,'
-    assert anchor in source
-    mutated = source.replace(
-        anchor, anchor + '\n    "ghost_attr": int,'
-    )
-    findings = _state_canon_findings({FINGERPRINT: mutated})
-    assert any(
-        "'ghost_attr'" in f.message and "stale" in f.message
-        for f in findings
-    ), findings
-
-
-def test_state_canon_requires_exclusion_justification():
-    source = (ROOT / FINGERPRINT).read_text()
-    anchor = '"_fwd_rng"'
-    assert anchor in source
-    # Blank out the justification string of one excluded entry.
-    start = source.index(anchor)
-    colon = source.index(":", start)
-    end = source.index(",\n", colon)
-    mutated = source[: colon + 1] + ' ""' + source[end:]
-    findings = _state_canon_findings({FINGERPRINT: mutated})
-    assert any(
-        "'_fwd_rng'" in f.message and "justification" in f.message
-        for f in findings
-    ), findings
-
-
-def test_state_canon_missing_anchor_is_itself_a_finding():
-    source = (ROOT / FINGERPRINT).read_text()
-    mutated = source.replace("QUORUM_NODE_CANON = {", "QUORUM_TBL = {", 1)
-    findings = _state_canon_findings({FINGERPRINT: mutated})
-    assert any(
-        "QUORUM_NODE_CANON" in f.message
-        and "no longer module-level dict literals" in f.message
-        for f in findings
-    ), findings
+    ]

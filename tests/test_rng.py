@@ -1,6 +1,17 @@
 """Tests for seeded random stream management."""
 
+import pytest
+
 from repro.sim.rng import RngRegistry, spawn_seed
+from repro.sim.streams import (
+    NODE_KIND_DRIVER,
+    NODE_STREAM_KINDS,
+    STREAM_NAMES,
+    STREAM_NET_DELAY,
+    STREAM_NET_FAULTS,
+    UnregisteredStreamError,
+    node_stream_name,
+)
 
 
 def test_spawn_seed_deterministic():
@@ -21,27 +32,71 @@ def test_spawn_seed_is_stable_across_runs():
 
 def test_streams_are_cached_and_independent():
     reg = RngRegistry(7)
-    a1 = reg.stream("a")
-    a2 = reg.stream("a")
-    b = reg.stream("b")
+    a1 = reg.stream(STREAM_NET_DELAY)
+    a2 = reg.stream(STREAM_NET_DELAY)
+    b = reg.stream(STREAM_NET_FAULTS)
     assert a1 is a2
     assert a1 is not b
     # Drawing from b must not affect a's sequence.
     reg2 = RngRegistry(7)
-    expected = [reg2.stream("a").random() for _ in range(5)]
+    expected = [reg2.stream(STREAM_NET_DELAY).random() for _ in range(5)]
     _ = [b.random() for _ in range(100)]
     assert [a1.random() for _ in range(5)] == expected
 
 
 def test_same_seed_same_sequences():
-    r1 = RngRegistry(123).stream("x")
-    r2 = RngRegistry(123).stream("x")
+    r1 = RngRegistry(123).stream(STREAM_NET_DELAY)
+    r2 = RngRegistry(123).stream(STREAM_NET_DELAY)
     assert [r1.random() for _ in range(10)] == [r2.random() for _ in range(10)]
 
 
 def test_node_stream_naming():
     reg = RngRegistry(0)
-    s = reg.node_stream("arrivals", 3)
-    assert s is reg.stream("arrivals/3")
-    assert "arrivals/3" in reg
+    s = reg.node_stream(NODE_KIND_DRIVER, 3)
+    assert s is reg.stream("driver/3")
+    assert "driver/3" in reg
     assert len(reg) == 1
+
+
+# ----------------------------------------------------------------------
+# the registry (sim/streams.py) refuses what it does not declare
+# ----------------------------------------------------------------------
+def test_every_registered_name_and_kind_is_accepted():
+    reg = RngRegistry(0)
+    for name in STREAM_NAMES:
+        reg.stream(name)
+    for kind in NODE_STREAM_KINDS:
+        reg.node_stream(kind, 0)
+    assert len(reg) == len(STREAM_NAMES) + len(NODE_STREAM_KINDS)
+
+
+def test_unknown_full_stream_name_is_refused():
+    reg = RngRegistry(0)
+    with pytest.raises(UnregisteredStreamError) as err:
+        reg.stream("net/delya")  # the typo-fork the registry exists for
+    assert "'net/delya'" in str(err.value)
+    assert "src/repro/sim/streams.py" in str(err.value)
+    assert "net/delya" not in reg
+
+
+def test_unknown_per_node_kind_is_refused():
+    reg = RngRegistry(0)
+    for make in (
+        lambda: reg.node_stream("arrivals", 3),
+        lambda: node_stream_name("arrivals", 3),
+    ):
+        with pytest.raises(UnregisteredStreamError) as err:
+            make()
+        assert "'arrivals'" in str(err.value)
+        assert "src/repro/sim/streams.py" in str(err.value)
+    assert len(reg) == 0
+
+
+def test_dynamic_stream_name_is_refused():
+    # A name built at run time, which no scan of string literals sees.
+    reg = RngRegistry(0)
+    for kind in ("arrivals", "net"):
+        with pytest.raises(UnregisteredStreamError):
+            reg.stream(f"{kind}/3")
+    reg.stream(f"{NODE_KIND_DRIVER}/3")  # registered kind: fine
+

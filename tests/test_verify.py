@@ -24,7 +24,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.verify import VerifyError, World, check, make_model
+from repro.core.node import RCVNode
+from repro.core.state import SystemInfo
+from repro.verify import VerifyError, World, check, fingerprint, make_model
+from repro.verify.fingerprint import FingerprintError
 from repro.verify.checker import Checker
 from repro.verify.schedule import (
     load_schedule,
@@ -148,6 +151,85 @@ def test_unknown_algorithm_and_options_raise():
         check("rcv", 3, search="sideways")
     with pytest.raises(VerifyError):
         check("rcv", 3, checks=("me", "vibes"))
+
+
+# ----------------------------------------------------------------------
+# canon coverage: every world construction checks the fingerprint
+# tables against the live node (verify/fingerprint.py)
+# ----------------------------------------------------------------------
+def _canon_error(model):
+    with pytest.raises(FingerprintError) as err:
+        World(model)
+    assert "src/repro/verify/fingerprint.py" in str(err.value)
+    return str(err.value)
+
+
+def test_canon_guard_catches_new_node_attribute():
+    class Shiny(RCVNode):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.shiny_new_state = 0
+
+    message = _canon_error(make_model("rcv", 3, node_cls=Shiny))
+    assert "'shiny_new_state'" in message
+    assert "neither RCV_NODE_CANON nor RCV_NODE_EXCLUDED" in message
+
+
+def test_canon_guard_catches_new_systeminfo_slot():
+    class ShinySI(SystemInfo):
+        __slots__ = ("_shiny_slot",)
+
+    class Shiny(RCVNode):
+        def __init__(self, node_id, n_nodes, *args, **kwargs):
+            super().__init__(node_id, n_nodes, *args, **kwargs)
+            self.si = ShinySI(n_nodes)
+
+    message = _canon_error(make_model("rcv", 3, node_cls=Shiny))
+    assert "'_shiny_slot'" in message
+    assert "neither SYSTEMINFO_CANON nor SYSTEMINFO_EXCLUDED" in message
+
+
+@pytest.mark.parametrize(
+    "table, change, complaint",
+    [
+        (
+            "RCV_NODE_CANON",
+            lambda t: t.pop("_parked"),
+            "['_parked'] are in neither RCV_NODE_CANON nor",
+        ),
+        (
+            "RCV_NODE_CANON",
+            lambda t: t.update(ghost_attr=int),
+            "['ghost_attr'] are stale entries of RCV_NODE_CANON",
+        ),
+        (
+            "RA_NODE_EXCLUDED",
+            lambda t: t.update(ghost_attr="long gone"),
+            "['ghost_attr'] are stale entries of RA_NODE_EXCLUDED",
+        ),
+        (
+            "RCV_NODE_EXCLUDED",
+            lambda t: t.update(_fwd_rng=" "),
+            "['_fwd_rng'] have no justification in RCV_NODE_EXCLUDED",
+        ),
+        (
+            "QUORUM_NODE_EXCLUDED",
+            lambda t: t.update(clock="also canon"),
+            "['clock'] are in both QUORUM_NODE_CANON and QUORUM_NODE_EXCLUDED",
+        ),
+    ],
+    ids=["dropped", "ghost-canon", "ghost-excluded", "blank", "both"],
+)
+def test_canon_guard_catches_a_table_that_drifted(
+    table, change, complaint, monkeypatch
+):
+    mutated = dict(getattr(fingerprint, table))
+    change(mutated)
+    monkeypatch.setattr(fingerprint, table, mutated)
+    algo = {"RCV": "rcv", "RA": "ricart_agrawala", "QUORUM": "maekawa"}[
+        table.split("_")[0]
+    ]
+    assert complaint in _canon_error(make_model(algo, 3))
 
 
 # ----------------------------------------------------------------------
