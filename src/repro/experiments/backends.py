@@ -54,7 +54,14 @@ and the atomic section a rule reads and writes in.  Four media ship:
   (:mod:`repro.experiments.service`, ``python -m repro.cli
   cell-server``).  The **shared-nothing** option: workers on any
   number of hosts need only a TCP route to the server, which runs the
-  rules over a :class:`MemoryBackend` — one clock, one lock.
+  rules over a :class:`MemoryBackend` — one clock, one lock.  Every
+  request is one ``_call`` naming an entry of the wire table in
+  :mod:`repro.experiments.protocol`, which spells the path and body.
+
+Keys are opaque but not arbitrary: the directory medium turns one into
+a file name, so it refuses a key that is not a single path component
+(``ValueError``), and the cell service refuses anything outside
+``[0-9A-Za-z_-]{1,128}`` on the wire.
 """
 
 from __future__ import annotations
@@ -70,7 +77,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Protocol, Tuple, Union
 
-from repro.experiments.protocol import API_PREFIX
+from repro.experiments.protocol import ENDPOINTS, encode, path_for
 
 __all__ = [
     "BackendUnavailableError",
@@ -253,6 +260,15 @@ _RECORD_FILES = {
 }
 
 
+def _component(key: str) -> str:
+    """``key`` as the single path component it must be: here a key
+    becomes a path, whatever sits in front of the store, and ``../x``
+    would land outside the root."""
+    if not key or key.startswith(".") or "/" in key or os.sep in key:
+        raise ValueError(f"cell key {key!r} is not a single path component")
+    return key
+
+
 def _pid_alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)
@@ -291,6 +307,7 @@ class DirectoryBackend:
 
     # -- storage -------------------------------------------------------
     def path_for(self, key: str) -> Path:
+        key = _component(key)
         return self.root / key[:2] / f"{key}.json"
 
     def _write_atomic(self, path: Path, text: str, new: bool = False) -> bool:
@@ -332,7 +349,8 @@ class DirectoryBackend:
 
     # -- the record store ----------------------------------------------
     def _record_path(self, table: str, key: str) -> Path:
-        return self.root / f".{table}" / f"{key}.{_RECORD_FILES[table][0]}"
+        suffix = _RECORD_FILES[table][0]
+        return self.root / f".{table}" / f"{_component(key)}.{suffix}"
 
     def read(self, table: str, key: str) -> Any:
         try:
@@ -641,57 +659,51 @@ class ServiceBackend:
                     raise self._unavailable(exc) from exc
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _json(self, method: str, path: str, doc: Optional[dict] = None):
-        body = json.dumps(doc, sort_keys=True) if doc is not None else None
-        status, text = self._request(method, path, body)
+    def _call(self, name: str, key: Optional[str] = None, **fields):
+        """One operation of the protocol table: ``(status, reply)``."""
+        op = ENDPOINTS[name]
+        if "key" in op.fields:
+            fields["key"] = key
+        path = path_for(name, key)
+        status, text = self._request(
+            op.method, path, encode(fields) if op.fields else None
+        )
         try:
             payload = json.loads(text) if text else {}
         except json.JSONDecodeError:
             payload = {"error": text.strip()[:200]}
         if status >= 400 and status != 404:
             raise RuntimeError(
-                f"cell service {self.url} rejected {method} {path}: "
+                f"cell service {self.url} rejected {op.method} {path}: "
                 f"{payload.get('error', f'HTTP {status}')}"
             )
         return status, payload
 
-    @staticmethod
-    def _cell_path(key: str) -> str:
-        return f"{API_PREFIX}/cells/{urllib.parse.quote(key, safe='')}"
-
     # -- storage -------------------------------------------------------
     def get(self, key: str) -> Optional[str]:
-        status, doc = self._json("GET", self._cell_path(key))
+        status, doc = self._call("get", key)
         return None if status == 404 else doc["value"]
 
     def put(self, key: str, value: str) -> None:
-        self._json("PUT", self._cell_path(key), {"value": value})
+        self._call("put", key, value=value)
 
     def keys(self) -> Iterator[str]:
-        _, doc = self._json("GET", f"{API_PREFIX}/cells")
-        return iter(doc["keys"])
+        return iter(self._call("cells")[1]["keys"])
 
     def __len__(self) -> int:
-        _, doc = self._json("GET", f"{API_PREFIX}/cells")
-        return doc["count"]
+        return self._call("cells")[1]["count"]
 
     # -- leases --------------------------------------------------------
     def claim(self, key: str, owner: str, ttl: float) -> bool:
-        _, doc = self._json(
-            "POST", f"{API_PREFIX}/claim", {"key": key, "owner": owner, "ttl": ttl}
-        )
+        _, doc = self._call("claim", key, owner=owner, ttl=ttl)
         self._claim_quarantined[key] = doc.get("quarantined", False)
         return doc["granted"]
 
     def release(self, key: str, owner: str) -> bool:
-        body = {"key": key, "owner": owner}
-        return self._json("POST", f"{API_PREFIX}/release", body)[1]["released"]
+        return self._call("release", key, owner=owner)[1]["released"]
 
     def renew(self, key: str, owner: str, ttl: float) -> bool:
-        _, doc = self._json(
-            "POST", f"{API_PREFIX}/renew", {"key": key, "owner": owner, "ttl": ttl}
-        )
-        return doc["renewed"]
+        return self._call("renew", key, owner=owner, ttl=ttl)[1]["renewed"]
 
     # -- failures / quarantine -----------------------------------------
     def record_failure(self, key: str, owner: str, error: str) -> int:
@@ -700,27 +712,16 @@ class ServiceBackend:
         # *response* was lost would be recorded twice, spending the
         # quarantine budget on phantom crashes.  The random id lets
         # the server drop the duplicate.
-        _, doc = self._json(
-            "POST",
-            f"{API_PREFIX}/fail",
-            {
-                "key": key,
-                "owner": owner,
-                "error": error,
-                # repro-lint: allow(determinism) -- dedup nonce for a lossy transport, never replayed
-                "id": os.urandom(8).hex(),
-            },
-        )
+        # repro-lint: allow(determinism) -- dedup nonce for a lossy transport, never replayed
+        nonce = os.urandom(8).hex()
+        _, doc = self._call("record_failure", key, owner=owner, error=error, id=nonce)
         return doc["count"]
 
     def failures(self, key: str) -> List[dict]:
-        status, doc = self._json(
-            "GET", f"{API_PREFIX}/quarantine/{urllib.parse.quote(key, safe='')}"
-        )
-        return doc.get("failures", [])
+        return self._call("quarantine_entry", key)[1].get("failures", [])
 
     def quarantine(self, key: str) -> None:
-        self._json("POST", f"{API_PREFIX}/quarantine", {"key": key})
+        self._call("quarantine", key)
         self._claim_quarantined[key] = True
 
     def is_quarantined(self, key: str) -> bool:
@@ -733,21 +734,16 @@ class ServiceBackend:
         cached = self._claim_quarantined.get(key)
         if cached is not None:
             return cached
-        status, doc = self._json(
-            "GET", f"{API_PREFIX}/quarantine/{urllib.parse.quote(key, safe='')}"
-        )
-        return doc.get("quarantined", False)
+        return self._call("quarantine_entry", key)[1].get("quarantined", False)
 
     def quarantined(self) -> Dict[str, dict]:
-        _, doc = self._json("GET", f"{API_PREFIX}/quarantine")
-        return doc["cells"]
+        return self._call("quarantined")[1]["cells"]
 
     # -- monitoring ----------------------------------------------------
     def stats(self) -> dict:
         """The server's ``/v1/stats`` document: lease table, per-owner
         throughput counters, quarantine list (see docs/operations.md)."""
-        _, doc = self._json("GET", f"{API_PREFIX}/stats")
-        return doc
+        return self._call("stats")[1]
 
     def close(self) -> None:
         if self._conn is not None:

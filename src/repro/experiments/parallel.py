@@ -236,6 +236,10 @@ def run_cells(
             raise ValueError(
                 f"max_failures must be >= 1, got {max_failures}"
             )
+        if not 0 < lease_ttl < float("inf"):  # NaN fails both
+            raise ValueError(
+                f"lease_ttl must be a finite number of seconds > 0, got {lease_ttl}"
+            )
         owner = owner or default_owner()
 
     results: List[Optional[RunResult]] = [None] * len(specs)

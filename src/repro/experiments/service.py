@@ -28,10 +28,15 @@ Design decisions worth knowing:
   restarting the server frees every lease (workers just re-claim) and
   clears quarantine (deliberate — a restart is the documented way to
   re-try quarantined cells after a fix).
-* **Versioned protocol.**  Every path is prefixed ``/v1``; any other
-  prefix is rejected with HTTP 400 and an error naming the version
-  this server speaks, so a client/server mismatch fails loudly at the
-  first request instead of corrupting a campaign.
+* **Versioned protocol, described once.**  Every path is prefixed
+  ``/v1``; any other prefix is rejected with HTTP 400 and an error
+  naming the version this server speaks, so a client/server mismatch
+  fails loudly at the first request instead of corrupting a campaign.
+  This module spells none of it: the handler's one dispatch asks
+  :mod:`repro.experiments.protocol` which table entry a request
+  matches and what its typed fields are, then calls the
+  ``_ServiceState`` method of that name — a field of the wrong type
+  is a 400 naming it, and never reaches the state.
 * **Monitoring built in.**  ``GET /v1/stats`` exposes the live lease
   table and per-owner counters (claims, commits, failures, renews) —
   per-worker throughput for a running campaign without touching the
@@ -56,17 +61,23 @@ Design decisions worth knowing:
 from __future__ import annotations
 
 import io
-import json
 import socket
 import threading
 import time
-import urllib.parse
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.experiments.backends import CacheBackend, MemoryBackend
-from repro.experiments.protocol import API_PREFIX, PROTOCOL_VERSION
+from repro.experiments.protocol import (
+    API_PREFIX,
+    PROTOCOL_VERSION,
+    WireError,
+    decode,
+    encode,
+    match,
+    validate,
+)
 
 __all__ = ["CellServer", "PROTOCOL_VERSION", "API_PREFIX"]
 
@@ -149,7 +160,15 @@ class _ServiceState:
             return {"renewed": renewed}
 
     # -- cells ---------------------------------------------------------
-    def put(self, key: str, value: str) -> None:
+    def cells(self) -> dict:
+        keys = sorted(self.store.keys())
+        return {"keys": keys, "count": len(keys)}
+
+    def get(self, key: str) -> dict:
+        value = self.store.get(key)
+        return {"found": False} if value is None else {"found": True, "value": value}
+
+    def put(self, key: str, value: str) -> dict:
         # Attribute the commit to the lease holder (the façade's put
         # carries no owner; the lease table knows whose cell this is).
         with self.lock:
@@ -157,11 +176,10 @@ class _ServiceState:
             owner = held["owner"] if held is not None else "(unleased)"
             self._touch(owner)["commits"] += 1
         self.store.put(key, value)
+        return {"stored": True}
 
     # -- failures / quarantine -----------------------------------------
-    def record_failure(
-        self, key: str, owner: str, error: str, request_id: str = ""
-    ) -> dict:
+    def record_failure(self, key: str, owner: str, error: str, id: str = "") -> dict:
         with self.lock:
             records = self.arbiter.failures(key)
             # Idempotency: a client that lost the *response* retries
@@ -169,24 +187,23 @@ class _ServiceState:
             # one real crash never spends two units of the
             # quarantine budget.  (Records are capped by the failure
             # budget, so the scan is a handful of entries.)
-            duplicate = request_id and any(
-                r.get("id") == request_id for r in records
-            )
+            duplicate = id and any(r.get("id") == id for r in records)
             record = self._touch(owner)
             count = len(records)
             if not duplicate:
                 record["failures"] += 1
-                count = self.arbiter.record_failure(
-                    key, owner, error, id=request_id
-                )
+                count = self.arbiter.record_failure(key, owner, error, id=id)
             return {
                 "count": count,
                 "quarantined": self.arbiter.is_quarantined(key),
             }
 
-    def mark_quarantined(self, key: str) -> dict:
+    def quarantine(self, key: str) -> dict:
         self.arbiter.quarantine(key)
         return {"quarantined": True}
+
+    def quarantined(self) -> dict:
+        return {"cells": self.arbiter.quarantined()}
 
     def quarantine_entry(self, key: str) -> dict:
         entry = self.arbiter.quarantined().get(key)
@@ -278,7 +295,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.state.count_request(
             f"{self.command} {endpoint}" if endpoint else "other"
         )
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        body = encode(payload).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -297,167 +314,51 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile = sock_file
         self.wfile.write(head + body)
 
-    def _body_json(self) -> Optional[dict]:
+    def _read_body(self, header: str) -> bytes:
         # Content-Length is bytes off a socket: a non-number used to
         # kill the handler thread with no reply, a negative one made
         # rfile.read block until the peer hung up, and a huge one
         # raised MemoryError.
-        header = self.headers.get("Content-Length") or "0"
         try:
             length = int(header)
         except ValueError:
             length = -1
-        refusal = None
         if length < 0:
-            refusal = 400, f"Content-Length {header!r} is not a non-negative integer"
-        elif length > _MAX_BODY_BYTES:
-            refusal = 413, (
+            raise WireError(
+                400, f"Content-Length {header!r} is not a non-negative integer"
+            )
+        if length > _MAX_BODY_BYTES:
+            raise WireError(
+                413,
                 f"request body of {length} bytes exceeds the "
-                f"{_MAX_BODY_BYTES}-byte limit"
+                f"{_MAX_BODY_BYTES}-byte limit",
             )
-        if refusal is not None:
-            self._reply(refusal[0], {"error": refusal[1]}, close=True)
-            return None
-        raw = self.rfile.read(length)
+        return self.rfile.read(length)
+
+    def _dispatch(self) -> None:
+        """Every request: version gate and match, then (for an
+        operation that takes a body) read and validate, then the state
+        method the table names.  All the protocol is in
+        :mod:`repro.experiments.protocol`."""
+        length = self.headers.get("Content-Length") or "0"
+        # Until _read_body returns, whatever body the client sent is
+        # still on the socket, and the reply must close the connection.
+        unread = length != "0"
         try:
-            doc = json.loads(raw.decode("utf-8")) if raw else {}
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            self._reply(400, {"error": "request body is not valid JSON"})
-            return None
-        if not isinstance(doc, dict):
-            self._reply(400, {"error": "request body must be a JSON object"})
-            return None
-        return doc
-
-    def _route(self) -> Optional[List[str]]:
-        """Split a validated ``/v1/...`` path, or reply 400/None.
-
-        The version gate: any other prefix (including a future ``/v2``)
-        is refused with an error naming the version this server speaks,
-        so mismatched deployments fail at the first request.
-        """
-        path = urllib.parse.urlsplit(self.path).path
-        if path != API_PREFIX and not path.startswith(API_PREFIX + "/"):
-            self._reply(
-                400,
-                {
-                    "error": (
-                        f"unsupported protocol version for path {path!r}: "
-                        f"this server speaks v{PROTOCOL_VERSION} "
-                        f"(paths under {API_PREFIX}/). Upgrade the older "
-                        "side so client and server agree."
-                    ),
-                    "protocol": PROTOCOL_VERSION,
-                },
-            )
-            return None
-        return [
-            urllib.parse.unquote(part)
-            for part in path[len(API_PREFIX) :].split("/")
-            if part
-        ]
-
-    # -- verbs ---------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        parts = self._route()
-        if parts is None:
+            op, args = match(self.command, self.path)
+            if op.fields:
+                raw = self._read_body(length)
+                unread = False
+                args.update(validate(op, decode(raw)))
+        except WireError as refusal:
+            self._reply(refusal.status, refusal.payload, close=unread)
             return
-        state = self.state
-        if parts == ["stats"]:
-            self._reply(200, state.stats(), endpoint="stats")
-        elif parts == ["cells"]:
-            keys = sorted(state.store.keys())
-            self._reply(200, {"keys": keys, "count": len(keys)}, endpoint="cells")
-        elif len(parts) == 2 and parts[0] == "cells":
-            value = state.store.get(parts[1])
-            if value is None:
-                self._reply(404, {"found": False}, endpoint="cells")
-            else:
-                self._reply(200, {"found": True, "value": value}, endpoint="cells")
-        elif parts == ["quarantine"]:
-            self._reply(
-                200, {"cells": state.arbiter.quarantined()}, endpoint="quarantine"
-            )
-        elif len(parts) == 2 and parts[0] == "quarantine":
-            self._reply(
-                200, state.quarantine_entry(parts[1]), endpoint="quarantine"
-            )
-        else:
-            self._reply(404, {"error": f"no such endpoint: GET {self.path}"})
+        payload = getattr(self.state, op.name)(**args)
+        # The one reply whose status is not 200: a cell that is not there.
+        code = 404 if payload.get("found") is False else 200
+        self._reply(code, payload, endpoint=op.resource, close=unread)
 
-    def do_PUT(self) -> None:  # noqa: N802
-        parts = self._route()
-        if parts is None:
-            return
-        if len(parts) == 2 and parts[0] == "cells":
-            doc = self._body_json()
-            if doc is None:
-                return
-            if not isinstance(doc.get("value"), str):
-                self._reply(
-                    400, {"error": 'PUT body must be {"value": "<text>"}'}
-                )
-                return
-            self.state.put(parts[1], doc["value"])
-            self._reply(200, {"stored": True}, endpoint="cells")
-        else:
-            self._reply(404, {"error": f"no such endpoint: PUT {self.path}"})
-
-    def do_POST(self) -> None:  # noqa: N802
-        parts = self._route()
-        if parts is None:
-            return
-        doc = self._body_json()
-        if doc is None:
-            return
-        state = self.state
-        try:
-            if parts == ["claim"]:
-                self._reply(
-                    200,
-                    state.claim(
-                        doc["key"], doc["owner"], float(doc["ttl"])
-                    ),
-                    endpoint="claim",
-                )
-            elif parts == ["release"]:
-                self._reply(
-                    200,
-                    state.release(doc["key"], doc["owner"]),
-                    endpoint="release",
-                )
-            elif parts == ["renew"]:
-                self._reply(
-                    200,
-                    state.renew(
-                        doc["key"], doc["owner"], float(doc["ttl"])
-                    ),
-                    endpoint="renew",
-                )
-            elif parts == ["fail"]:
-                self._reply(
-                    200,
-                    state.record_failure(
-                        doc["key"],
-                        doc["owner"],
-                        str(doc["error"]),
-                        str(doc.get("id", "")),
-                    ),
-                    endpoint="fail",
-                )
-            elif parts == ["quarantine"]:
-                self._reply(
-                    200, state.mark_quarantined(doc["key"]), endpoint="quarantine"
-                )
-            else:
-                self._reply(
-                    404, {"error": f"no such endpoint: POST {self.path}"}
-                )
-        except (KeyError, TypeError, ValueError) as exc:
-            self._reply(
-                400,
-                {"error": f"malformed request for POST {self.path}: {exc!r}"},
-            )
+    do_GET = do_PUT = do_POST = _dispatch  # noqa: N815 (http.server API)
 
 
 class _Server(ThreadingHTTPServer):

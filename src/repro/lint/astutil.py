@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set
+from typing import Dict, Optional
 
-__all__ = [
-    "import_aliases",
-    "qualified_name",
-    "docstring_constants",
-    "walk_constants",
-]
+__all__ = ["import_aliases", "qualified_name"]
 
 
 def import_aliases(tree: ast.AST) -> Dict[str, str]:
@@ -55,34 +50,3 @@ def qualified_name(
         return None
     parts.append(base)
     return ".".join(reversed(parts))
-
-
-def docstring_constants(tree: ast.AST) -> Set[int]:
-    """``id()`` of every Constant node that is a docstring."""
-    out: Set[int] = set()
-    for node in ast.walk(tree):
-        if isinstance(
-            node,
-            (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
-        ):
-            body = node.body
-            if (
-                body
-                and isinstance(body[0], ast.Expr)
-                and isinstance(body[0].value, ast.Constant)
-                and isinstance(body[0].value.value, str)
-            ):
-                out.add(id(body[0].value))
-    return out
-
-
-def walk_constants(tree: ast.AST) -> Iterator[ast.Constant]:
-    """Every string Constant that is not a docstring."""
-    docstrings = docstring_constants(tree)
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and id(node) not in docstrings
-        ):
-            yield node

@@ -8,9 +8,9 @@ under a stable id with the :func:`rule` decorator::
         ...
 
 Rules are whole-tree passes, not per-file visitors: cross-file
-invariants (cache-key completeness, wire-protocol single-homing) are
-the point of this linter, and a rule that only needs per-file scanning
-simply iterates ``ctx.scan_trees()``.
+invariants (cache-key completeness, no wall clock anywhere in the
+deterministic core) are the point of this linter, and a rule that only
+needs per-file scanning simply iterates ``ctx.scan_trees()``.
 """
 
 from __future__ import annotations

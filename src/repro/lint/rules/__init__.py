@@ -2,4 +2,4 @@
 :mod:`repro.lint.registry`; add a module here (with an ``@rule(...)``
 function) to ship a new rule — see docs/static-analysis.md."""
 
-from repro.lint.rules import cache_key, determinism, wire_protocol  # noqa: F401
+from repro.lint.rules import cache_key, determinism  # noqa: F401

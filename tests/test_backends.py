@@ -308,6 +308,22 @@ def test_gc_leaves_cells_and_leases_alone(tmp_path):
     assert not reopened.claim("aabbcc", "bob", ttl=60.0)
 
 
+@pytest.mark.parametrize("key", ["../escaped", "a/b", ".leases", ".", ""])
+def test_directory_key_must_be_one_path_component(tmp_path, key):
+    """Where a key becomes a path — whatever sits in front of the
+    store — it cannot leave the root or land in a record table."""
+    backend = DirectoryBackend(tmp_path / "deep" / "cells")
+    for call in (
+        lambda: backend.put(key, "v"),
+        lambda: backend.get(key),
+        lambda: backend.claim(key, "w", ttl=60.0),
+        lambda: backend.record_failure(key, "w", "boom"),
+    ):
+        with pytest.raises(ValueError, match="single path component"):
+            call()
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
 def test_directory_lease_appears_complete_and_leaves_no_tmp(tmp_path):
     """A lease is linked into place with its payload — a peer never
     reads a half-made one (an empty file used to read as garbage and

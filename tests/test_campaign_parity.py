@@ -244,6 +244,17 @@ def test_steal_requires_a_cache():
         run_cells(_steal_specs(), steal=True)
 
 
+@pytest.mark.parametrize("ttl", [-5.0, 0.0, float("inf"), float("nan")])
+def test_steal_refuses_a_lease_ttl_no_lease_can_have(ttl, make_cache):
+    """``--lease-ttl -5`` used to make every lease born expired (each
+    worker 'steals' every cell at once); the wire refuses the same
+    values with a 400."""
+    with pytest.raises(ValueError, match="lease_ttl must be a finite"):
+        run_cells(
+            _steal_specs(), cache=make_cache("memory"), steal=True, lease_ttl=ttl
+        )
+
+
 # ----------------------------------------------------------------------
 # retry / quarantine: deterministic crashes stop ping-ponging
 # ----------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Every relative markdown link in the documentation set must resolve to
 a real file (anchors are stripped; external http(s)/mailto links are
-skipped), and every ``--flag`` a fenced ``repro.cli <subcommand>``
-recipe passes must be one that subcommand accepts.  Run standalone by
-the CI docs step::
+skipped), every ``--flag`` a fenced ``repro.cli <subcommand>``
+recipe passes must be one that subcommand accepts, and the endpoints
+``docs/operations.md`` lists must be the wire table's.  Run standalone
+by the CI docs step::
 
     PYTHONPATH=src python -m pytest tests/test_docs_links.py -q
 """
@@ -125,3 +126,20 @@ def test_cli_recipes_pass_only_flags_the_cli_accepts(doc):
         or flag not in parsers[command]._option_string_actions
     ]
     assert not unknown, f"{doc.name}: the CLI does not accept {unknown}"
+
+
+def test_operations_md_lists_exactly_the_wire_table():
+    """"The HTTP protocol" is the prose copy of
+    ``repro.experiments.protocol.ENDPOINTS``: every endpoint once, and
+    none the server does not serve."""
+    from repro.experiments.protocol import API_PREFIX, ENDPOINTS
+
+    text = (REPO / "docs" / "operations.md").read_text(encoding="utf-8")
+    section = text.split("\n## The HTTP protocol", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(
+        rf"^(GET|PUT|POST)\s+({API_PREFIX}/\S+)", section, re.MULTILINE
+    )
+    assert sorted(documented) == sorted(
+        (op.method, f"{API_PREFIX}/{op.resource}" + "/<key>" * op.keyed)
+        for op in ENDPOINTS.values()
+    )

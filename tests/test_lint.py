@@ -58,12 +58,12 @@ def test_pragma_inline_covers_its_own_line():
 
 def test_pragma_standalone_covers_the_next_line():
     parse = parse_pragmas(
-        "# repro-lint: allow(determinism, wire-protocol) -- both\n"
+        "# repro-lint: allow(determinism, cache-key) -- both\n"
         "x = wall()\n"
     )
     assert not parse.errors
     assert 1 not in parse.pragmas
-    assert parse.pragmas[2].rules == ("determinism", "wire-protocol")
+    assert parse.pragmas[2].rules == ("determinism", "cache-key")
     assert parse.pragmas[2].standalone
 
 
@@ -186,43 +186,6 @@ def test_cache_key_rule_reports_through_the_linter(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# wire-protocol
-# ----------------------------------------------------------------------
-def test_wire_protocol_flags_handwritten_paths():
-    overlay = {
-        "src/repro/experiments/fake.py": (
-            'A = "/v1/claim"\n'
-            'B = f"/v1/cells/{key}"\n'
-            'HELP = "see /v1/stats for details"\n'  # mid-string: fine
-        )
-    }
-    report = run_lint(ROOT, select=["wire-protocol"], overlay=overlay)
-    assert _lines(report, "wire-protocol", "fake.py") == [1, 2]
-
-
-def test_wire_protocol_flags_redeclared_version():
-    overlay = {"src/repro/experiments/fake.py": "PROTOCOL_VERSION = 2\n"}
-    report = run_lint(ROOT, select=["wire-protocol"], overlay=overlay)
-    assert any(
-        "re-declared" in f.message and f.path.endswith("fake.py")
-        for f in report.findings
-    )
-
-
-def test_wire_protocol_flags_unsorted_reply_json():
-    path = "src/repro/experiments/service.py"
-    source = (ROOT / path).read_text()
-    mutated = source.replace(
-        "json.dumps(payload, sort_keys=True)", "json.dumps(payload)"
-    )
-    assert mutated != source
-    report = run_lint(ROOT, select=["wire-protocol"], overlay={path: mutated})
-    assert any(
-        "sort_keys" in f.message and f.path == path for f in report.findings
-    )
-
-
-# ----------------------------------------------------------------------
 # pragma hygiene + parse errors
 # ----------------------------------------------------------------------
 def test_stale_pragma_is_flagged_on_full_runs():
@@ -323,5 +286,4 @@ def test_cli_list_rules_names_exactly_the_three():
     assert [line.split()[0] for line in proc.stdout.splitlines()] == [
         "cache-key",
         "determinism",
-        "wire-protocol",
     ]
