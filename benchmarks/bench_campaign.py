@@ -42,13 +42,17 @@ RCV vs Maekawa and records NME, mean sync delay, and completion rate
 per point — plus, for RCV, the same grid over the reliable
 (ack/retransmit) channel as a ``completion_rate_retx`` column: the
 completion cliff and its flattening side by side.
+The grid runs through ``run_cells`` like every sweep, so the section
+also records its wall clock cold on one worker, resumed from the
+cache the cold run filled, and cold over a 2-process pool.
 ``test_campaign_fault_smoke`` is its CI twin: a tiny campaign with
-one clean, one dup, one heavy-drop, and one crash-at-t=0 cell — the
-lossy pair strands, burns its retry budget, and is quarantined while
-the clean results stay untouched.
-``test_campaign_fault_recovery_smoke`` inverts it (the heavy-drop
-cell completes under retx, nothing quarantined, clean cells
-bit-for-bit untouched) and ``test_retx_completion_floor_under_drop``
+one clean, one dup, one heavy-drop, and one partitioned cell — the
+lossy pair strands and comes back, computed once, as results with
+completion < 1, the campaign is complete and the clean results stay
+untouched — plus a crashing cell, which is what still burns the
+retry budget and is quarantined.
+``test_campaign_fault_recovery_smoke`` is the heavy-drop cell
+completing under retx (clean cells bit-for-bit untouched) and ``test_retx_completion_floor_under_drop``
 guards the >= 0.99 with-retx completion floor at drop p = 0.1 for
 N in {50, 100, 200}.
 """
@@ -450,14 +454,16 @@ def _per_cell_section():
 
 
 # ----------------------------------------------------------------------
-# CI smoke: a faulty campaign quarantines its liveness-losing cells
+# CI smoke: a faulty campaign measures lost liveness, quarantines crashes
 # ----------------------------------------------------------------------
 def test_campaign_fault_smoke(tmp_path=None):
     """A campaign mixing clean, liveness-preserving, and
-    liveness-losing fault cells: the strict require-completion default
-    turns stranded runs into failures, the retry budget is spent (the
-    failure is deterministic), the cells land in quarantine, and the
-    clean cells are completely unaffected (see docs/faults.md)."""
+    liveness-losing fault cells finishes complete: a faulted cell
+    that strands is a result with completion < 1, computed once — not
+    a failure retried three times and quarantined — and the clean
+    cell is completely unaffected.  Quarantine is for crashes: a cell
+    whose computation raises still burns the whole failure budget and
+    lands there (see docs/faults.md)."""
     from repro.experiments import Campaign
     from repro.workload.runner import run_scenario
 
@@ -467,38 +473,48 @@ def test_campaign_fault_smoke(tmp_path=None):
     heavy_drop = CellSpec(
         "rcv", 6, 0, ("burst", 1), faults=(("drop", 0.9),)
     )
-    crash = CellSpec(
-        "rcv", 6, 0, ("burst", 1), faults=(("crash", ((0, 0.0),)),)
+    partition = CellSpec(
+        "rcv", 6, 0, ("burst", 1), faults=(("partition", ((0.0, 40.0, 3),)),)
     )
     campaign = Campaign(name="fault-smoke")
-    campaign.cells.extend([clean, dup, heavy_drop, crash])
+    campaign.cells.extend([clean, dup, heavy_drop, partition])
 
     cache = CellCache(backend=SQLiteBackend(root / "cells.sqlite"))
-    result = campaign.run(
-        max_workers=1,
-        cache=cache,
-        steal=True,
-        owner="worker-1",
+    steal = dict(
+        max_workers=1, cache=cache, steal=True, owner="worker-1",
         steal_timeout=120.0,
     )
+    result = campaign.run(**steal)
 
-    # Clean and dup (no information lost) completed; the lossy cells
-    # stranded deterministically on every retry and were quarantined
-    # instead of hanging the campaign.
-    assert not result.complete
-    assert [r is not None for r in result.results] == [
-        True, True, False, False,
-    ]
-    assert sorted(result.quarantined) == [2, 3]
-    for index in (2, 3):
-        record = result.quarantined[index]
-        assert record["count"] == 3  # the whole failure budget
-        assert "liveness" in record["failures"][-1]["error"]
+    # No holes, nothing retried: each cell was computed exactly once.
+    assert result.complete and not result.quarantined
+    assert (cache.misses, cache.writes) == (4, 4)
+    assert all(cache.backend.failures(c.cache_key()) == [] for c in campaign.cells)
+    rates = [r.completed_count / r.issued_count for r in result.results]
+    assert rates[0] == rates[1] == 1.0  # clean, dup: no information lost
+    assert rates[2] < 1.0 and rates[3] < 1.0  # the measurement
+    markdown = result.to_markdown()
+    assert "| completion |" in markdown and "Quarantined" not in markdown
+    assert f"| {sum(rates) / 4:.3f} |" in markdown
 
-    # The clean cell's payload is exactly the no-campaign reference.
+    # The clean cell's payload is exactly the no-campaign reference,
+    # and a stranded one is exactly the lenient reference.
     assert result_to_dict(result.results[0]) == result_to_dict(
         run_scenario(clean.build_scenario())
     )
+    assert result_to_dict(result.results[2]) == result_to_dict(
+        run_scenario(heavy_drop.build_scenario(), require_completion=False)
+    )
+
+    # A cell that crashes, added to the same campaign, is still
+    # quarantined after the full budget; the rest resume from cache.
+    campaign.cells.append(CellSpec("no-such-algorithm", 6, 0, ("burst", 1)))
+    result = campaign.run(**steal)
+    assert not result.complete and cache.writes == 4
+    assert [r is not None for r in result.results] == [True] * 4 + [False]
+    assert sorted(result.quarantined) == [4]
+    assert result.quarantined[4]["count"] == 3  # the whole failure budget
+    assert "no-such-algorithm" in result.quarantined[4]["failures"][-1]["error"]
 
 
 def test_campaign_fault_recovery_smoke(tmp_path=None):
@@ -600,7 +616,8 @@ def _faults_section():
     partition, a crash) at N in {50, 100, 200}, RCV vs Maekawa —
     messages per entry (NME), mean sync delay, and completion rate
     per point.  Liveness loss shows up as completion < 1 and null
-    NME/sync, not as an error (``require_completion=False``).
+    NME/sync, not as an error (the one completion rule of
+    ``run_cells``: a faulted cell that strands is a result).
 
     The RCV rows additionally carry a ``completion_rate_retx``
     column: the identical grid re-run over the reliable
@@ -608,16 +625,53 @@ def _faults_section():
     the PR-7 cliff — message loss strands whole bursts — and the
     with-retx column is it flattened (1.0 across every drop/dup/
     reorder point), which is the fault-tolerance claim of
-    docs/faults.md's "Recovery" section in one diff."""
-    start = time.perf_counter()
-    sweep = fault_sweep(_FAULT_N_VALUES, seeds=_FAULT_SEEDS)
-    retx_sweep = fault_sweep(
-        _FAULT_N_VALUES,
-        algorithms=("rcv",),
-        seeds=_FAULT_SEEDS,
-        retx=_FAULT_RETX,
-    )
-    secs = time.perf_counter() - start
+    docs/faults.md's "Recovery" section in one diff.
+
+    The grid is a sweep through ``run_cells`` like any other, so its
+    wall clock is recorded three ways: ``seconds`` (one worker, cold —
+    comparable across PRs), ``seconds_resumed`` (the same call over
+    the cache the cold run filled: nothing recomputed) and
+    ``seconds_two_workers`` (cold again, over a 2-process pool; null
+    on a host with one usable CPU)."""
+
+    def _timed_sweeps(**run):
+        """The bare grid (RCV vs Maekawa), then RCV's with-retx twin."""
+        start = time.perf_counter()
+        sweeps = (
+            fault_sweep(_FAULT_N_VALUES, seeds=_FAULT_SEEDS, **run),
+            fault_sweep(
+                _FAULT_N_VALUES,
+                algorithms=("rcv",),
+                seeds=_FAULT_SEEDS,
+                retx=_FAULT_RETX,
+                **run,
+            ),
+        )
+        return sweeps, time.perf_counter() - start
+
+    def _flat(sweeps):
+        return [
+            result_to_dict(run)
+            for sweep in sweeps
+            for per_label in sweep.values()
+            for by_n in per_label.values()
+            for runs in by_n.values()
+            for run in runs
+        ]
+
+    cpus = _usable_cpus()
+    with tempfile.TemporaryDirectory(prefix="bench-faults-") as tmp:
+        cache = CellCache(Path(tmp) / "cells")
+        (sweep, retx_sweep), secs = _timed_sweeps(max_workers=1, cache=cache)
+        resumed, resumed_secs = _timed_sweeps(max_workers=1, cache=cache)
+        assert _flat(resumed) == _flat((sweep, retx_sweep))
+        assert cache.writes == cache.hits == len(_flat(resumed))
+        pooled_secs = None
+        if cpus >= 2:
+            pooled, pooled_secs = _timed_sweeps(
+                max_workers=2, cache=CellCache(Path(tmp) / "pooled")
+            )
+            assert _flat(pooled) == _flat(resumed)
 
     def _completion(runs):
         issued = sum(r.issued_count for r in runs)
@@ -629,7 +683,10 @@ def _faults_section():
         "seeds": list(_FAULT_SEEDS),
         "grid": [label for label, _ in fault_grid(_FAULT_N_VALUES[0])],
         "retx": list(_FAULT_RETX),
+        "usable_cpus": cpus,
         "seconds": round(secs, 3),
+        "seconds_resumed": round(resumed_secs, 3),
+        "seconds_two_workers": pooled_secs and round(pooled_secs, 3),
         "algorithms": {},
     }
     for algo, per_label in sweep.items():

@@ -35,6 +35,8 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.spec import AXES
+
     parser = argparse.ArgumentParser(
         prog="repro-mutex",
         description=(
@@ -95,36 +97,31 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument(
         "--delay-spec",
         default="constant:5",
-        help=(
-            "delay model: constant:D | uniform:LO:HI | "
-            "exponential:MEAN:MIN | jittered:BASE:JITTER"
-        ),
+        help=f"delay model: {AXES['delay'].text.grammar}",
     )
     camp.add_argument(
         "--cs-spec",
         default="constant:10",
-        help="cs-time: constant:V | uniform:LO:HI | exponential:MEAN:MIN",
+        help=f"cs-time: {AXES['cs_time'].text.grammar}",
     )
     camp.add_argument(
         "--fault-spec",
         action="append",
-        default=None,
+        default=[],
         metavar="SPEC",
         help=(
             "adversarial-network fault, repeatable and composable: "
-            "drop:P | dup:P | reorder:WINDOW | "
-            "partition:T_CUT:T_HEAL:K (first K nodes vs the rest, "
-            "resolved per N) | crash:NODE:T | recover:NODE:T (revive "
-            "a node crashed earlier in the same spec; the node "
-            "rejoins and resyncs — see docs/faults.md, Recovery). "
-            "With --steal, cells that lose liveness under faults are "
-            "retried then quarantined; without it the first one stops "
-            "the campaign with IncompleteRunError — see docs/faults.md"
+            f"{AXES['faults'].text.grammar} (partition: the first K "
+            "nodes vs the rest, resolved per N; recover: revive a "
+            "node crashed earlier in the same spec — it rejoins and "
+            "resyncs, see docs/faults.md, Recovery). A cell that "
+            "loses liveness under faults is a result with completion "
+            "< 1, not an error — see docs/faults.md"
         ),
     )
     camp.add_argument(
         "--retx",
-        metavar="RTO[:BACKOFF[:MAX]]",
+        metavar=AXES["retx"].text.grammar,
         default=None,
         help=(
             "enable the reliable (ack/retransmit) channel: first "
@@ -382,158 +379,25 @@ def _cmd_theory(_args) -> int:
     return 0
 
 
-def _parse_spec(text: str, what: str):
-    """Parse ``kind:p1[:p2]`` CLI syntax into a CellSpec spec tuple.
+def _axis_arg(name: str, text: Optional[str], n_values=(None,)):
+    """A campaign flag's text as a :class:`CellSpec` field value —
+    parsed by the axis's text form and normalised at every N of the
+    sweep, so a bad spec dies with a one-line message naming the flag
+    before any directory is created or pool worker launched."""
+    from repro.experiments.spec import AXES, UnrepresentableScenarioError
 
-    ``what`` is ``"delay"`` or ``"cs_time"``.  The kind, arity, and
-    parameter ranges are all validated here — by actually building
-    the model once — so a bad spec dies with a one-line message
-    before any directories are created or pool workers launched.
-    """
-    from repro.experiments.spec import AXES
-
-    parts = text.split(":")
-    kind, params = parts[0], parts[1:]
-    try:
-        spec = (kind, *[float(p) for p in params])
-    except ValueError:
-        raise SystemExit(f"malformed spec {text!r} (want kind:num[:num])")
-    flag = "--delay-spec" if what == "delay" else "--cs-spec"
-    try:
-        spec = AXES[what].normalize(spec)
-        AXES[what].build(spec)
-    except ValueError as exc:  # UnrepresentableScenarioError included
-        raise SystemExit(f"bad {flag}: {exc}")
-    return spec
-
-
-def _parse_fault_specs(texts, n_values):
-    """Parse repeatable ``--fault-spec`` flags into a fault spec.
-
-    Message-level faults (``drop:P``, ``dup:P``, ``reorder:W``) are
-    N-independent; ``partition:T_CUT:T_HEAL:K`` names "the first K
-    nodes vs the rest", which resolves to different node groups at
-    each N of the sweep — so the result is a ``faults(n)`` callable
-    (see :meth:`repro.experiments.campaign.Campaign.add_sweep`).
-    Every N in the sweep is validated eagerly, so a bad spec dies
-    with a one-line message before any work starts.
-    """
-    if not texts:
+    if text is None:  # a flag left out: the field's default
         return ()
-    grammar = (
-        "drop:P | dup:P | reorder:WINDOW | partition:T_CUT:T_HEAL:K "
-        "| crash:NODE:T | recover:NODE:T"
-    )
-    scalars = {}
-    partitions = []
-    crashes = []
-    recovers = []
-    for text in texts:
-        parts = text.split(":")
-        kind, params = parts[0], parts[1:]
-        try:
-            nums = [float(p) for p in params]
-        except ValueError:
-            raise SystemExit(
-                f"malformed --fault-spec {text!r} (want {grammar})"
-            )
-        if kind in ("drop", "dup", "reorder"):
-            if len(nums) != 1:
-                raise SystemExit(
-                    f"--fault-spec {text!r}: {kind} wants one number"
-                )
-            if kind in scalars:
-                raise SystemExit(
-                    f"--fault-spec {kind} given twice; compose one flag "
-                    "per kind"
-                )
-            scalars[kind] = nums[0]
-        elif kind == "partition":
-            if len(nums) != 3:
-                raise SystemExit(
-                    f"--fault-spec {text!r}: want partition:T_CUT:T_HEAL:K"
-                )
-            partitions.append((nums[0], nums[1], int(nums[2])))
-        elif kind == "crash":
-            if len(nums) != 2:
-                raise SystemExit(
-                    f"--fault-spec {text!r}: want crash:NODE:T"
-                )
-            crashes.append((int(nums[0]), nums[1]))
-        elif kind == "recover":
-            if len(nums) != 2:
-                raise SystemExit(
-                    f"--fault-spec {text!r}: want recover:NODE:T"
-                )
-            recovers.append((int(nums[0]), nums[1]))
-        else:
-            raise SystemExit(
-                f"unknown --fault-spec kind {kind!r} (want {grammar})"
-            )
-
-    def faults_for(n):
-        spec = []
-        for kind in ("drop", "dup", "reorder"):
-            if kind in scalars:
-                spec.append((kind, scalars[kind]))
-        if partitions:
-            windows = []
-            for t_cut, t_heal, k in partitions:
-                if not (0 < k < n):
-                    raise ValueError(
-                        f"partition K={k} does not split N={n} "
-                        "(want 0 < K < N)"
-                    )
-                windows.append(
-                    (t_cut, t_heal, tuple(range(k)), tuple(range(k, n)))
-                )
-            spec.append(("partition", tuple(windows)))
-        if crashes:
-            spec.append(("crash", tuple(crashes)))
-        if recovers:
-            spec.append(("recover", tuple(recovers)))
-        return tuple(spec)
-
-    from repro.experiments.spec import AXES
-
-    for n in n_values:
-        try:
-            AXES["faults"].normalize(faults_for(n), n)
-        except ValueError as exc:
-            raise SystemExit(f"bad --fault-spec at N={n}: {exc}")
-    return faults_for
-
-
-def _parse_retx_spec(text):
-    """Parse ``--retx RTO[:BACKOFF[:MAX]]`` into a retx spec tuple.
-
-    Validated eagerly through the campaign layer's typed guard (the
-    ``retx`` entry of :data:`repro.experiments.spec.AXES`), which
-    names the bad field — so a malformed spec dies with a one-line
-    message before any work starts.
-    """
-    if text is None:
-        return ()
-    from repro.experiments.spec import AXES
-
-    parts = text.split(":")
-    if not (1 <= len(parts) <= 3):
-        raise SystemExit(
-            f"malformed --retx {text!r} (want RTO[:BACKOFF[:MAX]])"
-        )
+    axis = AXES[name]
     try:
-        rto = float(parts[0])
-        backoff = float(parts[1]) if len(parts) > 1 else 2.0
-        max_retries = int(parts[2]) if len(parts) > 2 else 10
-    except ValueError:
-        raise SystemExit(
-            f"malformed --retx {text!r} (want RTO[:BACKOFF[:MAX]], "
-            "numeric)"
-        )
-    try:
-        return AXES["retx"].normalize(("retx", rto, backoff, max_retries))
-    except ValueError as exc:  # UnrepresentableScenarioError included
-        raise SystemExit(f"bad --retx: {exc}")
+        value = axis.text.parse(text)
+        for n in n_values:
+            axis.normalize(value, n)
+    except UnrepresentableScenarioError as exc:
+        raise SystemExit(f"bad {axis.text.flag}: {exc}")
+    except ValueError as exc:  # text the grammar cannot read
+        raise SystemExit(f"malformed {axis.text.flag} {exc}")
+    return value
 
 
 def _cmd_campaign(args) -> int:
@@ -549,10 +413,10 @@ def _cmd_campaign(args) -> int:
         n_values=n_values,
         seeds=tuple(range(args.seeds)),
         requests_per_node=args.requests_per_node,
-        cs_time=_parse_spec(args.cs_spec, "cs_time"),
-        delay=_parse_spec(args.delay_spec, "delay"),
-        faults=_parse_fault_specs(args.fault_spec, n_values),
-        retx=_parse_retx_spec(args.retx),
+        cs_time=_axis_arg("cs_time", args.cs_spec),
+        delay=_axis_arg("delay", args.delay_spec),
+        faults=_axis_arg("faults", " ".join(args.fault_spec), n_values),
+        retx=_axis_arg("retx", args.retx),
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -611,15 +475,7 @@ def _cmd_campaign(args) -> int:
         report = {
             "bench": (
                 "repro.cli campaign — scale sweep wall clock "
-                f"(algorithms {list(args.algorithms)}, N {list(n_values)}, "
-                f"{args.seeds} seeds, burst x{args.requests_per_node}"
-                + (
-                    f", faults {args.fault_spec}"
-                    if args.fault_spec
-                    else ""
-                )
-                + (f", retx {args.retx}" if args.retx else "")
-                + ")"
+                f"(algorithms {list(args.algorithms)}; {campaign.description})"
             ),
             "cells": len(campaign.cells),
             "cache_hits": cache.hits,

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.parallel import CellSpec, run_cells
-from repro.experiments.spec import cell_grid
+from repro.experiments.spec import AXES, cell_grid
 from repro.metrics.io import load_results, save_results
 from repro.metrics.records import RunResult
 from repro.metrics.summary import summarize
@@ -120,7 +120,11 @@ class Campaign:
         then quarantine them.  Quarantined cells come back on
         :attr:`CampaignResult.quarantined` (and in the markdown
         summary) with their failure logs — see docs/operations.md for
-        triage.
+        triage.  Quarantine is for crashes: a faulted cell that loses
+        liveness is a result (``completed_count < issued_count``, the
+        summary's completion column), only a clean cell that strands
+        raises — the one completion rule of ``run_cells``
+        (docs/faults.md).
         """
         if cache is None and cache_dir is not None:
             from repro.experiments.cache import CellCache
@@ -209,20 +213,28 @@ class CampaignResult:
         return groups
 
     def summary_rows(self) -> List[dict]:
+        # Only a faulted cell may strand (the one completion rule of
+        # run_cells), so only a campaign carrying faults reports it.
+        faulted = any(
+            c.faults and c.normalized().faults for c in self.campaign.cells
+        )
         rows = []
         for (algo, n), runs in sorted(self.grouped().items()):
-            rows.append(
-                {
-                    "algorithm": algo,
-                    "n": n,
-                    "runs": len(runs),
-                    "NME": str(summarize(r.nme for r in runs)),
-                    "response": str(
-                        summarize(r.mean_response_time for r in runs)
-                    ),
-                    "sync": str(summarize(r.mean_sync_delay for r in runs)),
-                }
-            )
+            row = {
+                "algorithm": algo,
+                "n": n,
+                "runs": len(runs),
+                "NME": str(summarize(r.nme for r in runs)),
+                "response": str(
+                    summarize(r.mean_response_time for r in runs)
+                ),
+                "sync": str(summarize(r.mean_sync_delay for r in runs)),
+            }
+            if faulted:
+                issued = sum(r.issued_count for r in runs)
+                done = sum(r.completed_count for r in runs)
+                row["completion"] = f"{done / issued:.3f}" if issued else "-"
+            rows.append(row)
         return rows
 
     # ------------------------------------------------------------------
@@ -332,13 +344,25 @@ def scale_campaign(
     ``fields`` go to :meth:`Campaign.add_sweep`: ``faults`` (a spec
     tuple or ``faults(n) -> spec`` callable) runs the whole grid under
     an adversarial network — docs/faults.md has the recipe; cells that
-    lose liveness under the faults are absorbed by the
-    retry/quarantine machinery — and ``retx`` layers the reliable
+    lose liveness under the faults come back as results with
+    completion < 1 — and ``retx`` layers the reliable
     (ack/retransmit) channel under the same grid, the with-retx
-    column of the fault benchmarks (docs/faults.md, "Recovery").
+    column of the fault benchmarks (docs/faults.md, "Recovery").  The
+    description spells each setting in the text form its campaign
+    flag takes (``faults drop:0.1 partition:10:20:2``).
     """
+    n = min(n_values, default=None)
+
+    def setting(key, value) -> str:
+        if callable(value):
+            return "per N"
+        axis = AXES[key]
+        if axis.text is None:
+            return repr(value)
+        return axis.text.render(axis.normalize(value, n))
+
     settings = "".join(
-        f" {key} {'per N' if callable(value) else repr(value)}."
+        f" {key} {setting(key, value)}."
         for key, value in fields.items()
         if value != ()
     )

@@ -77,7 +77,7 @@ class FigureData:
 
 
 # ----------------------------------------------------------------------
-# the two sweeps: a grid of cells through run_cells
+# the sweeps: a grid of cells through run_cells
 # ----------------------------------------------------------------------
 def _sweep(
     points, algorithms, seeds, max_workers, cache, fields
@@ -243,40 +243,34 @@ def fault_sweep(
     requests_per_node: int = 1,
     grid: Callable[[int], Tuple] = fault_grid,
     retx: Tuple = (),
+    max_workers: Optional[int] = None,
+    cache=None,
 ) -> Dict[str, Dict[str, Dict[int, List[RunResult]]]]:
     """Run the burst grid under each fault model; results[algo][label][n].
 
-    Cells run with ``require_completion=False``: losing liveness under
-    loss/partition/crash is a *measured outcome* here (the completion
-    rate quantifies it), not an error — campaign runs of the same
-    cells keep the strict default and quarantine instead (see
-    docs/faults.md).  Each (algo, fault, n) family of the grid is one
-    :class:`~repro.engine.batch.CellTemplate` run under every seed.
+    A faulted cell that loses liveness is a *measured outcome* — it
+    comes back (and is cached) with ``completed_count <
+    issued_count``, the completion rate quantifying the loss — while
+    the grid's clean point must complete (the one completion rule of
+    :func:`~repro.experiments.parallel.run_cells`; docs/faults.md).
 
     ``retx`` runs the whole grid over the reliable (ack/retransmit)
     channel — the with-retx columns of the resilience figures
-    (docs/faults.md, "Recovery").
+    (docs/faults.md, "Recovery"); ``max_workers`` and ``cache`` as for
+    :func:`burst_sweep`.
     """
-    from repro.engine.batch import CellTemplate
-
     points = {
         (label, n): {"n_nodes": n, "faults": faults}
         for n in n_values
         for label, faults in grid(n)
     }
-    families = cell_grid(
-        algorithms,
-        points,
-        (0,),  # one cell per family; the template re-seeds it
-        workload=("burst", requests_per_node),
-        retx=retx,
-    )
+    fields = {"workload": ("burst", requests_per_node), "retx": retx}
     out: Dict[str, Dict[str, Dict[int, List[RunResult]]]] = {}
-    for algo, (label, n), family in families:
-        template = CellTemplate(family)
-        out.setdefault(algo, {}).setdefault(label, {})[n] = [
-            template.run(seed, require_completion=False) for seed in seeds
-        ]
+    for algo, per_point in _sweep(
+        points, algorithms, seeds, max_workers, cache, fields
+    ).items():
+        for (label, n), runs in per_point.items():
+            out.setdefault(algo, {}).setdefault(label, {})[n] = runs
     return out
 
 

@@ -55,7 +55,12 @@ def _run_cell(spec: CellSpec) -> RunResult:
     # One construction path for every pipeline: the unified engine.
     from repro.engine import run_scenario
 
-    return run_scenario(spec.build_scenario())
+    scenario = spec.build_scenario()
+    # The one completion rule (docs/faults.md): on a clean network a
+    # stranded request is a liveness bug (Theorems 2-3) and raises; on
+    # an adversarial one it is the measurement, returned and cached
+    # with ``completed_count < issued_count``.
+    return run_scenario(scenario, require_completion=not scenario.faults)
 
 
 def _run_cell_guarded(spec: CellSpec) -> Tuple[str, object]:
@@ -208,6 +213,13 @@ def run_cells(
     deterministic work, never corrupts results.  ``steal_timeout``
     bounds how long the worker will go *without making progress*
     while foreign leases block it (None: wait as long as it takes).
+
+    **Completion** — a cell must complete every request it issues
+    exactly when its normalized ``faults`` is ``()``: a clean cell
+    that strands one raises ``IncompleteRunError`` (a liveness bug),
+    a faulted one that does is the measurement and comes back, and is
+    cached, as a result with ``completed_count < issued_count``
+    (docs/faults.md).
 
     **Retry / quarantine** (stealing runs) — a cell whose computation
     *crashes* is not re-raised into the campaign: the failure (with

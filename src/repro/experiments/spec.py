@@ -10,8 +10,11 @@ the cache key, the embedded cache document and the scenario are all
 *derived* by walking ``dataclasses.fields(CellSpec)`` through that
 table.  Adding a field means adding one ``AXES`` entry; nothing else
 enumerates the fields (the ``cache-key`` lint rule checks, at run
-time, that every field moves the key, the document and — bar ``seed``
-— the template identity).
+time, that every field moves the key and the document).  The axes the
+command line can set also carry their :class:`TextForm` — the
+``kind:p1:p2`` grammar of ``--delay-spec``, ``--cs-spec``,
+``--fault-spec`` and ``--retx`` — so flag parsing, ``--help`` and the
+campaign description read one table.
 
 Pure data and codecs: no executor, no clock, no filesystem.  The
 scheduler lives in :mod:`repro.experiments.parallel`.
@@ -20,6 +23,7 @@ scheduler lives in :mod:`repro.experiments.parallel`.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -49,9 +53,9 @@ __all__ = [
     "CellSpec",
     "FIELD_NAMES",
     "RESULTS_EPOCH",
+    "TextForm",
     "UnrepresentableScenarioError",
     "cell_grid",
-    "scenario_bindings",
 ]
 
 
@@ -75,6 +79,20 @@ class UnrepresentableScenarioError(ValueError):
     """
 
 
+class TextForm(NamedTuple):
+    """How the command line spells one axis."""
+
+    flag: str
+    #: the ``--help`` grammar, e.g. ``constant:D | uniform:LO:HI``
+    grammar: str
+    #: ``text -> value`` for the axis normaliser; ``ValueError`` names
+    #: the field of a text the grammar cannot read
+    parse: Callable
+    #: ``canonical value -> text``, with ``parse(render(v))``
+    #: normalising back to ``v``
+    render: Callable
+
+
 class Axis(NamedTuple):
     """The codec of one :class:`CellSpec` field."""
 
@@ -85,6 +103,8 @@ class Axis(NamedTuple):
     build: Callable
     #: ``canonical value -> JSON-able`` form in the cache document
     document: Callable = lambda value: value
+    #: set on the axes a campaign flag can set
+    text: TextForm | None = None
 
 
 # ----------------------------------------------------------------------
@@ -94,8 +114,11 @@ class Kind(NamedTuple):
     #: one converter per parameter (its length is the arity); each
     #: raises ``ValueError`` for a value the kind cannot take
     params: Tuple[Callable, ...]
-    #: ``(*params) -> component``
+    #: ``(*params) -> component``; a range the component refuses
+    #: (``ValueError``) is refused at normalisation
     build: Callable
+    #: the parameters' names in the axis's text form, ``"LO:HI"``
+    names: str = ""
 
 
 def _count(value) -> int:
@@ -105,25 +128,32 @@ def _count(value) -> int:
     return count
 
 
-def _positive(value) -> float:
+def _finite(value) -> float:
     number = float(value)
-    if not 0.0 < number < float("inf"):
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
+def _positive(value) -> float:
+    number = _finite(value)
+    if number <= 0.0:
         raise ValueError(f"{value!r} is not a positive finite number")
     return number
 
 
 _DELAY_KINDS = {
-    "constant": Kind((float,), ConstantDelay),
-    "uniform": Kind((float, float), UniformDelay),
-    "exponential": Kind((float, float), ExponentialDelay),
+    "constant": Kind((_finite,), ConstantDelay, "D"),
+    "uniform": Kind((_finite, _finite), UniformDelay, "LO:HI"),
+    "exponential": Kind((_finite, _finite), ExponentialDelay, "MEAN:MIN"),
     # a per-pair (callable) base fails the float converter: unencodable
-    "jittered": Kind((float, float), JitteredDelay),
+    "jittered": Kind((_finite, _finite), JitteredDelay, "BASE:JITTER"),
 }
 
 _CS_KINDS = {
-    "constant": Kind((float,), constant_cs_time),
-    "uniform": Kind((float, float), uniform_cs_time),
-    "exponential": Kind((float, float), exponential_cs_time),
+    "constant": Kind((_finite,), constant_cs_time, "V"),
+    "uniform": Kind((_finite, _finite), uniform_cs_time, "LO:HI"),
+    "exponential": Kind((_finite, _finite), exponential_cs_time, "MEAN:MIN"),
 }
 
 # The one place a workload tuple becomes an arrival process and its
@@ -175,24 +205,117 @@ def _normalize_kind(what: str, kinds: dict, value, n_nodes=None) -> Tuple:
             f"{what} spec {value!r}: expected {len(converters) + 1} elements"
         )
     try:
-        return (kind, *[c(p) for c, p in zip(converters, params)])
+        params = [c(p) for c, p in zip(converters, params)]
+        kinds[kind].build(*params)  # the component's own range checks
     except (TypeError, ValueError, OverflowError) as exc:
         raise UnrepresentableScenarioError(
             f"{what} spec {value!r}: {exc}"
         ) from None
+    return (kind, *params)
 
 
 def _build_kind(kinds: dict, value):
     return kinds[value[0]].build(*value[1:])
 
 
-def _kind_axis(what, kinds, target=None) -> Axis:
+# ----------------------------------------------------------------------
+# text forms: ``kind:p1:p2`` with named, colon-separated numbers
+# ----------------------------------------------------------------------
+def _numbers(text: str, pieces: Sequence[str], names: Sequence[str]) -> List:
+    numbers = []
+    for name, piece in zip(names, pieces):
+        try:
+            numbers.append(float(piece))
+        except ValueError:
+            raise ValueError(
+                f"{text!r}: {name} must be a number, got {piece!r}"
+            ) from None
+    return numbers
+
+
+def _render(value: Sequence) -> str:
+    """``kind:p1:p2``; a whole float is written as the integer."""
+    return ":".join(str(part).removesuffix(".0") for part in value)
+
+
+def _grammar(forms: Mapping) -> str:
+    return " | ".join(f"{kind}:{names}" for kind, names in forms.items())
+
+
+def _parse_kind_text(forms: Mapping, text: str) -> Tuple:
+    """``kind:p1:p2`` as ``(kind, p1, p2)``, the numbers read under
+    the names ``forms[kind]`` gives them."""
+    kind, *pieces = text.split(":")
+    if kind not in forms:
+        raise UnrepresentableScenarioError(
+            f"unknown kind {kind!r} (want {_grammar(forms)})"
+        )
+    names = forms[kind].split(":")
+    if len(pieces) != len(names):
+        raise ValueError(f"{text!r}: want {kind}:{forms[kind]}")
+    return (kind, *_numbers(text, pieces, names))
+
+
+def _kind_axis(what, kinds, target=None, flag=None) -> Axis:
     build = partial(_build_kind, kinds)
+    forms = {name: kind.names for name, kind in kinds.items()}
     return Axis(
         normalize=partial(_normalize_kind, what, kinds),
         build=build if target is None else lambda v: {target: build(v)},
         document=list,
+        text=flag
+        and TextForm(
+            flag, _grammar(forms), partial(_parse_kind_text, forms), _render
+        ),
     )
+
+
+_FAULT_FORMS = {
+    "drop": "P",
+    "dup": "P",
+    "reorder": "WINDOW",
+    "partition": "T_CUT:T_HEAL:K",
+    "crash": "NODE:T",
+    "recover": "NODE:T",
+}
+
+
+def _parse_faults(text: str) -> Tuple:
+    """Space-separated fault items as a fault spec: a one-number item
+    is a fault of its own, the others are entries of their kind's
+    schedule (``partition``'s K — the first K nodes vs the rest — is
+    resolved per N by the normaliser)."""
+    scalars: List[Tuple] = []
+    schedules: Dict[str, List[Tuple]] = {}
+    for item in text.split():
+        kind, *numbers = _parse_kind_text(_FAULT_FORMS, item)
+        if len(numbers) == 1:
+            scalars.append((kind, *numbers))
+        else:
+            schedules.setdefault(kind, []).append(tuple(numbers))
+    return (*scalars, *((k, tuple(v)) for k, v in schedules.items()))
+
+
+def _render_faults(faults: Tuple) -> str:
+    items = []
+    for kind, value in faults:
+        for entry in value if isinstance(value, tuple) else [(value,)]:
+            if kind == "partition":
+                # The flag can only say "the first K nodes vs the
+                # rest"; any other groups are shown as they are.
+                t_cut, t_heal, a, b = entry
+                if a + b == tuple(range(len(a + b))):
+                    entry = (t_cut, t_heal, len(a))
+            items.append(_render((kind, *entry)))
+    return " ".join(items)
+
+
+def _parse_retx(text: str) -> Tuple:
+    pieces = text.split(":")
+    if not 1 <= len(pieces) <= 3:
+        raise ValueError(f"{text!r}: want RTO[:BACKOFF[:MAX]]")
+    numbers = _numbers(text, pieces, ("RTO", "BACKOFF", "MAX"))
+    return ("retx", *numbers, *(2.0, 10)[len(numbers) - 1 :])  # flag defaults
 
 
 # ----------------------------------------------------------------------
@@ -252,8 +375,8 @@ AXES: Dict[str, Axis] = {
     "n_nodes": _plain("n_nodes"),
     "seed": _plain("seed"),
     "workload": _kind_axis("workload", _WORKLOAD_KINDS),
-    "cs_time": _kind_axis("cs_time", _CS_KINDS, "cs_time"),
-    "delay": _kind_axis("delay", _DELAY_KINDS, "delay_model"),
+    "cs_time": _kind_axis("cs_time", _CS_KINDS, "cs_time", "--cs-spec"),
+    "delay": _kind_axis("delay", _DELAY_KINDS, "delay_model", "--delay-spec"),
     "algo_kwargs": Axis(
         _normalize_algo_kwargs, lambda v: {"algo_kwargs": dict(v)}, repr
     ),
@@ -262,22 +385,19 @@ AXES: Dict[str, Axis] = {
         "faults",
         _net_grammar("faults", lambda v, n: normalize_faults(v, n_nodes=n)),
         document=repr,
+        text=TextForm(
+            "--fault-spec", _grammar(_FAULT_FORMS), _parse_faults, _render_faults
+        ),
     ),
     "retx": _plain(
         "retx",
         _net_grammar("retx", lambda v, n: normalize_retx(v)),
         document=repr,
+        text=TextForm(
+            "--retx", "RTO[:BACKOFF[:MAX]]", _parse_retx, lambda v: _render(v[1:])
+        ),
     ),
 }
-
-
-def scenario_bindings(spec: "CellSpec", names=None) -> dict:
-    """:class:`Scenario` keyword arguments for the named fields (all
-    of them by default) of a **normalized** spec."""
-    bindings: dict = {}
-    for name in FIELD_NAMES if names is None else names:
-        bindings.update(AXES[name].build(getattr(spec, name)))
-    return bindings
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +487,11 @@ class CellSpec:
 
     # ------------------------------------------------------------------
     def build_scenario(self) -> Scenario:
-        return Scenario(**scenario_bindings(self.normalized()))
+        spec = self.normalized()
+        bindings: dict = {}
+        for name in FIELD_NAMES:
+            bindings.update(AXES[name].build(getattr(spec, name)))
+        return Scenario(**bindings)
 
 
 #: the fields of a cell, in declaration order — the order of the

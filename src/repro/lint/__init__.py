@@ -1,10 +1,10 @@
 """``repro.lint`` — AST-based determinism & invariant linter.
 
 The reproduction's guarantees (bit-for-bit replay, cache-key
-soundness across all four backends, warm-template parity) rest on
-conventions that no runtime test can see being broken *by the next
-edit*: no wall-clock or ad-hoc randomness in the deterministic core,
-every ``CellSpec`` field in every cache/template key.  This package
+soundness across all four backends) rest on conventions that no
+runtime test can see being broken *by the next edit*: no wall-clock
+or ad-hoc randomness in the deterministic core, every ``CellSpec``
+field in every cache key.  This package
 turns those conventions into machine-checked invariants.  (Invariants
 that have a chokepoint at run time — stream names, counter names, the
 model checker's canon tables, the cell service's endpoint table — are

@@ -4,16 +4,14 @@ The PR-7 aliasing bug class: a ``CellSpec`` field that does not reach
 ``cache_key()`` makes two *different* cells share one cache entry — on
 every backend, silently, with bit-for-bit plausible results.  The same
 omission in the embedded cell document weakens the stored-spec
-corruption guard, and in the template identity it merges two cell
-families.
+corruption guard.
 
-Key, document and template identity are derived from
-``dataclasses.fields(CellSpec)`` (:mod:`repro.experiments.spec`), so
-there is no hand-written field list left to parse.  This rule is
-therefore a *runtime* guard, the one rule here that imports the
-package it lints: it perturbs one field at a time and checks that the
-key and the document move, that the document's key set is the field
-set, and that the template identity ignores ``seed`` and nothing else.
+Key and document are derived from ``dataclasses.fields(CellSpec)``
+(:mod:`repro.experiments.spec`), so there is no hand-written field
+list left to parse.  This rule is therefore a *runtime* guard, the one
+rule here that imports the package it lints: it perturbs one field at
+a time and checks that the key and the document move, and that the
+document's key set is the field set.
 """
 
 from __future__ import annotations
@@ -39,14 +37,12 @@ _OTHER = (
 )  # fmt: skip
 
 
-def identity_violations(spec_cls=None, template_cls=None) -> Iterator[str]:
-    """One message per way ``spec_cls`` / ``template_cls`` (default:
-    the shipped ``CellSpec`` / ``CellTemplate``) let a field slip."""
-    from repro.engine import CellTemplate
+def identity_violations(spec_cls=None) -> Iterator[str]:
+    """One message per way ``spec_cls`` (default: the shipped
+    ``CellSpec``) lets a field slip."""
     from repro.experiments.spec import CellSpec
 
     spec_cls = spec_cls or CellSpec
-    template_cls = template_cls or CellTemplate
     base, other = spec_cls(*_BASE), spec_cls(*_OTHER)
     names = [f.name for f in fields(spec_cls)]
     if set(base.document()) != set(names):
@@ -72,17 +68,9 @@ def identity_violations(spec_cls=None, template_cls=None) -> Iterator[str]:
                 f"CellSpec field {name!r} does not reach the embedded cell "
                 "document — the stored-spec corruption check cannot see it"
             )
-        same_family = template_cls(changed).key == template_cls(base).key
-        if same_family != (name == "seed"):
-            yield (
-                f"CellSpec field {name!r} "
-                + ("splits" if name == "seed" else "does not reach")
-                + " CellTemplate.key — the template identity must ignore "
-                "seed and nothing else"
-            )
 
 
-@rule(RULE_ID, "every CellSpec field moves cache_key, cell document, template key")
+@rule(RULE_ID, "every CellSpec field moves cache_key and the cell document")
 def check(ctx: LintContext) -> Iterator[Finding]:
     try:
         if not ctx.exists(SPEC):

@@ -28,7 +28,11 @@ fault tuple                                     semantics
                                                 message crossing the
                                                 ``a``/``b`` node-group
                                                 boundary is silently
-                                                dropped (both ways)
+                                                dropped (both ways); a
+                                                window ``(t_cut,
+                                                t_heal, K)`` splits
+                                                the first ``K`` nodes
+                                                from the rest
 ``("crash", ((node, t), ...))``                 ``node`` fail-stops at
                                                 ``t``: from then on it
                                                 neither sends nor
@@ -63,7 +67,7 @@ the exact fault pattern bit for bit.  Partition and crash schedules
 are pure data — no randomness at all.
 
 :class:`FaultPlan` is the validated, stateless description (safe to
-share across seeds and warm cell templates);
+share across seeds);
 :class:`FaultyChannel` is the per-run channel wrapper layering
 drop/dup/reorder over any inner discipline; partition/crash schedules
 are driven by the engine (see
@@ -72,6 +76,7 @@ are driven by the engine (see
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Optional, Tuple
 
@@ -100,21 +105,32 @@ def _probability(kind: str, params) -> float:
     return p
 
 
+def _node(kind: str, value, n_nodes: Optional[int]) -> int:
+    """``value`` as a node id: a whole number in ``0..N-1`` — never
+    truncated to one, which would fault a node nobody named."""
+    try:
+        node = int(value)
+    except (OverflowError, ValueError):  # inf, nan, text
+        node = None
+    if node != value:
+        raise ValueError(f"{kind} names node {value!r}, not a whole number")
+    if node < 0 or (n_nodes is not None and node >= n_nodes):
+        raise ValueError(
+            f"{kind} names node {node}, outside the scenario's "
+            f"0..{'N-1' if n_nodes is None else n_nodes - 1} range"
+        )
+    return node
+
+
 def _group(kind: str, nodes, n_nodes: Optional[int]) -> Tuple[int, ...]:
     try:
-        group = tuple(sorted(int(v) for v in nodes))
-    except (TypeError, ValueError):
+        group = tuple(sorted(_node(kind, v, n_nodes) for v in nodes))
+    except TypeError:
         raise ValueError(f"{kind} group {nodes!r} is not a sequence of node ids")
     if not group:
         raise ValueError(f"{kind} groups must be non-empty")
     if len(set(group)) != len(group):
         raise ValueError(f"{kind} group {group!r} repeats a node")
-    for node in group:
-        if node < 0 or (n_nodes is not None and node >= n_nodes):
-            raise ValueError(
-                f"{kind} names node {node}, outside the scenario's "
-                f"0..{'N-1' if n_nodes is None else n_nodes - 1} range"
-            )
     return group
 
 
@@ -126,15 +142,26 @@ def _partition_schedule(params, n_nodes: Optional[int]) -> Tuple:
     windows = []
     for window in params[0]:
         window = tuple(window)
+        if len(window) == 3:
+            # (t_cut, t_heal, K): the first K nodes vs the rest — the
+            # one shape that means the same split at every N of a sweep
+            k = window[2]
+            if not (n_nodes and k in range(1, n_nodes)):
+                raise ValueError(
+                    f"partition K={k!r} does not split N={n_nodes} "
+                    "(want a whole number, 0 < K < N)"
+                )
+            window = (*window[:2], range(int(k)), range(int(k), n_nodes))
         if len(window) != 4:
             raise ValueError(
                 f"partition window {window!r}: want (t_cut, t_heal, "
-                "group_a, group_b)"
+                "group_a, group_b) or (t_cut, t_heal, K)"
             )
         t_cut, t_heal = float(window[0]), float(window[1])
-        if not (0.0 <= t_cut < t_heal):
+        if not (0.0 <= t_cut < t_heal < math.inf):
             raise ValueError(
-                f"partition window {window!r}: want 0 <= t_cut < t_heal"
+                f"partition window {window!r}: want 0 <= t_cut < t_heal, "
+                "both finite"
             )
         group_a = _group("partition", window[2], n_nodes)
         group_b = _group("partition", window[3], n_nodes)
@@ -157,14 +184,11 @@ def _crash_schedule(kind: str, params, n_nodes: Optional[int]) -> Tuple:
         entry = tuple(entry)
         if len(entry) != 2:
             raise ValueError(f"{kind} entry {entry!r}: want (node, t)")
-        node, t = int(entry[0]), float(entry[1])
-        if node < 0 or (n_nodes is not None and node >= n_nodes):
+        node, t = _node(kind, entry[0], n_nodes), float(entry[1])
+        if not (0.0 <= t < math.inf):
             raise ValueError(
-                f"{kind} names node {node}, outside the scenario's "
-                f"0..{'N-1' if n_nodes is None else n_nodes - 1} range"
+                f"{kind} entry {entry!r}: time must be finite and >= 0"
             )
-        if t < 0.0:
-            raise ValueError(f"{kind} entry {entry!r}: time must be >= 0")
         if node in seen:
             raise ValueError(f"{kind} schedule names node {node} twice")
         seen.add(node)
@@ -226,8 +250,10 @@ def normalize_faults(faults, *, n_nodes: Optional[int] = None) -> Tuple:
             if len(params) != 1:
                 raise ValueError('fault ("reorder", window) wants one window')
             window = float(params[0])
-            if window < 0.0:
-                raise ValueError(f"reorder window {window!r} must be >= 0")
+            if not (0.0 <= window < math.inf):
+                raise ValueError(
+                    f"reorder window {window!r} must be finite and >= 0"
+                )
             if window == 0.0:
                 continue
             by_kind[kind] = (kind, window)
@@ -250,8 +276,7 @@ class FaultPlan:
 
     Stateless — probabilities and schedules only, no RNG and no
     counters — so one plan is safely shared across every seed of a
-    cell family (the warm :class:`~repro.engine.batch.CellTemplate`
-    relies on this).
+    cell family.
     """
 
     __slots__ = (

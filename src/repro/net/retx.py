@@ -32,8 +32,8 @@ copies and retransmitted ones, so a message is delivered at most once
 no matter how the faults compose.  A message whose every attempt is
 lost is a **give-up** (``net_retx_giveups``) — at-least-once delivery
 is a best effort under a finite retry budget, and a cell that still
-loses liveness flows into the campaign's retry/quarantine machinery
-exactly as before.
+loses liveness is a campaign result with completion < 1, exactly as
+without retx.
 
 Ack loss is modeled on the counter level: when the drop fault is
 active, each successful delivery's ack is lost with the same
@@ -56,6 +56,7 @@ stack — clean results stay bit-for-bit identical.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Optional, Tuple
 
@@ -92,15 +93,17 @@ def normalize_retx(retx) -> Tuple:
         rto = float(retx[1])
         backoff = float(retx[2])
         max_retries = int(retx[3])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"retx spec {retx!r} has non-numeric fields")
-    if rto <= 0.0:
-        raise ValueError(f"retx rto must be > 0, got {rto!r}")
-    if backoff < 1.0:
-        raise ValueError(f"retx backoff must be >= 1, got {backoff!r}")
-    if max_retries < 1:
+    if not (0.0 < rto < math.inf):
+        raise ValueError(f"retx rto must be finite and > 0, got {rto!r}")
+    if not (1.0 <= backoff < math.inf):
         raise ValueError(
-            f"retx max_retries must be >= 1, got {max_retries!r}"
+            f"retx backoff must be finite and >= 1, got {backoff!r}"
+        )
+    if max_retries != retx[3] or max_retries < 1:
+        raise ValueError(
+            f"retx max_retries must be a whole number >= 1, got {retx[3]!r}"
         )
     return ("retx", rto, backoff, max_retries)
 
@@ -112,9 +115,8 @@ class ReliableChannel(ChannelDiscipline):
     ``rng`` the ``net/retx`` stream (ack-loss draws only); ``plan`` the
     run's :class:`~repro.net.faults.FaultPlan` (or None) — pure data,
     consulted for the scheduled outages retransmission must bridge.
-    Per-run counters live here (the plan stays shareable across seeds
-    and warm cell templates, like :class:`~repro.net.faults
-    .FaultyChannel`'s).
+    Per-run counters live here (the plan stays shareable across
+    seeds, like :class:`~repro.net.faults.FaultyChannel`'s).
     """
 
     #: the Network defers partition / crashed-destination suppression

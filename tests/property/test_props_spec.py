@@ -8,7 +8,10 @@ properties are stated once and run per axis:
 * the embedded cache document survives JSON and identifies the spec —
   equal documents mean equal cells;
 * junk is refused with the typed error, never with whatever exception
-  the first operation on it happens to raise.
+  the first operation on it happens to raise;
+* an axis a campaign flag can set round-trips through its text form —
+  ``parse(render(x))`` normalises to ``normalize(x)`` — and every text
+  the flag refuses is refused naming the flag and the field.
 
 And for the one builder of grids of cells, ``cell_grid``: it is the
 algorithm-major cross product, and the campaign sweeps built on it
@@ -78,6 +81,16 @@ faults = st.lists(
         st.tuples(st.just("dup"), probabilities),
         st.tuples(st.just("reorder"), amounts),
         st.tuples(
+            st.just("partition"),
+            st.lists(
+                # (t_cut, t_heal, K): the first K nodes vs the rest
+                st.tuples(amounts, positives, st.integers(1, N_NODES - 1)).map(
+                    lambda w: (w[0], w[0] + w[1], w[2])
+                ),
+                max_size=2,
+            ).map(tuple),
+        ),
+        st.tuples(
             st.just("crash"),
             st.lists(
                 st.tuples(st.integers(0, N_NODES - 1), amounts),
@@ -140,6 +153,76 @@ def test_document_survives_json_and_identifies_the_spec(a, b):
     assert list(stored) == list(FIELD_NAMES)
     assert (stored == b.document()) == (a.normalized() == b.normalized())
     assert (a.cache_key() == b.cache_key()) == (a.normalized() == b.normalized())
+
+
+TEXT_AXES = [name for name in FIELD_NAMES if AXES[name].text]
+
+
+def test_the_text_settable_axes_are_the_campaign_flags():
+    assert {AXES[name].text.flag for name in TEXT_AXES} == {
+        "--cs-spec", "--delay-spec", "--fault-spec", "--retx",
+    }
+    # every fault kind the normaliser knows has a text form, in order
+    from repro.experiments.spec import _FAULT_FORMS
+    from repro.net.faults import FAULT_KINDS
+
+    assert tuple(_FAULT_FORMS) == FAULT_KINDS
+
+
+@pytest.mark.parametrize("name", TEXT_AXES)
+@settings(**COMMON)
+@given(data=st.data())
+def test_text_form_round_trips(name, data):
+    axis = AXES[name]
+    canon = axis.normalize(data.draw(VALUES[name]), N_NODES)
+    text = axis.text.render(canon)
+    assert isinstance(text, str)
+    if canon == ():  # the flag left out
+        assert text == ""
+    else:
+        assert axis.normalize(axis.text.parse(text), N_NODES) == canon
+        assert repr(axis.normalize(axis.text.parse(text), N_NODES)) == repr(canon)
+
+
+@pytest.mark.parametrize(
+    "name, text, field",
+    [
+        ("delay", "constant:fast", "D"),
+        ("delay", "uniform:2", "uniform:LO:HI"),
+        ("delay", "uniform:2:x", "HI"),
+        ("delay", "matrix:3", "'matrix'"),
+        ("delay", "constant:-1", "delay"),
+        ("delay", "constant:nan", "delay"),
+        ("cs_time", "exponential:4:y", "MIN"),
+        ("cs_time", "jittered:5:2", "'jittered'"),
+        ("cs_time", "uniform:9:3", "cs_time"),
+        ("faults", "drop:p", "P"),
+        ("faults", "drop:1.5", "drop"),
+        ("faults", "reorder:inf", "reorder"),
+        ("faults", "partition:1:2", "partition:T_CUT:T_HEAL:K"),
+        ("faults", "partition:1:2:1.5", "K=1.5"),
+        ("faults", "partition:1:2:6", "K=6"),
+        ("faults", "crash:0.5:3", "node 0.5"),
+        ("faults", "crash:9:3", "crash"),
+        ("faults", "recover:1:3", "recover"),
+        ("faults", "flood:1", "'flood'"),
+        ("retx", "soon", "RTO"),
+        ("retx", "5:x", "BACKOFF"),
+        ("retx", "5:2:1.5", "max_retries"),
+        ("retx", "5:2:3:4", "RTO[:BACKOFF[:MAX]]"),
+        ("retx", "-5", "rto"),
+        ("retx", "5:0.5", "backoff"),
+        ("retx", "5:2:0", "max_retries"),
+        ("retx", "nan", "rto"),
+    ],
+)
+def test_every_text_rejection_names_flag_and_field(name, text, field):
+    from repro import cli
+
+    with pytest.raises(SystemExit) as refused:
+        cli._axis_arg(name, text, (N_NODES,))
+    message = str(refused.value)
+    assert AXES[name].text.flag in message and field in message, message
 
 
 junk = st.recursive(

@@ -127,18 +127,20 @@ def test_sweep_cells_are_the_ones_pr12_built():
         n_values=(6, 8),
         seeds=(0, 1),
         requests_per_node=1,
-        cs_time=cli._parse_spec("uniform:8:12", "cs_time"),
-        delay=cli._parse_spec("constant:5", "delay"),
-        faults=cli._parse_fault_specs(
-            ["drop:0.1", "partition:10:20:2"], (6, 8)
-        ),
-        retx=cli._parse_retx_spec("5:1:20"),
+        cs_time=cli._axis_arg("cs_time", "uniform:8:12"),
+        delay=cli._axis_arg("delay", "constant:5"),
+        faults=cli._axis_arg("faults", "drop:0.1 partition:10:20:2", (6, 8)),
+        retx=cli._axis_arg("retx", "5:1:20"),
     )
     assert digest(from_cli) == (
         8,
         "af72e16f2636b2b2dc561665b62649855260c8abdd1871070f655b3a2455294a",
     )
-    assert "faults per N" in from_cli.description
+    # every axis is described in the text form its flag takes
+    assert from_cli.description.endswith(
+        "cs_time uniform:8:12. delay constant:5. "
+        "faults drop:0.1 partition:10:20:2. retx 5:1:20."
+    )
     poisson = Campaign("x").add_sweep(
         ("rcv",),
         (5, 7),

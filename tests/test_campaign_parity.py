@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.cache import CellCache
-from repro.experiments.figures import burst_sweep, lambda_sweep
+from repro.experiments.figures import burst_sweep, fault_sweep, lambda_sweep
 from repro.experiments.parallel import ProgressReporter, run_cells
 from repro.experiments.spec import (
     AXES,
@@ -523,6 +523,136 @@ def test_faulty_cells_run_identically_across_paths(tmp_path):
     cache.hits = cache.misses = 0
     assert _dicts(run_cells(specs, max_workers=1, cache=cache)) == reference
     assert cache.hits == len(specs) and cache.misses == 0
+
+
+# ----------------------------------------------------------------------
+# the one completion rule: clean cells must complete, faulted cells
+# that strand are results
+# ----------------------------------------------------------------------
+def _stranding_fault_spec():
+    return CellSpec("rcv", 6, 0, ("burst", 1), faults=(("drop", 0.9),))
+
+
+def _stranding_clean_spec():
+    # no fault anywhere: the drain deadline (3x the horizon) cuts the
+    # queue of 60-unit critical sections short
+    return CellSpec("rcv", 6, 0, ("poisson", 5.0, 40.0), cs_time=60.0)
+
+
+@pytest.mark.parametrize("steal", [False, True])
+@pytest.mark.parametrize("kind", BACKEND_KINDS)
+def test_faulted_cell_that_strands_comes_back_once(kind, steal, make_cache):
+    spec = _stranding_fault_spec()
+    reference = run_scenario(spec.build_scenario(), require_completion=False)
+    assert reference.completed_count < reference.issued_count
+    cache = make_cache(kind)
+    (result,) = run_cells(
+        [spec], max_workers=1, cache=cache, steal=steal, owner="worker-1"
+    )
+    assert result_to_dict(result) == result_to_dict(reference)
+    assert cache.writes == 1  # computed once, not once per retry
+    assert cache.backend.failures(spec.cache_key()) == []
+    assert not cache.quarantined()
+    # ...and the stranded result is served from the cache like any other
+    (again,) = run_cells([spec], max_workers=1, cache=cache)
+    assert result_to_dict(again) == result_to_dict(reference)
+    assert cache.writes == 1
+
+
+def test_clean_cell_that_strands_still_raises(make_cache):
+    from dataclasses import replace
+
+    from repro.workload.runner import IncompleteRunError
+
+    spec = _stranding_clean_spec()
+    with pytest.raises(IncompleteRunError, match="liveness failure"):
+        run_cells([spec], max_workers=1)
+    cache = make_cache("memory")
+    with pytest.raises(IncompleteRunError):
+        run_cells([spec], max_workers=1, cache=cache)
+    assert cache.writes == 0  # a liveness bug is never cached as a result
+    # a no-op fault spec IS the clean cell, so it is just as loud
+    noop = replace(spec, faults=(("drop", 0.0),))
+    with pytest.raises(IncompleteRunError):
+        run_cells([noop], max_workers=1)
+
+
+def test_clean_cell_that_strands_is_quarantined_under_steal(make_cache):
+    spec = _stranding_clean_spec()
+    cache = make_cache("sqlite")
+    (result,) = run_cells(
+        [spec], max_workers=1, cache=cache, steal=True, owner="worker-1",
+        max_failures=2, steal_timeout=60.0,
+    )
+    assert result is None and cache.writes == 0
+    record = cache.quarantined()[spec.cache_key()]
+    assert record["count"] == 2
+    assert "liveness failure" in record["failures"][-1]["error"]
+
+
+# ----------------------------------------------------------------------
+# fault_sweep is a sweep like the others: cell_grid -> run_cells
+# ----------------------------------------------------------------------
+_FAULT_SWEEP = dict(n_values=(6, 8), algorithms=("rcv", "maekawa"), seeds=(0, 1))
+_FAULT_RETX = ("retx", 5.0, 1.0, 100)
+
+
+def _fault_sweep_dicts(sweep):
+    return {
+        (algo, label, n): _dicts(runs)
+        for algo, per_label in sweep.items()
+        for label, by_n in per_label.items()
+        for n, runs in by_n.items()
+    }
+
+
+@pytest.mark.parametrize("retx", [(), _FAULT_RETX], ids=["bare", "retx"])
+def test_fault_sweep_cells_equal_lenient_run_scenario(retx, tmp_path):
+    from repro.experiments.figures import fault_grid
+
+    cache = CellCache(tmp_path / "cells")
+    sweep = fault_sweep(**_FAULT_SWEEP, retx=retx, max_workers=1, cache=cache)
+    got = _fault_sweep_dicts(sweep)
+    expected = {
+        (algo, label, n): _dicts(
+            run_scenario(
+                CellSpec(
+                    algo, n, seed, ("burst", 1), faults=faults, retx=retx
+                ).build_scenario(),
+                require_completion=False,
+            )
+            for seed in _FAULT_SWEEP["seeds"]
+        )
+        for algo in _FAULT_SWEEP["algorithms"]
+        for n in _FAULT_SWEEP["n_values"]
+        for label, faults in fault_grid(n)
+    }
+    assert got == expected
+    cells = len(expected) * len(_FAULT_SWEEP["seeds"])
+    assert (cache.misses, cache.writes) == (cells, cells)
+    if not retx:  # the grid does measure lost liveness, as results
+        assert any(
+            run.completed_count < run.issued_count
+            for per_label in sweep.values()
+            for by_n in per_label.values()
+            for runs in by_n.values()
+            for run in runs
+        )
+
+    # a second call over the same cache computes nothing
+    cache.hits = cache.misses = cache.writes = 0
+    again = fault_sweep(**_FAULT_SWEEP, retx=retx, max_workers=1, cache=cache)
+    assert _fault_sweep_dicts(again) == expected
+    assert (cache.hits, cache.misses, cache.writes) == (cells, 0, 0)
+
+
+def test_fault_sweep_pooled_equals_sequential():
+    sequential = fault_sweep(**_FAULT_SWEEP, max_workers=1)
+    pooled = fault_sweep(**_FAULT_SWEEP, max_workers=2)
+    assert _fault_sweep_dicts(pooled) == _fault_sweep_dicts(sequential)
+    # same nesting and order as ever: results[algo][label][n] = runs
+    assert list(pooled) == ["rcv", "maekawa"]
+    assert list(pooled["rcv"]["drop-10%"]) == [6, 8]
 
 
 def test_poisson_mean_roundtrip_is_exact():

@@ -124,18 +124,25 @@ def test_cli_campaign_runs_and_resumes(capsys, tmp_path):
     assert table(first) == table(second)
 
 
-def test_cli_campaign_quarantined_run_names_its_cause(capsys, tmp_path):
+def test_cli_campaign_quarantined_run_names_its_cause(
+    capsys, tmp_path, monkeypatch
+):
     """A --steal run that ends with quarantined cells used to print
     "(shard run: ...; run without --shard to aggregate)" — wrong cause,
     wrong remedy.  The only hole a result can have is a quarantined
     cell, and the CLI and summary.md say so."""
+    from repro.experiments import parallel
+
+    def crash(spec):  # quarantine is for crashes, not lost liveness
+        raise RuntimeError("simulated worker crash")
+
+    monkeypatch.setattr(parallel, "_run_cell", crash)
     out_dir = tmp_path / "camp"
     argv = [
         "campaign",
         "--algorithms", "rcv",
         "--n-values", "6",
         "--seeds", "1",
-        "--fault-spec", "drop:0.9",  # strands: a liveness failure
         "--steal",
         "--max-cell-failures", "1",
         "--out", str(out_dir),
@@ -150,6 +157,7 @@ def test_cli_campaign_quarantined_run_names_its_cause(capsys, tmp_path):
     assert not (out_dir / "results.json").exists()
     summary = (out_dir / "summary.md").read_text()
     assert "Partial run: 0/1 cells present, 1 quarantined." in summary
+    assert "simulated worker crash" in summary
 
 
 def test_cli_campaign_rejects_malformed_args(tmp_path):
@@ -210,6 +218,70 @@ def test_cli_campaign_rejects_malformed_recover_and_retx_specs():
         cli.main(["campaign", "--retx", "5:0.5"])
     with pytest.raises(SystemExit, match="bad --retx.*max_retries"):
         cli.main(["campaign", "--retx", "5:2:0"])
+
+
+def test_cli_fault_spec_refuses_non_integral_k_and_node():
+    """``partition:30:60:2.7`` used to run K=2 and ``crash:1.9:20`` to
+    crash node 1 — a different experiment than the one typed, with no
+    message."""
+    import pytest
+
+    for text, names in (
+        ("partition:30:60:2.7", "K=2.7 .*whole number"),
+        ("crash:1.9:20", "crash names node 1.9, not a whole number"),
+        ("recover:1.5:30", "recover names node 1.5, not a whole number"),
+    ):
+        with pytest.raises(SystemExit, match=f"bad --fault-spec: .*{names}"):
+            cli.main(["campaign", "--n-values", "6", "--fault-spec", text])
+    with pytest.raises(
+        SystemExit, match="bad --retx: .*max_retries .*whole number.*2.5"
+    ):
+        cli.main(["campaign", "--retx", "5:2:2.5"])
+    # an integral spelling is the integer
+    assert cli._axis_arg("faults", "crash:1.0:20", (6,)) == (
+        ("crash", ((1, 20.0),)),
+    )
+
+
+def test_cli_campaign_refuses_non_finite_parameters():
+    import pytest
+
+    for flag, text in (
+        ("--retx", "nan"),
+        ("--retx", "5:nan"),
+        ("--retx", "5:2:inf"),
+        ("--fault-spec", "reorder:inf"),
+        ("--fault-spec", "crash:1:inf"),
+        ("--delay-spec", "constant:inf"),
+        ("--delay-spec", "uniform:2:nan"),
+        ("--cs-spec", "constant:nan"),
+    ):
+        with pytest.raises(SystemExit, match=f"(bad|malformed) {flag}"):
+            cli.main(["campaign", flag, text])
+
+
+def test_cli_fault_campaign_that_strands_is_complete(capsys, tmp_path):
+    """Lost liveness under faults is the measurement: the campaign is
+    complete without --steal, results.json is written, and summary.md
+    says how much completed."""
+    out_dir = tmp_path / "camp"
+    argv = [
+        "campaign",
+        "--algorithms", "rcv",
+        "--n-values", "6",
+        "--seeds", "1",
+        "--fault-spec", "drop:0.9",
+        "--out", str(out_dir),
+        "--workers", "1",
+        "--no-progress",
+    ]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "quarantined" not in out
+    assert (out_dir / "results.json").exists()
+    summary = (out_dir / "summary.md").read_text()
+    assert "faults drop:0.9." in summary
+    assert "| completion |" in summary and "| 0.000 |" in summary
 
 
 def test_cli_campaign_retx_cells_complete_under_drop(capsys, tmp_path):

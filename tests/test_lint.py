@@ -22,7 +22,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import CellTemplate
 from repro.experiments.spec import CellSpec
 from repro.lint import run_lint
 from repro.lint.pragmas import parse_pragmas
@@ -114,7 +113,7 @@ def test_determinism_operational_layer_policy():
 
 # ----------------------------------------------------------------------
 # cache-key (mutation-proof): a runtime guard, so the mutants are
-# CellSpec / CellTemplate subclasses that let one field slip
+# CellSpec subclasses that let one field slip
 # ----------------------------------------------------------------------
 def _forgets(method_name: str, field_name: str):
     """A CellSpec whose ``method_name`` ignores ``field_name``."""
@@ -136,21 +135,6 @@ def test_cache_key_rule_catches_any_dropped_canon_field(field_name):
     ), messages
 
 
-def test_cache_key_rule_catches_partial_template_key():
-    class PartialKey(CellTemplate):
-        def __init__(self, spec):
-            super().__init__(spec)
-            self.key = (self.spec.algorithm, self.spec.n_nodes)
-
-    missing = {
-        m.split("'")[1]
-        for m in identity_violations(template_cls=PartialKey)
-        if "does not reach CellTemplate.key" in m
-    }
-    # every field except the two kept and the seed (exempt by design)
-    assert missing == set(CELLSPEC_FIELDS) - {"algorithm", "n_nodes", "seed"}
-
-
 def test_cache_key_rule_catches_dropped_doc_field():
     class Renamed(CellSpec):
         def document(self):
@@ -162,18 +146,6 @@ def test_cache_key_rule_catches_dropped_doc_field():
     assert "'work_load'" in messages and "are not the CellSpec fields" in messages
     messages = " | ".join(identity_violations(_forgets("document", "workload")))
     assert "'workload' does not reach the embedded cell document" in messages
-
-
-def test_cache_key_rule_catches_lost_template_key_derivation():
-    class SeededKey(CellTemplate):
-        def __init__(self, spec):
-            super().__init__(spec)
-            self.key = spec.normalized()  # the seed is still in there
-
-    assert any(
-        "'seed' splits CellTemplate.key" in m
-        for m in identity_violations(template_cls=SeededKey)
-    )
 
 
 def test_cache_key_rule_reports_through_the_linter(monkeypatch):

@@ -219,3 +219,81 @@ def test_workload_integral_spellings_share_one_cell():
     assert a.normalized() == b.normalized()
     assert b.normalized().workload == ("burst", 2)
     assert type(b.normalized().workload[1]) is int
+
+
+# ----------------------------------------------------------------------
+# every numeric axis parameter is finite and in range at normalisation
+# ----------------------------------------------------------------------
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "field, bad, names",
+    [
+        ("delay", NAN, "delay.*nan"),
+        ("delay", INF, "delay.*inf"),
+        # these two used to pass normalisation and die at build
+        ("delay", -5.0, "delay.*-5"),
+        ("delay", ("uniform", 8.0, 2.0), "delay.*8.0, 2.0"),
+        ("delay", ("uniform", 2.0, INF), "delay.*inf"),
+        ("delay", ("exponential", NAN, 1.0), "delay.*nan"),
+        ("delay", ("jittered", 5.0, INF), "delay.*inf"),
+        ("cs_time", NAN, "cs_time.*nan"),
+        ("cs_time", INF, "cs_time.*inf"),
+        ("cs_time", ("uniform", 12.0, 8.0), "cs_time.*12.0, 8.0"),
+        ("cs_time", ("exponential", 0.0, 1.0), "cs_time.*0.0, 1.0"),
+        ("faults", (("reorder", INF),), "reorder.*inf"),
+        ("faults", (("reorder", NAN),), "reorder.*nan"),
+        ("faults", (("crash", ((1, INF),)),), "crash.*inf"),
+        ("faults", (("partition", ((1.0, INF, (0,), (1,)),)),), "partition.*inf"),
+        ("faults", (("partition", ((NAN, 5.0, (0,), (1,)),)),), "partition.*nan"),
+        ("retx", ("retx", NAN, 2.0, 10), "retx rto.*nan"),
+        ("retx", ("retx", INF, 2.0, 10), "retx rto.*inf"),
+        ("retx", ("retx", 5.0, NAN, 10), "retx backoff.*nan"),
+        ("retx", ("retx", 5.0, INF, 10), "retx backoff.*inf"),
+        ("retx", ("retx", 5.0, 2.0, INF), "retx.*inf"),
+        # whole numbers are never truncated to: node 1.9 is not node 1
+        ("faults", (("crash", ((1.9, 20.0),)),), "crash names node 1.9"),
+        ("faults", (("partition", ((1, 2, (0.5,), (1,)),)),), "node 0.5"),
+        ("retx", ("retx", 5.0, 2.0, 2.7), "max_retries.*2.7"),
+    ],
+    ids=repr,
+)
+def test_non_finite_and_out_of_range_parameters_are_refused(field, bad, names):
+    """...with a message naming the axis (for faults, the fault kind)
+    and showing the value."""
+    spec = CellSpec("rcv", 3, 0, ("burst", 1), **{field: bad})
+    for use in (spec.normalized, spec.cache_key, spec.build_scenario):
+        with pytest.raises(UnrepresentableScenarioError, match=names):
+            use()
+
+
+def test_nan_delay_can_no_longer_poison_a_cache(tmp_path):
+    """``delay=nan`` used to normalise, "run", commit — and every later
+    resume raised "written for a different spec — cache corruption",
+    because the embedded document's NaN never equals itself."""
+    from repro.experiments.parallel import run_cells
+
+    cache = CellCache(tmp_path / "cells")
+    spec = CellSpec("rcv", 3, 0, ("burst", 1), delay=NAN)
+    with pytest.raises(UnrepresentableScenarioError, match="delay"):
+        run_cells([spec], max_workers=1, cache=cache)
+    assert cache.writes == 0 and not any((tmp_path / "cells").glob("*.json"))
+
+
+def test_partition_first_k_form_is_the_explicit_groups_cell():
+    short = CellSpec(
+        "rcv", 6, 0, ("burst", 1), faults=(("partition", ((10, 20, 2),)),)
+    )
+    explicit = CellSpec(
+        "rcv", 6, 0, ("burst", 1),
+        faults=(("partition", ((10.0, 20.0, (0, 1), (2, 3, 4, 5)),)),),
+    )
+    assert short.normalized() == explicit.normalized()
+    assert short.cache_key() == explicit.cache_key()
+    for k in (0, 6, 2.5, "2"):
+        with pytest.raises(UnrepresentableScenarioError, match="K="):
+            CellSpec(
+                "rcv", 6, 0, ("burst", 1),
+                faults=(("partition", ((10, 20, k),)),),
+            ).normalized()
