@@ -1,16 +1,15 @@
 """Packaging for the RCV reproduction.
 
-The core simulator is deliberately stdlib-only: every protocol,
-engine, campaign and CLI path runs on a bare Python >= 3.10.  The
-analysis conveniences degrade gracefully — ``repro.metrics.summary``
-falls back to ``statistics`` when numpy is absent and to the normal
-quantile when scipy is — so the extras below widen precision and
-speed, never correctness.  Declaring them here (instead of silently
-assuming a site install) is the honest contract:
+The package is stdlib-only, all of it: every protocol, engine,
+campaign, CLI and summary path runs on a bare Python >= 3.10, and no
+module under ``src/`` imports a third-party package
+(``tests/test_import_graph.py`` guards the start-up module set).
+Means, ddof=1 standard deviations and Student-t confidence intervals
+come from ``repro.metrics.summary`` (``statistics`` plus a small
+pure-Python t-quantile), so a table prints the same ``±`` on every
+host.  The one extra is the toolchain CI installs:
 
-* ``repro[analysis]`` — numpy (vectorised summaries), scipy (exact
-  t-quantiles for small-repeat confidence intervals);
-* ``repro[test]`` — the tier-1 + benchmark toolchain CI installs.
+* ``repro[test]`` — the tier-1 + benchmark toolchain.
 """
 
 from pathlib import Path
@@ -35,7 +34,6 @@ setup(
     python_requires=">=3.10",
     install_requires=[],
     extras_require={
-        "analysis": ["numpy", "scipy"],
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
     entry_points={

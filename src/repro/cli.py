@@ -34,6 +34,28 @@ from repro.registry import algorithm_names
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """The argparse ``type`` of every count-like flag: an int >= 1,
+    else a usage error (exit 2) naming the flag and the value — not an
+    empty campaign, a silently single process, or a traceback."""
+    value = int(text)  # ValueError: argparse's own "invalid ... value"
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    """``--lease-ttl``: the values ``run_cells`` and the wire accept."""
+    value = float(text)
+    if not 0 < value < float("inf"):  # NaN fails both
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds > 0, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.experiments.spec import AXES
 
@@ -49,7 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for fig in ("fig4", "fig5", "fig6", "fig7"):
         p = sub.add_parser(fig, help=f"regenerate the paper's {fig}")
-        p.add_argument("--seeds", type=int, default=3, help="repeats per point")
+        p.add_argument(
+            "--seeds", type=_positive_int, default=3, help="repeats per point"
+        )
         p.add_argument(
             "--paper-scale",
             action="store_true",
@@ -83,14 +107,16 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument(
         "--n-values",
         nargs="+",
-        type=int,
+        type=_positive_int,
         default=None,
         help="node counts (default: 50 100 150 200)",
     )
-    camp.add_argument("--seeds", type=int, default=3, help="repeats per point")
+    camp.add_argument(
+        "--seeds", type=_positive_int, default=3, help="repeats per point"
+    )
     camp.add_argument(
         "--requests-per-node",
-        type=int,
+        type=_positive_int,
         default=1,
         help="burst size per node (the heavy-load table uses 3)",
     )
@@ -140,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=None,
         help="process-pool size (default: one per CPU)",
     )
@@ -179,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument(
         "--lease-ttl",
-        type=float,
+        type=_positive_seconds,
         default=60.0,
         help=(
             "seconds a --steal lease lives before peers may steal it; "
@@ -189,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument(
         "--max-cell-failures",
-        type=int,
+        type=_positive_int,
         default=3,
         metavar="K",
         help=(
@@ -199,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument(
         "--chunk-size",
-        type=int,
+        type=_positive_int,
         default=None,
         help="cells per cache-commit chunk (default: 2x workers)",
     )
@@ -264,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a single scenario")
     run_p.add_argument("--algorithm", default="rcv", choices=algorithm_names())
-    run_p.add_argument("--nodes", type=int, default=10)
+    run_p.add_argument("--nodes", type=_positive_int, default=10)
     run_p.add_argument(
         "--workload", choices=("burst", "poisson"), default="burst"
     )

