@@ -6,12 +6,15 @@ REPLY, and the requester enters once (a) its request heads its local
 queue and (b) it has heard a message with a larger timestamp from
 every peer.  RELEASE is broadcast on exit.  Cost: 3(N−1) messages.
 
-Lamport's proof assumes FIFO channels; under a reordering network a
-RELEASE can overtake its REQUEST.  We keep the algorithm faithful but
-make it robust to that case by tracking *completed* requests — a
-RELEASE for a request not yet seen is remembered and cancels the
-REQUEST on arrival.  With FIFO channels (or the paper's constant
-delay) the fallback never triggers; ``fifo_fallbacks`` counts it.
+**Requires FIFO channels**, as Lamport's proof does.  The one
+reordering handled here is RELEASE-before-REQUEST: a RELEASE for a
+request not yet seen is remembered and cancels the REQUEST on arrival
+(``fifo_fallbacks`` counts how often; never under FIFO or the paper's
+constant delay).  That fallback does not make the algorithm correct
+on a reordering network: a REPLY that overtakes the REQUEST sent
+before it lets the receiver enter on a queue that lacks the sender's
+older request.  ``repro.verify`` finds that mutual-exclusion breach
+at N=2 in six steps; docs/verification.md has the schedule.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ its snapshot helpers).
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import ClassVar
 
 __all__ = ["Message", "payload_fields"]
@@ -18,6 +19,7 @@ __all__ = ["Message", "payload_fields"]
 _msg_counter = itertools.count(1)
 
 
+@lru_cache(maxsize=None)
 def payload_fields(message_type) -> tuple:
     """Sorted names of a message type's payload slots.
 

@@ -30,8 +30,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--algo",
         default="rcv",
-        choices=sorted(ALGORITHMS),
-        help="algorithm model to verify (default: rcv)",
+        choices=ALGORITHMS,
+        help="algorithm to verify: any registry name, or the echo "
+        "calibration model (default: rcv)",
     )
     parser.add_argument(
         "--n", type=int, default=3, help="number of nodes (default: 3)"
@@ -131,8 +132,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--quorum-system",
-        default="grid",
-        help="quorum family (maekawa only; default: grid)",
+        default=None,
+        help="quorum family, passed to the algorithm's node class "
+        "(maekawa: grid, fpp, majority; default: the class's own)",
     )
     parser.add_argument(
         "--planted-bug",
@@ -171,13 +173,10 @@ def main(argv=None) -> int:
             "forwarding": args.forwarding,
             "on_inconsistency": args.on_inconsistency,
         }
-        if args.planted_bug:
-            model_opts["planted"] = args.planted_bug
-    elif args.planted_bug:
-        print("error: --planted-bug requires --algo rcv", file=sys.stderr)
-        return 2
-    if args.algo == "maekawa":
-        model_opts = {"quorum_system": args.quorum_system}
+    if args.planted_bug:
+        model_opts["planted"] = args.planted_bug
+    if args.quorum_system is not None:
+        model_opts["quorum_system"] = args.quorum_system
 
     checks = tuple(
         part.strip() for part in args.checks.split(",") if part.strip()

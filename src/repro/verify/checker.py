@@ -54,18 +54,11 @@ __all__ = [
     "DEFAULT_CHECKS",
     "Violation",
     "check",
+    "extend_ledger",
+    "state_violation",
 ]
 
 DEFAULT_CHECKS = ("me", "lemmas", "ledger", "stuck")
-
-#: kinds a violation can carry
-VIOLATION_KINDS = (
-    "mutual-exclusion",
-    "lemma",
-    "commit-order",
-    "stuck",
-    "protocol-error",
-)
 
 
 class Violation:
@@ -144,6 +137,61 @@ class _Entry:
         self.depth = depth
         self.trace_idx = trace_idx
         self.ledger = ledger
+
+
+def state_violation(
+    world: World, checks: Tuple[str, ...], acts: List[Tuple], stuck: bool
+) -> Optional[Tuple[str, str]]:
+    """``(kind, message)`` of the first per-state check ``world``
+    fails, given its enabled actions; shared with schedule replay."""
+    model = world.model
+    if "me" in checks and model.mutual_exclusion:
+        holders = world.cs_holders()
+        if len(holders) > 1:
+            return (
+                "mutual-exclusion",
+                f"nodes {holders} are in the critical section "
+                "simultaneously",
+            )
+    if "lemmas" in checks and model.has_invariants:
+        try:
+            model.check_invariants(world.nodes)
+        except AssertionError as exc:
+            return "lemma", str(exc)
+    if stuck and not acts:
+        requesting = world.requesting()
+        if requesting:
+            return (
+                "stuck",
+                f"terminal state with nodes {requesting} still "
+                "REQUESTING (no message can un-wedge them)",
+            )
+    return None
+
+
+def extend_ledger(
+    world: World, ledger: FrozenSet
+) -> Tuple[FrozenSet, Optional[str]]:
+    """``world``'s commit orders added to the before-pair ``ledger``:
+    (new ledger, violation message or None)."""
+    new_pairs = None
+    for node in world.nodes:
+        si = getattr(node, "si", None)
+        if si is None:
+            return ledger, None  # algorithm without NONLs
+        try:
+            pairs = extend_before_pairs(
+                ledger if new_pairs is None else ledger | new_pairs,
+                si.nonl,
+                who=f"node {node.node_id}",
+            )
+        except AssertionError as exc:
+            return ledger, str(exc)
+        if pairs:
+            new_pairs = pairs if new_pairs is None else new_pairs | pairs
+    if new_pairs:
+        return ledger | new_pairs, None
+    return ledger, None
 
 
 class Checker:
@@ -253,15 +301,6 @@ class Checker:
     def _canon(self, fp: Tuple) -> Tuple:
         return self.model.canonical(fp) if self.symmetry else fp
 
-    def _owner(self, world: World, action: Tuple) -> Optional[int]:
-        op = action[0]
-        if op in ("request", "release"):
-            return action[1]
-        if op == "deliver":
-            env = world.inflight.get(action[1])
-            return env.dst if env is not None else None
-        return None  # drop/dup consume shared adversary budgets
-
     def _steps_to(self, trace_idx: int) -> List[dict]:
         steps: List[dict] = []
         while trace_idx >= 0:
@@ -275,62 +314,6 @@ class Checker:
         self, kind: str, message: str, trace_idx: int, depth: int
     ) -> Violation:
         return Violation(kind, message, self._steps_to(trace_idx), depth)
-
-    def _check_state(
-        self, entry: _Entry, acts: List[Tuple]
-    ) -> Optional[Violation]:
-        world = entry.world
-        if "me" in self.checks and self.model.mutual_exclusion:
-            holders = world.cs_holders()
-            if len(holders) > 1:
-                return self._violation(
-                    "mutual-exclusion",
-                    f"nodes {holders} are in the critical section "
-                    "simultaneously",
-                    entry.trace_idx,
-                    entry.depth,
-                )
-        if "lemmas" in self.checks and self.model.has_invariants:
-            try:
-                self.model.check_invariants(world.nodes)
-            except AssertionError as exc:
-                return self._violation(
-                    "lemma", str(exc), entry.trace_idx, entry.depth
-                )
-        if self._stuck_enabled and not acts:
-            requesting = world.requesting()
-            if requesting:
-                return self._violation(
-                    "stuck",
-                    f"terminal state with nodes {requesting} still "
-                    "REQUESTING (no message can un-wedge them)",
-                    entry.trace_idx,
-                    entry.depth,
-                )
-        return None
-
-    def _extend_ledger(
-        self, world: World, ledger: FrozenSet
-    ) -> Tuple[FrozenSet, Optional[str]]:
-        """Returns (new ledger, violation message or None)."""
-        new_pairs = None
-        for node in world.nodes:
-            si = getattr(node, "si", None)
-            if si is None:
-                return ledger, None  # algorithm without NONLs
-            try:
-                pairs = extend_before_pairs(
-                    ledger if new_pairs is None else ledger | new_pairs,
-                    si.nonl,
-                    who=f"node {node.node_id}",
-                )
-            except AssertionError as exc:
-                return ledger, str(exc)
-            if pairs:
-                new_pairs = pairs if new_pairs is None else new_pairs | pairs
-        if new_pairs:
-            return ledger | new_pairs, None
-        return ledger, None
 
     def _successors(self, world: World, action: Tuple):
         """Every resolution of ``action``'s internal rng draws:
@@ -357,7 +340,7 @@ class Checker:
             retx_broken=self.retx_broken,
             oracle=self.oracle,
         )
-        ledger, _ = self._extend_ledger(root, frozenset())
+        ledger, _ = extend_ledger(root, frozenset())
         worklist = deque([_Entry(root, frozenset(), 0, -1, ledger)])
         pop = worklist.popleft if self.search == "bfs" else worklist.pop
         visited: Dict[Tuple, List[FrozenSet]] = {}
@@ -373,9 +356,13 @@ class Checker:
                 if entry.depth > result.max_depth_seen:
                     result.max_depth_seen = entry.depth
                 acts = entry.world.enabled_actions()
-                violation = self._check_state(entry, acts)
-                if violation is not None:
-                    result.violations.append(violation)
+                found = state_violation(
+                    entry.world, self.checks, acts, self._stuck_enabled
+                )
+                if found is not None:
+                    result.violations.append(
+                        self._violation(*found, entry.trace_idx, entry.depth)
+                    )
                     if self.stop_on_first:
                         return
                     continue
@@ -398,6 +385,19 @@ class Checker:
                     result.sleep_skipped += 1
                     continue
                 note = describe_action(entry.world, action)
+                # What the successors may leave asleep: the explored
+                # or inherited actions independent of this one, i.e.
+                # run on a different node (drop/dup have no owner and
+                # are dependent with everything).
+                owner = entry.world.owner(action)
+                if use_sleep and owner is not None:
+                    sleep = frozenset(
+                        b
+                        for b in entry.sleep.union(explored_here)
+                        if entry.world.owner(b) not in (None, owner)
+                    )
+                else:
+                    sleep = frozenset()
                 for succ, out in self._successors(entry.world, action):
                     result.transitions += 1
                     step = {
@@ -423,7 +423,7 @@ class Checker:
                         continue
                     succ_ledger = entry.ledger
                     if "ledger" in self.checks:
-                        succ_ledger, msg = self._extend_ledger(
+                        succ_ledger, msg = extend_ledger(
                             succ, entry.ledger
                         )
                         if msg is not None:
@@ -435,27 +435,12 @@ class Checker:
                             if self.stop_on_first:
                                 return
                             continue
-                    if use_sleep:
-                        sleep = frozenset(
-                            b
-                            for b in entry.sleep.union(explored_here)
-                            if self._independent(entry.world, b, action)
-                        )
-                    else:
-                        sleep = frozenset()
                     worklist.append(
                         _Entry(succ, sleep, depth, trace_idx, succ_ledger)
                     )
                 if use_sleep:
                     explored_here.append(action)
         result.complete = result.truncated is None
-
-    def _independent(self, world: World, a: Tuple, b: Tuple) -> bool:
-        oa = self._owner(world, a)
-        if oa is None:
-            return False
-        ob = self._owner(world, b)
-        return ob is not None and oa != ob
 
 
 def check(

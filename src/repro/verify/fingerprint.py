@@ -1,66 +1,69 @@
-"""Canonical state fingerprints — the checker's notion of equality.
+"""Canonical state fingerprints and state copies — one walker for both.
 
 Two worlds with equal fingerprints are merged during exploration, so
-an attribute *missing* from a fingerprint silently collapses distinct
-states and makes the checker unsound (states are skipped); an
-attribute that is pure bookkeeping but *included* splits equal states
-and blows up the search.  Every mutable attribute therefore must be
-listed in exactly one of two literal tables per structure:
+a value *missing* from a fingerprint collapses distinct states and
+makes the checker unsound; a value a clone *shares* with its original
+lets one world's transition leak into another.  How a value is
+encoded and how it is copied are therefore two columns of one table,
+:data:`VALUE_TYPES`, a row per type the protocol state may hold: the
+cloner and the fingerprint cannot disagree about a type, and a type
+with no row is a :class:`FingerprintError`, never a guess.
 
-* ``*_CANON`` — attribute name → encoder; part of the fingerprint;
-* ``*_EXCLUDED`` — attribute name → justification string explaining
-  why leaving it out cannot hide a reachable state.
+What is walked is decided by exclusion only.  A node's canon is
+**every attribute that no** ``*_EXCLUDED`` **table names**
+(:class:`repro.verify.models.AlgorithmModel`); a message's is every
+slot but ``msg_id`` (:func:`repro.net.message.payload_fields`).  An
+attribute nobody classified is fingerprinted and cloned: over-inclusion
+splits equal states and shows as a moved pin in ``tests/test_verify.py``,
+it never hides one.  Each exclusion is a soundness claim and carries
+its justification; a clone gets an excluded attribute by reference,
+which is what the justifications license (construction constants,
+infrastructure handles, instrumentation nobody reads).
+:func:`node_canon` holds the tables to the live node at every world
+construction: an entry naming an attribute the node lacks, or
+justifying nothing, is refused.
 
-One guard keeps the tables honest, and it runs where they are used:
-:func:`assert_canon_complete` compares them against the live
-instance's attributes every time a model builds its nodes, so every
-``repro.verify`` world construction checks them.  Adding an attribute
-to the protocol state — in ``__init__`` or anywhere else that runs
-before the world is built — without deciding its fingerprint fate is
-a :class:`FingerprintError`; so is an entry naming an attribute the
-instance no longer has, an attribute in both tables, and an exclusion
-whose justification is blank.
-
-Message fingerprints need no table: they are derived generically from
-``__slots__`` across the MRO, so a new message field is included
-automatically (failing loudly on field types the encoder does not
-understand), with only the global construction counter ``msg_id``
-excluded — it numbers messages across the whole process and would
-otherwise make equal protocol states compare unequal between runs.
+``SystemInfo`` alone has a hand-written encoder (:func:`fingerprint_si`;
+its copy is the protocol's own copy-on-write ``snapshot()``), so it
+keeps a canon table beside its exclusions and
+:func:`assert_canon_complete` checks that the two partition its slots.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import enum
+from collections import deque
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.state import SystemInfo
-from repro.net.message import payload_fields
+from repro.net.message import Message, payload_fields
 from repro.verify.errors import VerifyError
 
 __all__ = [
+    "ENCODER_OVERRIDES",
     "FingerprintError",
-    "RCV_NODE_CANON",
-    "RCV_NODE_EXCLUDED",
+    "MUTEX_NODE_EXCLUDED",
+    "NODE_EXCLUDED_TABLES",
     "SYSTEMINFO_CANON",
     "SYSTEMINFO_EXCLUDED",
-    "RA_NODE_CANON",
-    "RA_NODE_EXCLUDED",
-    "QUORUM_NODE_CANON",
-    "QUORUM_NODE_EXCLUDED",
-    "MESSAGE_SLOT_EXCLUDED",
+    "VALUE_TYPES",
     "assert_canon_complete",
-    "fingerprint_from_table",
+    "copy_value",
+    "encode_value",
     "fingerprint_message",
     "fingerprint_si",
+    "node_canon",
 ]
+
+_HERE = "src/repro/verify/fingerprint.py"
 
 
 class FingerprintError(VerifyError):
-    """A value reached the fingerprint encoder that it cannot encode.
+    """A value reached the walker that it can neither encode nor copy,
+    or an exclusion table drifted from the class it describes.
 
-    Raised instead of guessing: an unencodable field means the state
-    model changed and the fingerprint (and this module) must be
-    updated deliberately.
+    Raised instead of guessing: the state model changed and this
+    module must be updated deliberately.
     """
 
 
@@ -123,43 +126,25 @@ SYSTEMINFO_EXCLUDED = {
 
 
 # ----------------------------------------------------------------------
-# RCVNode (including the attributes inherited from Actor/MutexNode)
+# node exclusions — the only per-class knowledge the checker has
 # ----------------------------------------------------------------------
-def _enc_state(state) -> str:
-    return state.value
-
-
-def _enc_opt_tup(tup):
-    return None if tup is None else tuple(tup)
-
-
-def _enc_parked(parked) -> Tuple:
-    return tuple((p.home, tuple(p.tup), p.hops) for p in parked)
-
-
-#: Mutable RCVNode attributes that are part of the fingerprint.
-RCV_NODE_CANON = {
-    "state": _enc_state,
-    "si": fingerprint_si,
-    "current_tup": _enc_opt_tup,
-    "next_tup": _enc_opt_tup,
-    "_parked": _enc_parked,
-}
-
-#: RCVNode attributes excluded from the fingerprint.  The node's
-#: identity is positional — fingerprints are collected in node-id
-#: order — so the id-like constants carry no extra information.
-RCV_NODE_EXCLUDED = {
+#: Attributes every node inherits from Actor/MutexNode.  Node identity
+#: is positional — fingerprints are collected in node-id order — so
+#: the id-like constants carry no extra information.
+MUTEX_NODE_EXCLUDED = {
     "actor_id": "fixed at construction; equals node_id (positional)",
     "node_id": "fixed at construction; the fingerprint is positional",
     "n_nodes": "construction constant",
-    "env": "infrastructure reference (the checker's ModelEnv)",
+    "env": "infrastructure reference (the run's one ModelEnv)",
     "hooks": "infrastructure reference; grant/release effects are "
     "fully captured by NodeState",
     "request_time": "metrics-only timestamp; logical time is frozen "
     "at 0 under the checker",
     "cs_count": "derivable: requests issued (the world's request "
     "ledger) minus the one still outstanding",
+}
+
+RCV_NODE_EXCLUDED = {
     "config": "frozen dataclass, identical in every state",
     "policy": "stateless strategy object chosen by config",
     "exchange_stats": "instrumentation counters",
@@ -171,178 +156,276 @@ RCV_NODE_EXCLUDED = {
     "counters": "instrumentation counters",
 }
 
-
-# ----------------------------------------------------------------------
-# Baseline nodes
-# ----------------------------------------------------------------------
-def _enc_sorted(values) -> Tuple:
-    return tuple(sorted(values))
-
-
-RA_NODE_CANON = {
-    "state": _enc_state,
-    "clock": int,
-    "req_ts": lambda v: v,
-    "_awaiting": _enc_sorted,
-    "_deferred": _enc_sorted,
-}
-
-RA_NODE_EXCLUDED = {
-    "actor_id": "fixed at construction; equals node_id (positional)",
-    "node_id": "fixed at construction; the fingerprint is positional",
-    "n_nodes": "construction constant",
-    "env": "infrastructure reference",
-    "hooks": "infrastructure reference",
-    "request_time": "metrics-only; logical time frozen at 0",
-    "cs_count": "derivable from the world's request ledger",
-}
-
-
-def _enc_grant(grant):
-    if grant is None:
-        return None
-    return (grant.priority, grant.origin, grant.seq, grant.no, grant.inquired)
-
-
-def _enc_waiting(heap) -> Tuple:
-    # A binary heap's list layout depends on insertion order, but
-    # every heappop depends only on the multiset of entries — two
-    # heaps with equal content behave identically.  Canonicalize as
-    # the sorted multiset so equivalent arbiter states merge.
-    return tuple(sorted(heap))
-
-
-QUORUM_NODE_CANON = {
-    "state": _enc_state,
-    "clock": int,
-    "seq": int,
-    "_voted_for_me": _enc_sorted,
-    "_saw_failed": bool,
-    "_held_inquiries": tuple,
-    "_relinquished": _enc_sorted,
-    "_lock": _enc_grant,
-    "_grant_no": int,
-    "_waiting": _enc_waiting,
-    "_failed_notified": _enc_sorted,
-}
-
 QUORUM_NODE_EXCLUDED = {
-    "actor_id": "fixed at construction; equals node_id (positional)",
-    "node_id": "fixed at construction; the fingerprint is positional",
-    "n_nodes": "construction constant",
-    "env": "infrastructure reference",
-    "hooks": "infrastructure reference",
-    "request_time": "metrics-only; logical time frozen at 0",
-    "cs_count": "derivable from the world's request ledger",
     "quorum": "construction constant (the node's quorum set)",
 }
 
-
-# ----------------------------------------------------------------------
-# generic machinery
-# ----------------------------------------------------------------------
-def assert_canon_complete(obj, tables: str) -> None:
-    """The one guard on the canon tables: ``obj``'s attributes are
-    exactly the entries of this module's ``<tables>_CANON`` and
-    ``<tables>_EXCLUDED``, each in one of the two, every exclusion
-    justified.  Called once per world construction, so the cost is
-    negligible; every failure is a :class:`FingerprintError` naming
-    the attributes and the table to edit.
-    """
-    canon_name, excluded_name = f"{tables}_CANON", f"{tables}_EXCLUDED"
-    excluded = globals()[excluded_name]
-    in_canon, in_excluded = set(globals()[canon_name]), set(excluded)
-    # slots along the MRO plus the instance dict: a subclass of a
-    # slotted class that declares no __slots__ of its own has both
-    attrs = set(getattr(obj, "__dict__", ())) | {
-        name
-        for klass in type(obj).__mro__
-        for name in getattr(klass, "__slots__", ())
-    }
-    stale = "the instance has no such attribute"
-    for names, problem in (
-        (
-            in_canon & in_excluded,
-            f"are in both {canon_name} and {excluded_name} — pick one",
-        ),
-        (
-            attrs - in_canon - in_excluded,
-            f"are in neither {canon_name} nor {excluded_name} — two "
-            "states differing only there would fingerprint equal and "
-            "the checker would skip reachable states",
-        ),
-        (in_canon - attrs, f"are stale entries of {canon_name} — {stale}"),
-        (
-            in_excluded - attrs,
-            f"are stale entries of {excluded_name} — {stale}",
-        ),
-        (
-            {
-                name
-                for name, why in excluded.items()
-                if not (isinstance(why, str) and why.strip())
-            },
-            f"have no justification in {excluded_name} — leaving state "
-            "out of the fingerprint is a soundness claim and must say "
-            "why it is safe",
-        ),
-    ):
-        if names:
-            raise FingerprintError(
-                f"{type(obj).__name__} attributes {sorted(names)} "
-                f"{problem} (src/repro/verify/fingerprint.py)"
-            )
-
-
-def fingerprint_from_table(obj, canon: dict) -> Tuple:
-    """Apply a canon table to an instance; encoders run in table order."""
-    return tuple(enc(getattr(obj, name)) for name, enc in canon.items())
-
-
-#: Message slots excluded from fingerprints.
-MESSAGE_SLOT_EXCLUDED = {
-    "msg_id": (
-        "global construction counter — numbers messages across the "
-        "whole process, so including it would make equal protocol "
-        "states compare unequal between runs"
-    ),
+LAMPORT_NODE_EXCLUDED = {
+    "fifo_fallbacks": "instrumentation counter; never read",
 }
 
+RAYMOND_NODE_EXCLUDED = {
+    "_neighbors": "construction constant (the node's tree edges)",
+}
 
-def _encode_value(value) -> Tuple:
-    """Encode one message field as a homogeneous comparable tuple.
+#: class name → the table listing what that class's ``__init__`` adds
+#: to the exclusions.  A node's exclusions are the tables of every
+#: class along its MRO, so subclasses (Maekawa, the planted mutants)
+#: inherit them; a class not named here excludes nothing of its own.
+NODE_EXCLUDED_TABLES = {
+    "MutexNode": "MUTEX_NODE_EXCLUDED",
+    "RCVNode": "RCV_NODE_EXCLUDED",
+    "QuorumMutexNode": "QUORUM_NODE_EXCLUDED",
+    "LamportNode": "LAMPORT_NODE_EXCLUDED",
+    "RaymondNode": "RAYMOND_NODE_EXCLUDED",
+}
 
-    The leading type tag keeps tuples of mixed field types totally
-    ordered (fingerprint multisets are sorted), and an unknown type
-    raises instead of guessing.
-    """
-    if value is None:
-        return ("none",)
-    if isinstance(value, bool):
-        return ("b", value)
-    if isinstance(value, int):
-        return ("i", value)
-    if isinstance(value, str):
-        return ("s", value)
-    if isinstance(value, SystemInfo):
-        return ("si", fingerprint_si(value))
-    if isinstance(value, tuple):  # includes ReqTuple
-        return ("t",) + tuple(_encode_value(v) for v in value)
-    if isinstance(value, frozenset):
-        return ("fs",) + tuple(sorted(_encode_value(v) for v in value))
-    raise FingerprintError(
-        f"cannot fingerprint message field of type "
-        f"{type(value).__name__}: {value!r} — teach "
-        f"repro/verify/fingerprint.py about it"
+def _slot_names(cls: type) -> set:
+    return {
+        name
+        for klass in cls.__mro__
+        for name in getattr(klass, "__slots__", ())
+    }
+
+
+def _attr_names(obj) -> set:
+    # slots along the MRO plus the instance dict: a subclass of a
+    # slotted class that declares no __slots__ of its own has both
+    return set(getattr(obj, "__dict__", ())) | _slot_names(type(obj))
+
+
+def _refuse(obj, names: set, problem: str) -> None:
+    if names:
+        raise FingerprintError(
+            f"{type(obj).__name__} attributes {sorted(names)} "
+            f"{problem} ({_HERE})"
+        )
+
+
+def _checked_table(obj, attrs: set, name: str) -> set:
+    """The entries of table ``name`` (looked up by name, so the
+    complaint can say which table to edit), refusing one that names an
+    attribute ``obj`` lacks or says nothing about it."""
+    table = globals()[name]
+    _refuse(
+        obj,
+        set(table) - attrs,
+        f"are stale entries of {name} — the instance has no such attribute",
     )
+    _refuse(
+        obj,
+        {
+            attr
+            for attr, why in table.items()
+            if not (isinstance(why, str) and why.strip())
+        },
+        f"have no justification in {name} — leaving state out of the "
+        "fingerprint is a soundness claim and must say why it is safe",
+    )
+    return set(table)
+
+
+def assert_canon_complete(si: SystemInfo) -> None:
+    """``SYSTEMINFO_CANON`` and ``SYSTEMINFO_EXCLUDED`` partition the
+    slots of ``si``, no entry is stale, every exclusion is justified."""
+    attrs = _attr_names(si)
+    canon = _checked_table(si, attrs, "SYSTEMINFO_CANON")
+    excluded = _checked_table(si, attrs, "SYSTEMINFO_EXCLUDED")
+    _refuse(
+        si,
+        canon & excluded,
+        "are in both SYSTEMINFO_CANON and SYSTEMINFO_EXCLUDED — pick one",
+    )
+    _refuse(
+        si,
+        attrs - canon - excluded,
+        "are in neither SYSTEMINFO_CANON nor SYSTEMINFO_EXCLUDED — two "
+        "states differing only there would fingerprint equal and the "
+        "checker would skip reachable states",
+    )
+
+
+def node_canon(node) -> List[Tuple[str, Callable]]:
+    """``(attribute, encoder)`` for everything ``node`` carries that
+    is state — every attribute but those the exclusion tables of the
+    classes along its MRO name, in ``__dict__`` order.  The tables
+    are checked against the live instance on the way, as is any
+    ``SystemInfo`` the node carries: called at every world
+    construction, so a table cannot drift unnoticed, and every
+    failure is a :class:`FingerprintError` naming the attributes and
+    the table to edit."""
+    attrs = _attr_names(node)
+    owners = [klass.__name__ for klass in type(node).__mro__]
+    excluded: set = set()
+    for owner in owners:
+        if owner in NODE_EXCLUDED_TABLES:
+            excluded |= _checked_table(node, attrs, NODE_EXCLUDED_TABLES[owner])
+    for value in vars(node).values():
+        if isinstance(value, SystemInfo):
+            assert_canon_complete(value)
+    overrides = {
+        attr: encode
+        for (owner, attr), encode in ENCODER_OVERRIDES.items()
+        if owner in owners
+    }
+    return [
+        (name, overrides.get(name, encode_value))
+        for name in vars(node)
+        if name not in excluded
+    ]
+
+
+# ----------------------------------------------------------------------
+# the value table: how each type is copied, how it is encoded
+# ----------------------------------------------------------------------
+def _share_frozen(value):
+    # A tuple or frozenset is shared, never rebuilt (a NamedTuple
+    # would not survive ``type(value)(items)``), so everything in it
+    # must be shareable too.
+    for item in value:
+        if copy_value(item) is not item:
+            raise FingerprintError(
+                f"{value!r} holds a mutable {type(item).__name__}: a "
+                f"clone cannot share it — hold a list instead ({_HERE})"
+            )
+    return value
+
+
+def _copy_items(build: Callable) -> Callable:
+    return lambda value: build([copy_value(v) for v in value])
+
+
+def _encode_seq(tag: str) -> Callable:
+    return lambda value: (tag, *map(encode_value, value))
+
+
+def _encode_sorted(tag: str) -> Callable:
+    # The leading type tag of every encoding keeps a mixed multiset
+    # totally ordered.
+    return lambda value: (tag, *sorted(map(encode_value, value)))
+
+
+def _encode_dict(value) -> Tuple:
+    # Insertion order is kept: iteration order is observable.
+    return (
+        "d",
+        *[(encode_value(k), encode_value(v)) for k, v in value.items()],
+    )
+
+
+_encode_heap = _encode_sorted("heap")
 
 
 def fingerprint_message(msg) -> Tuple:
-    """Generic message fingerprint: every payload slot across the MRO
+    """Every payload slot across the MRO
     (:func:`repro.net.message.payload_fields`), in sorted name order.
     New fields are picked up automatically — the mutation-proof
     property for the wire side of the state."""
-    return (type(msg).kind,) + tuple(
-        (name, _encode_value(getattr(msg, name)))
-        for name in payload_fields(type(msg))
+    return (
+        type(msg).kind,
+        *[
+            (name, encode_value(getattr(msg, name)))
+            for name in payload_fields(type(msg))
+        ],
     )
+
+
+#: type → (copy, encode); ``copy`` is ``None`` for an immutable value,
+#: which clones share.  Exact type first; a subclass (``ReqTuple``,
+#: ``NodeState``, a planted ``SystemInfo``, any ``Message``) takes the
+#: row of its nearest listed base, and an unlisted class whose
+#: instances have ``__slots__`` and no ``__dict__`` (``_Grant``, a
+#: parked RM) is walked slot by slot — see :func:`_resolve`.
+VALUE_TYPES: Dict[type, Tuple[Optional[Callable], Callable]] = {
+    type(None): (None, lambda value: ("none",)),
+    bool: (None, lambda value: ("b", value)),
+    int: (None, lambda value: ("i", value)),
+    float: (None, lambda value: ("f", value)),
+    str: (None, lambda value: ("s", value)),
+    enum.Enum: (
+        None,
+        lambda value: ("e", type(value).__name__, value.name),
+    ),
+    tuple: (_share_frozen, _encode_seq("t")),
+    list: (_copy_items(list), _encode_seq("l")),
+    deque: (_copy_items(deque), _encode_seq("dq")),
+    set: (_copy_items(set), _encode_sorted("set")),
+    frozenset: (_share_frozen, _encode_sorted("fs")),
+    dict: (
+        lambda value: {k: copy_value(v) for k, v in value.items()},
+        _encode_dict,
+    ),
+    # snapshot() is a faithful semantic copy (NONL/rows/row_ts/done/
+    # _max_ts) with copy-on-write row sharing — exactly the canon
+    # slots, at O(N) pointer cost per clone.
+    SystemInfo: (
+        lambda si: si.snapshot(),
+        lambda si: ("si", fingerprint_si(si)),
+    ),
+    # immutable once sent (net/message.py)
+    Message: (None, fingerprint_message),
+}
+
+#: rows a subclass does not inherit: its copy would come back a plain
+#: instance of the base
+_REBUILT = frozenset({list, deque, set, dict})
+
+
+def _slotted(cls: type) -> Tuple[Callable, Callable]:
+    names = sorted(_slot_names(cls))
+
+    def copy(value):
+        new = cls.__new__(cls)
+        for name in names:
+            setattr(new, name, copy_value(getattr(value, name)))
+        return new
+
+    def encode(value):
+        return (
+            cls.__name__,
+            *[encode_value(getattr(value, name)) for name in names],
+        )
+
+    return copy, encode
+
+
+def _resolve(value) -> Tuple[Optional[Callable], Callable]:
+    """The row for a ``type(value)`` not listed itself, added to the
+    table so it is found once per type."""
+    cls = type(value)
+    row = None
+    for base in cls.__mro__:
+        if base in VALUE_TYPES:
+            row = None if base in _REBUILT else VALUE_TYPES[base]
+            break
+    else:
+        if not cls.__dictoffset__ and hasattr(cls, "__slots__"):
+            row = _slotted(cls)
+    if row is None:
+        raise FingerprintError(
+            f"cannot fingerprint or copy a value of type "
+            f"{cls.__name__}: {value!r} — give it a row in VALUE_TYPES, "
+            f"or exclude the attribute holding it with a justification "
+            f"({_HERE})"
+        )
+    VALUE_TYPES[cls] = row
+    return row
+
+
+def copy_value(value):
+    """A copy no transition on the original can reach (an immutable
+    value is its own copy)."""
+    copy = (VALUE_TYPES.get(type(value)) or _resolve(value))[0]
+    return value if copy is None else copy(value)
+
+
+def encode_value(value) -> Tuple:
+    """``value`` as a hashable, comparable tuple led by a type tag."""
+    return (VALUE_TYPES.get(type(value)) or _resolve(value))[1](value)
+
+
+#: (class name, attribute) → encoder replacing the table's, for state
+#: whose in-memory layout says more than its behaviour does.
+ENCODER_OVERRIDES: Dict[Tuple[str, str], Callable] = {
+    ("QuorumMutexNode", "_waiting"): _encode_heap,
+}

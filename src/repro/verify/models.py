@@ -1,10 +1,15 @@
-"""Algorithm adapters: what the checker needs to know per protocol.
+"""Algorithm models: what the checker needs to know per protocol.
 
-An :class:`AlgorithmModel` packages node construction, fast cloning,
-canonical fingerprinting, and algorithm-specific invariant checks for
-one algorithm.  Three production adapters (RCV, Ricart–Agrawala,
-Maekawa) plus one toy (:class:`EchoModel`) used to exercise symmetry
-reduction.
+There is one model, :class:`AlgorithmModel`, and it knows nothing
+about any algorithm: it builds the registry's node class
+(:func:`repro.registry.get_algorithm`), and it fingerprints and
+clones a node by walking **every attribute the exclusion tables of**
+:mod:`repro.verify.fingerprint` **do not name** through that module's
+one value table.  Every registry algorithm is therefore checkable as
+it stands; one that keeps construction constants or instrumentation
+on its nodes adds exclusions, nothing else.  :class:`RCVModel` adds
+what only the paper's protocol has — its config, the planted-bug node
+classes, and the Lemma checks promoted to per-state invariants.
 
 Symmetry over node ids is **opt-in and off for every production
 algorithm**: RCV's Order rule, Ricart–Agrawala's ``(ts, id)``
@@ -13,39 +18,31 @@ node ids, so states related by an id permutation are *not*
 behaviorally equivalent — folding them would be unsound.  A model
 declares itself safe via :attr:`AlgorithmModel.id_equivariant` and
 implements :meth:`AlgorithmModel.canonical`; only the fully symmetric
-Echo protocol does.
+toy :class:`EchoModel` does.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.baselines.maekawa import MaekawaNode, build_quorums
-from repro.baselines.quorum_base import QuorumMutexNode, _Grant
-from repro.baselines.ricart_agrawala import RicartAgrawalaNode
 from repro.core.config import RCVConfig
-from repro.core.exchange import ExchangeStats
-from repro.core.node import RCVNode
 from repro.core.verification import check_system
 from repro.mutex.base import Env, Hooks, MutexNode, NodeState
 from repro.net.message import Message
+from repro.registry import algorithm_names, get_algorithm
 from repro.verify.errors import VerifyError
 from repro.verify.fingerprint import (
-    QUORUM_NODE_CANON,
-    RA_NODE_CANON,
-    RCV_NODE_CANON,
-    assert_canon_complete,
-    fingerprint_from_table,
+    FingerprintError,
+    copy_value,
+    node_canon,
 )
 
 __all__ = [
     "ALGORITHMS",
     "AlgorithmModel",
     "EchoModel",
-    "MaekawaModel",
     "RCVModel",
-    "RicartAgrawalaModel",
     "make_model",
 ]
 
@@ -53,10 +50,10 @@ __all__ = [
 class AlgorithmModel:
     """Checker-facing adapter for one algorithm.
 
-    Stateless with respect to exploration: one model instance serves
-    every world of a run (worlds own the mutable node objects)."""
+    One model instance serves every world of a run: worlds own the
+    mutable node objects, the model only numbers the node states it
+    has encoded."""
 
-    name = "abstract"
     #: whether overlapping CS occupancy is a violation for this model
     mutual_exclusion = True
     #: whether states related by a node-id permutation are equivalent
@@ -66,38 +63,70 @@ class AlgorithmModel:
     #: whether :meth:`check_invariants` performs real work
     has_invariants = False
 
-    def __init__(self, n: int) -> None:
+    def __init__(
+        self, name: str, n: int, node_cls: type, **node_kwargs
+    ) -> None:
         if n < 1:
             raise VerifyError("n must be >= 1")
+        self.name = name
         self.n = n
+        self.node_cls = node_cls
+        self.node_kwargs = node_kwargs
         self.hooks = Hooks()  # no subscribers; shared across worlds
         #: name of the planted bug overlaying the node class, if any
         #: (set by :func:`make_model`; recorded in schedules so a
         #: counterexample replays against the same mutated protocol)
         self.planted: Optional[str] = None
+        # what make_nodes reads off the first node it builds: every
+        # attribute name, and the (name, encoder) of each one that is
+        # state (fingerprint.node_canon)
+        self._attrs: Tuple[str, ...] = ()
+        self._canon: List[Tuple[str, Callable]] = []
+        #: encoded node state → its number, in order of first sight
+        self._ids: Dict[Tuple, int] = {}
 
     # -- construction / cloning ----------------------------------------
     def make_nodes(self, env: Env) -> List[MutexNode]:
-        raise NotImplementedError
+        try:
+            nodes = [
+                self.node_cls(i, self.n, env, self.hooks, **self.node_kwargs)
+                for i in range(self.n)
+            ]
+        except (TypeError, ValueError) as exc:
+            raise VerifyError(
+                f"bad options for algorithm {self.name!r}: {exc}"
+            ) from None
+        self._attrs = tuple(vars(nodes[0]))
+        self._canon = node_canon(nodes[0])
+        return nodes
 
-    def clone_node(self, node: MutexNode, env: Env) -> MutexNode:
-        raise NotImplementedError
-
-    def _clone_base(self, node: MutexNode, env: Env) -> MutexNode:
+    def clone_node(self, node: MutexNode) -> MutexNode:
+        """A node no transition on ``node`` can reach: excluded
+        attributes by reference, everything else through the value
+        table's copy."""
         new = type(node).__new__(type(node))
-        new.actor_id = node.actor_id
-        new.node_id = node.node_id
-        new.n_nodes = node.n_nodes
-        new.env = env
-        new.hooks = node.hooks
-        new.state = node.state
-        new.request_time = node.request_time
-        new.cs_count = node.cs_count
+        state = new.__dict__
+        state.update(node.__dict__)
+        for name, _ in self._canon:
+            state[name] = copy_value(state[name])
         return new
 
     # -- identity --------------------------------------------------------
-    def fingerprint_node(self, node: MutexNode) -> Tuple:
-        raise NotImplementedError
+    def fingerprint_node(self, node: MutexNode) -> int:
+        """Every attribute no exclusion table names, encoded — then
+        numbered: a world fingerprint is hashed on every visit and
+        compared on every revisit, which a tuple of small ints makes
+        cheap and a tree of tuples does not."""
+        state = node.__dict__
+        if tuple(state) != self._attrs:
+            raise FingerprintError(
+                f"{type(node).__name__} {node.node_id} and node 0 as "
+                f"built differ in {sorted(set(state) ^ set(self._attrs))}"
+                " — set every attribute in __init__, on every node, so "
+                "that the exclusion tables are checked against it"
+            )
+        fp = tuple([encode(state[name]) for name, encode in self._canon])
+        return self._ids.setdefault(fp, len(self._ids))
 
     def canonical(self, fp: Tuple) -> Tuple:
         """Symmetry representative of a world fingerprint; identity
@@ -110,7 +139,7 @@ class AlgorithmModel:
         ``ProtocolInvariantError`` on violation."""
 
     def describe(self) -> Dict[str, object]:
-        return {"algo": self.name, "n": self.n}
+        return {"algo": self.name, "n": self.n, **self.node_kwargs}
 
 
 # ----------------------------------------------------------------------
@@ -121,7 +150,6 @@ class RCVModel(AlgorithmModel):
     per-state invariants.  ``node_cls`` admits planted-bug subclasses
     (:mod:`repro.verify.mutations`)."""
 
-    name = "rcv"
     has_invariants = True
 
     def __init__(
@@ -134,7 +162,6 @@ class RCVModel(AlgorithmModel):
         on_inconsistency: str = "raise",
         node_cls: Optional[type] = None,
     ) -> None:
-        super().__init__(n)
         self.config = RCVConfig(
             rule=rule,
             forwarding=forwarding,
@@ -142,134 +169,26 @@ class RCVModel(AlgorithmModel):
             on_inconsistency=on_inconsistency,
             rm_timeout=None,  # timers are outside the checker's model
         )
-        self.node_cls = node_cls or RCVNode
-
-    def make_nodes(self, env: Env) -> List[MutexNode]:
-        nodes = [
-            self.node_cls(i, self.n, env, self.hooks, self.config)
-            for i in range(self.n)
-        ]
-        assert_canon_complete(nodes[0], "RCV_NODE")
-        assert_canon_complete(nodes[0].si, "SYSTEMINFO")
-        return nodes
-
-    def clone_node(self, node: RCVNode, env: Env) -> RCVNode:
-        new = self._clone_base(node, env)
-        new.config = node.config
-        # snapshot() is a faithful semantic copy (NONL/rows/row_ts/
-        # done/_max_ts) with copy-on-write row sharing — exactly the
-        # canon attributes, at O(N) pointer cost per clone.
-        new.si = node.si.snapshot()
-        new.policy = node.policy
-        new.exchange_stats = ExchangeStats()
-        new.current_tup = node.current_tup
-        new.next_tup = node.next_tup
-        new._parked = [
-            type(p)(p.home, p.tup, p.hops) for p in node._parked
-        ]
-        new._recovery_timer = None
-        new._fwd_rng = None  # re-bound lazily to the new world's env
-        new._excluded = node._excluded
-        new.counters = dict(node.counters)
-        return new
-
-    def fingerprint_node(self, node: RCVNode) -> Tuple:
-        return fingerprint_from_table(node, RCV_NODE_CANON)
+        super().__init__(
+            "rcv", n, node_cls or get_algorithm("rcv"), config=self.config
+        )
 
     def check_invariants(self, nodes: List[MutexNode]) -> None:
         check_system(nodes)
 
     def describe(self) -> Dict[str, object]:
-        out = super().describe()
-        out.update(
-            rule=self.config.rule,
-            forwarding=self.config.forwarding,
-            exchange_on_im=self.config.exchange_on_im,
-            on_inconsistency=self.config.on_inconsistency,
-        )
+        out = {
+            "algo": self.name,
+            "n": self.n,
+            "rule": self.config.rule,
+            "forwarding": self.config.forwarding,
+            "exchange_on_im": self.config.exchange_on_im,
+            "on_inconsistency": self.config.on_inconsistency,
+        }
         if self.planted:
             out["planted"] = self.planted
-        elif self.node_cls is not RCVNode:
+        elif self.node_cls is not get_algorithm("rcv"):
             out["node_cls"] = self.node_cls.__name__
-        return out
-
-
-# ----------------------------------------------------------------------
-# Ricart–Agrawala
-# ----------------------------------------------------------------------
-class RicartAgrawalaModel(AlgorithmModel):
-    name = "ricart_agrawala"
-
-    def make_nodes(self, env: Env) -> List[MutexNode]:
-        nodes = [
-            RicartAgrawalaNode(i, self.n, env, self.hooks)
-            for i in range(self.n)
-        ]
-        assert_canon_complete(nodes[0], "RA_NODE")
-        return nodes
-
-    def clone_node(
-        self, node: RicartAgrawalaNode, env: Env
-    ) -> RicartAgrawalaNode:
-        new = self._clone_base(node, env)
-        new.clock = node.clock
-        new.req_ts = node.req_ts
-        new._awaiting = set(node._awaiting)
-        new._deferred = set(node._deferred)
-        return new
-
-    def fingerprint_node(self, node: RicartAgrawalaNode) -> Tuple:
-        return fingerprint_from_table(node, RA_NODE_CANON)
-
-
-# ----------------------------------------------------------------------
-# Maekawa
-# ----------------------------------------------------------------------
-class MaekawaModel(AlgorithmModel):
-    name = "maekawa"
-
-    def __init__(self, n: int, *, quorum_system: str = "grid") -> None:
-        super().__init__(n)
-        self.quorum_system = quorum_system
-        self.quorums = build_quorums(n, quorum_system)
-
-    def make_nodes(self, env: Env) -> List[MutexNode]:
-        nodes = [
-            MaekawaNode(
-                i, self.n, env, self.hooks, quorum_system=self.quorum_system
-            )
-            for i in range(self.n)
-        ]
-        assert_canon_complete(nodes[0], "QUORUM_NODE")
-        return nodes
-
-    def clone_node(self, node: QuorumMutexNode, env: Env) -> QuorumMutexNode:
-        new = self._clone_base(node, env)
-        new.quorum = node.quorum
-        new.clock = node.clock
-        new.seq = node.seq
-        new._voted_for_me = set(node._voted_for_me)
-        new._saw_failed = node._saw_failed
-        new._held_inquiries = list(node._held_inquiries)
-        new._relinquished = set(node._relinquished)
-        lock = node._lock
-        if lock is None:
-            new._lock = None
-        else:
-            grant = _Grant(lock.priority, lock.origin, lock.seq, lock.no)
-            grant.inquired = lock.inquired
-            new._lock = grant
-        new._grant_no = node._grant_no
-        new._waiting = list(node._waiting)
-        new._failed_notified = set(node._failed_notified)
-        return new
-
-    def fingerprint_node(self, node: QuorumMutexNode) -> Tuple:
-        return fingerprint_from_table(node, QUORUM_NODE_CANON)
-
-    def describe(self) -> Dict[str, object]:
-        out = super().describe()
-        out["quorum_system"] = self.quorum_system
         return out
 
 
@@ -324,19 +243,15 @@ class EchoNode(MutexNode):
 
 
 class EchoModel(AlgorithmModel):
-    name = "echo"
     mutual_exclusion = False  # there is nothing exclusive about it
     id_equivariant = True
 
-    def make_nodes(self, env: Env) -> List[MutexNode]:
-        return [EchoNode(i, self.n, env, self.hooks) for i in range(self.n)]
-
-    def clone_node(self, node: EchoNode, env: Env) -> EchoNode:
-        new = self._clone_base(node, env)
-        new._awaiting = set(node._awaiting)
-        return new
+    def __init__(self, n: int) -> None:
+        super().__init__("echo", n, EchoNode)
 
     def fingerprint_node(self, node: EchoNode) -> Tuple:
+        # its own two fields rather than the generic walk, because
+        # canonical() relabels the ids inside them
         return (node.state.value, tuple(sorted(node._awaiting)))
 
     def canonical(self, fp: Tuple) -> Tuple:
@@ -366,26 +281,27 @@ class EchoModel(AlgorithmModel):
 
 
 # ----------------------------------------------------------------------
-ALGORITHMS = {
-    "rcv": RCVModel,
-    "ricart_agrawala": RicartAgrawalaModel,
-    "maekawa": MaekawaModel,
-    "echo": EchoModel,
-}
+#: every name :func:`make_model` accepts: the registry's, plus the toy
+ALGORITHMS = tuple(sorted({*algorithm_names(), "echo"}))
+
+
+def _registered(algo: str) -> type:
+    try:
+        return get_algorithm(algo)
+    except KeyError:
+        raise VerifyError(
+            f"unknown algorithm {algo!r}; choices: {list(ALGORITHMS)}"
+        ) from None
 
 
 def make_model(algo: str, n: int, **opts) -> AlgorithmModel:
-    """Build the adapter for ``algo`` (see :data:`ALGORITHMS`).
+    """Build the model for ``algo`` (see :data:`ALGORITHMS`).
 
-    ``planted`` (RCV only) overlays a known-bug node class from
-    :mod:`repro.verify.mutations`.
+    ``opts`` are the node class's own keyword arguments
+    (``quorum_system`` for maekawa, ``parents`` for raymond), or
+    :class:`RCVModel`'s for rcv.  ``planted`` (rcv only) overlays a
+    known-bug node class from :mod:`repro.verify.mutations`.
     """
-    try:
-        cls = ALGORITHMS[algo]
-    except KeyError:
-        raise VerifyError(
-            f"unknown algorithm {algo!r}; choices: {sorted(ALGORITHMS)}"
-        ) from None
     planted = opts.pop("planted", None)
     if planted:
         if algo != "rcv":
@@ -394,7 +310,12 @@ def make_model(algo: str, n: int, **opts) -> AlgorithmModel:
 
         opts["node_cls"] = planted_node_class(planted)
     try:
-        model = cls(n, **opts)
+        if algo == "rcv":
+            model = RCVModel(n, **opts)
+        elif algo == "echo":
+            model = EchoModel(n, **opts)
+        else:
+            model = AlgorithmModel(algo, n, _registered(algo), **opts)
     except TypeError as exc:
         raise VerifyError(
             f"bad options for algorithm {algo!r}: {exc}"

@@ -26,8 +26,7 @@ import json
 from pathlib import Path
 from typing import List, Optional
 
-from repro.core.verification import extend_before_pairs
-from repro.verify.checker import Violation
+from repro.verify.checker import Violation, extend_ledger, state_violation
 from repro.verify.errors import VerifyError
 from repro.verify.models import make_model
 from repro.verify.world import World, describe_action
@@ -114,61 +113,27 @@ def replay(sched: dict) -> Optional[Violation]:
     """
     settings = sched["settings"]
     world = _world_from_settings(settings)
-    model = world.model
     checks = tuple(settings.get("checks", ("me", "lemmas", "ledger")))
     steps: List[dict] = sched["steps"]
-    before: set = set()
-    for i, step in enumerate(steps):
+    ledger: frozenset = frozenset()
+    for depth, step in enumerate(steps, 1):
         action = (step["op"], step["arg"])
-        enabled = world.enabled_actions()
-        if action not in enabled:
+        if action not in world.enabled_actions():
             raise VerifyError(
-                f"step {i} ({describe_action(world, action)}) is not "
-                f"enabled at this point of the replay — the schedule "
+                f"step {depth - 1} ({describe_action(world, action)}) is "
+                f"not enabled at this point of the replay — the schedule "
                 f"does not match this protocol build"
             )
         out = world.execute(action, script=tuple(step.get("choices", ())))
-        depth = i + 1
+        reversal = None
         if out.error is not None:
-            return Violation(
-                "protocol-error",
-                f"{type(out.error).__name__}: {out.error}",
-                steps[:depth],
-                depth,
+            found = "protocol-error", f"{type(out.error).__name__}: {out.error}"
+        else:
+            if "ledger" in checks:
+                ledger, reversal = extend_ledger(world, ledger)
+            found = ("commit-order", reversal) if reversal else state_violation(
+                world, checks, world.enabled_actions(), "stuck" in checks
             )
-        if "ledger" in checks and model.has_invariants:
-            try:
-                for node in world.nodes:
-                    before |= extend_before_pairs(
-                        before, node.si.nonl, who=f"node {node.node_id}"
-                    )
-            except AssertionError as exc:
-                return Violation(
-                    "commit-order", str(exc), steps[:depth], depth
-                )
-        if "me" in checks and model.mutual_exclusion:
-            holders = world.cs_holders()
-            if len(holders) > 1:
-                return Violation(
-                    "mutual-exclusion",
-                    f"nodes {holders} are in the critical section "
-                    "simultaneously",
-                    steps[:depth],
-                    depth,
-                )
-        if "lemmas" in checks and model.has_invariants:
-            try:
-                model.check_invariants(world.nodes)
-            except AssertionError as exc:
-                return Violation("lemma", str(exc), steps[:depth], depth)
-    if "stuck" in checks and not world.enabled_actions():
-        requesting = world.requesting()
-        if requesting:
-            return Violation(
-                "stuck",
-                f"terminal state with nodes {requesting} still "
-                "REQUESTING (no message can un-wedge them)",
-                list(steps),
-                len(steps),
-            )
+        if found:
+            return Violation(*found, steps[:depth], depth)
     return None

@@ -18,12 +18,14 @@ Actions are plain tuples, deterministic to order and JSON-able::
 execution order exactly, which is what makes exported counterexample
 schedules replayable.
 
-Cloning: the fast path asks the model for a per-field node copy
-built on ``SystemInfo.snapshot()`` — copy-on-write row sharing makes
-sibling worlds cheap, and is safe because a shared row is cloned by
-whichever world mutates it first.  ``oracle=True`` switches to
-``copy.deepcopy`` so tests can assert the fast path explores the
-identical state space.
+Cloning is copy-on-write at node granularity.  A transition mutates
+exactly one node — its *owner* (:meth:`World.owner`) — so a cloned
+world shares every node, the per-node fingerprints and the one
+:class:`ModelEnv` with the world it came from, copies a node only when
+a transition is about to run on it, and re-encodes only that node's
+fingerprint afterwards.  ``oracle=True`` switches to ``copy.deepcopy``
+of the whole world and re-encodes every node in every state, so tests
+can assert the fast path explores the identical state space.
 """
 
 from __future__ import annotations
@@ -95,7 +97,9 @@ class ModelEnv(Env):
     sends buffered for the world to enqueue, timers refused (a timer
     would smuggle a scheduling decision past the explicit action set),
     and a single shared :class:`ChoiceSource` behind every named rng
-    stream."""
+    stream.  One instance serves a world and every world cloned from
+    it: it holds nothing between transitions (``sent`` is drained and
+    ``choices`` re-armed by each :meth:`World.execute`)."""
 
     def __init__(self) -> None:
         self.sent: List[Tuple[int, int, Message]] = []
@@ -121,15 +125,17 @@ class Envelope:
     """An in-flight message.  Immutable once created; shared freely
     between cloned worlds (delivery never mutates the payload — the
     Exchange merge only flips copy-on-write ``shared`` flags on the
-    snapshot's rows, which is monotone and order-safe)."""
+    snapshot's rows, which is monotone and order-safe) — which is why
+    the payload's fingerprint is taken once, here."""
 
-    __slots__ = ("uid", "src", "dst", "msg")
+    __slots__ = ("uid", "src", "dst", "msg", "fp")
 
     def __init__(self, uid: int, src: int, dst: int, msg: Message) -> None:
         self.uid = uid
         self.src = src
         self.dst = dst
         self.msg = msg
+        self.fp = fingerprint_message(msg)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Envelope({self.uid}: {self.src}->{self.dst} {self.msg!r})"
@@ -141,10 +147,9 @@ class ActionOutcome:
     protocol exception it surfaced, if any (``error`` — a *finding*,
     not a checker failure)."""
 
-    __slots__ = ("action", "choices", "factors", "error")
+    __slots__ = ("choices", "factors", "error")
 
-    def __init__(self, action, choices, factors, error) -> None:
-        self.action = action
+    def __init__(self, choices, factors, error) -> None:
         self.choices = choices
         self.factors = factors
         self.error = error
@@ -196,8 +201,9 @@ class World:
         while the stuck check stays armed — the checker must catch the
         resulting stuck state.
     oracle:
-        Clone via ``copy.deepcopy`` instead of the model's fast
-        snapshot path (cross-check for the cloning optimisation).
+        Clone via ``copy.deepcopy`` and fingerprint every node afresh
+        instead of copying and re-encoding the owner only (test-only
+        cross-check of both shortcuts).
     """
 
     def __init__(
@@ -220,6 +226,9 @@ class World:
         self.oracle = oracle
         self.env = ModelEnv()
         self.nodes = model.make_nodes(self.env)
+        self.node_fps = [model.fingerprint_node(n) for n in self.nodes]
+        #: indices of the nodes no other world references
+        self._owned = set(range(model.n))
         self.requests_left = [int(requests)] * model.n
         self.inflight: Dict[int, Envelope] = {}
         self.drop_left = int(drop_budget)
@@ -265,6 +274,26 @@ class World:
                 acts.append(("dup", uid))
         return acts
 
+    def owner(self, action: Tuple) -> Optional[int]:
+        """The one node ``action`` runs on: the requester/releaser or
+        the delivery destination.  ``None`` for drop/dup, which touch
+        no node but consume the shared adversary budgets."""
+        op = action[0]
+        if op in ("request", "release"):
+            return action[1]
+        if op == "deliver":
+            envelope = self.inflight.get(action[1])
+            return envelope.dst if envelope is not None else None
+        return None
+
+    def _own(self, i: int):
+        """Node ``i``, safe to mutate: copied first if another world
+        still references it."""
+        if i not in self._owned:
+            self.nodes[i] = self.model.clone_node(self.nodes[i])
+            self._owned.add(i)
+        return self.nodes[i]
+
     def execute(self, action: Tuple, script: Tuple[int, ...] = ()) -> ActionOutcome:
         """Apply ``action`` in place, resolving rng draws per ``script``.
 
@@ -278,20 +307,21 @@ class World:
         env.choices.begin(script)
         error: Optional[BaseException] = None
         op = action[0]
+        owner = self.owner(action)
         try:
             if op == "request":
                 i = action[1]
                 if self.requests_left[i] <= 0:
                     raise VerifyError(f"node {i} has no requests left")
                 self.requests_left[i] -= 1
-                self.nodes[i].request_cs()
+                self._own(i).request_cs()
             elif op == "release":
-                self.nodes[action[1]].release_cs()
+                self._own(action[1]).release_cs()
             elif op == "deliver":
                 envelope = self.inflight.pop(action[1], None)
                 if envelope is None:
                     raise VerifyError(f"uid {action[1]} is not in flight")
-                self.nodes[envelope.dst].deliver(envelope.src, envelope.msg)
+                self._own(envelope.dst).deliver(envelope.src, envelope.msg)
             elif op == "drop":
                 if self.drop_left <= 0 or action[1] not in self.inflight:
                     raise VerifyError(f"cannot drop uid {action[1]}")
@@ -325,13 +355,16 @@ class World:
             raise
         except BaseException as exc:
             error = exc
+        if owner is not None:
+            self.node_fps[owner] = self.model.fingerprint_node(
+                self.nodes[owner]
+            )
         for src, dst, msg in env.sent:
             uid = self._next_uid
             self._next_uid += 1
             self.inflight[uid] = Envelope(uid, src, dst, msg)
         env.sent.clear()
         return ActionOutcome(
-            action,
             tuple(env.choices.taken),
             tuple(env.choices.factors),
             error,
@@ -348,19 +381,15 @@ class World:
             memo = {id(self.model): self.model}
             return copy.deepcopy(self, memo)
         new = World.__new__(World)
-        new.model = self.model
-        new.fifo = self.fifo
-        new.oracle = False
-        new.env = ModelEnv()
-        new.nodes = [self.model.clone_node(n, new.env) for n in self.nodes]
+        new.__dict__.update(self.__dict__)
+        # Every node is now referenced twice: whichever world runs a
+        # transition on one copies it first (_own).
+        new._owned, self._owned = set(), set()
+        new.nodes = list(self.nodes)
+        new.node_fps = list(self.node_fps)
         new.requests_left = list(self.requests_left)
         # Envelopes (and the messages inside) are immutable — share.
         new.inflight = dict(self.inflight)
-        new.drop_left = self.drop_left
-        new.dup_left = self.dup_left
-        new.retx = self.retx
-        new.retx_broken = self.retx_broken
-        new._next_uid = self._next_uid
         return new
 
     # ------------------------------------------------------------------
@@ -377,23 +406,24 @@ class World:
         (in uid order) are kept instead: equal fingerprints must imply
         equal channel heads.
         """
-        node_fps = tuple(
-            self.model.fingerprint_node(n) for n in self.nodes
-        )
+        if self.oracle:
+            node_fps = tuple(
+                self.model.fingerprint_node(n) for n in self.nodes
+            )
+        else:
+            node_fps = tuple(self.node_fps)
         if self.fifo:
             channels: Dict[Tuple[int, int], List[Tuple]] = {}
             for uid in sorted(self.inflight):
                 env = self.inflight[uid]
-                channels.setdefault((env.src, env.dst), []).append(
-                    fingerprint_message(env.msg)
-                )
+                channels.setdefault((env.src, env.dst), []).append(env.fp)
             msgs = tuple(
                 sorted((chan, tuple(fps)) for chan, fps in channels.items())
             )
         else:
             msgs = tuple(
                 sorted(
-                    (env.src, env.dst, fingerprint_message(env.msg))
+                    (env.src, env.dst, env.fp)
                     for env in self.inflight.values()
                 )
             )

@@ -66,9 +66,12 @@ def test_fifo_network_no_fallbacks():
 
 
 def test_reordering_network_handled_by_fallback():
-    """Lamport classically needs FIFO; our implementation's
-    early-release bookkeeping keeps it correct (and counts how often
-    it was needed)."""
+    """Lamport requires FIFO; the early-release fallback covers
+    RELEASE-before-REQUEST only.  This seed completes on a reordering
+    network, which shows the fallback at work on one trajectory — not
+    that the algorithm is safe without FIFO.  It is not: a REPLY
+    overtaking a REQUEST breaches mutual exclusion, and
+    tests/test_verify.py replays the schedule."""
     result = run_scenario(
         Scenario(
             algorithm="lamport",

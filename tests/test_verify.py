@@ -2,12 +2,15 @@
 
 Covers, per docs/verification.md:
 
-* exhaustive N=3 verification of RCV, Ricart–Agrawala and Maekawa
-  under non-FIFO delivery with pinned reachable-state counts, so a
-  state-space regression is a visible diff;
+* exhaustive N=3 verification of every registry algorithm under FIFO
+  and non-FIFO delivery with pinned reachable-state counts, so a
+  state-space regression is a visible diff (Lamport: exhaustive at
+  N=2, and its non-FIFO mutual-exclusion counterexample replays from
+  ``tests/data/``);
 * the soundness cross-checks — sleep-set reduction preserves the
-  reachable set, the fast cloner matches the deepcopy oracle, two
-  consecutive runs are bit-for-bit identical;
+  reachable set, the copy-on-write cloner matches the deepcopy oracle
+  and never aliases a node, two consecutive runs are bit-for-bit
+  identical;
 * channel semantics (FIFO restriction, drop/dup adversary budgets)
   and the symmetry quotient on the id-equivariant echo model;
 * counterexample schedules: export, save/load, deterministic replay;
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -26,8 +30,9 @@ import pytest
 
 from repro.core.node import RCVNode
 from repro.core.state import SystemInfo
+from repro.registry import algorithm_names, get_algorithm
 from repro.verify import VerifyError, World, check, fingerprint, make_model
-from repro.verify.fingerprint import FingerprintError
+from repro.verify.fingerprint import FingerprintError, fingerprint_message
 from repro.verify.checker import Checker
 from repro.verify.schedule import (
     load_schedule,
@@ -39,24 +44,112 @@ from repro.verify.world import ChoiceSource
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: pinned reachable-state counts — a diff here means the protocol (or
-#: the checker) changed behaviour, and must be justified in the PR
+#: registry names that are a second name for another name's class
+ALIASES = {"broadcast": "suzuki_kasami", "tree_quorum": "agrawal_elabbadi"}
+ALGOS = [name for name in algorithm_names() if name not in ALIASES]
+
+#: pinned reachable-state counts, (states, transitions) per (algorithm,
+#: n, channel) — a diff here means the protocol (or the checker)
+#: changed behaviour, and must be justified in the PR.  Every entry is
+#: exhaustive and clean.  Not here: agrawal_elabbadi non-FIFO (23 078
+#: states, 61 733 transitions: CI's verify job and BENCH_verify.json
+#: carry it, tier-1 does not spend the 5 s) and lamport, which has its
+#: own section below.
 STATE_PINS = {
-    ("rcv", 3): (11334, 14093),
-    ("ricart_agrawala", 3): (8132, 14316),
-    ("maekawa", 3): (2722, 5873),
+    ("rcv", 3, "nonfifo"): (11334, 14093),
+    ("rcv", 3, "fifo"): (5778, 6337),
+    ("ricart_agrawala", 3, "nonfifo"): (8132, 14316),
+    ("ricart_agrawala", 3, "fifo"): (4800, 6859),
+    ("maekawa", 3, "nonfifo"): (2722, 5873),
+    ("maekawa", 3, "fifo"): (1260, 1659),
+    ("agrawal_elabbadi", 3, "fifo"): (8106, 13449),
+    ("centralized", 3, "nonfifo"): (113, 141),
+    ("centralized", 3, "fifo"): (113, 141),
+    ("naimi_trehel", 3, "nonfifo"): (164, 201),
+    ("naimi_trehel", 3, "fifo"): (154, 179),
+    ("raymond", 3, "nonfifo"): (150, 192),
+    ("raymond", 3, "fifo"): (136, 164),
+    ("singhal", 3, "nonfifo"): (784, 1145),
+    ("singhal", 3, "fifo"): (694, 927),
+    ("suzuki_kasami", 3, "nonfifo"): (727, 1685),
+    ("suzuki_kasami", 3, "fifo"): (589, 1224),
 }
+
+
+def _pinned(channel):
+    return sorted(a for a, _, c in STATE_PINS if c == channel)
 
 
 # ----------------------------------------------------------------------
 # exhaustive verification + pins (the ISSUE's acceptance matrix)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("algo", ["rcv", "ricart_agrawala", "maekawa"])
+@pytest.mark.parametrize("algo", _pinned("nonfifo"))
 def test_exhaustive_n3_nonfifo_clean_and_pinned(algo):
     result = check(algo, 3)
     assert result.complete, "state space not exhausted"
     assert result.violations == []
-    assert (result.states, result.transitions) == STATE_PINS[(algo, 3)]
+    assert (result.states, result.transitions) == STATE_PINS[(algo, 3, "nonfifo")]
+
+
+@pytest.mark.parametrize("algo", _pinned("fifo"))
+def test_exhaustive_n3_fifo_clean_and_pinned(algo):
+    result = check(algo, 3, fifo=True)
+    assert result.complete, "state space not exhausted"
+    assert result.violations == []
+    assert (result.states, result.transitions) == STATE_PINS[(algo, 3, "fifo")]
+
+
+def test_every_registry_algorithm_is_pinned_or_accounted_for():
+    pinned = {(a, c) for a, _, c in STATE_PINS}
+    elsewhere = {
+        ("agrawal_elabbadi", "nonfifo"),  # CI's verify job
+        ("lamport", "fifo"),  # N=2 exhaustive + N=3 frontier, below
+        ("lamport", "nonfifo"),  # refuted, below
+    }
+    assert pinned | elsewhere == {
+        (a, c) for a in ALGOS for c in ("fifo", "nonfifo")
+    }
+    for alias, name in ALIASES.items():
+        # same class, same state space: the alias needs no pin
+        assert make_model(alias, 3).node_cls is get_algorithm(name)
+
+
+# ----------------------------------------------------------------------
+# Lamport: proven under FIFO, refuted without it
+# ----------------------------------------------------------------------
+def test_lamport_fifo_exhaustive_n2_and_clean_frontier_n3():
+    small = check("lamport", 2, fifo=True)
+    assert small.complete and small.violations == []
+    assert (small.states, small.transitions) == (69, 70)
+    # N=3 exceeds 300k states: a budgeted breadth-first frontier
+    frontier = check("lamport", 3, fifo=True, max_states=5000)
+    assert frontier.truncated == "max_states" and not frontier.complete
+    assert frontier.violations == []
+    assert (frontier.states, frontier.transitions) == (5000, 9060)
+
+
+def test_lamport_nonfifo_breaches_mutual_exclusion_and_the_schedule_replays():
+    """A REPLY overtakes the REQUEST sent before it: the receiver
+    enters on a queue that lacks the sender's older request.  The
+    early-release fallback does not cover this — Lamport needs FIFO."""
+    result = check("lamport", 2)
+    (violation,) = result.violations
+    assert (violation.kind, violation.depth) == ("mutual-exclusion", 6)
+    assert result.states == 49
+    saved = load_schedule(
+        ROOT / "tests" / "data" / "lamport_nonfifo_mutual_exclusion_n2.json"
+    )
+    assert [(s["op"], s["arg"]) for s in saved["steps"]] == [
+        (s["op"], s["arg"]) for s in violation.steps
+    ]
+    got = replay(saved)
+    assert got is not None
+    assert (got.kind, got.depth) == ("mutual-exclusion", 6)
+    # the same schedule is not even executable under FIFO: the REPLY
+    # is not at the head of its channel
+    saved["settings"]["channel"] = "fifo"
+    with pytest.raises(VerifyError, match="not\\s+enabled"):
+        replay(saved)
 
 
 def test_two_consecutive_runs_are_identical():
@@ -91,6 +184,80 @@ def test_fast_clone_matches_deepcopy_oracle():
         oracle.transitions,
     )
     assert oracle.violations == []
+
+
+#: (algorithm, n, fifo) — N=3 where the deepcopy oracle is affordable,
+#: else N=2; lamport under FIFO, where it is clean.  rcv is the test above.
+ORACLE_CASES = [
+    ("ricart_agrawala", 2, False),
+    ("maekawa", 3, False),
+    ("agrawal_elabbadi", 2, False),
+    ("lamport", 2, True),
+    ("centralized", 3, False),
+    ("naimi_trehel", 3, False),
+    ("raymond", 3, False),
+    ("singhal", 3, False),
+    ("suzuki_kasami", 3, False),
+]
+
+
+@pytest.mark.parametrize("algo,n,fifo", ORACLE_CASES)
+def test_fast_clone_matches_deepcopy_oracle_for_every_algorithm(algo, n, fifo):
+    """The oracle deep-copies whole worlds and re-encodes every node
+    in every state, so agreement also shows that a transition touches
+    no node but its owner."""
+    assert {"rcv"} | {case[0] for case in ORACLE_CASES} == set(ALGOS)
+    fast = check(algo, n, fifo=fifo)
+    oracle = check(algo, n, fifo=fifo, oracle=True)
+    assert (fast.states, fast.transitions) == (
+        oracle.states,
+        oracle.transitions,
+    )
+    assert fast.complete and oracle.complete
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_driving_a_clone_never_reaches_the_original(algo):
+    """The aliasing property of the one generic cloner: along a random
+    walk, run every enabled action on a clone of the current world —
+    the world it was cloned from, re-encoded from its live nodes, has
+    the fingerprints it had before."""
+    world = World(make_model(algo, 3))
+    model, rng = world.model, random.Random(23)
+    for _ in range(30):
+        actions = world.enabled_actions()
+        if not actions:
+            break
+        before = list(world.node_fps)
+        for action in actions:
+            world.clone().execute(action)
+            assert [model.fingerprint_node(n) for n in world.nodes] == before
+        world.execute(rng.choice(actions))
+        assert world.node_fps == [
+            model.fingerprint_node(n) for n in world.nodes
+        ]
+
+
+@pytest.mark.parametrize("algo", algorithm_names())
+def test_every_message_of_one_request_fingerprints(algo):
+    """Node 2 (never the initial token holder) requests, everything is
+    delivered, it enters and releases: every message that took — list-
+    carrying tokens included — has a hashable fingerprint."""
+    world = World(make_model(algo, 3))
+    world.execute(("request", 2))
+    sent = {}
+    while True:
+        sent.update(world.inflight)
+        later = [a for a in world.enabled_actions() if a[0] != "request"]
+        if not later:
+            break
+        world.execute(later[0])
+    assert world.nodes[2].cs_count == 1
+    assert sent, "a request at a non-holder sends something"
+    for envelope in sent.values():
+        assert envelope.fp == fingerprint_message(envelope.msg)
+        assert envelope.fp[0] == envelope.msg.kind
+        hash(envelope.fp)
 
 
 def test_fifo_restriction_shrinks_the_space():
@@ -154,8 +321,9 @@ def test_unknown_algorithm_and_options_raise():
 
 
 # ----------------------------------------------------------------------
-# canon coverage: every world construction checks the fingerprint
-# tables against the live node (verify/fingerprint.py)
+# canon coverage: every attribute is state unless an exclusion table
+# says why not, and every world construction checks those tables
+# against the live node (verify/fingerprint.py)
 # ----------------------------------------------------------------------
 def _canon_error(model):
     with pytest.raises(FingerprintError) as err:
@@ -165,14 +333,84 @@ def _canon_error(model):
 
 
 def test_canon_guard_catches_new_node_attribute():
+    """An attribute no table classifies is state: it is fingerprinted
+    and every clone gets its own copy — never silently dropped."""
+
     class Shiny(RCVNode):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.shiny_new_state = 0
+            self.shiny_new_state = []
+
+    model = make_model("rcv", 3, node_cls=Shiny)
+    # oracle worlds re-encode their nodes on every fingerprint()
+    one, other = World(model, oracle=True), World(model, oracle=True)
+    assert one.fingerprint() == other.fingerprint()
+    other.nodes[0].shiny_new_state.append(1)
+    assert one.fingerprint() != other.fingerprint()
+
+    twin = model.clone_node(other.nodes[0])
+    assert twin.shiny_new_state == [1]
+    assert twin.shiny_new_state is not other.nodes[0].shiny_new_state
+    assert model.fingerprint_node(twin) == model.fingerprint_node(other.nodes[0])
+
+
+def test_value_table_copies_and_encodes_every_kind_of_value():
+    from collections import deque
+
+    from repro.baselines.quorum_base import _Grant
+    from repro.core.tuples import ReqTuple
+    from repro.verify.fingerprint import copy_value, encode_value
+
+    grant = _Grant((3, 1), 1, 2, 7)
+    value = {
+        "plain": [None, True, 1, 1.5, "s", ReqTuple(0, 1)],
+        "nested": [[1], {2}, deque([(3, 4)]), {"k": [5]}, frozenset({6})],
+        "slotted": [grant],
+    }
+    copy = copy_value(value)
+    assert encode_value(copy) == encode_value(value)
+    for key in value:
+        for mine, theirs in zip(value[key], copy[key]):
+            assert type(mine) is type(theirs)
+    copy["nested"][0].append(9)
+    copy["nested"][3]["k"].append(9)
+    copy["slotted"][0].inquired = True
+    assert value["nested"][0] == [1] and value["nested"][3] == {"k": [5]}
+    assert grant.inquired is False
+    assert encode_value(copy) != encode_value(value)
+    # equal-comparing values of different types stay distinct, and a
+    # set's encoding does not depend on its iteration order
+    assert len({encode_value(v) for v in (1, True, 1.0, (1,), [1])}) == 5
+    assert encode_value({3, 1, 2}) == encode_value({2, 3, 1})
+    hash(encode_value(value))
+
+    class Tally(dict):
+        pass
+
+    for unsound in ((1, [2]), Tally(a=1)):  # shares a list; copy forgets its type
+        with pytest.raises(FingerprintError):
+            copy_value(unsound)
+
+
+def test_canon_guard_refuses_a_value_it_cannot_walk():
+    class Opaque:
+        pass
+
+    class Shiny(RCVNode):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.handle = Opaque()
 
     message = _canon_error(make_model("rcv", 3, node_cls=Shiny))
-    assert "'shiny_new_state'" in message
-    assert "neither RCV_NODE_CANON nor RCV_NODE_EXCLUDED" in message
+    assert "value of type Opaque" in message
+    assert "VALUE_TYPES" in message
+
+
+def test_canon_guard_refuses_an_attribute_that_appears_after_construction():
+    world = World(make_model("ricart_agrawala", 3))
+    world.nodes[1].afterthought = 0
+    with pytest.raises(FingerprintError, match="'afterthought'"):
+        world.execute(("request", 1))
 
 
 def test_canon_guard_catches_new_systeminfo_slot():
@@ -190,45 +428,47 @@ def test_canon_guard_catches_new_systeminfo_slot():
 
 
 @pytest.mark.parametrize(
-    "table, change, complaint",
+    "algo, table, change, complaint",
     [
         (
-            "RCV_NODE_CANON",
-            lambda t: t.pop("_parked"),
-            "['_parked'] are in neither RCV_NODE_CANON nor",
+            "rcv",
+            "SYSTEMINFO_CANON",
+            lambda t: t.pop("done"),
+            "['done'] are in neither SYSTEMINFO_CANON nor",
         ),
         (
-            "RCV_NODE_CANON",
-            lambda t: t.update(ghost_attr=int),
-            "['ghost_attr'] are stale entries of RCV_NODE_CANON",
+            "rcv",
+            "SYSTEMINFO_CANON",
+            lambda t: t.update(ghost_attr="gone"),
+            "['ghost_attr'] are stale entries of SYSTEMINFO_CANON",
         ),
         (
-            "RA_NODE_EXCLUDED",
+            "ricart_agrawala",
+            "MUTEX_NODE_EXCLUDED",
             lambda t: t.update(ghost_attr="long gone"),
-            "['ghost_attr'] are stale entries of RA_NODE_EXCLUDED",
+            "['ghost_attr'] are stale entries of MUTEX_NODE_EXCLUDED",
         ),
         (
+            "rcv",
             "RCV_NODE_EXCLUDED",
             lambda t: t.update(_fwd_rng=" "),
             "['_fwd_rng'] have no justification in RCV_NODE_EXCLUDED",
         ),
         (
-            "QUORUM_NODE_EXCLUDED",
-            lambda t: t.update(clock="also canon"),
-            "['clock'] are in both QUORUM_NODE_CANON and QUORUM_NODE_EXCLUDED",
+            "rcv",
+            "SYSTEMINFO_EXCLUDED",
+            lambda t: t.update(done="also canon"),
+            "['done'] are in both SYSTEMINFO_CANON and SYSTEMINFO_EXCLUDED",
         ),
     ],
     ids=["dropped", "ghost-canon", "ghost-excluded", "blank", "both"],
 )
 def test_canon_guard_catches_a_table_that_drifted(
-    table, change, complaint, monkeypatch
+    algo, table, change, complaint, monkeypatch
 ):
     mutated = dict(getattr(fingerprint, table))
     change(mutated)
     monkeypatch.setattr(fingerprint, table, mutated)
-    algo = {"RCV": "rcv", "RA": "ricart_agrawala", "QUORUM": "maekawa"}[
-        table.split("_")[0]
-    ]
     assert complaint in _canon_error(make_model(algo, 3))
 
 
@@ -362,6 +602,26 @@ def test_cli_budget_truncation_exits_two():
     proc = _cli("--algo", "rcv", "--n", "3", "--max-states", "50")
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "TRUNCATED" in proc.stdout
+
+
+def test_cli_takes_every_registry_name_and_passes_node_options_through():
+    proc = _cli("--algo", "singhal", "--n", "3", "--channel", "fifo", "--json")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["states"] == 694
+    majority = _cli(
+        "--algo", "maekawa", "--n", "3", "--quorum-system", "majority", "--json"
+    )
+    assert majority.returncode == 0, majority.stdout + majority.stderr
+    doc = json.loads(majority.stdout)
+    assert doc["settings"]["quorum_system"] == "majority"
+    assert doc["states"] != STATE_PINS[("maekawa", 3, "nonfifo")][0]  # grid
+    for bad in (
+        ("--algo", "maekawa", "--quorum-system", "no-such-family"),
+        ("--algo", "singhal", "--quorum-system", "grid"),
+    ):
+        refused = _cli(*bad, "--n", "3")
+        assert refused.returncode == 2, refused.stdout + refused.stderr
+        assert refused.stderr.startswith("error: ")
 
 
 def test_cli_list_planted_bugs():
