@@ -8,12 +8,12 @@ outputs of the protocol semantics — the same role the message-count
 columns play for the paper figures.  A diff in a state count means
 the protocol's behaviour changed (or the checker's canonicalization
 broke); wall time and states/sec are reported alongside as the
-machine-dependent throughput measure, next to the parent commit's on
-the six configurations it could check.  Every registry algorithm has
-its rows, each with the verdict it is expected to come back with
-(lamport without FIFO: a mutual-exclusion counterexample), and the
-**mutation score** — planted mutants caught out of planted — records
-the checker's strength.
+machine-dependent throughput measure, next to the parent commit's
+(``--parent-src``) on the rows it can check.  Every registry
+algorithm has its rows, each with the verdict it is expected to come
+back with (lamport without FIFO: a mutual-exclusion counterexample),
+and the **mutation score** — planted mutants caught out of planted —
+records the checker's strength.
 
 Also exercised: the soundness cross-checks that make the counts
 trustworthy — sleep-set reduction must leave the reachable set
@@ -43,74 +43,6 @@ from repro.registry import algorithm_names, get_algorithm
 from repro.verify import check
 from repro.verify.mutations import list_planted_bugs
 
-#: the six configurations the parent commit's three hand-written models
-#: could check: the rows whose states/s are compared against it
-PARENT_CONFIGS = tuple(
-    (algo, channel)
-    for algo in ("rcv", "ricart_agrawala", "maekawa")
-    for channel in ("nonfifo", "fifo")
-)
-
-#: run in a fresh interpreter against either tree: best-of-3 states/s
-#: (CPU time) per parent configuration, as one JSON list
-_SPEED_SCRIPT = """
-import json, sys, time
-from repro.verify import check
-check("rcv", 2)
-out = []
-for algo, channel in json.loads(sys.argv[1]):
-    best = None
-    for _ in range(3):
-        t0 = time.process_time()
-        result = check(algo, 3, fifo=channel == "fifo")
-        took = time.process_time() - t0
-        best = took if best is None else min(best, took)
-    out.append(round(result.states / best))
-print(json.dumps(out))
-"""
-
-
-def _speeds(src) -> list:
-    out = subprocess.run(
-        [sys.executable, "-c", _SPEED_SCRIPT, json.dumps(PARENT_CONFIGS)],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True, text=True, check=True,
-    )
-    return json.loads(out.stdout)
-
-
-def side_by_side(parent_src, rounds: int) -> dict:
-    """Checker speed against a checkout of the parent commit, same
-    host, same session: ``rounds`` pairs of fresh interpreters,
-    alternating which tree goes first; the median of each side."""
-    here = Path(__file__).resolve().parent.parent / "src"
-    samples = {"parent": [], "this": []}
-    for i in range(rounds):
-        for side in ("parent", "this") if i % 2 == 0 else ("this", "parent"):
-            samples[side].append(_speeds(parent_src if side == "parent" else here))
-    rows = []
-    for k, (algo, channel) in enumerate(PARENT_CONFIGS):
-        parent = statistics.median(run[k] for run in samples["parent"])
-        this = statistics.median(run[k] for run in samples["this"])
-        wins = sum(
-            t[k] > p[k] for p, t in zip(samples["parent"], samples["this"])
-        )
-        rows.append({
-            "algo": algo, "n": 3, "channel": channel,
-            "parent_states_per_sec": round(parent),
-            "states_per_sec": round(this),
-            "over_parent": round(this / parent, 2),
-            "pairs_won": f"{wins}/{rounds}",
-        })
-    return {
-        "method": (
-            f"{rounds} alternating pairs of fresh interpreters; each "
-            "sample is the best of 3 exhaustive runs, CPU time; medians"
-        ),
-        "rows": rows,
-    }
-
-
 #: what each configuration is expected to come back as
 CLEAN, REFUTED, FRONTIER = "clean", "violation", "clean-frontier"
 
@@ -129,6 +61,85 @@ def configs():
         else:
             yield algo, 3, "nonfifo", CLEAN, {}
             yield algo, 3, "fifo", CLEAN, {}
+
+
+#: parent/this pairs of a side-by-side: the fewest that "better on
+#: nine of ten" can be read off
+ROUNDS = 10
+
+#: run in a fresh interpreter against either tree: best-of-3 states/s
+#: (CPU time) per (algo, n, channel) given, as one JSON list — null
+#: where that tree cannot check the configuration
+_SPEED_SCRIPT = """
+import json, sys, time
+from repro.verify import VerifyError, check
+check("rcv", 2)
+out = []
+for algo, n, channel in json.loads(sys.argv[1]):
+    best = None
+    try:
+        for _ in range(3):
+            t0 = time.process_time()
+            result = check(algo, n, fifo=channel == "fifo")
+            took = time.process_time() - t0
+            best = took if best is None else min(best, took)
+    except VerifyError:
+        out.append(None)
+    else:
+        out.append(round(result.states / best))
+print(json.dumps(out))
+"""
+
+
+def _speeds(src, rows) -> list:
+    out = subprocess.run(
+        [sys.executable, "-c", _SPEED_SCRIPT, json.dumps(rows)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def side_by_side(parent_src) -> dict:
+    """Checker speed against a checkout of the parent commit, same
+    host, same session, on every exhaustive row of :func:`configs` the
+    parent can check: ``ROUNDS`` pairs of fresh interpreters,
+    alternating which tree goes first; the median of each side."""
+    here = Path(__file__).resolve().parent.parent / "src"
+    exhaustive = [cfg[:3] for cfg in configs() if cfg[3] == CLEAN]
+    # one discarded parent run says which rows it can check
+    shared = [
+        cfg
+        for cfg, speed in zip(exhaustive, _speeds(parent_src, exhaustive))
+        if speed is not None
+    ]
+    samples = {"parent": [], "this": []}
+    for i in range(ROUNDS):
+        for side in ("parent", "this") if i % 2 == 0 else ("this", "parent"):
+            samples[side].append(
+                _speeds(parent_src if side == "parent" else here, shared)
+            )
+    rows = []
+    for k, (algo, n, channel) in enumerate(shared):
+        parent = statistics.median(run[k] for run in samples["parent"])
+        this = statistics.median(run[k] for run in samples["this"])
+        wins = sum(
+            t[k] > p[k] for p, t in zip(samples["parent"], samples["this"])
+        )
+        rows.append({
+            "algo": algo, "n": n, "channel": channel,
+            "parent_states_per_sec": round(parent),
+            "states_per_sec": round(this),
+            "over_parent": round(this / parent, 2),
+            "pairs_won": f"{wins}/{ROUNDS}",
+        })
+    return {
+        "method": (
+            f"{ROUNDS} alternating pairs of fresh interpreters; each "
+            "sample is the best of 3 exhaustive runs, CPU time; medians"
+        ),
+        "rows": rows,
+    }
 
 
 def _cell(algo, n, channel, expected=CLEAN, opts=(), repeat=1) -> dict:
@@ -191,7 +202,7 @@ def mutation_score() -> dict:
     }
 
 
-def build_report(parent_src=None, rounds: int = 10) -> dict:
+def build_report(parent_src=None) -> dict:
     cells = [
         _cell(*cfg, repeat=3 if cfg[1] == 3 and cfg[0] != "lamport" else 1)
         for cfg in configs()
@@ -221,7 +232,7 @@ def build_report(parent_src=None, rounds: int = 10) -> dict:
         },
     }
     if parent_src is not None:
-        report["speed_vs_parent"] = side_by_side(parent_src, rounds)
+        report["speed_vs_parent"] = side_by_side(parent_src)
     return report
 
 
@@ -314,14 +325,10 @@ def main(argv=None):
     parser.add_argument(
         "--parent-src", metavar="DIR", default=None,
         help="src/ of a checkout of the parent commit: also record "
-        "states/s side by side on the configurations it could check",
-    )
-    parser.add_argument(
-        "--rounds", type=int, default=10,
-        help="parent/this pairs for --parent-src (default: 10)",
+        "states/s side by side on the configurations it can check",
     )
     args = parser.parse_args(argv)
-    report = build_report(args.parent_src, args.rounds)
+    report = build_report(args.parent_src)
     print(_render(report))
     if args.json:
         with open(args.json, "w") as fh:

@@ -10,7 +10,7 @@ cloner and the fingerprint cannot disagree about a type, and a type
 with no row is a :class:`FingerprintError`, never a guess.
 
 What is walked is decided by exclusion only.  A node's canon is
-**every attribute that no** ``*_EXCLUDED`` **table names**
+**every attribute that** :data:`NODE_EXCLUDED` **does not name**
 (:class:`repro.verify.models.AlgorithmModel`); a message's is every
 slot but ``msg_id`` (:func:`repro.net.message.payload_fields`).  An
 attribute nobody classified is fingerprinted and cloned: over-inclusion
@@ -42,8 +42,7 @@ from repro.verify.errors import VerifyError
 __all__ = [
     "ENCODER_OVERRIDES",
     "FingerprintError",
-    "MUTEX_NODE_EXCLUDED",
-    "NODE_EXCLUDED_TABLES",
+    "NODE_EXCLUDED",
     "SYSTEMINFO_CANON",
     "SYSTEMINFO_EXCLUDED",
     "VALUE_TYPES",
@@ -128,57 +127,53 @@ SYSTEMINFO_EXCLUDED = {
 # ----------------------------------------------------------------------
 # node exclusions — the only per-class knowledge the checker has
 # ----------------------------------------------------------------------
-#: Attributes every node inherits from Actor/MutexNode.  Node identity
-#: is positional — fingerprints are collected in node-id order — so
-#: the id-like constants carry no extra information.
-MUTEX_NODE_EXCLUDED = {
-    "actor_id": "fixed at construction; equals node_id (positional)",
-    "node_id": "fixed at construction; the fingerprint is positional",
-    "n_nodes": "construction constant",
-    "env": "infrastructure reference (the run's one ModelEnv)",
-    "hooks": "infrastructure reference; grant/release effects are "
-    "fully captured by NodeState",
-    "request_time": "metrics-only timestamp; logical time is frozen "
-    "at 0 under the checker",
-    "cs_count": "derivable: requests issued (the world's request "
-    "ledger) minus the one still outstanding",
+#: class (by qualified name, so that importing this module imports no
+#: algorithm) → what that class's ``__init__`` sets that is not state.
+#: A node's exclusions are the tables of every class along its MRO, so
+#: subclasses (Maekawa, the planted mutants) inherit them; a class not
+#: named here excludes nothing of its own.
+NODE_EXCLUDED: Dict[str, Dict[str, str]] = {
+    # Every node inherits these from Actor/MutexNode.  Node identity
+    # is positional — fingerprints are collected in node-id order — so
+    # the id-like constants carry no extra information.
+    "repro.mutex.base.MutexNode": {
+        "actor_id": "fixed at construction; equals node_id (positional)",
+        "node_id": "fixed at construction; the fingerprint is positional",
+        "n_nodes": "construction constant",
+        "env": "infrastructure reference (the run's one ModelEnv)",
+        "hooks": "infrastructure reference; grant/release effects are "
+        "fully captured by NodeState",
+        "request_time": "metrics-only timestamp; logical time is frozen "
+        "at 0 under the checker",
+        "cs_count": "derivable: requests issued (the world's request "
+        "ledger) minus the one still outstanding",
+    },
+    "repro.core.node.RCVNode": {
+        "config": "frozen dataclass, identical in every state",
+        "policy": "stateless strategy object chosen by config",
+        "exchange_stats": "instrumentation counters",
+        "_recovery_timer": "always None under the checker: ModelEnv "
+        "refuses timers and the model forces rm_timeout=None",
+        "_fwd_rng": "cached env.rng handle; forwarding nondeterminism is "
+        "enumerated explicitly through the ChoiceSource",
+        "_excluded": "frozen derivative of config.exclude_nodes",
+        "counters": "instrumentation counters",
+    },
+    "repro.baselines.quorum_base.QuorumMutexNode": {
+        "quorum": "construction constant (the node's quorum set)",
+    },
+    "repro.baselines.lamport.LamportNode": {
+        "fifo_fallbacks": "instrumentation counter; never read",
+    },
+    "repro.baselines.raymond.RaymondNode": {
+        "_neighbors": "construction constant (the node's tree edges)",
+    },
 }
 
-RCV_NODE_EXCLUDED = {
-    "config": "frozen dataclass, identical in every state",
-    "policy": "stateless strategy object chosen by config",
-    "exchange_stats": "instrumentation counters",
-    "_recovery_timer": "always None under the checker: ModelEnv "
-    "refuses timers and the model forces rm_timeout=None",
-    "_fwd_rng": "cached env.rng handle; forwarding nondeterminism is "
-    "enumerated explicitly through the ChoiceSource",
-    "_excluded": "frozen derivative of config.exclude_nodes",
-    "counters": "instrumentation counters",
-}
 
-QUORUM_NODE_EXCLUDED = {
-    "quorum": "construction constant (the node's quorum set)",
-}
+def _qualified(cls: type) -> str:
+    return f"{cls.__module__}.{cls.__qualname__}"
 
-LAMPORT_NODE_EXCLUDED = {
-    "fifo_fallbacks": "instrumentation counter; never read",
-}
-
-RAYMOND_NODE_EXCLUDED = {
-    "_neighbors": "construction constant (the node's tree edges)",
-}
-
-#: class name → the table listing what that class's ``__init__`` adds
-#: to the exclusions.  A node's exclusions are the tables of every
-#: class along its MRO, so subclasses (Maekawa, the planted mutants)
-#: inherit them; a class not named here excludes nothing of its own.
-NODE_EXCLUDED_TABLES = {
-    "MutexNode": "MUTEX_NODE_EXCLUDED",
-    "RCVNode": "RCV_NODE_EXCLUDED",
-    "QuorumMutexNode": "QUORUM_NODE_EXCLUDED",
-    "LamportNode": "LAMPORT_NODE_EXCLUDED",
-    "RaymondNode": "RAYMOND_NODE_EXCLUDED",
-}
 
 def _slot_names(cls: type) -> set:
     return {
@@ -202,11 +197,10 @@ def _refuse(obj, names: set, problem: str) -> None:
         )
 
 
-def _checked_table(obj, attrs: set, name: str) -> set:
-    """The entries of table ``name`` (looked up by name, so the
-    complaint can say which table to edit), refusing one that names an
-    attribute ``obj`` lacks or says nothing about it."""
-    table = globals()[name]
+def _checked_table(obj, attrs: set, name: str, table: dict) -> set:
+    """The entries of ``table`` (``name`` tells the complaint which
+    table to edit), refusing one that names an attribute ``obj`` lacks
+    or says nothing about it."""
     _refuse(
         obj,
         set(table) - attrs,
@@ -229,8 +223,10 @@ def assert_canon_complete(si: SystemInfo) -> None:
     """``SYSTEMINFO_CANON`` and ``SYSTEMINFO_EXCLUDED`` partition the
     slots of ``si``, no entry is stale, every exclusion is justified."""
     attrs = _attr_names(si)
-    canon = _checked_table(si, attrs, "SYSTEMINFO_CANON")
-    excluded = _checked_table(si, attrs, "SYSTEMINFO_EXCLUDED")
+    canon = _checked_table(si, attrs, "SYSTEMINFO_CANON", SYSTEMINFO_CANON)
+    excluded = _checked_table(
+        si, attrs, "SYSTEMINFO_EXCLUDED", SYSTEMINFO_EXCLUDED
+    )
     _refuse(
         si,
         canon & excluded,
@@ -255,11 +251,13 @@ def node_canon(node) -> List[Tuple[str, Callable]]:
     failure is a :class:`FingerprintError` naming the attributes and
     the table to edit."""
     attrs = _attr_names(node)
-    owners = [klass.__name__ for klass in type(node).__mro__]
+    owners = [_qualified(klass) for klass in type(node).__mro__]
     excluded: set = set()
     for owner in owners:
-        if owner in NODE_EXCLUDED_TABLES:
-            excluded |= _checked_table(node, attrs, NODE_EXCLUDED_TABLES[owner])
+        if owner in NODE_EXCLUDED:
+            excluded |= _checked_table(
+                node, attrs, f"NODE_EXCLUDED[{owner!r}]", NODE_EXCLUDED[owner]
+            )
     for value in vars(node).values():
         if isinstance(value, SystemInfo):
             assert_canon_complete(value)
@@ -424,8 +422,8 @@ def encode_value(value) -> Tuple:
     return (VALUE_TYPES.get(type(value)) or _resolve(value))[1](value)
 
 
-#: (class name, attribute) → encoder replacing the table's, for state
-#: whose in-memory layout says more than its behaviour does.
+#: (qualified class name, attribute) → encoder replacing the table's,
+#: for state whose in-memory layout says more than its behaviour does.
 ENCODER_OVERRIDES: Dict[Tuple[str, str], Callable] = {
-    ("QuorumMutexNode", "_waiting"): _encode_heap,
+    ("repro.baselines.quorum_base.QuorumMutexNode", "_waiting"): _encode_heap,
 }

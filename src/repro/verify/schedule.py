@@ -3,7 +3,8 @@
 A schedule is a plain JSON document that pins *everything* the
 engine needs to reproduce one interleaving bit-for-bit:
 
-* the model configuration (algorithm, N, RCV options, planted bug);
+* the model configuration (algorithm, N, planted bug, and under
+  ``model_opts`` every option the model was built with);
 * the world configuration (requests per node, channel semantics,
   adversary budgets);
 * the step list — one ``{op, arg, choices, note}`` entry per action,
@@ -41,17 +42,6 @@ __all__ = [
 
 SCHEDULE_VERSION = 1
 
-#: settings keys forwarded to :func:`make_model` on replay
-_MODEL_OPT_KEYS = (
-    "rule",
-    "forwarding",
-    "exchange_on_im",
-    "on_inconsistency",
-    "quorum_system",
-    "planted",
-)
-
-
 def schedule_dict(settings: dict, violation: Violation) -> dict:
     """Bundle a checker's settings and one violation as a schedule."""
     return {
@@ -83,12 +73,12 @@ def load_schedule(path) -> dict:
 
 
 def _world_from_settings(settings: dict) -> World:
-    opts = {
-        k: settings[k]
-        for k in _MODEL_OPT_KEYS
-        if settings.get(k) is not None
-    }
-    model = make_model(settings["algo"], settings["n"], **opts)
+    model = make_model(
+        settings["algo"],
+        settings["n"],
+        planted=settings.get("planted"),
+        **settings.get("model_opts", {}),
+    )
     return World(
         model,
         requests=settings.get("requests", 1),

@@ -396,7 +396,10 @@ class World:
     # canonical identity
     # ------------------------------------------------------------------
     def fingerprint(self) -> Tuple:
-        """Hashable identity of this configuration.
+        """Hashable identity of this configuration, comparable among
+        worlds built on one model instance (node fingerprints are that
+        model's numbering of the node states it has seen — see
+        :meth:`AlgorithmModel.fingerprint_node`).
 
         Node fingerprints are positional (index = node id).  The
         in-flight set is a sorted ``(src, dst, payload)`` multiset

@@ -25,6 +25,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -427,36 +428,39 @@ def test_canon_guard_catches_new_systeminfo_slot():
     assert "neither SYSTEMINFO_CANON nor SYSTEMINFO_EXCLUDED" in message
 
 
+_MUTEX, _RCV = "repro.mutex.base.MutexNode", "repro.core.node.RCVNode"
+
+
 @pytest.mark.parametrize(
     "algo, table, change, complaint",
     [
         (
             "rcv",
-            "SYSTEMINFO_CANON",
+            lambda: fingerprint.SYSTEMINFO_CANON,
             lambda t: t.pop("done"),
             "['done'] are in neither SYSTEMINFO_CANON nor",
         ),
         (
             "rcv",
-            "SYSTEMINFO_CANON",
+            lambda: fingerprint.SYSTEMINFO_CANON,
             lambda t: t.update(ghost_attr="gone"),
             "['ghost_attr'] are stale entries of SYSTEMINFO_CANON",
         ),
         (
             "ricart_agrawala",
-            "MUTEX_NODE_EXCLUDED",
+            lambda: fingerprint.NODE_EXCLUDED[_MUTEX],
             lambda t: t.update(ghost_attr="long gone"),
-            "['ghost_attr'] are stale entries of MUTEX_NODE_EXCLUDED",
+            f"['ghost_attr'] are stale entries of NODE_EXCLUDED['{_MUTEX}']",
         ),
         (
             "rcv",
-            "RCV_NODE_EXCLUDED",
+            lambda: fingerprint.NODE_EXCLUDED[_RCV],
             lambda t: t.update(_fwd_rng=" "),
-            "['_fwd_rng'] have no justification in RCV_NODE_EXCLUDED",
+            f"['_fwd_rng'] have no justification in NODE_EXCLUDED['{_RCV}']",
         ),
         (
             "rcv",
-            "SYSTEMINFO_EXCLUDED",
+            lambda: fingerprint.SYSTEMINFO_EXCLUDED,
             lambda t: t.update(done="also canon"),
             "['done'] are in both SYSTEMINFO_CANON and SYSTEMINFO_EXCLUDED",
         ),
@@ -464,12 +468,11 @@ def test_canon_guard_catches_new_systeminfo_slot():
     ids=["dropped", "ghost-canon", "ghost-excluded", "blank", "both"],
 )
 def test_canon_guard_catches_a_table_that_drifted(
-    algo, table, change, complaint, monkeypatch
+    algo, table, change, complaint
 ):
-    mutated = dict(getattr(fingerprint, table))
-    change(mutated)
-    monkeypatch.setattr(fingerprint, table, mutated)
-    assert complaint in _canon_error(make_model(algo, 3))
+    with mock.patch.dict(table()) as live:  # restored on the way out
+        change(live)
+        assert complaint in _canon_error(make_model(algo, 3))
 
 
 # ----------------------------------------------------------------------
@@ -510,6 +513,23 @@ def test_schedule_round_trip_through_disk(tmp_path):
     got = replay(load_schedule(path))
     assert got is not None
     assert (got.kind, got.depth) == (violation.kind, violation.depth)
+
+
+def test_schedule_replays_against_every_option_the_model_was_built_with():
+    """A node option travels in the settings as given, whatever its
+    name: on raymond's chain 0-1-2 the token reaches node 2 in four
+    hops, on the default tree (2's parent is 0) in two."""
+    chain = Checker(make_model("raymond", 3, parents=[None, 0, 1]))
+    settings = json.loads(json.dumps(chain.settings()))
+    assert settings["model_opts"] == {"parents": [None, 0, 1]}
+    steps = [{"op": "request", "arg": 2}]
+    steps += [{"op": "deliver", "arg": uid} for uid in (1, 2, 3, 4)]
+    steps += [{"op": "release", "arg": 2}]
+    sched = {"version": 1, "settings": settings, "steps": steps}
+    assert replay(sched) is None  # runs to the end, and cleanly
+    del settings["model_opts"]
+    with pytest.raises(VerifyError, match="not\\s+enabled"):
+        replay(sched)
 
 
 def test_schedule_version_gate(tmp_path):
@@ -613,7 +633,7 @@ def test_cli_takes_every_registry_name_and_passes_node_options_through():
     )
     assert majority.returncode == 0, majority.stdout + majority.stderr
     doc = json.loads(majority.stdout)
-    assert doc["settings"]["quorum_system"] == "majority"
+    assert doc["settings"]["model_opts"] == {"quorum_system": "majority"}
     assert doc["states"] != STATE_PINS[("maekawa", 3, "nonfifo")][0]  # grid
     for bad in (
         ("--algo", "maekawa", "--quorum-system", "no-such-family"),
