@@ -39,7 +39,6 @@ setup(
     entry_points={
         "console_scripts": [
             "repro=repro.cli:main",
-            "repro-lint=repro.lint.__main__:main",
             "repro-verify=repro.verify.__main__:main",
         ],
     },

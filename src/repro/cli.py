@@ -46,12 +46,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_seconds(text: str) -> float:
-    """``--lease-ttl``: the values ``run_cells`` and the wire accept."""
+def _positive_finite(text: str) -> float:
+    """``--lease-ttl`` (the values ``run_cells`` and the wire accept),
+    ``--rate`` and ``--horizon`` (a NaN horizon is a run that never
+    reaches it): a finite float > 0, else a usage error as above."""
     value = float(text)
     if not 0 < value < float("inf"):  # NaN fails both
         raise argparse.ArgumentTypeError(
-            f"expected a finite number of seconds > 0, got {text!r}"
+            f"expected a finite number > 0, got {text!r}"
         )
     return value
 
@@ -205,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument(
         "--lease-ttl",
-        type=_positive_seconds,
+        type=_positive_finite,
         default=60.0,
         help=(
             "seconds a --steal lease lives before peers may steal it; "
@@ -295,9 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--workload", choices=("burst", "poisson"), default="burst"
     )
     run_p.add_argument(
-        "--rate", type=float, default=0.1, help="poisson request rate λ"
+        "--rate",
+        type=_positive_finite,
+        default=0.1,
+        help="poisson request rate λ",
     )
-    run_p.add_argument("--horizon", type=float, default=10_000.0)
+    run_p.add_argument("--horizon", type=_positive_finite, default=10_000.0)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument(
         "--trace", action="store_true", help="print the first 60 trace events"
@@ -627,30 +632,21 @@ def _cmd_run(args) -> int:
         run_scenario,
     )
 
-    if args.workload == "burst":
-        arrivals = BurstArrivals()
-        scenario = Scenario(
-            algorithm=args.algorithm,
-            n_nodes=args.nodes,
-            arrivals=arrivals,
-            seed=args.seed,
-        )
-    else:
-        scenario = Scenario(
-            algorithm=args.algorithm,
-            n_nodes=args.nodes,
-            arrivals=PoissonArrivals(args.rate),
-            seed=args.seed,
-            issue_deadline=args.horizon,
-            drain_deadline=args.horizon * 3,
-        )
-
-    if args.trace:
-        result = _run_traced(scenario)
-    else:
-        from repro.workload.runner import run_scenario as rs
-
-        result = rs(scenario)
+    arrivals, deadlines = BurstArrivals(), {}
+    if args.workload == "poisson":
+        arrivals = PoissonArrivals(args.rate)
+        deadlines = {
+            "issue_deadline": args.horizon,
+            "drain_deadline": args.horizon * 3,
+        }
+    scenario = Scenario(
+        algorithm=args.algorithm,
+        n_nodes=args.nodes,
+        arrivals=arrivals,
+        seed=args.seed,
+        **deadlines,
+    )
+    result = _run_traced(scenario) if args.trace else run_scenario(scenario)
     row = result.summary_row()
     for key, value in row.items():
         print(f"{key:>10}: {value}")

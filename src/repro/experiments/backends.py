@@ -167,7 +167,7 @@ class CacheBackend(Protocol):
 # A lease is ``{"owner", "expires"}``, a failure log a list (oldest
 # first), a case file ``{"count", "failures"}``; see CacheBackend.
 def _wall_clock() -> float:
-    # repro-lint: allow(determinism) -- lease expiry needs a clock hosts share; failure times are for humans
+    # the shared wall clock: an ALLOWED row in tests/test_determinism.py
     return time.time()
 
 
@@ -711,8 +711,8 @@ class ServiceBackend:
         # endpoint is the one non-idempotent call: a report whose
         # *response* was lost would be recorded twice, spending the
         # quarantine budget on phantom crashes.  The random id lets
-        # the server drop the duplicate.
-        # repro-lint: allow(determinism) -- dedup nonce for a lossy transport, never replayed
+        # the server drop the duplicate.  (Host entropy: an ALLOWED
+        # row in tests/test_determinism.py.)
         nonce = os.urandom(8).hex()
         _, doc = self._call("record_failure", key, owner=owner, error=error, id=nonce)
         return doc["count"]

@@ -117,7 +117,7 @@ class _ServiceState:
         self.owners: Dict[str, dict] = {}
         #: requests answered since start, by ``"<METHOD> <resource>"``
         self.requests: Counter = Counter()
-        # repro-lint: allow(determinism) -- display-only start timestamp
+        # wall clock: an ALLOWED row in tests/test_determinism.py
         self.started = time.time()
         self._started_mono = time.monotonic()
 

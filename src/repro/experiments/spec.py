@@ -9,8 +9,8 @@ and how it is written into a cache document — and the canonical form,
 the cache key, the embedded cache document and the scenario are all
 *derived* by walking ``dataclasses.fields(CellSpec)`` through that
 table.  Adding a field means adding one ``AXES`` entry; nothing else
-enumerates the fields (the ``cache-key`` lint rule checks, at run
-time, that every field moves the key and the document).  The axes the
+enumerates the fields (``tests/test_spec.py`` checks, field by field,
+that each moves the key and the document).  The axes the
 command line can set also carry their :class:`TextForm` — the
 ``kind:p1:p2`` grammar of ``--delay-spec``, ``--cs-spec``,
 ``--fault-spec`` and ``--retx`` — so flag parsing, ``--help`` and the

@@ -18,10 +18,13 @@ Both expose the same façade::
         async with cluster.lock(node_id=2):
             ...  # critical section
 
+``acquire`` raises :class:`ClusterTransportError` — rather than wait
+for a grant that cannot come — once the transport has lost a peer.
 """
 
 from repro.runtime.env import AsyncEnv
+from repro.runtime.facade import ClusterTransportError
 from repro.runtime.local import LocalCluster
 from repro.runtime.tcp import TcpCluster
 
-__all__ = ["AsyncEnv", "LocalCluster", "TcpCluster"]
+__all__ = ["AsyncEnv", "ClusterTransportError", "LocalCluster", "TcpCluster"]

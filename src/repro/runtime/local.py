@@ -10,21 +10,21 @@ time).
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import random
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.mutex.base import Hooks, MutexNode, NodeState
+from repro.mutex.base import Hooks, MutexNode
 from repro.net.message import Message
 from repro.registry import get_algorithm
 from repro.runtime.env import AsyncEnv
+from repro.runtime.facade import LockFacade
 from repro.sim.rng import spawn_seed
 from repro.sim.streams import STREAM_NET_DELAY
 
 __all__ = ["LocalCluster"]
 
 
-class LocalCluster:
+class LocalCluster(LockFacade):
     """N algorithm nodes sharing one event loop.
 
     Parameters
@@ -52,6 +52,7 @@ class LocalCluster:
     ) -> None:
         if delay < 0 or jitter < 0 or jitter > delay:
             raise ValueError("need 0 <= jitter <= delay")
+        super().__init__()
         self.n_nodes = n_nodes
         self.algorithm = algorithm
         self.delay = delay
@@ -64,7 +65,6 @@ class LocalCluster:
             factory(i, n_nodes, self.env, self.hooks, **(algo_kwargs or {}))
             for i in range(n_nodes)
         ]
-        self._granted_events: Dict[int, asyncio.Event] = {}
         self.hooks.subscribe_granted(self._on_granted)
         self.messages_sent = 0
         self._started = False
@@ -85,13 +85,6 @@ class LocalCluster:
         await asyncio.sleep(self.delay * 2)
         self._started = False
 
-    async def __aenter__(self) -> "LocalCluster":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.stop()
-
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
@@ -105,37 +98,3 @@ class LocalCluster:
         loop = asyncio.get_running_loop()
         node = self.nodes[dst]
         loop.call_later(max(0.0, d), node.on_message, src, message)
-
-    # ------------------------------------------------------------------
-    # lock facade
-    # ------------------------------------------------------------------
-    def _on_granted(self, node_id: int) -> None:
-        event = self._granted_events.get(node_id)
-        if event is not None:
-            event.set()
-
-    async def acquire(self, node_id: int, timeout: Optional[float] = None) -> None:
-        """Request the CS on behalf of ``node_id`` and wait for it."""
-        node = self.nodes[node_id]
-        event = asyncio.Event()
-        self._granted_events[node_id] = event
-        node.request_cs()
-        if node.state is NodeState.IN_CS:  # granted synchronously
-            self._granted_events.pop(node_id, None)
-            return
-        try:
-            await asyncio.wait_for(event.wait(), timeout)
-        finally:
-            self._granted_events.pop(node_id, None)
-
-    def release(self, node_id: int) -> None:
-        self.nodes[node_id].release_cs()
-
-    @contextlib.asynccontextmanager
-    async def lock(self, node_id: int, timeout: Optional[float] = None):
-        """``async with cluster.lock(i): ...`` — acquire/release."""
-        await self.acquire(node_id, timeout)
-        try:
-            yield
-        finally:
-            self.release(node_id)

@@ -4,7 +4,13 @@ Frames are 4-byte big-endian length + pickle payload ``(src, dst,
 message)``.  Pickle keeps the algorithm messages (plain slotted
 classes) intact without a parallel schema; the codec therefore
 *trusts its peers* — suitable for the lab/cluster deployments this
-library targets, not for untrusted networks.
+library targets, not for untrusted networks.  Replacing the pickle
+framing (and adding acknowledgements: a frame in flight when its
+receiver dies is still lost silently) is the ROADMAP's socket-runtime
+item.  Meanwhile a transport fault is *said*: an unreachable peer, a
+frame longer than :data:`MAX_FRAME_BYTES` and a frame addressed to
+another node each become a :class:`ClusterTransportError` recorded on
+``NodeHost.failure``, and no lock request waits on a cluster with one.
 
 :class:`TcpCluster` is the convenience harness used by the examples
 and integration tests: it starts N :class:`NodeHost` endpoints on
@@ -18,16 +24,30 @@ import asyncio
 import contextlib
 import pickle
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.mutex.base import Hooks, MutexNode, NodeState
+from repro.mutex.base import Hooks, MutexNode
 from repro.net.message import Message
 from repro.registry import get_algorithm
 from repro.runtime.env import AsyncEnv
+from repro.runtime.facade import ClusterTransportError, LockFacade
 
-__all__ = ["NodeHost", "TcpCluster"]
+__all__ = ["MAX_FRAME_BYTES", "NodeHost", "TcpCluster"]
 
 _HEADER = struct.Struct("!I")
+_Stream = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
+
+#: the longest payload a host will allocate for on a peer's say-so (the
+#: largest RCV message of an N=200 burst pickles to 18 KB)
+MAX_FRAME_BYTES = 16 * 1024 * 1024
+
+#: connection attempts per peer before it counts as unreachable
+#: (failed attempt k is followed by a 0.05·k s sleep: ~10 s in all)
+CONNECT_ATTEMPTS = 20
+
+
+class _BadFrame(Exception):
+    """A frame no peer of ours would send."""
 
 
 def _encode(src: int, dst: int, message: Message) -> bytes:
@@ -36,9 +56,15 @@ def _encode(src: int, dst: int, message: Message) -> bytes:
 
 
 async def _read_frame(reader: asyncio.StreamReader) -> Optional[Tuple[int, int, Message]]:
+    """The next frame, or None at end of stream."""
     try:
         header = await reader.readexactly(_HEADER.size)
         (length,) = _HEADER.unpack(header)
+        if length > MAX_FRAME_BYTES:
+            raise _BadFrame(
+                f"frame of {length} bytes exceeds MAX_FRAME_BYTES "
+                f"({MAX_FRAME_BYTES})"
+            )
         payload = await reader.readexactly(length)
     except (asyncio.IncompleteReadError, ConnectionResetError):
         return None
@@ -56,9 +82,13 @@ class NodeHost:
         algorithm: str = "rcv",
         seed: int = 0,
         algo_kwargs: Optional[dict] = None,
+        on_failure: Optional[Callable[[ClusterTransportError], None]] = None,
     ) -> None:
         self.node_id = node_id
         self.endpoints = dict(endpoints)
+        #: why this host's transport stopped, once it has
+        self.failure: Optional[ClusterTransportError] = None
+        self._on_failure = on_failure
         self.hooks = Hooks()
         self.env = AsyncEnv(self._send, seed=seed + node_id)
         factory = get_algorithm(algorithm)
@@ -66,7 +96,10 @@ class NodeHost:
             node_id, len(endpoints), self.env, self.hooks, **(algo_kwargs or {})
         )
         self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: Dict[int, asyncio.StreamWriter] = {}
+        #: outbound connections, by peer; the reader half only ever
+        #: says one thing — end of stream, i.e. the peer has gone
+        self._peers: Dict[int, _Stream] = {}
+        self._inbound: Set[asyncio.StreamWriter] = set()
         self._send_queue: asyncio.Queue = asyncio.Queue()
         self._pump_task: Optional[asyncio.Task] = None
 
@@ -82,7 +115,11 @@ class NodeHost:
             self._pump_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._pump_task
-        for writer in self._writers.values():
+        for _, writer in self._peers.values():
+            writer.close()
+        # a stopped host must look stopped to its peers: without this
+        # the handlers of accepted connections outlive the server
+        for writer in list(self._inbound):
             writer.close()
         if self._server is not None:
             self._server.close()
@@ -91,6 +128,12 @@ class NodeHost:
     # ------------------------------------------------------------------
     # outbound
     # ------------------------------------------------------------------
+    def _fail(self, detail: str, peer: Optional[int] = None) -> None:
+        failure = ClusterTransportError(self.node_id, detail, peer)
+        self.failure = self.failure or failure
+        if self._on_failure is not None:
+            self._on_failure(failure)
+
     def _send(self, src: int, dst: int, message: Message) -> None:
         # Called synchronously from algorithm code; the pump task does
         # the awaiting.
@@ -99,33 +142,43 @@ class NodeHost:
     async def _pump(self) -> None:
         while True:
             src, dst, message = await self._send_queue.get()
+            frame = _encode(src, dst, message)
             try:
-                writer = await self._writer_for(dst)
-                writer.write(_encode(src, dst, message))
-                await writer.drain()
-            except (ConnectionError, OSError):
-                # Reconnect once; the paper's model assumes a reliable
-                # network, so persistent failure is surfaced loudly.
-                self._writers.pop(dst, None)
-                writer = await self._writer_for(dst)
-                writer.write(_encode(src, dst, message))
-                await writer.drain()
+                try:
+                    await self._write(dst, frame)
+                except OSError:
+                    # Reconnect once; the paper's model assumes a
+                    # reliable network, so persistent failure is
+                    # surfaced loudly.
+                    await self._write(dst, frame, reconnect=True)
+            except OSError as exc:
+                # The pump ends here: a message the protocol counts as
+                # delivered is lost, so nothing sent after it can be
+                # trusted to mean what it says.
+                self._fail(f"cannot reach node {dst}: {exc}", peer=dst)
+                return
 
-    async def _writer_for(self, dst: int) -> asyncio.StreamWriter:
-        writer = self._writers.get(dst)
-        if writer is not None and not writer.is_closing():
-            return writer
+    async def _write(self, dst: int, frame: bytes, reconnect: bool = False) -> None:
+        peer = self._peers.pop(dst, None)
+        # A write into a connection the peer has closed succeeds (the
+        # kernel buffers it), so ask the reader half first.
+        if peer and (reconnect or peer[1].is_closing() or peer[0].at_eof()):
+            peer[1].close()
+            peer = None
+        self._peers[dst] = peer = peer or await self._connect(dst)
+        peer[1].write(frame)
+        await peer[1].drain()
+
+    async def _connect(self, dst: int) -> _Stream:
         host, port = self.endpoints[dst]
-        for attempt in range(20):
+        for attempt in range(CONNECT_ATTEMPTS):
             try:
-                _, writer = await asyncio.open_connection(host, port)
-                break
-            except (ConnectionError, OSError):
+                return await asyncio.open_connection(host, port)
+            except OSError:  # ConnectionError is one
                 await asyncio.sleep(0.05 * (attempt + 1))
-        else:
-            raise ConnectionError(f"node {self.node_id} cannot reach node {dst}")
-        self._writers[dst] = writer
-        return writer
+        raise ConnectionError(
+            f"no connection to {host}:{port} in {CONNECT_ATTEMPTS} attempts"
+        )
 
     # ------------------------------------------------------------------
     # inbound
@@ -133,25 +186,30 @@ class NodeHost:
     async def _on_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._inbound.add(writer)
         try:
             while True:
                 frame = await _read_frame(reader)
                 if frame is None:
                     return
                 src, dst, message = frame
-                if dst != self.node_id:  # misrouted frame; drop loudly
-                    raise RuntimeError(
-                        f"node {self.node_id} received frame for node {dst}"
-                    )
+                if dst != self.node_id:
+                    raise _BadFrame(f"frame for node {dst}")
                 self.node.on_message(src, message)
+        except _BadFrame as exc:
+            # Recorded, not raised: nothing awaits a connection handler,
+            # so an exception here would only be logged at exit.
+            peer = writer.get_extra_info("peername")
+            self._fail(f"{exc} from {peer}; connection closed")
         except asyncio.CancelledError:
             return  # orderly shutdown: the server is closing
         finally:
+            self._inbound.discard(writer)
             with contextlib.suppress(Exception):
                 writer.close()
 
 
-class TcpCluster:
+class TcpCluster(LockFacade):
     """N :class:`NodeHost` endpoints on localhost, one per node."""
 
     def __init__(
@@ -164,6 +222,7 @@ class TcpCluster:
         seed: int = 0,
         algo_kwargs: Optional[dict] = None,
     ) -> None:
+        super().__init__()
         self.n_nodes = n_nodes
         if base_port == 0:
             base_port = self._pick_free_ports(host, n_nodes)
@@ -177,12 +236,13 @@ class TcpCluster:
                 algorithm=algorithm,
                 seed=seed,
                 algo_kwargs=algo_kwargs,
+                on_failure=self._on_failure,
             )
             for i in range(n_nodes)
         ]
-        self._granted: Dict[int, asyncio.Event] = {}
+        self.nodes: List[MutexNode] = [h.node for h in self.hosts]
         for h in self.hosts:
-            h.hooks.subscribe_granted(self._make_grant_cb())
+            h.hooks.subscribe_granted(self._on_granted)
 
     @staticmethod
     def _pick_free_ports(host: str, n: int) -> int:
@@ -205,14 +265,6 @@ class TcpCluster:
                 return base
         raise OSError(f"no run of {n} free consecutive ports on {host}")
 
-    def _make_grant_cb(self):
-        def cb(node_id: int) -> None:
-            event = self._granted.get(node_id)
-            if event is not None:
-                event.set()
-
-        return cb
-
     # ------------------------------------------------------------------
     async def start(self) -> None:
         for h in self.hosts:
@@ -222,35 +274,3 @@ class TcpCluster:
         await asyncio.sleep(0.05)
         for h in self.hosts:
             await h.stop()
-
-    async def __aenter__(self) -> "TcpCluster":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.stop()
-
-    # ------------------------------------------------------------------
-    async def acquire(self, node_id: int, timeout: Optional[float] = None) -> None:
-        node = self.hosts[node_id].node
-        event = asyncio.Event()
-        self._granted[node_id] = event
-        node.request_cs()
-        if node.state is NodeState.IN_CS:
-            self._granted.pop(node_id, None)
-            return
-        try:
-            await asyncio.wait_for(event.wait(), timeout)
-        finally:
-            self._granted.pop(node_id, None)
-
-    def release(self, node_id: int) -> None:
-        self.hosts[node_id].node.release_cs()
-
-    @contextlib.asynccontextmanager
-    async def lock(self, node_id: int, timeout: Optional[float] = None):
-        await self.acquire(node_id, timeout)
-        try:
-            yield
-        finally:
-            self.release(node_id)

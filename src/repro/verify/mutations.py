@@ -1,18 +1,16 @@
 """Planted protocol bugs — known-bad mutants the checker must catch.
 
-Each planted bug is an AST transform applied to the *real* module
-source (fetched through the same :class:`~repro.lint.context.
-LintContext` source/overlay machinery the lint mutation tests use),
-compiled in a scratch namespace, and grafted onto a dynamic
-``RCVNode`` subclass.  The working tree is never modified, and
+Each planted bug is an AST transform applied to the source of the
+*imported* protocol module (``inspect.getsource`` — wherever the
+package is installed), compiled in a scratch namespace, and grafted
+onto a dynamic ``RCVNode`` subclass.  No file is ever modified, and
 ``isinstance(node, RCVNode)`` keeps holding, so ``check_system`` and
 the rest of the verification stack treat the mutant as the genuine
 protocol.
 
 A transform must match **exactly one** site; zero matches means the
-code evolved away from the bug's anchor (update the transform — same
-mutation-proofing contract as the lint rules), more than one means
-the transform is too loose.
+code evolved away from the bug's anchor (update the transform), more
+than one means the transform is too loose.
 
 These mutants are the checker's own regression suite: if the
 exhaustive search ever stops producing a replayable counterexample
@@ -22,21 +20,22 @@ for them, the checker — not the protocol — has broken.
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import sys
 import types
 from typing import Callable, Dict, Optional
 
 from repro.core.node import RCVNode
 from repro.core.state import SystemInfo
-from repro.lint.context import LintContext, default_root
 from repro.verify.errors import VerifyError
 
 __all__ = ["PLANTED_BUGS", "list_planted_bugs", "planted_node_class"]
 
-NODE_PATH = "src/repro/core/node.py"
-EXCHANGE_PATH = "src/repro/core/exchange.py"
-STATE_PATH = "src/repro/core/state.py"
-ORDER_PATH = "src/repro/core/order.py"
+NODE = "repro.core.node"
+EXCHANGE = "repro.core.exchange"
+STATE = "repro.core.state"
+ORDER = "repro.core.order"
 
 
 def _is_is_done_test(test: ast.AST) -> bool:
@@ -162,40 +161,42 @@ def _ignore_unknown_votes(tree: ast.AST) -> int:
 
 
 def _exec_mutated(
-    relpath: str, *transforms: Callable[[ast.AST], int]
+    module_name: str, *transforms: Callable[[ast.AST], int]
 ) -> dict:
     """Exec a module's source in a scratch namespace, with each
     transform applied (and validated to match exactly one site).
     With no transforms the source is exec'd verbatim."""
-    ctx = LintContext(default_root())
-    source = ctx.source(relpath)
-    if source is None:
-        raise VerifyError(f"cannot read {relpath} to plant a bug into")
-    tree = ast.parse(source, filename=f"<mutated {relpath}>")
+    try:
+        source = inspect.getsource(importlib.import_module(module_name))
+    except OSError as exc:
+        raise VerifyError(
+            f"cannot read the source of {module_name} to plant a bug "
+            f"into: {exc}"
+        ) from None
+    tree = ast.parse(source, filename=f"<mutated {module_name}>")
     tag = "plain"
     for transform in transforms:
         count = transform(tree)
         if count != 1:
             raise VerifyError(
                 f"planted-bug transform {transform.__name__} for "
-                f"{relpath} matched {count} sites (expected exactly 1) "
+                f"{module_name} matched {count} sites (expected exactly 1) "
                 "— the protocol source moved; update "
                 "repro/verify/mutations.py alongside it"
             )
         ast.fix_missing_locations(tree)
         tag = transform.__name__
-    stem = relpath.replace("/", "_").replace(".", "_")
-    mod_name = f"repro_verify_mutant.{tag}.{stem}"
+    mod_name = f"repro_verify_mutant.{tag}.{module_name.replace('.', '_')}"
     # Registered so stdlib machinery that resolves classes through
     # sys.modules (e.g. the dataclass decorator) works during exec.
     module = types.ModuleType(mod_name)
     sys.modules[mod_name] = module
-    exec(compile(tree, f"<mutated {relpath}>", "exec"), module.__dict__)
+    exec(compile(tree, f"<mutated {module_name}>", "exec"), module.__dict__)
     return module.__dict__
 
 
 def _build_skip_release_wait() -> type:
-    ns = _exec_mutated(NODE_PATH, _flip_release_wait, _disarm_enable_guard)
+    ns = _exec_mutated(NODE, _flip_release_wait, _disarm_enable_guard)
     mutated = ns["RCVNode"]
     return type(
         "RCVNodeSkipReleaseWait",
@@ -208,7 +209,7 @@ def _build_skip_release_wait() -> type:
 
 
 def _build_skip_exchange_renormalize() -> type:
-    ns = _exec_mutated(EXCHANGE_PATH, _drop_renormalize)
+    ns = _exec_mutated(EXCHANGE, _drop_renormalize)
     mutated_exchange = ns["exchange"]
 
     def _exchange(self, msg_si):
@@ -232,7 +233,7 @@ def _copy_si_slots(dst: SystemInfo, src: SystemInfo) -> None:
 
 
 def _build_eager_done() -> type:
-    ns = _exec_mutated(STATE_PATH, _widen_is_done)
+    ns = _exec_mutated(STATE, _widen_is_done)
     mutated_is_done = ns["SystemInfo"].__dict__["is_done"]
 
     def _snapshot(self):
@@ -258,11 +259,11 @@ def _build_eager_done() -> type:
 
 
 def _build_blind_commit() -> type:
-    order_ns = _exec_mutated(ORDER_PATH, _ignore_unknown_votes)
+    order_ns = _exec_mutated(ORDER, _ignore_unknown_votes)
     # Re-exec node.py verbatim so its Order call sites resolve
     # ``run_order`` through a namespace we control, then point that
     # name at the mutated implementation.
-    node_ns = _exec_mutated(NODE_PATH)
+    node_ns = _exec_mutated(NODE)
     node_ns["run_order"] = order_ns["run_order"]
     mutated = node_ns["RCVNode"]
     return type(

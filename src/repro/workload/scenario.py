@@ -94,3 +94,11 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
+        for name in ("issue_deadline", "drain_deadline"):
+            value = getattr(self, name)
+            # NaN compares false both ways: drivers would never stop
+            # issuing and run(until=nan) never reach its horizon
+            if value is not None and not 0 <= value < float("inf"):
+                raise ValueError(
+                    f"{name} must be a finite time >= 0, got {value!r}"
+                )

@@ -1,6 +1,11 @@
 """Extra CLI coverage: theory command, paper-scale parameterization,
 and figure-args plumbing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import cli
@@ -330,6 +335,8 @@ def test_cli_campaign_retx_cells_complete_under_drop(capsys, tmp_path):
         ("campaign", "--lease-ttl", "inf"),
         ("fig4", "--seeds", "0"),
         ("run", "--nodes", "0"),
+        ("run", "--rate", "0"),  # parent: ValueError traceback
+        ("run", "--horizon", "-5"),  # parent: "0 of 0 requests" traceback
     ],
 )
 def test_cli_refuses_counts_that_are_not_positive(
@@ -345,6 +352,22 @@ def test_cli_refuses_counts_that_are_not_positive(
     assert refused.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: expected a" in err and repr(bad) in err
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_cli_run_with_an_unreachable_horizon_returns(horizon):
+    """In a subprocess under a timeout: before the flag had a type this
+    spun forever (NaN compares false, so no driver ever stopped
+    issuing and ``run(until=nan)`` never reached its horizon)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "run", "--nodes", "4",
+         "--workload", "poisson", "--horizon", horizon],
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+        capture_output=True, text=True, timeout=30,
+    )  # fmt: skip
+    assert proc.returncode == 2
+    assert "argument --horizon: expected a finite number > 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_count_flags_accept_what_they_always_did():

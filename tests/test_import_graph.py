@@ -54,3 +54,18 @@ def test_two_workers_still_pool_and_agree_with_the_inline_run():
     pooled = run_cells(specs, max_workers=2)
     assert "concurrent.futures.process" in sys.modules
     assert pooled == run_cells(specs, max_workers=1)
+
+
+def test_no_lint_package_comes_back_through_the_planted_mutants():
+    """The ``lint`` subpackage is gone (tests/test_determinism.py and
+    tests/test_spec.py hold its two invariants); its one importer
+    inside ``src/`` was the planted-bug builder."""
+    import importlib.util
+
+    import repro
+    from repro.verify.mutations import planted_node_class
+
+    gone = f"{repro.__name__}.lint"
+    assert importlib.util.find_spec(gone) is None
+    planted_node_class("eager-done")
+    assert not [m for m in sys.modules if m.startswith(gone)]

@@ -4,7 +4,8 @@ import asyncio
 
 import pytest
 
-from repro.runtime import LocalCluster, TcpCluster
+from repro.runtime import ClusterTransportError, LocalCluster, TcpCluster
+from repro.runtime import tcp
 
 
 def run(coro):
@@ -129,3 +130,46 @@ def test_tcp_cluster_repeated_rounds():
         return count[0]
 
     assert run(go()) == 6
+
+
+@pytest.mark.parametrize("connected_before", [False, True])
+def test_tcp_acquire_raises_when_a_peer_is_gone(monkeypatch, connected_before):
+    """``acquire(timeout=None)`` used to wait forever: the pump task
+    died with an exception nobody read."""
+    monkeypatch.setattr(tcp, "CONNECT_ATTEMPTS", 2)
+
+    async def go():
+        async with TcpCluster(3, algorithm="ricart_agrawala", seed=6) as c:
+            if connected_before:
+                async with c.lock(0, timeout=20):
+                    pass
+            await c.hosts[2].stop()
+            await asyncio.sleep(0.05)  # let node 0 see the connection end
+            with pytest.raises(ClusterTransportError) as raised:
+                await asyncio.wait_for(c.acquire(0), 20)
+            assert (raised.value.node_id, raised.value.peer) == (0, 2)
+            assert "node 0: cannot reach node 2" in str(raised.value)
+            assert c.hosts[0].failure is raised.value
+            with pytest.raises(ClusterTransportError):  # and stays said
+                await c.acquire(1)
+
+    run(go())
+
+
+def test_tcp_host_refuses_oversize_and_misrouted_frames():
+    async def go():
+        async with TcpCluster(2, algorithm="rcv", seed=7) as c:
+            for frame, said in (
+                (tcp._HEADER.pack(tcp.MAX_FRAME_BYTES + 1), "exceeds MAX_FRAME_BYTES"),
+                (tcp._encode(0, 5, None), "frame for node 5"),
+            ):
+                c.failure = c.hosts[1].failure = None
+                reader, writer = await asyncio.open_connection(*c.endpoints[1])
+                writer.write(frame)
+                assert await asyncio.wait_for(reader.read(), 5) == b""  # closed
+                writer.close()
+                assert c.hosts[1].failure is c.failure
+                assert c.failure.node_id == 1 and c.failure.peer is None
+                assert said in str(c.failure)
+
+    run(go())

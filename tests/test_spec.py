@@ -10,7 +10,9 @@ no ``RESULTS_EPOCH`` bump.
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -297,3 +299,90 @@ def test_partition_first_k_form_is_the_explicit_groups_cell():
                 "rcv", 6, 0, ("burst", 1),
                 faults=(("partition", ((10, 20, k),)),),
             ).normalized()
+
+
+# ----------------------------------------------------------------------
+# Every ``CellSpec`` field moves every identity.
+#
+# The PR-7 aliasing bug class: a ``CellSpec`` field that does not reach
+# ``cache_key()`` makes two *different* cells share one cache entry — on
+# every backend, silently, with bit-for-bit plausible results.  The same
+# omission in the embedded cell document weakens the stored-spec
+# corruption guard.  Key and document are derived from
+# ``dataclasses.fields(CellSpec)``, so there is no hand-written field
+# list to read: the guard perturbs one field at a time and checks that
+# the key and the document move, and that the document's key set is the
+# field set.
+# ----------------------------------------------------------------------
+#: two valid cells that differ in every field
+_BASE = ("rcv", 6, 0, ("burst", 1))
+_OTHER = (
+    "maekawa", 9, 1, ("poisson", 40.0, 300.0), ("uniform", 2.0, 6.0),
+    ("exponential", 4.0, 0.5), (("quorum_system", "grid"),),
+    (("dup", 0.1),), ("retx", 20.0, 2.0, 10),
+)  # fmt: skip
+
+
+def identity_violations(spec_cls=CellSpec) -> Iterator[str]:
+    """One message per way ``spec_cls`` lets a field slip."""
+    base, other = spec_cls(*_BASE), spec_cls(*_OTHER)
+    names = [f.name for f in fields(spec_cls)]
+    if set(base.document()) != set(names):
+        yield (
+            f"embedded cell document keys {sorted(base.document())} are "
+            f"not the CellSpec fields {sorted(names)}"
+        )
+    for name in names:
+        if getattr(base, name) == getattr(other, name):
+            yield (
+                f"the cache-key guard's sample cells do not differ in "
+                f"CellSpec field {name!r} — extend them"
+            )
+            continue
+        changed = replace(base, **{name: getattr(other, name)})
+        if changed.cache_key() == base.cache_key():
+            yield (
+                f"CellSpec field {name!r} does not reach cache_key — cells "
+                "differing only in it would alias in every cache backend"
+            )
+        if changed.document() == base.document():
+            yield (
+                f"CellSpec field {name!r} does not reach the embedded cell "
+                "document — the stored-spec corruption check cannot see it"
+            )
+
+
+def _forgets(method_name: str, field_name: str):
+    """A CellSpec whose ``method_name`` ignores ``field_name``."""
+    real = getattr(CellSpec, method_name)
+    default = getattr(CellSpec(*_BASE), field_name)
+
+    def forgetful(self):
+        return real(replace(self, **{field_name: default}))
+
+    return type("Forgetful", (CellSpec,), {method_name: forgetful})
+
+
+def test_every_cellspec_field_moves_the_key_and_the_document():
+    assert list(identity_violations()) == []
+
+
+@pytest.mark.parametrize("field_name", [f.name for f in fields(CellSpec)])
+def test_identity_guard_catches_any_field_dropped_from_the_key(field_name):
+    messages = list(identity_violations(_forgets("cache_key", field_name)))
+    assert any(
+        f"{field_name!r} does not reach cache_key" in m for m in messages
+    ), messages
+
+
+def test_identity_guard_catches_a_field_dropped_from_the_document():
+    class Renamed(CellSpec):
+        def document(self):
+            doc = CellSpec.document(self)
+            doc["work_load"] = doc.pop("workload")
+            return doc
+
+    messages = " | ".join(identity_violations(Renamed))
+    assert "'work_load'" in messages and "are not the CellSpec fields" in messages
+    messages = " | ".join(identity_violations(_forgets("document", "workload")))
+    assert "'workload' does not reach the embedded cell document" in messages

@@ -1,9 +1,8 @@
 """Planted-bug mutation tests: the checker must *find* bugs, not
 just bless correct code.
 
-Each planted bug is a single-site AST mutation of the real protocol
-source (applied through the lint engine's source overlay machinery),
-grafted onto a live ``RCVNode`` subclass.  For each one this file
+Each planted bug is a single-site AST mutation of the imported
+protocol module's source, grafted onto a live ``RCVNode`` subclass.  For each one this file
 asserts the full loop the ISSUE demands: the checker finds a
 violation of the expected kind at the expected (minimal, BFS) depth,
 and the exported schedule replays through the engine to the *same*
@@ -19,6 +18,12 @@ The four bugs cover one violation class each:
 """
 
 from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +63,32 @@ def test_planted_classes_are_real_node_subclasses():
         cls = planted_node_class(name)
         assert issubclass(cls, RCVNode)
         assert cls is not RCVNode
+
+
+def test_planted_build_works_from_an_installed_layout(tmp_path):
+    """The mutant is built from the source of the module that was
+    imported, so the package need not sit at ``<root>/src/repro``."""
+    import repro
+
+    site = tmp_path / "site-packages"
+    shutil.copytree(
+        Path(repro.__file__).parent,
+        site / "repro",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    script = (
+        "import repro, sys\n"
+        "from repro.verify.mutations import planted_node_class\n"
+        "assert repro.__file__.startswith(sys.argv[1]), repro.__file__\n"
+        "print(planted_node_class('eager-done').__name__)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(site)],
+        env=dict(os.environ, PYTHONPATH=str(site)),
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "RCVNodeEagerDone"
 
 
 def test_unknown_planted_bug_is_rejected():

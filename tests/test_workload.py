@@ -111,6 +111,15 @@ def test_issue_deadline_caps_request_issue():
     assert result.all_completed()
 
 
+@pytest.mark.parametrize("field", ["issue_deadline", "drain_deadline"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -5.0])
+def test_scenario_refuses_a_deadline_no_run_can_reach(field, bad):
+    """A NaN deadline used to be a run that never ends, not an error."""
+    with pytest.raises(ValueError, match=field):
+        Scenario("rcv", 4, PoissonArrivals(rate=0.1), **{field: bad})
+    Scenario("rcv", 4, PoissonArrivals(rate=0.1), **{field: 0.0})
+
+
 def test_runner_aggregates_protocol_counters():
     result = run_scenario(
         Scenario(algorithm="rcv", n_nodes=5, arrivals=BurstArrivals(), seed=0)
