@@ -29,11 +29,9 @@ SQLite file and over a served HTTP backend (null, with a note, on a
 host with one usable CPU) — and the served-HTTP-vs-shared-SQLite wall
 clock (what the network round trip per cell operation actually costs).
 
-The report's first-class ``per_cell`` section tracks the cost of the
-unit everything above is built from: per-cell seconds at N in
-{50, 100, 200} and the N=200 speedup over the in-tree historical
-protocol path, ``repro.core.reference.full_snapshot_mode()``
-(``test_per_cell_n200_beats_seed`` guards the >=2x floor).
+Per-cell seconds and the N=200 floor over the in-tree reference
+protocol path are ``benchmarks/bench_protocol.py``'s
+(``BENCH_protocol.json``), not this report's.
 
 The ``faults`` section runs the canonical fault grid (drop/dup/
 reorder intensities, a halving partition, a crash — see
@@ -62,6 +60,7 @@ import json
 import math
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -387,73 +386,6 @@ def _two_workers_sections() -> dict:
 
 
 # ----------------------------------------------------------------------
-# per-cell costs — the fast unit of everything
-# ----------------------------------------------------------------------
-_PER_CELL_N_VALUES = (50, 100, 200)
-_PER_CELL_SEEDS = (0, 1, 2)
-
-
-def _per_cell_seconds(n, seeds=_PER_CELL_SEEDS):
-    """Mean seconds of one burst cell at node count ``n``, run the way
-    the campaign workers run it: ``run_scenario(spec.build_scenario())``."""
-    from repro.workload.runner import run_scenario
-
-    specs = scale_campaign(("rcv",), n_values=(n,), seeds=seeds).cells
-    start = time.perf_counter()
-    for spec in specs:
-        run_scenario(spec.build_scenario())
-    return (time.perf_counter() - start) / len(specs)
-
-
-def _full_snapshot_n200_cell_seconds():
-    """One N=200 burst cell on the seed tree's protocol path as kept
-    in-tree (``full_snapshot_mode()`` tracks the seed tree closely:
-    4.46x vs ~4.5x at N=200), so the floor needs no git history."""
-    from repro.core.reference import full_snapshot_mode
-
-    with full_snapshot_mode():
-        return _per_cell_seconds(200, seeds=(0,))
-
-
-def test_per_cell_n200_beats_seed():
-    """Floor guard: the N=200 burst cell must stay >=2x faster than
-    the seed tree's protocol path (the full-snapshot baseline).  The
-    columnar-SI + incremental-tally rework measured ~4.5x; the 2x
-    floor is the ISSUE's acceptance bar and leaves ample headroom for
-    noisy CI machines."""
-    baseline_secs = _full_snapshot_n200_cell_seconds()
-    cell_secs = _per_cell_seconds(200)
-    ratio = baseline_secs / cell_secs
-    print(
-        f"\nN=200 cell: full-snapshot={baseline_secs:.3f}s "
-        f"now={cell_secs:.3f}s speedup={ratio:.2f}x"
-    )
-    assert ratio > 2.0, (
-        f"N=200 cell ({cell_secs:.3f}s) lost the >=2x floor over the "
-        f"full-snapshot baseline ({baseline_secs:.3f}s)"
-    )
-
-
-def _per_cell_section():
-    """The first-class ``per_cell`` report block: per-cell seconds at
-    N in {50, 100, 200}, plus the N=200 speedup over the full-snapshot
-    baseline."""
-    section = {
-        "n_values": list(_PER_CELL_N_VALUES),
-        "seeds": list(_PER_CELL_SEEDS),
-        "fresh_seconds": {
-            str(n): round(_per_cell_seconds(n), 3) for n in _PER_CELL_N_VALUES
-        },
-    }
-    baseline_secs = _full_snapshot_n200_cell_seconds()
-    section["full_snapshot_n200_seconds"] = round(baseline_secs, 3)
-    section["n200_speedup_over_full_snapshot"] = round(
-        baseline_secs / section["fresh_seconds"]["200"], 2
-    )
-    return section
-
-
-# ----------------------------------------------------------------------
 # CI smoke: a faulty campaign measures lost liveness, quarantines crashes
 # ----------------------------------------------------------------------
 def test_campaign_fault_smoke(tmp_path=None):
@@ -738,10 +670,10 @@ def build_report(n_values=(100, 200), seeds=(0,)):
             "bench_campaign — RCV burst scale campaign "
             f"(N {list(n_values)}, seeds {list(seeds)}), sequential worker"
         ),
+        "python": platform.python_version(),
+        "host": platform.platform(),
+        "usable_cpus": _usable_cpus(),
         "cells": len(campaign.cells),
-        # the fast unit of everything: one cell's cost, tracked
-        # first-class so the perf trajectory is visible across PRs
-        "per_cell": _per_cell_section(),
         # resilience: the same cells under the canonical fault grid
         "faults": _faults_section(),
         "fresh": {

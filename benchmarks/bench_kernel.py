@@ -1,15 +1,7 @@
-"""Kernel microbenchmarks — the substrate's own cost.
+"""Kernel benchmark — the substrate's own cost, and start-up.
 
-Per the profiling-first discipline (see DESIGN.md §6): the event heap
-and the Exchange/Order procedures are the simulator's hotspots.
-These benches time them in isolation so regressions in substrate
-performance are visible independently of experiment content, and they
-justify the data-structure choices (plain lists/tuples at N≤50 —
-measured here, not assumed).
-
-Since the unified-engine refactor the kernel has two scheduling
-modes, and this file measures **both** so a future PR cannot
-silently regress either:
+The kernel has two scheduling modes, and this file measures **both**
+so a future change cannot silently regress either:
 
 * ``cancellable-handle`` — ``Simulator.schedule``: a ``Handle`` per
   event (the JSON keys keep their historical names,
@@ -22,12 +14,12 @@ Run as a script to (re)generate ``BENCH_engine.json``::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py --json BENCH_engine.json
 
-which records events/sec for both modes, the fast/handle ratio, an
-end-to-end fig4-style burst sweep timed on the shipped stack and on
-the in-tree historical one (``repro.core.reference``), and a
-``startup`` section: what a fresh interpreter pays to import the
+which records events/sec for both modes, the fast/handle ratio, and
+a ``startup`` section: what a fresh interpreter pays to import the
 package and print a first table (docs/performance.md, "Start-up and
-footprint").
+footprint").  The per-event costs of the frozen suite's layers
+(``sim.fast_events_per_s``, ``sim.handle_events_per_s``) are recorded
+by ``benchmarks/suite/run.py``, not here.
 """
 
 import json
@@ -39,22 +31,15 @@ import sys
 import tempfile
 import time
 
-from repro.core.exchange import exchange
-from repro.core.order import run_order
-from repro.core.reference import full_snapshot_mode
-from repro.core.state import SystemInfo
-from repro.core.tuples import ReqTuple
 from repro.experiments.parallel import _usable_cpus
 from repro.sim.kernel import Simulator
-from repro.workload import BurstArrivals, Scenario, run_scenario
 
 #: chain length used by the events/sec measurements
 CHAIN_EVENTS = 100_000
 
 
 # ----------------------------------------------------------------------
-# events/sec measurement helpers (shared by the pytest benches, the
-# regression guard, and the JSON report)
+# events/sec (shared by the regression guard and the JSON report)
 # ----------------------------------------------------------------------
 def _run_chain(schedule, run, n):
     """Schedule+run ``n`` chained events through ``schedule``."""
@@ -92,52 +77,13 @@ def events_per_sec(mode, n=CHAIN_EVENTS, repeats=5):
     return best
 
 
-def test_event_heap_throughput(benchmark):
-    """Schedule+run 10k chained events (cancellable-handle mode)."""
-
-    def run_chain():
-        sim = Simulator()
-        remaining = [10_000]
-
-        def tick():
-            if remaining[0] > 0:
-                remaining[0] -= 1
-                sim.schedule(1.0, tick)
-
-        sim.schedule(1.0, tick)
-        sim.run()
-        return sim.events_run
-
-    events = benchmark(run_chain)
-    assert events == 10_001
-
-
-def test_event_heap_throughput_fast(benchmark):
-    """Schedule+run 10k chained events (handle-free fast mode)."""
-
-    def run_chain():
-        sim = Simulator()
-        remaining = [10_000]
-
-        def tick():
-            if remaining[0] > 0:
-                remaining[0] -= 1
-                sim.schedule_fast(1.0, tick)
-
-        sim.schedule_fast(1.0, tick)
-        sim.run()
-        return sim.events_run
-
-    events = benchmark(run_chain)
-    assert events == 10_001
-
-
 def test_fast_mode_beats_legacy_mode():
     """Regression guard: the fast path must stay meaningfully ahead.
 
-    The measured gap is ~2.5x; asserting a conservative 1.2x keeps
-    the guard robust to noisy CI machines while still catching any
-    change that collapses the two paths back together.
+    The measured gap is ``fast_over_legacy`` in ``BENCH_engine.json``;
+    asserting a conservative 1.2x keeps the guard robust to noisy CI
+    machines while still catching any change that collapses the two
+    paths back together.
     """
     handle = events_per_sec("cancellable-handle", n=50_000)
     fast = events_per_sec("fast", n=50_000)
@@ -149,97 +95,6 @@ def test_fast_mode_beats_legacy_mode():
         f"fast path ({fast:,.0f} ev/s) no longer meaningfully faster "
         f"than the cancellable-handle path ({handle:,.0f} ev/s)"
     )
-
-
-def test_fig4_sweep_beats_seed():
-    """Floor guard for the end-to-end figure-4 sweep.
-
-    The baseline is the seed tree's protocol path as kept in-tree:
-    the same sweep under ``full_snapshot_mode()`` (0.280 s against
-    0.276 s measured on the seed tree itself, so the name stays).  The
-    columnar-SI rework measured ~2.4x over it on the burst sweep
-    (N=5..30 x 3 seeds); asserting a conservative 1.2x keeps the guard
-    robust to noisy CI machines while catching any change that gives
-    the win back.  Needs no git history, so it never skips.
-    """
-    _fig4_sweep_seconds(repeats=1)  # warmup (imports, allocator)
-    current, baseline = _fig4_sweep_and_baseline_seconds()
-    ratio = baseline / current
-    print(
-        f"\nfig4 sweep: full-snapshot={baseline:.3f}s current={current:.3f}s "
-        f"speedup={ratio:.2f}x"
-    )
-    assert ratio > 1.2, (
-        f"fig4 sweep ({current:.3f}s) no longer meaningfully faster "
-        f"than the full-snapshot baseline ({baseline:.3f}s)"
-    )
-
-
-def _busy_si(n=30, competitors=10):
-    si = SystemInfo(n)
-    for i in range(n):
-        si.row_ts[i] = i
-        si.rows[i].mnl = [
-            ReqTuple((i + k) % competitors, 2) for k in range(min(4, competitors))
-        ]
-    return si
-
-
-def test_exchange_cost_at_paper_scale(benchmark):
-    """One Exchange at N=30 with populated tables."""
-    si = _busy_si()
-    msg = _busy_si()
-    msg.row_ts[7] = 99
-    benchmark(lambda: exchange(si.snapshot(), msg, on_inconsistency="count"))
-
-
-def test_order_cost_at_paper_scale(benchmark):
-    si = _busy_si()
-    benchmark(lambda: run_order(si.snapshot(), None, rule="strict"))
-
-
-def test_end_to_end_burst_n30(benchmark):
-    """Whole-scenario cost at the paper's N=30 — the unit of work every
-    figure point repeats."""
-
-    def run():
-        return run_scenario(
-            Scenario(
-                algorithm="rcv", n_nodes=30, arrivals=BurstArrivals(), seed=0
-            )
-        ).completed_count
-
-    assert benchmark(run) == 30
-
-
-# ----------------------------------------------------------------------
-# BENCH_engine.json report
-# ----------------------------------------------------------------------
-def _fig4_sweep_seconds(repeats=3):
-    """End-to-end burst sweep (rcv, N=5..30, 3 seeds), best of N."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for n in (5, 10, 20, 30):
-            for seed in (0, 1, 2):
-                run_scenario(
-                    Scenario(
-                        algorithm="rcv",
-                        n_nodes=n,
-                        arrivals=BurstArrivals(),
-                        seed=seed,
-                    )
-                )
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _fig4_sweep_and_baseline_seconds():
-    """The sweep on the shipped stack, then on the in-tree historical
-    one (``full_snapshot_mode()``)."""
-    current = _fig4_sweep_seconds()
-    with full_snapshot_mode():
-        return current, _fig4_sweep_seconds()
 
 
 # ----------------------------------------------------------------------
@@ -336,9 +191,6 @@ def startup_report(repeats=5):
             "(interpreter start included) from the children's rusage, peak "
             "RSS from each child's own VmHWM"
         ),
-        "python": platform.python_version(),
-        "host": platform.platform(),
-        "usable_cpus": _usable_cpus(),
         "parent_host": PARENT_STARTUP_HOST,
         "bare_interpreter": cpu_rss("pass"),
         **rows,
@@ -348,23 +200,17 @@ def startup_report(repeats=5):
 def build_report():
     handle = events_per_sec("cancellable-handle")
     fast = events_per_sec("fast")
-    sweep, baseline_sweep = _fig4_sweep_and_baseline_seconds()
-    # Context for the end-to-end number: profiling shows >90% of sweep
-    # time inside the RCV protocol procedures (Exchange/Order), not the
-    # execution layer the events/sec rows measure.
     return {
         "bench": "bench_kernel chain (schedule+run chained events)",
+        "python": platform.python_version(),
+        "host": platform.platform(),
+        "usable_cpus": _usable_cpus(),
         "chain_events": CHAIN_EVENTS,
         "kernel_events_per_sec": {
             "legacy_handle_mode": round(handle),
             "fast_path_mode": round(fast),
             "fast_over_legacy": round(fast / handle, 2),
         },
-        "fig4_burst_sweep_seconds": round(sweep, 4),
-        "full_snapshot_fig4_burst_sweep_seconds": round(baseline_sweep, 4),
-        "fig4_sweep_speedup_over_full_snapshot": round(
-            baseline_sweep / sweep, 2
-        ),
         "startup": startup_report(),
     }
 

@@ -1,215 +1,169 @@
-"""Protocol hot-path benchmarks — incremental vs. full-snapshot.
+"""Shipped protocol path vs the in-tree reference — one comparison.
 
-The PR-2 overhaul made the RCV Exchange/Order machinery incremental:
-copy-on-write snapshots, reference-adoption of fresher rows,
-watermark-amortised pruning, and gen-keyed/delta vote caches (see
-docs/protocol.md, "Performance model").  This bench measures the end
-result the way the motivating profile measured the problem —
-**messages processed per second on the N=50 burst sweep** — against
-the historical full-snapshot implementation preserved verbatim in
-:mod:`repro.core.reference` (whose throughput tracks the actual
-pre-overhaul git tree).
+The RCV Exchange/Order machinery is incremental: copy-on-write
+snapshots, reference-adoption of fresher rows, watermark-amortised
+pruning, and gen-keyed/delta vote caches (see docs/protocol.md,
+"Performance model").  The historical full-snapshot implementation
+is preserved verbatim in :mod:`repro.core.reference`, and
+``full_snapshot_mode()`` runs whole scenarios on it (its cost tracks
+the seed tree's), so every speed-up over it is measured without git
+history.
+
+:func:`shipped_vs_reference` is the one harness: it times a list of
+RCV burst cells on the shipped path and under
+``full_snapshot_mode()``, interleaved, best of k, and asserts that
+both sides send the same messages (the optimisation must be
+bit-for-bit invisible; ``tests/test_reference_matrix.py`` enforces it,
+this re-asserts it on the timed cells).  :data:`FLOORS` names its
+three uses — the fig-4 sweep, the N=50 sweep and the N=200 cell —
+and the three guard tests assert a conservative floor under each, so
+noisy CI machines do not flake while a path that collapses back to
+full-snapshot cost still fails loudly.
 
 Run as a script to (re)generate ``BENCH_protocol.json``::
 
     PYTHONPATH=src python benchmarks/bench_protocol.py --json BENCH_protocol.json
 
-The report also times a single N=200 burst — the campaign scale the
-incremental path unlocks — and records the per-seed message counts,
-which must be identical in both modes (the optimisation is required
-to be bit-for-bit invisible; ``tests/property/`` and the determinism
-checks enforce it, this bench re-asserts it).
-
-The regression guard (``test_incremental_beats_full_snapshot``)
-asserts a conservative floor well under the measured ratio so noisy
-CI machines do not flake, while still failing loudly if the
-incremental path ever collapses back to full-snapshot cost.
+which records one row per floor and the per-cell seconds of the
+shipped path at N in {50, 100, 200}.
 """
 
 import json
+import math
+import platform
 import time
 
-from repro.core.exchange import exchange
-from repro.core.reference import full_snapshot_mode, reference_exchange
-from repro.core.state import SystemInfo
-from repro.core.tuples import ReqTuple
-from repro.workload import BurstArrivals, Scenario, run_scenario
+from repro.core.reference import full_snapshot_mode
+from repro.experiments.parallel import CellSpec, _usable_cpus
+from repro.workload import run_scenario
 
-#: the sweep every figure point repeats, at the post-paper scale
-SWEEP_N = 50
-SWEEP_SEEDS = (0, 1, 2)
+#: report key -> (node counts, seeds, best-of repeats, floor).  The
+#: keys are the historical names of the three recorded ratios; the
+#: measured values are the ``reference`` rows of ``BENCH_protocol.json``.
+FLOORS = {
+    # the paper's burst sweep
+    "fig4_sweep_speedup_over_full_snapshot": ((5, 10, 20, 30), (0, 1, 2), 3, 1.2),
+    # the same sweep at the post-paper scale
+    "incremental_over_baseline": ((50,), (0, 1, 2), 3, 1.8),
+    # one campaign-scale cell: the advantage grows with N
+    "n200_speedup_over_full_snapshot": ((200,), (0,), 1, 2.0),
+}
+
+#: per-cell seconds of the shipped path, one pass over every seed
+PER_CELL_N_VALUES = (50, 100, 200)
+PER_CELL_SEEDS = (0, 1, 2)
 
 
-# ----------------------------------------------------------------------
-# messages/sec measurement (shared by the guard, pytest and the JSON)
-# ----------------------------------------------------------------------
-def _sweep_once(n=SWEEP_N, seeds=SWEEP_SEEDS):
-    """One N=``n`` burst sweep; returns (messages, seconds)."""
-    msgs = 0
+def burst_cells(n_values, seeds):
+    """The RCV burst cells of an ``n_values`` x ``seeds`` grid."""
+    return [
+        CellSpec("rcv", n, seed, ("burst", 1)) for n in n_values for seed in seeds
+    ]
+
+
+def _timed(cells):
+    """``(seconds, messages)`` of running ``cells`` the way campaign
+    workers run them."""
     start = time.perf_counter()
-    for seed in seeds:
-        result = run_scenario(
-            Scenario(
-                algorithm="rcv",
-                n_nodes=n,
-                arrivals=BurstArrivals(),
-                seed=seed,
-            )
-        )
-        msgs += result.messages_total
-    return msgs, time.perf_counter() - start
-
-
-def measure_messages_per_sec(repeats=4):
-    """Interleaved best-of-``repeats`` for both modes.
-
-    Interleaving shares thermal/frequency conditions between the two
-    modes; best-of filters scheduler noise.  Returns
-    ``(incremental_mps, baseline_mps, messages)`` and asserts the
-    message counts agree — the optimisation must not change the
-    protocol's behaviour.
-    """
-    _sweep_once()  # warmup (imports, allocator, branch caches)
-    inc_best = base_best = 0.0
-    msgs_inc = msgs_base = None
-    for _ in range(repeats):
-        m, t = _sweep_once()
-        inc_best = max(inc_best, m / t)
-        msgs_inc = m
-        with full_snapshot_mode():
-            m, t = _sweep_once()
-        base_best = max(base_best, m / t)
-        msgs_base = m
-    assert msgs_inc == msgs_base, (
-        f"message counts diverged: incremental={msgs_inc} "
-        f"baseline={msgs_base}"
+    messages = sum(
+        run_scenario(cell.build_scenario()).messages_total for cell in cells
     )
-    return inc_best, base_best, msgs_inc
+    return time.perf_counter() - start, messages
+
+
+def shipped_vs_reference(cells, repeats):
+    """Best-of-``repeats`` seconds of ``cells`` on the shipped path and
+    under ``full_snapshot_mode()``: ``(shipped_s, reference_s,
+    messages)``.
+
+    The two sides alternate, so they share thermal and frequency
+    conditions; best-of filters scheduler noise; a small cell runs
+    once beforehand to warm imports and the allocator.
+    """
+    _timed(burst_cells((5,), (0,)))
+    shipped = reference = math.inf
+    for _ in range(repeats):
+        seconds, messages = _timed(cells)
+        shipped = min(shipped, seconds)
+        with full_snapshot_mode():
+            seconds, reference_messages = _timed(cells)
+        reference = min(reference, seconds)
+        assert messages == reference_messages, (
+            f"message counts diverged: shipped={messages} "
+            f"reference={reference_messages}"
+        )
+    return shipped, reference, messages
+
+
+def floor_row(key):
+    """One :data:`FLOORS` entry measured: the ``BENCH_protocol.json`` row."""
+    n_values, seeds, repeats, floor = FLOORS[key]
+    shipped, reference, messages = shipped_vs_reference(
+        burst_cells(n_values, seeds), repeats
+    )
+    return {
+        "n_values": list(n_values),
+        "seeds": list(seeds),
+        "best_of": repeats,
+        "messages": messages,
+        "shipped_seconds": round(shipped, 4),
+        "reference_seconds": round(reference, 4),
+        "ratio": round(reference / shipped, 2),
+        "floor": floor,
+    }
+
+
+def _assert_floor(key):
+    row = floor_row(key)
+    print(
+        f"\n{key}: reference={row['reference_seconds']:.3f}s "
+        f"shipped={row['shipped_seconds']:.3f}s ratio={row['ratio']:.2f}x "
+        f"({row['messages']} msgs)"
+    )
+    assert row["ratio"] > row["floor"], (
+        f"shipped path ({row['shipped_seconds']:.3f}s) lost the "
+        f"{row['floor']}x floor over the full-snapshot reference "
+        f"({row['reference_seconds']:.3f}s) on {key}"
+    )
+
+
+def test_fig4_sweep_beats_seed():
+    """Floor guard for the end-to-end figure-4 sweep (>= 1.2x)."""
+    _assert_floor("fig4_sweep_speedup_over_full_snapshot")
 
 
 def test_incremental_beats_full_snapshot():
-    """Regression guard: the incremental path must stay well ahead.
-
-    The measured gap is ~3x on the N=50 burst sweep; asserting a
-    conservative 1.8x keeps the guard robust to noisy CI machines
-    while still catching any change that collapses the incremental
-    path back to full-snapshot cost.
-    """
-    inc, base, msgs = measure_messages_per_sec(repeats=3)
-    print(
-        f"\nprotocol messages/sec: incremental={inc:,.0f} "
-        f"full-snapshot={base:,.0f} ratio={inc / base:.2f}x "
-        f"({msgs} msgs/sweep)"
-    )
-    assert inc > base * 1.8, (
-        f"incremental protocol path ({inc:,.0f} msg/s) no longer "
-        f"meaningfully faster than the full-snapshot baseline "
-        f"({base:,.0f} msg/s)"
-    )
+    """Floor guard for the N=50 burst sweep (>= 1.8x)."""
+    _assert_floor("incremental_over_baseline")
 
 
-# ----------------------------------------------------------------------
-# pytest-benchmark micro: one exchange, busy tables
-# ----------------------------------------------------------------------
-def _busy_si(n=SWEEP_N, competitors=10):
-    si = SystemInfo(n)
-    for i in range(n):
-        si.row_ts[i] = i
-        si.rows[i].mnl = [
-            ReqTuple((i + k) % competitors, 2)
-            for k in range(min(4, competitors))
-        ]
-    si.note_ts(max(si.row_ts))
-    si.force_normalize()
-    return si
-
-
-def test_exchange_incremental_cost(benchmark):
-    """One incremental Exchange at N=50 with populated tables."""
-    si = _busy_si()
-    msg = _busy_si()
-    msg.row_ts[7] = 99
-    msg.note_ts(99)
-    benchmark(
-        lambda: exchange(si.snapshot(), msg, on_inconsistency="count")
-    )
-
-
-def test_exchange_reference_cost(benchmark):
-    """The historical full-clone Exchange on the same input."""
-    from repro.core.reference import reference_snapshot
-
-    si = _busy_si()
-    msg = _busy_si()
-    msg.row_ts[7] = 99
-    msg.note_ts(99)
-    benchmark(
-        lambda: reference_exchange(
-            reference_snapshot(si), msg, on_inconsistency="count"
-        )
-    )
+def test_per_cell_n200_beats_seed():
+    """Floor guard for one N=200 burst cell, the same cell on both
+    sides (>= 2x)."""
+    _assert_floor("n200_speedup_over_full_snapshot")
 
 
 # ----------------------------------------------------------------------
 # BENCH_protocol.json report
 # ----------------------------------------------------------------------
-def _n200_burst(repeats=2):
-    """A single N=200 burst in both modes — the campaign scale this
-    PR unlocks.  The incremental advantage *grows* with N (baseline
-    cost per message is O(N · |MNL|); incremental is ~O(N))."""
-    inc_best = base_best = 0.0
-    secs_best = float("inf")
-    msgs = 0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = run_scenario(
-            Scenario(
-                algorithm="rcv",
-                n_nodes=200,
-                arrivals=BurstArrivals(),
-                seed=0,
-            )
-        )
-        elapsed = time.perf_counter() - start
-        secs_best = min(secs_best, elapsed)
-        msgs = result.messages_total
-        inc_best = max(inc_best, msgs / elapsed)
-        with full_snapshot_mode():
-            start = time.perf_counter()
-            result = run_scenario(
-                Scenario(
-                    algorithm="rcv",
-                    n_nodes=200,
-                    arrivals=BurstArrivals(),
-                    seed=0,
-                )
-            )
-            elapsed = time.perf_counter() - start
-        assert result.messages_total == msgs
-        base_best = max(base_best, msgs / elapsed)
-    return secs_best, msgs, inc_best, base_best
-
-
 def build_report():
-    inc, base, msgs = measure_messages_per_sec(repeats=6)
-    n200_secs, n200_msgs, n200_inc, n200_base = _n200_burst()
+    seeds = PER_CELL_SEEDS
     return {
         "bench": (
-            "bench_protocol N=50 burst sweep (seeds 0-2), messages/sec, "
-            "incremental vs full-snapshot reference"
+            "bench_protocol: RCV burst cells on the shipped path vs "
+            "full_snapshot_mode(), interleaved, best of k"
         ),
-        "sweep_messages": msgs,
-        "messages_per_sec": {
-            "incremental": round(inc),
-            "full_snapshot_baseline": round(base),
-            "incremental_over_baseline": round(inc / base, 2),
-        },
-        "n200_burst": {
-            "seconds": round(n200_secs, 3),
-            "messages": n200_msgs,
-            "messages_per_sec": round(n200_inc),
-            "full_snapshot_baseline_messages_per_sec": round(n200_base),
-            "incremental_over_baseline": round(n200_inc / n200_base, 2),
+        "python": platform.python_version(),
+        "host": platform.platform(),
+        "usable_cpus": _usable_cpus(),
+        "reference": {key: floor_row(key) for key in FLOORS},
+        "per_cell": {
+            "n_values": list(PER_CELL_N_VALUES),
+            "seeds": list(seeds),
+            "fresh_seconds": {
+                str(n): round(_timed(burst_cells((n,), seeds))[0] / len(seeds), 3)
+                for n in PER_CELL_N_VALUES
+            },
         },
     }
 

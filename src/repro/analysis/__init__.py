@@ -3,7 +3,7 @@
 :mod:`~repro.analysis.theory` encodes the paper's analytical results
 and the standard complexity figures of every implemented baseline;
 :mod:`~repro.analysis.validate` compares them against simulation
-measurements and is exercised by ``benchmarks/bench_theory_validation``
+measurements and is exercised by ``benchmarks/bench_figures.py``
 and ``tests/test_theory.py``.
 """
 

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.analysis.theory import MODELS
 from repro.metrics.records import RunResult
+from repro.registry import get_algorithm
 
 __all__ = ["TheoryComparison", "compare_to_theory"]
 
@@ -50,19 +50,11 @@ class TheoryComparison:
         }
 
 
-def compare_to_theory(
-    result: RunResult, *, tn: float = 5.0, model_name: Optional[str] = None
-) -> TheoryComparison:
-    """Build a :class:`TheoryComparison` for one run.
-
-    ``model_name`` overrides the lookup key (RunResult.algorithm may
-    be a registry alias such as ``"broadcast"``).
-    """
-    key = model_name or result.algorithm
-    if key == "broadcast":
-        key = "suzuki_kasami"
-    if key == "tree_quorum":
-        key = "agrawal_elabbadi"
+def compare_to_theory(result: RunResult, *, tn: float = 5.0) -> TheoryComparison:
+    """Build a :class:`TheoryComparison` for one run, against the
+    model of the class the registry resolves ``result.algorithm`` to
+    (a second name such as ``"broadcast"`` is its class's model)."""
+    key = get_algorithm(result.algorithm).algorithm_name
     model = MODELS[key]
     lo, hi = model.nme(result.n_nodes)
     return TheoryComparison(

@@ -4,9 +4,8 @@ The protocol and fault layers surface exact, bit-for-bit reproducible
 work counters through ``RunResult.extra`` (aggregated across nodes by
 ``Engine._finalize``).  Their names are declared here, once, with a
 one-line description each, so the producers (``core/node.py``,
-``engine/engine.py``), the profiling harness
-(``benchmarks/bench_profile.py``), and the docs can never drift
-apart.  The registry enforces itself where the counters flow:
+``engine/engine.py``) and the docs can never drift apart.  The
+registry enforces itself where the counters flow:
 ``Engine._finalize`` raises :class:`UndeclaredCounterError` for any
 ``extra`` key — whatever its spelling — that is not a key of
 :data:`COUNTERS`, so every run checks its emitters.
@@ -14,9 +13,9 @@ apart.  The registry enforces itself where the counters flow:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
-__all__ = ["COUNTERS", "PROFILE_COUNTER_KEYS", "UndeclaredCounterError"]
+__all__ = ["COUNTERS", "UndeclaredCounterError"]
 
 
 class UndeclaredCounterError(ValueError):
@@ -62,25 +61,3 @@ COUNTERS: Dict[str, str] = {
     "net_retx_giveups": "messages abandoned after exhausting max_retries",
     "net_retx_acks_lost": "acks lost to the drop fault (one spurious resend each)",
 }
-
-#: The ordered subset ``benchmarks/bench_profile.py`` prints as the
-#: per-phase work split (fault counters excluded: the profiled cell is
-#: clean; liveness bookkeeping excluded: not per-phase work measures).
-PROFILE_COUNTER_KEYS: Tuple[str, ...] = (
-    "exchanges",
-    "exch_rows_merged",
-    "exch_rows_skipped",
-    "exch_clones_avoided",
-    "exch_prunes_run",
-    "exch_prunes_deferred",
-    "si_cow_clones",
-    "si_snapshots",
-    "si_prunes_run",
-    "si_prunes_skipped",
-    "si_fronts_rebuilt",
-    "si_fronts_reconciled",
-)
-
-assert set(PROFILE_COUNTER_KEYS) <= set(COUNTERS), (
-    "PROFILE_COUNTER_KEYS must be a subset of the COUNTERS registry"
-)

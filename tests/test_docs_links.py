@@ -3,13 +3,16 @@
 Every relative markdown link in the documentation set must resolve to
 a real file (anchors are stripped; external http(s)/mailto links are
 skipped), every ``--flag`` a fenced ``repro.cli <subcommand>``
-recipe passes must be one that subcommand accepts, and the endpoints
-``docs/operations.md`` lists must be the wire table's.  Run standalone
+recipe passes must be one that subcommand accepts, every test id a
+document or CI step cites (``tests/x.py::test_y``) must name a
+function that file defines, and the endpoints ``docs/operations.md``
+lists must be the wire table's.  Run standalone
 by the CI docs step::
 
     PYTHONPATH=src python -m pytest tests/test_docs_links.py -q
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -28,9 +31,17 @@ DOC_FILES = sorted(
     ]
 )
 
+#: the files that cite test ids by path: the documents and CI's steps
+CITING_FILES = [
+    *DOC_FILES,
+    REPO / ".github" / "workflows" / "ci.yml",
+    REPO / ".claude" / "skills" / "verify" / "SKILL.md",
+]
+
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FENCED = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 _CLI_LINE = re.compile(r"repro\.cli[ \t]+([a-z][\w-]*)(.*)")
+_TEST_ID = re.compile(r"\b((?:benchmarks|tests)/[\w/]+\.py)::(\w+)")
 
 
 def _relative_links(path: Path):
@@ -143,3 +154,46 @@ def test_operations_md_lists_exactly_the_wire_table():
         (op.method, f"{API_PREFIX}/{op.resource}" + "/<key>" * op.keyed)
         for op in ENDPOINTS.values()
     )
+
+
+def _unresolved_test_ids(paths):
+    """``file: path::name`` for every cited test id whose file is
+    missing or defines no top-level ``name`` (read by AST: nothing
+    is imported or run)."""
+    defined = {}
+    unresolved = []
+    for path in paths:
+        for target, name in _TEST_ID.findall(path.read_text(encoding="utf-8")):
+            if target not in defined:
+                source = REPO / target
+                body = (
+                    ast.parse(source.read_text(encoding="utf-8")).body
+                    if source.is_file()
+                    else []
+                )
+                defined[target] = {
+                    node.name
+                    for node in body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                }
+            if name not in defined[target]:
+                unresolved.append(f"{path.name}: {target}::{name}")
+    return unresolved
+
+
+def test_cited_test_ids_resolve():
+    """A CI step or doc recipe naming a moved or renamed test would
+    select nothing and pass, or fail as "not found" only when run."""
+    assert not _unresolved_test_ids(CITING_FILES)
+
+
+def test_a_bogus_test_id_is_named(tmp_path):
+    doc = tmp_path / "planted.md"
+    doc.write_text(
+        "`tests/test_docs_links.py::test_cited_test_ids_resolve` and\n"
+        "`benchmarks/bench_protocol.py::test_no_such_floor`\n",
+        encoding="utf-8",
+    )
+    assert _unresolved_test_ids([doc]) == [
+        "planted.md: benchmarks/bench_protocol.py::test_no_such_floor"
+    ]

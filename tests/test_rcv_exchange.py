@@ -186,3 +186,28 @@ def test_exchange_is_idempotent():
     exchange(si, msg)
     second = (list(si.nonl), [r.clone().mnl for r in si.rows], list(si.done))
     assert first == second
+
+
+# ----------------------------------------------------------------------
+# the work counters of whole runs
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "workload", [("burst", 1), ("poisson", 5.0, 300.0)], ids=["burst", "poisson"]
+)
+def test_every_exchange_sweeps_every_row_and_the_counters_replay(workload):
+    """Each Exchange either merges or skips each of the N rows, and the
+    ``exch_*``/``si_*`` counters are simulation outputs: a repeat run
+    reproduces every one of them exactly."""
+    from repro.experiments.parallel import CellSpec
+    from repro.workload import run_scenario
+
+    n = 12
+    spec = CellSpec("rcv", n, 0, workload)
+    extra = run_scenario(spec.build_scenario()).extra
+    assert extra["exchanges"] > 0
+    assert (
+        extra["exch_rows_merged"] + extra["exch_rows_skipped"]
+        == extra["exchanges"] * n
+    )
+    assert any(key.startswith("si_") for key in extra)
+    assert run_scenario(spec.build_scenario()).extra == extra

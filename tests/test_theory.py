@@ -13,6 +13,7 @@ from repro.analysis.theory import (
     rcv_worst_case_nme,
 )
 from repro.analysis.validate import compare_to_theory
+from repro.registry import algorithm_names, get_algorithm
 from repro.workload import BurstArrivals, Scenario, run_scenario
 
 
@@ -110,3 +111,15 @@ def test_rcv_heavy_load_response_near_full_rotation():
     # Steady-state mean sits near the rotation bound; allow the
     # burst's cold start to pull it below.
     assert 0.4 * predicted <= result.mean_response_time <= 1.2 * predicted
+
+
+@pytest.mark.parametrize("name", algorithm_names())
+def test_every_registry_name_compares_against_its_class_model(name):
+    """A second name (``broadcast``, ``tree_quorum``) is compared
+    against its class's model, as the registry resolves it."""
+    result = run_scenario(
+        Scenario(algorithm=name, n_nodes=4, arrivals=BurstArrivals())
+    )
+    comparison = compare_to_theory(result)
+    assert comparison.algorithm == get_algorithm(name).algorithm_name
+    assert comparison.predicted_nme_low <= comparison.predicted_nme_high
