@@ -1,8 +1,8 @@
 """``python -m repro.verify`` — the model checker's command line.
 
-Exit codes: 0 — explored without violations (complete, or within an
-explicit budget); 1 — at least one violation found; 2 — usage or
-infrastructure error.
+Exit codes: 0 — explored completely without violations; 1 — a
+violation found; 2 — truncated by ``--max-states`` with nothing found,
+or a usage / configuration error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.verify.mutations import list_planted_bugs
 from repro.verify.schedule import save_schedule, schedule_dict
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify",
         description=(
@@ -31,8 +31,7 @@ def main(argv=None) -> int:
         "--algo",
         default="rcv",
         choices=ALGORITHMS,
-        help="algorithm to verify: any registry name, or the echo "
-        "calibration model (default: rcv)",
+        help="algorithm to verify: any registry name (default: rcv)",
     )
     parser.add_argument(
         "--n", type=int, default=3, help="number of nodes (default: 3)"
@@ -79,12 +78,6 @@ def main(argv=None) -> int:
         "(drops become permanent again; requires --retx)",
     )
     parser.add_argument(
-        "--search",
-        default="bfs",
-        choices=("bfs", "dfs"),
-        help="exploration order (bfs yields shortest counterexamples)",
-    )
-    parser.add_argument(
         "--reduce",
         default="sleep",
         choices=("sleep", "none"),
@@ -92,27 +85,13 @@ def main(argv=None) -> int:
         "transitions; reachable states are identical either way)",
     )
     parser.add_argument(
-        "--symmetry",
-        action="store_true",
-        help="canonicalize states under node relabeling (only sound "
-        "for id-equivariant models, e.g. --algo echo)",
-    )
-    parser.add_argument(
         "--max-states", type=int, default=None, help="state budget"
-    )
-    parser.add_argument(
-        "--max-depth", type=int, default=None, help="depth budget"
     )
     parser.add_argument(
         "--checks",
         default=",".join(DEFAULT_CHECKS),
         metavar="CHECK[,CHECK...]",
         help=f"per-state checks to run (default: {','.join(DEFAULT_CHECKS)})",
-    )
-    parser.add_argument(
-        "--keep-going",
-        action="store_true",
-        help="collect every violation instead of stopping at the first",
     )
     parser.add_argument(
         "--rcv-rule",
@@ -157,9 +136,13 @@ def main(argv=None) -> int:
         "--save-trace",
         default=None,
         metavar="PATH",
-        help="write the first violation's replayable schedule to PATH",
+        help="write the violation's replayable schedule to PATH",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
 
     if args.list_planted_bugs:
         for name, summary in sorted(list_planted_bugs().items()):
@@ -194,11 +177,7 @@ def main(argv=None) -> int:
             retx_broken=args.broken_retx,
             checks=checks,
             reduce=args.reduce,
-            symmetry=args.symmetry,
-            search=args.search,
             max_states=args.max_states,
-            max_depth=args.max_depth,
-            stop_on_first=not args.keep_going,
         )
     except VerifyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,9 +31,9 @@ nodes (the requester/releaser, or the delivery destination); drop/dup
 actions touch the shared adversary budgets and are dependent with
 everything.
 
-Counterexamples: BFS finds violations at minimal depth by
-construction; a DFS-found violation is re-minimized by a bounded BFS
-re-run (:func:`check` drives this).  Schedules are exported as JSON
+Search: breadth-first, stopping at the first violation, so every
+counterexample is at minimal depth; a state budget (``max_states``)
+is the only bound.  Schedules are exported as JSON
 (:mod:`repro.verify.schedule`) and replay deterministically.
 """
 
@@ -90,7 +90,8 @@ class Violation:
 
 
 class CheckResult:
-    """Outcome of one exploration."""
+    """Outcome of one exploration: ``complete`` (the whole space,
+    clean), one violation, or ``truncated == "max_states"``."""
 
     def __init__(self, settings: dict) -> None:
         self.settings = settings
@@ -145,7 +146,7 @@ def state_violation(
     """``(kind, message)`` of the first per-state check ``world``
     fails, given its enabled actions; shared with schedule replay."""
     model = world.model
-    if "me" in checks and model.mutual_exclusion:
+    if "me" in checks:
         holders = world.cs_holders()
         if len(holders) > 1:
             return (
@@ -210,30 +211,26 @@ class Checker:
         oracle: bool = False,
         checks: Tuple[str, ...] = DEFAULT_CHECKS,
         reduce: str = "sleep",
-        symmetry: bool = False,
-        search: str = "bfs",
         max_states: Optional[int] = None,
-        max_depth: Optional[int] = None,
-        stop_on_first: bool = True,
     ) -> None:
-        if search not in ("bfs", "dfs"):
-            raise VerifyError(f"unknown search {search!r}")
         if reduce not in ("sleep", "none"):
             raise VerifyError(f"unknown reduction {reduce!r}")
         unknown = set(checks) - set(DEFAULT_CHECKS)
         if unknown:
             raise VerifyError(f"unknown checks: {sorted(unknown)}")
-        if symmetry and not model.id_equivariant:
+        # Each of these would explore (almost) nothing, or silently
+        # disarm a check, and still report "complete, no violations".
+        if not checks:
+            raise VerifyError("no checks selected: nothing to verify")
+        if requests < 1:
+            raise VerifyError(f"requests must be >= 1, not {requests}")
+        if drop_budget < 0 or dup_budget < 0:
             raise VerifyError(
-                f"model {model.name!r} is not id-equivariant: its "
-                "tie-breaks compare concrete node ids, so symmetry "
-                "reduction over ids would merge inequivalent states"
+                f"adversary budgets must be >= 0, not drops={drop_budget} "
+                f"dups={dup_budget}"
             )
-        if symmetry and fifo:
-            raise VerifyError(
-                "symmetry reduction is implemented for non-FIFO "
-                "fingerprints only"
-            )
+        if max_states is not None and max_states < 1:
+            raise VerifyError(f"max_states must be >= 1, not {max_states}")
         if retx_broken and not retx:
             raise VerifyError(
                 "retx_broken plants a broken retransmit timer and "
@@ -249,11 +246,7 @@ class Checker:
         self.oracle = oracle
         self.checks = tuple(checks)
         self.reduce = reduce
-        self.symmetry = symmetry
-        self.search = search
         self.max_states = max_states
-        self.max_depth = max_depth
-        self.stop_on_first = stop_on_first
         # Dropping a message legitimately wedges its requester —
         # PR-7 classifies that as liveness loss, not a safety bug.
         # Under the reliable channel a drop is retransmitted, so
@@ -275,10 +268,7 @@ class Checker:
             dup_budget=self.dup_budget,
             checks=list(self.checks),
             reduce=self.reduce,
-            symmetry=self.symmetry,
-            search=self.search,
             max_states=self.max_states,
-            max_depth=self.max_depth,
         )
         # Only when set, so pre-retx schedule JSON replays unchanged.
         if self.retx:
@@ -298,9 +288,6 @@ class Checker:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _canon(self, fp: Tuple) -> Tuple:
-        return self.model.canonical(fp) if self.symmetry else fp
-
     def _steps_to(self, trace_idx: int) -> List[dict]:
         steps: List[dict] = []
         while trace_idx >= 0:
@@ -342,16 +329,15 @@ class Checker:
         )
         ledger, _ = extend_ledger(root, frozenset())
         worklist = deque([_Entry(root, frozenset(), 0, -1, ledger)])
-        pop = worklist.popleft if self.search == "bfs" else worklist.pop
         visited: Dict[Tuple, List[FrozenSet]] = {}
         use_sleep = self.reduce == "sleep"
 
         while worklist:
-            entry = pop()
-            canon = self._canon(entry.world.fingerprint())
-            sleeps = visited.get(canon)
+            entry = worklist.popleft()
+            fp = entry.world.fingerprint()
+            sleeps = visited.get(fp)
             if sleeps is None:
-                visited[canon] = [entry.sleep]
+                visited[fp] = [entry.sleep]
                 result.states += 1
                 if entry.depth > result.max_depth_seen:
                     result.max_depth_seen = entry.depth
@@ -363,9 +349,7 @@ class Checker:
                     result.violations.append(
                         self._violation(*found, entry.trace_idx, entry.depth)
                     )
-                    if self.stop_on_first:
-                        return
-                    continue
+                    return
             else:
                 if any(s <= entry.sleep for s in sleeps):
                     result.revisits += 1
@@ -376,9 +360,6 @@ class Checker:
             if self.max_states is not None and result.states >= self.max_states:
                 result.truncated = "max_states"
                 return
-            if self.max_depth is not None and entry.depth >= self.max_depth:
-                result.truncated = result.truncated or "max_depth"
-                continue
             explored_here: List[Tuple] = []
             for action in acts:
                 if action in entry.sleep:
@@ -418,9 +399,7 @@ class Checker:
                                 depth,
                             )
                         )
-                        if self.stop_on_first:
-                            return
-                        continue
+                        return
                     succ_ledger = entry.ledger
                     if "ledger" in self.checks:
                         succ_ledger, msg = extend_ledger(
@@ -432,15 +411,13 @@ class Checker:
                                     "commit-order", msg, trace_idx, depth
                                 )
                             )
-                            if self.stop_on_first:
-                                return
-                            continue
+                            return
                     worklist.append(
                         _Entry(succ, sleep, depth, trace_idx, succ_ledger)
                     )
                 if use_sleep:
                     explored_here.append(action)
-        result.complete = result.truncated is None
+        result.complete = True
 
 
 def check(
@@ -450,24 +427,6 @@ def check(
     model_opts: Optional[dict] = None,
     **checker_opts,
 ) -> CheckResult:
-    """Build the model, explore, and (for DFS) minimize any
-    counterexample by a depth-bounded BFS re-run."""
+    """Build the model and explore it."""
     model = make_model(algo, n, **(model_opts or {}))
-    checker = Checker(model, **checker_opts)
-    result = checker.run()
-    if (
-        checker.search == "dfs"
-        and result.violations
-        and checker_opts.get("stop_on_first", True)
-    ):
-        bound = result.violations[0].depth
-        bfs_opts = dict(checker_opts)
-        bfs_opts.update(search="bfs", max_depth=bound, stop_on_first=True)
-        shorter = Checker(make_model(algo, n, **(model_opts or {})), **bfs_opts).run()
-        if shorter.violations:
-            shorter.settings = result.settings
-            shorter.settings["search"] = "dfs"
-            shorter.truncated = None
-            shorter.complete = False
-            return shorter
-    return result
+    return Checker(model, **checker_opts).run()

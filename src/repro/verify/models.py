@@ -11,25 +11,19 @@ on its nodes adds exclusions, nothing else.  :class:`RCVModel` adds
 what only the paper's protocol has — its config, the planted-bug node
 classes, and the Lemma checks promoted to per-state invariants.
 
-Symmetry over node ids is **opt-in and off for every production
-algorithm**: RCV's Order rule, Ricart–Agrawala's ``(ts, id)``
-priority, and Maekawa's arbiter priorities all break ties on concrete
-node ids, so states related by an id permutation are *not*
-behaviorally equivalent — folding them would be unsound.  A model
-declares itself safe via :attr:`AlgorithmModel.id_equivariant` and
-implements :meth:`AlgorithmModel.canonical`; only the fully symmetric
-toy :class:`EchoModel` does.
+States are never folded under node-id permutations: RCV's Order
+rule, Ricart–Agrawala's ``(ts, id)`` priority and Maekawa's arbiter
+priorities all break ties on concrete node ids, so two such states
+are *not* behaviorally equivalent.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import RCVConfig
 from repro.core.verification import check_system
-from repro.mutex.base import Env, Hooks, MutexNode, NodeState
-from repro.net.message import Message
+from repro.mutex.base import Env, Hooks, MutexNode
 from repro.registry import algorithm_names, get_algorithm
 from repro.verify.errors import VerifyError
 from repro.verify.fingerprint import (
@@ -41,7 +35,6 @@ from repro.verify.fingerprint import (
 __all__ = [
     "ALGORITHMS",
     "AlgorithmModel",
-    "EchoModel",
     "RCVModel",
     "make_model",
 ]
@@ -54,12 +47,6 @@ class AlgorithmModel:
     mutable node objects, the model only numbers the node states it
     has encoded."""
 
-    #: whether overlapping CS occupancy is a violation for this model
-    mutual_exclusion = True
-    #: whether states related by a node-id permutation are equivalent
-    #: (required for symmetry reduction; False for every production
-    #: algorithm — see the module docstring)
-    id_equivariant = False
     #: whether :meth:`check_invariants` performs real work
     has_invariants = False
 
@@ -135,11 +122,6 @@ class AlgorithmModel:
         fp = tuple([encode(state[name]) for name, encode in self._canon])
         return self._ids.setdefault(fp, len(self._ids))
 
-    def canonical(self, fp: Tuple) -> Tuple:
-        """Symmetry representative of a world fingerprint; identity
-        unless the model is id-equivariant."""
-        return fp
-
     # -- invariants ------------------------------------------------------
     def check_invariants(self, nodes: List[MutexNode]) -> None:
         """Algorithm-specific whole-system invariants; raise
@@ -203,96 +185,8 @@ class RCVModel(AlgorithmModel):
 
 
 # ----------------------------------------------------------------------
-# Echo — the symmetric toy that exercises symmetry reduction
-# ----------------------------------------------------------------------
-class EchoPing(Message):
-    kind = "PING"
-    __slots__ = ()
-
-
-class EchoPong(Message):
-    kind = "PONG"
-    __slots__ = ()
-
-
-class EchoNode(MutexNode):
-    """Ping-all / await-all-pongs.  No arbitration whatsoever — any
-    number of nodes may be "in the CS" at once — which is exactly why
-    it is *id-equivariant*: no code path compares node ids, so
-    permuting ids permutes behaviors 1:1."""
-
-    algorithm_name = "echo"
-
-    def __init__(
-        self, node_id: int, n_nodes: int, env: Env, hooks: Hooks
-    ) -> None:
-        super().__init__(node_id, n_nodes, env, hooks)
-        self._awaiting: Set[int] = set()
-
-    def _do_request(self) -> None:
-        self._awaiting = set(self.peers())
-        if not self._awaiting:
-            self._grant()
-            return
-        for j in self.peers():
-            self.env.send(self.node_id, j, EchoPing())
-
-    def _do_release(self) -> None:
-        pass
-
-    def on_message(self, src: int, message: Message) -> None:
-        if isinstance(message, EchoPing):
-            self.env.send(self.node_id, src, EchoPong())
-        elif isinstance(message, EchoPong):
-            if self.state is NodeState.REQUESTING:
-                self._awaiting.discard(src)
-                if not self._awaiting:
-                    self._grant()
-        else:
-            raise TypeError(f"unexpected message {message!r}")
-
-
-class EchoModel(AlgorithmModel):
-    mutual_exclusion = False  # there is nothing exclusive about it
-    id_equivariant = True
-
-    def __init__(self, n: int) -> None:
-        super().__init__("echo", n, EchoNode)
-
-    def fingerprint_node(self, node: EchoNode) -> Tuple:
-        # its own two fields rather than the generic walk, because
-        # canonical() relabels the ids inside them
-        return (node.state.value, tuple(sorted(node._awaiting)))
-
-    def canonical(self, fp: Tuple) -> Tuple:
-        """Minimum over all node-id relabelings (sound because the
-        protocol is id-equivariant).  Non-FIFO world fingerprints
-        only; n! enumeration is fine at the toy sizes this runs at."""
-        node_fps, msgs, requests_left, drop_left, dup_left = fp
-        best = None
-        for perm in permutations(range(self.n)):
-            rn = [None] * self.n
-            for i in range(self.n):
-                state, awaiting = node_fps[i]
-                rn[perm[i]] = (
-                    state,
-                    tuple(sorted(perm[a] for a in awaiting)),
-                )
-            rl = [0] * self.n
-            for i in range(self.n):
-                rl[perm[i]] = requests_left[i]
-            rmsgs = tuple(
-                sorted((perm[src], perm[dst], body) for src, dst, body in msgs)
-            )
-            cand = (tuple(rn), rmsgs, tuple(rl), drop_left, dup_left)
-            if best is None or cand < best:
-                best = cand
-        return best
-
-
-# ----------------------------------------------------------------------
-#: every name :func:`make_model` accepts: the registry's, plus the toy
-ALGORITHMS = tuple(sorted({*algorithm_names(), "echo"}))
+#: every name :func:`make_model` accepts: the registry's
+ALGORITHMS = tuple(sorted(algorithm_names()))
 
 
 def _registered(algo: str) -> type:
@@ -322,8 +216,6 @@ def make_model(algo: str, n: int, **opts) -> AlgorithmModel:
     try:
         if algo == "rcv":
             model = RCVModel(n, **opts)
-        elif algo == "echo":
-            model = EchoModel(n, **opts)
         else:
             model = AlgorithmModel(algo, n, _registered(algo), **opts)
     except TypeError as exc:

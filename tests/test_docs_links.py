@@ -3,7 +3,9 @@
 Every relative markdown link in the documentation set must resolve to
 a real file (anchors are stripped; external http(s)/mailto links are
 skipped), every ``--flag`` a fenced ``repro.cli <subcommand>``
-recipe passes must be one that subcommand accepts, every test id a
+recipe passes must be one that subcommand accepts (and every flag a
+``python -m repro.verify`` line passes, fenced or not, one the model
+checker accepts), every test id a
 document or CI step cites (``tests/x.py::test_y``) must name a
 function that file defines, and the endpoints ``docs/operations.md``
 lists must be the wire table's.  Run standalone
@@ -41,6 +43,7 @@ CITING_FILES = [
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FENCED = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 _CLI_LINE = re.compile(r"repro\.cli[ \t]+([a-z][\w-]*)(.*)")
+_VERIFY_LINE = re.compile(r"(?:python -m repro\.verify|repro\.cli[ \t]+verify)(?![\w.])(.*)")
 _TEST_ID = re.compile(r"\b((?:benchmarks|tests)/[\w/]+\.py)::(\w+)")
 
 
@@ -89,19 +92,37 @@ def test_relative_links_resolve(doc):
     assert not broken, f"{doc.name}: broken relative links {broken}"
 
 
+def _flags(rest: str):
+    """The ``--flag`` tokens of one command line's arguments: up to a
+    shell operator, a comment or the end of an inline code span."""
+    flags = []
+    for token in rest.split():
+        if token in {"&", "&&", "|", ";", ">", ">>"} or token[0] == "#":
+            break
+        token = token.lstrip("[")  # an optional flag: `[--channel fifo]`
+        if token.startswith("--"):
+            flags.append(re.split(r"[=\]`]", token, maxsplit=1)[0])
+        if "`" in token:
+            break
+    return flags
+
+
 def _cli_recipes(path: Path):
     """``(subcommand, [--flag, ...])`` per ``repro.cli`` command line
-    inside the fenced blocks of ``path`` (continuation lines joined;
-    a line ends at a shell operator or comment)."""
+    inside the fenced blocks of ``path`` (continuation lines joined);
+    ``repro.cli verify`` lines are :func:`_verify_recipes`'."""
     for block in _FENCED.findall(path.read_text(encoding="utf-8")):
         for command, rest in _CLI_LINE.findall(block.replace("\\\n", " ")):
-            flags = []
-            for token in rest.split():
-                if token in {"&", "&&", "|", ";", ">", ">>"} or token[0] == "#":
-                    break
-                if token.startswith("--"):
-                    flags.append(token.split("=", 1)[0])
-            yield command, flags
+            if command != "verify":
+                yield command, _flags(rest)
+
+
+def _verify_recipes(path: Path):
+    """``[--flag, ...]`` per model-checker command line anywhere in
+    ``path`` — fenced, inline or a CI ``run:`` step."""
+    text = path.read_text(encoding="utf-8").replace("\\\n", " ")
+    for rest in _VERIFY_LINE.findall(text):
+        yield _flags(rest)
 
 
 def _subcommand_parsers():
@@ -117,26 +138,57 @@ def _subcommand_parsers():
     return subparsers.choices
 
 
+def _unknown_flags(path: Path):
+    """``"subcommand --flag"`` per flag a recipe in ``path`` passes
+    that the command line it names does not accept."""
+    from repro.verify.__main__ import build_parser
+
+    parsers = _subcommand_parsers()
+    unknown = [
+        f"{command} {flag}"
+        for command, flags in _cli_recipes(path)
+        for flag in flags
+        if command not in parsers
+        or flag not in parsers[command]._option_string_actions
+    ]
+    verify = build_parser()._option_string_actions
+    unknown += [
+        f"verify {flag}"
+        for flags in _verify_recipes(path)
+        for flag in flags
+        if flag not in verify
+    ]
+    return unknown
+
+
 def test_the_flag_check_sees_the_recipes():
     """The check below passes vacuously if the extraction rots."""
     recipes = list(_cli_recipes(REPO / "docs" / "campaigns.md"))
     assert ("campaign", ["--backend", "--steal", "--out"]) in recipes
     assert ("cell-server", ["--host", "--port"]) in recipes
+    verify = list(_verify_recipes(REPO / "docs" / "verification.md"))
+    assert [
+        "--algo", "--n", "--planted-bug", "--checks", "--save-trace"
+    ] in verify
 
 
-@pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
+@pytest.mark.parametrize("doc", CITING_FILES, ids=lambda p: p.name)
 def test_cli_recipes_pass_only_flags_the_cli_accepts(doc):
-    """A recipe for a removed flag (``--parallel``, ``--shard``) must
-    not outlive the flag."""
-    parsers = _subcommand_parsers()
-    unknown = [
-        f"{command} {flag}"
-        for command, flags in _cli_recipes(doc)
-        for flag in flags
-        if command not in parsers
-        or flag not in parsers[command]._option_string_actions
-    ]
+    """A recipe for a removed flag (``--parallel``, ``--shard``,
+    ``--symmetry``) must not outlive the flag."""
+    unknown = _unknown_flags(doc)
     assert not unknown, f"{doc.name}: the CLI does not accept {unknown}"
+
+
+def test_a_removed_verify_flag_is_named(tmp_path):
+    doc = tmp_path / "planted.md"
+    doc.write_text(
+        "Run `python -m repro.verify --algo rcv --n 3` to prove it, and\n"
+        "```sh\npython -m repro.verify --algo echo --n 3 \\\n"
+        "    --symmetry --json  # the quotient\n```\n",
+        encoding="utf-8",
+    )
+    assert _unknown_flags(doc) == ["verify --symmetry"]
 
 
 def test_operations_md_lists_exactly_the_wire_table():

@@ -11,10 +11,11 @@ Covers, per docs/verification.md:
   reachable set, the copy-on-write cloner matches the deepcopy oracle
   and never aliases a node, two consecutive runs are bit-for-bit
   identical;
-* channel semantics (FIFO restriction, drop/dup adversary budgets)
-  and the symmetry quotient on the id-equivariant echo model;
+* channel semantics (FIFO restriction, drop/dup adversary budgets),
+  with the pinned one-duplicate findings;
 * counterexample schedules: export, save/load, deterministic replay;
-* the CLI contract (exit codes, ``--json`` shape).
+* the CLI contract (exit codes, ``--json`` shape), and the refusal of
+  configurations that would report a clean run having checked nothing.
 """
 
 from __future__ import annotations
@@ -289,34 +290,71 @@ def test_multiple_requests_per_node():
     assert result.states == 509
 
 
-# ----------------------------------------------------------------------
-# symmetry quotient (echo is id-equivariant; the mutex models are not)
-# ----------------------------------------------------------------------
-def test_echo_symmetry_quotient():
-    full = check("echo", 3)
-    sym = check("echo", 3, symmetry=True)
-    assert (full.states, sym.states) == (1331, 253)
-    assert full.complete and sym.complete
-    assert full.violations == [] and sym.violations == []
+#: one duplicated message at N=2, per (algorithm, channel): the
+#: violation kind, its depth, the states explored to reach it and a
+#: phrase of its message, or "clean" and the size of the exhausted
+#: space.  Maekawa: the copy of
+#: a REQUEST wins an arbiter's vote after its sender has left the CS,
+#: and nobody releases it; Suzuki–Kasami refuses a second copy of the
+#: token outright.
+ONE_DUP_FINDINGS = {
+    ("maekawa", "nonfifo"): ("stuck", 11, 647, "still REQUESTING"),
+    ("maekawa", "fifo"): ("stuck", 12, 405, "still REQUESTING"),
+    ("suzuki_kasami", "nonfifo"): (
+        "protocol-error", 5, 23, "received the token unsolicited"
+    ),
+    ("rcv", "nonfifo"): ("clean", None, 444, None),
+    ("ricart_agrawala", "nonfifo"): ("clean", None, 309, None),
+}
 
 
-def test_symmetry_refused_for_id_dependent_models():
-    with pytest.raises(VerifyError):
-        check("rcv", 2, symmetry=True)
-    with pytest.raises(VerifyError):
-        check("echo", 3, symmetry=True, fifo=True)
+@pytest.mark.parametrize("algo,channel", ONE_DUP_FINDINGS)
+def test_one_duplicate_findings_are_pinned(algo, channel):
+    result = check(algo, 2, dup_budget=1, fifo=channel == "fifo")
+    kind, depth, states, phrase = ONE_DUP_FINDINGS[(algo, channel)]
+    if kind == "clean":
+        assert result.complete and result.violations == []
+    else:
+        (violation,) = result.violations
+        assert (violation.kind, violation.depth) == (kind, depth)
+        assert phrase in violation.message
+    assert result.states == states
 
 
 # ----------------------------------------------------------------------
 # configuration validation
 # ----------------------------------------------------------------------
+#: (Checker keyword arguments, the same configuration on the command
+#: line): each would explore nothing, or disarm the stuck check, and
+#: still report "complete, no violations"
+VACUOUS = [
+    ({"checks": ()}, ["--checks", ","]),
+    ({"requests": 0}, ["--requests", "0"]),
+    ({"requests": -1}, ["--requests", "-1"]),
+    ({"drop_budget": -1}, ["--drops", "-1"]),
+    ({"dup_budget": -1}, ["--dups", "-1"]),
+    ({"max_states": 0}, ["--max-states", "0"]),
+]
+
+
+@pytest.mark.parametrize(
+    "opts,argv", VACUOUS, ids=[" ".join(argv) for _, argv in VACUOUS]
+)
+def test_a_vacuous_check_is_refused(opts, argv, capsys):
+    from repro.verify.__main__ import main
+
+    with pytest.raises(VerifyError):
+        Checker(make_model("rcv", 2), **opts)
+    assert main(["--algo", "rcv", "--n", "2", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and "no violations" not in out.out
+
+
 def test_unknown_algorithm_and_options_raise():
     with pytest.raises(VerifyError):
         check("no-such-algo", 3)
     with pytest.raises(VerifyError):
         check("rcv", 3, model_opts={"bogus_option": 1})
-    with pytest.raises(VerifyError):
-        check("rcv", 3, search="sideways")
     with pytest.raises(VerifyError):
         check("rcv", 3, checks=("me", "vibes"))
 
@@ -554,18 +592,12 @@ def test_schedule_against_wrong_build_is_detected():
 
 
 # ----------------------------------------------------------------------
-# DFS + budgets
+# budgets
 # ----------------------------------------------------------------------
-def test_dfs_explores_the_same_space():
-    bfs = check("rcv", 2)
-    dfs = check("rcv", 2, search="dfs")
-    assert bfs.states == dfs.states
-
-
 def test_budget_truncation_reported():
     result = check("rcv", 3, max_states=100)
     assert not result.complete
-    assert result.truncated
+    assert result.truncated == "max_states"
     assert result.states <= 100
 
 
