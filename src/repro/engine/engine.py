@@ -15,7 +15,9 @@ same schedule-call order, hence the same kernel ``seq`` numbers):
 1. kernel, rng registry, network, hooks, env;
 2. safety monitor then metrics collector subscribe to the hooks;
 3. algorithm nodes are constructed and registered in node-id order;
-4. per-node drivers are constructed and subscribed in node-id order;
+4. per-node drivers are constructed in node-id order, each subscribed
+   to its own node's upcalls only (they run after every listener that
+   subscribed to all nodes);
 5. ``start()`` starts nodes (in order), then drivers (in order);
 6. ``run()`` drains the kernel and finalises the
    :class:`~repro.metrics.records.RunResult`.
@@ -131,8 +133,8 @@ class Engine:
                 self.rngs.node_stream(NODE_KIND_DRIVER, node.node_id),
                 issue_deadline=scenario.issue_deadline,
             )
-            self.hooks.subscribe_granted(driver.on_granted)
-            self.hooks.subscribe_released(driver.on_released)
+            self.hooks.subscribe_granted(driver.on_granted, node.node_id)
+            self.hooks.subscribe_released(driver.on_released, node.node_id)
             self.drivers.append(driver)
 
         self._started = False

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import random
 from abc import ABC, abstractmethod
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.net.message import Message
 from repro.net.network import Network
@@ -92,12 +92,19 @@ class Env(ABC):
 
 
 class SimEnv(Env):
-    """Discrete-event simulator implementation of :class:`Env`."""
+    """Discrete-event simulator implementation of :class:`Env`.
+
+    ``send`` and ``schedule_once`` are handed out as the network's and
+    the kernel's own bound methods (instance attributes that shadow
+    the methods below), so a protocol send costs no forwarding frame.
+    """
 
     def __init__(self, sim: Simulator, network: Network, rng_registry) -> None:
         self._sim = sim
         self._network = network
         self._rngs = rng_registry
+        self.send = network.send
+        self.schedule_once = sim.schedule_fast
 
     def now(self) -> float:
         return self._sim.now
@@ -118,24 +125,47 @@ class SimEnv(Env):
 
 
 class Hooks:
-    """Application upcalls; multiple listeners may subscribe."""
+    """Application upcalls; multiple listeners may subscribe.
+
+    A listener subscribes to every node (the default: safety monitor,
+    metrics collector, trace recorder, runtimes) or, with ``node``, to
+    one node only (the engine's per-node workload driver).  An upcall
+    runs the every-node listeners first, in subscription order, then
+    that node's own.
+    """
 
     def __init__(self) -> None:
         self._granted: List[Callable[[int], None]] = []
         self._released: List[Callable[[int], None]] = []
+        self._granted_at: Dict[int, List[Callable[[int], None]]] = {}
+        self._released_at: Dict[int, List[Callable[[int], None]]] = {}
 
-    def subscribe_granted(self, fn: Callable[[int], None]) -> None:
-        self._granted.append(fn)
+    def subscribe_granted(
+        self, fn: Callable[[int], None], node: Optional[int] = None
+    ) -> None:
+        if node is None:
+            self._granted.append(fn)
+        else:
+            self._granted_at.setdefault(node, []).append(fn)
 
-    def subscribe_released(self, fn: Callable[[int], None]) -> None:
-        self._released.append(fn)
+    def subscribe_released(
+        self, fn: Callable[[int], None], node: Optional[int] = None
+    ) -> None:
+        if node is None:
+            self._released.append(fn)
+        else:
+            self._released_at.setdefault(node, []).append(fn)
 
     def on_granted(self, node_id: int) -> None:
         for fn in self._granted:
             fn(node_id)
+        for fn in self._granted_at.get(node_id, ()):
+            fn(node_id)
 
     def on_released(self, node_id: int) -> None:
         for fn in self._released:
+            fn(node_id)
+        for fn in self._released_at.get(node_id, ()):
             fn(node_id)
 
 

@@ -10,6 +10,7 @@ discipline permits it).
 
 from __future__ import annotations
 
+import math
 import random
 from abc import ABC, abstractmethod
 
@@ -21,6 +22,14 @@ __all__ = [
     "JitteredDelay",
     "MatrixDelay",
 ]
+
+
+def _finite(**params: float) -> None:
+    """Refuse a NaN or infinite parameter: such a delay would put an
+    event at t=nan or t=inf, which the kernel refuses at send time."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class DelayModel(ABC):
@@ -51,6 +60,7 @@ class ConstantDelay(DelayModel):
     """Fixed delay; the paper's ``Tn = 5`` setting."""
 
     def __init__(self, delay: float = 5.0) -> None:
+        _finite(delay=delay)
         if delay < 0:
             raise ValueError("delay must be non-negative")
         self.delay = float(delay)
@@ -72,13 +82,15 @@ class UniformDelay(DelayModel):
     """Delay uniform on ``[low, high]``; enables message overtaking."""
 
     def __init__(self, low: float, high: float) -> None:
+        _finite(low=low, high=high)
         if not (0 <= low <= high):
             raise ValueError("require 0 <= low <= high")
         self.low = float(low)
         self.high = float(high)
 
     def sample(self, src: int, dst: int, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
+        # Random.uniform's own arithmetic, without its call frame
+        return self.low + (self.high - self.low) * rng.random()
 
     def mean(self) -> float:
         return (self.low + self.high) / 2.0
@@ -95,15 +107,19 @@ class ExponentialDelay(DelayModel):
     """
 
     def __init__(self, mean_delay: float, minimum: float = 0.0) -> None:
+        _finite(mean_delay=mean_delay, minimum=minimum)
         if mean_delay <= 0:
             raise ValueError("mean_delay must be positive")
         if minimum < 0:
             raise ValueError("minimum must be non-negative")
         self.mean_delay = float(mean_delay)
         self.minimum = float(minimum)
+        self._rate = 1.0 / self.mean_delay
 
     def sample(self, src: int, dst: int, rng: random.Random) -> float:
-        return self.minimum + rng.expovariate(1.0 / self.mean_delay)
+        # Random.expovariate's own arithmetic, without its call frame:
+        # the same floats from the same draws.
+        return self.minimum + -math.log(1.0 - rng.random()) / self._rate
 
     def mean(self) -> float:
         return self.minimum + self.mean_delay
@@ -151,6 +167,10 @@ class JitteredDelay(DelayModel):
     """
 
     def __init__(self, base, jitter: float) -> None:
+        if callable(base):
+            _finite(jitter=jitter)
+        else:
+            _finite(base=base, jitter=jitter)
         if jitter < 0:
             raise ValueError("jitter must be non-negative")
         self._base = base

@@ -78,17 +78,17 @@ def _pair_constant_trusted(model: DelayModel) -> bool:
 
 @dataclass
 class NetworkStats:
-    """Running message accounting."""
+    """Running message accounting.
+
+    :meth:`Network.send` counts each protocol send here (total, per
+    ``kind`` and ``size_units``) and each delivery in
+    ``delivered_total``.
+    """
 
     sent_total: int = 0
     delivered_total: int = 0
     by_kind: Dict[str, int] = field(default_factory=dict)
     weighted_units: int = 0
-
-    def record_send(self, message: Message) -> None:
-        self.sent_total += 1
-        self.weighted_units += message.size_units()
-        self.by_kind[message.kind] = self.by_kind.get(message.kind, 0) + 1
 
     def snapshot(self) -> "NetworkStats":
         return NetworkStats(
@@ -137,18 +137,20 @@ class Network:
         self._taps: List[Callable[[int, int, Message, float], None]] = []
         self._partitioned: set[tuple[int, int]] = set()
         self._failed: set[int] = set()
-        # Fast-path delivery: on a RawChannel (no per-pair ordering
-        # state) with a delay model that exposes fixed per-pair delays
-        # (pair_constant), sends skip the channel discipline and the
-        # sampler.  The cache holds the pre-bound per-(src, dst)
-        # delay; it is disabled entirely (None) for stateful channels
-        # (exact-type check) and for delay models whose pair_constant
-        # cannot be trusted to describe sample(), and lazily when
-        # pair_constant reports a stochastic pair.
+        # The RawChannel branch: a RawChannel has no per-pair
+        # ordering state, so an untapped send skips the discipline and
+        # does its arithmetic here (exact-type check: a subclass may
+        # add state).  With a delay model that exposes fixed per-pair
+        # delays (pair_constant), it skips the sampler too: the cache
+        # holds the pre-bound per-(src, dst) delay.  The cache is
+        # disabled entirely (None) for other channels and for delay
+        # models whose pair_constant cannot be trusted to describe
+        # sample(), and lazily when pair_constant reports a stochastic
+        # pair.
+        self._raw = type(self.channel) is RawChannel
         self._pair_delays: Optional[Dict[Tuple[int, int], float]] = (
             {}
-            if type(self.channel) is RawChannel
-            and _pair_constant_trusted(self.delay_model)
+            if self._raw and _pair_constant_trusted(self.delay_model)
             else None
         )
 
@@ -223,45 +225,64 @@ class Network:
         actor = self._actors.get(dst)
         if actor is None:
             raise KeyError(f"unknown destination node {dst}")
-        self.stats.record_send(message)
-        handles_outages = self.channel.handles_outages
-        if (src, dst) in self._partitioned and not handles_outages:
-            return  # dropped by the injected partition
-        if src in self._failed:
-            return  # fail-stop crash: a dead host transmits nothing
-        if dst in self._failed and not handles_outages:
-            # Traffic towards a crashed node is lost — unless the
-            # channel discipline models outages itself (ReliableChannel
-            # retransmits past the outage window from the fault plan).
-            return
-        pair_delays = self._pair_delays
-        if pair_delays is not None and not self._taps:
-            delay = pair_delays.get((src, dst))
-            if delay is None:
-                delay = self.delay_model.pair_constant(src, dst)
-                if delay is None:
-                    # Stochastic model: the fast path would skip rng
-                    # draws and change the stream; disable it for good.
-                    self._pair_delays = None
-                else:
-                    pair_delays[(src, dst)] = delay
-            if delay is not None:
-                self.sim.schedule_fast(
-                    delay, partial(self._deliver, actor, src, message)
-                )
+        stats = self.stats
+        stats.sent_total += 1
+        stats.weighted_units += message.size_units()
+        by_kind = stats.by_kind
+        kind = message.kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        if self._partitioned or self._failed:
+            handles_outages = self.channel.handles_outages
+            if (src, dst) in self._partitioned and not handles_outages:
+                return  # dropped by the injected partition
+            if src in self._failed:
+                return  # fail-stop crash: a dead host transmits nothing
+            if dst in self._failed and not handles_outages:
+                # Traffic towards a crashed node is lost — unless the
+                # channel discipline models outages itself
+                # (ReliableChannel retransmits past the outage window
+                # from the fault plan).
                 return
+        sim = self.sim
+        # The kernel's clock, read from its slot: the ``now`` property
+        # would be one more Python call on every hop.
+        now = sim._now
+        if self._raw and not self._taps:
+            pair_delays = self._pair_delays
+            if pair_delays is not None:
+                delay = pair_delays.get((src, dst))
+                if delay is None:
+                    delay = self.delay_model.pair_constant(src, dst)
+                    if delay is None:
+                        # Stochastic model: the cache would skip rng
+                        # draws and change the stream; disable it for
+                        # good.
+                        self._pair_delays = None
+                    else:
+                        pair_delays[(src, dst)] = delay
+                if delay is not None:
+                    sim.schedule_fast(
+                        delay, partial(self._deliver, actor, src, message)
+                    )
+                    return
+            # RawChannel.delivery_time, inline: the same draw and the
+            # same arithmetic as the general path below.
+            deliver_at = now + self.delay_model.sample(src, dst, self.rng)
+            sim.schedule_fast(
+                deliver_at - now, partial(self._deliver, actor, src, message)
+            )
+            return
         # A discipline may deliver a send zero times (fault-dropped),
         # once (the normal case), or twice (fault-duplicated); taps
         # observe each scheduled delivery, so dropped messages leave
         # no tap record.  The kernel takes delays, so a discipline
         # answering with a time already past is refused there.
-        now = self.sim.now
         for deliver_at in self.channel.delivery_times(
             src, dst, now, self.delay_model, self.rng
         ):
             for tap in self._taps:
                 tap(src, dst, message, deliver_at)
-            self.sim.schedule_fast(
+            sim.schedule_fast(
                 deliver_at - now, partial(self._deliver, actor, src, message)
             )
 

@@ -42,8 +42,8 @@ own named stream, so enabling retransmission never perturbs the
 delay, workload, or fault draws), which costs one spurious retransmit
 that the receiver's dedupe suppresses.  Spurious traffic shows up in
 ``net_retx_retransmits`` / ``net_retx_suppressed``; the paper-level
-NME metric stays protocol-level (one ``record_send`` per protocol
-send) by design — transport chatter is reported separately, see
+NME metric stays protocol-level (one ``NetworkStats`` count per
+protocol send) by design — transport chatter is reported separately, see
 docs/faults.md ("Recovery").
 
 Determinism: the retransmit schedule is pure arithmetic on the

@@ -153,11 +153,14 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` time units from now.
 
         Events that share a firing time run in insertion order.
-        Negative delays are rejected — simulated time never flows
-        backwards.
+        A delay must be a finite number >= 0: simulated time never
+        flows backwards, and an event at t=nan or t=inf would fire out
+        of order and leave the run's horizon undefined.
         """
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay!r})")
+        if not 0 <= delay < _NEVER:
+            raise ValueError(
+                f"delay must be a finite number >= 0 (got {delay!r})"
+            )
         handle = Handle(self._now + delay, callback, self)
         _heappush(self._heap, (handle.time, next(self._count), handle))
         return handle
@@ -168,10 +171,12 @@ class Simulator:
         The event cannot be cancelled; in exchange the heap entry is
         a bare tuple.  Shares the ``seq`` counter with
         :meth:`schedule`, so mixing both paths keeps the global event
-        order deterministic.
+        order deterministic.  Delays are checked as in :meth:`schedule`.
         """
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay!r})")
+        if not 0 <= delay < _NEVER:
+            raise ValueError(
+                f"delay must be a finite number >= 0 (got {delay!r})"
+            )
         _heappush(self._heap, (self._now + delay, next(self._count), callback))
 
     # ------------------------------------------------------------------

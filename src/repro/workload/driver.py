@@ -67,16 +67,12 @@ class NodeDriver:
         self.requests_issued += 1
         self.node.request_cs()
 
-    # hook subscribers (filtered to this node by the runner) ------------
+    # hook subscribers (the engine subscribes them to this node only) --
     def on_granted(self, node_id: int) -> None:
-        if node_id != self.node.node_id:
-            return
         hold = self.cs_time(self.rng)
         self.env.schedule_once(hold, self.node.release_cs)
 
     def on_released(self, node_id: int) -> None:
-        if node_id != self.node.node_id:
-            return
         self._schedule_issue(
             self.arrivals.next_delay(self.node.node_id, self.rng)
         )

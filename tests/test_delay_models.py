@@ -95,3 +95,51 @@ def test_jitter_enables_reordering(rng):
         last = arrival
         t += 0.5
     assert reordered
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ConstantDelay(float("nan")),
+        lambda: ConstantDelay(float("inf")),
+        lambda: UniformDelay(0.0, float("inf")),
+        lambda: UniformDelay(float("nan"), 1.0),
+        lambda: ExponentialDelay(float("inf")),
+        lambda: ExponentialDelay(float("nan")),
+        lambda: ExponentialDelay(1.0, minimum=float("inf")),
+        lambda: JitteredDelay(float("nan"), 1.0),
+        lambda: JitteredDelay(5.0, float("inf")),
+        lambda: JitteredDelay(lambda src, dst: 1.0, float("nan")),
+    ],
+    ids=[
+        "constant-nan", "constant-inf", "uniform-high-inf", "uniform-low-nan",
+        "exponential-inf", "exponential-nan", "exponential-min-inf",
+        "jittered-base-nan", "jittered-inf", "jittered-callable-nan",
+    ],
+)
+def test_non_finite_parameters_are_refused(build):
+    """Such a model would put events at t=nan or t=inf."""
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "model,draw",
+    [
+        (ExponentialDelay(5.0), lambda r: r.expovariate(1.0 / 5.0)),
+        (
+            ExponentialDelay(3.0, minimum=0.5),
+            lambda r: 0.5 + r.expovariate(1.0 / 3.0),
+        ),
+        (UniformDelay(1.0, 9.0), lambda r: r.uniform(1.0, 9.0)),
+    ],
+    ids=["exponential", "exponential-min", "uniform"],
+)
+def test_samplers_draw_the_floats_the_random_module_draws(model, draw):
+    """The samplers do ``Random``'s arithmetic themselves (one call
+    frame less per message); the floats and the stream must not move."""
+    mine, theirs = random.Random(7), random.Random(7)
+    assert [model.sample(0, 1, mine) for _ in range(30_000)] == [
+        draw(theirs) for _ in range(30_000)
+    ]
+    assert mine.random() == theirs.random()

@@ -71,6 +71,58 @@ def test_hooks_fan_out_to_all_subscribers():
     assert got == [("g1", 3), ("g2", 3), ("r", 3)]
 
 
+def test_a_node_subscriber_sees_only_its_node():
+    hooks = Hooks()
+    got = []
+    hooks.subscribe_granted(lambda n: got.append(("g", n)), node=2)
+    hooks.subscribe_released(lambda n: got.append(("r", n)), node=2)
+    for node in range(4):
+        hooks.on_granted(node)
+        hooks.on_released(node)
+    assert got == [("g", 2), ("r", 2)]
+
+
+def test_every_node_subscribers_run_first_in_subscription_order():
+    hooks = Hooks()
+    got = []
+    hooks.subscribe_granted(lambda n: got.append(("node1", n)), node=1)
+    hooks.subscribe_granted(lambda n: got.append(("all1", n)))
+    hooks.subscribe_granted(lambda n: got.append(("node0", n)), node=0)
+    hooks.subscribe_granted(lambda n: got.append(("all2", n)))
+    hooks.subscribe_released(lambda n: got.append(("rel1", n)), node=1)
+    hooks.subscribe_released(lambda n: got.append(("rel", n)))
+    hooks.on_granted(0)
+    hooks.on_granted(1)
+    hooks.on_released(1)
+    assert got == [
+        ("all1", 0), ("all2", 0), ("node0", 0),
+        ("all1", 1), ("all2", 1), ("node1", 1),
+        ("rel", 1), ("rel1", 1),
+    ]
+
+
+def test_engine_drivers_hear_only_their_own_node(monkeypatch):
+    """The engine subscribes each workload driver to its node alone, so
+    a grant costs one driver call, not N."""
+    from repro.engine import run_scenario
+    from repro.workload import BurstArrivals, Scenario
+    from repro.workload.driver import NodeDriver
+
+    heard = []
+    for name in ("on_granted", "on_released"):
+        real = getattr(NodeDriver, name)
+
+        def spy(driver, node_id, real=real, name=name):
+            heard.append((name, driver.node.node_id, node_id))
+            real(driver, node_id)
+
+        monkeypatch.setattr(NodeDriver, name, spy)
+    run_scenario(Scenario("ricart_agrawala", 4, BurstArrivals(1)))
+    assert sorted(heard) == sorted(
+        (name, i, i) for name in ("on_granted", "on_released") for i in range(4)
+    )
+
+
 def test_request_time_recorded():
     h = make_harness()
     (node,) = h.add_nodes(ToyMutex, 1)

@@ -203,3 +203,61 @@ def test_seedless_network_fine_for_constant_delays():
     net.send(0, 1, Message())
     sim.run()
     assert net.stats.delivered_total == 1
+
+
+# ----------------------------------------------------------------------
+# the hop's cost, counted in Python calls (a call count does not flap
+# the way a timing floor does on a shared host)
+# ----------------------------------------------------------------------
+def _hop_calls(delay_model):
+    """Qualified names of the Python calls one protocol send makes,
+    from the node's ``env.send`` through the delivery's ``on_message``."""
+    import sys
+
+    from repro.mutex.base import Hooks, MutexNode, SimEnv
+    from repro.sim.rng import RngRegistry
+
+    class Sink(MutexNode):
+        def on_message(self, src, message):
+            pass
+
+    sim = Simulator()
+    rngs = RngRegistry(0)
+    net = Network(sim, delay_model=delay_model, rng=rngs.stream("net/delay"))
+    env = SimEnv(sim, net, rngs)
+    hooks = Hooks()
+    for i in range(2):
+        net.register(Sink(i, 2, env, hooks))
+    env.send(0, 1, Ping())  # first send on the pair fills its caches
+    sim.run()
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_qualname)
+
+    message = Ping()
+    sys.setprofile(profile)
+    try:
+        env.send(0, 1, message)
+    finally:
+        sys.setprofile(None)
+    ((_, _, deliver),) = sim._heap
+    sys.setprofile(profile)
+    try:
+        deliver()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_sampled_hop_is_at_most_seven_calls():
+    from repro.net.delay import ExponentialDelay
+
+    calls = _hop_calls(ExponentialDelay(5.0))
+    assert len(calls) <= 7, calls
+
+
+def test_a_constant_delay_hop_is_at_most_six_calls():
+    calls = _hop_calls(ConstantDelay(5.0))
+    assert len(calls) <= 6, calls

@@ -155,3 +155,36 @@ def test_constructors_reject_bad_n():
     for fn in (grid_quorums, majority_quorums, tree_quorums):
         with pytest.raises(ValueError):
             fn(0)
+
+
+# ----------------------------------------------------------------------
+# Maekawa's quorum systems: built once, shared immutably
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("n", [1, 7, 13, 30])
+@pytest.mark.parametrize("family", ["grid", "fpp", "majority"])
+def test_build_quorums_is_built_once_and_immutable(n, family):
+    from repro.baselines.maekawa import build_quorums
+
+    quorums = build_quorums(n, family)
+    assert build_quorums(n, family) is quorums
+    assert isinstance(quorums, tuple)
+    assert all(isinstance(q, frozenset) for q in quorums)
+    fresh = {
+        "grid": grid_quorums,
+        "fpp": fpp_quorums if is_fpp_order(n) else grid_quorums,
+        "majority": majority_quorums,
+    }[family](n)
+    assert list(quorums) == fresh
+
+
+def test_maekawa_nodes_share_one_quorum_system():
+    from repro.engine import Engine
+    from repro.workload import BurstArrivals, Scenario
+
+    a, b = (
+        Engine(Scenario("maekawa", 30, BurstArrivals(1), seed=seed))
+        for seed in (0, 1)
+    )
+    assert list(grid_quorums(30)) == [node.quorum for node in a.nodes]
+    for x, y in zip(a.nodes, b.nodes):
+        assert x.quorum is y.quorum

@@ -1,0 +1,50 @@
+"""``benchmarks/record.py`` appends one well-formed trajectory line."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_record_appends_one_line_with_its_stamp(tmp_path):
+    out = tmp_path / "history.jsonl"
+    out.write_text('{"earlier": "line"}\n')
+    done = subprocess.run(
+        [
+            sys.executable, str(ROOT / "benchmarks" / "record.py"),
+            "--workload", "baselines_poisson", "--size", "toy",
+            "--seconds", "0.3", "--note", "tier-1 smoke", "--out", str(out),
+        ],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout
+    earlier, line = out.read_text().splitlines()
+    assert json.loads(earlier) == {"earlier": "line"}
+    record = json.loads(line)
+    assert set(record) == {
+        "commit", "dirty", "python", "usable_cpus", "platform", "note",
+        "size", "seconds", "workloads", "floors",
+    }
+    assert record["note"] == "tier-1 smoke"
+    assert record["size"] == "toy" and record["floors"] is None
+    assert record["usable_cpus"] >= 1
+    (name, result), = record["workloads"].items()
+    assert name == "baselines_poisson"
+    assert result["correct"] and result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(result["metrics"]) == {m["name"] for m in declared["end_to_end"]}
+
+
+def test_the_history_file_holds_whole_lines():
+    """Every line of the committed trajectory parses and is full-size."""
+    lines = (ROOT / "BENCH_history.jsonl").read_text().splitlines()
+    assert len(lines) >= 2
+    for line in lines:
+        record = json.loads(line)
+        assert record["size"] == "full"
+        assert all(r and r["correct"] for r in record["workloads"].values())
+        assert len(record["workloads"]) == 7 and len(record["floors"]) == 4

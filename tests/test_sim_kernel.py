@@ -63,6 +63,19 @@ def test_negative_delay_rejected():
         sim.schedule(-1.0, lambda: None)
 
 
+@pytest.mark.parametrize("fast", [False, True], ids=["schedule", "schedule_fast"])
+@pytest.mark.parametrize("delay", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_delay_rejected(fast, delay):
+    """A NaN or infinite delay would fire out of time order (NaN
+    compares false both ways) and leave the horizon at nan or inf."""
+    sim = Simulator()
+    schedule = sim.schedule_fast if fast else sim.schedule
+    with pytest.raises(ValueError):
+        schedule(delay, lambda: None)
+    assert sim.pending == 0
+    assert sim.run() == 0.0
+
+
 def test_cancel_prevents_execution():
     sim = Simulator()
     fired = []
