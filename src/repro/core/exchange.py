@@ -213,7 +213,16 @@ def exchange(
     rows may however be *adopted* — shared, copy-on-write — into
     ``si``).  Cost is O(N) plus work proportional to the rows and
     NONL entries that actually changed; see the module docstring.
+
+    Raises :class:`ProtocolInvariantError`, before touching ``si``,
+    when ``msg_si`` describes a system of another size (a peer
+    started with another node count).
     """
+    if msg_si.n != si.n:
+        raise ProtocolInvariantError(
+            f"cannot merge a snapshot of a {msg_si.n}-node system into "
+            f"a {si.n}-node SI"
+        )
     # 1.+2. watermarks, then prune the local side.  The merge and the
     # prune are both skipped outright in the common no-change case
     # (equal vectors; watermark clean since the last prune).
@@ -289,24 +298,21 @@ def exchange(
     mrows = msg_si.rows
     lts = si.row_ts
     mts = msg_si.row_ts
-    stale_add = si._stale.add
     adopted = ()
-    max_ts = 0
     if lts != mts:  # C-level freshness sweep: equal vectors ⇒ none fresher
         adopted = []
-        for j, (lt, mt) in enumerate(zip(lts, mts)):
-            if mt > lt:
+        j = -1
+        for mt in mts:
+            j += 1
+            if mt > lts[j]:
                 lts[j] = mt
-                stale_add(j)
-                rrow = mrows[j]
+                rows[j] = rrow = mrows[j]
                 rrow.shared = True
-                rows[j] = rrow
                 adopted.append(j)
-                if mt > max_ts:
-                    max_ts = mt
         if adopted:
+            si._stale.update(adopted)
             si.gen += 1
-            si.note_ts(max_ts)
+            si.note_ts(max(map(mts.__getitem__, adopted)))
 
     # Re-establish the pruning invariants *incrementally*.  Adopted
     # rows may carry tuples we already ordered or know finished; the
@@ -377,24 +383,28 @@ def exchange(
                         si._replace_cols(j, new_cols)
                         adopted_cloned += 1
         if new_tuples:
-            # Same Lemma 1 shortcut for the untouched local rows: a
-            # row holds a newly ordered tuple iff its columnar map
-            # has that exact (node, ts) entry — O(|new_tuples|)
-            # int-keyed lookups per row instead of an O(|MNL|) scan.
+            # The untouched local rows can hold a newly ordered tuple
+            # only under one of its nodes: a row sharing no node with
+            # the new tuples is skipped with one C-level disjointness
+            # test, and a row that shares one scans its own few
+            # entries against the new tuples.
             adopted_set = set(adopted)
-            nts = list(new_tuples)
-            for j, row in enumerate(rows):
-                cols = row.cols
-                if j in adopted_set or not cols:
+            nodes = {t[0] for t in new_tuples}
+            j = -1
+            for row in rows:
+                j += 1
+                if j in adopted_set:
                     continue
-                get = cols.get
+                cols = row.cols
+                if nodes.isdisjoint(cols):
+                    continue
                 bad = None
-                for tt in nts:
-                    if get(tt[0]) == tt[1]:
+                for item in cols.items():
+                    if item in new_tuples:
                         if bad is None:
-                            bad = [tt[0]]
+                            bad = [item[0]]
                         else:
-                            bad.append(tt[0])
+                            bad.append(item[0])
                 if bad:
                     new_cols = cols.copy()
                     for k in bad:

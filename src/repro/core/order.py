@@ -200,10 +200,18 @@ def run_order(
         si.remove_everywhere(home_tup)
     else:
         while True:
-            votes = si.tally_votes(excluded)
+            if excluded:
+                votes = si.tally_votes(excluded)
+                unknown = si.empty_row_count(excluded)
+            else:
+                # The live histogram, read in place: it is consumed
+                # before the commit below moves it, so no frozen copy
+                # is needed.
+                si._sync_fronts()
+                votes = si._votes
+                unknown = si._empty
             if not votes:
                 break
-            unknown = si.empty_row_count(excluded)
             tp1 = _committable_leader(votes, si.n, unknown, rule)
             if tp1 is None:
                 break
@@ -213,6 +221,9 @@ def run_order(
             if home_tup is not None and tp1 == home_tup:
                 outcome.be_ordered = True
                 break  # paper line 17: Continue = false once home commits
+        # The histogram moved past the tally cache's copy: drop the
+        # cache so the next tally_votes copies the live histogram.
+        si._votes_cache = None
 
     if outcome.be_ordered and home_tup is not None:
         outcome.highest_priority = si.on_top(home_tup)

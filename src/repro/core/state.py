@@ -70,11 +70,17 @@ first snapshot/exchange touches it.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import ne
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.tuples import ReqTuple
 
 __all__ = ["Row", "SystemInfo"]
+
+#: ``_new_tuple(ReqTuple, (node, ts))`` equals ``ReqTuple(node, ts)``
+#: without the Python-level ``__new__`` the namedtuple defines
+_new_tuple = tuple.__new__
 
 
 class Row:
@@ -223,6 +229,8 @@ class SystemInfo:
         "gen",
         "_done_gen",
         "_clean_done_gen",
+        "_adv",
+        "_adv_gen",
         "_votes_cache",
         "_pos_cache",
         "_max_ts",
@@ -258,6 +266,13 @@ class SystemInfo:
         # counters ⇒ nothing new finished ⇒ prune_done may skip.
         self._done_gen = 0
         self._clean_done_gen = 0
+        # Tracked advances: ``_adv`` holds the nodes whose watermark
+        # advanced since the last prune, and is complete while
+        # ``_adv_gen == _done_gen`` (every advance since then came
+        # through mark_done/merge_done).  prune_done then visits only
+        # rows holding one of those nodes; see prune_done.
+        self._adv: set = set()
+        self._adv_gen = 0
         self._votes_cache = None
         self._pos_cache = None
         self._max_ts = 0
@@ -326,6 +341,10 @@ class SystemInfo:
         # The snapshot inherits this SI's pruning state: its rows are
         # exactly as clean w.r.t. its watermark as ours are.
         si._clean_done_gen = 0 if self._clean_done_gen == self._done_gen else -1
+        # A clean snapshot starts an empty advance log; a dirty one
+        # starts with the log broken, so its first prune scans all.
+        si._adv = set()
+        si._adv_gen = si._clean_done_gen
         si._votes_cache = None
         si._pos_cache = None
         si._max_ts = self._max_ts
@@ -393,16 +412,25 @@ class SystemInfo:
         """True iff ``t`` is known to have finished its CS. O(1)."""
         return t.ts <= self.done[t.node]
 
+    def _note_advance(self) -> None:
+        """Count one watermark advance whose nodes are in ``_adv``."""
+        gen = self._done_gen
+        if self._adv_gen == gen:
+            self._adv_gen = gen + 1
+        self._done_gen = gen + 1
+        self.gen += 1
+
     def mark_done(self, t: ReqTuple) -> None:
         """Raise the completion watermark to cover ``t``. O(1).
 
         Mutates ``done`` (monotone) and flags the watermark dirty so
         the next :meth:`prune_done` performs a real scan.
         """
-        if t.ts > self.done[t.node]:
-            self.done[t.node] = t.ts
-            self.gen += 1
-            self._done_gen += 1
+        node, ts = t
+        if ts > self.done[node]:
+            self.done[node] = ts
+            self._adv.add(node)
+            self._note_advance()
 
     def merge_done(self, other_done: Iterable[int]) -> bool:
         """Pointwise-max merge of a remote watermark. O(N).
@@ -413,21 +441,29 @@ class SystemInfo:
         done = self.done
         if other_done == done:
             return False
-        merged = list(map(max, done, other_done))
+        merged = [a if a >= b else b for a, b in zip(done, other_done)]
         if merged == done:
             return False
+        self._adv.update(compress(range(len(merged)), map(ne, merged, done)))
         self.done = merged
-        self.gen += 1
-        self._done_gen += 1
+        self._note_advance()
         return True
 
     def prune_done(self, *, force: bool = False) -> bool:
         """Drop finished requests from NONL and every MNL.
 
-        Amortised: a full O(N · |MNL|) scan runs only when the
-        watermark advanced since the previous prune (or ``force`` is
-        given); otherwise the rows are already clean and the call is
-        O(1).  Returns True iff the scan ran.
+        Amortised: a scan runs only when the watermark advanced since
+        the previous prune (or ``force`` is given); otherwise the rows
+        are already clean and the call is O(1).  Returns True iff the
+        scan ran.
+
+        The scan reads only rows holding a node whose watermark
+        advanced (``_adv``): every other row was clean at the last
+        prune and no entry of it can have become outdated since.
+        That holds while every advance went through
+        :meth:`mark_done`/:meth:`merge_done` (``_adv_gen ==
+        _done_gen``); code that bumps ``_done_gen`` itself, a dirty
+        snapshot and ``force`` get the full O(N · |MNL|) scan.
         """
         if not force and self._clean_done_gen == self._done_gen:
             self.prunes_skipped += 1
@@ -436,20 +472,28 @@ class SystemInfo:
         if self.nonl and any(t[1] <= done[t[0]] for t in self.nonl):
             self.nonl = [t for t in self.nonl if t[1] > done[t[0]]]
             self.gen += 1
-        for j, row in enumerate(self.rows):
+        adv = self._adv
+        tracked = not force and self._adv_gen == self._done_gen
+        j = -1
+        for row in self.rows:
+            j += 1
+            cols = row.cols
+            if tracked and adv.isdisjoint(cols):
+                continue
             bad = None
-            for node, ts in row.cols.items():
+            for node, ts in cols.items():
                 if ts <= done[node]:
                     if bad is None:
                         bad = [node]
                     else:
                         bad.append(node)
             if bad:
-                new_cols = row.cols.copy()
+                new_cols = cols.copy()
                 for k in bad:
                     del new_cols[k]
                 self._replace_cols(j, new_cols)
-        self._clean_done_gen = self._done_gen
+        adv.clear()
+        self._adv_gen = self._clean_done_gen = self._done_gen
         self.prunes_run += 1
         return True
 
@@ -461,9 +505,11 @@ class SystemInfo:
         """
         node, ts = t
         stale_add = self._stale.add
-        for j, row in enumerate(self.rows):
+        j = -1
+        for row in self.rows:
+            j += 1
             cols = row.cols
-            if cols.get(node) == ts:
+            if node in cols and cols[node] == ts:
                 if row.shared:
                     new_cols = cols.copy()
                     del new_cols[node]
@@ -544,6 +590,10 @@ class SystemInfo:
         Full O(N) rebuild when the tally is invalid; otherwise
         reconciles only the rows in ``_stale`` (O(|stale|)).  Returns
         True iff the histogram may have changed.
+
+        The front is the first key (``for n in cols: break``) and is
+        built by :data:`_new_tuple`, skipping ``ReqTuple.__new__``'s
+        Python frame.
         """
         if not self._fronts_ok:
             fronts: List[Optional[ReqTuple]] = []
@@ -554,8 +604,9 @@ class SystemInfo:
             for row in self.rows:
                 cols = row.cols
                 if cols:
-                    n = next(iter(cols))
-                    f = ReqTuple(n, cols[n])
+                    for n in cols:
+                        break
+                    f = _new_tuple(ReqTuple, (n, cols[n]))
                     append(f)
                     votes[f] = get(f, 0) + 1
                 else:
@@ -580,11 +631,12 @@ class SystemInfo:
             cols = rows[j].cols
             old = fronts[j]
             if cols:
-                n = next(iter(cols))
+                for n in cols:
+                    break
                 ts = cols[n]
                 if old is not None and old[0] == n and old[1] == ts:
                     continue
-                f = ReqTuple(n, ts)
+                f = _new_tuple(ReqTuple, (n, ts))
             else:
                 if old is None:
                     continue

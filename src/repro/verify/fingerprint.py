@@ -102,6 +102,11 @@ SYSTEMINFO_EXCLUDED = {
         "prune bookkeeping; affects whether a scan is skipped, never "
         "its result"
     ),
+    "_adv": (
+        "nodes whose watermark advanced since the last prune; decides "
+        "which rows a prune reads, never its result"
+    ),
+    "_adv_gen": "prune bookkeeping (whether _adv is complete)",
     "_votes_cache": "cache keyed on gen; reconstructible from rows",
     "_pos_cache": "cache keyed on gen; reconstructible from nonl",
     "_max_ts": (

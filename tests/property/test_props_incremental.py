@@ -166,3 +166,40 @@ def test_adopted_rows_shared_until_mutated(msg):
     for t in list(si.nonl):
         si.remove_everywhere(t)
     assert si_state(msg) == before
+
+
+@st.composite
+def prune_sequences(draw):
+    """Exchanges and watermark marks with no prune in between,
+    interleaved with checked prunes; ends with a checked prune."""
+    ops = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["exchange", "done", "done", "prune"]))
+        if kind == "exchange":
+            ops.append(("exchange", draw(message_si())))
+        elif kind == "done":
+            node = draw(st.integers(0, N - 1))
+            ops.append(("done", ReqTuple(node, draw(st.integers(1, 5)))))
+        else:
+            ops.append(("prune", None))
+    ops.append(("prune", None))
+    return ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=prune_sequences())
+def test_tracked_prune_equals_a_full_prune(ops):
+    """prune_done reads only the rows holding a node whose watermark
+    advanced; it must leave the SI exactly as a forced full scan
+    leaves a snapshot-built twin."""
+    si = SystemInfo(N)
+    for kind, arg in ops:
+        if kind == "exchange":
+            exchange(si, arg, on_inconsistency="count")
+        elif kind == "done":
+            si.mark_done(arg)
+        else:
+            twin = si.snapshot()
+            twin.prune_done(force=True)
+            si.prune_done()
+            assert si_state(si) == si_state(twin)

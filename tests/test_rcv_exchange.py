@@ -188,6 +188,27 @@ def test_exchange_is_idempotent():
     assert first == second
 
 
+@pytest.mark.parametrize("local_n,remote_n", [(4, 3), (3, 4)])
+def test_exchange_refuses_a_snapshot_of_another_size(local_n, remote_n):
+    """A peer started with another node count: the merge is refused
+    before anything changes (``zip`` used to cut ``done`` short)."""
+    si = SystemInfo(local_n)
+    si.own_row(0).append_unique(T(0, 1))
+    si.row_ts[0] = 1
+    remote = SystemInfo(remote_n)
+    remote.mark_done(T(0, 1))
+    remote.row_ts[:] = [5] * remote_n
+
+    def state():
+        return list(si.nonl), list(si.done), list(si.row_ts), si.rows[0].mnl
+
+    before = state()
+    match = f"{remote_n}-node system into a {local_n}-node SI"
+    with pytest.raises(ProtocolInvariantError, match=match):
+        exchange(si, remote.snapshot())
+    assert state() == before
+
+
 # ----------------------------------------------------------------------
 # the work counters of whole runs
 # ----------------------------------------------------------------------

@@ -89,6 +89,37 @@ def test_prune_done_is_amortised():
     assert si.prunes_skipped == 2 and si.prunes_run == 3
 
 
+def test_prune_after_an_advance_outside_the_tracked_mutators_scans_every_row():
+    """``reference.py`` advances the watermark and prunes by writing
+    ``done``/``_done_gen``/``_clean_done_gen`` itself.  The advance log
+    then misses nodes, and the next prune must read every row."""
+    from repro.core.reference import _ref_merge_done, _ref_prune_done
+
+    si = SystemInfo(3)
+    si.own_row(0).append_unique(T(1, 2))
+    si.own_row(1).append_unique(T(2, 2))
+    si.mark_done(T(1, 1))  # logged: node 1, nothing outdated yet
+    _ref_prune_done(si)  # a clean outside the log
+    _ref_merge_done(si, [0, 0, 2])  # node 2 advances, not logged
+    assert si.prune_done() is True
+    assert si.rows[0].mnl == [T(1, 2)]
+    assert si.rows[1].mnl == []
+
+
+def test_prune_reads_only_rows_holding_an_advanced_node():
+    si = SystemInfo(3)
+    si.own_row(0).append_unique(T(1, 2))
+    si.own_row(1).append_unique(T(2, 2))
+    # Written directly, as a test builds an SI: not an advance.
+    si.done[2] = 2
+    si.mark_done(T(1, 2))
+    assert si.prune_done() is True
+    assert si.rows[0].mnl == []
+    assert si.rows[1].mnl == [T(2, 2)]  # node 2 never advanced
+    assert si.prune_done(force=True) is True
+    assert si.rows[1].mnl == []
+
+
 def test_watermark_marks_and_prunes():
     si = SystemInfo(3)
     si.rows[0].append_unique(T(1, 1))
