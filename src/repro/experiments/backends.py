@@ -56,7 +56,9 @@ and the atomic section a rule reads and writes in.  Four media ship:
   number of hosts need only a TCP route to the server, which runs the
   rules over a :class:`MemoryBackend` — one clock, one lock.  Every
   request is one ``_call`` naming an entry of the wire table in
-  :mod:`repro.experiments.protocol`, which spells the path and body.
+  :mod:`repro.experiments.protocol`, which spells the path and body,
+  sent as one write on a persistent socket; a reply is framed by its
+  ``Content-Length`` alone.
 
 Keys are opaque but not arbitrary: the directory medium turns one into
 a file name, so it refuses a key that is not a single path component
@@ -66,16 +68,16 @@ a file name, so it refuses a key that is not a single path component
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
+import socket
 import sqlite3
 import threading
 import time
 import urllib.parse
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Protocol, Tuple, Union
+from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Protocol, Tuple, Union
 
 from repro.experiments.protocol import ENDPOINTS, encode, path_for
 
@@ -87,6 +89,12 @@ __all__ = [
     "SQLiteBackend",
     "ServiceBackend",
 ]
+
+
+#: the limits both ends of the cell service hold an HTTP head to (the
+#: stdlib's): bytes in one line, and header lines in one head
+MAX_LINE = 65536
+MAX_HEADERS = 100
 
 
 class BackendUnavailableError(RuntimeError):
@@ -599,10 +607,13 @@ class ServiceBackend:
     :class:`BackendUnavailableError` naming the remedy instead of
     hanging a campaign mid-run.
 
-    One persistent keep-alive connection per backend instance; the
-    instance is not thread-safe (``run_cells`` only touches the cache
-    from the scheduler, never from pool workers) but is cheap to
-    construct per process.
+    One persistent keep-alive socket per backend instance, speaking
+    just enough HTTP/1.1 for this server: a request is one write, a
+    reply is read by its ``Content-Length``, and a reply this client
+    cannot frame that way is a :class:`BackendUnavailableError` at
+    once.  The instance is not thread-safe (``run_cells`` only touches
+    the cache from the scheduler, never from pool workers) but is
+    cheap to construct per process.
     """
 
     def __init__(self, url: str, *, timeout: float = 30.0) -> None:
@@ -615,9 +626,12 @@ class ServiceBackend:
             raise ValueError(f"cell service URL {url!r} has no host")
         self.host = parsed.hostname
         self.port = parsed.port or 80
-        self.url = f"http://{self.host}:{self.port}"
+        authority = f"[{self.host}]" if ":" in self.host else self.host
+        self.url = f"http://{authority}:{self.port}"
         self.timeout = timeout
-        self._conn: Optional[http.client.HTTPConnection] = None
+        self._host_line = f"Host: {authority}:{self.port}\r\n"
+        self._sock: Optional[socket.socket] = None
+        self._replies: Optional[BinaryIO] = None  # the socket, buffered
         #: quarantine flag from each key's most recent claim response
         #: — lets is_quarantined() answer without a second round trip
         #: right after a refused claim (the steal loop's hot pattern)
@@ -635,29 +649,90 @@ class ServiceBackend:
             "committed."
         )
 
+    def _unframed(self, problem: str) -> BackendUnavailableError:
+        self.close()  # the rest of that reply is still on the socket
+        return BackendUnavailableError(
+            f"cell service at {self.url} sent a reply this client cannot "
+            f"read: {problem}.  ServiceBackend reads HTTP/1.1 replies "
+            "framed by one Content-Length (docs/operations.md, "
+            "\"Errors\"); is that URL a `python -m repro.cli cell-server`?"
+        )
+
+    def _connect(self) -> None:
+        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
+        # a body larger than one segment must not wait on Nagle either
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock, self._replies = sock, sock.makefile("rb")
+
     def _request(self, method: str, path: str, body: Optional[str] = None):
-        payload = body.encode("utf-8") if body is not None else None
-        headers = {"Content-Type": "application/json"} if payload else {}
+        head = f"{method} {path} HTTP/1.1\r\n{self._host_line}"
+        payload = b""
+        if body is not None:
+            payload = body.encode("utf-8")
+            head += (
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(payload)}\r\n"
+            )
+        message = f"{head}\r\n".encode("ascii") + payload
         # One retry with a fresh connection: a keep-alive socket the
         # server closed between requests is indistinguishable from a
         # dead server until we try it.
         for attempt in (0, 1):
             try:
-                if self._conn is None:
-                    self._conn = http.client.HTTPConnection(
-                        self.host, self.port, timeout=self.timeout
-                    )
-                self._conn.request(method, path, body=payload, headers=headers)
-                response = self._conn.getresponse()
-                text = response.read().decode("utf-8")
-                return response.status, text
-            except (OSError, http.client.HTTPException) as exc:
-                if self._conn is not None:
-                    self._conn.close()
-                    self._conn = None
+                if self._sock is None:
+                    self._connect()
+                self._sock.sendall(message)
+                return self._read_reply()
+            except OSError as exc:
+                self.close()
                 if attempt:
                     raise self._unavailable(exc) from exc
         raise AssertionError("unreachable")  # pragma: no cover
+
+    def _read_reply(self) -> Tuple[int, str]:
+        """One reply off the socket: ``(status, body text)``.  A
+        connection that ends before the reply does is an ``OSError``
+        (the caller's retry); a reply with no one ``Content-Length`` to
+        frame it, or a head over the limits, is refused at once."""
+        readline = self._replies.readline
+        line = readline(MAX_LINE + 1)
+        if not line:
+            raise ConnectionResetError("the server closed the connection")
+        version, _, rest = line.partition(b" ")
+        code = rest[:3]
+        if (
+            len(line) > MAX_LINE
+            or not version.startswith(b"HTTP/1.")
+            or not code.isdigit()
+            or rest[3:4] not in (b" ", b"\r", b"\n")
+        ):
+            raise self._unframed(f"status line {line[:80]!r}")
+        headers: Dict[bytes, bytes] = {}
+        for _ in range(MAX_HEADERS + 1):
+            line = readline(MAX_LINE + 1)
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line:
+                raise ConnectionResetError("the reply's head was cut short")
+            name, colon, value = line.partition(b":")
+            if len(line) > MAX_LINE or not colon:
+                raise self._unframed(f"header line {line[:80]!r}")
+            name = name.strip().lower()
+            headers[name] = headers[name] + b", " + value if name in headers else value
+        else:
+            raise self._unframed(f"more than {MAX_HEADERS} header lines")
+        if b"transfer-encoding" in headers:
+            raise self._unframed("a Transfer-Encoding header")
+        length = headers.get(b"content-length", b"").strip()
+        if not length.isdigit():
+            raise self._unframed(f"Content-Length {length.decode('latin-1')!r}")
+        size = int(length)
+        text = self._replies.read(size)
+        if len(text) < size:
+            raise ConnectionResetError("the reply's body was cut short")
+        if headers.get(b"connection", b"").strip().lower() == b"close":
+            self.close()
+        return int(code), text.decode("utf-8")
 
     def _call(self, name: str, key: Optional[str] = None, **fields):
         """One operation of the protocol table: ``(status, reply)``."""
@@ -746,9 +821,10 @@ class ServiceBackend:
         return self._call("stats")[1]
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._replies.close()
+            self._sock.close()
+            self._sock = self._replies = None
 
     def __repr__(self) -> str:
         # Deliberately no round trip: reprs appear in error messages

@@ -43,15 +43,23 @@ Design decisions worth knowing:
   workers — and a per-endpoint ``requests`` count, so the scheduler's
   request budget (docs/operations.md, "Lease and TTL tuning") is
   visible on a live campaign.
-* **One send per reply.**  ``_reply`` hands status line, headers and
-  body to the socket in a single write, and accepted connections set
-  ``TCP_NODELAY``.  Written the stdlib way (``end_headers()``, then
-  ``wfile.write(body)``: two small sends on an unbuffered socket),
-  Nagle on the server holds the body until the client's *delayed* ACK
-  of the headers — 40 ms added to every round trip on loopback, 44 ms
-  measured against 0.3 ms of actual work.  ``TCP_NODELAY`` covers what
-  one write cannot: the stdlib's own ``send_error`` replies, and the
-  short tail segment of a cell document larger than one MSS.
+* **Its own HTTP/1.1 heads, one send per reply.**  The stdlib keeps
+  the accept loop, a thread per connection, the keep-alive request
+  loop and ``send_error``; the handler parses the request line and the
+  header block itself (``parse_request``: a dict of lower-cased names,
+  the stdlib's limits of 65,536 bytes a line and 100 headers) and
+  ``_reply`` writes status line, headers and body in one write on a
+  ``TCP_NODELAY`` connection.  The stdlib's ``email`` header parser
+  was the costliest step of a request, and its ``end_headers()`` then
+  ``wfile.write(body)`` is two small sends, which Nagle turns into a
+  wait for the client's *delayed* ACK: 40 ms a round trip on loopback
+  (docs/performance.md, "The cell-service round trip").
+  ``TCP_NODELAY`` covers what one write cannot: ``send_error``'s
+  replies, and the tail segment of a body larger than one MSS.
+  Bodies are framed by one ``Content-Length`` and nothing else: any
+  ``Transfer-Encoding`` is a 501 and a repeated ``Content-Length`` a
+  400, both closing the connection, because their unread bytes would
+  otherwise be parsed as the next request.
 * **Prompt shutdown.**  The accept loop blocks until a connection
   arrives rather than polling a flag (``serve_forever`` wakes every
   0.5 s, and ``shutdown()`` waits that out); ``stop()`` sets the flag
@@ -60,7 +68,6 @@ Design decisions worth knowing:
 
 from __future__ import annotations
 
-import io
 import socket
 import threading
 import time
@@ -68,7 +75,12 @@ from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional
 
-from repro.experiments.backends import CacheBackend, MemoryBackend
+from repro.experiments.backends import (
+    MAX_HEADERS,
+    MAX_LINE,
+    CacheBackend,
+    MemoryBackend,
+)
 from repro.experiments.protocol import (
     API_PREFIX,
     PROTOCOL_VERSION,
@@ -269,7 +281,7 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = f"repro-cell-server/{PROTOCOL_VERSION}"
     # TCP_NODELAY on every accepted connection (see module docstring,
-    # "One send per reply").
+    # "one send per reply").
     disable_nagle_algorithm = True
 
     @property
@@ -280,6 +292,72 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     # -- plumbing ------------------------------------------------------
+    def parse_request(self) -> bool:
+        """The request line and the header block of one request.
+
+        Replaces the stdlib's parse and its ``email`` header parser,
+        once the costliest step of a request (docs/performance.md,
+        "The cell-service round trip").  ``self.headers`` is a plain
+        dict keyed by lower-cased name, a repeated name's values
+        joined by ", " (so two ``Content-Length`` headers are one that
+        is not a number).  ``handle_one_request`` has read the request
+        line within the stdlib's 65,536-byte limit; the header block is
+        held to the stdlib's limits too.  Returns False once a refusal
+        has been sent, or when the peer is gone.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) != 3:
+            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
+            return False
+        command, path, version = words
+        self.request_version = version
+        if version not in ("HTTP/1.1", "HTTP/1.0"):
+            self.send_error(505, f"Invalid HTTP version ({version!r})")
+            return False
+        # As the stdlib does: a path starting '//' reads as a host name.
+        if path.startswith("//"):
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+
+        headers: Dict[str, str] = {}
+        readline = self.rfile.readline
+        for _ in range(MAX_HEADERS + 1):
+            line = readline(MAX_LINE + 1)
+            if len(line) > MAX_LINE:
+                self.send_error(431, "Line too long")
+                return False
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line:
+                return False  # the peer hung up mid-head
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            # no colon, or whitespace around the name (a folded line)
+            if not colon or not name or name != name.strip():
+                self.send_error(400, f"Bad header line ({line[:80]!r})")
+                return False
+            name, value = name.lower(), value.strip()
+            headers[name] = f"{headers[name]}, {value}" if name in headers else value
+        else:
+            self.send_error(431, "Too many headers")
+            return False
+        self.headers = headers  # type: ignore[assignment]
+
+        self.close_connection = (
+            version == "HTTP/1.0" or headers.get("connection", "").lower() == "close"
+        )
+        if (
+            version == "HTTP/1.1"
+            and headers.get("expect", "").lower() == "100-continue"
+        ):
+            return self.handle_expect_100()
+        return True
+
     def _reply(
         self,
         code: int,
@@ -288,31 +366,28 @@ class _Handler(BaseHTTPRequestHandler):
         endpoint: Optional[str] = None,
         close: bool = False,
     ) -> None:
-        """Send one JSON reply.  ``endpoint`` is the resource the
-        dispatch matched (``/stats`` counts requests by it); refusals
-        and unknown paths pass none and are counted together, so a
-        stray client cannot grow that map."""
+        """Send one JSON reply, head and body in one write (see module
+        docstring).  ``endpoint`` is the resource the dispatch matched
+        (``/stats`` counts requests by it); refusals and unknown paths
+        pass none and are counted together, so a stray client cannot
+        grow that map.  ``close``: an unread (or unreadable) body is
+        still on the socket, so the connection cannot carry another
+        request."""
         self.state.count_request(
             f"{self.command} {endpoint}" if endpoint else "other"
         )
         body = encode(payload).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        head = (
+            f"{self.protocol_version} {code} {self.responses[code][0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
         if close:
-            # An unread (or unreadable) body is still on the socket:
-            # the connection cannot carry another request.
-            self.send_header("Connection", "close")
-        # One write for head and body: end_headers() on the socket
-        # would send the head by itself, and the body would then wait
-        # out the client's delayed ACK (see module docstring).
-        sock_file, self.wfile = self.wfile, io.BytesIO()
-        try:
-            self.end_headers()
-            head = self.wfile.getvalue()
-        finally:
-            self.wfile = sock_file
-        self.wfile.write(head + body)
+            self.close_connection = True
+            head += "Connection: close\r\n"
+        self.wfile.write(f"{head}\r\n".encode("latin-1") + body)
 
     def _read_body(self, header: str) -> bytes:
         # Content-Length is bytes off a socket: a non-number used to
@@ -340,11 +415,25 @@ class _Handler(BaseHTTPRequestHandler):
         operation that takes a body) read and validate, then the state
         method the table names.  All the protocol is in
         :mod:`repro.experiments.protocol`."""
-        length = self.headers.get("Content-Length") or "0"
+        length = self.headers.get("content-length") or "0"
+        chunked = "transfer-encoding" in self.headers
         # Until _read_body returns, whatever body the client sent is
         # still on the socket, and the reply must close the connection.
-        unread = length != "0"
+        unread = length != "0" or chunked
         try:
+            # A body is framed by one Content-Length or not at all: the
+            # server could not find the end of any other, and would
+            # parse the rest of it as the next request.
+            if chunked:
+                raise WireError(
+                    501,
+                    "Transfer-Encoding is not supported: send the body "
+                    "with one Content-Length",
+                )
+            if "," in length:
+                raise WireError(
+                    400, f"Content-Length {length!r} is repeated: send one"
+                )
             op, args = match(self.command, self.path)
             if op.fields:
                 raw = self._read_body(length)

@@ -7,8 +7,10 @@ against the live service via the ``http`` kind in
 file pins what only the *wire* can get wrong: the versioned protocol
 gate, response shapes (``/stats`` in particular — the monitoring
 contract), server-side arbitration between independent clients, the
-typed unavailability error, and the send pattern of a reply (one
-write, ``TCP_NODELAY`` — or every round trip waits out a delayed ACK).
+typed unavailability error, the send pattern of a reply (one
+write, ``TCP_NODELAY`` — or every round trip waits out a delayed ACK),
+and the HTTP/1.1 both ends spell themselves: heads pinned as the
+stdlib wrote them, bodies framed by one ``Content-Length``.
 """
 
 import http.client
@@ -16,6 +18,7 @@ import inspect
 import json
 import socket
 import statistics
+import threading
 import time
 import types
 
@@ -726,3 +729,334 @@ def test_wire_cell_key_cannot_escape_a_directory_store(tmp_path, method):
     assert status == 400 and "'key'" in doc["error"]
     assert (tmp_path / "a" / "escaped.json").read_text() == '"outside"'
     assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["escaped.json"]
+
+
+# ----------------------------------------------------------------------
+# the wire as any HTTP/1.1 client sees it: heads the server spells
+# itself, framed by one Content-Length, and what it does with the rest
+# ----------------------------------------------------------------------
+def _pinned_server(monkeypatch):
+    """A server whose replies are the same bytes on every run: its
+    clocks are stopped, and every table a reply can show has a row."""
+    from repro.experiments import backends, service
+
+    monkeypatch.setattr(
+        service, "time", types.SimpleNamespace(time=lambda: 0.0, monotonic=lambda: 1e3)
+    )
+    monkeypatch.setattr(backends, "_wall_clock", lambda: 0.0)
+    monkeypatch.setattr(backends.MemoryBackend, "_now", staticmethod(lambda: 1e3))
+    server = CellServer().start()
+    state = server.state
+    state.claim("cell-2", "worker-b", 60.0)
+    state.put("cell-2", "{}")
+    state.record_failure("cell-3", "worker-b", "boom", id="f00d")
+    state.quarantine("cell-3")
+    state.requests.clear()
+    return server
+
+
+def _stdlib_send(server, method, path, body=None):
+    """One request through ``http.client``: ``(status line, header
+    names in order, body bytes)``."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        conn.request(method, path, body=body)
+        response = conn.getresponse()
+        return (
+            f"HTTP/1.1 {response.status} {response.reason}",
+            [header for header, _ in response.getheaders()],
+            response.read(),
+        )
+    finally:
+        conn.close()
+
+
+def _sample_request(name):
+    """Endpoint ``name``'s sample request: method, path, body text."""
+    body = _sample_body(name)
+    return (
+        ENDPOINTS[name].method,
+        path_for(name, _SAMPLE["key"]),
+        json.dumps(body) if body is not None else None,
+    )
+
+
+_HEAD = ["Server", "Date", "Content-Type", "Content-Length"]
+
+#: each endpoint's reply to its sample request on a pinned server, as
+#: the stdlib's send_response/send_header/end_headers spelled the head
+_PINNED_REPLIES = {
+    'stats': (
+        'HTTP/1.1 200 OK',
+        b'{"cells": 1, "leases": [{"expires_in": 60.0, "key": "cell-2", "owner": "worker-b"}], "owners": {"worker-b": {"active_leases": 1, "claims": 1, "commits": 1, "failures": 1, "last_seen_seconds_ago": 0.0, "releases": 0, "renews": 0}}, "protocol": 1, "quarantined": {"cell-3": {"count": 1}}, "requests": {}, "uptime_seconds": 0.0}',
+    ),
+    'cells': (
+        'HTTP/1.1 200 OK',
+        b'{"count": 1, "keys": ["cell-2"]}',
+    ),
+    'get': (
+        'HTTP/1.1 404 Not Found',
+        b'{"found": false}',
+    ),
+    'put': (
+        'HTTP/1.1 200 OK',
+        b'{"stored": true}',
+    ),
+    'claim': (
+        'HTTP/1.1 200 OK',
+        b'{"granted": true, "quarantined": false}',
+    ),
+    'renew': (
+        'HTTP/1.1 200 OK',
+        b'{"renewed": false}',
+    ),
+    'release': (
+        'HTTP/1.1 200 OK',
+        b'{"released": false}',
+    ),
+    'record_failure': (
+        'HTTP/1.1 200 OK',
+        b'{"count": 1, "quarantined": false}',
+    ),
+    'quarantine': (
+        'HTTP/1.1 200 OK',
+        b'{"quarantined": true}',
+    ),
+    'quarantined': (
+        'HTTP/1.1 200 OK',
+        b'{"cells": {"cell-3": {"count": 1, "failures": [{"error": "boom", "id": "f00d", "owner": "worker-b", "time": 0.0}]}}}',
+    ),
+    'quarantine_entry': (
+        'HTTP/1.1 200 OK',
+        b'{"count": 0, "failures": [], "quarantined": false}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ENDPOINTS)
+def test_wire_replies_keep_their_head_and_bytes_for_any_client(
+    monkeypatch, name
+):
+    """Status line, header names in order and body bytes of every
+    endpoint's reply, to stdlib ``http.client`` (standing in for curl)
+    and to ``ServiceBackend``, are what they were when the stdlib wrote
+    the head (``Date``'s value aside)."""
+    status_line, body = _PINNED_REPLIES[name]
+    method, path, sent = _sample_request(name)
+    server = _pinned_server(monkeypatch)
+    try:
+        assert _stdlib_send(
+            server, method, path, sent and sent.encode()
+        ) == (status_line, _HEAD, body)
+        backend = ServiceBackend(server.url)
+        server.state.requests.clear()  # the constructor's probe
+        try:
+            reply = backend._request(method, path, sent)
+        finally:
+            backend.close()
+    finally:
+        server.stop()
+    assert reply == (int(status_line.split()[1]), body.decode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "method, path, sent, status_line, closes, body",
+    [
+        (
+            "POST", "/v2/claim", b'{"key": "k"}', "HTTP/1.1 400 Bad Request", True,
+            b'{"error": "unsupported protocol version for path \'/v2/claim\': '
+            b'this server speaks v1 (paths under /v1/). Upgrade the older side '
+            b'so client and server agree.", "protocol": 1}',
+        ),
+        (
+            "GET", "/v1/nope", None, "HTTP/1.1 404 Not Found", False,
+            b'{"error": "no such endpoint: GET /v1/nope"}',
+        ),
+        (
+            "POST", "/v1/claim", b"{not json", "HTTP/1.1 400 Bad Request", False,
+            b'{"error": "request body is not valid JSON"}',
+        ),
+    ],
+)
+def test_wire_refusals_keep_their_head_and_bytes(
+    monkeypatch, method, path, sent, status_line, closes, body
+):
+    """The same pin for refusals: a reply sent with the body unread
+    still ends its head with ``Connection: close``."""
+    server = _pinned_server(monkeypatch)
+    try:
+        got = _stdlib_send(server, method, path, sent)
+    finally:
+        server.stop()
+    assert got == (status_line, _HEAD + ["Connection"] * closes, body)
+
+
+def _converse(server, raw, timeout=2.0):
+    """Send ``raw`` on one connection, then read until the server closes
+    it or ``timeout`` passes with nothing more: every byte it sent."""
+    with socket.create_connection((server.host, server.port), timeout=timeout) as sock:
+        sock.sendall(raw)
+        chunks = []
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        except TimeoutError:
+            chunks.append(b"<still open>")
+    return b"".join(chunks)
+
+
+_CLAIM = b'{"key": "cell-1", "owner": "w", "ttl": 60}'
+_STATS = f"GET {API_PREFIX}/stats HTTP/1.1\r\nHost: h\r\n\r\n".encode()
+
+
+def _one_closing_reply(received, status):
+    head, _, body = received.partition(b"\r\n\r\n")
+    assert head.startswith(f"HTTP/1.1 {status} ".encode()), received
+    assert b"\r\nConnection: close" in head, received
+    assert b"HTTP/1.1" not in body and not body.endswith(b"<still open>"), received
+    return json.loads(body)["error"]
+
+
+def test_wire_chunked_body_is_refused_before_it_is_read(server):
+    """A chunked body used to be read as no body (400, connection kept),
+    its size line then answered as a request of its own, and the next
+    request on the socket never answered.  It is a 501 that closes."""
+    chunked = (
+        f"POST {API_PREFIX}/claim HTTP/1.1\r\nHost: h\r\n"
+        "Transfer-Encoding: chunked\r\n\r\n"
+        f"{len(_CLAIM):x}\r\n"
+    ).encode() + _CLAIM + b"\r\n0\r\n\r\n"
+    error = _one_closing_reply(_converse(server, chunked + _STATS), 501)
+    assert "Transfer-Encoding" in error
+    assert server.state.leases == {}
+    assert _raw(server, "GET", f"{API_PREFIX}/stats")[0] == 200
+
+
+def test_wire_repeated_content_length_is_refused_before_it_is_read(server):
+    """With two lengths the server used to read the first, refuse the
+    cut body with the connection kept, and lose the next request in the
+    garbage that followed.  A repeated length is a 400 that closes."""
+    repeated = (
+        f"POST {API_PREFIX}/claim HTTP/1.1\r\nHost: h\r\n"
+        f"Content-Length: 5\r\nContent-Length: {len(_CLAIM)}\r\n\r\n"
+    ).encode() + _CLAIM
+    error = _one_closing_reply(_converse(server, repeated + _STATS), 400)
+    assert "Content-Length" in error and "repeated" in error
+    assert server.state.leases == {}
+
+
+def test_wire_expect_100_continue_gets_continue_then_the_reply(server):
+    """curl sends ``Expect: 100-continue`` above 1 KB and waits for the
+    interim reply before the body."""
+    body = json.dumps({"value": json.dumps({"x": "a" * 3000})}).encode()
+    path = path_for("put", _SAMPLE["key"])
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.sendall(
+            f"PUT {path} HTTP/1.1\r\nHost: h\r\nExpect: 100-continue\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+            .encode()
+        )
+        assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(body)
+        reply = sock.makefile("rb")
+        assert reply.readline() == b"HTTP/1.1 200 OK\r\n"
+        headers = {}
+        for line in iter(reply.readline, b"\r\n"):
+            name, _, value = line.decode().partition(":")
+            headers[name] = value.strip()
+        assert json.loads(reply.read(int(headers["Content-Length"]))) == {"stored": True}
+    assert server.state.store.get(_SAMPLE["key"]) == json.dumps({"x": "a" * 3000})
+
+
+def test_wire_http_1_0_request_gets_its_reply_then_eof(server):
+    received = _converse(server, f"GET {API_PREFIX}/stats HTTP/1.0\r\n\r\n".encode())
+    head, _, body = received.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+    assert json.loads(body)["protocol"] == PROTOCOL_VERSION  # and then EOF
+
+
+@pytest.mark.parametrize(
+    "version, fields, status",
+    [
+        ("HTTP/1.1", ["X-h: v"] * 99, 200),  # and Connection: 100 headers
+        ("HTTP/1.1", ["X-h: v"] * 100, 431),
+        ("HTTP/1.1", ["X-h: " + "v" * 65529], 200),  # 65,536 bytes with CRLF
+        ("HTTP/1.1", ["X-h: " + "v" * 65530], 431),
+        ("HTTP/2.0", [], 505),
+        ("HTTP/1.1", [" folded: v"], 400),
+        ("HTTP/1.1", ["no colon"], 400),
+    ],
+    ids=["100-headers", "101-headers", "long-line", "longer-line", "http2",
+         "folded", "no-colon"],
+)
+def test_wire_request_heads_are_held_to_the_stdlib_limits(
+    server, version, fields, status
+):
+    """At most 100 header lines of at most 65,536 bytes each, in an
+    HTTP/1.0 or 1.1 request: anything else is refused."""
+    head = "".join(f"{field}\r\n" for field in fields)
+    received = _converse(
+        server,
+        f"GET {API_PREFIX}/stats {version}\r\n{head}Connection: close\r\n\r\n".encode(),
+    )
+    assert received.startswith(f"HTTP/1.1 {status} ".encode()), received[:200]
+    assert not received.endswith(b"<still open>")
+
+
+@pytest.mark.parametrize(
+    "reply, problem",
+    [
+        (b"HTTP/1.1 200 OK\r\n\r\n{}", "Content-Length ''"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+         "Transfer-Encoding"),
+        (b"HTCPCP/1.0 418 I'm a teapot\r\nContent-Length: 2\r\n\r\n{}", "status line"),
+        (b"HTTP/1.1 200 OK\r\n" + b"X-h: v\r\n" * 101 + b"Content-Length: 2\r\n\r\n{}",
+         "more than 100 header lines"),
+        (b"HTTP/1.1 200 OK\r\nX-h: " + b"v" * 70000 + b"\r\nContent-Length: 2\r\n\r\n{}",
+         "header line"),
+    ],
+    ids=["no-length", "chunked", "status-line", "101-headers", "long-line"],
+)
+def test_wire_client_refuses_a_reply_it_cannot_frame_at_once(reply, problem):
+    """Against a server that answered without a Content-Length and kept
+    the socket open, the client used to wait out two timeouts and then
+    report the server unreachable.  It names the framing problem now,
+    without waiting."""
+    stats = json.dumps({"protocol": PROTOCOL_VERSION}).encode()
+    listener = socket.create_server(("127.0.0.1", 0))
+    done = threading.Event()
+
+    def serve_one_connection():
+        conn, _ = listener.accept()
+        with conn:
+            requests = conn.makefile("rb")
+            for answer in (
+                b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(stats), stats),
+                reply,
+            ):
+                for line in iter(requests.readline, b"\r\n"):
+                    if not line:
+                        return
+                try:
+                    conn.sendall(answer)
+                except OSError:
+                    pass  # the client hung up mid-reply: that was the point
+            done.wait(10)  # ...and keep the socket open
+
+    thread = threading.Thread(target=serve_one_connection, daemon=True)
+    thread.start()
+    try:
+        backend = ServiceBackend(f"127.0.0.1:{listener.getsockname()[1]}", timeout=2)
+        start = time.perf_counter()
+        with pytest.raises(BackendUnavailableError) as excinfo:
+            backend.get("cell-1")
+        assert time.perf_counter() - start < 1.0
+    finally:
+        done.set()
+        thread.join(5)
+        listener.close()
+    assert problem in str(excinfo.value)
+    assert "Content-Length" in str(excinfo.value)
