@@ -5,7 +5,8 @@ Public surface:
 * :class:`~repro.engine.engine.Engine` — owns kernel + network +
   metrics + safety wiring for one scenario; observers may attach
   between construction and ``start()``;
-* :func:`~repro.engine.engine.run_scenario` — build + run + result;
+* :func:`~repro.engine.engine.run_scenario` — build + run + result,
+  then tear down (a finished cell leaves no reference cycles);
 * :class:`~repro.engine.batch.CellTemplate` — one cell family run
   under many seeds (``CellTemplate(spec).run(seed)``);
 * :data:`IncompleteRunError` — re-exported liveness failure.

@@ -20,7 +20,10 @@ same schedule-call order, hence the same kernel ``seq`` numbers):
    subscribed to all nodes);
 5. ``start()`` starts nodes (in order), then drivers (in order);
 6. ``run()`` drains the kernel and finalises the
-   :class:`~repro.metrics.records.RunResult`.
+   :class:`~repro.metrics.records.RunResult`;
+7. :func:`run_scenario` then tears the engine down
+   (:meth:`Engine._teardown`), so a finished cell leaves no cyclic
+   garbage.
 
 Observers (trace recorders, message taps, fault injection) may grab
 ``engine.network`` / ``engine.sim`` / ``engine.hooks`` between
@@ -104,9 +107,12 @@ class Engine:
         )
         self.hooks = Hooks()
         self.env = SimEnv(self.sim, self.network, self.rngs)
-        self.collector = MetricsCollector(lambda: self.sim.now)
+        # The clocks close over the kernel, not over the engine, so no
+        # observer holds a path back to the engine (see _teardown).
+        sim = self.sim
+        self.collector = MetricsCollector(lambda: sim.now)
         self.safety = SafetyMonitor(
-            lambda: self.sim.now, waiting_probe=self.collector.has_waiters
+            lambda: sim.now, waiting_probe=self.collector.has_waiters
         )
         self.safety.attach(self.hooks)
         self.collector.attach(self.hooks)
@@ -120,7 +126,7 @@ class Engine:
             self.network.register(node)
 
         if isinstance(scenario.arrivals, TraceArrivals):
-            scenario.arrivals.bind_clock(lambda: self.sim.now)
+            scenario.arrivals.bind_clock(lambda: sim.now)
 
         self.drivers: List[NodeDriver] = []
         for node in self.nodes:
@@ -213,6 +219,12 @@ class Engine:
         self.sim.run(until=self.scenario.drain_deadline)
         result = self._finalize()
         if require_completion and not result.all_completed():
+            if not result.issued_count:
+                raise IncompleteRunError(
+                    "no request was issued: the arrival process gave no "
+                    "node a request before the issue deadline",
+                    result,
+                )
             incomplete = [
                 r.node_id for r in result.records if not r.completed
             ]
@@ -223,6 +235,20 @@ class Engine:
                 result,
             )
         return result
+
+    def _teardown(self) -> None:
+        """Break the run's reference cycles, once its result is built.
+
+        A node holds its env and hooks, the network holds the nodes,
+        the hooks hold the drivers and monitors, and the kernel heap
+        holds callbacks into all of them: left alone, a finished
+        engine is cyclic garbage that only a collector pass frees.
+        :func:`run_scenario` calls this in a ``finally``; afterwards
+        the engine can no longer run, and refcounting alone frees it.
+        """
+        self.network.clear()
+        self.hooks.clear()
+        self.sim.clear()
 
     # ------------------------------------------------------------------
     def _finalize(self) -> RunResult:
@@ -271,6 +297,13 @@ def run_scenario(
 
     This is the canonical implementation behind
     :func:`repro.workload.runner.run_scenario` (kept there as the
-    stable public import path).
+    stable public import path).  The engine is torn down once the
+    result is built, raising or not, so a finished cell leaves no
+    cyclic garbage; build an :class:`Engine` to inspect one after
+    its run.
     """
-    return Engine(scenario).run(require_completion=require_completion)
+    engine = Engine(scenario)
+    try:
+        return engine.run(require_completion=require_completion)
+    finally:
+        engine._teardown()

@@ -439,6 +439,13 @@ class CellSpec:
     retx: Tuple = ()
 
     # ------------------------------------------------------------------
+    # ``normalized()`` and ``cache_key()`` are derived once per instance
+    # and kept in its ``__dict__`` (beside the fields, so ``==``,
+    # ``hash`` and ``repr`` never see them; ``dataclasses.replace``
+    # builds a new instance that derives anew, and a pickle carries
+    # the fields only).  A campaign asks a cell for its key at every
+    # cache and lease call.
+
     def normalized(self) -> "CellSpec":
         """Canonical form: every field through its axis normaliser
         (bare numbers become constant-spec tuples, workload params
@@ -446,13 +453,17 @@ class CellSpec:
         specs describing the same cell normalize identically, so they
         share one :meth:`cache_key`; a value no axis can represent
         raises :class:`UnrepresentableScenarioError`."""
-        n_nodes = self.n_nodes
-        return type(self)(
-            *[
-                AXES[name].normalize(getattr(self, name), n_nodes)
-                for name in FIELD_NAMES
-            ]
-        )
+        spec = self.__dict__.get("_normalized")
+        if spec is None:
+            n_nodes = self.n_nodes
+            spec = type(self)(
+                *[
+                    AXES[name].normalize(getattr(self, name), n_nodes)
+                    for name in FIELD_NAMES
+                ]
+            )
+            object.__setattr__(self, "_normalized", spec)
+        return spec
 
     def cache_key(self) -> str:
         """Content address of this cell (sha256 over the normalized
@@ -463,17 +474,20 @@ class CellSpec:
         reprs are deterministic (no ``PYTHONHASHSEED`` dependence).
         Bumping :data:`repro.metrics.io.FORMAT_VERSION` (archive
         schema) or :data:`RESULTS_EPOCH` (simulation behavior)
-        invalidates every cached cell, by construction.
+        invalidates every cached cell, by construction: the stored
+        key is stamped with the pair it was hashed under.
         """
-        spec = self.normalized()
-        canon = repr(
-            (
-                FORMAT_VERSION,
-                RESULTS_EPOCH,
-                *[getattr(spec, name) for name in FIELD_NAMES],
-            )
-        )
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+        stamp = (FORMAT_VERSION, RESULTS_EPOCH)
+        memo = self.__dict__.get("_key")
+        if memo is None or memo[0] != stamp:
+            spec = self.normalized()
+            canon = repr((*stamp, *[getattr(spec, name) for name in FIELD_NAMES]))
+            memo = (stamp, hashlib.sha256(canon.encode("utf-8")).hexdigest())
+            object.__setattr__(self, "_key", memo)
+        return memo[1]
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in FIELD_NAMES}
 
     def document(self) -> dict:
         """The JSON-able normalized spec a cache document embeds, so a

@@ -156,6 +156,13 @@ class Hooks:
         else:
             self._released_at.setdefault(node, []).append(fn)
 
+    def clear(self) -> None:
+        """Drop every subscriber (the engine's teardown)."""
+        self._granted.clear()
+        self._released.clear()
+        self._granted_at.clear()
+        self._released_at.clear()
+
     def on_granted(self, node_id: int) -> None:
         for fn in self._granted:
             fn(node_id)

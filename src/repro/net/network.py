@@ -163,6 +163,10 @@ class Network:
             raise ValueError(f"actor id {actor.actor_id} already registered")
         self._actors[actor.actor_id] = actor
 
+    def clear(self) -> None:
+        """Forget every registered actor (the engine's teardown)."""
+        self._actors.clear()
+
     def actor(self, actor_id: int) -> Actor:
         return self._actors[actor_id]
 

@@ -258,6 +258,19 @@ class Simulator:
     # ------------------------------------------------------------------
     # heap maintenance
     # ------------------------------------------------------------------
+    def clear(self) -> None:
+        """Drop every pending event; none of them will fire.
+
+        A still-pending :class:`Handle` drops its callback (and so
+        reads inactive), which breaks the cycle through whoever holds
+        it — e.g. a node's recovery timer calling back into the node.
+        """
+        for entry in self._heap:
+            if entry[2].__class__ is Handle:
+                entry[2].callback = None
+        self._heap.clear()
+        self._cancelled_pending = 0
+
     def _note_cancelled(self) -> None:
         """Called by :meth:`Handle.cancel` for a still-pending event."""
         self._cancelled_pending += 1

@@ -118,6 +118,10 @@ class TraceArrivals(ArrivalProcess):
         return max(0.0, seq[i] - self._clock())
 
     def first_delay(self, node_id: int, rng: random.Random) -> Optional[float]:
+        # A run starts the node's trace over, so one Scenario can run
+        # again and issue the same requests.
+        if node_id in self._cursor:
+            self._cursor[node_id] = 0
         return self._next(node_id)
 
     def next_delay(self, node_id: int, rng: random.Random) -> Optional[float]:

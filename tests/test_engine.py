@@ -1,5 +1,7 @@
 """Tests for the unified execution engine and its fast paths."""
 
+import gc
+
 import pytest
 
 from repro.engine import Engine, IncompleteRunError, run_scenario
@@ -390,3 +392,140 @@ def test_every_algorithm_emits_only_declared_counters(workload):
         spec = CellSpec(algorithm, 5, 3, workload)
         emitted |= set(run_scenario(spec.build_scenario()).extra)
     assert {"exchanges", "rm_launched", "stale_em"} <= emitted <= set(COUNTERS)
+
+
+# ----------------------------------------------------------------------
+# life cycle: run_scenario tears its engine down; a finished cell is
+# freed by refcounting alone
+# ----------------------------------------------------------------------
+_RETX = ("retx", 5.0, 2.0, 10)
+_GARBAGE_KINDS = {
+    "burst": {},
+    "poisson-exponential": {
+        "workload": ("poisson", 40.0, 400.0),
+        "delay": ("exponential", 5.0, 1.0),
+    },
+    "drop+retx": {"faults": (("drop", 0.1),), "retx": _RETX},
+    "crash-recover+retx": {
+        "faults": (("crash", ((5, 20.0),)), ("recover", ((5, 200.0),))),
+        "retx": _RETX,
+    },
+}
+
+
+def _garbage_cells():
+    from repro.core.config import RCVConfig
+    from repro.registry import algorithm_names
+
+    cells = {
+        f"{algorithm}/{kind}": CellSpec(
+            algorithm, 8, 0, **{"workload": ("burst", 1), **fields}
+        )
+        for algorithm in algorithm_names()
+        for kind, fields in _GARBAGE_KINDS.items()
+    }
+    # the one Handle-holding path: RCV's armed recovery timers
+    cells["rcv/rm_timeout"] = CellSpec(
+        "rcv", 8, 0, ("burst", 1),
+        delay=("exponential", 5.0, 1.0),
+        algo_kwargs={"config": RCVConfig(rm_timeout=40.0)},
+    )
+    return cells
+
+
+_GARBAGE_CELLS = _garbage_cells()
+
+
+def _cyclic_garbage_of(run) -> int:
+    """Objects only the cycle collector can free after ``run()``."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("cell", sorted(_GARBAGE_CELLS))
+def test_a_finished_cell_leaves_no_cyclic_garbage(cell):
+    scenario = _GARBAGE_CELLS[cell].build_scenario()
+    results = []
+    garbage = _cyclic_garbage_of(
+        lambda: results.append(
+            run_scenario(scenario, require_completion=not scenario.faults)
+        )
+    )
+    assert garbage == 0
+    assert results[0].completed_count > 0
+
+
+def _stranded_by_a_crash():
+    return CellSpec(
+        "rcv", 8, 0, ("burst", 1), faults=(("crash", ((3, 5.0),)),)
+    ).build_scenario()
+
+
+def _cut_at_the_drain_deadline():
+    # events and armed recovery-timer Handles still pending at the cut
+    from repro.core.config import RCVConfig
+    from repro.workload import PoissonArrivals
+
+    return Scenario(
+        algorithm="rcv",
+        n_nodes=8,
+        arrivals=PoissonArrivals(rate=0.5),
+        seed=0,
+        issue_deadline=100.0,
+        drain_deadline=101.0,
+        algo_kwargs={"config": RCVConfig(rm_timeout=40.0)},
+    )
+
+
+@pytest.mark.parametrize("build", [_stranded_by_a_crash, _cut_at_the_drain_deadline])
+def test_a_raising_run_is_torn_down_too(build):
+    scenario = build()
+
+    def strand():
+        with pytest.raises(IncompleteRunError):
+            run_scenario(scenario)
+
+    assert _cyclic_garbage_of(strand) == 0
+
+
+def test_an_engine_built_by_hand_stays_whole_after_its_run():
+    engine = Engine(
+        CellSpec("rcv", 6, 0, ("poisson", 20.0, 100.0)).build_scenario()
+    )
+    engine.run()
+    assert engine.network.n_actors == 6
+    assert engine.hooks._granted and engine.hooks._granted_at
+    assert engine.network.actor(3) is engine.nodes[3]
+
+
+def test_one_trace_scenario_runs_twice_to_the_same_result():
+    from repro.metrics.io import result_to_dict
+    from repro.workload.arrivals import TraceArrivals
+
+    scenario = Scenario(
+        algorithm="rcv",
+        n_nodes=5,
+        arrivals=TraceArrivals({i: [0.0, 30.0 + i] for i in range(5)}),
+        seed=1,
+    )
+    first = result_to_dict(run_scenario(scenario))
+    second = result_to_dict(run_scenario(scenario))
+    assert len(first["records"]) == 10
+    assert second == first
+
+
+def test_a_run_that_issues_nothing_says_so():
+    from repro.workload.arrivals import TraceArrivals
+
+    scenario = Scenario(
+        algorithm="rcv", n_nodes=3, arrivals=TraceArrivals({}), seed=0
+    )
+    with pytest.raises(IncompleteRunError, match="no request was issued"):
+        run_scenario(scenario)

@@ -14,6 +14,7 @@ from repro.core.forwarding import (
     make_policy,
 )
 from repro.core.state import SystemInfo
+from repro.engine import Engine
 from repro.workload import BurstArrivals, PoissonArrivals, Scenario, run_scenario
 
 
@@ -116,3 +117,56 @@ def test_exchange_on_im_ablation_still_correct():
             )
         )
         assert result.completed_count == 20
+
+
+# ----------------------------------------------------------------------
+# most_informed under a burst IS sequential (not a bug)
+# ----------------------------------------------------------------------
+#: every RM send as (home, src, dst), in send order: a burst of one
+#: request per node, N=8, seed 0, most_informed
+BURST_HOPS_N8 = [
+    (0, 0, 1), (1, 1, 0), (2, 2, 0), (3, 3, 0), (4, 4, 0), (5, 5, 0),
+    (6, 6, 0), (7, 7, 0), (0, 1, 2), (1, 0, 2), (2, 0, 1), (3, 0, 1),
+    (4, 0, 1), (5, 0, 1), (6, 0, 1), (7, 0, 1), (0, 2, 3), (1, 2, 3),
+    (2, 1, 3), (3, 1, 2), (4, 1, 2), (5, 1, 2), (6, 1, 2), (7, 1, 2),
+    (0, 3, 4), (1, 3, 4), (2, 3, 4), (3, 2, 4), (4, 2, 3), (5, 2, 3),
+    (6, 2, 3), (7, 2, 3), (0, 4, 5), (1, 4, 5), (2, 4, 5), (3, 4, 5),
+    (4, 3, 5), (5, 3, 4), (6, 3, 4), (0, 5, 6), (1, 5, 6), (2, 5, 6),
+    (3, 5, 6), (4, 5, 6), (5, 4, 6), (6, 4, 5), (6, 5, 7),
+]  # fmt: skip
+
+
+def _rm_hops(policy, arrivals, **scenario):
+    engine = Engine(
+        Scenario(
+            algorithm="rcv",
+            n_nodes=8,
+            arrivals=arrivals,
+            seed=0,
+            algo_kwargs={"config": RCVConfig(forwarding=policy)},
+            **scenario,
+        )
+    )
+    hops = []
+    engine.network.add_tap(
+        lambda src, dst, m, at: m.kind == "RM" and hops.append((m.home, src, dst))
+    )
+    engine.run()
+    return hops
+
+
+def test_most_informed_walks_lowest_id_first_under_a_burst():
+    """Every RM walks the ids upward, so no unvisited row is ever
+    fresher than a lower unvisited one: ``(-row_ts[j], j)`` lands on
+    the lowest id (a tie at the first hop, a strictly freshest row
+    later), and the hops are ``sequential``'s, one for one."""
+    hops = _rm_hops("most_informed", BurstArrivals())
+    assert hops == BURST_HOPS_N8
+    assert hops == _rm_hops("sequential", BurstArrivals())
+
+
+def test_most_informed_and_sequential_part_under_poisson():
+    poisson = dict(issue_deadline=1_000, drain_deadline=8_000)
+    assert _rm_hops(
+        "most_informed", PoissonArrivals(rate=1 / 15.0), **poisson
+    ) != _rm_hops("sequential", PoissonArrivals(rate=1 / 15.0), **poisson)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,44 @@ def test_record_appends_one_line_with_its_stamp(tmp_path):
     assert set(result["metrics"]) == {m["name"] for m in declared["end_to_end"]}
 
 
+def test_pairs_against_head_store_both_sides_and_the_wins(tmp_path):
+    out = tmp_path / "history.jsonl"
+    done = subprocess.run(
+        [
+            sys.executable, str(ROOT / "benchmarks" / "record.py"),
+            "--parent", "HEAD", "--pairs", "1",
+            "--workload", "baselines_poisson", "--size", "toy",
+            "--seconds", "0.3", "--out", str(out),
+        ],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=300,
+        env={**os.environ, "TMPDIR": str(tmp_path)},
+    )
+    assert done.returncode == 0, done.stdout
+    record = json.loads(out.read_text())
+    assert record["pairs"] == 1
+    assert record["parent"] == record["commit"]  # HEAD is this checkout's commit
+    (name, result), = record["workloads"].items()
+    assert name == "baselines_poisson"
+    assert result["correct"] and result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"] for m in declared["end_to_end"]}
+    for side in ("parent", "change"):
+        assert set(result[side]) == metrics
+        for spread in result[side].values():
+            assert spread["median"] > 0 and spread["iqr"] == 0.0  # one run
+    assert set(result["won"]) == set(result["ratio"]) == metrics
+    assert all(won in (0, 1) for won in result["won"].values())
+    assert list(tmp_path.iterdir()) == [out]  # the exported tree is gone
+
+
+def test_pairs_need_a_parent():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "record.py"), "--pairs", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=60,
+    )
+    assert done.returncode == 2 and "--pairs" in done.stdout
+
+
 def test_the_history_file_holds_whole_lines():
     """Every line of the committed trajectory parses and is full-size."""
     lines = (ROOT / "BENCH_history.jsonl").read_text().splitlines()
@@ -48,3 +87,7 @@ def test_the_history_file_holds_whole_lines():
         assert record["size"] == "full"
         assert all(r and r["correct"] for r in record["workloads"].values())
         assert len(record["workloads"]) == 7 and len(record["floors"]) == 4
+        if "pairs" in record:
+            for result in record["workloads"].values():
+                assert 0 <= min(result["won"].values())
+                assert max(result["won"].values()) <= record["pairs"]

@@ -10,6 +10,7 @@ no ``RESULTS_EPOCH`` bump.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterator
@@ -386,3 +387,55 @@ def test_identity_guard_catches_a_field_dropped_from_the_document():
     assert "'work_load'" in messages and "are not the CellSpec fields" in messages
     messages = " | ".join(identity_violations(_forgets("document", "workload")))
     assert "'workload' does not reach the embedded cell document" in messages
+
+
+# ----------------------------------------------------------------------
+# ``normalized()`` and ``cache_key()`` are derived once per instance;
+# the memo must be invisible: same values as a fresh spec, no part in
+# equality, hashing, repr or pickles
+# ----------------------------------------------------------------------
+_MEMO_SPECS = [spec for spec, _ in PINNED_KEYS] + [STORED_SPEC]
+
+
+def _derived(spec):
+    return spec.normalized(), spec.cache_key(), spec.document()
+
+
+@pytest.mark.parametrize("spec", _MEMO_SPECS, ids=lambda v: str(v)[:12])
+def test_a_derived_spec_agrees_with_a_fresh_equal_one(spec):
+    used = replace(spec)
+    first = _derived(used)
+    assert _derived(used) == first  # served from the memo
+    assert used.normalized() is first[0]
+    fresh = replace(spec)
+    assert _derived(fresh) == first
+
+
+def test_replace_derives_anew():
+    spec = CellSpec("rcv", 6, 0, ("burst", 1))
+    key, normalized = spec.cache_key(), spec.normalized()
+    moved = replace(spec, seed=1)
+    assert moved.cache_key() != key
+    assert moved.normalized() == replace(normalized, seed=1)
+    assert replace(moved, seed=0).cache_key() == key
+
+
+@pytest.mark.parametrize("spec", _MEMO_SPECS, ids=lambda v: str(v)[:12])
+def test_a_pickled_spec_round_trips_with_an_equal_key(spec):
+    used = replace(spec)
+    key = used.cache_key()
+    blob = pickle.dumps(used)
+    assert blob == pickle.dumps(replace(spec))  # the memo stays home
+    back = pickle.loads(blob)
+    assert back == used and back.cache_key() == key
+    assert back.document() == used.document()
+
+
+def test_hash_eq_and_repr_ignore_the_memo():
+    spec = CellSpec("rcv", 6, 0, ("burst", 1), delay=5)
+    before = (hash(spec), repr(spec))
+    spec.cache_key()
+    assert (hash(spec), repr(spec)) == before
+    fresh = CellSpec("rcv", 6, 0, ("burst", 1), delay=5)
+    assert spec == fresh and hash(spec) == hash(fresh)
+    assert {spec: 1}[fresh] == 1
