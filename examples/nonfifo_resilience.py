@@ -20,12 +20,12 @@ from collections import defaultdict
 
 from repro import (
     ConstantDelay,
+    Engine,
     ExponentialDelay,
     PoissonArrivals,
     Scenario,
     UniformDelay,
 )
-from repro.cli import run_scenario_with_tap
 
 NETWORKS = [
     ("constant Tn=5 (paper)", ConstantDelay(5.0)),
@@ -38,27 +38,25 @@ def run_with_reorder_counter(delay_model):
     last_delivery = defaultdict(float)
     reorderings = 0
 
-    def tap(network, sim, hooks):
-        def watch(src, dst, message, deliver_at):
-            nonlocal reorderings
-            if deliver_at < last_delivery[(src, dst)]:
-                reorderings += 1
-            last_delivery[(src, dst)] = max(
-                last_delivery[(src, dst)], deliver_at
-            )
+    def watch(src, dst, message, deliver_at):
+        nonlocal reorderings
+        if deliver_at < last_delivery[(src, dst)]:
+            reorderings += 1
+        last_delivery[(src, dst)] = max(last_delivery[(src, dst)], deliver_at)
 
-        network.add_tap(watch)
-
-    scenario = Scenario(
-        algorithm="rcv",
-        n_nodes=12,
-        arrivals=PoissonArrivals(rate=1 / 5.0),  # heavy demand
-        seed=11,
-        delay_model=delay_model,
-        issue_deadline=4_000,
-        drain_deadline=16_000,
+    engine = Engine(
+        Scenario(
+            algorithm="rcv",
+            n_nodes=12,
+            arrivals=PoissonArrivals(rate=1 / 5.0),  # heavy demand
+            seed=11,
+            delay_model=delay_model,
+            issue_deadline=4_000,
+            drain_deadline=16_000,
+        )
     )
-    result = run_scenario_with_tap(scenario, tap)
+    engine.network.add_tap(watch)
+    result = engine.run(require_completion=False)
     return result, reorderings
 
 

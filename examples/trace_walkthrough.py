@@ -13,8 +13,7 @@ message types doing their jobs:
 Run:  python examples/trace_walkthrough.py
 """
 
-from repro import BurstArrivals, Scenario
-from repro.cli import run_scenario_with_tap
+from repro import BurstArrivals, Engine, Scenario
 from repro.trace import TraceRecorder
 
 ANNOTATIONS = {
@@ -25,19 +24,11 @@ ANNOTATIONS = {
 
 
 def main() -> None:
-    holder = {}
-
-    def tap(network, sim, hooks):
-        recorder = TraceRecorder(clock=lambda: sim.now)
-        network.add_tap(recorder.network_tap)
-        recorder.attach_hooks(hooks)
-        holder["rec"] = recorder
-
-    scenario = Scenario(
-        algorithm="rcv", n_nodes=4, arrivals=BurstArrivals(), seed=0
+    engine = Engine(
+        Scenario(algorithm="rcv", n_nodes=4, arrivals=BurstArrivals(), seed=0)
     )
-    result = run_scenario_with_tap(scenario, tap)
-    recorder: TraceRecorder = holder["rec"]
+    recorder = TraceRecorder(engine)
+    result = engine.run()
 
     print("time        event")
     print("-" * 72)

@@ -625,69 +625,33 @@ def _cmd_campaign_status(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.workload import (
-        BurstArrivals,
-        PoissonArrivals,
-        Scenario,
-        run_scenario,
-    )
+    from repro.engine import Engine, IncompleteRunError
+    from repro.experiments.spec import CellSpec, UnrepresentableScenarioError
+    from repro.trace import TraceRecorder
 
-    arrivals, deadlines = BurstArrivals(), {}
+    workload = ("burst", 1)
     if args.workload == "poisson":
-        arrivals = PoissonArrivals(args.rate)
-        deadlines = {
-            "issue_deadline": args.horizon,
-            "drain_deadline": args.horizon * 3,
-        }
-    scenario = Scenario(
-        algorithm=args.algorithm,
-        n_nodes=args.nodes,
-        arrivals=arrivals,
-        seed=args.seed,
-        **deadlines,
-    )
-    result = _run_traced(scenario) if args.trace else run_scenario(scenario)
+        workload = ("poisson", 1.0 / args.rate, args.horizon)
+    spec = CellSpec(args.algorithm, args.nodes, args.seed, workload)
+    try:
+        engine = Engine(spec.build_scenario())
+    except UnrepresentableScenarioError as exc:
+        raise SystemExit(f"bad --rate: {exc}")
+    recorder = TraceRecorder(engine) if args.trace else None
+    try:
+        result = engine.run()
+    except IncompleteRunError as exc:
+        raise SystemExit(str(exc))
+    finally:
+        if recorder is not None:
+            print(recorder.render(limit=60))
+            print(f"... ({len(recorder)} events total)\n")
     row = result.summary_row()
     for key, value in row.items():
         print(f"{key:>10}: {value}")
     if result.extra:
         print(f"{'extra':>10}: {result.extra}")
     return 0
-
-
-def _run_traced(scenario):
-    # Inline variant of run_scenario with a TraceRecorder attached;
-    # kept here so the runner stays dependency-free.
-    from repro.workload.runner import run_scenario
-    from repro.trace import TraceRecorder
-
-    holder = {}
-
-    def tapped_network(network, sim, hooks):
-        recorder = TraceRecorder(clock=lambda: sim.now)
-        network.add_tap(recorder.network_tap)
-        recorder.attach_hooks(hooks)
-        holder["recorder"] = recorder
-
-    result = run_scenario_with_tap(scenario, tapped_network)
-    recorder = holder["recorder"]
-    print(recorder.render(limit=60))
-    print(f"... ({len(recorder)} events total)\n")
-    return result
-
-
-def run_scenario_with_tap(scenario, tap):
-    """run_scenario with access to (network, sim, hooks) before start.
-
-    Thin wrapper over the unified :class:`repro.engine.Engine`:
-    observers attach between construction and start, when nothing has
-    been sent yet.  Exposed for the trace example and the CLI.
-    """
-    from repro.engine import Engine
-
-    engine = Engine(scenario)
-    tap(engine.network, engine.sim, engine.hooks)
-    return engine.run(require_completion=False)
 
 
 def _cmd_list(_args) -> int:

@@ -4,7 +4,7 @@
 runs: it wires kernel + network + metrics + safety + algorithm nodes
 + workload drivers from a :class:`~repro.workload.scenario.Scenario`,
 exactly once, in one place.  Every consumer — the public
-:func:`run_scenario`, the CLI (including its traced variant), the
+:func:`run_scenario`, the CLI's ``run`` (traced or not), the
 campaign/parallel experiment pipelines, and the benchmarks — builds
 runs through it instead of hand-wiring the pieces.
 
@@ -25,9 +25,10 @@ same schedule-call order, hence the same kernel ``seq`` numbers):
    (:meth:`Engine._teardown`), so a finished cell leaves no cyclic
    garbage.
 
-Observers (trace recorders, message taps, fault injection) may grab
-``engine.network`` / ``engine.sim`` / ``engine.hooks`` between
-construction and :meth:`Engine.start` — nothing is sent before then.
+It is also the one place an observer attaches: between construction
+and :meth:`Engine.run`, when nothing has been sent yet, through
+``engine.network`` / ``engine.sim`` / ``engine.hooks`` —
+``TraceRecorder(engine)`` takes all three in one call.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 __all__ = ["TraceEvent", "TraceRecorder"]
 
@@ -30,24 +30,26 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Collects :class:`TraceEvent` entries from a live scenario.
+    """Collects :class:`TraceEvent` entries from one engine's run.
 
-    Attach before the run::
+    Attach between construction and the run, before anything is sent::
 
-        recorder = TraceRecorder(clock=lambda: sim.now)
-        network.add_tap(recorder.network_tap)
-        recorder.attach_hooks(hooks)
+        engine = Engine(scenario)
+        recorder = TraceRecorder(engine)
+        result = engine.run()
     """
 
-    def __init__(self, clock: Callable[[], float]) -> None:
-        self._clock = clock
+    def __init__(self, engine) -> None:
+        self._sim = engine.sim
         self.events: List[TraceEvent] = []
+        engine.network.add_tap(self._on_send)
+        engine.hooks.subscribe_granted(self._on_granted)
+        engine.hooks.subscribe_released(self._on_released)
 
-    # ------------------------------------------------------------------
-    def network_tap(self, src: int, dst: int, message, deliver_at: float) -> None:
+    def _on_send(self, src: int, dst: int, message, deliver_at: float) -> None:
         self.events.append(
             TraceEvent(
-                time=self._clock(),
+                time=self._sim.now,
                 category="send",
                 src=src,
                 dst=dst,
@@ -56,17 +58,11 @@ class TraceRecorder:
             )
         )
 
-    def attach_hooks(self, hooks) -> None:
-        hooks.subscribe_granted(
-            lambda nid: self.events.append(
-                TraceEvent(time=self._clock(), category="grant", src=nid)
-            )
-        )
-        hooks.subscribe_released(
-            lambda nid: self.events.append(
-                TraceEvent(time=self._clock(), category="release", src=nid)
-            )
-        )
+    def _on_granted(self, nid: int) -> None:
+        self.events.append(TraceEvent(self._sim.now, "grant", src=nid))
+
+    def _on_released(self, nid: int) -> None:
+        self.events.append(TraceEvent(self._sim.now, "release", src=nid))
 
     # ------------------------------------------------------------------
     def filter(

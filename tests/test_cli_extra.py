@@ -370,6 +370,36 @@ def test_cli_run_with_an_unreachable_horizon_returns(horizon):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("trace", [False, True], ids=["run", "run-trace"])
+def test_cli_run_that_strands_exits_1_with_one_line(trace):
+    """A cell that ends before any grant.  Before ``run --trace`` was
+    ``run`` plus a recorder, the untraced form died with a traceback
+    and the traced one printed ``completed: 0`` and exited 0."""
+    argv = [sys.executable, "-m", "repro.cli", "run", "--workload",
+            "poisson", "--rate", "5", "--horizon", "1", "--nodes", "5"]
+    proc = subprocess.run(
+        argv + ["--trace"] * trace,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                 PYTHONIOENCODING="utf-8"),
+        capture_output=True, encoding="utf-8", timeout=60,
+    )  # fmt: skip
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "5 of 5 requests never completed (nodes [0, 1, 2, 3, 4]…) — "
+        "liveness failure in algorithm 'rcv'\n"
+    )
+    assert ("events total" in proc.stdout) is trace
+    assert "completed" not in proc.stdout
+
+
+def test_cli_run_and_run_trace_print_the_same_rows(capsys):
+    assert cli.main(["run", "--nodes", "5"]) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(["run", "--nodes", "5", "--trace"]) == 0
+    trace, rows = capsys.readouterr().out.split(" events total)\n\n")
+    assert "->" in trace and rows == plain
+
+
 def test_cli_count_flags_accept_what_they_always_did():
     args = cli.build_parser().parse_args(
         "campaign --seeds 1 --workers 1 --n-values 1 200 --chunk-size 1 "

@@ -65,15 +65,12 @@ def test_engine_start_is_idempotent():
 
 
 def test_engine_tap_observes_all_sends():
-    from repro.cli import run_scenario_with_tap
-
     seen = []
-
-    def tap(network, sim, hooks):
-        network.add_tap(lambda s, d, m, at: seen.append((s, d, m.kind)))
-
-    scenario = Scenario(algorithm="rcv", n_nodes=4, arrivals=BurstArrivals(), seed=0)
-    result = run_scenario_with_tap(scenario, tap)
+    engine = Engine(
+        Scenario(algorithm="rcv", n_nodes=4, arrivals=BurstArrivals(), seed=0)
+    )
+    engine.network.add_tap(lambda s, d, m, at: seen.append((s, d, m.kind)))
+    result = engine.run()
     assert len(seen) == result.messages_total
 
 

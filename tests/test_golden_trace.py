@@ -9,7 +9,7 @@ outcomes.  If you change the protocol deliberately, regenerate with::
     python -m repro.cli run --nodes 4 --trace
 """
 
-from repro.cli import run_scenario_with_tap
+from repro.engine import Engine
 from repro.trace import TraceRecorder
 from repro.workload import BurstArrivals, Scenario
 
@@ -37,22 +37,15 @@ EXPECTED = [
 
 
 def test_four_node_burst_golden_trace():
-    holder = {}
-
-    def tap(network, sim, hooks):
-        recorder = TraceRecorder(clock=lambda: sim.now)
-        network.add_tap(recorder.network_tap)
-        holder["rec"] = recorder
-
-    result = run_scenario_with_tap(
-        Scenario(algorithm="rcv", n_nodes=4, arrivals=BurstArrivals(), seed=0),
-        tap,
+    engine = Engine(
+        Scenario(algorithm="rcv", n_nodes=4, arrivals=BurstArrivals(), seed=0)
     )
+    recorder = TraceRecorder(engine)
+    result = engine.run()
     assert result.completed_count == 4
     actual = [
         (e.time, e.kind, e.src, e.dst)
-        for e in holder["rec"].events
-        if e.category == "send"
+        for e in recorder.filter(category="send")
     ]
     assert actual == EXPECTED
 

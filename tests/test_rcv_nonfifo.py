@@ -49,30 +49,30 @@ def test_reordering_network_sustained(seed):
 def test_reordering_actually_happened():
     """Make sure the stress above isn't vacuous: with jittered delays
     and the raw channel, deliveries do overtake each other."""
-    from repro.cli import run_scenario_with_tap
+    from repro.engine import Engine
 
     overtakes = [0]
     last = {}
 
-    def tap(network, sim, hooks):
-        def watch(src, dst, msg, at):
-            key = (src, dst)
-            if key in last and at < last[key]:
-                overtakes[0] += 1
-            last[key] = max(last.get(key, 0.0), at)
+    def watch(src, dst, msg, at):
+        key = (src, dst)
+        if key in last and at < last[key]:
+            overtakes[0] += 1
+        last[key] = max(last.get(key, 0.0), at)
 
-        network.add_tap(watch)
-
-    scenario = Scenario(
-        algorithm="rcv",
-        n_nodes=8,
-        arrivals=PoissonArrivals(rate=1 / 6.0),
-        seed=1,
-        delay_model=UniformDelay(0.5, 12.0),
-        issue_deadline=3_000,
-        drain_deadline=15_000,
+    engine = Engine(
+        Scenario(
+            algorithm="rcv",
+            n_nodes=8,
+            arrivals=PoissonArrivals(rate=1 / 6.0),
+            seed=1,
+            delay_model=UniformDelay(0.5, 12.0),
+            issue_deadline=3_000,
+            drain_deadline=15_000,
+        )
     )
-    result = run_scenario_with_tap(scenario, tap)
+    engine.network.add_tap(watch)
+    result = engine.run(require_completion=False)
     assert result.all_completed()
     assert overtakes[0] > 0, "stress scenario produced no reordering"
 

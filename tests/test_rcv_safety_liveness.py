@@ -153,27 +153,27 @@ def test_fairness_requests_do_not_starve_under_asymmetric_load():
 
 def test_message_complexity_worst_case_bound():
     """Lemma 3: no RM is forwarded more than N-1 times."""
-    from repro.cli import run_scenario_with_tap
     from repro.core.messages import RequestMessage
+    from repro.engine import Engine
 
     max_hops = [0]
 
-    def tap(network, sim, hooks):
-        def watch(src, dst, msg, at):
-            if isinstance(msg, RequestMessage):
-                max_hops[0] = max(max_hops[0], msg.hops)
-
-        network.add_tap(watch)
+    def watch(src, dst, msg, at):
+        if isinstance(msg, RequestMessage):
+            max_hops[0] = max(max_hops[0], msg.hops)
 
     n = 12
-    scenario = Scenario(
-        algorithm="rcv",
-        n_nodes=n,
-        arrivals=PoissonArrivals(rate=1 / 4.0),
-        seed=5,
-        issue_deadline=2_000,
-        drain_deadline=8_000,
+    engine = Engine(
+        Scenario(
+            algorithm="rcv",
+            n_nodes=n,
+            arrivals=PoissonArrivals(rate=1 / 4.0),
+            seed=5,
+            issue_deadline=2_000,
+            drain_deadline=8_000,
+        )
     )
-    result = run_scenario_with_tap(scenario, tap)
+    engine.network.add_tap(watch)
+    result = engine.run(require_completion=False)
     assert result.all_completed()
     assert max_hops[0] <= n - 1

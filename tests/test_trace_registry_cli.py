@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main, run_scenario_with_tap
+from repro import registry
+from repro.cli import build_parser, main
+from repro.engine import Engine, run_scenario
+from repro.metrics.io import result_to_dict
 from repro.registry import (
     algorithm_names,
     get_algorithm,
@@ -18,19 +21,11 @@ from repro.workload import BurstArrivals, Scenario
 # trace recorder
 # ----------------------------------------------------------------------
 def _traced_run(n=4, algorithm="rcv"):
-    holder = {}
-
-    def tap(network, sim, hooks):
-        rec = TraceRecorder(clock=lambda: sim.now)
-        network.add_tap(rec.network_tap)
-        rec.attach_hooks(hooks)
-        holder["rec"] = rec
-
-    result = run_scenario_with_tap(
-        Scenario(algorithm=algorithm, n_nodes=n, arrivals=BurstArrivals(), seed=0),
-        tap,
+    engine = Engine(
+        Scenario(algorithm=algorithm, n_nodes=n, arrivals=BurstArrivals(), seed=0)
     )
-    return result, holder["rec"]
+    rec = TraceRecorder(engine)
+    return engine.run(), rec
 
 
 def test_recorder_captures_sends_and_lifecycle():
@@ -67,6 +62,19 @@ def test_events_are_time_ordered():
     assert times == sorted(times)
 
 
+@pytest.mark.parametrize("algorithm", algorithm_names())
+def test_attaching_a_recorder_changes_no_result(algorithm):
+    """The recorder's network tap and hook listeners only observe: the
+    traced run's whole result is the untraced run's."""
+    result, rec = _traced_run(n=5, algorithm=algorithm)
+    untraced = run_scenario(
+        Scenario(algorithm=algorithm, n_nodes=5, arrivals=BurstArrivals(), seed=0)
+    )
+    assert result_to_dict(result) == result_to_dict(untraced)
+    assert len(rec.filter(category="grant")) == result.completed_count == 5
+    assert len(rec.filter(category="send")) == result.messages_total
+
+
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
@@ -80,7 +88,10 @@ def test_unknown_algorithm_lists_known():
         get_algorithm("definitely-not-real")
 
 
-def test_register_custom_overrides():
+def test_register_custom_overrides(monkeypatch):
+    # A copy of the registry, so the sentinel never reaches a later
+    # test that runs every registered algorithm.
+    monkeypatch.setattr(registry, "ALGORITHMS", dict(registry.ALGORITHMS))
     sentinel = object()
     register_algorithm("custom-x", lambda *a, **k: sentinel)
     assert get_algorithm("custom-x")(0, 1, None, None) is sentinel
