@@ -150,14 +150,19 @@ class Engine:
     def start(self) -> None:
         """Start nodes then drivers.  Idempotent.
 
-        Fault schedules (partition cut/heal windows, crash instants)
-        are enqueued first: pure data, no randomness, and clean runs
+        The scenario's channel is reset first.  Fault schedules
+        (partition cut/heal windows, crash instants) are enqueued
+        before any node starts: pure data, no randomness, and clean runs
         enqueue nothing — so their kernel ``seq`` numbers are exactly
         those of a pre-fault build.
         """
         if self._started:
             return
         self._started = True
+        if self.scenario.channel is not None:
+            # a channel outlives its run: forget the last run's
+            # per-pair state, or a reused scenario replays differently
+            self.scenario.channel.reset()
         self._schedule_faults()
         for node in self.nodes:
             node.start()

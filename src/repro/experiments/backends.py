@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import socket
 import sqlite3
 import threading
@@ -79,7 +80,15 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Protocol, Tuple, Union
 
-from repro.experiments.protocol import ENDPOINTS, encode, path_for
+from repro.experiments.protocol import (
+    ENDPOINTS,
+    WireError,
+    body_length,
+    encode,
+    path_for,
+    read_head,
+    write_head,
+)
 
 __all__ = [
     "BackendUnavailableError",
@@ -89,12 +98,6 @@ __all__ = [
     "SQLiteBackend",
     "ServiceBackend",
 ]
-
-
-#: the limits both ends of the cell service hold an HTTP head to (the
-#: stdlib's): bytes in one line, and header lines in one head
-MAX_LINE = 65536
-MAX_HEADERS = 100
 
 
 class BackendUnavailableError(RuntimeError):
@@ -593,6 +596,10 @@ class SQLiteBackend:
 # ----------------------------------------------------------------------
 # HTTP service backend (shared-nothing: workers need only TCP)
 # ----------------------------------------------------------------------
+#: a reply's status line: the version, then a three-digit status
+_STATUS_LINE = re.compile(r"HTTP/1\.[0-9] ([0-9]{3})(?: .*)?")
+
+
 class ServiceBackend:
     """Client for the HTTP cell service
     (:class:`repro.experiments.service.CellServer`, CLI
@@ -608,12 +615,13 @@ class ServiceBackend:
     hanging a campaign mid-run.
 
     One persistent keep-alive socket per backend instance, speaking
-    just enough HTTP/1.1 for this server: a request is one write, a
-    reply is read by its ``Content-Length``, and a reply this client
-    cannot frame that way is a :class:`BackendUnavailableError` at
-    once.  The instance is not thread-safe (``run_cells`` only touches
-    the cache from the scheduler, never from pool workers) but is
-    cheap to construct per process.
+    the server's HTTP/1.1: a request is one write, a reply is read
+    with the head reader and length rule the server reads requests with
+    (:mod:`repro.experiments.protocol`), and a reply they refuse is a
+    :class:`BackendUnavailableError` at once.  The instance is not
+    thread-safe (``run_cells`` only touches the cache from the
+    scheduler, never from pool workers) but is cheap to construct per
+    process.
     """
 
     def __init__(self, url: str, *, timeout: float = 30.0) -> None:
@@ -629,7 +637,7 @@ class ServiceBackend:
         authority = f"[{self.host}]" if ":" in self.host else self.host
         self.url = f"http://{authority}:{self.port}"
         self.timeout = timeout
-        self._host_line = f"Host: {authority}:{self.port}\r\n"
+        self._authority = f"{authority}:{self.port}"
         self._sock: Optional[socket.socket] = None
         self._replies: Optional[BinaryIO] = None  # the socket, buffered
         #: quarantine flag from each key's most recent claim response
@@ -665,15 +673,13 @@ class ServiceBackend:
         self._sock, self._replies = sock, sock.makefile("rb")
 
     def _request(self, method: str, path: str, body: Optional[str] = None):
-        head = f"{method} {path} HTTP/1.1\r\n{self._host_line}"
+        headers: Dict[str, Any] = {"Host": self._authority}
         payload = b""
         if body is not None:
             payload = body.encode("utf-8")
-            head += (
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-            )
-        message = f"{head}\r\n".encode("ascii") + payload
+            headers["Content-Type"] = "application/json"
+            headers["Content-Length"] = len(payload)
+        message = write_head(f"{method} {path} HTTP/1.1", headers) + payload
         # One retry with a fresh connection: a keep-alive socket the
         # server closed between requests is indistinguishable from a
         # dead server until we try it.
@@ -692,47 +698,28 @@ class ServiceBackend:
     def _read_reply(self) -> Tuple[int, str]:
         """One reply off the socket: ``(status, body text)``.  A
         connection that ends before the reply does is an ``OSError``
-        (the caller's retry); a reply with no one ``Content-Length`` to
-        frame it, or a head over the limits, is refused at once."""
-        readline = self._replies.readline
-        line = readline(MAX_LINE + 1)
-        if not line:
-            raise ConnectionResetError("the server closed the connection")
-        version, _, rest = line.partition(b" ")
-        code = rest[:3]
-        if (
-            len(line) > MAX_LINE
-            or not version.startswith(b"HTTP/1.")
-            or not code.isdigit()
-            or rest[3:4] not in (b" ", b"\r", b"\n")
-        ):
-            raise self._unframed(f"status line {line[:80]!r}")
-        headers: Dict[bytes, bytes] = {}
-        for _ in range(MAX_HEADERS + 1):
-            line = readline(MAX_LINE + 1)
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                raise ConnectionResetError("the reply's head was cut short")
-            name, colon, value = line.partition(b":")
-            if len(line) > MAX_LINE or not colon:
-                raise self._unframed(f"header line {line[:80]!r}")
-            name = name.strip().lower()
-            headers[name] = headers[name] + b", " + value if name in headers else value
-        else:
-            raise self._unframed(f"more than {MAX_HEADERS} header lines")
-        if b"transfer-encoding" in headers:
-            raise self._unframed("a Transfer-Encoding header")
-        length = headers.get(b"content-length", b"").strip()
-        if not length.isdigit():
-            raise self._unframed(f"Content-Length {length.decode('latin-1')!r}")
-        size = int(length)
-        text = self._replies.read(size)
-        if len(text) < size:
+        (the caller's retry); a reply with no status line or no one
+        ``Content-Length`` to frame it is refused at once."""
+        try:
+            head = read_head(self._replies.readline)
+            if head is None:
+                raise ConnectionResetError("the server closed the connection")
+            status, headers = head
+            code = _STATUS_LINE.fullmatch(status)
+            if code is None:
+                raise self._unframed(f"status line {status[:80]!r}")
+            size = body_length(headers, required=True)
+        except WireError as refusal:
+            raise self._unframed(str(refusal)) from None
+        raw = self._replies.read(size)
+        if len(raw) < size:
             raise ConnectionResetError("the reply's body was cut short")
-        if headers.get(b"connection", b"").strip().lower() == b"close":
+        if headers.get("connection", "").lower() == "close":
             self.close()
-        return int(code), text.decode("utf-8")
+        try:
+            return int(code[1]), raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise self._unframed("a body that is not UTF-8") from None
 
     def _call(self, name: str, key: Optional[str] = None, **fields):
         """One operation of the protocol table: ``(status, reply)``."""

@@ -11,10 +11,19 @@ or a new endpoint is one edit here that moves both sides at once.
 The table also owns the field types, because a request body is bytes
 off a socket: every refusal is a :class:`WireError` carrying the HTTP
 status and a message naming the offending field, raised before
-anything reaches server state.  ``tests/test_service.py`` drives every
-entry over a real socket (version gate, sorted reply bytes, typed
-refusals), and ``tests/test_docs_links.py`` holds
-``docs/operations.md`` to the same table.
+anything reaches server state.
+
+So does the HTTP/1.1 framing, one copy for both ends: the limits, the
+head reader (:func:`read_head`), the rule for a body's length
+(:func:`body_length`) and the head writer (:func:`write_head`).  Both
+ends read a head alike, and a refusal is a :class:`WireError` of the
+status the server answers with.
+
+``tests/test_service.py`` drives every entry over a real socket
+(version gate, sorted reply bytes, typed refusals),
+``tests/property/test_props_wire.py`` feeds the reader hostile bytes,
+and ``tests/test_docs_links.py`` holds ``docs/operations.md`` to the
+same table.
 """
 
 from __future__ import annotations
@@ -36,6 +45,12 @@ __all__ = [
     "decode",
     "validate",
     "encode",
+    "MAX_LINE",
+    "MAX_HEADERS",
+    "MAX_BODY",
+    "read_head",
+    "body_length",
+    "write_head",
 ]
 
 #: Wire-protocol version; bump on any incompatible change to the
@@ -48,8 +63,17 @@ PROTOCOL_VERSION = 1
 API_PREFIX = f"/v{PROTOCOL_VERSION}"
 
 
+#: the limits both ends hold an HTTP head to (the stdlib's): bytes in
+#: one line, and header lines in one head
+MAX_LINE = 65536
+MAX_HEADERS = 100
+#: the largest body either end reads: a cell document is a few KB to a
+#: few hundred KB, and nothing legitimate comes near this
+MAX_BODY = 8 * 1024 * 1024
+
+
 class WireError(ValueError):
-    """A request the protocol refuses: the HTTP ``status`` and the
+    """A message the protocol refuses: the HTTP ``status`` and the
     JSON ``payload`` (``error`` plus any extra fields) to answer with."""
 
     def __init__(self, status: int, error: str, **extra: Any) -> None:
@@ -166,9 +190,12 @@ def match(method: str, target: str) -> Tuple[Endpoint, Dict[str, str]]:
     The version gate comes first: any prefix but this version's
     (including a future ``/v2``) is refused with an error naming the
     version spoken here, so mismatched deployments fail at the first
-    request.
+    request.  ``target`` is a request line's: a path and any query,
+    and a path that starts ``//`` is still a path, not a host.
     """
-    path = urllib.parse.urlsplit(target).path
+    path = target.partition("?")[0]
+    if path.startswith("//"):
+        path = "/" + path.lstrip("/")
     if path != API_PREFIX and not path.startswith(API_PREFIX + "/"):
         raise WireError(
             400,
@@ -219,3 +246,74 @@ def encode(doc: dict) -> str:
     bytes do not depend on dict construction order, and no ``NaN`` or
     ``Infinity``, which are not JSON."""
     return json.dumps(doc, sort_keys=True, allow_nan=False)
+
+
+# -- HTTP/1.1 framing, for requests and replies alike --------------------
+def read_head(readline: Callable[[int], bytes]) -> Optional[Tuple[str, Dict[str, str]]]:
+    """One message head off a buffered stream: its start line and its
+    headers (names lower-cased, a repeated name's values joined by
+    ", "), or ``None`` if the stream ends first.  Refused: a start line
+    over :data:`MAX_LINE` bytes (414), a header line over it or more
+    than :data:`MAX_HEADERS` of them (431), and a header line with no
+    colon or with whitespace around its name, as a folded one has (400).
+    """
+    line = readline(MAX_LINE + 1)
+    if not line:
+        return None
+    if len(line) > MAX_LINE:
+        raise WireError(414, f"start line longer than {MAX_LINE} bytes")
+    start = str(line, "iso-8859-1").rstrip("\r\n")
+    headers: Dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise WireError(431, f"header line longer than {MAX_LINE} bytes")
+        if line in (b"\r\n", b"\n"):
+            return start, headers
+        if not line:
+            return None  # the peer hung up mid-head
+        text = str(line, "iso-8859-1")
+        name, colon, value = text.partition(":")
+        if not colon or not name or name != name.strip():
+            raise WireError(400, f"malformed header line {text.rstrip()[:80]!r}")
+        name, value = name.lower(), value.strip()
+        headers[name] = f"{headers[name]}, {value}" if name in headers else value
+    raise WireError(431, f"more than {MAX_HEADERS} header lines")
+
+
+def body_length(headers: Dict[str, str], *, required: bool = False) -> int:
+    """The length of the body after ``headers``: one ``Content-Length``
+    of at most :data:`MAX_BODY`, or none for no body (unless
+    ``required``, as a reply's is).  Anything else is refused unread,
+    or its rest would be parsed as the next message: any
+    ``Transfer-Encoding`` (501), a repeated length or a non-number
+    (400), a length over the limit (413).
+    """
+    if "transfer-encoding" in headers:
+        raise WireError(
+            501, "Transfer-Encoding is not supported: send one Content-Length"
+        )
+    if "content-length" not in headers and not required:
+        return 0
+    value = headers.get("content-length", "")
+    if "," in value:
+        raise WireError(400, f"Content-Length {value[:80]!r} is repeated: send one")
+    if not (value.isascii() and value.isdigit()):
+        raise WireError(
+            400, f"Content-Length {value[:80]!r} is not a non-negative integer"
+        )
+    # the digits are bytes off a socket: no int() of 65,536 of them
+    digits = value.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_BODY)) or int(digits) > MAX_BODY:
+        raise WireError(
+            413, f"a body of {digits[:20]} bytes exceeds the {MAX_BODY}-byte limit"
+        )
+    return int(digits)
+
+
+def write_head(start: str, headers: Dict[str, Any]) -> bytes:
+    """The bytes of a message head: ``start``, then ``headers`` in
+    their order, then the blank line.  A message is its head plus its
+    body, sent in one write."""
+    lines = [start, *(f"{name}: {value}" for name, value in headers.items())]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")

@@ -1,14 +1,14 @@
 """The HTTP cell service: a shared-nothing campaign backend.
 
 ``CellServer`` serves a campaign's cell cache over a **versioned JSON
-protocol** (stdlib :class:`http.server.ThreadingHTTPServer` — no new
-dependencies), so workers on any number of hosts need nothing in
-common but a TCP route to one server: no NFS export, no shared SQLite
-file, no coherent filesystem semantics anywhere.  The matching client
-is :class:`repro.experiments.backends.ServiceBackend`; the CLI front
-ends are ``python -m repro.cli cell-server`` (serve) and
-``campaign-status`` (monitor).  The full wire reference with examples
-lives in ``docs/operations.md``.
+protocol** (stdlib :mod:`socketserver` — no new dependencies), so
+workers on any number of hosts need nothing in common but a TCP route
+to one server: no NFS export, no shared SQLite file, no coherent
+filesystem semantics anywhere.  The matching client is
+:class:`repro.experiments.backends.ServiceBackend`; the CLI front ends
+are ``python -m repro.cli cell-server`` (serve) and ``campaign-status``
+(monitor).  The full wire reference with examples lives in
+``docs/operations.md``.
 
 Design decisions worth knowing:
 
@@ -43,23 +43,16 @@ Design decisions worth knowing:
   workers — and a per-endpoint ``requests`` count, so the scheduler's
   request budget (docs/operations.md, "Lease and TTL tuning") is
   visible on a live campaign.
-* **Its own HTTP/1.1 heads, one send per reply.**  The stdlib keeps
-  the accept loop, a thread per connection, the keep-alive request
-  loop and ``send_error``; the handler parses the request line and the
-  header block itself (``parse_request``: a dict of lower-cased names,
-  the stdlib's limits of 65,536 bytes a line and 100 headers) and
-  ``_reply`` writes status line, headers and body in one write on a
-  ``TCP_NODELAY`` connection.  The stdlib's ``email`` header parser
-  was the costliest step of a request, and its ``end_headers()`` then
-  ``wfile.write(body)`` is two small sends, which Nagle turns into a
-  wait for the client's *delayed* ACK: 40 ms a round trip on loopback
-  (docs/performance.md, "The cell-service round trip").
-  ``TCP_NODELAY`` covers what one write cannot: ``send_error``'s
-  replies, and the tail segment of a body larger than one MSS.
-  Bodies are framed by one ``Content-Length`` and nothing else: any
-  ``Transfer-Encoding`` is a 501 and a repeated ``Content-Length`` a
-  400, both closing the connection, because their unread bytes would
-  otherwise be parsed as the next request.
+* **One HTTP/1.1, one send per reply.**  The stdlib keeps the accept
+  loop and a thread per connection.  The handler reads each head and
+  frames each body with :mod:`repro.experiments.protocol`'s
+  ``read_head`` and ``body_length``, as ``ServiceBackend`` reads
+  replies, and every reply, refusals included, is ``_reply``'s: a JSON
+  body, one write on a ``TCP_NODELAY`` connection, and ``Connection:
+  close`` when bytes it could not frame are left on the socket.  Two
+  small sends would make Nagle wait for the client's *delayed* ACK,
+  40 ms a round trip on loopback (docs/performance.md, "The
+  cell-service round trip").
 * **Prompt shutdown.**  The accept loop blocks until a connection
   arrives rather than polling a flag (``serve_forever`` wakes every
   0.5 s, and ``shutdown()`` waits that out); ``stop()`` sets the flag
@@ -68,35 +61,48 @@ Design decisions worth knowing:
 
 from __future__ import annotations
 
+import datetime
 import socket
+import socketserver
+import sys
 import threading
 import time
 from collections import Counter
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Dict, Optional
 
-from repro.experiments.backends import (
-    MAX_HEADERS,
-    MAX_LINE,
-    CacheBackend,
-    MemoryBackend,
-)
+from repro.experiments.backends import CacheBackend, MemoryBackend
 from repro.experiments.protocol import (
     API_PREFIX,
     PROTOCOL_VERSION,
     WireError,
+    body_length,
     decode,
     encode,
     match,
+    read_head,
     validate,
+    write_head,
 )
 
 __all__ = ["CellServer", "PROTOCOL_VERSION", "API_PREFIX"]
 
 
-#: largest request body the server will read — a cell document is a
-#: few KB to a few hundred KB; nothing legitimate comes near this
-_MAX_BODY_BYTES = 8 * 1024 * 1024
+#: the ``Server`` header of every reply
+_SERVER = f"repro-cell-server/{PROTOCOL_VERSION} Python/{sys.version.split()[0]}"
+
+_DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()
+_MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
+
+
+def _http_date(seconds: float) -> str:
+    """``seconds`` as a ``Date`` header spells it, whatever the locale."""
+    t = datetime.datetime.fromtimestamp(seconds, datetime.timezone.utc)
+    return (
+        f"{_DAYS[t.weekday()]}, {t.day:02d} {_MONTHS[t.month - 1]} "
+        f"{t.year} {t:%H:%M:%S} GMT"
+    )
+
 
 def _owner_record() -> dict:
     return {
@@ -275,182 +281,82 @@ class _ServiceState:
         }
 
 
-class _Handler(BaseHTTPRequestHandler):
-    # HTTP/1.1 => keep-alive: one connection per worker for the whole
-    # campaign instead of a TCP handshake per cell operation.
-    protocol_version = "HTTP/1.1"
-    server_version = f"repro-cell-server/{PROTOCOL_VERSION}"
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: its requests, read and answered in turn."""
+
     # TCP_NODELAY on every accepted connection (see module docstring,
     # "one send per reply").
     disable_nagle_algorithm = True
 
-    @property
-    def state(self) -> _ServiceState:
-        return self.server.state  # type: ignore[attr-defined]
-
-    def log_message(self, *_args) -> None:  # quiet: stats > access logs
-        pass
-
-    # -- plumbing ------------------------------------------------------
-    def parse_request(self) -> bool:
-        """The request line and the header block of one request.
-
-        Replaces the stdlib's parse and its ``email`` header parser,
-        once the costliest step of a request (docs/performance.md,
-        "The cell-service round trip").  ``self.headers`` is a plain
-        dict keyed by lower-cased name, a repeated name's values
-        joined by ", " (so two ``Content-Length`` headers are one that
-        is not a number).  ``handle_one_request`` has read the request
-        line within the stdlib's 65,536-byte limit; the header block is
-        held to the stdlib's limits too.  Returns False once a refusal
-        has been sent, or when the peer is gone.
-        """
-        self.command = None
-        self.request_version = self.default_request_version
-        self.close_connection = True
-        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
-        words = self.requestline.split()
-        if not words:
-            return False
-        if len(words) != 3:
-            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
-            return False
-        command, path, version = words
-        self.request_version = version
-        if version not in ("HTTP/1.1", "HTTP/1.0"):
-            self.send_error(505, f"Invalid HTTP version ({version!r})")
-            return False
-        # As the stdlib does: a path starting '//' reads as a host name.
-        if path.startswith("//"):
-            path = "/" + path.lstrip("/")
-        self.command, self.path = command, path
-
-        headers: Dict[str, str] = {}
-        readline = self.rfile.readline
-        for _ in range(MAX_HEADERS + 1):
-            line = readline(MAX_LINE + 1)
-            if len(line) > MAX_LINE:
-                self.send_error(431, "Line too long")
-                return False
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                return False  # the peer hung up mid-head
-            name, colon, value = str(line, "iso-8859-1").partition(":")
-            # no colon, or whitespace around the name (a folded line)
-            if not colon or not name or name != name.strip():
-                self.send_error(400, f"Bad header line ({line[:80]!r})")
-                return False
-            name, value = name.lower(), value.strip()
-            headers[name] = f"{headers[name]}, {value}" if name in headers else value
-        else:
-            self.send_error(431, "Too many headers")
-            return False
-        self.headers = headers  # type: ignore[assignment]
-
-        self.close_connection = (
-            version == "HTTP/1.0" or headers.get("connection", "").lower() == "close"
-        )
-        if (
-            version == "HTTP/1.1"
-            and headers.get("expect", "").lower() == "100-continue"
-        ):
-            return self.handle_expect_100()
-        return True
-
-    def _reply(
-        self,
-        code: int,
-        payload: dict,
-        *,
-        endpoint: Optional[str] = None,
-        close: bool = False,
-    ) -> None:
-        """Send one JSON reply, head and body in one write (see module
-        docstring).  ``endpoint`` is the resource the dispatch matched
-        (``/stats`` counts requests by it); refusals and unknown paths
-        pass none and are counted together, so a stray client cannot
-        grow that map.  ``close``: an unread (or unreadable) body is
-        still on the socket, so the connection cannot carry another
-        request."""
-        self.state.count_request(
-            f"{self.command} {endpoint}" if endpoint else "other"
-        )
-        body = encode(payload).encode("utf-8")
-        head = (
-            f"{self.protocol_version} {code} {self.responses[code][0]}\r\n"
-            f"Server: {self.version_string()}\r\n"
-            f"Date: {self.date_time_string()}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-        )
-        if close:
-            self.close_connection = True
-            head += "Connection: close\r\n"
-        self.wfile.write(f"{head}\r\n".encode("latin-1") + body)
-
-    def _read_body(self, header: str) -> bytes:
-        # Content-Length is bytes off a socket: a non-number used to
-        # kill the handler thread with no reply, a negative one made
-        # rfile.read block until the peer hung up, and a huge one
-        # raised MemoryError.
+    def handle(self) -> None:
         try:
-            length = int(header)
-        except ValueError:
-            length = -1
-        if length < 0:
-            raise WireError(
-                400, f"Content-Length {header!r} is not a non-negative integer"
-            )
-        if length > _MAX_BODY_BYTES:
-            raise WireError(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{_MAX_BODY_BYTES}-byte limit",
-            )
-        return self.rfile.read(length)
+            while self._serve_one():
+                pass
+        except ConnectionError:
+            pass  # the peer hung up mid-request or mid-reply
 
-    def _dispatch(self) -> None:
-        """Every request: version gate and match, then (for an
-        operation that takes a body) read and validate, then the state
-        method the table names.  All the protocol is in
-        :mod:`repro.experiments.protocol`."""
-        length = self.headers.get("content-length") or "0"
-        chunked = "transfer-encoding" in self.headers
-        # Until _read_body returns, whatever body the client sent is
-        # still on the socket, and the reply must close the connection.
-        unread = length != "0" or chunked
+    def _serve_one(self) -> bool:
+        """Read one request and answer it: head, what HTTP itself
+        refuses, then the table's match and fields, the state method
+        it names, and the reply.  Returns whether the connection can
+        carry another request."""
+        keep = False
+        # body bytes still on the socket; None until the head frames them
+        unread: Optional[int] = None
         try:
-            # A body is framed by one Content-Length or not at all: the
-            # server could not find the end of any other, and would
-            # parse the rest of it as the next request.
-            if chunked:
-                raise WireError(
-                    501,
-                    "Transfer-Encoding is not supported: send the body "
-                    "with one Content-Length",
-                )
-            if "," in length:
-                raise WireError(
-                    400, f"Content-Length {length!r} is repeated: send one"
-                )
-            op, args = match(self.command, self.path)
+            head = read_head(self.rfile.readline)
+            if head is None:
+                return False  # the peer is gone
+            start, headers = head
+            words = start.split()
+            if len(words) != 3:
+                raise WireError(400, f"malformed request line {start[:80]!r}")
+            method, target, version = words
+            if version not in ("HTTP/1.1", "HTTP/1.0"):
+                raise WireError(505, f"HTTP version {version[:20]!r} is not supported")
+            unread = body_length(headers)
+            http11 = version == "HTTP/1.1"
+            keep = http11 and headers.get("connection", "").lower() != "close"
+            if http11 and headers.get("expect", "").lower() == "100-continue":
+                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            op, args = match(method, target)
             if op.fields:
-                raw = self._read_body(length)
-                unread = False
+                raw = self.rfile.read(unread)
+                if len(raw) < unread:
+                    return False  # the peer hung up mid-body
+                unread = 0
                 args.update(validate(op, decode(raw)))
+            payload = getattr(self.server.state, op.name)(**args)
+            # The one reply whose status is not 200: a cell that is not there.
+            code = 404 if payload.get("found") is False else 200
+            endpoint = f"{method} {op.resource}"
         except WireError as refusal:
-            self._reply(refusal.status, refusal.payload, close=unread)
-            return
-        payload = getattr(self.state, op.name)(**args)
-        # The one reply whose status is not 200: a cell that is not there.
-        code = 404 if payload.get("found") is False else 200
-        self._reply(code, payload, endpoint=op.resource, close=unread)
+            code, payload, endpoint = refusal.status, refusal.payload, "other"
+        # Bytes left unread, or unframed, would be read as the next request.
+        self._reply(code, payload, endpoint=endpoint, close=unread != 0)
+        return keep and unread == 0
 
-    do_GET = do_PUT = do_POST = _dispatch  # noqa: N815 (http.server API)
+    def _reply(self, code: int, payload: dict, endpoint: str, close: bool) -> None:
+        """Send one JSON reply, head and body in one write (see module
+        docstring).  ``endpoint`` is what ``/stats`` counts the request
+        under: ``other`` for every refusal, so a stray client cannot
+        grow that map.  ``close``: the connection ends after it."""
+        self.server.state.count_request(endpoint)
+        body = encode(payload).encode("utf-8")
+        headers = {
+            "Server": _SERVER,
+            # wall clock, display only: an ALLOWED row in tests/test_determinism.py
+            "Date": _http_date(time.time()),
+            "Content-Type": "application/json",
+            "Content-Length": len(body),
+        }
+        if close:
+            headers["Connection"] = "close"
+        status = f"HTTP/1.1 {code} {HTTPStatus(code).phrase}"
+        self.wfile.write(write_head(status, headers) + body)
 
 
-class _Server(ThreadingHTTPServer):
+class _Server(socketserver.ThreadingTCPServer):
     daemon_threads = True
     # A restarted server must be able to rebind its advertised port
     # immediately, not after TIME_WAIT drains — workers are retrying.

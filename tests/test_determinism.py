@@ -99,6 +99,9 @@ ALLOWED: Dict[Tuple[str, str, str], str] = {
         "_ServiceState.__init__",
         "time.time",
     ): "display-only start timestamp",
+    ("src/repro/experiments/service.py", "_Handler._reply", "time.time"): (
+        "a reply's Date header; display only"
+    ),
     (
         "src/repro/experiments/backends.py",
         "ServiceBackend.record_failure",

@@ -1,13 +1,15 @@
 """Tests for the unified execution engine and its fast paths."""
 
+import dataclasses
 import gc
 
 import pytest
 
 from repro.engine import Engine, IncompleteRunError, run_scenario
 from repro.experiments.parallel import CellSpec, run_cells
+from repro.net.channels import FifoChannel
 from repro.net.delay import MatrixDelay, UniformDelay
-from repro.workload import BurstArrivals, Scenario
+from repro.workload import BurstArrivals, PoissonArrivals, Scenario
 from repro.workload.runner import run_scenario as runner_run_scenario
 
 
@@ -516,6 +518,34 @@ def test_one_trace_scenario_runs_twice_to_the_same_result():
     second = result_to_dict(run_scenario(scenario))
     assert len(first["records"]) == 10
     assert second == first
+
+
+@pytest.mark.parametrize(
+    "arrivals, deadline",
+    [(BurstArrivals(), None), (PoissonArrivals(0.05), 300.0)],
+    ids=["burst", "poisson"],
+)
+def test_a_scenario_with_a_fifo_channel_runs_twice_to_the_same_result(
+    arrivals, deadline
+):
+    """A channel is the caller's object and outlives the run: FIFO's
+    last delivery per pair used to carry into the next run of the same
+    scenario, which then read a later horizon and fewer messages."""
+    from repro.metrics.io import result_to_dict
+
+    scenario = Scenario(
+        algorithm="rcv",
+        n_nodes=6,
+        arrivals=arrivals,
+        seed=3,
+        channel=FifoChannel(),
+        delay_model=UniformDelay(1, 9),
+        issue_deadline=deadline,
+    )
+    first = result_to_dict(run_scenario(scenario))
+    assert result_to_dict(run_scenario(scenario)) == first
+    fresh = dataclasses.replace(scenario, channel=FifoChannel())
+    assert result_to_dict(run_scenario(fresh)) == first
 
 
 def test_a_run_that_issues_nothing_says_so():

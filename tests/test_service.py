@@ -1007,6 +1007,39 @@ def test_wire_request_heads_are_held_to_the_stdlib_limits(
 
 
 @pytest.mark.parametrize(
+    "raw, status, wanted",
+    [
+        # an unsupported method is an endpoint the table does not have
+        (f"DELETE {API_PREFIX}/stats HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n",
+         404, "no such endpoint: DELETE"),
+        (f"GET {API_PREFIX}/stats HTTP/2.0\r\nHost: h\r\n\r\n", 505, "HTTP/2.0"),
+        (f"GET {API_PREFIX}/stats HTTP/1.1\r\nno colon\r\n\r\n", 400, "no colon"),
+        (f"GET {API_PREFIX}/stats HTTP/1.1\r\n" + "X-h: v\r\n" * 101 + "\r\n",
+         431, "more than 100 header lines"),
+        (f"GET {API_PREFIX}/{'x' * 70000} HTTP/1.1\r\nHost: h\r\n\r\n",
+         414, "longer than 65536 bytes"),
+        # this one used to raise in the handler thread: no reply at all
+        (f"GET http://[x{API_PREFIX}/stats HTTP/1.1\r\nConnection: close\r\n\r\n",
+         400, "unsupported protocol version"),
+    ],
+    ids=["delete", "http2", "no-colon", "101-headers", "long-request-line",
+         "absolute-url-bad-host"],
+)
+def test_wire_every_refusal_is_one_json_reply(server, wire, raw, status, wanted):
+    """Refusals of a head used to be the stdlib's ``send_error``: an
+    HTML page in two writes, the client's bytes in the reason phrase,
+    and 501 for a method no table row has.  Every refusal is now what
+    a refused field always was: a JSON ``error`` in one write, and the
+    connection closed after it."""
+    received = _converse(server, raw.encode())
+    head, _, body = received.partition(b"\r\n\r\n")
+    assert head.startswith(f"HTTP/1.1 {status} ".encode()), received[:200]
+    assert b"\r\nContent-Type: application/json\r\n" in head
+    assert wanted in json.loads(body)["error"]
+    assert wire.writes == [received]  # one write, then the server closed
+
+
+@pytest.mark.parametrize(
     "reply, problem",
     [
         (b"HTTP/1.1 200 OK\r\n\r\n{}", "Content-Length ''"),
