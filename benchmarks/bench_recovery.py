@@ -16,6 +16,7 @@ from repro.experiments import render_rows
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.safety import SafetyMonitor
 from repro.mutex.base import Hooks, SimEnv
+from repro.net.faults import FaultPlan
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
@@ -26,12 +27,18 @@ N = 10
 CRASHED = 9
 REQUESTERS = 5
 SEEDS = range(8)
+#: node CRASHED is down from t=0: a black hole for every message
+BLACK_HOLE = FaultPlan((("crash", ((CRASHED, 0.0),)),))
 
 
 def _crash_run(seed, config):
     sim = Simulator()
     rngs = RngRegistry(seed)
-    network = Network(sim, rng=rngs.stream(STREAM_NET_DELAY))
+    network = Network(
+        sim,
+        rng=rngs.stream(STREAM_NET_DELAY),
+        outages=BLACK_HOLE,
+    )
     hooks = Hooks()
     env = SimEnv(sim, network, rngs)
     collector = MetricsCollector(lambda: sim.now)
@@ -41,7 +48,6 @@ def _crash_run(seed, config):
     for node in nodes:
         network.register(node)
     hooks.subscribe_granted(lambda nid: sim.schedule(10.0, nodes[nid].release_cs))
-    network.fail_node(CRASHED)
     for i in range(REQUESTERS):
         collector.on_requested(i)
         nodes[i].request_cs()

@@ -23,6 +23,7 @@ from repro.core import RCVConfig, RCVNode
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.safety import SafetyMonitor
 from repro.mutex.base import Hooks, SimEnv
+from repro.net.faults import FaultPlan
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
@@ -31,12 +32,18 @@ from repro.sim.streams import STREAM_NET_DELAY
 N = 10
 CRASHED = 9
 REQUESTERS = range(5)
+#: node CRASHED is down from t=0: a black hole for every message
+BLACK_HOLE = FaultPlan((("crash", ((CRASHED, 0.0),)),))
 
 
 def run_once(rm_timeout, exclude=frozenset()):
     sim = Simulator()
     rngs = RngRegistry(1)
-    network = Network(sim, rng=rngs.stream(STREAM_NET_DELAY))
+    network = Network(
+        sim,
+        rng=rngs.stream(STREAM_NET_DELAY),
+        outages=BLACK_HOLE,
+    )
     hooks = Hooks()
     env = SimEnv(sim, network, rngs)
     collector = MetricsCollector(lambda: sim.now)
@@ -51,7 +58,6 @@ def run_once(rm_timeout, exclude=frozenset()):
         lambda nid: sim.schedule(10.0, nodes[nid].release_cs)
     )
 
-    network.fail_node(CRASHED)  # black hole from the start
     for i in REQUESTERS:
         collector.on_requested(i)
         nodes[i].request_cs()

@@ -432,7 +432,6 @@ def _axis_arg(name: str, text: Optional[str], n_values=(None,)):
 
 
 def _cmd_campaign(args) -> int:
-    import json
     from pathlib import Path
 
     from repro.experiments import CellCache, scale_campaign
@@ -451,6 +450,7 @@ def _cmd_campaign(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    backend = None
     if args.backend == "http":
         if not args.server:
             raise SystemExit(
@@ -460,16 +460,29 @@ def _cmd_campaign(args) -> int:
         from repro.experiments import BackendUnavailableError, ServiceBackend
 
         try:
-            cache = CellCache(backend=ServiceBackend(args.server))
+            backend = ServiceBackend(args.server)
         except (BackendUnavailableError, ValueError) as exc:
             # unreachable server, or a malformed/https --server URL
             raise SystemExit(str(exc))
     elif args.backend == "sqlite":
         from repro.experiments import SQLiteBackend
 
-        cache = CellCache(backend=SQLiteBackend(out / "cells.sqlite"))
-    else:
-        cache = CellCache(out / "cells")
+        backend = SQLiteBackend(out / "cells.sqlite")
+    try:
+        if backend is None:
+            cache = CellCache(out / "cells")
+        else:
+            cache = CellCache(backend=backend)
+        return _run_campaign(args, campaign, cache, out)
+    finally:
+        if backend is not None:
+            backend.close()
+
+
+def _run_campaign(args, campaign, cache, out) -> int:
+    """Run ``campaign`` through ``cache``; print and write its reports."""
+    import json
+    from pathlib import Path
 
     result = campaign.run(
         max_workers=args.workers,
@@ -614,7 +627,10 @@ def _cmd_campaign_status(args) -> int:
 
     try:
         backend = ServiceBackend(args.server)
-        stats = backend.stats()
+        try:
+            stats = backend.stats()
+        finally:
+            backend.close()
     except BackendUnavailableError as exc:
         raise SystemExit(str(exc))
     if args.json:

@@ -70,9 +70,10 @@ class Engine:
         self.rngs = RngRegistry(scenario.seed)
         # Fault fabric: drop/dup/reorder wrap the channel discipline
         # (their own named stream, so delay/workload draws — and hence
-        # clean runs — are untouched); partition/crash schedules are
-        # injected as kernel events in start().  A spec that
-        # normalizes to clean builds the exact pre-fault stack.
+        # clean runs — are untouched); partitions and crashes are the
+        # plan's to judge, asked by the Network or, under retx, by the
+        # ReliableChannel.  A spec that normalizes to clean builds the
+        # exact pre-fault stack.
         self._fault_plan = FaultPlan.from_spec(
             scenario.faults, n_nodes=scenario.n_nodes
         )
@@ -87,9 +88,10 @@ class Engine:
             channel = self.fault_channel
         # Reliable delivery wraps outermost: each retransmission
         # attempt re-enters the fault fabric (so retransmits compose
-        # with drop/dup/reorder) and the discipline sees the fault
-        # plan's outage schedule to retransmit past partitions and
-        # crash windows.  retx=() builds the exact pre-retx stack.
+        # with drop/dup/reorder) and asks the plan about outages to
+        # retransmit past partitions and crash windows — so the
+        # Network gets no plan.  retx=() builds the exact pre-retx
+        # stack.
         self._retx = normalize_retx(scenario.retx)
         self.reliable_channel: Optional[ReliableChannel] = None
         if self._retx:
@@ -100,11 +102,17 @@ class Engine:
                 plan=self._fault_plan,
             )
             channel = self.reliable_channel
+        plan = self._fault_plan
         self.network = Network(
             self.sim,
             delay_model=scenario.delay_model,
             channel=channel,
             rng=self.rngs.stream(STREAM_NET_DELAY),
+            outages=(
+                plan
+                if plan is not None and plan.scheduled_faults and not self._retx
+                else None
+            ),
         )
         self.hooks = Hooks()
         self.env = SimEnv(self.sim, self.network, self.rngs)
@@ -150,11 +158,10 @@ class Engine:
     def start(self) -> None:
         """Start nodes then drivers.  Idempotent.
 
-        The scenario's channel is reset first.  Fault schedules
-        (partition cut/heal windows, crash instants) are enqueued
-        before any node starts: pure data, no randomness, and clean runs
-        enqueue nothing — so their kernel ``seq`` numbers are exactly
-        those of a pre-fault build.
+        The scenario's channel is reset first.  Recover instants are
+        enqueued before any node starts: pure data, no randomness, and
+        clean runs enqueue nothing — so their kernel ``seq`` numbers
+        are exactly those of a pre-fault build.
         """
         if self._started:
             return
@@ -170,47 +177,21 @@ class Engine:
             driver.start()
 
     def _schedule_faults(self) -> None:
-        plan = self._fault_plan
-        if plan is None or not plan.scheduled_faults:
-            return
-        network = self.network
-
-        def _cut(a, b) -> None:
-            for x in a:
-                for y in b:
-                    network.partition(x, y)
-
-        def _heal(a, b) -> None:
-            for x in a:
-                for y in b:
-                    network.heal(x, y)
-
-        for t_cut, t_heal, group_a, group_b in plan.partitions:
-            # start() runs at t=0, so a relative delay IS the
-            # absolute fault time.
-            self.sim.schedule_fast(
-                t_cut, lambda a=group_a, b=group_b: _cut(a, b)
-            )
-            self.sim.schedule_fast(
-                t_heal, lambda a=group_a, b=group_b: _heal(a, b)
-            )
-        for node_id, t in plan.crashes:
-            self.sim.schedule_fast(t, lambda n=node_id: network.fail_node(n))
-        for node_id, t in plan.recovers:
-            self.sim.schedule_fast(
-                t, lambda n=node_id: self._recover_fault(n)
-            )
-
-    def _recover_fault(self, node_id: int) -> None:
-        """Revive a crashed node: traffic flows again, then the node's
+        """Schedule each recover instant of the plan: the node's
         ``rejoin`` hook (if it has one) re-announces pending work and
         resyncs state — RCV resyncs its SI table through SYNC_REQ/
         SYNC_REP exchanges; algorithms without a hook (Maekawa, the
-        contrast case) just rejoin silently with stale state."""
-        self.network.recover_node(node_id)
-        rejoin = getattr(self.nodes[node_id], "rejoin", None)
-        if rejoin is not None:
-            rejoin()
+        contrast case) just rejoin silently with stale state.  That
+        the node's traffic flows again is the plan's to say."""
+        plan = self._fault_plan
+        if plan is None:
+            return
+        for node_id, t in plan.recovers:
+            rejoin = getattr(self.nodes[node_id], "rejoin", None)
+            if rejoin is not None:
+                # start() runs at t=0, so a relative delay IS the
+                # absolute fault time.
+                self.sim.schedule_fast(t, rejoin)
 
     def run(self, *, require_completion: bool = True) -> RunResult:
         """Execute the scenario to its end and return the result.
@@ -276,6 +257,11 @@ class Engine:
             extra["net_retx_suppressed"] = self.reliable_channel.suppressed
             extra["net_retx_giveups"] = self.reliable_channel.giveups
             extra["net_retx_acks_lost"] = self.reliable_channel.acks_lost
+        horizon = self.sim.now
+        plan = self._fault_plan
+        if plan is not None and self.scenario.drain_deadline is None:
+            # A run ends no earlier than the plan's last instant.
+            horizon = max(horizon, plan.last_change)
         undeclared = extra.keys() - COUNTERS.keys()
         if undeclared:
             raise UndeclaredCounterError(
@@ -287,7 +273,7 @@ class Engine:
             algorithm=self.scenario.algorithm,
             n_nodes=self.scenario.n_nodes,
             seed=self.scenario.seed,
-            horizon=self.sim.now,
+            horizon=horizon,
             network_stats=self.network.stats,
             sync_delays=self.safety.sync_delays,
             extra=extra,

@@ -18,8 +18,8 @@ the knobs to stress it:
   normalized drop/dup/reorder/partition/crash fault specs
   (:func:`~repro.net.faults.normalize_faults`), the seeded
   :class:`~repro.net.faults.FaultyChannel`, and the
-  :class:`~repro.net.faults.FaultPlan` driving engine-scheduled
-  partition/crash/recover events;
+  :class:`~repro.net.faults.FaultPlan`, the one judge of whether a
+  partition or crash loses a send;
 * :mod:`~repro.net.retx` — the reliable (ack/retransmit) delivery
   discipline: :class:`~repro.net.retx.ReliableChannel` layers
   at-least-once delivery with receive-side dedupe over any channel

@@ -27,28 +27,30 @@ __all__ = ["ChannelDiscipline", "RawChannel", "FifoChannel"]
 
 
 class ChannelDiscipline(ABC):
-    """Computes the delivery timestamp of each message on a pair."""
-
-    #: Whether this discipline models scheduled outages (partitions,
-    #: crashed destinations) itself.  When True, the
-    #: :class:`~repro.net.network.Network` stops suppressing sends into
-    #: a partition or towards a crashed destination and lets the
-    #: discipline decide — :class:`~repro.net.retx.ReliableChannel`
-    #: needs the attempt-by-attempt view so retransmission can bridge
-    #: an outage window.  Sends *from* a crashed node are always
-    #: swallowed by the Network (a dead host transmits nothing).
-    handles_outages = False
+    """Computes the delivery timestamps of each message on a pair."""
 
     @abstractmethod
-    def delivery_time(
+    def delivery_times(
         self,
         src: int,
         dst: int,
         send_time: float,
         delay_model: DelayModel,
         rng: random.Random,
-    ) -> float:
-        """Absolute simulated time at which the message is delivered."""
+    ) -> Tuple[float, ...]:
+        """Absolute simulated times at which one send is delivered.
+
+        Usually exactly one.  Fault-injecting disciplines (see
+        :class:`~repro.net.faults.FaultyChannel`) return zero
+        timestamps (message dropped) or two (message duplicated).
+        """
+
+    def reset(self) -> None:
+        """Clear any per-pair state between scenario runs."""
+
+
+class RawChannel(ChannelDiscipline):
+    """Delay-only delivery; permits reordering (the paper's model)."""
 
     def delivery_times(
         self,
@@ -58,33 +60,7 @@ class ChannelDiscipline(ABC):
         delay_model: DelayModel,
         rng: random.Random,
     ) -> Tuple[float, ...]:
-        """Delivery timestamps for one send — usually exactly one.
-
-        Fault-injecting disciplines (see
-        :class:`~repro.net.faults.FaultyChannel`) override this to
-        return zero timestamps (message dropped) or two (message
-        duplicated).  The default delegates to
-        :meth:`delivery_time`, so well-behaved disciplines draw the
-        exact same RNG sequence either way.
-        """
-        return (self.delivery_time(src, dst, send_time, delay_model, rng),)
-
-    def reset(self) -> None:
-        """Clear any per-pair state between scenario runs."""
-
-
-class RawChannel(ChannelDiscipline):
-    """Delay-only delivery; permits reordering (the paper's model)."""
-
-    def delivery_time(
-        self,
-        src: int,
-        dst: int,
-        send_time: float,
-        delay_model: DelayModel,
-        rng: random.Random,
-    ) -> float:
-        return send_time + delay_model.sample(src, dst, rng)
+        return (send_time + delay_model.sample(src, dst, rng),)
 
 
 class FifoChannel(ChannelDiscipline):
@@ -93,19 +69,19 @@ class FifoChannel(ChannelDiscipline):
     def __init__(self) -> None:
         self._last_delivery: Dict[Tuple[int, int], float] = {}
 
-    def delivery_time(
+    def delivery_times(
         self,
         src: int,
         dst: int,
         send_time: float,
         delay_model: DelayModel,
         rng: random.Random,
-    ) -> float:
+    ) -> Tuple[float, ...]:
         raw = send_time + delay_model.sample(src, dst, rng)
         key = (src, dst)
         clamped = max(raw, self._last_delivery.get(key, 0.0))
         self._last_delivery[key] = clamped
-        return clamped
+        return (clamped,)
 
     def reset(self) -> None:
         self._last_delivery.clear()

@@ -67,11 +67,18 @@ the exact fault pattern bit for bit.  Partition and crash schedules
 are pure data — no randomness at all.
 
 :class:`FaultPlan` is the validated, stateless description (safe to
-share across seeds);
-:class:`FaultyChannel` is the per-run channel wrapper layering
-drop/dup/reorder over any inner discipline; partition/crash schedules
-are driven by the engine (see
-:meth:`repro.engine.engine.Engine.start`).
+share across seeds) and the only code that decides whether an outage
+loses a send (:meth:`FaultPlan.node_down`, :meth:`FaultPlan.pair_cut`,
+asked at send time): the :class:`~repro.net.network.Network` asks it
+for a bare run, the :class:`~repro.net.retx.ReliableChannel` for each
+attempt of a retx run.  A send is lost when its source or destination
+is down or the pair is cut at that instant; a packet already on the
+wire still arrives.  Two windows that cut a common pair over
+overlapping time are refused: whether the pair heals at the first heal
+or the last is the spec's to say.  :class:`FaultyChannel` is the
+per-run channel wrapper layering drop/dup/reorder over any inner
+discipline.  The engine schedules one kind of event from a plan: a
+recover instant, which calls the node's ``rejoin`` hook.
 """
 
 from __future__ import annotations
@@ -170,7 +177,34 @@ def _partition_schedule(params, n_nodes: Optional[int]) -> Tuple:
                 f"partition groups {group_a!r} and {group_b!r} overlap"
             )
         windows.append((t_cut, t_heal, group_a, group_b))
-    return tuple(sorted(windows))
+    windows.sort()
+    _check_disjoint_cuts(windows)
+    return tuple(windows)
+
+
+def _check_disjoint_cuts(windows) -> None:
+    """Refuse two windows that cut a common pair over overlapping
+    time: does the pair heal at the first heal or stay cut until the
+    last?  The spec must say.  Windows that only touch (one heals
+    exactly when the next cuts) are fine."""
+
+    def meet(x, y) -> bool:
+        return not set(x).isdisjoint(y)
+
+    for i, first in enumerate(windows):
+        _, t_heal, a1, b1 = first
+        for second in windows[i + 1:]:
+            t_cut, _, a2, b2 = second
+            if t_cut >= t_heal:
+                break  # sorted by t_cut: no later window overlaps either
+            if (meet(a1, a2) and meet(b1, b2)) or (
+                meet(a1, b2) and meet(b1, a2)
+            ):
+                raise ValueError(
+                    f"partition windows {first!r} and {second!r} cut a "
+                    "common pair over overlapping time; merge them or "
+                    "make them disjoint"
+                )
 
 
 def _crash_schedule(kind: str, params, n_nodes: Optional[int]) -> Tuple:
@@ -320,13 +354,24 @@ class FaultPlan:
 
     @property
     def scheduled_faults(self) -> bool:
-        """True when the engine must schedule partition/crash/recover
-        events."""
-        return bool(self.partitions or self.crashes or self.recovers)
+        """True when the plan schedules outages: partition windows or
+        crashes (a recover always comes with its crash)."""
+        return bool(self.partitions or self.crashes)
+
+    @property
+    def last_change(self) -> float:
+        """The plan's latest cut, heal, crash or recover instant (0.0
+        when it has none)."""
+        return max(
+            [w[1] for w in self.partitions]
+            + [t for _, t in self.crashes + self.recovers],
+            default=0.0,
+        )
 
     # ------------------------------------------------------------------
-    # outage queries (pure data; used by the ReliableChannel to model
-    # retransmission across scheduled outages analytically)
+    # outage queries: the one answer to "does an outage lose this
+    # send?", asked by the Network (bare runs) or by the
+    # ReliableChannel (retx runs, attempt by attempt)
     # ------------------------------------------------------------------
     def node_down(self, node: int, t: float) -> bool:
         """Whether ``node`` is crashed (and not yet recovered) at ``t``."""
@@ -383,18 +428,6 @@ class FaultyChannel(ChannelDiscipline):
         #: extra copies injected by the dup fault this run
         self.duplicated = 0
 
-    def delivery_time(
-        self,
-        src: int,
-        dst: int,
-        send_time: float,
-        delay_model: DelayModel,
-        rng: random.Random,
-    ) -> float:
-        # The single-delivery view is the inner discipline's; fault
-        # decisions only exist on the delivery_times path.
-        return self.inner.delivery_time(src, dst, send_time, delay_model, rng)
-
     def delivery_times(
         self,
         src: int,
@@ -408,15 +441,14 @@ class FaultyChannel(ChannelDiscipline):
         if plan.drop and faults.random() < plan.drop:
             self.dropped += 1
             return ()
-        times = [self.inner.delivery_time(src, dst, send_time, delay_model, rng)]
+        inner = self.inner.delivery_times
+        times = inner(src, dst, send_time, delay_model, rng)
         if plan.dup and faults.random() < plan.dup:
             self.duplicated += 1
-            times.append(
-                self.inner.delivery_time(src, dst, send_time, delay_model, rng)
-            )
+            times += inner(src, dst, send_time, delay_model, rng)
         if plan.reorder:
-            times = [t + faults.uniform(0.0, plan.reorder) for t in times]
-        return tuple(times)
+            times = tuple(t + faults.uniform(0.0, plan.reorder) for t in times)
+        return times
 
     def reset(self) -> None:
         self.inner.reset()

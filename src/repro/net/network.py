@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.channels import ChannelDiscipline, RawChannel
 from repro.net.delay import ConstantDelay, DelayModel
+from repro.net.faults import FaultPlan
 from repro.net.message import Message
 from repro.sim.kernel import Simulator
 from repro.sim.process import Actor
@@ -118,6 +119,13 @@ class Network:
         the first draw without one raises
         :class:`SeedlessNetworkError` instead of silently falling back
         to an ad-hoc seed outside the experiment's stream tree.
+    outages:
+        The :class:`~repro.net.faults.FaultPlan` whose partitions and
+        crashes this network enforces, or None.  A send is lost when,
+        at the instant it is made, its source or destination is down
+        or the pair is cut; a packet already on the wire still
+        arrives (a crash does not retract it).  Lost sends still
+        count as sent: they left the node.
     """
 
     def __init__(
@@ -127,6 +135,7 @@ class Network:
         delay_model: Optional[DelayModel] = None,
         channel: Optional[ChannelDiscipline] = None,
         rng=None,
+        outages: Optional[FaultPlan] = None,
     ) -> None:
         self.sim = sim
         self.delay_model = delay_model or ConstantDelay(5.0)
@@ -135,8 +144,7 @@ class Network:
         self.stats = NetworkStats()
         self._actors: Dict[int, Actor] = {}
         self._taps: List[Callable[[int, int, Message, float], None]] = []
-        self._partitioned: set[tuple[int, int]] = set()
-        self._failed: set[int] = set()
+        self.outages = outages
         # The RawChannel branch: a RawChannel has no per-pair
         # ordering state, so an untapped send skips the discipline and
         # does its arithmetic here (exact-type check: a subclass may
@@ -185,36 +193,6 @@ class Network:
         self._taps.append(tap)
 
     # ------------------------------------------------------------------
-    # fault injection (used by resilience tests)
-    # ------------------------------------------------------------------
-    def partition(self, a: int, b: int) -> None:
-        """Silently drop messages between ``a`` and ``b`` (both ways)."""
-        self._partitioned.add((a, b))
-        self._partitioned.add((b, a))
-
-    def heal(self, a: int, b: int) -> None:
-        self._partitioned.discard((a, b))
-        self._partitioned.discard((b, a))
-
-    def fail_node(self, node_id: int) -> None:
-        """Crash ``node_id``: all of its traffic is silently dropped.
-
-        Models a fail-stop crash at the network level (the paper's §4
-        resilience narrative: "crash of nodes will not affect the
-        algorithm's execution", inherited from MCV).  In-flight
-        messages already scheduled for delivery still arrive — a crash
-        does not retract packets on the wire — but the crashed node
-        neither sends nor receives from the crash instant on.
-        """
-        self._failed.add(node_id)
-
-    def recover_node(self, node_id: int) -> None:
-        self._failed.discard(node_id)
-
-    def is_failed(self, node_id: int) -> bool:
-        return node_id in self._failed
-
-    # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
     def send(self, src: int, dst: int, message: Message) -> None:
@@ -235,22 +213,17 @@ class Network:
         by_kind = stats.by_kind
         kind = message.kind
         by_kind[kind] = by_kind.get(kind, 0) + 1
-        if self._partitioned or self._failed:
-            handles_outages = self.channel.handles_outages
-            if (src, dst) in self._partitioned and not handles_outages:
-                return  # dropped by the injected partition
-            if src in self._failed:
-                return  # fail-stop crash: a dead host transmits nothing
-            if dst in self._failed and not handles_outages:
-                # Traffic towards a crashed node is lost — unless the
-                # channel discipline models outages itself
-                # (ReliableChannel retransmits past the outage window
-                # from the fault plan).
-                return
         sim = self.sim
         # The kernel's clock, read from its slot: the ``now`` property
         # would be one more Python call on every hop.
         now = sim._now
+        outages = self.outages
+        if outages is not None and (
+            outages.node_down(src, now)
+            or outages.node_down(dst, now)
+            or outages.pair_cut(src, dst, now)
+        ):
+            return  # lost to an outage
         if self._raw and not self._taps:
             pair_delays = self._pair_delays
             if pair_delays is not None:
@@ -269,7 +242,7 @@ class Network:
                         delay, partial(self._deliver, actor, src, message)
                     )
                     return
-            # RawChannel.delivery_time, inline: the same draw and the
+            # RawChannel.delivery_times, inline: the same draw and the
             # same arithmetic as the general path below.
             deliver_at = now + self.delay_model.sample(src, dst, self.rng)
             sim.schedule_fast(

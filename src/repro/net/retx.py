@@ -25,7 +25,10 @@ it (the inner :class:`~repro.net.faults.FaultyChannel` returns no
 timestamps — drawn from the ``net/faults`` stream, so retransmits
 compose with the PR-7 drop/dup/reorder vocabulary), when a scheduled
 partition window severs the pair at transmit time, or when the
-destination is crashed at the would-be delivery instant.  The first
+destination is crashed at the would-be delivery instant (a send from
+a host that is down never starts).  The plan is asked here and only
+here: a retx run's :class:`~repro.net.network.Network` holds no
+outages of its own.  The first
 surviving attempt delivers **exactly one** copy: sequence numbers and
 cumulative acks make the receiver suppress both fault-duplicated
 copies and retransmitted ones, so a message is delivered at most once
@@ -119,11 +122,6 @@ class ReliableChannel(ChannelDiscipline):
     seeds, like :class:`~repro.net.faults.FaultyChannel`'s).
     """
 
-    #: the Network defers partition / crashed-destination suppression
-    #: to this discipline — it models outages (and retransmission
-    #: across them) analytically from the plan
-    handles_outages = True
-
     def __init__(
         self,
         inner: ChannelDiscipline,
@@ -150,18 +148,6 @@ class ReliableChannel(ChannelDiscipline):
         self.acks_lost = 0
 
     # ------------------------------------------------------------------
-    def delivery_time(
-        self,
-        src: int,
-        dst: int,
-        send_time: float,
-        delay_model: DelayModel,
-        rng: random.Random,
-    ) -> float:
-        # The single-delivery view is the inner discipline's;
-        # retransmission only exists on the delivery_times path.
-        return self.inner.delivery_time(src, dst, send_time, delay_model, rng)
-
     def delivery_times(
         self,
         src: int,
@@ -178,6 +164,8 @@ class ReliableChannel(ChannelDiscipline):
                 self.retransmits += 1
             lost = False
             if plan is not None and plan.node_down(src, t_attempt):
+                if not attempt:
+                    return ()  # a dead host sends nothing, arms no timer
                 # The sender is down when this retransmit timer fires:
                 # nothing leaves the host.  (A crashed-then-recovered
                 # sender's timers survive with its state — crashes are

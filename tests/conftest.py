@@ -27,7 +27,9 @@ class Harness:
 
     Unlike :func:`repro.workload.run_scenario`, the harness exposes
     every component so tests can poke protocol internals, inject
-    messages, and step time manually.
+    messages, and step time manually.  ``network_kwargs`` go to the
+    :class:`~repro.net.network.Network`; outages are injected as
+    ``outages=FaultPlan(...)``.
     """
 
     def __init__(self, seed: int = 0, **network_kwargs) -> None:

@@ -57,6 +57,20 @@ def ordered_pairs(kind):
     )
 
 
+def back_to_back(draws):
+    """``(gap, length, K)`` draws as ``(t_cut, t_heal, K)`` windows —
+    the first K nodes vs the rest — each cutting no earlier than the
+    last one healed: two K-splits always both cut the pair (0, N-1),
+    and windows that cut a common pair over overlapping time are
+    refused."""
+    windows, healed = [], 0
+    for gap, length, k in draws:
+        cut = healed + gap
+        healed = cut + length
+        windows.append((cut, healed, k))
+    return tuple(windows)
+
+
 workloads = (
     spellings(st.just("burst"), st.integers(1, 5))
     | spellings(st.just("burst"), st.integers(1, 5).map(float))
@@ -83,12 +97,9 @@ faults = st.lists(
         st.tuples(
             st.just("partition"),
             st.lists(
-                # (t_cut, t_heal, K): the first K nodes vs the rest
-                st.tuples(amounts, positives, st.integers(1, N_NODES - 1)).map(
-                    lambda w: (w[0], w[0] + w[1], w[2])
-                ),
+                st.tuples(amounts, positives, st.integers(1, N_NODES - 1)),
                 max_size=2,
-            ).map(tuple),
+            ).map(back_to_back),
         ),
         st.tuples(
             st.just("crash"),

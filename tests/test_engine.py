@@ -7,6 +7,7 @@ import pytest
 
 from repro.engine import Engine, IncompleteRunError, run_scenario
 from repro.experiments.parallel import CellSpec, run_cells
+from repro.metrics.io import result_to_dict
 from repro.net.channels import FifoChannel
 from repro.net.delay import MatrixDelay, UniformDelay
 from repro.workload import BurstArrivals, PoissonArrivals, Scenario
@@ -267,13 +268,24 @@ def test_stochastic_delay_disables_fast_path():
 
 def test_fast_path_preserved_metrics_under_faults():
     # Fault injection must keep exact drop semantics even though the
-    # no-fault case takes the handle-free path.
-    scenario = Scenario(algorithm="rcv", n_nodes=5, arrivals=BurstArrivals(), seed=1)
-    engine = Engine(scenario)
-    engine.network.partition(0, 1)
-    engine.network.heal(0, 1)
-    result = engine.run()
-    assert result.all_completed()
+    # no-fault case takes the handle-free path: a window that cuts
+    # nothing the run sends changes nothing but the horizon, which
+    # reaches the heal.
+    def run(faults):
+        scenario = Scenario(
+            algorithm="rcv",
+            n_nodes=5,
+            arrivals=BurstArrivals(),
+            seed=1,
+            faults=faults,
+        )
+        return result_to_dict(Engine(scenario).run())
+
+    clean = run(())
+    late = run((("partition", ((1000.0, 1001.0, (0,), (1,)),)),))
+    assert clean["horizon"] < 1000.0 and late.pop("horizon") == 1001.0
+    clean.pop("horizon")
+    assert late == clean
 
 
 _LOSSY = (("drop", 0.05), ("dup", 0.05))
@@ -282,7 +294,8 @@ _HANDLE_FREE_CELLS = {
     "exponential": {"delay": ("exponential", 5.0, 1.0)},
     "faults": {"faults": _LOSSY},
     "faults+retx": {"faults": _LOSSY, "retx": ("retx", 5.0, 2.0, 10)},
-    # the engine's own scheduled events: cut, heal, crash, recover
+    # outages judged by the plan, and the engine's one scheduled
+    # fault event: recover
     "scheduled-faults": {
         "faults": (
             ("partition", ((20.0, 60.0, (0, 1), (2, 3, 4, 5)),)),

@@ -90,6 +90,45 @@ def test_campaign_wrapper_raises_typed_guard():
         normalize((("crash", ((9, 1.0),)),), 4)
 
 
+#: two windows that both cut 0/2 and 0/3 over [20, 50): the bare
+#: network once healed those pairs at 50 while the retx channel kept
+#: them cut until 80
+_OVERLAPPING = ((10.0, 50.0, (0,), (1, 2, 3)), (20.0, 80.0, (0, 1), (2, 3)))
+
+
+def test_overlapping_windows_that_cut_a_common_pair_are_refused():
+    with pytest.raises(ValueError) as info:
+        normalize_faults((("partition", _OVERLAPPING),))
+    message = str(info.value)
+    assert all(repr(window) in message for window in _OVERLAPPING)
+    with pytest.raises(UnrepresentableScenarioError):
+        AXES["faults"].normalize((("partition", _OVERLAPPING),), 4)
+    spec = CellSpec(
+        "rcv", 4, 0, ("burst", 1), faults=(("partition", _OVERLAPPING),)
+    )
+    with pytest.raises(UnrepresentableScenarioError):
+        spec.normalized()
+    # the common pair may sit on opposite sides in the two windows
+    swapped = ((10.0, 50.0, (0, 1), (2, 3)), (20.0, 80.0, (2,), (0,)))
+    with pytest.raises(ValueError):
+        normalize_faults((("partition", swapped),))
+
+
+@pytest.mark.parametrize(
+    "windows",
+    [
+        # touching: one heals exactly when the next cuts
+        ((10.0, 50.0, (0,), (1, 2, 3)), (50.0, 80.0, (0, 1), (2, 3))),
+        # overlapping in time, but no pair is cut by both
+        ((10.0, 50.0, (0,), (1,)), (20.0, 80.0, (2,), (3,))),
+        ((10.0, 50.0, (0, 1), (2, 3)), (20.0, 80.0, (0,), (1,))),
+    ],
+)
+def test_touching_or_disjoint_windows_stay_legal(windows):
+    spec = normalize_faults((("partition", windows),))
+    assert spec == (("partition", tuple(sorted(windows))),)
+
+
 def test_fault_plan_unpacks_spec():
     plan = FaultPlan((("drop", 0.1), ("crash", ((2, 5.0),))))
     assert plan.drop == 0.1
@@ -150,12 +189,6 @@ def test_fault_decisions_are_seed_deterministic():
         _channel((("drop", 0.1), ("dup", 0.1), ("reorder", 4.0)), seed=1)
     )
     assert a != c
-
-
-def test_single_delivery_view_is_fault_free():
-    channel = _channel((("drop", 1.0),))
-    t = channel.delivery_time(0, 1, 0.0, ConstantDelay(5.0), random.Random(0))
-    assert t == 5.0  # delivery_time never drops; only delivery_times does
 
 
 def test_reset_clears_counters_and_inner():
@@ -223,25 +256,41 @@ def _cell(n=6, faults=(), algorithm="rcv"):
     return CellSpec(algorithm, n, 0, ("burst", 1), faults=faults)
 
 
+def _open_pairs(spec, t):
+    """The engine run to ``t``, and the ordered pairs a probe send
+    made at ``t`` gets through (a tap sees each one that is not lost
+    to an outage; the probes are never delivered)."""
+    engine = Engine(spec.build_scenario())
+    engine.start()
+    engine.sim.run(until=t)
+    seen = set()
+    engine.network.add_tap(lambda src, dst, message, at: seen.add((src, dst)))
+    n = spec.n_nodes
+    for src in range(n):
+        for dst in range(n):
+            if src != dst:
+                engine.network.send(src, dst, Message())
+    return engine, seen
+
+
+def _pairs(nodes):
+    return {(a, b) for a in nodes for b in nodes if a != b}
+
+
 def test_engine_partition_window_cuts_then_heals():
     faults = (("partition", ((30.0, 60.0, (0, 1, 2), (3, 4, 5)),)),)
-    engine = Engine(_cell(faults=faults).build_scenario())
-    engine.start()
-    engine.sim.run(until=45.0)
-    assert (0, 3) in engine.network._partitioned
-    assert (5, 2) in engine.network._partitioned
-    engine.sim.run(until=70.0)
-    assert engine.network._partitioned == set()
+    _, open_ = _open_pairs(_cell(faults=faults), 45.0)
+    assert open_ == _pairs((0, 1, 2)) | _pairs((3, 4, 5))
+    _, open_ = _open_pairs(_cell(faults=faults), 70.0)
+    assert open_ == _pairs(range(6))
 
 
 def test_engine_crash_schedule_fails_node():
     faults = (("crash", ((5, 25.0),)),)
-    engine = Engine(_cell(faults=faults).build_scenario())
-    engine.start()
-    engine.sim.run(until=10.0)
-    assert not engine.network.is_failed(5)
-    engine.sim.run(until=30.0)
-    assert engine.network.is_failed(5)
+    _, open_ = _open_pairs(_cell(faults=faults), 10.0)
+    assert open_ == _pairs(range(6))
+    _, open_ = _open_pairs(_cell(faults=faults), 30.0)
+    assert open_ == _pairs(range(5))
 
 
 def test_fault_counters_in_extra_only_for_fault_runs():
@@ -374,25 +423,21 @@ def test_fault_plan_pair_cut_window():
 
 def test_engine_recover_schedule_revives_node():
     faults = (("crash", ((5, 25.0),)), ("recover", ((5, 60.0),)))
-    engine = Engine(_cell(faults=faults).build_scenario())
-    engine.start()
-    engine.sim.run(until=30.0)
-    assert engine.network.is_failed(5)
-    engine.sim.run(until=70.0)
-    assert not engine.network.is_failed(5)
+    engine, open_ = _open_pairs(_cell(faults=faults), 30.0)
+    assert open_ == _pairs(range(5))
+    assert engine.nodes[5].counters["rejoins"] == 0
+    engine, open_ = _open_pairs(_cell(faults=faults), 70.0)
+    assert open_ == _pairs(range(6))
     assert engine.nodes[5].counters["rejoins"] == 1
 
 
 def test_engine_recover_is_algorithm_agnostic():
-    # Maekawa nodes have no rejoin() hook: recovery still un-fails
-    # the network (duck-typed resync is RCV-specific).
+    # Maekawa nodes have no rejoin() hook: a recovered node's traffic
+    # still flows again (duck-typed resync is RCV-specific).
     faults = (("crash", ((5, 25.0),)), ("recover", ((5, 60.0),)))
-    engine = Engine(
-        _cell(n=9, faults=faults, algorithm="maekawa").build_scenario()
-    )
-    engine.start()
-    engine.sim.run(until=70.0)
-    assert not engine.network.is_failed(5)
+    spec = _cell(n=9, faults=faults, algorithm="maekawa")
+    _, open_ = _open_pairs(spec, 70.0)
+    assert open_ == _pairs(range(9))
 
 
 def test_recovered_node_resyncs_and_run_completes():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.delay import ConstantDelay
+from repro.net.faults import FaultPlan
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
@@ -94,42 +95,55 @@ def test_taps_observe_sends(world):
     assert seen == [(0, 2, "PING", 5.0)]
 
 
-def test_partition_drops_and_heal_restores(world):
-    sim, net, actors = world
-    net.partition(0, 1)
+def _outage_world(*faults):
+    sim = Simulator()
+    net = Network(
+        sim, delay_model=ConstantDelay(5.0), outages=FaultPlan(faults)
+    )
+    actors = [Probe(i) for i in range(3)]
+    for a in actors:
+        net.register(a)
+    return sim, net, actors
+
+
+def test_partition_drops_and_heal_restores():
+    sim, net, actors = _outage_world(
+        ("partition", ((0.0, 10.0, (0,), (1,)),))
+    )
     net.send(0, 1, Ping())
     net.send(1, 0, Ping())  # both directions blocked
-    sim.run()
+    net.send(0, 2, Ping())  # a pair the window does not cut
+    sim.run(until=10.0)  # the heal instant
     assert actors[0].received == [] and actors[1].received == []
+    assert len(actors[2].received) == 1
     # Partitioned sends still count as sent (they left the node).
-    assert net.stats.sent_total == 2
-    net.heal(0, 1)
+    assert net.stats.sent_total == 3
     net.send(0, 1, Ping())
     sim.run()
     assert len(actors[1].received) == 1
 
 
-def test_crash_does_not_retract_in_flight_messages(world):
+def test_crash_does_not_retract_in_flight_messages():
     """Documented fail-stop semantics the fault fabric must not change.
 
-    ``fail_node`` silences traffic from the crash instant on, but
-    packets already on the wire still arrive — in both directions: a
-    message scheduled before the *sender* crashed is delivered, and a
-    message scheduled toward a node that crashes mid-flight is still
-    handed to its actor (the crash is a network-boundary event, not a
+    A crash silences traffic from the crash instant on, but packets
+    already on the wire still arrive — in both directions: a message
+    scheduled before the *sender* crashed is delivered, and a message
+    scheduled toward a node that crashes mid-flight is still handed
+    to its actor (the crash is a network-boundary event, not a
     retraction of sent packets).
     """
-    sim, net, actors = world
+    sim, net, actors = _outage_world(("crash", ((0, 1.0),)))
     net.send(0, 1, Ping())  # in flight from the soon-to-crash sender
     net.send(2, 0, Pong())  # in flight toward the soon-to-crash node
-    net.fail_node(0)
+    sim.run(until=1.0)  # the crash instant
     net.send(0, 2, Ping())  # post-crash send: silently dropped
     net.send(1, 0, Pong())  # post-crash receive: silently dropped
     sim.run()
     assert len(actors[1].received) == 1  # pre-crash send arrived
     assert len(actors[0].received) == 1  # pre-crash receive arrived
     assert actors[2].received == []  # post-crash traffic lost
-    assert net.is_failed(0)
+    assert net.outages.node_down(0, sim.now)
     # Dropped sends still count as sent (they left the node); only
     # two deliveries happened.
     assert net.stats.sent_total == 4

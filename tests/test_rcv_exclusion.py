@@ -8,6 +8,7 @@ from repro.core import RCVConfig, RCVNode
 from repro.core.messages import RequestMessage
 from repro.core.state import SystemInfo
 from repro.core.tuples import ReqTuple
+from repro.net.faults import FaultPlan
 from tests.conftest import make_harness
 
 
@@ -34,12 +35,11 @@ def test_excluded_rows_neither_vote_nor_count_unknown():
 
 
 def _world(n, crashed, requesters, seed=0, **cfg_kwargs):
-    h = make_harness(seed=seed)
+    plan = FaultPlan((("crash", tuple((c, 0.0) for c in crashed)),))
+    h = make_harness(seed=seed, outages=plan)
     cfg = RCVConfig(exclude_nodes=frozenset(crashed), **cfg_kwargs)
     h.add_nodes(RCVNode, n, config=cfg)
     h.auto_release_after(10.0)
-    for c in crashed:
-        h.network.fail_node(c)
     for i in requesters:
         h.request(i)
     return h

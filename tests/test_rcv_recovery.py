@@ -11,8 +11,12 @@ import pytest
 
 from repro.core import RCVConfig, RCVNode
 from repro.mutex.base import NodeState
+from repro.net.faults import FaultPlan
 from repro.workload import BurstArrivals, PoissonArrivals, Scenario, run_scenario
 from tests.conftest import make_harness
+
+#: node 9 down from the start: it swallows every RM that enters it
+NODE_9_DOWN = FaultPlan((("crash", ((9, 0.0),)),))
 
 
 def test_config_validates_timeout():
@@ -42,10 +46,9 @@ def test_relaunch_recovers_swallowed_rm():
     """The F3 scenario, fixed: a crashed idle node eats RMs; every
     seed now completes because the home relaunches."""
     for seed in range(12):
-        h = make_harness(seed=seed)
+        h = make_harness(seed=seed, outages=NODE_9_DOWN)
         h.add_nodes(RCVNode, 10, config=RCVConfig(rm_timeout=100.0))
         h.auto_release_after(10.0)
-        h.network.fail_node(9)
         h.request(0)
         h.run(until=5_000)
         assert h.nodes[0].cs_count == 1, f"seed {seed} did not recover"
@@ -56,10 +59,9 @@ def test_relaunch_counter_reflects_retries():
     # Force at least one relaunch: crash a node certain to be hit by
     # picking a seed that dies without recovery (seed 1 per the
     # resilience test diagnostics).
-    h = make_harness(seed=1)
+    h = make_harness(seed=1, outages=NODE_9_DOWN)
     h.add_nodes(RCVNode, 10, config=RCVConfig(rm_timeout=100.0))
     h.auto_release_after(10.0)
-    h.network.fail_node(9)
     h.request(0)
     h.run(until=5_000)
     assert h.nodes[0].cs_count == 1

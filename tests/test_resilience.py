@@ -19,22 +19,27 @@ the claim does and does not cover in the algorithm as published:
 
 from repro.core import RCVNode
 from repro.mutex.base import NodeState
+from repro.net.faults import FaultPlan
 from tests.conftest import make_harness
+
+
+def crashes(*entries):
+    """A plan crashing each ``(node, t)`` of ``entries``."""
+    return FaultPlan((("crash", entries),))
 
 
 def test_crash_after_ordering_does_not_block_em_chain():
     """Once the burst is fully ordered, the EM chain only involves the
     requesters; crashing every idle node must not stall it."""
-    h = make_harness(seed=1)
+    # Let the voting finish but not the whole run: with Tn=5 the
+    # burst of 6 requests is fully ordered well before t=60.
+    h = make_harness(
+        seed=1, outages=crashes(*((idle, 60.0) for idle in range(6, 12)))
+    )
     h.add_nodes(RCVNode, 12)
     h.auto_release_after(10.0)
     for i in range(6):
         h.request(i)
-    # Let the voting finish but not the whole run: with Tn=5 the
-    # burst of 6 requests is fully ordered well before t=60.
-    h.run(until=60.0)
-    for idle in range(6, 12):
-        h.network.fail_node(idle)
     h.run()
     assert all(h.nodes[i].cs_count == 1 for i in range(6))
 
@@ -43,14 +48,12 @@ def test_safety_is_unconditional_under_crashes():
     """Whatever a crash does to liveness, two nodes never overlap in
     the CS: the monitor would raise during these runs."""
     for seed in range(6):
-        h = make_harness(seed=seed)
+        # Crash two nodes mid-protocol, at a message boundary and off it.
+        h = make_harness(seed=seed, outages=crashes((9, 5.0), (8, 7.5)))
         h.add_nodes(RCVNode, 10)
         h.auto_release_after(10.0)
         for i in range(5):
             h.request(i)
-        # Crash two nodes mid-protocol, at a message boundary and off it.
-        h.sim.schedule(5.0, lambda h=h: h.network.fail_node(9))
-        h.sim.schedule(7.5, lambda h=h: h.network.fail_node(8))
         h.run(until=10_000)
         assert h.safety.entries == h.safety.exits
         assert h.safety.holder is None
@@ -60,12 +63,11 @@ def test_crash_can_strand_requests_but_strands_cleanly():
     """The negative result, pinned: crashing a node mid-vote may eat
     RMs and freeze the vote; stranded requesters stay in REQUESTING
     (no phantom grants, no CS held forever)."""
-    h = make_harness(seed=5)
+    h = make_harness(seed=5, outages=crashes((7, 2.5)))
     h.add_nodes(RCVNode, 8)
     h.auto_release_after(10.0)
     for i in range(4):
         h.request(i)
-    h.sim.schedule(2.5, lambda: h.network.fail_node(7))
     h.run(until=10_000)
     stalled = [i for i in range(4) if h.nodes[i].cs_count == 0]
     assert h.safety.entries == h.safety.exits
@@ -87,10 +89,10 @@ def test_single_crash_with_decisive_votes_still_completes():
     completions = 0
     trials = 12
     for seed in range(trials):
-        h = make_harness(seed=seed)
+        # node 9: an idle bystander, crashed from the start
+        h = make_harness(seed=seed, outages=crashes((9, 0.0)))
         h.add_nodes(RCVNode, 10)
         h.auto_release_after(10.0)
-        h.network.fail_node(9)  # idle bystander, crashed from the start
         h.request(0)
         h.run(until=5_000)
         completions += h.nodes[0].cs_count
@@ -101,12 +103,13 @@ def test_single_crash_with_decisive_votes_still_completes():
 
 
 def test_recovered_node_rejoins_traffic():
-    h = make_harness(seed=0)
+    plan = FaultPlan((("crash", ((5, 0.0),)), ("recover", ((5, 1.0),))))
+    h = make_harness(seed=0, outages=plan)
     h.add_nodes(RCVNode, 6)
     h.auto_release_after(5.0)
-    h.network.fail_node(5)
-    h.network.recover_node(5)
-    assert not h.network.is_failed(5)
+    assert plan.node_down(5, 0.0)
+    h.run(until=1.0)
+    assert not plan.node_down(5, h.sim.now)
     for i in range(6):
         h.request(i)
     h.run()

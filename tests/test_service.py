@@ -13,14 +13,17 @@ and the HTTP/1.1 both ends spell themselves: heads pinned as the
 stdlib wrote them, bodies framed by one ``Content-Length``.
 """
 
+import gc
 import http.client
 import inspect
 import json
 import socket
 import statistics
+import sys
 import threading
 import time
 import types
+import warnings
 
 import pytest
 
@@ -417,6 +420,33 @@ def test_campaign_status_renders_workers_and_quarantine(server, capsys):
     assert main(["campaign-status", "--server", server.url, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["protocol"] == PROTOCOL_VERSION
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["campaign-status"],
+        ["campaign", "--backend", "http", "--algorithms", "rcv",
+         "--n-values", "3", "--seeds", "1", "--workers", "1", "--no-progress"],
+    ],
+    ids=["campaign-status", "campaign"],
+)
+def test_cli_closes_the_backends_it_opens(
+    server, command, tmp_path, monkeypatch, capsys
+):
+    # An unclosed socket warns when the backend is freed; as an error,
+    # that warning reaches sys.unraisablehook.
+    from repro.cli import main
+
+    if command[0] == "campaign":
+        command = command + ["--out", str(tmp_path)]
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert main(command + ["--server", server.url]) == 0
+        gc.collect()
+    assert [hook.exc_value for hook in unraisable] == []
 
 
 def test_campaign_status_names_remedy_when_server_is_down():
