@@ -11,20 +11,19 @@ against c: same delays, ordering on/off).
 from benchmarks.conftest import report
 from repro.experiments import render_rows
 from repro.metrics import summarize
-from repro.net.channels import FifoChannel, RawChannel
 from repro.net.delay import ConstantDelay, UniformDelay
 from repro.workload import PoissonArrivals, Scenario, run_scenario
 
 CONFIGS = [
-    ("constant, raw", ConstantDelay(5.0), RawChannel),
-    ("uniform[1,9], raw (reordering)", UniformDelay(1.0, 9.0), RawChannel),
-    ("uniform[1,9], fifo", UniformDelay(1.0, 9.0), FifoChannel),
+    ("constant, raw", ConstantDelay(5.0), False),
+    ("uniform[1,9], raw (reordering)", UniformDelay(1.0, 9.0), False),
+    ("uniform[1,9], fifo", UniformDelay(1.0, 9.0), True),
 ]
 
 
 def _measure():
     rows = []
-    for label, delay, channel_cls in CONFIGS:
+    for label, delay, fifo in CONFIGS:
         runs = [
             run_scenario(
                 Scenario(
@@ -33,7 +32,7 @@ def _measure():
                     arrivals=PoissonArrivals(rate=1 / 5.0),
                     seed=seed,
                     delay_model=delay,
-                    channel=channel_cls(),
+                    fifo=fifo,
                     issue_deadline=5_000,
                     drain_deadline=20_000,
                 )

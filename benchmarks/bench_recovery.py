@@ -11,50 +11,36 @@ one crashed idle node, 5 concurrent requesters, 8 seeds):
 """
 
 from benchmarks.conftest import report
-from repro.core import RCVConfig, RCVNode
+from repro.core import RCVConfig
 from repro.experiments import render_rows
-from repro.metrics.collector import MetricsCollector
-from repro.metrics.safety import SafetyMonitor
-from repro.mutex.base import Hooks, SimEnv
-from repro.net.faults import FaultPlan
-from repro.net.network import Network
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
-from repro.sim.streams import STREAM_NET_DELAY
-from repro.workload import BurstArrivals, Scenario, run_scenario
+from repro.workload import BurstArrivals, Scenario, TraceArrivals, run_scenario
 
 N = 10
 CRASHED = 9
 REQUESTERS = 5
 SEEDS = range(8)
 #: node CRASHED is down from t=0: a black hole for every message
-BLACK_HOLE = FaultPlan((("crash", ((CRASHED, 0.0),)),))
+BLACK_HOLE = (("crash", ((CRASHED, 0.0),)),)
 
 
 def _crash_run(seed, config):
-    sim = Simulator()
-    rngs = RngRegistry(seed)
-    network = Network(
-        sim,
-        rng=rngs.stream(STREAM_NET_DELAY),
-        outages=BLACK_HOLE,
+    result = run_scenario(
+        Scenario(
+            algorithm="rcv",
+            n_nodes=N,
+            arrivals=TraceArrivals({i: [0.0] for i in range(REQUESTERS)}),
+            seed=seed,
+            algo_kwargs={"config": config},
+            faults=BLACK_HOLE,
+            drain_deadline=5_000.0,
+        ),
+        require_completion=False,
     )
-    hooks = Hooks()
-    env = SimEnv(sim, network, rngs)
-    collector = MetricsCollector(lambda: sim.now)
-    SafetyMonitor(lambda: sim.now).attach(hooks)
-    collector.attach(hooks)
-    nodes = [RCVNode(i, N, env, hooks, config=config) for i in range(N)]
-    for node in nodes:
-        network.register(node)
-    hooks.subscribe_granted(lambda nid: sim.schedule(10.0, nodes[nid].release_cs))
-    for i in range(REQUESTERS):
-        collector.on_requested(i)
-        nodes[i].request_cs()
-    sim.run(until=5_000)
-    completed = sum(nodes[i].cs_count for i in range(REQUESTERS))
-    relaunched = sum(n.counters["rm_relaunched"] for n in nodes)
-    return completed, relaunched, network.stats.sent_total
+    return (
+        result.completed_count,
+        result.extra["rm_relaunched"],
+        result.messages_total,
+    )
 
 
 def _healthy_overhead(config):

@@ -19,53 +19,31 @@ sent to it, while 5 nodes compete for the CS.
 Run:  python examples/crash_recovery.py
 """
 
-from repro.core import RCVConfig, RCVNode
-from repro.metrics.collector import MetricsCollector
-from repro.metrics.safety import SafetyMonitor
-from repro.mutex.base import Hooks, SimEnv
-from repro.net.faults import FaultPlan
-from repro.net.network import Network
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
-from repro.sim.streams import STREAM_NET_DELAY
+from repro import Scenario, TraceArrivals, run_scenario
+from repro.core import RCVConfig
 
 N = 10
 CRASHED = 9
 REQUESTERS = range(5)
 #: node CRASHED is down from t=0: a black hole for every message
-BLACK_HOLE = FaultPlan((("crash", ((CRASHED, 0.0),)),))
+BLACK_HOLE = (("crash", ((CRASHED, 0.0),)),)
 
 
 def run_once(rm_timeout, exclude=frozenset()):
-    sim = Simulator()
-    rngs = RngRegistry(1)
-    network = Network(
-        sim,
-        rng=rngs.stream(STREAM_NET_DELAY),
-        outages=BLACK_HOLE,
-    )
-    hooks = Hooks()
-    env = SimEnv(sim, network, rngs)
-    collector = MetricsCollector(lambda: sim.now)
-    SafetyMonitor(lambda: sim.now).attach(hooks)
-    collector.attach(hooks)
-
     config = RCVConfig(rm_timeout=rm_timeout, exclude_nodes=exclude)
-    nodes = [RCVNode(i, N, env, hooks, config=config) for i in range(N)]
-    for node in nodes:
-        network.register(node)
-    hooks.subscribe_granted(
-        lambda nid: sim.schedule(10.0, nodes[nid].release_cs)
+    result = run_scenario(
+        Scenario(
+            algorithm="rcv",
+            n_nodes=N,
+            arrivals=TraceArrivals({i: [0.0] for i in REQUESTERS}),
+            seed=1,
+            algo_kwargs={"config": config},
+            faults=BLACK_HOLE,
+            drain_deadline=5_000.0,
+        ),
+        require_completion=False,
     )
-
-    for i in REQUESTERS:
-        collector.on_requested(i)
-        nodes[i].request_cs()
-    sim.run(until=5_000)
-
-    completed = sum(nodes[i].cs_count for i in REQUESTERS)
-    relaunches = sum(n.counters["rm_relaunched"] for n in nodes)
-    return completed, relaunches
+    return result.completed_count, result.extra["rm_relaunched"]
 
 
 def main() -> None:

@@ -14,8 +14,8 @@ The tree is the array-heap layout by default (parent of i is
 be injected for other shapes (chains, stars) in tests and ablations.
 
 Requires FIFO channels between neighbors for its correctness
-argument; run it with :class:`~repro.net.channels.FifoChannel` when
-delays are stochastic (the experiment harness does).
+argument; run it on a FIFO channel (``Scenario(..., fifo=True)``)
+when delays are stochastic.
 """
 
 from __future__ import annotations

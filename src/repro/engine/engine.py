@@ -25,6 +25,12 @@ same schedule-call order, hence the same kernel ``seq`` numbers):
    (:meth:`Engine._teardown`), so a finished cell leaves no cyclic
    garbage.
 
+Everything that changes during a run — the kernel, the channel
+(FIFO's last delivery per pair), each driver's count of requests
+issued, the fault and retx counters — is built here, per engine; the
+scenario is only read, so one scenario runs any number of times to
+one result and nothing is reset between runs.
+
 It is also the one place an observer attaches: between construction
 and :meth:`Engine.run`, when nothing has been sent yet, through
 ``engine.network`` / ``engine.sim`` / ``engine.hooks`` —
@@ -40,7 +46,7 @@ from repro.metrics.counters import COUNTERS, UndeclaredCounterError
 from repro.metrics.records import RunResult
 from repro.metrics.safety import SafetyMonitor
 from repro.mutex.base import Hooks, SimEnv
-from repro.net.channels import RawChannel
+from repro.net.channels import FifoChannel, RawChannel
 from repro.net.faults import FaultPlan, FaultyChannel
 from repro.net.network import Network
 from repro.net.retx import ReliableChannel, normalize_retx
@@ -53,7 +59,6 @@ from repro.sim.streams import (
     STREAM_NET_FAULTS,
     STREAM_NET_RETX,
 )
-from repro.workload.arrivals import TraceArrivals
 from repro.workload.driver import NodeDriver
 from repro.workload.runner import IncompleteRunError
 from repro.workload.scenario import Scenario
@@ -66,7 +71,7 @@ class Engine:
 
     def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
-        self.sim = Simulator(max_events=scenario.max_events)
+        self.sim = Simulator()
         self.rngs = RngRegistry(scenario.seed)
         # Fault fabric: drop/dup/reorder wrap the channel discipline
         # (their own named stream, so delay/workload draws — and hence
@@ -77,11 +82,13 @@ class Engine:
         self._fault_plan = FaultPlan.from_spec(
             scenario.faults, n_nodes=scenario.n_nodes
         )
-        channel = scenario.channel
+        # The channel is built here, per run: FIFO's per-pair last
+        # delivery is this run's state, never the scenario's.
+        channel = FifoChannel() if scenario.fifo else RawChannel()
         self.fault_channel: Optional[FaultyChannel] = None
         if self._fault_plan is not None and self._fault_plan.channel_faults:
             self.fault_channel = FaultyChannel(
-                channel or RawChannel(),
+                channel,
                 self._fault_plan,
                 self.rngs.stream(STREAM_NET_FAULTS),
             )
@@ -96,7 +103,7 @@ class Engine:
         self.reliable_channel: Optional[ReliableChannel] = None
         if self._retx:
             self.reliable_channel = ReliableChannel(
-                channel or RawChannel(),
+                channel,
                 self._retx,
                 self.rngs.stream(STREAM_NET_RETX),
                 plan=self._fault_plan,
@@ -134,9 +141,6 @@ class Engine:
         for node in self.nodes:
             self.network.register(node)
 
-        if isinstance(scenario.arrivals, TraceArrivals):
-            scenario.arrivals.bind_clock(lambda: sim.now)
-
         self.drivers: List[NodeDriver] = []
         for node in self.nodes:
             driver = NodeDriver(
@@ -158,18 +162,13 @@ class Engine:
     def start(self) -> None:
         """Start nodes then drivers.  Idempotent.
 
-        The scenario's channel is reset first.  Recover instants are
-        enqueued before any node starts: pure data, no randomness, and
-        clean runs enqueue nothing — so their kernel ``seq`` numbers
-        are exactly those of a pre-fault build.
+        Recover instants are enqueued before any node starts: pure
+        data, no randomness, and clean runs enqueue nothing — so their
+        kernel ``seq`` numbers are exactly those of a pre-fault build.
         """
         if self._started:
             return
         self._started = True
-        if self.scenario.channel is not None:
-            # a channel outlives its run: forget the last run's
-            # per-pair state, or a reused scenario replays differently
-            self.scenario.channel.reset()
         self._schedule_faults()
         for node in self.nodes:
             node.start()

@@ -31,7 +31,6 @@ from repro.experiments.cache import CellCache
 from repro.experiments.campaign import (
     Campaign,
     CampaignResult,
-    comparison_campaign,
     scale_campaign,
 )
 from repro.experiments.charts import render_chart
@@ -83,7 +82,6 @@ __all__ = [
     "figure5",
     "figure6",
     "figure7",
-    "comparison_campaign",
     "lambda_sweep",
     "render_chart",
     "run_cells",

@@ -40,7 +40,6 @@ from repro.metrics.summary import summarize
 __all__ = [
     "Campaign",
     "CampaignResult",
-    "comparison_campaign",
     "scale_campaign",
     "SCALE_N_VALUES",
 ]
@@ -98,7 +97,6 @@ class Campaign:
         *,
         max_workers: Optional[int] = None,
         cache=None,
-        cache_dir=None,
         chunk_size: Optional[int] = None,
         progress=None,
         steal: bool = False,
@@ -109,9 +107,9 @@ class Campaign:
     ) -> "CampaignResult":
         """Execute every cell (optionally in parallel); order stable.
 
-        ``cache``/``cache_dir`` attach a cell cache (a
-        :class:`~repro.experiments.cache.CellCache` instance, or a
-        directory to open one in), making the run resumable.
+        ``cache`` attaches a cell cache (a
+        :class:`~repro.experiments.cache.CellCache`), making the run
+        resumable.
         ``steal=True`` splits the campaign across workers by
         lease-based work stealing through the shared cache backend (see
         :func:`~repro.experiments.parallel.run_cells`): workers claim
@@ -126,10 +124,6 @@ class Campaign:
         raises — the one completion rule of ``run_cells``
         (docs/faults.md).
         """
-        if cache is None and cache_dir is not None:
-            from repro.experiments.cache import CellCache
-
-            cache = CellCache(cache_dir)
         start = time.perf_counter()
         results = run_cells(
             self.cells,
@@ -307,23 +301,6 @@ class CampaignResult:
         """Rebind archived raw runs to their campaign definition."""
         results = load_results(Path(path))
         return cls(campaign, results)
-
-
-def comparison_campaign(
-    algorithms: Sequence[str],
-    *,
-    n_values: Sequence[int] = (10, 25),
-    seeds: Sequence[int] = (0, 1, 2),
-    name: str = "comparison",
-) -> Campaign:
-    """The standard burst comparison as a ready-made campaign."""
-    return Campaign(
-        name=name,
-        description=(
-            "Burst workload (every node requests once at t=0), "
-            f"seeds {list(seeds)}."
-        ),
-    ).add_sweep(algorithms, n_values, seeds)
 
 
 def scale_campaign(

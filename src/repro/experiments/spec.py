@@ -157,8 +157,7 @@ _CS_KINDS = {
 }
 
 # The one place a workload tuple becomes an arrival process and its
-# deadlines.  Arrival processes carry per-run issue counters, so each
-# call builds a fresh one — never share the result between runs.
+# deadlines.
 _WORKLOAD_KINDS = {
     "burst": Kind(
         (_count,),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.metrics.records import CsRecord, RunResult
 
@@ -21,7 +21,6 @@ __all__ = [
     "result_from_dict",
     "save_results",
     "load_results",
-    "load_document",
 ]
 
 FORMAT_VERSION = 1
@@ -108,9 +107,3 @@ def _checked_document(path: Union[str, Path]) -> dict:
 def load_results(path: Union[str, Path]) -> List[RunResult]:
     doc = _checked_document(path)
     return [result_from_dict(d) for d in doc["results"]]
-
-
-def load_document(path: Union[str, Path]) -> Tuple[List[RunResult], dict]:
-    """Like :func:`load_results`, plus the archive's ``meta`` dict."""
-    doc = _checked_document(path)
-    return [result_from_dict(d) for d in doc["results"]], doc.get("meta", {})

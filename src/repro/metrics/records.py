@@ -101,37 +101,6 @@ class RunResult:
         """Liveness check: every issued request ran to completion."""
         return self.issued_count > 0 and all(r.completed for r in self.records)
 
-    # ------------------------------------------------------------------
-    # steady-state views
-    # ------------------------------------------------------------------
-    def records_after(self, warmup: float) -> List[CsRecord]:
-        """Records of requests issued at or after ``warmup``."""
-        return [r for r in self.records if r.request_time >= warmup]
-
-    def steady_state_response_time(
-        self, warmup_fraction: float = 0.1
-    ) -> float:
-        """Mean response time excluding the cold-start transient.
-
-        Burst/Poisson runs begin with empty system knowledge; the
-        first requests pay extra roaming hops.  This trims requests
-        issued in the first ``warmup_fraction`` of the horizon —
-        the standard steady-state estimation discipline (message
-        counts are not re-attributable per-request and are reported
-        whole-run only).
-        """
-        if not 0 <= warmup_fraction < 1:
-            raise ValueError("warmup_fraction must be in [0, 1)")
-        cutoff = self.horizon * warmup_fraction
-        times = [
-            r.response_time
-            for r in self.records_after(cutoff)
-            if r.completed
-        ]
-        if not times:
-            return float("nan")
-        return sum(times) / len(times)
-
     def summary_row(self) -> Dict[str, float]:
         """Flat dict used by the table renderers."""
         return {

@@ -12,7 +12,9 @@ explicit and swappable:
 
 Baselines that *require* FIFO (e.g. Maekawa without the conflict
 patch) are run on :class:`FifoChannel`; the RCV experiments run on
-both to demonstrate the claim.
+both to demonstrate the claim.  A scenario says which with its
+``fifo`` flag, and the engine builds a fresh discipline for each run,
+so a FIFO channel's per-pair state lives exactly one run.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ class ChannelDiscipline(ABC):
         :class:`~repro.net.faults.FaultyChannel`) return zero
         timestamps (message dropped) or two (message duplicated).
         """
-
-    def reset(self) -> None:
-        """Clear any per-pair state between scenario runs."""
 
 
 class RawChannel(ChannelDiscipline):
@@ -82,6 +81,3 @@ class FifoChannel(ChannelDiscipline):
         clamped = max(raw, self._last_delivery.get(key, 0.0))
         self._last_delivery[key] = clamped
         return (clamped,)
-
-    def reset(self) -> None:
-        self._last_delivery.clear()

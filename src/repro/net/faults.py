@@ -450,10 +450,5 @@ class FaultyChannel(ChannelDiscipline):
             times = tuple(t + faults.uniform(0.0, plan.reorder) for t in times)
         return times
 
-    def reset(self) -> None:
-        self.inner.reset()
-        self.dropped = 0
-        self.duplicated = 0
-
     def __repr__(self) -> str:
         return f"FaultyChannel({self.inner!r}, {self.plan!r})"

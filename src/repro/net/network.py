@@ -91,14 +91,6 @@ class NetworkStats:
     by_kind: Dict[str, int] = field(default_factory=dict)
     weighted_units: int = 0
 
-    def snapshot(self) -> "NetworkStats":
-        return NetworkStats(
-            sent_total=self.sent_total,
-            delivered_total=self.delivered_total,
-            by_kind=dict(self.by_kind),
-            weighted_units=self.weighted_units,
-        )
-
 
 class Network:
     """Reliable, possibly reordering, message-passing fabric.
@@ -174,13 +166,6 @@ class Network:
     def clear(self) -> None:
         """Forget every registered actor (the engine's teardown)."""
         self._actors.clear()
-
-    def actor(self, actor_id: int) -> Actor:
-        return self._actors[actor_id]
-
-    @property
-    def n_actors(self) -> int:
-        return len(self._actors)
 
     def add_tap(
         self, tap: Callable[[int, int, Message, float], None]
@@ -266,18 +251,3 @@ class Network:
     def _deliver(self, actor: Actor, src: int, message: Message) -> None:
         self.stats.delivered_total += 1
         actor.deliver(src, message)
-
-    def broadcast(self, src: int, message_factory: Callable[[int], Message]) -> int:
-        """Send an individually constructed message to every other node.
-
-        ``message_factory(dst)`` builds the per-destination message
-        (protocols must not share mutable payload across copies).
-        Returns the number of messages sent.
-        """
-        count = 0
-        for dst in self._actors:
-            if dst == src:
-                continue
-            self.send(src, dst, message_factory(dst))
-            count += 1
-        return count

@@ -206,12 +206,5 @@ class ReliableChannel(ChannelDiscipline):
         self.giveups += 1
         return ()
 
-    def reset(self) -> None:
-        self.inner.reset()
-        self.retransmits = 0
-        self.suppressed = 0
-        self.giveups = 0
-        self.acks_lost = 0
-
     def __repr__(self) -> str:
         return f"ReliableChannel({self.inner!r}, {self.spec!r})"

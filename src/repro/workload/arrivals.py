@@ -1,16 +1,22 @@
 """Arrival processes: when does each node want the CS?
 
 The contract respects the paper's model of one outstanding request
-per node: :meth:`first_delay` is the wait before a node's first
-request, and :meth:`next_delay` is the wait between completing one
-request and issuing the next.  ``None`` means "no more requests".
+per node: :meth:`ArrivalProcess.delay` is asked when a node starts
+and each time it completes a request, and answers the wait until the
+node's next request, or ``None`` for "no more requests".
+
+An arrival process is pure data: the caller passes in everything that
+changes during a run (how many requests the node has issued, the
+simulated time, the node's rng), so one process serves any number of
+runs and nothing is reset between them.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 __all__ = [
     "ArrivalProcess",
@@ -24,12 +30,12 @@ class ArrivalProcess(ABC):
     """Per-node request timing."""
 
     @abstractmethod
-    def first_delay(self, node_id: int, rng: random.Random) -> Optional[float]:
-        """Delay from scenario start to the node's first request."""
-
-    @abstractmethod
-    def next_delay(self, node_id: int, rng: random.Random) -> Optional[float]:
-        """Delay from a request's completion to the next request."""
+    def delay(
+        self, node_id: int, issued: int, now: float, rng: random.Random
+    ) -> Optional[float]:
+        """The wait from ``now`` until the node issues its request
+        number ``issued`` (0 for the first), or None when it has no
+        more."""
 
 
 class BurstArrivals(ArrivalProcess):
@@ -39,22 +45,17 @@ class BurstArrivals(ArrivalProcess):
     def __init__(self, start: float = 0.0, requests_per_node: int = 1) -> None:
         if requests_per_node < 1:
             raise ValueError("requests_per_node must be >= 1")
-        if start < 0:
-            raise ValueError("start must be non-negative")
         self.start = float(start)
+        if not 0 <= self.start < math.inf:
+            raise ValueError(f"start must be a finite time >= 0, got {start!r}")
         self.requests_per_node = int(requests_per_node)
-        self._issued: Dict[int, int] = {}
 
-    def first_delay(self, node_id: int, rng: random.Random) -> Optional[float]:
-        self._issued[node_id] = 1
-        return self.start
-
-    def next_delay(self, node_id: int, rng: random.Random) -> Optional[float]:
-        issued = self._issued.get(node_id, 0)
+    def delay(
+        self, node_id: int, issued: int, now: float, rng: random.Random
+    ) -> Optional[float]:
         if issued >= self.requests_per_node:
             return None
-        self._issued[node_id] = issued + 1
-        return 0.0
+        return max(0.0, self.start - now)
 
 
 class PoissonArrivals(ArrivalProcess):
@@ -67,14 +68,13 @@ class PoissonArrivals(ArrivalProcess):
     """
 
     def __init__(self, rate: float) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be positive")
         self.rate = float(rate)
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be a finite number > 0, got {rate!r}")
 
-    def first_delay(self, node_id: int, rng: random.Random) -> Optional[float]:
-        return rng.expovariate(self.rate)
-
-    def next_delay(self, node_id: int, rng: random.Random) -> Optional[float]:
+    def delay(
+        self, node_id: int, issued: int, now: float, rng: random.Random
+    ) -> Optional[float]:
         return rng.expovariate(self.rate)
 
     @classmethod
@@ -88,41 +88,26 @@ class PoissonArrivals(ArrivalProcess):
 class TraceArrivals(ArrivalProcess):
     """Explicit absolute request times per node.
 
-    ``times[node_id]`` is a sorted sequence of absolute issue times.
-    If a scheduled time has already passed when the previous request
-    completes, the next request is issued immediately — the process
-    never issues overlapping requests.
+    ``times[node_id]`` is a sequence of absolute issue times (sorted
+    here).  If a scheduled time has already passed when the previous
+    request completes, the next request is issued immediately — the
+    process never issues overlapping requests.
     """
 
     def __init__(self, times: Dict[int, Sequence[float]]) -> None:
-        self._times: Dict[int, List[float]] = {
-            nid: sorted(float(t) for t in seq) for nid, seq in times.items()
+        self._times: Dict[int, Tuple[float, ...]] = {
+            nid: tuple(sorted(map(float, seq))) for nid, seq in times.items()
         }
-        self._cursor: Dict[int, int] = {nid: 0 for nid in self._times}
-        self._clock: Optional[callable] = None
+        for nid, seq in self._times.items():
+            if not all(map(math.isfinite, seq)):
+                raise ValueError(
+                    f"trace times must be finite, got {seq!r} for node {nid}"
+                )
 
-    def bind_clock(self, clock) -> None:
-        """The runner injects the simulation clock before starting."""
-        self._clock = clock
-
-    def _next(self, node_id: int) -> Optional[float]:
-        seq = self._times.get(node_id)
-        if seq is None:
+    def delay(
+        self, node_id: int, issued: int, now: float, rng: random.Random
+    ) -> Optional[float]:
+        seq = self._times.get(node_id, ())
+        if issued >= len(seq):
             return None
-        i = self._cursor[node_id]
-        if i >= len(seq):
-            return None
-        self._cursor[node_id] = i + 1
-        if self._clock is None:
-            raise RuntimeError("TraceArrivals clock not bound")
-        return max(0.0, seq[i] - self._clock())
-
-    def first_delay(self, node_id: int, rng: random.Random) -> Optional[float]:
-        # A run starts the node's trace over, so one Scenario can run
-        # again and issue the same requests.
-        if node_id in self._cursor:
-            self._cursor[node_id] = 0
-        return self._next(node_id)
-
-    def next_delay(self, node_id: int, rng: random.Random) -> Optional[float]:
-        return self._next(node_id)
+        return max(0.0, seq[issued] - now)

@@ -3,7 +3,9 @@
 Implements the application side of the mutex API: issue requests per
 the arrival process, hold the CS for the configured execution time,
 release, repeat.  The paper's defaults are a constant CS execution
-time Tc = 10 time units.
+time Tc = 10 time units.  The driver holds the node's run state — the
+count of requests issued — and asks the stateless arrival process for
+each next wait.
 
 The driver programs against the :class:`~repro.mutex.base.Env`
 protocol (``now``/``schedule_once``), not the simulator directly —
@@ -47,24 +49,26 @@ class NodeDriver:
         #: no new requests are *issued* after this simulated time;
         #: in-flight requests still drain (paper: fixed-horizon runs).
         self.issue_deadline = issue_deadline
-        self.requests_issued = 0
+        #: requests issued so far — the run state the (stateless)
+        #: arrival process is asked about
+        self.issued = 0
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        delay = self.arrivals.first_delay(self.node.node_id, self.rng)
-        self._schedule_issue(delay)
+        self._schedule_next()
 
-    def _schedule_issue(self, delay: Optional[float]) -> None:
+    def _schedule_next(self) -> None:
+        now = self.env.now()
+        delay = self.arrivals.delay(self.node.node_id, self.issued, now, self.rng)
         if delay is None:
             return
-        target = self.env.now() + delay
-        if self.issue_deadline is not None and target > self.issue_deadline:
+        if self.issue_deadline is not None and now + delay > self.issue_deadline:
             return
         self.env.schedule_once(delay, self._issue)
 
     def _issue(self) -> None:
         self.collector.on_requested(self.node.node_id)
-        self.requests_issued += 1
+        self.issued += 1
         self.node.request_cs()
 
     # hook subscribers (the engine subscribes them to this node only) --
@@ -73,6 +77,4 @@ class NodeDriver:
         self.env.schedule_once(hold, self.node.release_cs)
 
     def on_released(self, node_id: int) -> None:
-        self._schedule_issue(
-            self.arrivals.next_delay(self.node.node_id, self.rng)
-        )
+        self._schedule_next()

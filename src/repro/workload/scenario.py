@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.net.channels import ChannelDiscipline
 from repro.net.delay import DelayModel
 from repro.workload.arrivals import ArrivalProcess
 
@@ -58,6 +57,9 @@ def exponential_cs_time(mean: float, minimum: float = 0.0) -> Callable:
 class Scenario:
     """A fully specified experiment run.
 
+    Pure data: nothing a scenario holds changes during a run, so one
+    scenario runs any number of times to the same result.
+
     ``algorithm`` names a registered algorithm (see
     :data:`repro.experiments.registry.ALGORITHMS`); ``algo_kwargs``
     are passed to its node factory (e.g. ``config=RCVConfig(...)`` for
@@ -70,13 +72,14 @@ class Scenario:
     seed: int = 0
     cs_time: Callable = field(default_factory=lambda: constant_cs_time(10.0))
     delay_model: Optional[DelayModel] = None  # default: ConstantDelay(5)
-    channel: Optional[ChannelDiscipline] = None  # default: RawChannel
+    #: per-pair FIFO delivery (a TCP-like transport); False is the
+    #: paper's non-FIFO channel, on which a later send may overtake
+    fifo: bool = False
     #: stop issuing new requests after this simulated time (None =
     #: only the arrival process limits the run, e.g. burst workloads)
     issue_deadline: Optional[float] = None
     #: hard wall on simulated time while draining (safety net)
     drain_deadline: Optional[float] = None
-    max_events: int = 10_000_000
     algo_kwargs: Dict[str, Any] = field(default_factory=dict)
     #: adversarial-network fault spec — a tuple of fault tuples per
     #: the grammar in :mod:`repro.net.faults` (``("drop", p)``,

@@ -1,18 +1,16 @@
 """Tests for the experiment-campaign workflow."""
 
+import json
+
 import pytest
 
-from repro.experiments.campaign import (
-    Campaign,
-    CampaignResult,
-    comparison_campaign,
-)
+from repro.experiments.cache import CellCache
+from repro.experiments.campaign import Campaign, CampaignResult
+from repro.metrics.io import load_results
 
 
 def small_campaign():
-    return comparison_campaign(
-        ("rcv", "broadcast"), n_values=(5,), seeds=(0, 1), name="t"
-    )
+    return Campaign(name="t").add_sweep(("rcv", "broadcast"), (5,), (0, 1))
 
 
 def test_add_sweep_builds_cross_product():
@@ -160,13 +158,14 @@ def test_add_sweep_names_an_unknown_field():
 
 
 def test_run_with_cache_dir_resumes(tmp_path):
-    campaign = comparison_campaign(("rcv",), n_values=(5,), seeds=(0, 1))
-    first = campaign.run(max_workers=1, cache_dir=tmp_path / "cells")
-    again = campaign.run(max_workers=1, cache_dir=tmp_path / "cells")
+    campaign = Campaign("x").add_sweep(("rcv",), (5,), (0, 1))
+    first = campaign.run(max_workers=1, cache=CellCache(tmp_path / "cells"))
+    cache = CellCache(tmp_path / "cells")
+    again = campaign.run(max_workers=1, cache=cache)
     assert [r.messages_total for r in first.results] == [
         r.messages_total for r in again.results
     ]
-    assert (tmp_path / "cells").is_dir()
+    assert cache.hits == 2
 
 
 def test_sharded_result_partial_and_save_rejected(tmp_path):
@@ -175,11 +174,11 @@ def test_sharded_result_partial_and_save_rejected(tmp_path):
     ``save()`` refusal and the CLI all name that cause and its remedy."""
     from repro.experiments.parallel import CellSpec
 
-    campaign = comparison_campaign(("rcv",), n_values=(5,), seeds=(0,))
+    campaign = Campaign("x").add_sweep(("rcv",), (5,), (0,))
     campaign.cells.append(CellSpec("no-such-algorithm", 5, 0, ("burst", 1)))
     partial = campaign.run(
         max_workers=1,
-        cache_dir=tmp_path / "cells",
+        cache=CellCache(tmp_path / "cells"),
         steal=True,
         max_failures=1,
         steal_timeout=60.0,
@@ -198,14 +197,12 @@ def test_sharded_result_partial_and_save_rejected(tmp_path):
 
 
 def test_save_embeds_campaign_meta(tmp_path):
-    from repro.metrics.io import load_document
-
     campaign = small_campaign()
     result = campaign.run(max_workers=1)
     path = tmp_path / "archive.json"
     result.save(path)
-    results, meta = load_document(path)
-    assert len(results) == len(campaign.cells)
+    assert len(load_results(path)) == len(campaign.cells)
+    meta = json.loads(path.read_text())["meta"]
     assert meta["campaign"] == "t"
     assert meta["cells"] == len(campaign.cells)
     assert meta["elapsed_seconds"] >= 0

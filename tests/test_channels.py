@@ -48,11 +48,3 @@ def test_fifo_channel_is_per_ordered_pair():
     # …the reverse direction is unaffected by it.
     first_reverse = delivery(ch, 1, 0, 0.0, ConstantDelay(1.0), rng)
     assert first_reverse == 1.0
-
-
-def test_fifo_channel_reset_clears_state():
-    ch = FifoChannel()
-    rng = random.Random(0)
-    delivery(ch, 0, 1, 100.0, ConstantDelay(5.0), rng)
-    ch.reset()
-    assert delivery(ch, 0, 1, 0.0, ConstantDelay(5.0), rng) == 5.0

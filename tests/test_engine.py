@@ -8,9 +8,14 @@ import pytest
 from repro.engine import Engine, IncompleteRunError, run_scenario
 from repro.experiments.parallel import CellSpec, run_cells
 from repro.metrics.io import result_to_dict
-from repro.net.channels import FifoChannel
 from repro.net.delay import MatrixDelay, UniformDelay
-from repro.workload import BurstArrivals, PoissonArrivals, Scenario
+from repro.registry import algorithm_names
+from repro.workload import (
+    BurstArrivals,
+    PoissonArrivals,
+    Scenario,
+    TraceArrivals,
+)
 from repro.workload.runner import run_scenario as runner_run_scenario
 
 
@@ -41,7 +46,7 @@ def test_engine_exposes_components_before_start():
         Scenario(algorithm="rcv", n_nodes=4, arrivals=BurstArrivals())
     )
     assert engine.sim.now == 0.0
-    assert engine.network.n_actors == 4
+    assert engine.network._actors == dict(enumerate(engine.nodes))
     assert len(engine.nodes) == 4
     assert len(engine.drivers) == 4
     # Nothing has been sent before start().
@@ -512,9 +517,8 @@ def test_an_engine_built_by_hand_stays_whole_after_its_run():
         CellSpec("rcv", 6, 0, ("poisson", 20.0, 100.0)).build_scenario()
     )
     engine.run()
-    assert engine.network.n_actors == 6
+    assert engine.network._actors == dict(enumerate(engine.nodes))
     assert engine.hooks._granted and engine.hooks._granted_at
-    assert engine.network.actor(3) is engine.nodes[3]
 
 
 def test_one_trace_scenario_runs_twice_to_the_same_result():
@@ -533,32 +537,44 @@ def test_one_trace_scenario_runs_twice_to_the_same_result():
     assert second == first
 
 
-@pytest.mark.parametrize(
-    "arrivals, deadline",
-    [(BurstArrivals(), None), (PoissonArrivals(0.05), 300.0)],
-    ids=["burst", "poisson"],
-)
-def test_a_scenario_with_a_fifo_channel_runs_twice_to_the_same_result(
-    arrivals, deadline
-):
-    """A channel is the caller's object and outlives the run: FIFO's
-    last delivery per pair used to carry into the next run of the same
-    scenario, which then read a later horizon and fewer messages."""
-    from repro.metrics.io import result_to_dict
+ARRIVALS = {
+    "burst": (BurstArrivals(requests_per_node=2), None),
+    "poisson": (PoissonArrivals(0.05), 150.0),
+    "trace": (TraceArrivals({i: [0.0, 20.0 + 3 * i] for i in range(4)}), None),
+}
 
+
+#: lamport's safety needs FIFO channels, so it runs on them only
+ONE_DESCRIPTION_CASES = [
+    pytest.param(algorithm, arrivals, fifo, id=f"{algorithm}-{arrivals}-{channel}")
+    for algorithm in algorithm_names()
+    for arrivals in sorted(ARRIVALS)
+    for fifo, channel in ((False, "nonfifo"), (True, "fifo"))
+    if fifo or algorithm != "lamport"
+]
+
+
+@pytest.mark.parametrize("algorithm, arrivals, fifo", ONE_DESCRIPTION_CASES)
+def test_one_scenario_runs_to_one_result(algorithm, arrivals, fifo):
+    """A scenario is data: running it twice, or a copy of it, gives
+    the identical result, so no run state — a FIFO channel's last
+    delivery per pair, a node's progress through its requests — may
+    live in the scenario and carry into its next run."""
+    process, deadline = ARRIVALS[arrivals]
     scenario = Scenario(
-        algorithm="rcv",
-        n_nodes=6,
-        arrivals=arrivals,
+        algorithm=algorithm,
+        n_nodes=4,
+        arrivals=process,
         seed=3,
-        channel=FifoChannel(),
+        fifo=fifo,
         delay_model=UniformDelay(1, 9),
         issue_deadline=deadline,
     )
     first = result_to_dict(run_scenario(scenario))
+    assert first["records"]
     assert result_to_dict(run_scenario(scenario)) == first
-    fresh = dataclasses.replace(scenario, channel=FifoChannel())
-    assert result_to_dict(run_scenario(fresh)) == first
+    copy = dataclasses.replace(scenario)
+    assert result_to_dict(run_scenario(copy)) == first
 
 
 def test_a_run_that_issues_nothing_says_so():

@@ -1,7 +1,5 @@
 """Tests for experiment tooling: charts, parallel sweeps, result
-persistence, steady-state views."""
-
-import math
+persistence."""
 
 import pytest
 
@@ -16,7 +14,6 @@ from repro.metrics.io import (
     result_to_dict,
     save_results,
 )
-from repro.metrics.records import CsRecord, RunResult
 from repro.metrics.summary import Summary
 from repro.workload import BurstArrivals, Scenario, run_scenario
 
@@ -182,32 +179,6 @@ def test_load_rejects_wrong_version(tmp_path):
     path.write_text('{"format_version": 999, "results": []}')
     with pytest.raises(ValueError, match="version"):
         load_results(path)
-
-
-# ----------------------------------------------------------------------
-# steady-state views
-# ----------------------------------------------------------------------
-def test_records_after_filters_by_request_time():
-    r = RunResult(
-        algorithm="x",
-        n_nodes=2,
-        seed=0,
-        horizon=100.0,
-        records=[
-            CsRecord(0, 5.0, 10.0, 20.0),
-            CsRecord(1, 50.0, 60.0, 70.0),
-        ],
-    )
-    assert len(r.records_after(30.0)) == 1
-    assert r.steady_state_response_time(0.4) == 20.0  # only the late one
-    assert r.steady_state_response_time(0.0) == pytest.approx(17.5)
-
-
-def test_steady_state_validates_fraction():
-    r = RunResult(algorithm="x", n_nodes=1, seed=0, horizon=1.0)
-    with pytest.raises(ValueError):
-        r.steady_state_response_time(1.0)
-    assert math.isnan(r.steady_state_response_time(0.5))
 
 
 # ----------------------------------------------------------------------

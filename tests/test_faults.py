@@ -191,14 +191,6 @@ def test_fault_decisions_are_seed_deterministic():
     assert a != c
 
 
-def test_reset_clears_counters_and_inner():
-    channel = _channel((("drop", 1.0),))
-    _times(channel, sends=10)
-    assert channel.dropped == 10
-    channel.reset()
-    assert channel.dropped == 0 and channel.duplicated == 0
-
-
 # ----------------------------------------------------------------------
 # Network integration
 # ----------------------------------------------------------------------

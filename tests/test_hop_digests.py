@@ -33,7 +33,6 @@ import pytest
 from repro.engine import Engine, run_scenario
 from repro.experiments.parallel import CellSpec
 from repro.metrics.io import result_to_dict
-from repro.net.channels import FifoChannel, RawChannel
 from repro.registry import algorithm_names
 
 N_NODES = 7
@@ -46,7 +45,7 @@ DELAYS = {
     "exponential": ("exponential", 5.0, 0.0),
     "jittered": ("jittered", 4.0, 2.0),
 }
-CHANNELS = {"raw": RawChannel, "fifo": FifoChannel}
+CHANNELS = ("raw", "fifo")
 
 
 def hop_digest(algorithm: str, delay: str, channel: str, *, tap=None) -> str:
@@ -56,7 +55,7 @@ def hop_digest(algorithm: str, delay: str, channel: str, *, tap=None) -> str:
     for seed in SEEDS:
         spec = CellSpec(algorithm, N_NODES, seed, WORKLOAD, delay=DELAYS[delay])
         scenario = spec.build_scenario()
-        scenario.channel = CHANNELS[channel]()
+        scenario.fifo = channel == "fifo"
         engine = Engine(scenario)
         if tap is not None:
             engine.network.add_tap(tap)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.baselines.lamport import LamportNode
-from repro.net.channels import FifoChannel
 from repro.net.delay import UniformDelay
 from repro.workload import BurstArrivals, PoissonArrivals, Scenario, run_scenario
 from tests.conftest import make_harness
@@ -57,7 +56,7 @@ def test_fifo_network_no_fallbacks():
             n_nodes=8,
             arrivals=PoissonArrivals(rate=1 / 10.0),
             seed=1,
-            channel=FifoChannel(),
+            fifo=True,
             issue_deadline=2_000,
             drain_deadline=8_000,
         )

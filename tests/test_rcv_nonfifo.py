@@ -4,7 +4,6 @@ claim (§1): out-of-order messages must not affect correctness."""
 import pytest
 
 from repro.core import RCVConfig
-from repro.net.channels import FifoChannel, RawChannel
 from repro.net.delay import ConstantDelay, ExponentialDelay, UniformDelay
 from repro.workload import BurstArrivals, PoissonArrivals, Scenario, run_scenario
 
@@ -87,8 +86,8 @@ def test_fifo_and_raw_identical_on_constant_delay():
         seed=4,
         delay_model=ConstantDelay(5.0),
     )
-    r_raw = run_scenario(Scenario(channel=RawChannel(), **base))
-    r_fifo = run_scenario(Scenario(channel=FifoChannel(), **base))
+    r_raw = run_scenario(Scenario(fifo=False, **base))
+    r_fifo = run_scenario(Scenario(fifo=True, **base))
     assert r_raw.messages_total == r_fifo.messages_total
     assert r_raw.mean_response_time == r_fifo.mean_response_time
     assert [r.grant_time for r in r_raw.records] == [

@@ -22,17 +22,17 @@ from repro.workload.scenario import constant_cs_time
 def test_burst_single_request_per_node():
     b = BurstArrivals()
     rng = random.Random(0)
-    assert b.first_delay(0, rng) == 0.0
-    assert b.next_delay(0, rng) is None
+    assert b.delay(0, 0, 0.0, rng) == 0.0
+    assert b.delay(0, 1, 10.0, rng) is None
 
 
 def test_burst_multiple_rounds_back_to_back():
     b = BurstArrivals(requests_per_node=3)
     rng = random.Random(0)
-    assert b.first_delay(1, rng) == 0.0
-    assert b.next_delay(1, rng) == 0.0
-    assert b.next_delay(1, rng) == 0.0
-    assert b.next_delay(1, rng) is None
+    assert b.delay(1, 0, 0.0, rng) == 0.0
+    assert b.delay(1, 1, 10.0, rng) == 0.0
+    assert b.delay(1, 2, 20.0, rng) == 0.0
+    assert b.delay(1, 3, 30.0, rng) is None
 
 
 def test_burst_validation():
@@ -45,7 +45,7 @@ def test_burst_validation():
 def test_poisson_mean_interarrival():
     p = PoissonArrivals.from_mean_interarrival(20.0)
     rng = random.Random(1)
-    samples = [p.next_delay(0, rng) for _ in range(4000)]
+    samples = [p.delay(0, i, 0.0, rng) for i in range(4000)]
     assert abs(sum(samples) / len(samples) - 20.0) < 1.0
 
 
@@ -56,31 +56,46 @@ def test_poisson_validation():
         PoissonArrivals.from_mean_interarrival(-2.0)
 
 
+@pytest.mark.parametrize(
+    "build, parameter",
+    [
+        (lambda: TraceArrivals({0: [float("nan")]}), "trace time"),
+        (lambda: TraceArrivals({0: [1.0, float("inf")]}), "trace time"),
+        (lambda: BurstArrivals(start=float("nan")), "start"),
+        (lambda: BurstArrivals(start=float("inf")), "start"),
+        (lambda: PoissonArrivals(float("nan")), "rate"),
+        (lambda: PoissonArrivals(float("inf")), "rate"),
+        (lambda: PoissonArrivals(-1.0), "rate"),
+    ],
+    ids=[
+        "trace-nan",
+        "trace-inf",
+        "burst-start-nan",
+        "burst-start-inf",
+        "poisson-rate-nan",
+        "poisson-rate-inf",
+        "poisson-rate-negative",
+    ],
+)
+def test_arrivals_refuse_a_value_they_cannot_mean(build, parameter):
+    with pytest.raises(ValueError, match=parameter):
+        build()
+
+
 def test_trace_arrivals_follow_clock():
-    t = TraceArrivals({0: [10.0, 30.0], 1: [5.0]})
-    now = [0.0]
-    t.bind_clock(lambda: now[0])
+    t = TraceArrivals({0: [30.0, 10.0], 1: [5.0]})
     rng = random.Random(0)
-    assert t.first_delay(0, rng) == 10.0
-    now[0] = 25.0
-    assert t.next_delay(0, rng) == 5.0  # 30 - 25
-    assert t.next_delay(0, rng) is None
-    assert t.first_delay(2, rng) is None  # node without a trace
+    assert t.delay(0, 0, 0.0, rng) == 10.0
+    assert t.delay(0, 1, 25.0, rng) == 5.0  # 30 - 25
+    assert t.delay(0, 2, 40.0, rng) is None
+    assert t.delay(2, 0, 0.0, rng) is None  # node without a trace
 
 
 def test_trace_arrivals_past_times_fire_immediately():
-    t = TraceArrivals({0: [1.0, 2.0]})
-    now = [50.0]
-    t.bind_clock(lambda: now[0])
+    t = TraceArrivals({0: [-3.0, 2.0]})
     rng = random.Random(0)
-    assert t.first_delay(0, rng) == 0.0
-    assert t.next_delay(0, rng) == 0.0
-
-
-def test_trace_arrivals_requires_clock():
-    t = TraceArrivals({0: [1.0]})
-    with pytest.raises(RuntimeError):
-        t.first_delay(0, random.Random(0))
+    assert t.delay(0, 0, 0.0, rng) == 0.0
+    assert t.delay(0, 1, 50.0, rng) == 0.0
 
 
 # ----------------------------------------------------------------------
