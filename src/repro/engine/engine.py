@@ -5,8 +5,8 @@ runs: it wires kernel + network + metrics + safety + algorithm nodes
 + workload drivers from a :class:`~repro.workload.scenario.Scenario`,
 exactly once, in one place.  Every consumer — the public
 :func:`run_scenario`, the CLI's ``run`` (traced or not), the
-campaign/parallel experiment pipelines, and the benchmarks — builds
-runs through it instead of hand-wiring the pieces.
+campaign/parallel pipelines, the benchmarks and the protocol tests —
+builds runs through it instead of hand-wiring the pieces.
 
 Wiring order is part of the determinism contract and mirrors the
 historical ``run_scenario`` exactly (same hook subscription order,

@@ -64,9 +64,9 @@ class NodeDriver:
             return
         if self.issue_deadline is not None and now + delay > self.issue_deadline:
             return
-        self.env.schedule_once(delay, self._issue)
+        self.env.schedule_once(delay, self.issue)
 
-    def _issue(self) -> None:
+    def issue(self) -> None:
         self.collector.on_requested(self.node.node_id)
         self.issued += 1
         self.node.request_cs()

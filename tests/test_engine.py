@@ -585,3 +585,44 @@ def test_a_run_that_issues_nothing_says_so():
     )
     with pytest.raises(IncompleteRunError, match="no request was issued"):
         run_scenario(scenario)
+
+
+#: names of the hand-wired test world that ``Engine`` replaced
+RETIRED_WORLD = ("Harness", "make_harness", "LenientCollector")
+
+
+def test_engine_is_the_one_wiring():
+    """Every simulated world is one ``Engine`` built from a
+    ``Scenario``, tests included: ``SimEnv`` is constructed only by
+    the engine and by the hop-cost guard, which profiles a bare
+    ``Network`` hop, and no hand-wired world comes back."""
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    constructs, defines = set(), set()
+    for sub in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((root / sub).rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            if "SimEnv" not in source and not any(
+                name in source for name in RETIRED_WORLD
+            ):
+                continue
+            relpath = path.relative_to(root).as_posix()
+            for top in ast.parse(source).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call) and "SimEnv" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None),
+                    ):
+                        constructs.add((relpath, getattr(top, "name", None)))
+                    if (
+                        isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                        and node.name in RETIRED_WORLD
+                    ):
+                        defines.add((relpath, node.name))
+    assert constructs == {
+        ("src/repro/engine/engine.py", "Engine"),
+        ("tests/test_network.py", "_hop_calls"),
+    }
+    assert defines == set()

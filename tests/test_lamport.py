@@ -2,10 +2,15 @@
 
 import pytest
 
-from repro.baselines.lamport import LamportNode
 from repro.net.delay import UniformDelay
-from repro.workload import BurstArrivals, PoissonArrivals, Scenario, run_scenario
-from tests.conftest import make_harness
+from repro.workload import (
+    BurstArrivals,
+    PoissonArrivals,
+    Scenario,
+    TraceArrivals,
+    run_scenario,
+)
+from tests.conftest import started_engine
 
 
 def test_three_n_minus_one_messages():
@@ -20,32 +25,28 @@ def test_three_n_minus_one_messages():
 
 
 def test_grants_follow_timestamp_order():
-    h = make_harness()
-    h.add_nodes(LamportNode, 3)
-    h.auto_release_after(10.0)
     # Stagger requests beyond one propagation delay so each later
     # request causally follows the earlier one (Lamport clocks only
     # order causally related events; simultaneous requests tie and
     # break by node id).
-    h.nodes[2].request_cs()
-    h.sim.schedule(6.0, h.nodes[0].request_cs)
-    h.sim.schedule(12.0, h.nodes[1].request_cs)
-    h.run()
-    assert [n for _, n in h.safety.grant_log] == [2, 0, 1]
+    engine = started_engine(
+        "lamport", 3, arrivals=TraceArrivals({2: [0.0], 0: [6.0], 1: [12.0]})
+    )
+    engine.sim.run()
+    assert [n for _, n in engine.safety.grant_log] == [2, 0, 1]
 
 
 def test_enter_requires_hearing_from_everyone():
     """A node whose queue head is its own request still waits for a
     higher-timestamped message from every peer."""
-    h = make_harness()
-    nodes = h.add_nodes(LamportNode, 3)
-    nodes[0].request_cs()
+    engine = started_engine("lamport", 3, hold=1.0)
+    nodes = engine.nodes
+    engine.drivers[0].issue()
     # before any replies return, the node must not be in the CS
     assert nodes[0].cs_count == 0
-    h.run(until=4.9)
+    engine.sim.run(until=4.9)
     assert nodes[0].state.value == "requesting"
-    h.auto_release_after(1.0)
-    h.run()
+    engine.sim.run()
     assert nodes[0].state.value != "requesting"
 
 

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.baselines.maekawa import MaekawaNode, build_quorums
+from repro.baselines.maekawa import build_quorums
 from repro.net.delay import ConstantDelay
 from repro.quorums.coterie import validate_quorum_system
 from repro.workload import BurstArrivals, PoissonArrivals, Scenario, run_scenario
-from tests.conftest import make_harness
+from tests.conftest import started_engine
 
 
 def test_build_quorums_variants():
@@ -19,14 +19,12 @@ def test_build_quorums_variants():
 
 def test_uncontended_cost_is_three_votes():
     """3 messages per quorum member (minus self): REQUEST/LOCKED/RELEASE."""
-    h = make_harness()
-    h.add_nodes(MaekawaNode, 9)  # 3x3 grid: quorum size 5
-    h.auto_release_after(10.0)
-    h.nodes[4].request_cs()
-    h.run()
-    assert h.nodes[4].cs_count == 1
-    q = len(h.nodes[4].quorum) - 1  # self votes locally, no messages
-    assert h.network.stats.sent_total == 3 * q
+    engine = started_engine("maekawa", 9)  # 3x3 grid: quorum size 5
+    engine.drivers[4].issue()
+    engine.sim.run()
+    assert engine.nodes[4].cs_count == 1
+    q = len(engine.nodes[4].quorum) - 1  # self votes locally, no messages
+    assert engine.network.stats.sent_total == 3 * q
 
 
 def test_sync_delay_is_two_hops():

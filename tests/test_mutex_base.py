@@ -3,7 +3,9 @@
 import pytest
 
 from repro.mutex.base import Hooks, MutexNode, NodeState
-from tests.conftest import make_harness
+from repro.registry import ALGORITHMS
+from repro.workload import TraceArrivals
+from tests.conftest import started_engine
 
 
 class ToyMutex(MutexNode):
@@ -21,43 +23,48 @@ class ToyMutex(MutexNode):
         pass
 
 
-def test_request_grant_release_cycle():
-    h = make_harness()
-    (node,) = h.add_nodes(ToyMutex, 1)
+@pytest.fixture
+def toy(monkeypatch):
+    """``toy(n, **fields)``: a started engine of ``n`` ToyMutex nodes."""
+    monkeypatch.setitem(ALGORITHMS, "toy", ToyMutex)
+    return lambda n, **fields: started_engine("toy", n, **fields)
+
+
+def test_request_grant_release_cycle(toy):
+    engine = toy(1)
+    (node,) = engine.nodes
     assert node.state is NodeState.IDLE
-    node.request_cs()
+    engine.drivers[0].issue()
     assert node.state is NodeState.IN_CS
     node.release_cs()
     assert node.state is NodeState.IDLE
     assert node.cs_count == 1
 
 
-def test_double_request_rejected():
-    h = make_harness()
-    (node,) = h.add_nodes(ToyMutex, 1)
-    node.request_cs()
+def test_double_request_rejected(toy):
+    engine = toy(1)
+    (node,) = engine.nodes
+    engine.drivers[0].issue()
     with pytest.raises(RuntimeError, match="requested CS while"):
         node.request_cs()
 
 
-def test_release_without_cs_rejected():
-    h = make_harness()
-    (node,) = h.add_nodes(ToyMutex, 1)
+def test_release_without_cs_rejected(toy):
+    (node,) = toy(1).nodes
     with pytest.raises(RuntimeError, match="released CS while"):
         node.release_cs()
 
 
-def test_grant_while_idle_rejected():
-    h = make_harness()
-    (node,) = h.add_nodes(ToyMutex, 1)
+def test_grant_while_idle_rejected(toy):
+    (node,) = toy(1).nodes
     with pytest.raises(RuntimeError, match="granted CS while"):
         node._grant()
 
 
-def test_node_id_bounds_checked():
-    h = make_harness()
+def test_node_id_bounds_checked(toy):
+    engine = toy(3)
     with pytest.raises(ValueError):
-        ToyMutex(5, 3, h.env, h.hooks)
+        ToyMutex(5, 3, engine.env, engine.hooks)
 
 
 def test_hooks_fan_out_to_all_subscribers():
@@ -123,15 +130,12 @@ def test_engine_drivers_hear_only_their_own_node(monkeypatch):
     )
 
 
-def test_request_time_recorded():
-    h = make_harness()
-    (node,) = h.add_nodes(ToyMutex, 1)
-    h.sim.schedule(7.5, node.request_cs)
-    h.run()
-    assert node.request_time == 7.5
+def test_request_time_recorded(toy):
+    engine = toy(1, arrivals=TraceArrivals({0: [7.5]}))
+    engine.sim.run()
+    assert engine.nodes[0].request_time == 7.5
 
 
-def test_peers_excludes_self():
-    h = make_harness()
-    nodes = h.add_nodes(ToyMutex, 4)
+def test_peers_excludes_self(toy):
+    nodes = toy(4).nodes
     assert sorted(nodes[2].peers()) == [0, 1, 3]

@@ -4,12 +4,11 @@ tolerance (EXPERIMENTS.md F3)."""
 
 import pytest
 
-from repro.core import RCVConfig, RCVNode
+from repro.core import RCVConfig
 from repro.core.messages import RequestMessage
 from repro.core.state import SystemInfo
 from repro.core.tuples import ReqTuple
-from repro.net.faults import FaultPlan
-from tests.conftest import make_harness
+from tests.conftest import started_engine
 
 
 def test_config_normalizes_and_validates():
@@ -34,78 +33,86 @@ def test_excluded_rows_neither_vote_nor_count_unknown():
     assert si.empty_row_count() == 2
 
 
-def _world(n, crashed, requesters, seed=0, **cfg_kwargs):
-    plan = FaultPlan((("crash", tuple((c, 0.0) for c in crashed)),))
-    h = make_harness(seed=seed, outages=plan)
-    cfg = RCVConfig(exclude_nodes=frozenset(crashed), **cfg_kwargs)
-    h.add_nodes(RCVNode, n, config=cfg)
-    h.auto_release_after(10.0)
+def _world(n, crashed, requesters, seed=0, excluded=None, **cfg_kwargs):
+    """``crashed`` down from t=0 and, unless ``excluded`` says
+    otherwise, excluded; each of ``requesters`` issues at t=0."""
+    cfg = RCVConfig(
+        exclude_nodes=frozenset(crashed if excluded is None else excluded),
+        **cfg_kwargs,
+    )
+    engine = started_engine(
+        "rcv",
+        n,
+        seed=seed,
+        faults=(("crash", tuple((c, 0.0) for c in crashed)),),
+        algo_kwargs={"config": cfg},
+    )
     for i in requesters:
-        h.request(i)
-    return h
+        engine.drivers[i].issue()
+    return engine
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_contended_requests_complete_despite_crash(seed):
     """The F3 split-vote stall, resolved: 5 competitors, 1 crashed
     node, threshold closes over the 9 live rows."""
-    h = _world(10, crashed=[9], requesters=range(5), seed=seed)
-    h.run(until=10_000)
-    assert all(h.nodes[i].cs_count == 1 for i in range(5))
-    assert h.safety.entries == 5
+    engine = _world(10, crashed=[9], requesters=range(5), seed=seed)
+    engine.sim.run(until=10_000)
+    assert all(engine.nodes[i].cs_count == 1 for i in range(5))
+    assert engine.safety.entries == 5
 
 
 def test_multiple_crashed_nodes():
-    h = _world(12, crashed=[9, 10, 11], requesters=range(6), seed=2)
-    h.run(until=10_000)
-    assert all(h.nodes[i].cs_count == 1 for i in range(6))
+    engine = _world(12, crashed=[9, 10, 11], requesters=range(6), seed=2)
+    engine.sim.run(until=10_000)
+    assert all(engine.nodes[i].cs_count == 1 for i in range(6))
 
 
 def test_rms_never_routed_to_excluded_nodes():
-    h = make_harness(seed=1)
-    cfg = RCVConfig(exclude_nodes=frozenset({7}))
-    h.add_nodes(RCVNode, 8, config=cfg)
-    h.auto_release_after(10.0)
+    engine = started_engine(
+        "rcv",
+        8,
+        seed=1,
+        algo_kwargs={"config": RCVConfig(exclude_nodes=frozenset({7}))},
+    )
     sent_to_excluded = []
-    h.network.add_tap(
+    engine.network.add_tap(
         lambda s, d, m, at: sent_to_excluded.append(m)
         if d == 7 and isinstance(m, RequestMessage)
         else None
     )
     for i in range(4):
-        h.request(i)
-    h.run()
+        engine.drivers[i].issue()
+    engine.sim.run()
     assert sent_to_excluded == []
-    assert all(h.nodes[i].cs_count == 1 for i in range(4))
+    assert all(engine.nodes[i].cs_count == 1 for i in range(4))
 
 
 def test_excluded_node_cannot_request():
-    h = make_harness()
-    cfg = RCVConfig(exclude_nodes=frozenset({2}))
-    h.add_nodes(RCVNode, 4, config=cfg)
+    engine = started_engine(
+        "rcv", 4, algo_kwargs={"config": RCVConfig(exclude_nodes=frozenset({2}))}
+    )
     with pytest.raises(RuntimeError, match="excluded"):
-        h.nodes[2].request_cs()
+        engine.nodes[2].request_cs()
 
 
 def test_exclusion_with_recovery_composes():
     """Both extensions together (the crash_recovery example setup)."""
-    h = _world(
+    engine = _world(
         10, crashed=[9], requesters=range(5), seed=4, rm_timeout=150.0
     )
-    h.run(until=10_000)
-    assert all(h.nodes[i].cs_count == 1 for i in range(5))
+    engine.sim.run(until=10_000)
+    assert all(engine.nodes[i].cs_count == 1 for i in range(5))
 
 
 def test_exclusion_is_noop_when_nobody_crashed():
-    """Excluding a healthy idle node only shrinks the electorate."""
-    h = _world(8, crashed=[], requesters=range(4), seed=3)
-    # exclude node 7 without failing it
-    h2 = make_harness(seed=3)
-    cfg = RCVConfig(exclude_nodes=frozenset({7}))
-    h2.add_nodes(RCVNode, 8, config=cfg)
-    h2.auto_release_after(10.0)
-    for i in range(4):
-        h2.request(i)
-    h.run()
-    h2.run()
-    assert all(h2.nodes[i].cs_count == 1 for i in range(4))
+    """Excluding a healthy idle node only shrinks the electorate: the
+    world without exclusion and the one excluding node 7 without
+    failing it both complete every request."""
+    worlds = [
+        _world(8, crashed=[], requesters=range(4), seed=3),
+        _world(8, crashed=[], requesters=range(4), seed=3, excluded=[7]),
+    ]
+    for engine in worlds:
+        engine.sim.run()
+        assert all(engine.nodes[i].cs_count == 1 for i in range(4))

@@ -3,7 +3,6 @@ replicated state while scenarios run (core/verification.py)."""
 
 import pytest
 
-from repro.core import RCVConfig, RCVNode
 from repro.core.errors import ProtocolInvariantError
 from repro.core.tuples import ReqTuple
 from repro.core.verification import (
@@ -12,7 +11,7 @@ from repro.core.verification import (
     merge_global_order,
 )
 from repro.net.delay import UniformDelay
-from tests.conftest import make_harness
+from tests.conftest import started_engine
 
 
 def T(node, ts=1):
@@ -44,24 +43,20 @@ def test_merge_empty():
 # ----------------------------------------------------------------------
 # check_system
 # ----------------------------------------------------------------------
-def _world(n=4, **cfg):
-    h = make_harness(seed=3)
-    config = RCVConfig(**cfg) if cfg else None
-    h.add_nodes(RCVNode, n, **({"config": config} if config else {}))
-    return h
+def _world():
+    return started_engine("rcv", 4, seed=3)
 
 
 def test_check_system_passes_on_fresh_world():
-    h = _world()
-    check_system(h.nodes)
+    check_system(_world().nodes)
 
 
 def test_check_system_catches_lemma7_violation():
-    h = _world()
-    h.nodes[0].si.nonl = [T(1), T(2)]
-    h.nodes[1].si.nonl = [T(2), T(1)]
+    nodes = _world().nodes
+    nodes[0].si.nonl = [T(1), T(2)]
+    nodes[1].si.nonl = [T(2), T(1)]
     with pytest.raises(ProtocolInvariantError, match="Lemma 7"):
-        check_system(h.nodes)
+        check_system(nodes)
 
 
 def test_lemma1_violation_unrepresentable():
@@ -69,62 +64,59 @@ def test_lemma1_violation_unrepresentable():
     (two tuples of one node in an MNL) structurally unrepresentable:
     both the wholesale setter and the incremental append reject it
     loudly instead of letting ``check_system`` find it later."""
-    h = _world()
+    nodes = _world().nodes
     with pytest.raises(ValueError, match="Lemma 1"):
-        h.nodes[0].si.rows[2].mnl = [T(1, 1), T(1, 3)]
-    row = h.nodes[0].si.own_row(2)
+        nodes[0].si.rows[2].mnl = [T(1, 1), T(1, 3)]
+    row = nodes[0].si.own_row(2)
     row.mnl = [T(1, 1)]
     with pytest.raises(ValueError, match="Lemma 1"):
         row.append_unique(T(1, 3))
-    check_system(h.nodes)  # the built system itself stays clean
+    check_system(nodes)  # the built system itself stays clean
 
 
 # ----------------------------------------------------------------------
 # LemmaMonitor during live runs
 # ----------------------------------------------------------------------
-def _run_monitored(n, seed, requesters=None, delay_model=None, period=1.0):
-    h = make_harness(seed=seed)
-    if delay_model is not None:
-        h.network.delay_model = delay_model
-    h.add_nodes(RCVNode, n)
-    h.auto_release_after(10.0)
-    monitor = LemmaMonitor(h.sim, h.nodes, period=period)
+def _run_monitored(n, seed, delay_model=None, period=1.0):
+    engine = started_engine("rcv", n, seed=seed, delay_model=delay_model)
+    monitor = LemmaMonitor(engine.sim, engine.nodes, period=period)
     monitor.start()
-    for i in requesters if requesters is not None else range(n):
-        h.request(i)
-    h.run()
-    return h, monitor
+    for driver in engine.drivers:
+        driver.issue()
+    engine.sim.run()
+    return engine, monitor
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_burst_obeys_lemmas_throughout(seed):
-    h, monitor = _run_monitored(10, seed)
+    engine, monitor = _run_monitored(10, seed)
     assert monitor.checks > 10  # actually sampled during activity
-    assert all(node.cs_count == 1 for node in h.nodes)
+    assert all(node.cs_count == 1 for node in engine.nodes)
 
 
 def test_reordering_network_obeys_lemmas():
-    h, monitor = _run_monitored(
+    engine, monitor = _run_monitored(
         8, 2, delay_model=UniformDelay(1.0, 9.0), period=0.5
     )
     assert monitor.checks > 5
-    assert all(node.cs_count == 1 for node in h.nodes)
+    assert all(node.cs_count == 1 for node in engine.nodes)
 
 
 def test_monitor_validates_period():
-    h = _world()
+    engine = _world()
     with pytest.raises(ValueError):
-        LemmaMonitor(h.sim, h.nodes, period=0.0)
+        LemmaMonitor(engine.sim, engine.nodes, period=0.0)
 
 
 def test_commit_ledger_detects_cross_time_reversal():
     """A reversal that instantaneous pairwise checks would miss: the
     conflicting NONLs are never visible in the same snapshot."""
-    h = _world()
-    monitor = LemmaMonitor(h.sim, h.nodes, period=1.0)
-    h.nodes[0].si.nonl = [T(1), T(2)]
+    engine = _world()
+    nodes = engine.nodes
+    monitor = LemmaMonitor(engine.sim, nodes, period=1.0)
+    nodes[0].si.nonl = [T(1), T(2)]
     monitor.check_now()  # ledger: 1 before 2
-    h.nodes[0].si.nonl = []
-    h.nodes[1].si.nonl = [T(2), T(1)]  # later, the opposite order
+    nodes[0].si.nonl = []
+    nodes[1].si.nonl = [T(2), T(1)]  # later, the opposite order
     with pytest.raises(ProtocolInvariantError, match="ledger|reversed"):
         monitor.check_now()

@@ -2,26 +2,18 @@
 
 import pytest
 
-from repro.core import RCVConfig, RCVNode
 from repro.core.errors import ProtocolInvariantError
 from repro.core.messages import EnterMessage, InformMessage, RequestMessage
 from repro.core.tuples import ReqTuple
 from repro.mutex.base import NodeState
-from tests.conftest import make_harness
-
-
-def rcv_world(n, seed=0, **cfg):
-    h = make_harness(seed=seed)
-    config = RCVConfig(**cfg) if cfg else None
-    h.add_nodes(RCVNode, n, **({"config": config} if config else {}))
-    return h
+from tests.conftest import started_engine
 
 
 def test_request_launches_rm_with_snapshot():
-    h = rcv_world(4)
+    engine = started_engine("rcv", 4)
     sent = []
-    h.network.add_tap(lambda s, d, m, at: sent.append((s, d, m)))
-    h.nodes[2].request_cs()
+    engine.network.add_tap(lambda s, d, m, at: sent.append((s, d, m)))
+    engine.drivers[2].issue()
     assert len(sent) == 1
     src, dst, msg = sent[0]
     assert src == 2 and dst != 2
@@ -34,28 +26,26 @@ def test_request_launches_rm_with_snapshot():
     # snapshot independence: mutating the node's SI (through the
     # copy-on-write ownership API) must not touch the in-flight
     # message
-    h.nodes[2].si.own_row(2).mnl.clear()
+    engine.nodes[2].si.own_row(2).mnl.clear()
     assert msg.si.rows[2].mnl == [ReqTuple(2, 1)]
 
 
 def test_own_timestamp_increments_per_request():
-    h = rcv_world(3)
-    h.auto_release_after(1.0)
-    h.nodes[0].request_cs()
-    h.run()
-    first_ts = h.nodes[0].si.done[0]
-    h.nodes[0].request_cs()
-    h.run()
-    assert h.nodes[0].si.done[0] > first_ts
+    engine = started_engine("rcv", 3, hold=1.0)
+    engine.drivers[0].issue()
+    engine.sim.run()
+    first_ts = engine.nodes[0].si.done[0]
+    engine.drivers[0].issue()
+    engine.sim.run()
+    assert engine.nodes[0].si.done[0] > first_ts
 
 
 def test_single_node_system_grants_immediately():
-    h = make_harness()
-    h.add_nodes(RCVNode, 1)
-    h.nodes[0].request_cs()
-    assert h.nodes[0].state is NodeState.IN_CS
-    h.nodes[0].release_cs()
-    assert h.nodes[0].state is NodeState.IDLE
+    engine = started_engine("rcv", 1)
+    engine.drivers[0].issue()
+    assert engine.nodes[0].state is NodeState.IN_CS
+    engine.nodes[0].release_cs()
+    assert engine.nodes[0].state is NodeState.IDLE
 
 
 def test_single_request_completes_and_counts_messages():
@@ -68,33 +58,31 @@ def test_single_request_completes_and_counts_messages():
     exactly ⌊N/2⌋ RM sends + 1 EM (see EXPERIMENTS.md, deviation D1).
     """
     for n in (4, 5, 6, 8, 10, 11):
-        h = rcv_world(n, seed=1)
-        h.auto_release_after(10.0)
+        engine = started_engine("rcv", n, seed=1)
         # home id n-1: no id-0 tie advantage -> strict majority needed.
-        h.nodes[n - 1].request_cs()
-        h.run()
-        assert h.nodes[n - 1].cs_count == 1
-        rm = h.network.stats.by_kind.get("RM", 0)
-        em = h.network.stats.by_kind.get("EM", 0)
+        engine.drivers[n - 1].issue()
+        engine.sim.run()
+        assert engine.nodes[n - 1].cs_count == 1
+        rm = engine.network.stats.by_kind.get("RM", 0)
+        em = engine.network.stats.by_kind.get("EM", 0)
         assert em == 1
         assert rm == n // 2, f"n={n}: expected ⌊N/2⌋ RM sends, got {rm}"
-        assert h.network.stats.by_kind.get("IM", 0) == 0
+        assert engine.network.stats.by_kind.get("IM", 0) == 0
 
 
 def test_node_zero_single_request_uses_sentinel_tie():
     """Node 0 wins the equality tie (line-12 sentinel), saving one
     more hop when N is even: N/2 votes suffice."""
-    h = rcv_world(6, seed=1)
-    h.auto_release_after(10.0)
-    h.nodes[0].request_cs()
-    h.run()
-    assert h.network.stats.by_kind["RM"] == 2  # N/2 - 1 forwards
-    assert h.nodes[0].cs_count == 1
+    engine = started_engine("rcv", 6, seed=1)
+    engine.drivers[0].issue()
+    engine.sim.run()
+    assert engine.network.stats.by_kind["RM"] == 2  # N/2 - 1 forwards
+    assert engine.nodes[0].cs_count == 1
 
 
 def test_stale_em_is_counted_not_fatal():
-    h = rcv_world(3)
-    node = h.nodes[0]
+    engine = started_engine("rcv", 3)
+    node = engine.nodes[0]
     em = EnterMessage(ReqTuple(0, 99), node.si.snapshot())
     node.on_message(1, em)  # node never requested
     assert node.counters["stale_em"] == 1
@@ -102,8 +90,8 @@ def test_stale_em_is_counted_not_fatal():
 
 
 def test_im_for_wrong_node_raises():
-    h = rcv_world(3)
-    node = h.nodes[0]
+    engine = started_engine("rcv", 3)
+    node = engine.nodes[0]
     im = InformMessage(ReqTuple(2, 1), ReqTuple(1, 1), node.si.snapshot())
     with pytest.raises(ProtocolInvariantError):
         node.on_message(1, im)
@@ -112,15 +100,14 @@ def test_im_for_wrong_node_raises():
 def test_im_after_finish_sends_em_to_successor():
     """MPM lines 26–29: a predecessor that already left the CS relays
     the EM immediately."""
-    h = rcv_world(3)
-    node = h.nodes[0]
-    h.auto_release_after(1.0)
-    node.request_cs()
-    h.run()
+    engine = started_engine("rcv", 3, hold=1.0)
+    node = engine.nodes[0]
+    engine.drivers[0].issue()
+    engine.sim.run()
     assert node.cs_count == 1
     done_tup = ReqTuple(0, node.si.done[0])
     sent = []
-    h.network.add_tap(lambda s, d, m, at: sent.append(m))
+    engine.network.add_tap(lambda s, d, m, at: sent.append(m))
     im = InformMessage(done_tup, ReqTuple(2, 1), node.si.snapshot())
     node.on_message(1, im)
     assert len(sent) == 1 and isinstance(sent[0], EnterMessage)
@@ -128,9 +115,9 @@ def test_im_after_finish_sends_em_to_successor():
 
 
 def test_im_before_finish_sets_next():
-    h = rcv_world(4)
-    node = h.nodes[1]
-    node.request_cs()
+    engine = started_engine("rcv", 4)
+    node = engine.nodes[1]
+    engine.drivers[1].issue()
     current = node.current_tup
     im = InformMessage(current, ReqTuple(3, 1), node.si.snapshot())
     node.on_message(0, im)
@@ -138,9 +125,9 @@ def test_im_before_finish_sets_next():
 
 
 def test_conflicting_ims_raise():
-    h = rcv_world(4)
-    node = h.nodes[1]
-    node.request_cs()
+    engine = started_engine("rcv", 4)
+    node = engine.nodes[1]
+    engine.drivers[1].issue()
     current = node.current_tup
     node.on_message(0, InformMessage(current, ReqTuple(2, 1), node.si.snapshot()))
     with pytest.raises(ProtocolInvariantError):
@@ -150,30 +137,29 @@ def test_conflicting_ims_raise():
 
 
 def test_release_wakes_next_with_em():
-    h = rcv_world(4)
-    h.auto_release_after(5.0)
-    for i in range(4):
-        h.request(i)
-    h.run()
+    engine = started_engine("rcv", 4, hold=5.0)
+    for driver in engine.drivers:
+        driver.issue()
+    engine.sim.run()
     # all four executed, strictly one EM per grant
-    assert all(n.cs_count == 1 for n in h.nodes)
-    assert h.network.stats.by_kind["EM"] == 4
-    assert h.safety.entries == 4
+    assert all(n.cs_count == 1 for n in engine.nodes)
+    assert engine.network.stats.by_kind["EM"] == 4
+    assert engine.safety.entries == 4
 
 
 def test_unexpected_message_type_raises():
-    h = rcv_world(2)
+    engine = started_engine("rcv", 2)
 
     class Weird:
         kind = "W"
 
     with pytest.raises(TypeError):
-        h.nodes[0].on_message(1, Weird())
+        engine.nodes[0].on_message(1, Weird())
 
 
 def test_counters_snapshot_keys():
-    h = rcv_world(3)
-    snap = h.nodes[0].counter_snapshot()
+    engine = started_engine("rcv", 3)
+    snap = engine.nodes[0].counter_snapshot()
     assert {
         "rm_launched",
         "rm_forwarded",
@@ -186,10 +172,8 @@ def test_counters_snapshot_keys():
 
 
 def test_rm_never_revisits_a_node():
-    h = rcv_world(8, seed=3)
-    h.auto_release_after(10.0)
+    engine = started_engine("rcv", 8, seed=3)
     visits = {}  # msg home -> set of receivers
-    orig_deliver = {}
 
     def tap(src, dst, msg, at):
         if isinstance(msg, RequestMessage):
@@ -198,8 +182,8 @@ def test_rm_never_revisits_a_node():
             assert dst != msg.home, "RM returned to its home"
             seen.append(dst)
 
-    h.network.add_tap(tap)
-    for i in range(8):
-        h.request(i)
-    h.run()
-    assert all(n.cs_count == 1 for n in h.nodes)
+    engine.network.add_tap(tap)
+    for driver in engine.drivers:
+        driver.issue()
+    engine.sim.run()
+    assert all(n.cs_count == 1 for n in engine.nodes)

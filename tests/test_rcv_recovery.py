@@ -9,14 +9,25 @@ no-op on healthy networks.
 
 import pytest
 
-from repro.core import RCVConfig, RCVNode
+from repro.core import RCVConfig
+from repro.core.messages import RequestMessage
 from repro.mutex.base import NodeState
-from repro.net.faults import FaultPlan
 from repro.workload import BurstArrivals, PoissonArrivals, Scenario, run_scenario
-from tests.conftest import make_harness
+from tests.conftest import started_engine
 
 #: node 9 down from the start: it swallows every RM that enters it
-NODE_9_DOWN = FaultPlan((("crash", ((9, 0.0),)),))
+NODE_9_DOWN = (("crash", ((9, 0.0),)),)
+
+
+def _node_0_requests(seed):
+    """RCV at N=10 with node 9 down and ``rm_timeout=100``; node 0
+    requests at t=0."""
+    config = RCVConfig(rm_timeout=100.0)
+    engine = started_engine(
+        "rcv", 10, seed=seed, faults=NODE_9_DOWN, algo_kwargs={"config": config}
+    )
+    engine.drivers[0].issue()
+    return engine
 
 
 def test_config_validates_timeout():
@@ -46,26 +57,20 @@ def test_relaunch_recovers_swallowed_rm():
     """The F3 scenario, fixed: a crashed idle node eats RMs; every
     seed now completes because the home relaunches."""
     for seed in range(12):
-        h = make_harness(seed=seed, outages=NODE_9_DOWN)
-        h.add_nodes(RCVNode, 10, config=RCVConfig(rm_timeout=100.0))
-        h.auto_release_after(10.0)
-        h.request(0)
-        h.run(until=5_000)
-        assert h.nodes[0].cs_count == 1, f"seed {seed} did not recover"
-        assert h.safety.entries == h.safety.exits
+        engine = _node_0_requests(seed)
+        engine.sim.run(until=5_000)
+        assert engine.nodes[0].cs_count == 1, f"seed {seed} did not recover"
+        assert engine.safety.entries == engine.safety.exits
 
 
 def test_relaunch_counter_reflects_retries():
     # Force at least one relaunch: crash a node certain to be hit by
     # picking a seed that dies without recovery (seed 1 per the
     # resilience test diagnostics).
-    h = make_harness(seed=1, outages=NODE_9_DOWN)
-    h.add_nodes(RCVNode, 10, config=RCVConfig(rm_timeout=100.0))
-    h.auto_release_after(10.0)
-    h.request(0)
-    h.run(until=5_000)
-    assert h.nodes[0].cs_count == 1
-    total_relaunches = sum(n.counters["rm_relaunched"] for n in h.nodes)
+    engine = _node_0_requests(1)
+    engine.sim.run(until=5_000)
+    assert engine.nodes[0].cs_count == 1
+    total_relaunches = sum(n.counters["rm_relaunched"] for n in engine.nodes)
     assert total_relaunches >= 1
 
 
@@ -105,20 +110,52 @@ def test_duplicates_under_sustained_load():
 
 
 def test_timer_cancelled_on_grant():
-    h = make_harness(seed=0)
-    h.add_nodes(RCVNode, 4, config=RCVConfig(rm_timeout=500.0))
-    h.auto_release_after(10.0)
-    h.request(0)
-    h.run()
-    node = h.nodes[0]
+    engine = started_engine(
+        "rcv", 4, algo_kwargs={"config": RCVConfig(rm_timeout=500.0)}
+    )
+    engine.drivers[0].issue()
+    engine.sim.run()
+    node = engine.nodes[0]
     assert node.cs_count == 1
     assert node.state is NodeState.IDLE
     assert node.counters["rm_relaunched"] == 0
     # No stray timer left: the sim drained completely, and the
     # cancelled timer's slot (t=500) never advanced the clock.
     assert node._recovery_timer is None
-    assert h.sim.pending == 0
-    assert h.sim.now < 500.0
+    assert engine.sim.pending == 0
+    assert engine.sim.now < 500.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: a lost RM that heads the order is never "
+    "relaunched, because _recover keeps waiting on an ordered tuple",
+)
+def test_a_lost_head_of_order_rm_is_recovered():
+    """One lost message, and the timer that exists to recover it: node
+    0's first RM is dropped on the wire, and ``rm_timeout`` must still
+    bring both requests of a two-node burst to completion."""
+    engine = started_engine(
+        "rcv",
+        2,
+        arrivals=BurstArrivals(1),
+        drain_deadline=20_000,
+        algo_kwargs={"config": RCVConfig(rm_timeout=400.0)},
+    )
+    send = engine.env.send
+    dropped = []
+
+    def drop_first_rm_of_node_0(src, dst, message):
+        if src == 0 and isinstance(message, RequestMessage) and not dropped:
+            dropped.append(message)
+            engine.network.stats.sent_total += 1  # it left the node
+            return
+        send(src, dst, message)
+
+    engine.env.send = drop_first_rm_of_node_0
+    result = engine.run(require_completion=False)
+    assert dropped
+    assert result.completed_count == 2
 
 
 # ----------------------------------------------------------------------

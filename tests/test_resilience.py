@@ -17,15 +17,18 @@ the claim does and does not cover in the algorithm as published:
   EXPERIMENTS.md.)
 """
 
-from repro.core import RCVNode
 from repro.mutex.base import NodeState
 from repro.net.faults import FaultPlan
-from tests.conftest import make_harness
+from tests.conftest import started_engine
 
 
-def crashes(*entries):
-    """A plan crashing each ``(node, t)`` of ``entries``."""
-    return FaultPlan((("crash", entries),))
+def rcv_with_crashes(n, seed, requesters, *entries):
+    """RCV crashing each ``(node, t)`` of ``entries``; each of
+    ``requesters`` issues at t=0."""
+    engine = started_engine("rcv", n, seed=seed, faults=(("crash", entries),))
+    for i in requesters:
+        engine.drivers[i].issue()
+    return engine
 
 
 def test_crash_after_ordering_does_not_block_em_chain():
@@ -33,15 +36,11 @@ def test_crash_after_ordering_does_not_block_em_chain():
     requesters; crashing every idle node must not stall it."""
     # Let the voting finish but not the whole run: with Tn=5 the
     # burst of 6 requests is fully ordered well before t=60.
-    h = make_harness(
-        seed=1, outages=crashes(*((idle, 60.0) for idle in range(6, 12)))
+    engine = rcv_with_crashes(
+        12, 1, range(6), *((idle, 60.0) for idle in range(6, 12))
     )
-    h.add_nodes(RCVNode, 12)
-    h.auto_release_after(10.0)
-    for i in range(6):
-        h.request(i)
-    h.run()
-    assert all(h.nodes[i].cs_count == 1 for i in range(6))
+    engine.sim.run()
+    assert all(engine.nodes[i].cs_count == 1 for i in range(6))
 
 
 def test_safety_is_unconditional_under_crashes():
@@ -49,31 +48,23 @@ def test_safety_is_unconditional_under_crashes():
     the CS: the monitor would raise during these runs."""
     for seed in range(6):
         # Crash two nodes mid-protocol, at a message boundary and off it.
-        h = make_harness(seed=seed, outages=crashes((9, 5.0), (8, 7.5)))
-        h.add_nodes(RCVNode, 10)
-        h.auto_release_after(10.0)
-        for i in range(5):
-            h.request(i)
-        h.run(until=10_000)
-        assert h.safety.entries == h.safety.exits
-        assert h.safety.holder is None
+        engine = rcv_with_crashes(10, seed, range(5), (9, 5.0), (8, 7.5))
+        engine.sim.run(until=10_000)
+        assert engine.safety.entries == engine.safety.exits
+        assert engine.safety.holder is None
 
 
 def test_crash_can_strand_requests_but_strands_cleanly():
     """The negative result, pinned: crashing a node mid-vote may eat
     RMs and freeze the vote; stranded requesters stay in REQUESTING
     (no phantom grants, no CS held forever)."""
-    h = make_harness(seed=5, outages=crashes((7, 2.5)))
-    h.add_nodes(RCVNode, 8)
-    h.auto_release_after(10.0)
-    for i in range(4):
-        h.request(i)
-    h.run(until=10_000)
-    stalled = [i for i in range(4) if h.nodes[i].cs_count == 0]
-    assert h.safety.entries == h.safety.exits
-    assert h.safety.holder is None
+    engine = rcv_with_crashes(8, 5, range(4), (7, 2.5))
+    engine.sim.run(until=10_000)
+    stalled = [i for i in range(4) if engine.nodes[i].cs_count == 0]
+    assert engine.safety.entries == engine.safety.exits
+    assert engine.safety.holder is None
     for i in stalled:
-        assert h.nodes[i].state is NodeState.REQUESTING
+        assert engine.nodes[i].state is NodeState.REQUESTING
 
 
 def test_single_crash_with_decisive_votes_still_completes():
@@ -90,27 +81,27 @@ def test_single_crash_with_decisive_votes_still_completes():
     trials = 12
     for seed in range(trials):
         # node 9: an idle bystander, crashed from the start
-        h = make_harness(seed=seed, outages=crashes((9, 0.0)))
-        h.add_nodes(RCVNode, 10)
-        h.auto_release_after(10.0)
-        h.request(0)
-        h.run(until=5_000)
-        completions += h.nodes[0].cs_count
-        if h.nodes[0].cs_count == 0:
-            assert h.nodes[0].state is NodeState.REQUESTING
-        assert h.safety.entries == h.safety.exits
+        engine = rcv_with_crashes(10, seed, [0], (9, 0.0))
+        engine.sim.run(until=5_000)
+        completions += engine.nodes[0].cs_count
+        if engine.nodes[0].cs_count == 0:
+            assert engine.nodes[0].state is NodeState.REQUESTING
+        assert engine.safety.entries == engine.safety.exits
     assert completions >= 3, f"{completions}/{trials} completed"
 
 
 def test_recovered_node_rejoins_traffic():
-    plan = FaultPlan((("crash", ((5, 0.0),)), ("recover", ((5, 1.0),))))
-    h = make_harness(seed=0, outages=plan)
-    h.add_nodes(RCVNode, 6)
-    h.auto_release_after(5.0)
+    """Node 5 recovers at t=1, rejoins (a SYNC_REQ/SYNC_REP resync
+    with each of its five peers), and serves a burst of six."""
+    spec = (("crash", ((5, 0.0),)), ("recover", ((5, 1.0),)))
+    plan = FaultPlan(spec)
+    engine = started_engine("rcv", 6, hold=5.0, faults=spec)
     assert plan.node_down(5, 0.0)
-    h.run(until=1.0)
-    assert not plan.node_down(5, h.sim.now)
-    for i in range(6):
-        h.request(i)
-    h.run()
-    assert all(n.cs_count == 1 for n in h.nodes)
+    engine.sim.run(until=1.0)
+    assert not plan.node_down(5, engine.sim.now)
+    for driver in engine.drivers:
+        driver.issue()
+    engine.sim.run()
+    assert all(n.cs_count == 1 for n in engine.nodes)
+    kinds = engine.network.stats.by_kind
+    assert kinds["SYNC_REQ"] == kinds["SYNC_REP"] == 5

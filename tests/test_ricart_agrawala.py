@@ -2,11 +2,16 @@
 
 import pytest
 
-from repro.baselines.ricart_agrawala import RicartAgrawalaNode
 from repro.mutex.base import NodeState
 from repro.net.delay import UniformDelay
-from repro.workload import BurstArrivals, PoissonArrivals, Scenario, run_scenario
-from tests.conftest import make_harness
+from repro.workload import (
+    BurstArrivals,
+    PoissonArrivals,
+    Scenario,
+    TraceArrivals,
+    run_scenario,
+)
+from tests.conftest import started_engine
 
 
 def test_exactly_two_n_minus_one_messages_per_cs():
@@ -24,51 +29,44 @@ def test_exactly_two_n_minus_one_messages_per_cs():
 
 
 def test_uncontended_round_trip():
-    h = make_harness()
-    h.add_nodes(RicartAgrawalaNode, 3)
-    h.auto_release_after(10.0)
-    h.nodes[1].request_cs()
-    h.run()
-    assert h.nodes[1].cs_count == 1
+    engine = started_engine("ricart_agrawala", 3)
+    engine.drivers[1].issue()
+    engine.sim.run()
+    assert engine.nodes[1].cs_count == 1
     # request at t=0, replies at t=10 => 2 Tn to enter
-    assert h.safety.grant_log[0][0] == 10.0
+    assert engine.safety.grant_log[0][0] == 10.0
 
 
 def test_lower_timestamp_wins_conflict():
-    h = make_harness()
-    h.add_nodes(RicartAgrawalaNode, 2)
-    h.auto_release_after(10.0)
     # Node 1 requests first; node 0 requests after node 1's REQUEST
     # reached it (t=5), so node 0's Lamport clock has advanced and its
     # request genuinely carries a larger timestamp.
-    h.nodes[1].request_cs()
-    h.sim.schedule(6.0, h.nodes[0].request_cs)
-    h.run()
-    assert [n for _, n in h.safety.grant_log] == [1, 0]
+    engine = started_engine(
+        "ricart_agrawala", 2, arrivals=TraceArrivals({1: [0.0], 0: [6.0]})
+    )
+    engine.sim.run()
+    assert [n for _, n in engine.safety.grant_log] == [1, 0]
 
 
 def test_id_breaks_timestamp_tie():
-    h = make_harness()
-    h.add_nodes(RicartAgrawalaNode, 2)
-    h.auto_release_after(10.0)
-    h.nodes[0].request_cs()
-    h.nodes[1].request_cs()  # same simulated instant, same ts
-    h.run()
-    assert [n for _, n in h.safety.grant_log] == [0, 1]
+    engine = started_engine("ricart_agrawala", 2)
+    engine.drivers[0].issue()
+    engine.drivers[1].issue()  # same simulated instant, same ts
+    engine.sim.run()
+    assert [n for _, n in engine.safety.grant_log] == [0, 1]
 
 
 def test_deferred_reply_sent_on_release():
-    h = make_harness()
-    nodes = h.add_nodes(RicartAgrawalaNode, 2)
-    h.auto_release_after(10.0)
-    nodes[0].request_cs()
-    nodes[1].request_cs()
+    engine = started_engine("ricart_agrawala", 2)
+    nodes = engine.nodes
+    engine.drivers[0].issue()
+    engine.drivers[1].issue()
     # t=5: requests cross; node 1 replies (node 0 outranks by id),
     # node 0 defers; t=10: node 0 receives the reply and enters.
-    h.run(until=10.5)
+    engine.sim.run(until=10.5)
     assert nodes[0].state is NodeState.IN_CS
     assert 1 in nodes[0]._deferred
-    h.run()
+    engine.sim.run()
     assert nodes[1].cs_count == 1
 
 

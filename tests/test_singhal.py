@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.baselines.singhal import SinghalNode
 from repro.workload import (
     BurstArrivals,
     PoissonArrivals,
@@ -10,12 +9,11 @@ from repro.workload import (
     TraceArrivals,
     run_scenario,
 )
-from tests.conftest import make_harness
+from tests.conftest import started_engine
 
 
 def test_staircase_initialization():
-    h = make_harness()
-    nodes = h.add_nodes(SinghalNode, 4)
+    nodes = started_engine("singhal", 4).nodes
     assert nodes[0].sv == ["H", "N", "N", "N"]
     assert nodes[2].sv == ["R", "R", "N", "N"]
     assert nodes[0].has_token
@@ -23,13 +21,11 @@ def test_staircase_initialization():
 
 
 def test_holder_enters_for_free():
-    h = make_harness()
-    h.add_nodes(SinghalNode, 5)
-    h.auto_release_after(10.0)
-    h.nodes[0].request_cs()
-    h.run()
-    assert h.nodes[0].cs_count == 1
-    assert h.network.stats.sent_total == 0
+    engine = started_engine("singhal", 5)
+    engine.drivers[0].issue()
+    engine.sim.run()
+    assert engine.nodes[0].cs_count == 1
+    assert engine.network.stats.sent_total == 0
 
 
 def test_heuristic_beats_broadcast_at_light_load():
@@ -80,17 +76,16 @@ def test_sustained_poisson(seed):
 
 
 def test_stale_request_ignored():
-    h = make_harness()
-    nodes = h.add_nodes(SinghalNode, 3)
+    engine = started_engine("singhal", 3, hold=1.0)
+    nodes = engine.nodes
     from repro.baselines.singhal import SgRequest
 
-    h.auto_release_after(1.0)
-    nodes[1].request_cs()
-    h.run()
+    engine.drivers[1].issue()
+    engine.sim.run()
     assert nodes[1].cs_count == 1  # token now at node 1
-    before = h.network.stats.sent_total
+    before = engine.network.stats.sent_total
     nodes[1].on_message(2, SgRequest(origin=1, seq=1))  # replayed
-    assert h.network.stats.sent_total == before
+    assert engine.network.stats.sent_total == before
 
 
 def test_round_robin_prevents_starvation():
@@ -110,8 +105,7 @@ def test_round_robin_prevents_starvation():
 
 
 def test_unsolicited_token_raises():
-    h = make_harness()
-    nodes = h.add_nodes(SinghalNode, 2)
+    nodes = started_engine("singhal", 2).nodes
     from repro.baselines.singhal import SgToken
 
     with pytest.raises(RuntimeError, match="unsolicited"):

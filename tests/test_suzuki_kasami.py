@@ -2,45 +2,38 @@
 
 import pytest
 
-from repro.baselines.suzuki_kasami import SuzukiKasamiNode
 from repro.net.delay import UniformDelay
 from repro.workload import BurstArrivals, PoissonArrivals, Scenario, run_scenario
-from tests.conftest import make_harness
+from tests.conftest import started_engine
 
 
 def test_initial_holder_enters_for_free():
-    h = make_harness()
-    h.add_nodes(SuzukiKasamiNode, 4)
-    h.auto_release_after(10.0)
-    h.nodes[0].request_cs()  # node 0 starts with the token
-    assert h.nodes[0].cs_count == 0
-    h.run()
-    assert h.nodes[0].cs_count == 1
-    assert h.network.stats.sent_total == 0
+    engine = started_engine("suzuki_kasami", 4)
+    engine.drivers[0].issue()  # node 0 starts with the token
+    assert engine.nodes[0].cs_count == 0
+    engine.sim.run()
+    assert engine.nodes[0].cs_count == 1
+    assert engine.network.stats.sent_total == 0
 
 
 def test_non_holder_costs_n_messages():
     """N-1 REQUEST broadcasts + 1 token transfer."""
-    h = make_harness()
-    h.add_nodes(SuzukiKasamiNode, 5)
-    h.auto_release_after(10.0)
-    h.nodes[3].request_cs()
-    h.run()
-    assert h.nodes[3].cs_count == 1
-    assert h.network.stats.by_kind["REQUEST"] == 4
-    assert h.network.stats.by_kind["TOKEN"] == 1
+    engine = started_engine("suzuki_kasami", 5)
+    engine.drivers[3].issue()
+    engine.sim.run()
+    assert engine.nodes[3].cs_count == 1
+    assert engine.network.stats.by_kind["REQUEST"] == 4
+    assert engine.network.stats.by_kind["TOKEN"] == 1
 
 
 def test_token_queue_serves_fifo_of_outstanding_requests():
-    h = make_harness()
-    h.add_nodes(SuzukiKasamiNode, 4)
-    h.auto_release_after(10.0)
+    engine = started_engine("suzuki_kasami", 4)
     # 1, 2, 3 all request while 0 idles with the token.
     for i in (1, 2, 3):
-        h.nodes[i].request_cs()
-    h.run()
-    assert [n for _, n in h.safety.grant_log] == [1, 2, 3]
-    assert all(h.nodes[i].cs_count == 1 for i in (1, 2, 3))
+        engine.drivers[i].issue()
+    engine.sim.run()
+    assert [n for _, n in engine.safety.grant_log] == [1, 2, 3]
+    assert all(engine.nodes[i].cs_count == 1 for i in (1, 2, 3))
 
 
 def test_nme_bounded_by_n_under_load():
@@ -59,18 +52,17 @@ def test_nme_bounded_by_n_under_load():
 def test_stale_request_does_not_steal_token():
     """Sequence numbers deduplicate: an old REQUEST arriving after the
     request was served must not trigger another token pass."""
-    h = make_harness()
-    nodes = h.add_nodes(SuzukiKasamiNode, 3)
+    engine = started_engine("suzuki_kasami", 3, hold=1.0)
+    nodes = engine.nodes
     from repro.baselines.suzuki_kasami import SkRequest
 
-    h.auto_release_after(1.0)
-    nodes[1].request_cs()
-    h.run()
+    engine.drivers[1].issue()
+    engine.sim.run()
     assert nodes[1].cs_count == 1  # token now at node 1
     # replay node 1's old request at the new holder
-    before = h.network.stats.sent_total
+    before = engine.network.stats.sent_total
     nodes[1].on_message(2, SkRequest(origin=1, seq=1))
-    assert h.network.stats.sent_total == before
+    assert engine.network.stats.sent_total == before
 
 
 def test_broadcast_alias_resolves():
@@ -96,8 +88,7 @@ def test_non_fifo_tolerance():
 
 
 def test_unsolicited_token_raises():
-    h = make_harness()
-    nodes = h.add_nodes(SuzukiKasamiNode, 2)
+    nodes = started_engine("suzuki_kasami", 2).nodes
     from repro.baselines.suzuki_kasami import SkToken
 
     with pytest.raises(RuntimeError, match="unsolicited"):

@@ -3,44 +3,45 @@ Agrawal–El Abbadi baselines."""
 
 import pytest
 
-from repro.baselines.centralized import CentralizedNode
-from repro.baselines.naimi_trehel import NaimiTrehelNode
-from repro.baselines.raymond import RaymondNode, heap_parents
-from repro.workload import BurstArrivals, PoissonArrivals, Scenario, run_scenario
-from tests.conftest import make_harness
+from repro.baselines.raymond import heap_parents
+from repro.workload import (
+    BurstArrivals,
+    PoissonArrivals,
+    Scenario,
+    TraceArrivals,
+    run_scenario,
+)
+from tests.conftest import started_engine
+
+
+def _one_request(algorithm, n, node):
+    """``algorithm`` at N=``n`` after ``node``'s one request drains."""
+    engine = started_engine(algorithm, n)
+    engine.drivers[node].issue()
+    engine.sim.run()
+    return engine
 
 
 # ----------------------------------------------------------------------
 # centralized
 # ----------------------------------------------------------------------
 def test_centralized_three_messages_for_clients():
-    h = make_harness()
-    h.add_nodes(CentralizedNode, 5)
-    h.auto_release_after(10.0)
-    h.nodes[3].request_cs()
-    h.run()
-    assert h.network.stats.sent_total == 3  # REQUEST, GRANT, RELEASE
+    engine = _one_request("centralized", 5, 3)
+    assert engine.network.stats.sent_total == 3  # REQUEST, GRANT, RELEASE
 
 
 def test_centralized_coordinator_enters_for_free():
-    h = make_harness()
-    h.add_nodes(CentralizedNode, 5)
-    h.auto_release_after(10.0)
-    h.nodes[0].request_cs()
-    h.run()
-    assert h.network.stats.sent_total == 0
-    assert h.nodes[0].cs_count == 1
+    engine = _one_request("centralized", 5, 0)
+    assert engine.network.stats.sent_total == 0
+    assert engine.nodes[0].cs_count == 1
 
 
 def test_centralized_queue_is_fifo_by_arrival():
-    h = make_harness()
-    h.add_nodes(CentralizedNode, 4)
-    h.auto_release_after(10.0)
-    h.nodes[2].request_cs()
-    h.sim.schedule(1.0, h.nodes[1].request_cs)
-    h.sim.schedule(2.0, h.nodes[3].request_cs)
-    h.run()
-    assert [n for _, n in h.safety.grant_log] == [2, 1, 3]
+    engine = started_engine(
+        "centralized", 4, arrivals=TraceArrivals({2: [0.0], 1: [1.0], 3: [2.0]})
+    )
+    engine.sim.run()
+    assert [n for _, n in engine.safety.grant_log] == [2, 1, 3]
 
 
 def test_centralized_burst_and_poisson():
@@ -70,25 +71,17 @@ def test_heap_parents_shape():
 
 
 def test_raymond_root_enters_for_free():
-    h = make_harness()
-    h.add_nodes(RaymondNode, 7)
-    h.auto_release_after(10.0)
-    h.nodes[0].request_cs()
-    h.run()
-    assert h.network.stats.sent_total == 0
+    engine = _one_request("raymond", 7, 0)
+    assert engine.network.stats.sent_total == 0
 
 
 def test_raymond_leaf_costs_two_per_edge():
     """Request travels up, token travels down: 2 messages per edge on
     the path (node 5 is two edges from the root in a 7-node heap)."""
-    h = make_harness()
-    h.add_nodes(RaymondNode, 7)
-    h.auto_release_after(10.0)
-    h.nodes[5].request_cs()
-    h.run()
-    assert h.nodes[5].cs_count == 1
-    assert h.network.stats.by_kind["REQUEST"] == 2
-    assert h.network.stats.by_kind["TOKEN"] == 2
+    engine = _one_request("raymond", 7, 5)
+    assert engine.nodes[5].cs_count == 1
+    assert engine.network.stats.by_kind["REQUEST"] == 2
+    assert engine.network.stats.by_kind["TOKEN"] == 2
 
 
 def test_raymond_custom_chain_topology():
@@ -106,9 +99,8 @@ def test_raymond_custom_chain_topology():
 
 
 def test_raymond_rejects_bad_parent_vector():
-    h = make_harness()
     with pytest.raises(ValueError):
-        RaymondNode(0, 4, h.env, h.hooks, parents=[None, 0])
+        started_engine("raymond", 4, algo_kwargs={"parents": [None, 0]})
 
 
 def test_raymond_burst_heavy_load_low_nme():
@@ -130,28 +122,20 @@ def test_raymond_burst_heavy_load_low_nme():
 # Naimi–Trehel
 # ----------------------------------------------------------------------
 def test_naimi_trehel_owner_enters_for_free():
-    h = make_harness()
-    h.add_nodes(NaimiTrehelNode, 5)
-    h.auto_release_after(10.0)
-    h.nodes[0].request_cs()
-    h.run()
-    assert h.network.stats.sent_total == 0
+    engine = _one_request("naimi_trehel", 5, 0)
+    assert engine.network.stats.sent_total == 0
 
 
 def test_naimi_trehel_direct_handoff():
     """After path reversal, a second requester reaches the new owner
     directly: REQUEST + TOKEN only."""
-    h = make_harness()
-    h.add_nodes(NaimiTrehelNode, 4)
-    h.auto_release_after(10.0)
-    h.nodes[2].request_cs()
-    h.run()
-    sent_before = h.network.stats.sent_total
+    engine = _one_request("naimi_trehel", 4, 2)
+    sent_before = engine.network.stats.sent_total
     assert sent_before == 2  # REQUEST to 0, TOKEN back
-    h.nodes[1].request_cs()  # father still 0: forward 0 -> 2
-    h.run()
+    engine.drivers[1].issue()  # father still 0: forward 0 -> 2
+    engine.sim.run()
     # REQUEST 1->0, forwarded 0->2, TOKEN 2->1
-    assert h.network.stats.sent_total == sent_before + 3
+    assert engine.network.stats.sent_total == sent_before + 3
 
 
 def test_naimi_trehel_burst_and_sustained():

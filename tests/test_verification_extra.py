@@ -4,10 +4,9 @@ sustained load and the merge algorithm's edge cases."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import RCVNode
 from repro.core.tuples import ReqTuple
 from repro.core.verification import LemmaMonitor, merge_global_order
-from tests.conftest import make_harness
+from tests.conftest import started_engine
 
 
 @settings(max_examples=100, deadline=None)
@@ -45,9 +44,8 @@ def test_merge_detects_any_single_swap(xs):
 def test_monitor_over_multi_round_load():
     """Rounds of requests with watermark turnover: the cross-time
     pair ledger must accept the honest protocol run."""
-    h = make_harness(seed=6)
-    h.add_nodes(RCVNode, 6)
-    monitor = LemmaMonitor(h.sim, h.nodes, period=2.0)
+    engine = started_engine("rcv", 6, seed=6, hold=5.0)
+    monitor = LemmaMonitor(engine.sim, engine.nodes, period=2.0)
     monitor.start()
 
     rounds = {i: 0 for i in range(6)}
@@ -55,22 +53,18 @@ def test_monitor_over_multi_round_load():
     def on_released(nid):
         if rounds[nid] < 2:  # three requests per node overall
             rounds[nid] += 1
-            h.sim.schedule(1.0, h.nodes[nid].request_cs)
+            engine.sim.schedule(1.0, engine.drivers[nid].issue)
 
-    h.hooks.subscribe_released(on_released)
-    h.auto_release_after(5.0)
-    for i in range(6):
-        h.nodes[i].request_cs()
-    h.run()
-    assert all(n.cs_count == 3 for n in h.nodes)
+    engine.hooks.subscribe_released(on_released)
+    for driver in engine.drivers:
+        driver.issue()
+    engine.sim.run()
+    assert all(n.cs_count == 3 for n in engine.nodes)
     assert monitor.checks > 20
 
 
 def test_monitor_ignores_non_rcv_nodes():
-    from repro.baselines.centralized import CentralizedNode
-
-    h = make_harness()
-    h.add_nodes(CentralizedNode, 3)
-    monitor = LemmaMonitor(h.sim, h.nodes, period=1.0)
+    engine = started_engine("centralized", 3)
+    monitor = LemmaMonitor(engine.sim, engine.nodes, period=1.0)
     monitor.check_now()  # no RCV nodes: trivially consistent
     assert monitor.checks == 1
