@@ -5,7 +5,7 @@ one crashed idle node, 5 concurrent requesters, 8 seeds):
 
 * plain RCV (paper model) — requests whose RM enters the black hole
   stall; split votes stall even surviving requests;
-* ``rm_timeout`` — recovers lost RMs, not lost votes;
+* ``rm_timeout`` — recovers lost messages, not lost votes;
 * ``rm_timeout + exclude_nodes`` — full recovery; also reports the
   message overhead the extensions cost on a *healthy* network.
 """

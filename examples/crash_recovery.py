@@ -7,7 +7,7 @@ sent to it, while 5 nodes compete for the CS.
 
 1. Plain RCV: RMs hop into the black hole and their homes wait
    forever.
-2. ``rm_timeout`` alone: lost RMs are relaunched, but the crashed
+2. ``rm_timeout`` alone: pending RMs are relaunched, but the crashed
    node's NSIT row is a permanently *unknown vote* — with 5
    competitors the live votes split and the relative-majority
    threshold (lead > unknowns) is never reached.  Recovery of lost

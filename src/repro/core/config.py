@@ -33,12 +33,6 @@ class RCVConfig:
         merging is harmless (the snapshot is already paid for) and
         speeds dissemination, so it defaults on; the ablation bench
         flips it.
-    allow_revisit:
-        Lemma 3 guarantees ordering within N−1 forwards.  If an RM
-        nonetheless drains its unvisited list, ``True`` parks it at
-        the current node for re-evaluation on the next state change
-        (DESIGN.md §3.4); ``False`` raises immediately, which is the
-        assertion mode used in tests of Lemma 3.
     on_inconsistency:
         What to do when merging detects NONLs that rank tuples
         differently (a Lemma 7 violation): ``"raise"`` (default) or
@@ -49,21 +43,26 @@ class RCVConfig:
         paper defers, EXPERIMENTS.md F3): if a request is still
         ungranted after this many time units, its home relaunches the
         RM with a fresh unvisited list and the *same* request tuple,
-        recovering from an RM swallowed by a crashed node.  Duplicate
-        RM instances are harmless: commits are idempotent (a tuple
-        orders once per NONL), duplicate notifications are absorbed
-        by the stale-EM guard and idempotent IM handling, and the
-        relaunch carries no new timestamp so the vote is unchanged.
-        ``None`` (default) disables recovery — the paper's model.
+        and re-arms the timer.  One rule, whether or not the home
+        already sees its tuple ordered: it recovers a lost RM, IM or
+        EM alike (an RM swallowed by a crashed node, or a message a
+        lossy channel dropped).  Duplicate RM instances are harmless:
+        commits are idempotent (a tuple orders once per NONL),
+        duplicate notifications are absorbed by the stale-EM guard and
+        idempotent IM handling, and the relaunch carries no new
+        timestamp so the vote is unchanged.  A timeout shorter than
+        the queueing wait relaunches ordered requests too, which costs
+        messages, not response time (docs/faults.md).  ``None``
+        (default) disables recovery — the paper's model.
     exclude_nodes:
         Nodes all participants agree to treat as crashed (an external
         failure detector's output).  Excluded nodes are never
         forwarded to, their NSIT rows neither vote nor count as
         unknown votes, and the commit threshold closes over the
         remaining membership.  Complements ``rm_timeout``: the timeout
-        recovers *lost RMs*, exclusion recovers *lost votes* — with a
-        crashed node merely timed-out but not excluded, a split vote
-        can still never reach the relative-majority threshold
+        recovers *lost messages*, exclusion recovers *lost votes* —
+        with a crashed node merely timed-out but not excluded, a split
+        vote can still never reach the relative-majority threshold
         (EXPERIMENTS.md F3).  Must be identical at every node, or the
         thresholds diverge (it is part of the shared configuration,
         like N itself).
@@ -72,7 +71,6 @@ class RCVConfig:
     rule: str = "strict"
     forwarding: str = "random"
     exchange_on_im: bool = True
-    allow_revisit: bool = True
     on_inconsistency: str = "raise"
     rm_timeout: float | None = None
     exclude_nodes: frozenset = frozenset()

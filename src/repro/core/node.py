@@ -154,23 +154,28 @@ class RCVNode(MutexNode):
             self._recovery_timer = None
 
     def _recover(self, tup: ReqTuple) -> None:
-        """Relaunch the RM for a still-pending request.
+        """Relaunch the RM for a still-pending request, ordered or not.
+
+        A tuple already in our own NONL is no proof that anyone will
+        send us an EM: the RM whose host would have sent it, the IM to
+        our predecessor, or the EM itself may be the message that was
+        lost.  The relaunched RM is ordered again by a host that sends
+        the EM, or the IM, once more.
+        """
+        if self.state is not NodeState.REQUESTING or self.current_tup != tup:
+            return  # granted (or a newer request) in the meantime
+        self._relaunch(tup)
+        self._arm_recovery(tup)
+
+    def _relaunch(self, tup: ReqTuple) -> None:
+        """Send the RM for our pending ``tup`` again, from scratch.
 
         Safe with a duplicate still in flight: the relaunch reuses the
         original tuple, so votes, commits, and notifications are all
         idempotent; only message count can grow.
         """
-        if self.state is not NodeState.REQUESTING or self.current_tup != tup:
-            return  # granted (or a newer request) in the meantime
-        if tup in self.si.nonl:
-            # Already ordered somewhere we know of: the wake-up chain
-            # is in motion; keep waiting but re-arm in case the EM
-            # path itself was severed.
-            self._arm_recovery(tup)
-            return
         self.counters["rm_relaunched"] += 1
         self._forward_rm(self.node_id, tup, self._initial_ul(), hops=0)
-        self._arm_recovery(tup)
 
     def _grant(self) -> None:  # noqa: D102 - see MutexNode
         self._cancel_recovery()
@@ -206,10 +211,7 @@ class RCVNode(MutexNode):
             and self.current_tup is not None
             and self.current_tup not in self.si.nonl
         ):
-            self.counters["rm_relaunched"] += 1
-            self._forward_rm(
-                self.node_id, self.current_tup, self._initial_ul(), hops=0
-            )
+            self._relaunch(self.current_tup)
         for dst in self._initial_ul():
             self.env.send(
                 self.node_id, dst, SyncRequest(self.si.snapshot())
@@ -295,11 +297,6 @@ class RCVNode(MutexNode):
             return
         # Unvisited list drained while undecided — Lemma 3 says this
         # cannot happen; park rather than deadlock (DESIGN.md §3.4).
-        if not self.config.allow_revisit:
-            raise ProtocolInvariantError(
-                f"RM for {msg.tup.describe()} exhausted its unvisited "
-                f"list at node {self.node_id} while undecided"
-            )
         self.counters["rm_parked"] += 1
         self._parked.append(_ParkedRM(msg.home, msg.tup, msg.hops))
 

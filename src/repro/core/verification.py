@@ -169,10 +169,6 @@ class LemmaMonitor:
     def check_now(self) -> None:
         self.checks += 1
         check_system(self.nodes)
-        if merge_global_order([n.si.nonl for n in self.nodes]) is None:
-            raise ProtocolInvariantError(  # pragma: no cover - check_system raises first
-                "NONLs admit no common total order"
-            )
         self._record_and_check_pairs()
 
     def _record_and_check_pairs(self) -> None:

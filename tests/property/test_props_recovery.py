@@ -22,9 +22,11 @@ import dataclasses
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import RCVConfig
 from repro.engine.engine import run_scenario
 from repro.experiments.parallel import CellSpec
 from repro.metrics.io import result_to_dict
+from repro.workload import BurstArrivals, Scenario
 
 COMMON = dict(
     max_examples=25,
@@ -127,3 +129,34 @@ def test_retx_disabled_is_bitforbit_the_pre_retx_stack(n, seed, faults):
     second = _run("rcv", n, seed, faults)
     assert result_to_dict(first) == result_to_dict(second)
     assert not any(key.startswith("net_retx_") for key in first.extra)
+
+
+@settings(**COMMON)
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 10_000),
+    rm_timeout=st.floats(50.0, 400.0),
+    drop=st.floats(0.0, 0.2),
+    requests=st.integers(1, 2),
+)
+def test_rcv_timer_alone_completes_over_a_lossy_channel(
+    n, seed, rm_timeout, drop, requests
+):
+    """Protocol-level recovery without retx: whichever RM, IM or EM
+    the channel drops, the home's timer relaunches its RM until the
+    request is granted.  The drain deadline is a backstop for a
+    strand (the timer would otherwise re-arm forever); runs like
+    these finish within ~8,000 time units."""
+    result = run_scenario(
+        Scenario(
+            "rcv",
+            n,
+            BurstArrivals(requests),
+            seed=seed,
+            faults=(("drop", drop),),
+            drain_deadline=50_000,
+            algo_kwargs={"config": RCVConfig(rm_timeout=rm_timeout)},
+        ),
+        require_completion=False,
+    )
+    assert result.all_completed()

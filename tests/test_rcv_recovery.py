@@ -10,7 +10,7 @@ no-op on healthy networks.
 import pytest
 
 from repro.core import RCVConfig
-from repro.core.messages import RequestMessage
+from repro.core.messages import EnterMessage, InformMessage, RequestMessage
 from repro.mutex.base import NodeState
 from repro.workload import BurstArrivals, PoissonArrivals, Scenario, run_scenario
 from tests.conftest import started_engine
@@ -126,36 +126,65 @@ def test_timer_cancelled_on_grant():
     assert engine.sim.now < 500.0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: a lost RM that heads the order is never "
-    "relaunched, because _recover keeps waiting on an ordered tuple",
+#: the message kinds of one request's life, by their paper names
+KINDS = {"RM": RequestMessage, "IM": InformMessage, "EM": EnterMessage}
+
+#: (N, seed, kind, k) whose run sends fewer than k messages of that
+#: kind, so there is nothing to lose: a two-node burst sends no IM,
+#: and the N=10 seed-0 burst sends eight.
+NO_KTH_MESSAGE = frozenset(
+    [(2, seed, "IM", k) for seed in (0, 1) for k in (1, 2)]
+    + [(10, 0, "IM", 9)]
 )
-def test_a_lost_head_of_order_rm_is_recovered():
-    """One lost message, and the timer that exists to recover it: node
-    0's first RM is dropped on the wire, and ``rm_timeout`` must still
-    bring both requests of a two-node burst to completion."""
+
+
+@pytest.mark.parametrize(
+    "n, seed, kind, k",
+    [
+        (n, seed, kind, k)
+        for n in (2, 3, 10, 30)
+        for seed in (0, 1)
+        for kind in KINDS
+        for k in sorted({1, 2, n // 2, n - 1})
+    ],
+)
+def test_one_lost_message_is_recovered(n, seed, kind, k):
+    """One lost message, and the timer that exists to recover it: a
+    one-request-per-node RCV burst with ``rm_timeout=400`` loses its
+    k-th ``kind`` message (counted over all nodes, relaunches
+    included), and every request still completes.
+
+    The two-node case that once stranded: node 0's first RM is lost,
+    node 1's RM orders both requests at node 0 with node 0 first, and
+    nobody is left to send node 0 its EM.  The timer relaunches the
+    RM whether or not the home sees its tuple ordered.  The cases in
+    :data:`NO_KTH_MESSAGE` have nothing to lose, and must not.
+    """
     engine = started_engine(
         "rcv",
-        2,
+        n,
+        seed=seed,
         arrivals=BurstArrivals(1),
         drain_deadline=20_000,
         algo_kwargs={"config": RCVConfig(rm_timeout=400.0)},
     )
     send = engine.env.send
+    sent = []
     dropped = []
 
-    def drop_first_rm_of_node_0(src, dst, message):
-        if src == 0 and isinstance(message, RequestMessage) and not dropped:
-            dropped.append(message)
-            engine.network.stats.sent_total += 1  # it left the node
-            return
+    def drop_kth(src, dst, message):
+        if isinstance(message, KINDS[kind]):
+            sent.append(message)
+            if len(sent) == k:
+                dropped.append(message)
+                engine.network.stats.sent_total += 1  # it left the node
+                return
         send(src, dst, message)
 
-    engine.env.send = drop_first_rm_of_node_0
+    engine.env.send = drop_kth
     result = engine.run(require_completion=False)
-    assert dropped
-    assert result.completed_count == 2
+    assert bool(dropped) is ((n, seed, kind, k) not in NO_KTH_MESSAGE)
+    assert result.completed_count == result.issued_count
 
 
 # ----------------------------------------------------------------------
@@ -164,10 +193,9 @@ def test_a_lost_head_of_order_rm_is_recovered():
 # level one — they must compose, and each must stay cache-distinct
 # ----------------------------------------------------------------------
 def test_rm_timeout_composes_with_fault_specs():
-    """Protocol-level RM regeneration under a lossy fabric: RM losses
-    are regenerated (the timer fires), safety holds, and the run is
-    deterministic — but IM/EM losses stay unrecoverable, so this
-    knob alone cannot flatten the completion cliff."""
+    """Protocol-level RM regeneration under a lossy fabric: the timer
+    fires, every request completes whichever of its RMs, IMs or EMs
+    were lost, safety holds, and the run is deterministic."""
     from repro.engine.engine import run_scenario as run_engine_scenario
     from repro.metrics.io import result_to_dict
 
@@ -183,12 +211,12 @@ def test_rm_timeout_composes_with_fault_specs():
     result = run_engine_scenario(scenario, require_completion=False)
     assert result.extra["rm_relaunched"] >= 1
     assert result.extra["net_fault_drops"] >= 1
-    assert result.completed_count < result.issued_count
+    assert result.all_completed()
     again = run_engine_scenario(scenario, require_completion=False)
     assert result_to_dict(result) == result_to_dict(again)
 
 
-def test_retx_under_rm_timeout_completes_where_timer_alone_cannot():
+def test_retx_under_rm_timeout_preempts_the_timer():
     """The same lossy cell with the reliable channel layered in: every
     request completes, and the RM timer never even fires (transport
     recovery preempts protocol recovery)."""
