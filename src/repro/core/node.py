@@ -192,10 +192,11 @@ class RCVNode(MutexNode):
         survived (fail-stop, not amnesia) but everything that happened
         during the outage was lost on the wire, so:
 
-        1. if our own request is still pending and not yet ordered
-           anywhere we know of, re-announce it (relaunch the RM with a
-           fresh unvisited list — same idempotent-relaunch argument as
-           :meth:`_recover`);
+        1. if our own request is still pending, re-announce it
+           (relaunch the RM with a fresh unvisited list — the same
+           rule and the same idempotent-relaunch argument as
+           :meth:`_recover`: whether or not we see it ordered, the EM
+           or IM it waits for may have been lost in the outage);
         2. resync the SI table: SYNC_REQ to every live peer carrying
            our snapshot; each peer Exchange-merges it and answers with
            SYNC_REP, which we Exchange-merge in turn.  No new merge
@@ -206,11 +207,7 @@ class RCVNode(MutexNode):
            has no hook and rejoins with stale grant state).
         """
         self.counters["rejoins"] += 1
-        if (
-            self.state is NodeState.REQUESTING
-            and self.current_tup is not None
-            and self.current_tup not in self.si.nonl
-        ):
+        if self.state is NodeState.REQUESTING and self.current_tup is not None:
             self._relaunch(self.current_tup)
         for dst in self._initial_ul():
             self.env.send(

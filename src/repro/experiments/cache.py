@@ -200,7 +200,7 @@ class CellCache:
             "spec": spec.document(),
             "result": result_to_dict(result),
         }
-        self._call(self.backend.put, key, json.dumps(doc, indent=1))
+        self._call(self.backend.put, key, json.dumps(doc))
         self.writes += 1
         return key
 

@@ -3,14 +3,17 @@
 The paper's evaluation is a grid of independent ``(algorithm, N,
 workload, seed)`` cells, and :class:`CellSpec` *is* that cell.  Its
 dataclass fields are the single source of truth for what a cell is:
-:data:`AXES` holds one entry per field — how a value is normalised,
-which :class:`~repro.workload.scenario.Scenario` arguments it builds,
-and how it is written into a cache document — and the canonical form,
-the cache key, the embedded cache document and the scenario are all
-*derived* by walking ``dataclasses.fields(CellSpec)`` through that
-table.  Adding a field means adding one ``AXES`` entry; nothing else
-enumerates the fields (``tests/test_spec.py`` checks, field by field,
-that each moves the key and the document).  The axes the
+:data:`AXES` holds one entry per field — how a value is normalised
+and which :class:`~repro.workload.scenario.Scenario` arguments it
+builds — and the canonical form and the scenario are *derived* by
+walking ``dataclasses.fields(CellSpec)`` through that table.  A
+cell's identity is one text, :meth:`CellSpec.canon` — its normalized
+fields encoded by the value canon (:mod:`repro.canon`): equality,
+hash, cache key and the embedded cache document are all read off it,
+so they cannot disagree.  Adding
+a field means adding one ``AXES`` entry; nothing else enumerates the
+fields (``tests/test_spec.py`` checks, field by field, that each
+moves the key and the document).  The axes the
 command line can set also carry their :class:`TextForm` — the
 ``kind:p1:p2`` grammar of ``--delay-spec``, ``--cs-spec``,
 ``--fault-spec`` and ``--retx`` — so flag parsing, ``--help`` and the
@@ -23,6 +26,7 @@ scheduler lives in :mod:`repro.experiments.parallel`.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
@@ -30,6 +34,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
 
+from repro.canon import encode_value
 from repro.metrics.io import FORMAT_VERSION
 from repro.net.delay import (
     ConstantDelay,
@@ -65,7 +70,7 @@ __all__ = [
 #: test suite makes loud) MUST bump this, or stale cells from the old
 #: behavior would be served as if freshly computed.  Schema changes
 #: are covered separately by :data:`repro.metrics.io.FORMAT_VERSION`.
-RESULTS_EPOCH = 2
+RESULTS_EPOCH = 3
 
 
 class UnrepresentableScenarioError(ValueError):
@@ -101,8 +106,6 @@ class Axis(NamedTuple):
     normalize: Callable
     #: ``canonical value -> Scenario keyword arguments``
     build: Callable
-    #: ``canonical value -> JSON-able`` form in the cache document
-    document: Callable = lambda value: value
     #: set on the axes a campaign flag can set
     text: TextForm | None = None
 
@@ -261,7 +264,6 @@ def _kind_axis(what, kinds, target=None, flag=None) -> Axis:
     return Axis(
         normalize=partial(_normalize_kind, what, kinds),
         build=build if target is None else lambda v: {target: build(v)},
-        document=list,
         text=flag
         and TextForm(
             flag, _grammar(forms), partial(_parse_kind_text, forms), _render
@@ -363,9 +365,9 @@ def _net_grammar(what: str, normalize) -> Callable:
     return lifted
 
 
-def _plain(name, normalize=lambda value, n_nodes=None: value, **codec) -> Axis:
+def _plain(name, normalize=lambda value, n_nodes=None: value, text=None) -> Axis:
     """A field that is a :class:`Scenario` field of the same name."""
-    return Axis(normalize, lambda v: {name: v}, **codec)
+    return Axis(normalize, lambda v: {name: v}, text)
 
 
 #: field name -> codec; one entry per :class:`CellSpec` field
@@ -376,14 +378,11 @@ AXES: Dict[str, Axis] = {
     "workload": _kind_axis("workload", _WORKLOAD_KINDS),
     "cs_time": _kind_axis("cs_time", _CS_KINDS, "cs_time", "--cs-spec"),
     "delay": _kind_axis("delay", _DELAY_KINDS, "delay_model", "--delay-spec"),
-    "algo_kwargs": Axis(
-        _normalize_algo_kwargs, lambda v: {"algo_kwargs": dict(v)}, repr
-    ),
+    "algo_kwargs": Axis(_normalize_algo_kwargs, lambda v: {"algo_kwargs": dict(v)}),
     # With n_nodes, partition groups and crash targets are range-checked.
     "faults": _plain(
         "faults",
         _net_grammar("faults", lambda v, n: normalize_faults(v, n_nodes=n)),
-        document=repr,
         text=TextForm(
             "--fault-spec", _grammar(_FAULT_FORMS), _parse_faults, _render_faults
         ),
@@ -391,7 +390,6 @@ AXES: Dict[str, Axis] = {
     "retx": _plain(
         "retx",
         _net_grammar("retx", lambda v, n: normalize_retx(v)),
-        document=repr,
         text=TextForm(
             "--retx", "RTO[:BACKOFF[:MAX]]", _parse_retx, lambda v: _render(v[1:])
         ),
@@ -402,7 +400,7 @@ AXES: Dict[str, Axis] = {
 # ----------------------------------------------------------------------
 # cell specification
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellSpec:
     """One independent simulation cell, fully picklable.
 
@@ -414,8 +412,9 @@ class CellSpec:
     ``("exponential", mean, minimum)`` and, for delays only,
     ``("jittered", base, jitter)``.  ``algo_kwargs`` is the node
     factory's keyword arguments as ``(name, value)`` pairs (or a
-    mapping); the values must be picklable and hashable (RCVConfig is
-    a frozen dataclass — fine).
+    mapping); the values must be picklable and have a row in
+    :data:`repro.canon.VALUE_TYPES` (RCVConfig, a frozen dataclass,
+    has one).
 
     ``faults`` is an adversarial-network spec per the grammar in
     :mod:`repro.net.faults` — a tuple of fault tuples such as
@@ -424,7 +423,9 @@ class CellSpec:
     backoff, max_retries)`` per :func:`repro.net.retx.normalize_retx`
     (``()`` disables it).  Like every field, both participate in
     :meth:`cache_key`, so a faulty or retx cell can never alias its
-    clean twin in any cache backend.
+    clean twin in any cache backend.  Two specs are equal exactly
+    when their :meth:`canon` texts are (``delay=5`` equals
+    ``("constant", 5.0)``; ``0`` and ``False`` in ``algo_kwargs`` differ).
     """
 
     algorithm: str
@@ -438,19 +439,19 @@ class CellSpec:
     retx: Tuple = ()
 
     # ------------------------------------------------------------------
-    # ``normalized()`` and ``cache_key()`` are derived once per instance
-    # and kept in its ``__dict__`` (beside the fields, so ``==``,
-    # ``hash`` and ``repr`` never see them; ``dataclasses.replace``
-    # builds a new instance that derives anew, and a pickle carries
-    # the fields only).  A campaign asks a cell for its key at every
-    # cache and lease call.
+    # ``normalized()``, ``canon()`` and ``cache_key()`` are derived once
+    # per instance and kept in its ``__dict__`` (beside the fields, so
+    # ``repr`` never sees them; ``dataclasses.replace`` builds a new
+    # instance that derives anew, and a pickle carries the fields
+    # only).  A campaign asks a cell for its key at every cache and
+    # lease call.
 
     def normalized(self) -> "CellSpec":
         """Canonical form: every field through its axis normaliser
         (bare numbers become constant-spec tuples, workload params
         floats/ints, algo_kwargs sorted, no-op faults removed).  Two
         specs describing the same cell normalize identically, so they
-        share one :meth:`cache_key`; a value no axis can represent
+        share one :meth:`canon`; a value no axis can represent
         raises :class:`UnrepresentableScenarioError`."""
         spec = self.__dict__.get("_normalized")
         if spec is None:
@@ -464,24 +465,39 @@ class CellSpec:
             object.__setattr__(self, "_normalized", spec)
         return spec
 
-    def cache_key(self) -> str:
-        """Content address of this cell (sha256 over the normalized
-        field values + result-format version + behavior epoch).
+    def canon(self) -> str:
+        """The cell's identity: compact JSON of ``{field: encoding}``
+        over the normalized fields (:func:`repro.canon.encode_value`)."""
+        text = self.__dict__.get("_canon")
+        if text is None:
+            spec = self.normalized()
+            text = json.dumps(
+                {name: encode_value(getattr(spec, name)) for name in FIELD_NAMES},
+                separators=(",", ":"),
+            )
+            object.__setattr__(self, "_canon", text)
+        return text
 
-        Stable across processes and sessions: every field is a
-        number, string, or tuple/frozen-dataclass thereof, whose
-        reprs are deterministic (no ``PYTHONHASHSEED`` dependence).
-        Bumping :data:`repro.metrics.io.FORMAT_VERSION` (archive
-        schema) or :data:`RESULTS_EPOCH` (simulation behavior)
-        invalidates every cached cell, by construction: the stored
-        key is stamped with the pair it was hashed under.
-        """
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CellSpec):
+            return NotImplemented
+        return self.canon() == other.canon()
+
+    def __hash__(self) -> int:
+        return hash(self.canon())
+
+    def cache_key(self) -> str:
+        """Content address of this cell: sha256 over the result-format
+        version, the behavior epoch and :meth:`canon`.  Bumping
+        :data:`repro.metrics.io.FORMAT_VERSION` (archive schema) or
+        :data:`RESULTS_EPOCH` (simulation behavior) invalidates every
+        cached cell, by construction: the memo is stamped with the
+        pair it was hashed under."""
         stamp = (FORMAT_VERSION, RESULTS_EPOCH)
         memo = self.__dict__.get("_key")
         if memo is None or memo[0] != stamp:
-            spec = self.normalized()
-            canon = repr((*stamp, *[getattr(spec, name) for name in FIELD_NAMES]))
-            memo = (stamp, hashlib.sha256(canon.encode("utf-8")).hexdigest())
+            text = f"[{stamp[0]},{stamp[1]},{self.canon()}]"
+            memo = (stamp, hashlib.sha256(text.encode("ascii")).hexdigest())
             object.__setattr__(self, "_key", memo)
         return memo[1]
 
@@ -489,14 +505,10 @@ class CellSpec:
         return {name: getattr(self, name) for name in FIELD_NAMES}
 
     def document(self) -> dict:
-        """The JSON-able normalized spec a cache document embeds, so a
-        cache is self-describing and a key collision (or a hand-edited
-        entry) is detected at load."""
-        spec = self.normalized()
-        return {
-            name: AXES[name].document(getattr(spec, name))
-            for name in FIELD_NAMES
-        }
+        """The JSON-able normalized spec a cache document embeds — the
+        :meth:`canon` text, parsed — so a cache is self-describing and
+        a key collision (or a hand-edited entry) is detected at load."""
+        return json.loads(self.canon())
 
     # ------------------------------------------------------------------
     def build_scenario(self) -> Scenario:

@@ -11,10 +11,11 @@ its snapshot helpers).
 from __future__ import annotations
 
 import itertools
+import sys
 from functools import lru_cache
-from typing import ClassVar
+from typing import ClassVar, Dict
 
-__all__ = ["Message", "payload_fields"]
+__all__ = ["Message", "message_kinds", "payload_fields"]
 
 _msg_counter = itertools.count(1)
 
@@ -36,6 +37,28 @@ def payload_fields(message_type) -> tuple:
         names.update(getattr(klass, "__slots__", ()))
     names.discard("msg_id")
     return tuple(sorted(names))
+
+
+def message_kinds(node_type) -> Dict[str, type]:
+    """``kind -> class`` for every message a node class can exchange:
+    the :class:`Message` subclasses the modules along its MRO define
+    or import (an algorithm's messages live beside its node).  Two
+    classes of one kind in one algorithm are refused — a receiver
+    could not tell them apart."""
+    kinds: Dict[str, type] = {}
+    for klass in node_type.__mro__:
+        for value in vars(sys.modules[klass.__module__]).values():
+            if (
+                isinstance(value, type)
+                and issubclass(value, Message)
+                and value.kind != Message.kind
+                and kinds.setdefault(value.kind, value) is not value
+            ):
+                raise ValueError(
+                    f"{node_type.__name__} has two {value.kind!r} messages: "
+                    f"{kinds[value.kind].__name__} and {value.__name__}"
+                )
+    return kinds
 
 
 class Message:

@@ -8,9 +8,9 @@ discrete-event simulator run here in real time:
   configurable (optionally jittered) delay; the quickest way to use
   the library as an actual lock service inside an asyncio program;
 * :class:`~repro.runtime.tcp.TcpCluster` — one asyncio TCP endpoint
-  per node (length-prefixed pickle frames), demonstrating the
-  algorithms across real sockets.  The codec trusts its peers —
-  deploy only among mutually trusted processes.
+  per node: versioned, length-prefixed frames of canonical text
+  (:mod:`repro.canon`), decoded into this algorithm's messages only;
+  anything else is refused as a :class:`ClusterTransportError`.
 
 Both expose the same façade::
 

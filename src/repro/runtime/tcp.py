@@ -1,16 +1,16 @@
 """TCP transport: one asyncio endpoint per node.
 
-Frames are 4-byte big-endian length + pickle payload ``(src, dst,
-message)``.  Pickle keeps the algorithm messages (plain slotted
-classes) intact without a parallel schema; the codec therefore
-*trusts its peers* — suitable for the lab/cluster deployments this
-library targets, not for untrusted networks.  Replacing the pickle
-framing (and adding acknowledgements: a frame in flight when its
-receiver dies is still lost silently) is the ROADMAP's socket-runtime
-item.  Meanwhile a transport fault is *said*: an unreachable peer, a
-frame longer than :data:`MAX_FRAME_BYTES` and a frame addressed to
-another node each become a :class:`ClusterTransportError` recorded on
-``NodeHost.failure``, and no lock request waits on a cluster with one.
+A frame is a big-endian header — wire version (2 bytes) and payload
+length (4) — and the canonical text (:func:`repro.canon.dumps`) of
+``(src, dst, message)``, rebuilt by :func:`repro.canon.loads` with
+this host's message kinds (:func:`repro.net.message.message_kinds`):
+no peer can make a host build anything else.  A transport fault is
+*said*: an unreachable peer, and a frame of another version, longer
+than :data:`MAX_FRAME_BYTES`, undecodable or addressed to another
+node, each become a :class:`ClusterTransportError` recorded on
+``NodeHost.failure``, and no lock request waits on a cluster with
+one.  (A frame in flight when its receiver dies is still lost: there
+are no acknowledgements.)
 
 :class:`TcpCluster` is the convenience harness used by the examples
 and integration tests: it starts N :class:`NodeHost` endpoints on
@@ -22,23 +22,25 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import pickle
 import struct
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
+from repro.canon import CanonError, dumps, loads
 from repro.mutex.base import Hooks, MutexNode
-from repro.net.message import Message
+from repro.net.message import Message, message_kinds
 from repro.registry import get_algorithm
 from repro.runtime.env import AsyncEnv
 from repro.runtime.facade import ClusterTransportError, LockFacade
 
-__all__ = ["MAX_FRAME_BYTES", "NodeHost", "TcpCluster"]
+__all__ = ["MAX_FRAME_BYTES", "NodeHost", "TcpCluster", "WIRE_VERSION"]
 
-_HEADER = struct.Struct("!I")
+_HEADER = struct.Struct("!HI")
 _Stream = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
 
-#: the longest payload a host will allocate for on a peer's say-so (the
-#: largest RCV message of an N=200 burst pickles to 18 KB)
+#: the frame format this host writes and reads
+WIRE_VERSION = 1
+
+#: the longest payload a host will allocate for on a peer's say-so
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 #: connection attempts per peer before it counts as unreachable
@@ -51,15 +53,23 @@ class _BadFrame(Exception):
 
 
 def _encode(src: int, dst: int, message: Message) -> bytes:
-    payload = pickle.dumps((src, dst, message), protocol=pickle.HIGHEST_PROTOCOL)
-    return _HEADER.pack(len(payload)) + payload
+    payload = dumps((src, dst, message)).encode("ascii")
+    return _HEADER.pack(WIRE_VERSION, len(payload)) + payload
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> Optional[Tuple[int, int, Message]]:
-    """The next frame, or None at end of stream."""
+async def _read_frame(
+    reader: asyncio.StreamReader, kinds: Mapping[str, type]
+) -> Optional[Tuple[int, int, Message]]:
+    """The next frame, or None at end of stream; :class:`_BadFrame`
+    for one no peer of ours would send."""
     try:
         header = await reader.readexactly(_HEADER.size)
-        (length,) = _HEADER.unpack(header)
+        version, length = _HEADER.unpack(header)
+        if version != WIRE_VERSION:
+            raise _BadFrame(
+                f"frame of wire version {version} (this host reads "
+                f"{WIRE_VERSION})"
+            )
         if length > MAX_FRAME_BYTES:
             raise _BadFrame(
                 f"frame of {length} bytes exceeds MAX_FRAME_BYTES "
@@ -68,7 +78,19 @@ async def _read_frame(reader: asyncio.StreamReader) -> Optional[Tuple[int, int, 
         payload = await reader.readexactly(length)
     except (asyncio.IncompleteReadError, ConnectionResetError):
         return None
-    return pickle.loads(payload)
+    try:
+        frame = loads(payload, kinds)
+    except CanonError as exc:
+        raise _BadFrame(f"undecodable frame: {exc}") from None
+    if not (
+        type(frame) is tuple
+        and len(frame) == 3
+        and type(frame[0]) is int
+        and type(frame[1]) is int
+        and isinstance(frame[2], Message)
+    ):
+        raise _BadFrame("frame is not (src, dst, message)")
+    return frame
 
 
 class NodeHost:
@@ -95,6 +117,7 @@ class NodeHost:
         self.node: MutexNode = factory(
             node_id, len(endpoints), self.env, self.hooks, **(algo_kwargs or {})
         )
+        self._kinds = message_kinds(type(self.node))
         self._server: Optional[asyncio.AbstractServer] = None
         #: outbound connections, by peer; the reader half only ever
         #: says one thing — end of stream, i.e. the peer has gone
@@ -189,7 +212,7 @@ class NodeHost:
         self._inbound.add(writer)
         try:
             while True:
-                frame = await _read_frame(reader)
+                frame = await _read_frame(reader, self._kinds)
                 if frame is None:
                     return
                 src, dst, message = frame

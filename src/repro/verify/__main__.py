@@ -12,6 +12,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.canon import CanonError
 from repro.verify.checker import DEFAULT_CHECKS, check
 from repro.verify.errors import VerifyError
 from repro.verify.models import ALGORITHMS
@@ -179,7 +180,7 @@ def main(argv=None) -> int:
             reduce=args.reduce,
             max_states=args.max_states,
         )
-    except VerifyError as exc:
+    except (VerifyError, CanonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,9 @@
 """Checker-infrastructure failures, distinct from protocol findings.
 
 A :class:`VerifyError` means the *checker itself* cannot proceed —
-an unmodelable feature (timers), an unencodable state attribute, a
-malformed replay schedule.  It always propagates; protocol-level
+an unmodelable feature (timers), a malformed replay schedule (an
+unencodable state attribute is the canon's ``CanonError``, alias
+``FingerprintError``).  It always propagates; protocol-level
 exceptions (``ProtocolInvariantError``, ``ProtocolStateError``) are,
 by contrast, *results*: the exploration captures them as violations.
 """

@@ -5,9 +5,12 @@ a value *missing* from a fingerprint collapses distinct states and
 makes the checker unsound; a value a clone *shares* with its original
 lets one world's transition leak into another.  How a value is
 encoded and how it is copied are therefore two columns of one table,
-:data:`VALUE_TYPES`, a row per type the protocol state may hold: the
-cloner and the fingerprint cannot disagree about a type, and a type
-with no row is a :class:`FingerprintError`, never a guess.
+:data:`repro.canon.VALUE_TYPES`, a row per type the protocol state may
+hold: the cloner and the fingerprint cannot disagree about a type, and
+a type with no row is a :class:`FingerprintError`, never a guess.  The
+same table keys cells and frames the TCP wire (:mod:`repro.canon`);
+this module holds what only the checker knows — which attributes are
+state.
 
 What is walked is decided by exclusion only.  A node's canon is
 **every attribute that** :data:`NODE_EXCLUDED` **does not name**
@@ -23,21 +26,19 @@ infrastructure handles, instrumentation nobody reads).
 construction: an entry naming an attribute the node lacks, or
 justifying nothing, is refused.
 
-``SystemInfo`` alone has a hand-written encoder (:func:`fingerprint_si`;
-its copy is the protocol's own copy-on-write ``snapshot()``), so it
-keeps a canon table beside its exclusions and
-:func:`assert_canon_complete` checks that the two partition its slots.
+``SystemInfo`` alone has a hand-written encoder
+(:func:`repro.canon.fingerprint_si`; its copy is the protocol's own
+copy-on-write ``snapshot()``), so it keeps a canon table beside its
+exclusions and :func:`assert_canon_complete` checks that the two
+partition its slots.
 """
 
 from __future__ import annotations
 
-import enum
-from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
+from repro.canon import CanonError, _encode_sorted, _slot_names, encode_value
 from repro.core.state import SystemInfo
-from repro.net.message import Message, payload_fields
-from repro.verify.errors import VerifyError
 
 __all__ = [
     "ENCODER_OVERRIDES",
@@ -45,41 +46,21 @@ __all__ = [
     "NODE_EXCLUDED",
     "SYSTEMINFO_CANON",
     "SYSTEMINFO_EXCLUDED",
-    "VALUE_TYPES",
     "assert_canon_complete",
-    "copy_value",
-    "encode_value",
-    "fingerprint_message",
-    "fingerprint_si",
     "node_canon",
 ]
 
 _HERE = "src/repro/verify/fingerprint.py"
 
 
-class FingerprintError(VerifyError):
-    """A value reached the walker that it can neither encode nor copy,
-    or an exclusion table drifted from the class it describes.
-
-    Raised instead of guessing: the state model changed and this
-    module must be updated deliberately.
-    """
+#: a value the walker can neither encode nor copy, or an exclusion
+#: table that drifted from its class: the state model changed
+FingerprintError = CanonError
 
 
 # ----------------------------------------------------------------------
 # SystemInfo
 # ----------------------------------------------------------------------
-def fingerprint_si(si: SystemInfo) -> Tuple:
-    """The semantic content of an SI: NONL, MNLs (in arrival order),
-    row freshness counters, and the completion watermark."""
-    return (
-        tuple(si.nonl),
-        tuple(tuple(row.cols.items()) for row in si.rows),
-        tuple(si.row_ts),
-        tuple(si.done),
-    )
-
-
 #: SystemInfo.__slots__ members that carry *semantic* replicated state.
 SYSTEMINFO_CANON = {
     "nonl": "the committed order (Lemma 7's subject)",
@@ -180,14 +161,6 @@ def _qualified(cls: type) -> str:
     return f"{cls.__module__}.{cls.__qualname__}"
 
 
-def _slot_names(cls: type) -> set:
-    return {
-        name
-        for klass in cls.__mro__
-        for name in getattr(klass, "__slots__", ())
-    }
-
-
 def _attr_names(obj) -> set:
     # slots along the MRO plus the instance dict: a subclass of a
     # slotted class that declares no __slots__ of its own has both
@@ -278,154 +251,7 @@ def node_canon(node) -> List[Tuple[str, Callable]]:
     ]
 
 
-# ----------------------------------------------------------------------
-# the value table: how each type is copied, how it is encoded
-# ----------------------------------------------------------------------
-def _share_frozen(value):
-    # A tuple or frozenset is shared, never rebuilt (a NamedTuple
-    # would not survive ``type(value)(items)``), so everything in it
-    # must be shareable too.
-    for item in value:
-        if copy_value(item) is not item:
-            raise FingerprintError(
-                f"{value!r} holds a mutable {type(item).__name__}: a "
-                f"clone cannot share it — hold a list instead ({_HERE})"
-            )
-    return value
-
-
-def _copy_items(build: Callable) -> Callable:
-    return lambda value: build([copy_value(v) for v in value])
-
-
-def _encode_seq(tag: str) -> Callable:
-    return lambda value: (tag, *map(encode_value, value))
-
-
-def _encode_sorted(tag: str) -> Callable:
-    # The leading type tag of every encoding keeps a mixed multiset
-    # totally ordered.
-    return lambda value: (tag, *sorted(map(encode_value, value)))
-
-
-def _encode_dict(value) -> Tuple:
-    # Insertion order is kept: iteration order is observable.
-    return (
-        "d",
-        *[(encode_value(k), encode_value(v)) for k, v in value.items()],
-    )
-
-
 _encode_heap = _encode_sorted("heap")
-
-
-def fingerprint_message(msg) -> Tuple:
-    """Every payload slot across the MRO
-    (:func:`repro.net.message.payload_fields`), in sorted name order.
-    New fields are picked up automatically — the mutation-proof
-    property for the wire side of the state."""
-    return (
-        type(msg).kind,
-        *[
-            (name, encode_value(getattr(msg, name)))
-            for name in payload_fields(type(msg))
-        ],
-    )
-
-
-#: type → (copy, encode); ``copy`` is ``None`` for an immutable value,
-#: which clones share.  Exact type first; a subclass (``ReqTuple``,
-#: ``NodeState``, a planted ``SystemInfo``, any ``Message``) takes the
-#: row of its nearest listed base, and an unlisted class whose
-#: instances have ``__slots__`` and no ``__dict__`` (``_Grant``, a
-#: parked RM) is walked slot by slot — see :func:`_resolve`.
-VALUE_TYPES: Dict[type, Tuple[Optional[Callable], Callable]] = {
-    type(None): (None, lambda value: ("none",)),
-    bool: (None, lambda value: ("b", value)),
-    int: (None, lambda value: ("i", value)),
-    float: (None, lambda value: ("f", value)),
-    str: (None, lambda value: ("s", value)),
-    enum.Enum: (
-        None,
-        lambda value: ("e", type(value).__name__, value.name),
-    ),
-    tuple: (_share_frozen, _encode_seq("t")),
-    list: (_copy_items(list), _encode_seq("l")),
-    deque: (_copy_items(deque), _encode_seq("dq")),
-    set: (_copy_items(set), _encode_sorted("set")),
-    frozenset: (_share_frozen, _encode_sorted("fs")),
-    dict: (
-        lambda value: {k: copy_value(v) for k, v in value.items()},
-        _encode_dict,
-    ),
-    # snapshot() is a faithful semantic copy (NONL/rows/row_ts/done/
-    # _max_ts) with copy-on-write row sharing — exactly the canon
-    # slots, at O(N) pointer cost per clone.
-    SystemInfo: (
-        lambda si: si.snapshot(),
-        lambda si: ("si", fingerprint_si(si)),
-    ),
-    # immutable once sent (net/message.py)
-    Message: (None, fingerprint_message),
-}
-
-#: rows a subclass does not inherit: its copy would come back a plain
-#: instance of the base
-_REBUILT = frozenset({list, deque, set, dict})
-
-
-def _slotted(cls: type) -> Tuple[Callable, Callable]:
-    names = sorted(_slot_names(cls))
-
-    def copy(value):
-        new = cls.__new__(cls)
-        for name in names:
-            setattr(new, name, copy_value(getattr(value, name)))
-        return new
-
-    def encode(value):
-        return (
-            cls.__name__,
-            *[encode_value(getattr(value, name)) for name in names],
-        )
-
-    return copy, encode
-
-
-def _resolve(value) -> Tuple[Optional[Callable], Callable]:
-    """The row for a ``type(value)`` not listed itself, added to the
-    table so it is found once per type."""
-    cls = type(value)
-    row = None
-    for base in cls.__mro__:
-        if base in VALUE_TYPES:
-            row = None if base in _REBUILT else VALUE_TYPES[base]
-            break
-    else:
-        if not cls.__dictoffset__ and hasattr(cls, "__slots__"):
-            row = _slotted(cls)
-    if row is None:
-        raise FingerprintError(
-            f"cannot fingerprint or copy a value of type "
-            f"{cls.__name__}: {value!r} — give it a row in VALUE_TYPES, "
-            f"or exclude the attribute holding it with a justification "
-            f"({_HERE})"
-        )
-    VALUE_TYPES[cls] = row
-    return row
-
-
-def copy_value(value):
-    """A copy no transition on the original can reach (an immutable
-    value is its own copy)."""
-    copy = (VALUE_TYPES.get(type(value)) or _resolve(value))[0]
-    return value if copy is None else copy(value)
-
-
-def encode_value(value) -> Tuple:
-    """``value`` as a hashable, comparable tuple led by a type tag."""
-    return (VALUE_TYPES.get(type(value)) or _resolve(value))[1](value)
-
 
 #: (qualified class name, attribute) → encoder replacing the table's,
 #: for state whose in-memory layout says more than its behaviour does.

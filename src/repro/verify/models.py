@@ -26,11 +26,8 @@ from repro.core.verification import check_system
 from repro.mutex.base import Env, Hooks, MutexNode
 from repro.registry import algorithm_names, get_algorithm
 from repro.verify.errors import VerifyError
-from repro.verify.fingerprint import (
-    FingerprintError,
-    copy_value,
-    node_canon,
-)
+from repro.canon import copy_value
+from repro.verify.fingerprint import FingerprintError, node_canon
 
 __all__ = [
     "ALGORITHMS",

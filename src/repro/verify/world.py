@@ -33,10 +33,10 @@ from __future__ import annotations
 import copy
 from typing import Dict, List, Optional, Tuple
 
+from repro.canon import fingerprint_message
 from repro.mutex.base import Env, NodeState
 from repro.net.message import Message
 from repro.verify.errors import VerifyError
-from repro.verify.fingerprint import fingerprint_message
 
 __all__ = [
     "ActionOutcome",

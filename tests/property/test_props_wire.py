@@ -1,4 +1,5 @@
-"""The cell service's HTTP/1.1 reader under hostile input.
+"""The two wires under hostile input: the cell service's HTTP/1.1
+reader, and the TCP runtime's canon frames.
 
 Both ends of the wire read heads with one function,
 ``protocol.read_head``, and frame bodies with one rule,
@@ -18,11 +19,20 @@ and heads mutated from the bytes the ``test_wire_*`` examples in
   or a :class:`BackendUnavailableError`, and a refused reply leaves no
   socket open.
 
+The TCP runtime's frames (``repro.runtime.tcp``, the canon of
+``(src, dst, message)``) are held to the same rule: every message every
+registry algorithm sends comes back with an equal fingerprint, and
+every truncated, bit-flipped, over-nested, unknown-kind, wrong-version
+or oversize frame ends, promptly, as frames or as the host's one typed
+refusal — never as ``RecursionError``, ``KeyError``,
+``UnicodeDecodeError`` or any other exception.
+
 The example budgets are fixed and keep the file to a few seconds.
 """
 
 from __future__ import annotations
 
+import asyncio
 import io
 import json
 import socket
@@ -41,7 +51,13 @@ from repro.experiments.protocol import (
     body_length,
     read_head,
 )
+from repro.canon import dumps, fingerprint_message
+from repro.engine import Engine
 from repro.experiments.service import CellServer
+from repro.net.message import message_kinds
+from repro.registry import algorithm_names, get_algorithm
+from repro.runtime import tcp
+from repro.workload import BurstArrivals, Scenario
 
 #: seconds any one input may take end to end; a hang is a failure
 BOUND = 5.0
@@ -295,3 +311,136 @@ def test_wire_battery_client_ends_in_a_reply_or_a_typed_refusal(reply):
         thread.join(BOUND)
     assert time.perf_counter() - began < BOUND
     assert not thread.is_alive()
+
+
+# ----------------------------------------------------------------------
+# the TCP runtime's canon frames
+# ----------------------------------------------------------------------
+def _read_frames(raw: bytes, kinds):
+    """Every frame ``tcp._read_frame`` reads from ``raw`` up to the end
+    of the stream, or its refusal."""
+
+    async def go():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        frames = []
+        while (frame := await tcp._read_frame(reader, kinds)) is not None:
+            frames.append(frame)
+        return frames
+
+    return asyncio.run(go())
+
+
+def _sent(algorithm: str, n: int = 5) -> list:
+    """``(src, dst, message)`` for every send of a one-request burst."""
+    engine = Engine(
+        Scenario(algorithm=algorithm, n_nodes=n, arrivals=BurstArrivals(1), seed=0)
+    )
+    sent = []
+    engine.network.add_tap(lambda src, dst, msg, at: sent.append((src, dst, msg)))
+    engine.run()
+    return sent
+
+
+@pytest.mark.parametrize("algorithm", algorithm_names())
+def test_wire_every_message_of_every_algorithm_round_trips(algorithm):
+    kinds = message_kinds(get_algorithm(algorithm))
+    sent = _sent(algorithm)
+    assert sent
+    frames = _read_frames(b"".join(tcp._encode(*frame) for frame in sent), kinds)
+    assert len(frames) == len(sent)
+    for (src, dst, msg), back in zip(sent, frames):
+        assert back[:2] == (src, dst) and type(back[2]) is type(msg)
+        assert fingerprint_message(back[2]) == fingerprint_message(msg)
+
+
+RCV_KINDS = message_kinds(get_algorithm("rcv"))
+
+
+def _framed(payload: bytes, version: int = tcp.WIRE_VERSION) -> bytes:
+    return tcp._HEADER.pack(version, len(payload)) + payload
+
+
+#: well-formed frames (RCV's, which carry a SystemInfo), then frames no
+#: peer would send: oversize, another version, a value of every
+#: container row instead of a message, nested past the canon's bound
+#: and past the JSON parser's, a kind of another algorithm
+FRAMES = [tcp._encode(*frame) for frame in _sent("rcv", 4)[:6]] + [
+    tcp._HEADER.pack(tcp.WIRE_VERSION, 1 << 31),
+    _framed(b"[]", version=7),
+    tcp._encode(0, 1, None),
+    tcp._encode(0, 1, ([1, 2.5], {"k": ("x", None)}, frozenset({3}), {True})),
+    *[_framed(b'["t",' * deep + b'["none"]' + b"]" * deep) for deep in (600, 1200)],
+    _framed(b"[" * 20_000 + b"]" * 20_000),
+    _framed(b'["t",["i",0],["i",1],["m","TOKEN",["queue",["l"]]]]'),
+]
+
+#: JSON values a mutation splices into an array of a frame: the
+#: canon's own tags, unhashable and mistyped heads, and scalars the
+#: decoder must refuse or bound — the result is still JSON, so it
+#: reaches the canon's decoder rather than the JSON parser's refusal
+FRAME_VALUES = [
+    b'"m"', b'"nt"', b'"si"', b'"set"', b'"d"', b'"e"', b'"dc"', b'"none"',
+    b'"ReqTuple"', b'"RM"', b'"TOKEN"', b"[]", b"[[]]", b"{}", b'["i",true]',
+    b'["m","RM"]', b'["nt","ReqTuple",["i",1]]', b'["set",["l"]]',
+    b'["d",[["l"],["i",1]]]', b'["si",[],[[]],[1],[1]]', b"NaN", b"1e999",
+    b"9" * 5000, b'"\\ud800"', b"null", b"true", b"-0.0",
+]
+
+
+#: how a frame is mutated; a spliced value most often, since it keeps
+#: the payload JSON
+MUTATIONS = ["flip", "value", "value", "value", "insert", "delete", "repeat", "cut"]
+
+
+@st.composite
+def hostile_frames(draw):
+    """A frame from :data:`FRAMES` with flipped bits, a JSON value
+    spliced in as an array's head or item, raw bytes spliced anywhere,
+    deletions, repeats or a truncation; the header keeps or loses its
+    length as the mutation falls."""
+    raw = bytearray(draw(st.sampled_from(FRAMES)))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, max(len(raw) - 1, 0)))
+        how = draw(st.sampled_from(MUTATIONS))
+        if how == "flip" and raw:
+            raw[at] ^= 1 << draw(st.integers(0, 7))
+        elif how == "value":
+            # after an opening bracket or a comma: an array's head or
+            # one of its items
+            anchors = [i for i, byte in enumerate(raw) if byte in b"[,"]
+            if anchors:
+                at = draw(st.sampled_from(anchors)) + 1
+                raw[at:at] = draw(st.sampled_from(FRAME_VALUES)) + b","
+        elif how == "insert":
+            raw[at:at] = draw(st.sampled_from(FRAME_VALUES) | st.binary(max_size=6))
+        elif how == "delete":
+            del raw[at : at + draw(st.integers(1, 40))]
+        elif how == "repeat":
+            raw[at:at] = raw[at : at + draw(st.integers(1, 80))] * draw(
+                st.integers(1, 3)
+            )
+        else:
+            del raw[at:]
+    if draw(st.integers(0, 2)) and len(raw) >= tcp._HEADER.size:
+        # re-frame the mutated payload, so it reaches the decoder whole
+        body = bytes(raw[tcp._HEADER.size :])
+        raw[:] = tcp._HEADER.pack(tcp.WIRE_VERSION, len(body)) + body
+    return bytes(raw)
+
+
+@settings(max_examples=300, **BUDGET)
+@given(raw=hostile_frames())
+def test_wire_frames_end_in_messages_or_a_typed_refusal(raw):
+    began = time.perf_counter()
+    try:
+        frames = _read_frames(raw, RCV_KINDS)
+    except tcp._BadFrame as refusal:
+        assert str(refusal)
+    else:
+        for src, dst, message in frames:
+            assert type(src) is int and type(dst) is int
+            assert type(message) in RCV_KINDS.values()
+            fingerprint_message(message)
+    assert time.perf_counter() - began < BOUND

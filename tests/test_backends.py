@@ -623,6 +623,10 @@ def pr17_cache(tmp_path):
 
 
 def _serves_the_pr17_cells(backend):
+    """The backend serves the stored texts unchanged; ``CellCache``,
+    whose keys moved with ``RESULTS_EPOCH`` 3, finds no cell there — a
+    miss, never an error — and ``run_cells`` computes both again, to
+    the results stored under the old keys."""
     specs = [_spec(seed) for seed in (0, 1)]
     stored = {
         path.stem: path.read_text()
@@ -631,10 +635,17 @@ def _serves_the_pr17_cells(backend):
     assert sorted(backend.keys()) == sorted(stored)
     assert {key: backend.get(key) for key in stored} == stored
     cache = CellCache(backend=backend)
-    fresh = run_cells(specs, max_workers=1)
-    assert [result_to_dict(cache.get(spec)) for spec in specs] == [
+    assert [cache.get(spec) for spec in specs] == [None, None]
+    assert (cache.hits, cache.misses) == (0, 2)
+    fresh = run_cells(specs, max_workers=1, cache=cache)
+    assert cache.writes == 2
+    docs = [json.loads(text) for text in stored.values()]
+    by_seed = {doc["result"]["seed"]: doc["result"] for doc in docs}
+    assert [result_to_dict(result) for result in fresh] == [by_seed[0], by_seed[1]]
+    assert [result_to_dict(cache.peek(spec)) for spec in specs] == [
         result_to_dict(result) for result in fresh
     ]
+    assert {key: backend.get(key) for key in stored} == stored
 
 
 def test_directory_cache_written_by_pr17_still_opens(pr17_cache):

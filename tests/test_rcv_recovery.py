@@ -187,6 +187,28 @@ def test_one_lost_message_is_recovered(n, seed, kind, k):
     assert result.completed_count == result.issued_count
 
 
+@pytest.mark.parametrize("seed", [4, 6, 7])
+def test_a_rejoiner_relaunches_an_ordered_request(seed):
+    """The rejoin rule is the timer's rule: a node that recovers still
+    REQUESTING relaunches its RM, ordered or not.  In these three
+    bare cells (N=3, the last node down from t=20 to t=200) node 2's
+    tuple is already in its own NONL when it crashes, and the EM or IM
+    it waits for is lost in the outage; a rejoin that relaunched only
+    unordered requests left two of the three requests stranded."""
+    from repro.engine.engine import run_scenario as run_engine_scenario
+
+    scenario = Scenario(
+        algorithm="rcv",
+        n_nodes=3,
+        arrivals=BurstArrivals(),
+        seed=seed,
+        faults=(("crash", ((2, 20.0),)), ("recover", ((2, 200.0),))),
+    )
+    result = run_engine_scenario(scenario, require_completion=False)
+    assert result.extra["rejoins"] == 1
+    assert result.completed_count == result.issued_count == 3
+
+
 # ----------------------------------------------------------------------
 # composition with the fault fabric (PR-7) and the reliable channel:
 # rm_timeout is the protocol-level recovery knob, retx the transport-

@@ -1,9 +1,16 @@
 """Tests for the asyncio runtime (local and TCP clusters)."""
 
+import ast
 import asyncio
+from pathlib import Path
 
 import pytest
 
+from repro.baselines.ricart_agrawala import RaRequest
+from repro.canon import dumps
+from repro.core.messages import SyncRequest
+from repro.core.state import SystemInfo
+from repro.registry import algorithm_names
 from repro.runtime import ClusterTransportError, LocalCluster, TcpCluster
 from repro.runtime import tcp
 
@@ -96,24 +103,33 @@ def test_local_cluster_immediate_grant_path():
 # ----------------------------------------------------------------------
 # TcpCluster
 # ----------------------------------------------------------------------
-def test_tcp_cluster_mutual_exclusion():
+@pytest.mark.parametrize("algorithm", algorithm_names())
+def test_tcp_cluster_mutual_exclusion(algorithm):
+    """Every registry algorithm, two rounds at N=5 over real sockets:
+    the canon carries every message kind there is, and no two critical
+    sections overlap."""
+
     async def go():
         inside = [0]
         overlaps = []
+        entries = []
 
         async def worker(c, i):
-            async with c.lock(i, timeout=20):
-                inside[0] += 1
-                if inside[0] > 1:
-                    overlaps.append(i)
-                await asyncio.sleep(0.002)
-                inside[0] -= 1
+            for _ in range(2):
+                async with c.lock(i, timeout=20):
+                    inside[0] += 1
+                    if inside[0] > 1:
+                        overlaps.append(i)
+                    entries.append(i)
+                    await asyncio.sleep(0.002)
+                    inside[0] -= 1
 
-        async with TcpCluster(3, algorithm="rcv", seed=4) as c:
-            await asyncio.gather(*(worker(c, i) for i in range(3)))
-        return overlaps
+        async with TcpCluster(5, algorithm=algorithm, seed=4) as c:
+            await asyncio.gather(*(worker(c, i) for i in range(5)))
+            assert c.failure is None
+        return overlaps, sorted(entries)
 
-    assert run(go()) == []
+    assert run(go()) == ([], sorted(2 * list(range(5))))
 
 
 def test_tcp_cluster_repeated_rounds():
@@ -156,13 +172,30 @@ def test_tcp_acquire_raises_when_a_peer_is_gone(monkeypatch, connected_before):
     run(go())
 
 
+def _framed(payload: bytes, version: int = tcp.WIRE_VERSION) -> bytes:
+    return tcp._HEADER.pack(version, len(payload)) + payload
+
+
 def test_tcp_host_refuses_oversize_and_misrouted_frames():
+    """Each frame no peer would send ends the connection and is said
+    once, as a ClusterTransportError on the host — the truncated
+    payload and the 1-tuple once killed the connection handler with
+    an exception nobody read, and recorded nothing."""
+    sync = _framed(dumps((0, 1, SyncRequest(SystemInfo(2)))).encode())
+    cases = (
+        (tcp._HEADER.pack(tcp.WIRE_VERSION, tcp.MAX_FRAME_BYTES + 1), "exceeds MAX_FRAME_BYTES"),
+        (tcp._encode(0, 5, SyncRequest(SystemInfo(2))), "frame for node 5"),
+        (_framed(b"[]", version=2), "wire version 2"),
+        (_framed(sync[tcp._HEADER.size : -3]), "undecodable frame: not a canon text"),
+        (_framed(dumps((0,)).encode()), "frame is not (src, dst, message)"),
+        (_framed(dumps((0, 1, RaRequest(1, 0))).encode()), "not a message kind"),
+        (_framed(b"[" * 100_000), "undecodable frame"),
+        (_framed(b'["t",["i",0],["i",1],["m","SYNC_REQ",["x",["none"]]]]'), "carries the fields"),
+    )
+
     async def go():
         async with TcpCluster(2, algorithm="rcv", seed=7) as c:
-            for frame, said in (
-                (tcp._HEADER.pack(tcp.MAX_FRAME_BYTES + 1), "exceeds MAX_FRAME_BYTES"),
-                (tcp._encode(0, 5, None), "frame for node 5"),
-            ):
+            for frame, said in cases:
                 c.failure = c.hosts[1].failure = None
                 reader, writer = await asyncio.open_connection(*c.endpoints[1])
                 writer.write(frame)
@@ -171,5 +204,30 @@ def test_tcp_host_refuses_oversize_and_misrouted_frames():
                 assert c.hosts[1].failure is c.failure
                 assert c.failure.node_id == 1 and c.failure.peer is None
                 assert said in str(c.failure)
+            # and a well-formed frame is still a message
+            reader, writer = await asyncio.open_connection(*c.endpoints[1])
+            c.failure = c.hosts[1].failure = None
+            writer.write(sync)
+            await writer.drain()
+            await asyncio.sleep(0.05)
+            writer.close()
+            assert c.failure is None
 
     run(go())
+
+
+def test_no_runtime_module_imports_pickle():
+    """The wire is the canon's: nothing under ``repro/runtime`` may
+    unpickle what a peer sends."""
+    runtime = Path(__file__).resolve().parent.parent / "src" / "repro" / "runtime"
+    importers = []
+    for path in sorted(runtime.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = (
+                [alias.name for alias in node.names]
+                if isinstance(node, ast.Import)
+                else [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            )
+            if any(name.split(".")[0] in ("pickle", "_pickle") for name in names):
+                importers.append(path.name)
+    assert importers == []

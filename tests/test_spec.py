@@ -1,15 +1,18 @@
-"""The cell spec boundary: byte compatibility and input validation.
+"""The cell spec boundary: identity, pinned bytes and input validation.
 
-``CellSpec.cache_key()`` and the embedded cache document are derived
-from the dataclass fields through ``repro.experiments.spec.AXES``.
-The literals below were computed on the commit *before* that
-derivation existed (hand-written canon tuple and document dict), so
-they pin that existing caches keep loading: same keys, same bytes,
-no ``RESULTS_EPOCH`` bump.
+A cell's equality, hash, ``cache_key()`` and embedded cache document
+are all read off one text, ``CellSpec.canon()`` — the typed encoding
+(``repro.canon``) of the fields normalised through
+``repro.experiments.spec.AXES``.  The literals below pin that text's
+keys and document at ``RESULTS_EPOCH`` 3, the epoch that took the
+canon in; the document written before (``RESULTS_EPOCH`` 2, a
+``repr``-hashed key) stays, to pin what the bump promises an old
+cache: its cells are misses, never errors, and are computed again.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 from dataclasses import fields, replace
 from pathlib import Path
@@ -17,24 +20,26 @@ from typing import Iterator
 
 import pytest
 
-from repro.engine import run_scenario
+from repro.engine import CellTemplate, run_scenario
 from repro.experiments.backends import DirectoryBackend
 from repro.experiments.cache import CellCache
+from repro.experiments.parallel import run_cells
 from repro.experiments.spec import CellSpec, UnrepresentableScenarioError
 from repro.metrics.io import result_to_dict
 
 DATA = Path(__file__).resolve().parent / "data"
 
-#: (spec, cache_key() at PR 11) — every delay and cs_time kind, both
-#: workloads, bare-number shorthands, algo_kwargs, faults and retx
+#: (spec, cache_key() at RESULTS_EPOCH 3) — every delay and cs_time
+#: kind, both workloads, bare-number shorthands, algo_kwargs, faults
+#: and retx
 PINNED_KEYS = [
     (
         CellSpec("rcv", 10, 0, ("burst", 1)),
-        "2fcce70cf32a0724746ad692c7c6a59710191e782fc0ab32c12600e6849f1ec9",
+        "3a9620c7cc0fc80d600dfb288300ff8f72d1d489a22326370215afe7ac48feb9",
     ),
     (
         CellSpec("maekawa", 9, 3, ("burst", 2), cs_time=7, delay=2.5),
-        "d0f243418ebc86d21133030d9a5b5714340bd2fe37fc8b313994f01559ad759d",
+        "0da37afb6c1e43a0d9f3661476fc43661530a2ba560de1c9a4f587d3a909ad38",
     ),
     (
         CellSpec(
@@ -45,7 +50,7 @@ PINNED_KEYS = [
             delay=("uniform", 1.0, 9.0),
             cs_time=("exponential", 8.0, 0.5),
         ),
-        "56895c39dcf87f1b63ea451767aff05bce1824755044da70a6ce6808ce8c3d72",
+        "914c7a9ba428a986ddaae812ecea650df1f906f0f1060a502b31131e2025c5c4",
     ),
     (
         CellSpec(
@@ -56,7 +61,7 @@ PINNED_KEYS = [
             delay=("exponential", 4.0, 0.5),
             cs_time=("uniform", 2.0, 6.0),
         ),
-        "44835be5196f4106a8407b9d5afc56e8351fd9fc599a0b88f37ebe8b94a85cb4",
+        "dc640877e14003c13dbbaf0691eaf0fea31ee93e434c22a318def8b3d87d8b34",
     ),
     (
         CellSpec(
@@ -67,11 +72,11 @@ PINNED_KEYS = [
             delay=("jittered", 5.0, 1.5),
             algo_kwargs=(("quorum_system", "grid"),),
         ),
-        "f5a89c9e03de695655cf87deb971265906bb47902b2d920d9d73d1e8bd5c2ae9",
+        "5639ce80845a147a9cd1f8d79fb1fb6949ce89d93ef16845273e15d1aba3b91d",
     ),
     (
         CellSpec("rcv", 5, 5, ("burst", 1), algo_kwargs=(("b", 2), ("a", 1))),
-        "dc549cceb1e9c66b6ed31ec8b2d577198df5841303cd09bb0246593c384f4858",
+        "e0d343ccc7a7f5497d2d5c2ccffd4c21f0fb48759b14ed403cad0f0334b31513",
     ),
     (
         CellSpec(
@@ -81,7 +86,7 @@ PINNED_KEYS = [
             ("burst", 1),
             faults=(("reorder", 6.0), ("dup", 0.15), ("drop", 0.0)),
         ),
-        "ecf821654e77a459348e07512fd5fad0622214177af27597ef0783e303a207e2",
+        "0fb6ece6d246e1092a422e71bf919b6d55373aa77dbc96e105085db6bc6dd7b8",
     ),
     (
         CellSpec(
@@ -94,7 +99,7 @@ PINNED_KEYS = [
                 ("crash", ((5, 20.0),)),
             ),
         ),
-        "f291e18ba35671ebdc935c2d67c2a8f5473d7bdf1a65af02ecae5820acb67509",
+        "3303bc5977d127f88893d385d9571087584c91c9c8e55aa0e341d1540d440d22",
     ),
     (
         CellSpec(
@@ -105,12 +110,13 @@ PINNED_KEYS = [
             faults=(("drop", 0.1),),
             retx=("retx", 20.0, 2.0, 10),
         ),
-        "7482df1e8fa950ce6271dffa4d7c2f6ac5781c98a732e7a23373821f1cb9b05a",
+        "97901c1f229b80503f657d1a82c1c4274eafe943ee05e17527375879ba6a1a02",
     ),
 ]
 
-#: the cell stored in ``data/cell_written_by_pr11.json`` — written by
-#: ``CellCache(dir).put`` on PR 11, copied byte for byte
+#: the cell stored in ``data/cell_written_at_epoch_3.json`` — written
+#: by ``CellCache(dir).put``, copied byte for byte — and, under its
+#: epoch-2 key, in ``data/cell_written_by_pr11.json``
 STORED_SPEC = CellSpec(
     "maekawa",
     4,
@@ -121,32 +127,88 @@ STORED_SPEC = CellSpec(
     algo_kwargs=(("quorum_system", "grid"),),
     faults=(("reorder", 6.0), ("dup", 0.15)),
 )
-STORED_KEY = "f43b0475716d89dcc203282a213c0775c9cd0511f830211d70ef51d2dc3b057e"
-STORED_TEXT = (DATA / "cell_written_by_pr11.json").read_text()
+STORED_KEY = "1b2e9ec5007fa844a593f8e97742826daa64f4b3a00cd4d22025bfbb7f5ca3c5"
+STORED_TEXT = (DATA / "cell_written_at_epoch_3.json").read_text()
+#: the same cell's key and document at RESULTS_EPOCH 2
+EPOCH_2_KEY = "f43b0475716d89dcc203282a213c0775c9cd0511f830211d70ef51d2dc3b057e"
+EPOCH_2_TEXT = (DATA / "cell_written_by_pr11.json").read_text()
 
 
 @pytest.mark.parametrize("spec, key", PINNED_KEYS, ids=lambda v: str(v)[:12])
-def test_cache_keys_are_byte_compatible_with_pr11(spec, key):
+def test_cache_keys_are_pinned_at_epoch_3(spec, key):
     assert spec.cache_key() == key
 
 
 def test_directory_cache_written_by_pr11_still_loads(tmp_path):
-    path = DirectoryBackend(tmp_path).path_for(STORED_KEY)
+    """An epoch-2 cell opens and is served raw, but ``CellCache``
+    never hands it out: its key is not the cell's any more, so the
+    cell is a miss — not an error — and is computed and written at
+    its epoch-3 key, beside the old document."""
+    backend = DirectoryBackend(tmp_path)
+    path = backend.path_for(EPOCH_2_KEY)
     path.parent.mkdir(parents=True)
-    path.write_text(STORED_TEXT)
+    path.write_text(EPOCH_2_TEXT)
+    assert backend.get(EPOCH_2_KEY) == EPOCH_2_TEXT
 
     cache = CellCache(tmp_path)
-    assert cache.path_for(STORED_SPEC) == path
-    loaded = cache.get(STORED_SPEC)
-    assert (cache.hits, cache.misses) == (1, 0)
-    fresh = run_scenario(STORED_SPEC.build_scenario())
-    assert result_to_dict(loaded) == result_to_dict(fresh)
+    assert cache.path_for(STORED_SPEC) != path
+    assert cache.get(STORED_SPEC) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+    (result,) = run_cells([STORED_SPEC], max_workers=1, cache=cache)
+    assert cache.writes == 1
+    assert cache.path_for(STORED_SPEC).read_text() == STORED_TEXT
+    assert path.read_text() == EPOCH_2_TEXT
+    # same simulation, new spec document: the epoch moved the key only
+    old, new = json.loads(EPOCH_2_TEXT), json.loads(STORED_TEXT)
+    assert old["result"] == new["result"] == result_to_dict(result)
+    assert old["spec"] != new["spec"] == STORED_SPEC.document()
 
 
 def test_stored_document_is_reproduced_byte_for_byte(tmp_path):
     cache = CellCache(tmp_path)
-    cache.put(STORED_SPEC, run_scenario(STORED_SPEC.build_scenario()))
+    key = cache.put(STORED_SPEC, run_scenario(STORED_SPEC.build_scenario()))
+    assert key == STORED_KEY
     assert cache.path_for(STORED_SPEC).read_text() == STORED_TEXT
+
+
+# ----------------------------------------------------------------------
+# one identity: equality, hash, key and document are one canon text
+# ----------------------------------------------------------------------
+def _identities(spec):
+    return spec.canon(), spec.cache_key(), json.dumps(spec.document())
+
+
+def test_two_spellings_of_one_cell_compare_equal():
+    """``delay=5.0`` and ``("constant", 5)`` were one key but two
+    unequal specs."""
+    bare = CellSpec("rcv", 4, 0, ["burst", 1.0], cs_time=10, delay=5.0)
+    spelled = CellSpec(
+        "rcv", 4, 0, ("burst", 1), cs_time=("constant", 10.0), delay=("constant", 5)
+    )
+    assert bare == spelled and hash(bare) == hash(spelled)
+    assert _identities(bare) == _identities(spelled)
+    assert len({bare, spelled}) == 1
+
+
+def test_a_mapping_algo_kwargs_is_hashable():
+    """A spec with ``algo_kwargs={"a": 1}`` had a key, but ``hash()``
+    raised ``TypeError``."""
+    as_mapping = CellSpec("rcv", 3, 0, ("burst", 1), algo_kwargs={"a": 1})
+    as_pairs = CellSpec("rcv", 3, 0, ("burst", 1), algo_kwargs=(("a", 1),))
+    assert hash(as_mapping) == hash(as_pairs)
+    assert {as_mapping: "cell"}[as_pairs] == "cell"
+
+
+def test_cell_template_keys_tell_zero_from_false():
+    """``0 == False`` in Python, but a node factory may well treat
+    them differently: two templates whose ``algo_kwargs`` differ so
+    used to share one key."""
+    zero, false = (
+        CellTemplate(CellSpec("rcv", 3, 0, ("burst", 1), algo_kwargs={"x": value}))
+        for value in (0, False)
+    )
+    assert zero.key != false.key and hash(zero.key) != hash(false.key)
+    assert all(a != b for a, b in zip(_identities(zero.key), _identities(false.key)))
 
 
 # ----------------------------------------------------------------------

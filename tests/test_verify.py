@@ -34,7 +34,8 @@ from repro.core.node import RCVNode
 from repro.core.state import SystemInfo
 from repro.registry import algorithm_names, get_algorithm
 from repro.verify import VerifyError, World, check, fingerprint, make_model
-from repro.verify.fingerprint import FingerprintError, fingerprint_message
+from repro.canon import fingerprint_message
+from repro.verify.fingerprint import FingerprintError
 from repro.verify.checker import Checker
 from repro.verify.schedule import (
     load_schedule,
@@ -258,7 +259,7 @@ def test_every_message_of_one_request_fingerprints(algo):
     assert sent, "a request at a non-holder sends something"
     for envelope in sent.values():
         assert envelope.fp == fingerprint_message(envelope.msg)
-        assert envelope.fp[0] == envelope.msg.kind
+        assert envelope.fp[:2] == ("m", envelope.msg.kind)
         hash(envelope.fp)
 
 
@@ -398,7 +399,7 @@ def test_value_table_copies_and_encodes_every_kind_of_value():
 
     from repro.baselines.quorum_base import _Grant
     from repro.core.tuples import ReqTuple
-    from repro.verify.fingerprint import copy_value, encode_value
+    from repro.canon import copy_value, encode_value
 
     grant = _Grant((3, 1), 1, 2, 7)
     value = {
