@@ -31,9 +31,10 @@ __all__ = ["LamportNode"]
 class LpRequest(Message):
     kind = "REQUEST"
     __slots__ = ("ts", "origin")
+    ts: int
+    origin: int
 
     def __init__(self, ts: int, origin: int) -> None:
-        super().__init__()
         self.ts = ts
         self.origin = origin
 
@@ -41,18 +42,20 @@ class LpRequest(Message):
 class LpReply(Message):
     kind = "REPLY"
     __slots__ = ("ts",)
+    ts: int
 
     def __init__(self, ts: int) -> None:
-        super().__init__()
         self.ts = ts
 
 
 class LpRelease(Message):
     kind = "RELEASE"
     __slots__ = ("ts", "origin", "req_ts")
+    ts: int
+    origin: int
+    req_ts: int
 
     def __init__(self, ts: int, origin: int, req_ts: int) -> None:
-        super().__init__()
         self.ts = ts
         self.origin = origin
         self.req_ts = req_ts

@@ -25,9 +25,9 @@ __all__ = ["NaimiTrehelNode"]
 class NtRequest(Message):
     kind = "REQUEST"
     __slots__ = ("origin",)
+    origin: int
 
     def __init__(self, origin: int) -> None:
-        super().__init__()
         self.origin = origin
 
 

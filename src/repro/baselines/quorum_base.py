@@ -64,9 +64,11 @@ Priority = Tuple[int, int]  # (lamport ts, node id) — smaller wins
 class QmRequest(Message):
     kind = "REQUEST"
     __slots__ = ("ts", "origin", "seq")
+    ts: int
+    origin: int
+    seq: int
 
     def __init__(self, ts: int, origin: int, seq: int) -> None:
-        super().__init__()
         self.ts = ts
         self.origin = origin
         self.seq = seq
@@ -75,9 +77,10 @@ class QmRequest(Message):
 class QmLocked(Message):
     kind = "LOCKED"
     __slots__ = ("seq", "grant_no")
+    seq: int
+    grant_no: int
 
     def __init__(self, seq: int, grant_no: int) -> None:
-        super().__init__()
         self.seq = seq
         self.grant_no = grant_no
 
@@ -85,18 +88,19 @@ class QmLocked(Message):
 class QmFailed(Message):
     kind = "FAILED"
     __slots__ = ("seq",)
+    seq: int
 
     def __init__(self, seq: int) -> None:
-        super().__init__()
         self.seq = seq
 
 
 class QmInquire(Message):
     kind = "INQUIRE"
     __slots__ = ("seq", "grant_no")
+    seq: int
+    grant_no: int
 
     def __init__(self, seq: int, grant_no: int) -> None:
-        super().__init__()
         self.seq = seq
         self.grant_no = grant_no
 
@@ -104,9 +108,10 @@ class QmInquire(Message):
 class QmRelinquish(Message):
     kind = "RELINQUISH"
     __slots__ = ("seq", "grant_no")
+    seq: int
+    grant_no: int
 
     def __init__(self, seq: int, grant_no: int) -> None:
-        super().__init__()
         self.seq = seq
         self.grant_no = grant_no
 
@@ -114,9 +119,9 @@ class QmRelinquish(Message):
 class QmRelease(Message):
     kind = "RELEASE"
     __slots__ = ("seq",)
+    seq: int
 
     def __init__(self, seq: int) -> None:
-        super().__init__()
         self.seq = seq
 
 

@@ -24,9 +24,10 @@ __all__ = ["RicartAgrawalaNode", "RaRequest", "RaReply"]
 class RaRequest(Message):
     kind = "REQUEST"
     __slots__ = ("ts", "origin")
+    ts: int
+    origin: int
 
     def __init__(self, ts: int, origin: int) -> None:
-        super().__init__()
         self.ts = ts
         self.origin = origin
 
@@ -34,9 +35,9 @@ class RaRequest(Message):
 class RaReply(Message):
     kind = "REPLY"
     __slots__ = ("req_ts",)
+    req_ts: int
 
     def __init__(self, req_ts: int) -> None:
-        super().__init__()
         self.req_ts = req_ts
 
 

@@ -34,9 +34,10 @@ R, E, H, N = "R", "E", "H", "N"
 class SgRequest(Message):
     kind = "REQUEST"
     __slots__ = ("origin", "seq")
+    origin: int
+    seq: int
 
     def __init__(self, origin: int, seq: int) -> None:
-        super().__init__()
         self.origin = origin
         self.seq = seq
 
@@ -44,9 +45,10 @@ class SgRequest(Message):
 class SgToken(Message):
     kind = "TOKEN"
     __slots__ = ("tsv", "tsn")
+    tsv: List[str]
+    tsn: List[int]
 
     def __init__(self, tsv: List[str], tsn: List[int]) -> None:
-        super().__init__()
         self.tsv = list(tsv)
         self.tsn = list(tsn)
 

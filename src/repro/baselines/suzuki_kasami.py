@@ -26,9 +26,10 @@ __all__ = ["SuzukiKasamiNode"]
 class SkRequest(Message):
     kind = "REQUEST"
     __slots__ = ("origin", "seq")
+    origin: int
+    seq: int
 
     def __init__(self, origin: int, seq: int) -> None:
-        super().__init__()
         self.origin = origin
         self.seq = seq
 
@@ -36,9 +37,10 @@ class SkRequest(Message):
 class SkToken(Message):
     kind = "TOKEN"
     __slots__ = ("ln", "queue")
+    ln: List[int]
+    queue: List[int]
 
     def __init__(self, ln: List[int], queue: List[int]) -> None:
-        super().__init__()
         self.ln = list(ln)
         self.queue = list(queue)
 

@@ -11,8 +11,9 @@ keyed and documented by it, and the TCP runtime sends :func:`dumps`.
 
 :func:`loads` is the inverse for what a peer may send: the scalar and
 container rows, ``ReqTuple``, a ``SystemInfo`` from
-its four canon slots and the message kinds the caller names; anything
-else is a :class:`CanonError`, and nothing runs code a peer chose.
+its four canon slots and the message kinds the caller names, each
+field of the type its class annotates; anything else is a
+:class:`CanonError`, and nothing runs code a peer chose.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ import dataclasses
 import enum
 import json
 import reprlib
+import typing
 from collections import deque
+from functools import lru_cache
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.state import Row, SystemInfo
 from repro.core.tuples import ReqTuple
-from repro.net.message import Message, payload_fields
+from repro.net.message import Message, payload_fields, payload_types
 
 __all__ = [
     "CanonError",
@@ -369,10 +372,38 @@ def _decode_message(args, kinds, depth):
             f"{_brief(fields)}"
         )
     msg = cls.__new__(cls)
-    Message.__init__(msg)  # a fresh msg_id, as a sent message gets
+    types = payload_types(cls)
     for name, tree in fields:
-        setattr(msg, name, _decode(tree, kinds, depth))
+        value = _decode(tree, kinds, depth)
+        if not _conforms(value, types[name]):
+            raise CanonError(
+                f"a {args[0]}'s {name} must be {_type_name(types[name])}, "
+                f"not {_brief(tree)}"
+            )
+        setattr(msg, name, value)
     return msg
+
+
+_hints = lru_cache(maxsize=None)(typing.get_type_hints)
+
+
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` has the annotated type ``hint``: a class
+    exactly (``True`` is no ``int``), a NamedTuple field by field, a
+    ``List[T]`` or ``Tuple[T, ...]`` item by item."""
+    origin = typing.get_origin(hint)
+    if origin is None:
+        return type(value) is hint and (
+            not hasattr(hint, "_fields")
+            or all(map(_conforms, value, _hints(hint).values()))
+        )
+    item = typing.get_args(hint)[0]
+    return type(value) is origin and all(_conforms(v, item) for v in value)
+
+
+def _type_name(hint) -> str:
+    """``hint`` as its annotation spells it (``int``, ``List[int]``)."""
+    return hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
 
 
 _DECODERS: Dict[str, Callable] = {

@@ -25,7 +25,7 @@ matching the paper.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Tuple
 
 from repro.core.state import SystemInfo
 from repro.core.tuples import ReqTuple
@@ -46,9 +46,9 @@ class _SnapshotMessage(Message):
     """Common carrier of an SI snapshot."""
 
     __slots__ = ("si",)
+    si: SystemInfo
 
     def __init__(self, si: SystemInfo) -> None:
-        super().__init__()
         self.si = si
 
     def size_units(self) -> int:
@@ -73,6 +73,10 @@ class RequestMessage(_SnapshotMessage):
     kind = "RM"
 
     __slots__ = ("home", "tup", "unvisited", "hops")
+    home: int
+    tup: ReqTuple
+    unvisited: Tuple[int, ...]
+    hops: int
 
     def __init__(
         self,
@@ -82,7 +86,7 @@ class RequestMessage(_SnapshotMessage):
         si: SystemInfo,
         hops: int = 0,
     ) -> None:
-        super().__init__(si)
+        self.si = si
         self.home = home
         self.tup = tup
         # Stored as a sorted tuple: the stable population the random
@@ -98,7 +102,7 @@ class RequestMessage(_SnapshotMessage):
 
     def describe(self) -> str:
         return (
-            f"RM#{self.msg_id}(home={self.home}, tup={self.tup.describe()}, "
+            f"{super().describe()}(home={self.home}, tup={self.tup.describe()}, "
             f"hops={self.hops}, |UL|={len(self.unvisited)})"
         )
 
@@ -109,13 +113,14 @@ class EnterMessage(_SnapshotMessage):
     kind = "EM"
 
     __slots__ = ("target_tup",)
+    target_tup: ReqTuple
 
     def __init__(self, target_tup: ReqTuple, si: SystemInfo) -> None:
-        super().__init__(si)
+        self.si = si
         self.target_tup = target_tup
 
     def describe(self) -> str:
-        return f"EM#{self.msg_id}(target={self.target_tup.describe()})"
+        return f"{super().describe()}(target={self.target_tup.describe()})"
 
 
 class InformMessage(_SnapshotMessage):
@@ -130,6 +135,9 @@ class InformMessage(_SnapshotMessage):
     kind = "IM"
 
     __slots__ = ("pred_tup", "next_node", "next_tup")
+    pred_tup: ReqTuple
+    next_node: int
+    next_tup: ReqTuple
 
     def __init__(
         self,
@@ -137,14 +145,14 @@ class InformMessage(_SnapshotMessage):
         next_tup: ReqTuple,
         si: SystemInfo,
     ) -> None:
-        super().__init__(si)
+        self.si = si
         self.pred_tup = pred_tup
         self.next_tup = next_tup
         self.next_node = next_tup.node
 
     def describe(self) -> str:
         return (
-            f"IM#{self.msg_id}(pred={self.pred_tup.describe()}, "
+            f"{super().describe()}(pred={self.pred_tup.describe()}, "
             f"next={self.next_tup.describe()})"
         )
 
@@ -164,9 +172,6 @@ class SyncRequest(_SnapshotMessage):
 
     __slots__ = ()
 
-    def describe(self) -> str:
-        return f"SYNC_REQ#{self.msg_id}"
-
 
 class SyncReply(_SnapshotMessage):
     """SYNC_REP — a peer's snapshot answering a :class:`SyncRequest`."""
@@ -174,6 +179,3 @@ class SyncReply(_SnapshotMessage):
     kind = "SYNC_REP"
 
     __slots__ = ()
-
-    def describe(self) -> str:
-        return f"SYNC_REP#{self.msg_id}"

@@ -148,6 +148,9 @@ class RCVNode(MutexNode):
             self.config.rm_timeout, lambda: self._recover(tup)
         )
 
+    def recovery_timeout(self) -> Optional[float]:  # noqa: D102 - see MutexNode
+        return self.config.rm_timeout
+
     def _cancel_recovery(self) -> None:
         if self._recovery_timer is not None:
             self._recovery_timer.cancel()

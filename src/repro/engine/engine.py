@@ -19,8 +19,8 @@ same schedule-call order, hence the same kernel ``seq`` numbers):
    to its own node's upcalls only (they run after every listener that
    subscribed to all nodes);
 5. ``start()`` starts nodes (in order), then drivers (in order);
-6. ``run()`` drains the kernel and finalises the
-   :class:`~repro.metrics.records.RunResult`;
+6. ``run()`` drains the kernel — or ends a run that has stalled —
+   and finalises the :class:`~repro.metrics.records.RunResult`;
 7. :func:`run_scenario` then tears the engine down
    (:meth:`Engine._teardown`), so a finished cell leaves no cyclic
    garbage.
@@ -30,6 +30,16 @@ Everything that changes during a run — the kernel, the channel
 issued, the fault and retx counters — is built here, per engine; the
 scenario is only read, so one scenario runs any number of times to
 one result and nothing is reset between runs.
+
+**Every run ends.**  A scenario with a drain deadline ends there.
+One without is watched (:meth:`Simulator.watch`, which adds no event):
+once requests wait, none holds the CS, and a stretch of simulated time
+passes with nothing issued, granted or released, the run has
+**stalled** and ends at that instant with the waiting requests
+incomplete.  The stretch is derived from the scenario
+(:meth:`Engine.stall_stretch`); watching starts once the fault plan's
+last cut, heal, crash or recover is past.  A run that drains first
+never meets the watch and ends at its last event, as before.
 
 It is also the one place an observer attaches: between construction
 and :meth:`Engine.run`, when nothing has been sent yet, through
@@ -64,6 +74,13 @@ from repro.workload.runner import IncompleteRunError
 from repro.workload.scenario import Scenario
 
 __all__ = ["Engine", "run_scenario"]
+
+#: the stall stretch covers this many worst-case hops per node (a
+#: request forwarded past every node and a token carried back) ...
+STALL_HOPS_PER_NODE = 4
+#: ... and this many periods of a node's own recovery timer (a
+#: relaunch whose messages are lost again)
+STALL_TIMEOUTS = 8
 
 
 class Engine:
@@ -157,6 +174,10 @@ class Engine:
             self.drivers.append(driver)
 
         self._started = False
+        #: the instant the run was found stalled, or None
+        self.stalled_at: Optional[float] = None
+        self._stretch = 0.0
+        self._stall_mark = None
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -202,7 +223,18 @@ class Engine:
         reporting partial metrics.
         """
         self.start()
-        self.sim.run(until=self.scenario.drain_deadline)
+        if self.scenario.drain_deadline is None:
+            self._stretch = self.stall_stretch()
+        if self._stretch:
+            plan = self._fault_plan
+            start = plan.last_change if plan is not None else 0.0
+            self.sim.watch(
+                max(start, self.sim.now) + self._stretch, self._watch_stall
+            )
+        try:
+            self.sim.run(until=self.scenario.drain_deadline)
+        finally:
+            self.sim.watch(float("inf"), None)
         result = self._finalize()
         if require_completion and not result.all_completed():
             if not result.issued_count:
@@ -214,13 +246,60 @@ class Engine:
             incomplete = [
                 r.node_id for r in result.records if not r.completed
             ]
+            why = f"liveness failure in algorithm {self.scenario.algorithm!r}"
+            if self.stalled_at is not None:
+                why = (
+                    f"the run stalled: nothing issued, granted or released "
+                    f"for {self._stretch:g} time units up to "
+                    f"t={self.stalled_at:g} "
+                    f"— {why}"
+                )
             raise IncompleteRunError(
                 f"{len(incomplete)} of {result.issued_count} requests never "
-                f"completed (nodes {sorted(set(incomplete))[:10]}…) — "
-                f"liveness failure in algorithm {self.scenario.algorithm!r}",
+                f"completed (nodes {sorted(set(incomplete))[:10]}…) — {why}",
                 result,
             )
         return result
+
+    def stall_stretch(self) -> float:
+        """How long requests may wait, with none in the CS and nothing
+        issued, granted or released, before the run has stalled.
+
+        Derived from the scenario: :data:`STALL_HOPS_PER_NODE` hops per
+        node, a hop being the delay model's bound
+        (:meth:`~repro.net.delay.DelayModel.bound`) plus the reorder
+        window and, under retx, the wait up to the last retransmission;
+        plus :data:`STALL_TIMEOUTS` periods of the nodes' recovery
+        timer.  0 (the run is not watched) when the delay model states
+        no bound.
+        """
+        try:
+            hop = self.network.delay_model.bound()
+        except NotImplementedError:
+            return 0.0
+        plan = self._fault_plan
+        if plan is not None:
+            hop += plan.reorder
+        if self._retx:
+            _, rto, backoff, retries = self._retx
+            hop += rto * sum(backoff**k for k in range(retries))
+        timeout = max(node.recovery_timeout() or 0.0 for node in self.nodes)
+        return (
+            STALL_HOPS_PER_NODE * self.scenario.n_nodes * hop
+            + STALL_TIMEOUTS * timeout
+        )
+
+    def _watch_stall(self) -> Optional[float]:
+        """The stall rule, asked each time a stretch has passed: the
+        run has stalled when requests still wait exactly as they did a
+        stretch ago
+        (:meth:`~repro.metrics.collector.MetricsCollector.stall_mark`)."""
+        mark = self.collector.stall_mark()
+        if mark is not None and mark == self._stall_mark:
+            self.stalled_at = self.sim.now
+            return None
+        self._stall_mark = mark
+        return self.sim.now + self._stretch
 
     def _teardown(self) -> None:
         """Break the run's reference cycles, once its result is built.

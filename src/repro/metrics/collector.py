@@ -8,7 +8,7 @@ per request during the run; the record objects — and the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.metrics.records import CsRecord, RunResult
 
@@ -75,6 +75,17 @@ class MetricsCollector:
     def pending_count(self) -> int:
         """Requests issued but not yet completed."""
         return len(self._open)
+
+    def stall_mark(self) -> Optional[Tuple[int, int]]:
+        """``(issued, open)`` while requests wait and none holds the
+        CS, else None.  An issue moves the first, a release the
+        second, so two equal marks mean nothing was issued, granted
+        or released between them (a grant not yet released would
+        hold the CS at the second)."""
+        grants = self._grant_times
+        if not self._open or any(grants[i] is not None for i in self._open.values()):
+            return None
+        return len(self._node_ids), len(self._open)
 
     def has_waiters(self) -> bool:
         """True if any request is granted-pending (used for sync delay)."""

@@ -95,8 +95,8 @@ class SimEnv(Env):
     """Discrete-event simulator implementation of :class:`Env`.
 
     ``send`` and ``schedule_once`` are handed out as the network's and
-    the kernel's own bound methods (instance attributes that shadow
-    the methods below), so a protocol send costs no forwarding frame.
+    the kernel's own bound methods (instance attributes, which shadow
+    ``send`` below), so a protocol send costs no forwarding frame.
     """
 
     def __init__(self, sim: Simulator, network: Network, rng_registry) -> None:
@@ -114,11 +114,6 @@ class SimEnv(Env):
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Handle:
         return self._sim.schedule(delay, callback)
-
-    def schedule_once(
-        self, delay: float, callback: Callable[[], None]
-    ) -> None:
-        self._sim.schedule_fast(delay, callback)
 
     def rng(self, name: str) -> random.Random:
         return self._rngs.stream(name)
@@ -248,6 +243,12 @@ class MutexNode(Actor):
         """Iterator over all other node ids."""
         return (j for j in range(self.n_nodes) if j != self.node_id)
 
+    def recovery_timeout(self) -> Optional[float]:
+        """How long this node lets a pending request wait before it
+        acts on its own (RCV's ``rm_timeout``), or None: it never
+        does.  The engine's stall rule scales with it."""
+        return None
+
     # ------------------------------------------------------------------
     # subclass responsibilities
     # ------------------------------------------------------------------
@@ -255,12 +256,6 @@ class MutexNode(Actor):
         raise NotImplementedError
 
     def _do_release(self) -> None:
-        raise NotImplementedError
-
-    def deliver(self, src: int, message: Message) -> None:
-        self.on_message(src, message)
-
-    def on_message(self, src: int, message: Message) -> None:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -24,6 +24,11 @@ __all__ = [
 ]
 
 
+#: a model with no bound is bounded, where one is needed, at this many
+#: times its mean (an exponential delay exceeds it once in e^10 ~ 22k)
+TAIL_MEANS = 10.0
+
+
 def _finite(**params: float) -> None:
     """Refuse a NaN or infinite parameter: such a delay would put an
     event at t=nan or t=inf, which the kernel refuses at send time."""
@@ -42,6 +47,13 @@ class DelayModel(ABC):
     def mean(self) -> float:
         """Expected delay, used by the analytical model for Tn."""
         raise NotImplementedError
+
+    def bound(self) -> float:
+        """The longest delay, or :data:`TAIL_MEANS` times the mean for
+        a model with no longest one; the engine's stall rule scales
+        with it.  Raises :class:`NotImplementedError` when the model
+        states neither."""
+        return TAIL_MEANS * self.mean()
 
     def pair_constant(self, src: int, dst: int) -> "float | None":
         """The fixed delay for ``(src, dst)``, or None if stochastic.
@@ -71,6 +83,9 @@ class ConstantDelay(DelayModel):
     def mean(self) -> float:
         return self.delay
 
+    def bound(self) -> float:
+        return self.delay
+
     def pair_constant(self, src: int, dst: int) -> float:
         return self.delay
 
@@ -94,6 +109,9 @@ class UniformDelay(DelayModel):
 
     def mean(self) -> float:
         return (self.low + self.high) / 2.0
+
+    def bound(self) -> float:
+        return self.high
 
     def __repr__(self) -> str:
         return f"UniformDelay({self.low}, {self.high})"
@@ -154,6 +172,10 @@ class MatrixDelay(DelayModel):
             raise NotImplementedError("matrix does not expose a mean")
         return float(mean_fn())
 
+    def bound(self) -> float:
+        max_fn = getattr(self.matrix, "max_latency", None)
+        return super().bound() if max_fn is None else float(max_fn())
+
     def __repr__(self) -> str:
         return f"MatrixDelay({self.matrix!r})"
 
@@ -192,6 +214,11 @@ class JitteredDelay(DelayModel):
         # The floor at zero makes the true mean >= base; for the
         # analytical model we report the unclipped center.
         return float(self._base)
+
+    def bound(self) -> float:
+        if callable(self._base):
+            return MatrixDelay(self._base).bound() + self.jitter
+        return float(self._base) + self.jitter
 
     def __repr__(self) -> str:
         return f"JitteredDelay(base={self._base!r}, jitter={self.jitter})"

@@ -15,16 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from heapq import heappush as _heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.channels import ChannelDiscipline, RawChannel
 from repro.net.delay import ConstantDelay, DelayModel
 from repro.net.faults import FaultPlan
 from repro.net.message import Message
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Simulator, delay_error
 from repro.sim.process import Actor
 
 __all__ = ["Network", "NetworkStats", "SeedlessNetworkError"]
+
+_NEVER = float("inf")
 
 
 class SeedlessNetworkError(RuntimeError):
@@ -82,14 +85,21 @@ class NetworkStats:
     """Running message accounting.
 
     :meth:`Network.send` counts each protocol send here (total, per
-    ``kind`` and ``size_units``) and each delivery in
-    ``delivered_total``.
+    ``kind`` and weight).  No delivery pays for ``delivered_total``:
+    it is the deliveries scheduled (sends less ``unscheduled``: an
+    outage or drop adds one, a duplicate takes one) less those
+    ``pending`` on the heap, frozen by :meth:`Network.clear`.
     """
 
     sent_total: int = 0
-    delivered_total: int = 0
     by_kind: Dict[str, int] = field(default_factory=dict)
     weighted_units: int = 0
+    unscheduled: int = 0
+    pending: Callable[[], int] = field(default=lambda: 0, repr=False)
+
+    @property
+    def delivered_total(self) -> int:
+        return self.sent_total - self.unscheduled - self.pending()
 
 
 class Network:
@@ -133,20 +143,23 @@ class Network:
         self.delay_model = delay_model or ConstantDelay(5.0)
         self.channel = channel or RawChannel()
         self.rng = rng if rng is not None else _SeedlessRng()
-        self.stats = NetworkStats()
-        self._actors: Dict[int, Actor] = {}
+        self.stats = NetworkStats(pending=self._pending_deliveries)
+        # dst -> its on_message, bound per run, never on the node
+        self._handlers: Dict[int, Callable[[int, Message], None]] = {}
         self._taps: List[Callable[[int, int, Message, float], None]] = []
         self.outages = outages
+        # the kernel's heap and seq counter, only ever mutated in place
+        self._heap, self._seq = sim._heap, sim._count
         # The RawChannel branch: a RawChannel has no per-pair
         # ordering state, so an untapped send skips the discipline and
         # does its arithmetic here (exact-type check: a subclass may
         # add state).  With a delay model that exposes fixed per-pair
         # delays (pair_constant), it skips the sampler too: the cache
-        # holds the pre-bound per-(src, dst) delay.  The cache is
-        # disabled entirely (None) for other channels and for delay
-        # models whose pair_constant cannot be trusted to describe
-        # sample(), and lazily when pair_constant reports a stochastic
-        # pair.
+        # holds the pre-bound per-(src, dst) delay, checked when
+        # cached.  The cache is disabled entirely (None) for other
+        # channels and for delay models whose pair_constant cannot be
+        # trusted to describe sample(), and lazily when pair_constant
+        # reports a stochastic pair.
         self._raw = type(self.channel) is RawChannel
         self._pair_delays: Optional[Dict[Tuple[int, int], float]] = (
             {}
@@ -158,14 +171,24 @@ class Network:
     # registration
     # ------------------------------------------------------------------
     def register(self, actor: Actor) -> None:
-        """Register an actor as addressable by its ``actor_id``."""
-        if actor.actor_id in self._actors:
+        """Register an actor as addressable by its ``actor_id``: its
+        ``on_message`` receives every message sent to it."""
+        if actor.actor_id in self._handlers:
             raise ValueError(f"actor id {actor.actor_id} already registered")
-        self._actors[actor.actor_id] = actor
+        self._handlers[actor.actor_id] = actor.on_message
 
     def clear(self) -> None:
-        """Forget every registered actor (the engine's teardown)."""
-        self._actors.clear()
+        """Forget every registered actor (the engine's teardown),
+        freezing ``stats.delivered_total`` first."""
+        pending = self._pending_deliveries()
+        self.stats.pending = lambda: pending
+        self._handlers.clear()
+
+    def _pending_deliveries(self) -> int:
+        ours = {id(handler) for handler in self._handlers.values()}
+        return sum(
+            type(e[2]) is partial and id(e[2].func) in ours for e in self._heap
+        )
 
     def add_tap(
         self, tap: Callable[[int, int, Message, float], None]
@@ -189,65 +212,64 @@ class Network:
         """
         if src == dst:
             raise ValueError(f"node {src} attempted to send to itself")
-        actor = self._actors.get(dst)
-        if actor is None:
+        handler = self._handlers.get(dst)
+        if handler is None:
             raise KeyError(f"unknown destination node {dst}")
         stats = self.stats
-        stats.sent_total += 1
-        stats.weighted_units += message.size_units()
+        stats.sent_total = message.msg_id = stats.sent_total + 1
+        units = message.units
+        stats.weighted_units += units if units is not None else message.size_units()
         by_kind = stats.by_kind
         kind = message.kind
         by_kind[kind] = by_kind.get(kind, 0) + 1
-        sim = self.sim
         # The kernel's clock, read from its slot: the ``now`` property
         # would be one more Python call on every hop.
-        now = sim._now
+        now = self.sim._now
         outages = self.outages
         if outages is not None and (
             outages.node_down(src, now)
             or outages.node_down(dst, now)
             or outages.pair_cut(src, dst, now)
         ):
+            stats.unscheduled += 1
             return  # lost to an outage
+        deliver = partial(handler, src, message)
         if self._raw and not self._taps:
             pair_delays = self._pair_delays
+            delay = None
             if pair_delays is not None:
                 delay = pair_delays.get((src, dst))
                 if delay is None:
                     delay = self.delay_model.pair_constant(src, dst)
                     if delay is None:
                         # Stochastic model: the cache would skip rng
-                        # draws and change the stream; disable it for
-                        # good.
+                        # draws and change the stream; off for good.
                         self._pair_delays = None
+                    elif not 0 <= delay < _NEVER:
+                        raise delay_error(delay)
                     else:
                         pair_delays[(src, dst)] = delay
-                if delay is not None:
-                    sim.schedule_fast(
-                        delay, partial(self._deliver, actor, src, message)
-                    )
-                    return
-            # RawChannel.delivery_times, inline: the same draw and the
-            # same arithmetic as the general path below.
-            deliver_at = now + self.delay_model.sample(src, dst, self.rng)
-            sim.schedule_fast(
-                deliver_at - now, partial(self._deliver, actor, src, message)
-            )
+            if delay is None:
+                # RawChannel.delivery_times, inline: the same draw and
+                # the same arithmetic as the general path below.
+                delay = now + self.delay_model.sample(src, dst, self.rng) - now
+                if not 0 <= delay < _NEVER:
+                    raise delay_error(delay)
+            _heappush(self._heap, (now + delay, next(self._seq), deliver))
             return
         # A discipline may deliver a send zero times (fault-dropped),
         # once (the normal case), or twice (fault-duplicated); taps
         # observe each scheduled delivery, so dropped messages leave
-        # no tap record.  The kernel takes delays, so a discipline
-        # answering with a time already past is refused there.
-        for deliver_at in self.channel.delivery_times(
+        # no tap record.  A time already past is refused, and the heap
+        # key is ``now + (deliver_at - now)``: the kernel's float.
+        times = self.channel.delivery_times(
             src, dst, now, self.delay_model, self.rng
-        ):
+        )
+        stats.unscheduled += 1 - len(times)
+        for deliver_at in times:
+            delay = deliver_at - now
+            if not 0 <= delay < _NEVER:
+                raise delay_error(delay)
             for tap in self._taps:
                 tap(src, dst, message, deliver_at)
-            sim.schedule_fast(
-                deliver_at - now, partial(self._deliver, actor, src, message)
-            )
-
-    def _deliver(self, actor: Actor, src: int, message: Message) -> None:
-        self.stats.delivered_total += 1
-        actor.deliver(src, message)
+            _heappush(self._heap, (now + delay, next(self._seq), deliver))

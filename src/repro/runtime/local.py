@@ -91,7 +91,7 @@ class LocalCluster(LockFacade):
     def _send(self, src: int, dst: int, message: Message) -> None:
         if src == dst:
             raise ValueError("self-send")
-        self.messages_sent += 1
+        self.messages_sent = message.msg_id = self.messages_sent + 1
         d = self.delay
         if self.jitter:
             d = self._delay_rng.uniform(d - self.jitter, d + self.jitter)

@@ -125,6 +125,7 @@ class NodeHost:
         self._inbound: Set[asyncio.StreamWriter] = set()
         self._send_queue: asyncio.Queue = asyncio.Queue()
         self._pump_task: Optional[asyncio.Task] = None
+        self.messages_sent = 0
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -160,6 +161,7 @@ class NodeHost:
     def _send(self, src: int, dst: int, message: Message) -> None:
         # Called synchronously from algorithm code; the pump task does
         # the awaiting.
+        self.messages_sent = message.msg_id = self.messages_sent + 1
         self._send_queue.put_nowait((src, dst, message))
 
     async def _pump(self) -> None:

@@ -18,9 +18,14 @@ interleave deterministically), and the rule between them is that a
   the heap entry is ``(time, seq, Handle)``;
 * :meth:`Simulator.schedule_fast` — fire-once: the heap entry is a
   plain ``(time, seq, callback)`` tuple and nothing is allocated
-  besides it.  Network delivery, the workload drivers, the fault
-  schedule and the lemma monitor use it; anything that may need
-  ``cancel()`` must use :meth:`Simulator.schedule`.
+  besides it.  The workload drivers, the fault schedule and the lemma
+  monitor use it; anything that may need ``cancel()`` must use
+  :meth:`Simulator.schedule`.  The network pushes its deliveries in
+  this form itself (:mod:`repro.net.network`): no kernel call.
+
+:meth:`Simulator.watch` is not an event: it has the run ask a callback
+whether to go on once time passes an instant, and adds nothing to the
+heap, so a watched run fires the events an unwatched one fires.
 
 The kernel knows nothing about networks or algorithms; those live in
 :mod:`repro.net` and :mod:`repro.mutex`.  Observation happens above it
@@ -38,11 +43,17 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "EventBudgetExceeded",
+    "delay_error",
 ]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 _NEVER = float("inf")
+
+
+def delay_error(delay) -> ValueError:
+    """The refusal of a delay outside ``0 <= delay < inf``."""
+    return ValueError(f"delay must be a finite number >= 0 (got {delay!r})")
 
 
 class SimulationError(RuntimeError):
@@ -116,6 +127,8 @@ class Simulator:
         "max_events",
         "_running",
         "_cancelled_pending",
+        "_watch_at",
+        "_watch",
     )
 
     #: auto-compaction floor: below this many cancelled entries the
@@ -130,6 +143,8 @@ class Simulator:
         self.max_events = int(max_events)
         self._running = False
         self._cancelled_pending = 0
+        self._watch_at = _NEVER
+        self._watch: Optional[Callable[[], Optional[float]]] = None
 
     # ------------------------------------------------------------------
     # time & scheduling
@@ -158,9 +173,7 @@ class Simulator:
         of order and leave the run's horizon undefined.
         """
         if not 0 <= delay < _NEVER:
-            raise ValueError(
-                f"delay must be a finite number >= 0 (got {delay!r})"
-            )
+            raise delay_error(delay)
         handle = Handle(self._now + delay, callback, self)
         _heappush(self._heap, (handle.time, next(self._count), handle))
         return handle
@@ -174,10 +187,23 @@ class Simulator:
         order deterministic.  Delays are checked as in :meth:`schedule`.
         """
         if not 0 <= delay < _NEVER:
-            raise ValueError(
-                f"delay must be a finite number >= 0 (got {delay!r})"
-            )
+            raise delay_error(delay)
         _heappush(self._heap, (self._now + delay, next(self._count), callback))
+
+    def watch(
+        self, at: float, callback: Optional[Callable[[], Optional[float]]]
+    ) -> None:
+        """Have :meth:`run` ask ``callback()`` once time passes ``at``.
+
+        Time passes ``at`` when every event due by it has fired and a
+        live event lies beyond it: the clock is set to ``at`` and the
+        callback answers the next instant to watch, or None to end
+        the run there.  A run that drains first never asks it, and
+        the watch adds no event, so it moves no ``seq``, no count and
+        no horizon.  ``watch(inf, None)`` stops watching.
+        """
+        self._watch_at = at
+        self._watch = callback
 
     # ------------------------------------------------------------------
     # execution
@@ -187,11 +213,13 @@ class Simulator:
         return self._execute(_NEVER, True)
 
     def run(self, until: Optional[float] = None) -> float:
-        """Run events until the heap drains or ``until`` is reached.
+        """Run events until the heap drains, ``until`` is reached or
+        the watch (:meth:`watch`) ends the run.
 
         Returns the final simulated time.  When ``until`` is given,
         time is advanced to exactly ``until`` even if the last event
-        fired earlier, matching the usual DES convention.
+        fired earlier, matching the usual DES convention — unless the
+        watch ended the run, which leaves the clock at its instant.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
@@ -199,10 +227,8 @@ class Simulator:
         try:
             if until is None:
                 self._execute(_NEVER, False)
-            else:
-                self._execute(until, False)
-                if until > self._now:
-                    self._now = until
+            elif not self._execute(until, False) and until > self._now:
+                self._now = until
         finally:
             self._running = False
         return self._now
@@ -210,8 +236,12 @@ class Simulator:
     def _execute(self, until: float, single: bool) -> bool:
         """The kernel's one event loop: fire the events due by ``until``.
 
-        With ``single`` it returns True after the first one; it returns
-        False once nothing (more) is due.
+        With ``single`` it returns True after the first one, and it
+        returns True when the watch ends the run; it returns False
+        once nothing (more) is due.  The watch stretches the loop's
+        one horizon compare, never adds one: ``limit`` is the nearer
+        of ``until`` and the watch, and only an event beyond it asks
+        which one it was.
         """
         # Locals are bound once so the per-event cost is a heappop, a
         # horizon compare, a class check, the event accounting, and
@@ -225,16 +255,32 @@ class Simulator:
         heap = self._heap
         pop = _heappop
         max_events = self.max_events
+        limit = until if single or until <= self._watch_at else self._watch_at
         while True:
             try:
                 entry = pop(heap)
             except IndexError:
                 return False
-            if entry[0] > until:
-                # Not due yet: push the identical tuple back (same
-                # seq, so ordering is untouched).
+            if entry[0] > limit:
+                if limit == until:
+                    # Not due yet: push the identical tuple back (same
+                    # seq, so ordering is untouched).
+                    _heappush(heap, entry)
+                    return False
+                cb = entry[2]
+                if cb.__class__ is Handle and cb.callback is None:
+                    # A cancelled event is no sign of time passing.
+                    self._cancelled_pending -= 1
+                    continue
                 _heappush(heap, entry)
-                return False
+                self._now = self._watch_at
+                at = self._watch()
+                if at is None:
+                    self.watch(_NEVER, None)
+                    return True
+                self._watch_at = at
+                limit = until if until <= at else at
+                continue
             cb = entry[2]
             if cb.__class__ is Handle:
                 handle = cb

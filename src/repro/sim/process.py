@@ -1,12 +1,11 @@
 """Minimal actor abstraction for simulated processes.
 
-An :class:`Actor` owns an integer id and receives messages via
-:meth:`Actor.deliver`.  Network nodes (:mod:`repro.mutex`), workload
-drivers (:mod:`repro.workload`) and monitors are all actors.  The
-base class deliberately has no mailbox of its own: the network layer
-invokes :meth:`deliver` at the simulated delivery instant, mirroring
-the paper's Message Processing Model (MPM) which consumes one message
-per activation.
+An :class:`Actor` owns an integer id and receives messages via its
+one upcall, :meth:`Actor.on_message`.  Network nodes
+(:mod:`repro.mutex`) are actors.  The base class deliberately has no
+mailbox of its own: the network layer invokes :meth:`on_message` at
+the simulated delivery instant, mirroring the paper's Message
+Processing Model (MPM) which consumes one message per activation.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ class Actor:
     def __init__(self, actor_id: int) -> None:
         self.actor_id = int(actor_id)
 
-    def deliver(self, src: int, message: Any) -> None:
+    def on_message(self, src: int, message: Any) -> None:
         """Handle a message from ``src``.  Subclasses override."""
         raise NotImplementedError(
             f"{type(self).__name__} does not handle messages"

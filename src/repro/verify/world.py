@@ -2,7 +2,7 @@
 
 A :class:`World` is the model checker's unit of state: the live node
 objects (driven through the exact production code paths —
-``request_cs`` / ``release_cs`` / ``deliver``) plus the multiset of
+``request_cs`` / ``release_cs`` / ``on_message``) plus the multiset of
 in-flight message envelopes.  Where the simulator resolves "which
 message arrives next" with seeded randomness, the world exposes every
 resolution as an explicit :meth:`World.enabled_actions` entry, and
@@ -16,7 +16,8 @@ Actions are plain tuples, deterministic to order and JSON-able::
 
 ``uid`` is the envelope's send-order number; uid assignment follows
 execution order exactly, which is what makes exported counterexample
-schedules replayable.
+schedules replayable.  A message takes its first envelope's uid as its
+``msg_id``, so notes name it alike in every check and replay.
 
 Cloning is copy-on-write at node granularity.  A transition mutates
 exactly one node — its *owner* (:meth:`World.owner`) — so a cloned
@@ -321,7 +322,7 @@ class World:
                 envelope = self.inflight.pop(action[1], None)
                 if envelope is None:
                     raise VerifyError(f"uid {action[1]} is not in flight")
-                self._own(envelope.dst).deliver(envelope.src, envelope.msg)
+                self._own(envelope.dst).on_message(envelope.src, envelope.msg)
             elif op == "drop":
                 if self.drop_left <= 0 or action[1] not in self.inflight:
                     raise VerifyError(f"cannot drop uid {action[1]}")
@@ -362,6 +363,8 @@ class World:
         for src, dst, msg in env.sent:
             uid = self._next_uid
             self._next_uid += 1
+            if not hasattr(msg, "msg_id"):
+                msg.msg_id = uid  # still this world's alone: just sent
             self.inflight[uid] = Envelope(uid, src, dst, msg)
         env.sent.clear()
         return ActionOutcome(

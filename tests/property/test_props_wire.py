@@ -54,7 +54,7 @@ from repro.experiments.protocol import (
 from repro.canon import dumps, fingerprint_message
 from repro.engine import Engine
 from repro.experiments.service import CellServer
-from repro.net.message import message_kinds
+from repro.net.message import message_kinds, payload_fields
 from repro.registry import algorithm_names, get_algorithm
 from repro.runtime import tcp
 from repro.workload import BurstArrivals, Scenario
@@ -444,3 +444,37 @@ def test_wire_frames_end_in_messages_or_a_typed_refusal(raw):
             assert type(message) in RCV_KINDS.values()
             fingerprint_message(message)
     assert time.perf_counter() - began < BOUND
+
+
+#: one canon value of each type a message field holds; swapped for a
+#: field of another type, each is one of the wrong type
+FIELD_VALUES = [
+    ["i", 5], ["b", True], ["f", 1.5], ["s", "x"], ["none"], ["l", ["i", 1]],
+    ["t", ["i", 1]], ["nt", "ReqTuple", ["i", 0], ["i", 1]],
+    ["si", [], [[], []], [0, 0], [0, 0]],
+]
+
+#: (kinds, src, dst, message) for each (algorithm, kind) with a field
+_WITH_FIELDS = list(
+    {
+        (algorithm, msg.kind): (message_kinds(get_algorithm(algorithm)), src, dst, msg)
+        for algorithm in algorithm_names()
+        for src, dst, msg in _sent(algorithm)
+        if payload_fields(type(msg))
+    }.values()
+)
+
+
+@settings(max_examples=150, **BUDGET)
+@given(data=st.data())
+def test_wire_a_field_of_the_wrong_type_is_a_typed_refusal(data):
+    """A frame well framed and well formed but for one field of the
+    wrong type — a peer's bug, or not our peer — is refused by the
+    decoder, naming the kind and the field, before the node sees it."""
+    kinds, src, dst, message = data.draw(st.sampled_from(_WITH_FIELDS))
+    tree = json.loads(dumps((src, dst, message)))
+    field = data.draw(st.sampled_from(tree[3][2:]))
+    field[1] = data.draw(st.sampled_from([v for v in FIELD_VALUES if v[0] != field[1][0]]))
+    frame = _framed(json.dumps(tree).encode())
+    with pytest.raises(tcp._BadFrame, match=f"a {message.kind}'s {field[0]} must be"):
+        _read_frames(frame, kinds)

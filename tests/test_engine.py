@@ -46,7 +46,7 @@ def test_engine_exposes_components_before_start():
         Scenario(algorithm="rcv", n_nodes=4, arrivals=BurstArrivals())
     )
     assert engine.sim.now == 0.0
-    assert engine.network._actors == dict(enumerate(engine.nodes))
+    assert engine.network._handlers == {n.node_id: n.on_message for n in engine.nodes}
     assert len(engine.nodes) == 4
     assert len(engine.drivers) == 4
     # Nothing has been sent before start().
@@ -193,7 +193,7 @@ def test_matrix_delay_rides_fast_path_with_correct_latency():
             super().__init__(actor_id)
             self.received_at = []
 
-        def deliver(self, src, message):
+        def on_message(self, src, message):
             self.received_at.append(src)
 
     sim = Simulator()
@@ -228,7 +228,7 @@ def test_subclass_overriding_sample_is_not_trusted_by_fast_path():
             return self.delay + rng.uniform(0.0, 1.0)
 
     class Sink(Actor):
-        def deliver(self, src, message):
+        def on_message(self, src, message):
             pass
 
     sim = Simulator()
@@ -254,7 +254,7 @@ def test_stochastic_delay_disables_fast_path():
     from repro.sim.streams import STREAM_NET_DELAY
 
     class Sink(Actor):
-        def deliver(self, src, message):
+        def on_message(self, src, message):
             pass
 
     sim = Simulator()
@@ -517,7 +517,7 @@ def test_an_engine_built_by_hand_stays_whole_after_its_run():
         CellSpec("rcv", 6, 0, ("poisson", 20.0, 100.0)).build_scenario()
     )
     engine.run()
-    assert engine.network._actors == dict(enumerate(engine.nodes))
+    assert engine.network._handlers == {n.node_id: n.on_message for n in engine.nodes}
     assert engine.hooks._granted and engine.hooks._granted_at
 
 

@@ -199,7 +199,7 @@ class _Probe(Actor):
         super().__init__(actor_id)
         self.received = []
 
-    def deliver(self, src, message):
+    def on_message(self, src, message):
         self.received.append((src, message))
 
 

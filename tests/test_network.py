@@ -15,7 +15,7 @@ class Probe(Actor):
         super().__init__(actor_id)
         self.received = []
 
-    def deliver(self, src, message):
+    def on_message(self, src, message):
         self.received.append((src, message))
 
 
@@ -165,7 +165,7 @@ def test_seedless_network_raises_on_first_stochastic_draw():
     net = Network(sim, delay_model=UniformDelay(1.0, 9.0))  # allowed: no draw yet
 
     class Sink(Actor):
-        def deliver(self, src, message):
+        def on_message(self, src, message):
             pass
 
     for i in range(2):
@@ -182,7 +182,7 @@ def test_seedless_network_fine_for_constant_delays():
     class Sink(Actor):
         received = None
 
-        def deliver(self, src, message):
+        def on_message(self, src, message):
             pass
 
     for i in range(2):
@@ -238,13 +238,46 @@ def _hop_calls(delay_model):
     return calls
 
 
-def test_a_sampled_hop_is_at_most_seven_calls():
+def test_a_sampled_hop_is_at_most_three_calls():
+    # Network.send, the sampler, on_message
     from repro.net.delay import ExponentialDelay
 
     calls = _hop_calls(ExponentialDelay(5.0))
-    assert len(calls) <= 7, calls
+    assert len(calls) <= 3, calls
 
 
-def test_a_constant_delay_hop_is_at_most_six_calls():
+def test_a_constant_delay_hop_is_at_most_two_calls():
+    # Network.send, on_message: the pair's delay is cached
     calls = _hop_calls(ConstantDelay(5.0))
-    assert len(calls) <= 6, calls
+    assert len(calls) <= 2, calls
+
+
+@pytest.mark.parametrize("build", ["ra_request", "rcv_request"])
+def test_building_a_message_is_one_call(build):
+    """A message's ``__init__`` sets its payload and nothing else: its
+    id is the network's to give at send time."""
+    import sys
+
+    from repro.baselines.ricart_agrawala import RaRequest
+    from repro.core.messages import RequestMessage
+    from repro.core.state import SystemInfo
+    from repro.core.tuples import ReqTuple
+
+    si, tup = SystemInfo(3), ReqTuple(0, 1)
+    make = {
+        "ra_request": lambda: RaRequest(1, 0),
+        "rcv_request": lambda: RequestMessage(0, tup, (1, 2), si, hops=0),
+    }[build]
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_qualname)
+
+    sys.setprofile(profile)
+    try:
+        message = make()
+    finally:
+        sys.setprofile(None)
+    inits = [name for name in calls if name.endswith("__init__")]
+    assert inits == [f"{type(message).__name__}.__init__"], calls

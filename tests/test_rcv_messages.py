@@ -13,9 +13,28 @@ def si_with_content(n=3):
     return si
 
 
-def test_message_ids_are_unique_and_increasing():
-    a, b = Message(), Message()
-    assert b.msg_id > a.msg_id
+def _ids_sent(spec):
+    from repro.engine import Engine
+
+    engine = Engine(spec.build_scenario())
+    ids = []
+    engine.network.add_tap(lambda src, dst, msg, at: ids.append(msg.msg_id))
+    engine.run(require_completion=False)
+    return ids
+
+
+def test_message_ids_are_the_runs_send_numbers():
+    """A message's id is its send number in its run: unique and
+    increasing within the run, and the same in every run of one cell,
+    so a trace can name one message and a second run find it."""
+    from repro.experiments.parallel import CellSpec
+
+    spec = CellSpec("rcv", 6, 3, ("burst", 2), faults=(("dup", 0.2),))
+    first = _ids_sent(spec)
+    # a duplicated send is tapped once per delivery, under one id
+    assert first == sorted(first) and len(set(first)) > 10
+    assert set(first) <= set(range(1, len(first) + 1))
+    assert _ids_sent(spec) == first
 
 
 def test_base_message_size_is_one():

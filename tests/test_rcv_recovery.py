@@ -300,3 +300,30 @@ def test_retx_and_no_retx_cells_stay_distinct_on_every_backend(tmp_path):
             assert result_to_dict(hit) == result_to_dict(result)
         finally:
             close_backend(backend)
+
+
+def test_a_run_that_can_never_complete_ends_as_stalled():
+    """Node 9 is crashed and never excluded, so a vote is lost for
+    good, and the timer would relaunch forever in a burst cell, which
+    has no drain deadline: it once ran ten million events (minutes)
+    and raised EventBudgetExceeded.  The engine ends it as stalled —
+    requests waiting, none in the CS, nothing issued, granted or
+    released for a stretch — with a result that says so."""
+    import time
+
+    from repro.engine import Engine
+    from repro.experiments.parallel import CellSpec
+    from repro.workload.runner import IncompleteRunError
+
+    spec = CellSpec(
+        "rcv", 10, 1, ("burst", 1), faults=NODE_9_DOWN,
+        algo_kwargs={"config": RCVConfig(rm_timeout=150.0)},
+    )
+    began = time.perf_counter()
+    result = run_scenario(spec.build_scenario(), require_completion=False)
+    assert time.perf_counter() - began < 1.0
+    assert result.completed_count < result.issued_count == 10
+    engine = Engine(spec.build_scenario())
+    with pytest.raises(IncompleteRunError, match="the run stalled") as raised:
+        engine.run()
+    assert raised.value.result.horizon == engine.stalled_at == result.horizon

@@ -25,11 +25,15 @@ def run(coro):
 def test_local_cluster_single_lock_cycle():
     async def go():
         async with LocalCluster(3, algorithm="rcv", seed=1) as c:
+            ids = []
+            send = c.env._sender
+            c.env._sender = lambda *sent: (send(*sent), ids.append(sent[2].msg_id))
             await c.acquire(1, timeout=5)
             c.release(1)
-            return c.messages_sent
+            return c.messages_sent, ids
 
-    assert run(go()) > 0
+    sent, ids = run(go())
+    assert sent > 0 and ids == list(range(1, sent + 1))  # ids are send numbers
 
 
 @pytest.mark.parametrize("algorithm", ["rcv", "ricart_agrawala", "suzuki_kasami"])
@@ -178,9 +182,10 @@ def _framed(payload: bytes, version: int = tcp.WIRE_VERSION) -> bytes:
 
 def test_tcp_host_refuses_oversize_and_misrouted_frames():
     """Each frame no peer would send ends the connection and is said
-    once, as a ClusterTransportError on the host — the truncated
-    payload and the 1-tuple once killed the connection handler with
-    an exception nobody read, and recorded nothing."""
+    once, as a ClusterTransportError on the host naming the kind and
+    the peer — the truncated payload, the 1-tuple and the ill-typed
+    field once killed the connection handler with an exception nobody
+    read, and recorded nothing."""
     sync = _framed(dumps((0, 1, SyncRequest(SystemInfo(2)))).encode())
     cases = (
         (tcp._HEADER.pack(tcp.WIRE_VERSION, tcp.MAX_FRAME_BYTES + 1), "exceeds MAX_FRAME_BYTES"),
@@ -191,6 +196,16 @@ def test_tcp_host_refuses_oversize_and_misrouted_frames():
         (_framed(dumps((0, 1, RaRequest(1, 0))).encode()), "not a message kind"),
         (_framed(b"[" * 100_000), "undecodable frame"),
         (_framed(b'["t",["i",0],["i",1],["m","SYNC_REQ",["x",["none"]]]]'), "carries the fields"),
+        # well framed, but a field of the wrong type: it once reached
+        # on_message and escaped the handler as an AttributeError
+        (
+            _framed(
+                b'["t",["i",0],["i",1],["m","RM",["home",["i",0]],["hops",["i",0]],'
+                b'["si",["si",[],[[],[]],[0,0],[0,0]]],["tup",["i",5]],'
+                b'["unvisited",["t",["i",1]]]]]'
+            ),
+            "a RM's tup must be ReqTuple",
+        ),
     )
 
     async def go():
@@ -204,6 +219,7 @@ def test_tcp_host_refuses_oversize_and_misrouted_frames():
                 assert c.hosts[1].failure is c.failure
                 assert c.failure.node_id == 1 and c.failure.peer is None
                 assert said in str(c.failure)
+                assert "from ('127.0.0.1', " in str(c.failure)
             # and a well-formed frame is still a message
             reader, writer = await asyncio.open_connection(*c.endpoints[1])
             c.failure = c.hosts[1].failure = None

@@ -328,3 +328,42 @@ def test_cancel_after_fire_does_not_corrupt_compaction_accounting():
     h.cancel()  # idempotent no-op: the event already fired
     assert fired == [1]
     assert sim._cancelled_pending == 0
+
+
+# ----------------------------------------------------------------------
+# the watch: a question asked as time passes, not an event
+# ----------------------------------------------------------------------
+def test_a_run_that_drains_never_asks_the_watch():
+    sim = Simulator()
+    asked = []
+    sim.schedule_fast(3.0, lambda: None)
+    sim.schedule(8.0, lambda: None).cancel()  # no sign of time passing
+    sim.watch(5.0, lambda: asked.append(sim.now) or 10.0)
+    assert sim.run() == 3.0
+    assert asked == [] and sim.events_run == 1
+
+
+def test_the_watch_sees_time_pass_and_may_end_the_run():
+    sim = Simulator()
+    fired, asked = [], []
+    for t in (1.0, 4.0, 9.0, 12.0):
+        sim.schedule_fast(t, lambda t=t: fired.append(t))
+
+    def ask():
+        asked.append(sim.now)
+        return None if len(asked) == 2 else sim.now + 5.0
+
+    sim.watch(3.0, ask)
+    # ended at the second instant, short of ``until``: no advance
+    assert sim.run(until=20.0) == 8.0
+    assert asked == [3.0, 8.0] and fired == [1.0, 4.0]
+    assert sim.events_run == 2 and sim.pending == 2
+    assert sim.run() == 12.0  # the watch ended with the run it ended
+    assert fired == [1.0, 4.0, 9.0, 12.0]
+
+
+def test_a_watch_beyond_until_is_not_asked():
+    sim = Simulator()
+    sim.schedule_fast(10.0, lambda: None)
+    sim.watch(6.0, lambda: pytest.fail("asked"))
+    assert sim.run(until=5.0) == 5.0

@@ -148,6 +148,11 @@ def test_lamport_nonfifo_breaches_mutual_exclusion_and_the_schedule_replays():
     got = replay(saved)
     assert got is not None
     assert (got.kind, got.depth) == ("mutual-exclusion", 6)
+    # a message's id is its envelope's uid (its send number), so the
+    # notes name it alike in every check; the file's "#n" are older
+    notes = [s["note"] for s in violation.steps]
+    assert notes[2:4] == ["deliver REQUEST#2 1->0", "deliver REPLY#3 0->1"]
+    assert [s["note"] for s in check("lamport", 2).violations[0].steps] == notes
     # the same schedule is not even executable under FIFO: the REPLY
     # is not at the head of its channel
     saved["settings"]["channel"] = "fifo"
