@@ -24,7 +24,8 @@ minutes; CI does not run it.
 With ``--parent REV --pairs K`` the line compares this checkout with
 REV instead of measuring it alone.  REV's committed tree is exported
 into a temporary directory (``git archive``: nothing is registered in
-the repository), and each workload runs K pairs, one REV run and one
+the repository; a tree that is not a git checkout, or a REV that does
+not resolve, exits 2 with one line), and each workload runs K pairs, one REV run and one
 run of this checkout each, alternating which side goes first.  Per
 workload the line stores, for each side and each end-to-end metric,
 the median and the interquartile range; the change's median over the
@@ -55,7 +56,8 @@ HISTORY = ROOT / "BENCH_history.jsonl"
 
 def _git(*args: str) -> str:
     done = subprocess.run(
-        ["git", *args], cwd=ROOT, stdout=subprocess.PIPE, text=True, check=False
+        ["git", *args], cwd=ROOT, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True, check=False,
     )
     return done.stdout.strip()
 
@@ -133,6 +135,19 @@ def compare(parent_runs, change_runs) -> dict:
                   if side["parent"][m]["median"] else None for m in metrics},
         "won": won,
     }
+
+
+def refusal(rev: str) -> "str | None":
+    """Why REV cannot be exported from this tree, in one line, or
+    ``None``: the tree must be a git checkout's top (an exported tree
+    has no history), and REV must name a commit in it."""
+    top = _git("rev-parse", "--show-toplevel")
+    if not top or Path(top).resolve() != ROOT:
+        return (f"record.py: {ROOT} is not a git checkout, "
+                f"so --parent cannot export {rev}")
+    if not _git("rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"):
+        return f"record.py: --parent {rev} does not resolve to a commit in {ROOT}"
+    return None
 
 
 def export(rev: str, into: Path) -> None:
@@ -222,6 +237,10 @@ def main(argv=None) -> int:
     if args.pairs is not None and (args.parent is None or args.pairs < 1):
         parser.error("--pairs takes a count >= 1, and needs --parent")
     pairs = args.pairs or 5
+    problem = args.parent and refusal(args.parent)
+    if problem:
+        print(problem, file=sys.stderr)
+        return 2
     line = record(args.workload, args.size, args.seconds, args.note,
                   args.parent, pairs)
     with args.out.open("a", encoding="utf-8") as out:

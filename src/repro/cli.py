@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     status.add_argument(
         "--json",
         action="store_true",
-        help="print the raw /v1/stats JSON instead of the rendered table",
+        help="print the raw /v2/stats JSON instead of the rendered table",
     )
 
     run_p = sub.add_parser("run", help="run a single scenario")
@@ -584,8 +584,7 @@ def _render_status(stats: dict, url: str) -> str:
         f"quarantined  : {len(stats['quarantined'])}",
     ]
     owners = stats["owners"]
-    # "requests" is additive within protocol v1: older servers omit it
-    requests = sum(stats.get("requests", {}).values())
+    requests = sum(stats["requests"].values())
     if requests:
         commits = sum(rec["commits"] for rec in owners.values())
         per_cell = (
@@ -614,7 +613,7 @@ def _render_status(stats: dict, url: str) -> str:
         for key, entry in stats["quarantined"].items():
             lines.append(f"  {key[:12]:<12}  {entry['count']} failures")
         lines.append(
-            "  (full failure logs: GET /v1/quarantine; triage: "
+            "  (full failure logs: GET /v2/quarantine; triage: "
             "docs/operations.md)"
         )
     return "\n".join(lines)

@@ -8,12 +8,17 @@ pairs and — the part that makes distributed campaigns possible —
 arbitrates **leases** over keys, so workers on different processes or
 hosts can claim pending cells instead of partitioning them up front.
 
-Lease contract: ``claim(key, owner, ttl)`` returns True when ``owner``
-now holds the lease — either it was free, it had expired (a crashed
-peer's lease is stolen), or ``owner`` already held it (re-claiming
-refreshes the expiry).  ``release(key, owner)`` drops the lease only
-if ``owner`` holds it, and says whether it did.  ``renew(key, owner,
-ttl)`` extends a lease ``owner`` still holds un-expired — and refuses
+Lease contract: ``claim(key, owner, ttl)`` is the one look at a cell.
+In one atomic step it takes the lease — free, expired (a crashed
+peer's is stolen) or ``owner``'s already (refreshed) — and *then*
+reads the store; it answers :data:`YOURS` (leased, cell absent), the
+committed text (done: no lease kept), :data:`HELD` (a live peer's
+lease) or :data:`QUARANTINED`.  ``put`` stores the cell and then ends
+any lease on it, in one atomic step, so a cell absent under its
+claimer's own lease was computed by no live peer.  ``release(key,
+owner)`` drops the lease only if ``owner`` holds it (a cell it did
+not commit), and says whether it did.  ``renew(key, owner, ttl)``
+extends a lease ``owner`` still holds un-expired — and refuses
 otherwise, which is how a slow worker discovers its cell may have
 been stolen.  A lease is advisory: ``put`` never checks one, so the
 worst a misconfigured ttl causes is a duplicate computation of a
@@ -32,8 +37,9 @@ local classes), written against a **record store**: ``leases``,
 ``failures`` and ``quarantine`` tables of JSON records behind
 ``read(table, key)``, ``write(table, key, record, new=False)``
 (``new``: first writer wins; returns whether this call stored it),
-``delete(table, key)`` and ``items(table)``, plus the medium's clock
-and the atomic section a rule reads and writes in.  Four media ship:
+``delete(table, key)`` and ``items(table)``, plus ``get`` and
+``_save`` for the cells, the medium's clock and the atomic section a
+rule reads and writes in.  Four media ship:
 
 * :class:`DirectoryBackend` — one JSON file per cell
   (``<root>/<key[:2]>/<key>.json``) and per record, over any shared
@@ -54,8 +60,8 @@ and the atomic section a rule reads and writes in.  Four media ship:
   (:mod:`repro.experiments.service`, ``python -m repro.cli
   cell-server``).  The **shared-nothing** option: workers on any
   number of hosts need only a TCP route to the server, which runs the
-  rules over a :class:`MemoryBackend` — one clock, one lock.  Every
-  request is one ``_call`` naming an entry of the wire table in
+  rules in its memory — one clock, one lock.  Every request is one
+  ``_call`` naming an entry of the wire table in
   :mod:`repro.experiments.protocol`, which spells the path and body,
   sent as one write on a persistent socket; a reply is framed by its
   ``Content-Length`` alone.
@@ -81,6 +87,7 @@ from pathlib import Path
 from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Protocol, Tuple, Union
 
 from repro.experiments.protocol import (
+    CLAIM_WORDS,
     ENDPOINTS,
     WireError,
     body_length,
@@ -94,10 +101,17 @@ __all__ = [
     "BackendUnavailableError",
     "CacheBackend",
     "DirectoryBackend",
+    "HELD",
     "MemoryBackend",
+    "QUARANTINED",
     "SQLiteBackend",
     "ServiceBackend",
+    "YOURS",
 ]
+
+#: a claim's answers besides a committed cell's text (see CacheBackend)
+YOURS, HELD, QUARANTINED = True, False, None
+ClaimAnswer = Union[bool, None, str]
 
 
 class BackendUnavailableError(RuntimeError):
@@ -123,27 +137,26 @@ class CacheBackend(Protocol):
         """The stored text for ``key``, or None when absent."""
 
     def put(self, key: str, value: str) -> None:
-        """Durably store ``value`` under ``key`` (atomic, last wins)."""
+        """Durably store ``value`` under ``key`` (atomic, last wins),
+        then end any lease on ``key``."""
 
-    def claim(self, key: str, owner: str, ttl: float) -> bool:
+    def claim(self, key: str, owner: str, ttl: float) -> ClaimAnswer:
         """Try to lease ``key`` for ``owner`` for ``ttl`` seconds.
 
-        True when ``owner`` holds the lease afterwards (fresh, stolen
-        from an expired holder, or refreshed); False when a live lease
-        is held by someone else **or the key is quarantined**.
+        :data:`YOURS` when ``owner`` holds the lease afterwards (fresh,
+        stolen from an expired holder, or refreshed) and the cell is
+        absent; the committed text, and no lease, when it is present;
+        :data:`HELD` when a live lease is held by someone else;
+        :data:`QUARANTINED` when the key is quarantined.
         """
 
     def release(self, key: str, owner: str) -> bool:
         """Drop ``owner``'s lease on ``key``; False when it holds none."""
 
     def renew(self, key: str, owner: str, ttl: float) -> bool:
-        """Extend a lease ``owner`` still holds un-expired.
-
-        False when the lease expired or changed hands — unlike
-        :meth:`claim`, a renewal never takes a lease over, so a slow
-        worker learns (rather than hides) that its cell may have been
-        stolen.
-        """
+        """Extend a lease ``owner`` still holds un-expired; False when
+        it expired or changed hands — a renewal never takes a lease
+        over, so a slow worker learns its cell may have been stolen."""
 
     def record_failure(self, key: str, owner: str, error: str) -> int:
         """Append a failure record for ``key``; returns the total
@@ -182,18 +195,34 @@ def _wall_clock() -> float:
     return time.time()
 
 
-def _claim(self, key: str, owner: str, ttl: float) -> bool:
+def _claim(self, key: str, owner: str, ttl: float) -> ClaimAnswer:
+    # A read-only look first: a committed cell needs no lease.
+    value = self.get(key)
+    if value is not None:
+        return value
     with self._atomic:
         if self.read("quarantine", key) is not None:
-            return False
+            return QUARANTINED
         now = self._now()
         lease = {"owner": owner, "expires": now + ttl}
         if not self.write("leases", key, lease, new=True):
             held = self.read("leases", key) or {}  # unreadable: nobody's
             if held.get("owner") != owner and held.get("expires", 0.0) > now:
-                return False
+                return HELD
             self.write("leases", key, lease)
-        return True
+        # Lease, then look: a commit stores before it ends its lease,
+        # so no live peer computed a cell absent under this lease.
+        value = self.get(key)
+        if value is None:
+            return YOURS
+        self.delete("leases", key)
+        return value
+
+
+def _put(self, key: str, value: str) -> None:
+    with self._atomic:
+        self._save(key, value)
+        self.delete("leases", key)  # after the store: see _claim
 
 
 def _release(self, key: str, owner: str) -> bool:
@@ -298,16 +327,12 @@ class DirectoryBackend:
     ``<root>/.leases/`` hard-linked into place complete (``link`` is
     atomic and exclusive, so a fresh cell has one holder); taking
     over an *expired* lease is a read-then-replace, which two
-    survivors of a crashed peer can both win — good enough for a
-    lease whose worst failure is a duplicated deterministic cell.
+    survivors of a crashed peer can both win.
 
-    Opening the backend garbage-collects stale ``*.tmp.<tid>.<pid>`` files:
-    atomic writes go through a temp file + ``os.replace``, and a
-    worker killed between the two used to leave the temp file behind
-    forever.  A tmp file is removed when its writer's pid is dead and
-    it is older than a minute, or unconditionally after an hour (a
-    foreign host's writer has no local pid; no write is in flight for
-    an hour).
+    Opening the backend garbage-collects the ``*.tmp.<tid>.<pid>``
+    file a worker killed between write and ``os.replace`` leaves: once
+    its writer's pid is dead and it is a minute old, or after an hour
+    (a foreign host's writer has no local pid).
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -348,7 +373,7 @@ class DirectoryBackend:
         except FileNotFoundError:
             return None
 
-    def put(self, key: str, value: str) -> None:
+    def _save(self, key: str, value: str) -> None:
         self._write_atomic(self.path_for(key), value)
 
     def keys(self) -> Iterator[str]:
@@ -384,23 +409,16 @@ class DirectoryBackend:
 
     _now = staticmethod(_wall_clock)
 
-    claim, release, renew = _claim, _release, _renew
+    put, claim, release, renew = _put, _claim, _release, _renew
     record_failure, failures = _record_failure, _failures
     quarantine, is_quarantined, quarantined = _quarantine, _is_quarantined, _quarantined
 
     # -- maintenance ---------------------------------------------------
     def _gc_stale_tmp(self) -> int:
-        """Remove orphaned atomic-write temp files and long-expired
-        lease files; returns the count removed.
-
-        Leases are normally unlinked on release; only crashed workers
-        leave them behind, and a stealing campaign with many crashes
-        would otherwise re-grow the thousands-of-tiny-files problem.
-        A lease whose expiry is more than an hour past is unlinked
-        (racing a concurrent re-claim in that window can only drop an
-        advisory lease — worst case one duplicated deterministic
-        cell, never a wrong result).
-        """
+        """Remove orphaned atomic-write temp files and lease files an
+        hour past their expiry (a commit or release unlinks a lease;
+        crashed workers leave theirs); returns the count removed.
+        Racing a re-claim can only drop an advisory lease."""
         removed = 0
         now = self._now()  # compared against filesystem mtimes too
         for tmp in self.root.rglob("*.tmp.*"):
@@ -430,10 +448,8 @@ class MemoryBackend:
     """Dict-backed backend; leases work across threads, not processes.
 
     Single-process, so lease expiry runs on ``time.monotonic()`` —
-    immune to wall-clock steps mid-campaign.  This is also the cell
-    service's lease, failure and quarantine arbitration
-    (:mod:`repro.experiments.service` keeps a private instance), so
-    the in-memory lease contract is implemented exactly once.
+    immune to wall-clock steps mid-campaign.  The cell service
+    arbitrates with a private instance over its store's cells.
     """
 
     def __init__(self) -> None:
@@ -444,7 +460,7 @@ class MemoryBackend:
     def get(self, key: str) -> Optional[str]:
         return self._store.get(key)
 
-    def put(self, key: str, value: str) -> None:
+    def _save(self, key: str, value: str) -> None:
         self._store[key] = value
 
     # -- the record store ----------------------------------------------
@@ -466,7 +482,7 @@ class MemoryBackend:
 
     _now = staticmethod(time.monotonic)
 
-    claim, release, renew = _claim, _release, _renew
+    put, claim, release, renew = _put, _claim, _release, _renew
     record_failure, failures = _record_failure, _failures
     quarantine, is_quarantined, quarantined = _quarantine, _is_quarantined, _quarantined
 
@@ -505,7 +521,8 @@ class SQLiteBackend:
             isolation_level=None,  # autocommit: every statement durable
             check_same_thread=False,
         )
-        self._lock = threading.Lock()
+        # re-entrant: a rule's ``get`` runs inside its ``_atomic``
+        self._lock = threading.RLock()
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute(
@@ -527,15 +544,14 @@ class SQLiteBackend:
             ).fetchone()
         return row[0] if row else None
 
-    def put(self, key: str, value: str) -> None:
-        with self._lock:
-            self._conn.execute(
-                "INSERT INTO cells(key, value) VALUES(?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
-                (key, value),
-            )
+    # -- the cells and the record store (use under ``with self._atomic``)
+    def _save(self, key: str, value: str) -> None:
+        self._conn.execute(
+            "INSERT INTO cells(key, value) VALUES(?, ?) "
+            "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
+            (key, value),
+        )
 
-    # -- the record store (use under ``with self._atomic``) ------------
     def read(self, table: str, key: str) -> Any:
         query = "SELECT record FROM records WHERE tbl = ? AND key = ?"
         row = self._conn.execute(query, (table, key)).fetchone()
@@ -570,7 +586,7 @@ class SQLiteBackend:
             self._conn.execute("BEGIN IMMEDIATE")
             yield
 
-    claim, release, renew = _claim, _release, _renew
+    put, claim, release, renew = _put, _claim, _release, _renew
     record_failure, failures = _record_failure, _failures
     quarantine, is_quarantined, quarantined = _quarantine, _is_quarantined, _quarantined
 
@@ -599,6 +615,9 @@ class SQLiteBackend:
 #: a reply's status line: the version, then a three-digit status
 _STATUS_LINE = re.compile(r"HTTP/1\.[0-9] ([0-9]{3})(?: .*)?")
 
+#: a claim reply's word, back to the answer the server's rules gave
+_CLAIM_ANSWERS = {word: answer for answer, word in CLAIM_WORDS.items()}
+
 
 class ServiceBackend:
     """Client for the HTTP cell service
@@ -606,10 +625,10 @@ class ServiceBackend:
     ``python -m repro.cli cell-server``).
 
     Speaks the versioned JSON protocol documented in
-    ``docs/operations.md``: cells live under ``/v1/cells/<key>``,
+    ``docs/operations.md``: cells live under ``/v2/cells/<key>``,
     leases/failures/quarantine are arbitrated **server-side** (one
     clock, one lease table — no shared filesystem or database file
-    anywhere).  The constructor probes ``/v1/stats`` so a wrong URL or
+    anywhere).  The constructor probes ``/v2/stats`` so a wrong URL or
     a dead server fails fast, at startup, with a
     :class:`BackendUnavailableError` naming the remedy instead of
     hanging a campaign mid-run.
@@ -640,10 +659,6 @@ class ServiceBackend:
         self._authority = f"{authority}:{self.port}"
         self._sock: Optional[socket.socket] = None
         self._replies: Optional[BinaryIO] = None  # the socket, buffered
-        #: quarantine flag from each key's most recent claim response
-        #: — lets is_quarantined() answer without a second round trip
-        #: right after a refused claim (the steal loop's hot pattern)
-        self._claim_quarantined: Dict[str, bool] = {}
         stats = self.stats()  # fail fast: reachability + protocol check
         self.server_protocol = stats.get("protocol")
 
@@ -756,10 +771,10 @@ class ServiceBackend:
         return self._call("cells")[1]["count"]
 
     # -- leases --------------------------------------------------------
-    def claim(self, key: str, owner: str, ttl: float) -> bool:
+    def claim(self, key: str, owner: str, ttl: float) -> ClaimAnswer:
         _, doc = self._call("claim", key, owner=owner, ttl=ttl)
-        self._claim_quarantined[key] = doc.get("quarantined", False)
-        return doc["granted"]
+        word = doc["claim"]
+        return doc["value"] if word == "done" else _CLAIM_ANSWERS[word]
 
     def release(self, key: str, owner: str) -> bool:
         return self._call("release", key, owner=owner)[1]["released"]
@@ -784,26 +799,16 @@ class ServiceBackend:
 
     def quarantine(self, key: str) -> None:
         self._call("quarantine", key)
-        self._claim_quarantined[key] = True
 
     def is_quarantined(self, key: str) -> bool:
-        # The steal loop asks this right after a refused claim, and
-        # the claim response already carried the answer — reuse it
-        # instead of a second round trip per deferred cell per poll.
-        # At most one poll round stale, and only in the safe
-        # direction: a just-quarantined cell is re-answered by the
-        # next claim.
-        cached = self._claim_quarantined.get(key)
-        if cached is not None:
-            return cached
-        return self._call("quarantine_entry", key)[1].get("quarantined", False)
+        return self._call("quarantine_entry", key)[1]["quarantined"]
 
     def quarantined(self) -> Dict[str, dict]:
         return self._call("quarantined")[1]["cells"]
 
     # -- monitoring ----------------------------------------------------
     def stats(self) -> dict:
-        """The server's ``/v1/stats`` document: lease table, per-owner
+        """The server's ``/v2/stats`` document: lease table, per-owner
         throughput counters, quarantine list (see docs/operations.md)."""
         return self._call("stats")[1]
 

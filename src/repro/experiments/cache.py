@@ -22,10 +22,10 @@ entry) is detected at load instead of silently returning the wrong
 cell.
 
 ``hits`` / ``misses`` / ``writes`` count **this process's** work
-only: a stealing worker's probe of a cell a peer may yet compute
-(:meth:`adopt`) counts a hit when the cell is found and nothing when
-it is not, so a ``--bench-json`` report from one of several workers
-describes that worker, not the whole campaign.
+only: a stealing worker's :meth:`claim` counts a hit when it finds
+the cell committed and nothing when not (a peer may yet compute it),
+so a ``--bench-json`` report from one of several workers describes
+that worker, not the whole campaign.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.experiments.backends import (
+    YOURS,
     BackendUnavailableError,
     CacheBackend,
     DirectoryBackend,
@@ -161,7 +162,7 @@ class CellCache:
         """The cached result for ``spec``, or None when absent.
 
         Counts a hit or a miss; a stealing worker, which may never
-        compute the cell it probes, reads through :meth:`adopt`.
+        compute the cell it looks at, reads through :meth:`claim`.
         """
         key = spec.cache_key()
         text = self._call(self.backend.get, key)
@@ -179,21 +180,17 @@ class CellCache:
         return None if text is None else self._decode(text, spec, key)
 
     def adopt(self, spec) -> Optional[RunResult]:
-        """A probe that counts a hit when found and nothing when not.
-
-        The work-stealing read: a pending cell that is absent is not
-        (yet) this worker's miss — a peer may be computing it — but a
-        present one is served from the cache, which is a hit.  The
-        matching miss is counted by the scheduler at claim time, when
-        this worker commits to computing the cell itself.
-        """
+        """A probe that counts a hit when found and nothing when not:
+        an absent cell is not (yet) this worker's miss, as in
+        :meth:`claim`."""
         result = self.peek(spec)
         if result is not None:
             self.hits += 1
         return result
 
     def put(self, spec, result: RunResult) -> str:
-        """Atomically persist one cell result; returns its key."""
+        """Atomically persist one cell result, ending its lease;
+        returns its key."""
         key = spec.cache_key()
         doc = {
             "format_version": FORMAT_VERSION,
@@ -207,12 +204,22 @@ class CellCache:
     # ------------------------------------------------------------------
     # leases (work-stealing support; see backends.CacheBackend)
     # ------------------------------------------------------------------
-    def claim(self, spec, owner: str, ttl: float) -> bool:
-        """Try to lease ``spec``'s cell for ``owner`` (see backend)."""
-        return self._call(self.backend.claim, spec.cache_key(), owner, ttl)
+    def claim(self, spec, owner: str, ttl: float):
+        """The backend's answer (``YOURS``, ``HELD``, ``QUARANTINED``),
+        or the committed result, a hit.  An unparseable document is
+        recomputed, as by :meth:`get`: ``YOURS``, with no lease."""
+        key = spec.cache_key()
+        answer = self._call(self.backend.claim, key, owner, ttl)
+        if not isinstance(answer, str):
+            return answer
+        result = self._decode(answer, spec, key)
+        if result is None:
+            return YOURS
+        self.hits += 1
+        return result
 
     def release(self, spec, owner: str) -> None:
-        """Drop ``owner``'s lease on ``spec``'s cell, if held."""
+        """Drop ``owner``'s lease on ``spec``'s uncommitted cell."""
         self._call(self.backend.release, spec.cache_key(), owner)
 
     def renew(self, spec, owner: str, ttl: float) -> bool:
@@ -232,19 +239,10 @@ class CellCache:
         """Mark ``spec``'s cell poisoned: no backend will lease it again."""
         self._call(self.backend.quarantine, spec.cache_key())
 
-    def is_quarantined(self, spec) -> bool:
-        """Whether ``spec``'s cell has been quarantined."""
-        return self._call(self.backend.is_quarantined, spec.cache_key())
-
     def quarantined(self) -> Dict[str, dict]:
-        """All quarantined cells, keyed by cache key, with case files.
-
-        Empty for backends predating the failure/quarantine contract
-        (a custom backend implementing only the original
-        get/put/claim/release surface): every campaign run queries
-        this for its summary, and a missing *optional* capability
-        must not crash a finished run.
-        """
+        """All quarantined cells, keyed by cache key, with case files;
+        empty for a custom backend that implements only get, put,
+        claim and release (quarantine is optional)."""
         fn = getattr(self.backend, "quarantined", None)
         if fn is None:
             return {}

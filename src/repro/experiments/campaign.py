@@ -138,7 +138,9 @@ class Campaign:
             max_failures=max_failures,
         )
         quarantined: Dict[int, dict] = {}
-        if cache is not None:
+        # Only a quarantined cell leaves its slot empty: a run with
+        # every result asks the backend nothing more.
+        if cache is not None and None in results:
             table = cache.quarantined()
             if table:
                 for index, spec in enumerate(self.cells):

@@ -193,19 +193,16 @@ def run_cells(
 
     **Work stealing** — ``steal=True`` (requires ``cache``) splits a
     campaign across workers by lease-based claiming through the shared
-    backend: each worker claims up to ``chunk_size`` pending cells at
-    a time (``cache.claim(key, owner, lease_ttl)``), computes and
-    commits them, and releases the leases.  Cells leased by a live
-    peer are deferred and re-polled every ``poll_interval`` seconds —
-    either the peer commits the cell (it is adopted from the cache)
-    or its lease expires (a crashed peer) and the cell is re-claimed
-    and recomputed here.  A cell is claimed, and *then* read, when a
-    round reaches it: a peer commits before it releases, so a cell
-    absent under this worker's own lease was computed by no live
-    peer, and every cell is computed exactly once.  Once a chunk is
-    full the rest are deferred untouched, so a fresh cell costs the
-    backend two reads (start-up pass, then under the lease), one
-    claim, one write and one release however large the slice.
+    backend.  Each worker claims up to ``chunk_size`` cells at a time
+    (``cache.claim(key, owner, lease_ttl)``), the one look at a cell:
+    it answers with the committed result (adopted), the lease (this
+    worker computes the cell and commits it, which ends the lease), a
+    live peer's lease (re-claimed every ``poll_interval`` seconds until
+    the peer commits or its lease expires), or quarantine.  A claim
+    takes the lease before it looks at the store, and a commit stores
+    before it ends the lease, so every cell is computed exactly once.
+    Cells after a full chunk wait untouched, so a fresh cell costs the
+    backend two calls (a claim and a write) and a resumed one a claim.
     Leases on claimed-but-uncomputed cells are **renewed** while the
     worker chews through a chunk, so ``lease_ttl`` needs to cover one
     *cell*, not one chunk; a too-short ttl only duplicates
@@ -225,19 +222,16 @@ def run_cells(
     traceback) is recorded in the shared backend, the lease released,
     and the cell retried — by this worker or any peer — until the
     campaign-wide failure count reaches ``max_failures``, at which
-    point the cell is **quarantined**: backends refuse to lease it
-    again, stealers skip it, and its slot in the result list stays
-    ``None`` (``Campaign.run`` surfaces the case file in the summary;
-    docs/operations.md covers triage).  Without quarantine, a
-    deterministically-crashing cell would ping-pong between workers
-    forever, each crash handing the lease to the next victim.  A
-    stealing run therefore always terminates, and is complete
+    point the cell is **quarantined**: claims answer so from then on,
+    and its slot in the result list stays ``None`` (``Campaign.run``
+    surfaces the case file; docs/operations.md covers triage).  A
+    deterministically-crashing cell cannot ping-pong between workers
+    forever, so a stealing run always terminates, and is complete
     whenever no cell exhausted its failure budget.
 
     ``progress`` is a :class:`ProgressReporter` (or ``True`` for a
-    default one); steps fire per completed cell — cached/adopted
-    cells step with ``fresh=False`` so the ETA tracks fresh
-    throughput.
+    default one); steps fire per completed cell — cached cells step
+    with ``fresh=False`` so the ETA tracks fresh throughput.
     """
     specs = list(specs)
     if steal:
@@ -257,11 +251,9 @@ def run_cells(
     pending: List[int] = []
     resolved = 0
     for i, spec in enumerate(specs):
-        if cache is not None:
-            # Under steal a pending cell is NOT a miss yet — a peer may
-            # compute it; the miss is counted at claim time, when this
-            # worker commits to doing the work itself.
-            cached = cache.adopt(spec) if steal else cache.get(spec)
+        # Under steal the claim is the one look at a cell.
+        if cache is not None and not steal:
+            cached = cache.get(spec)
             if cached is not None:
                 results[i] = cached
                 resolved += 1
@@ -314,7 +306,7 @@ def run_cells(
                 claimed, run_map(_run_cell_guarded, claimed)
             ):
                 if status == "ok":
-                    _commit([i], [payload])
+                    _commit([i], [payload])  # the commit ends the lease
                 else:
                     count = cache.record_failure(specs[i], owner, payload)
                     if count >= max_failures:
@@ -325,7 +317,7 @@ def run_cells(
                             progress.step(fresh=False)
                     else:
                         retry.append(i)
-                cache.release(specs[i], owner)
+                    cache.release(specs[i], owner)
                 uncommitted.discard(i)
                 now = time.monotonic()
                 if uncommitted and now - last_renew > lease_ttl / 3.0:
@@ -345,8 +337,11 @@ def run_cells(
         return retry
 
     def _steal_loop(run_map):
+        # here: a run without a cache never loads the backends
+        from repro.experiments.backends import HELD, YOURS
+
         # Stall clock: time since this worker last made progress
-        # (claimed, adopted, or committed) — NOT since the loop
+        # (claimed, settled, or committed) — NOT since the loop
         # started, so long healthy runs never trip steal_timeout.
         last_progress = time.monotonic()
         backoff = poll_interval
@@ -355,7 +350,7 @@ def run_cells(
         while work:
             claimed: List[int] = []
             deferred: List[int] = []
-            adopted = 0
+            settled = 0
             for pos, i in enumerate(work):
                 if len(claimed) == chunk_size:
                     # The chunk is full: the rest wait untouched — each
@@ -363,27 +358,16 @@ def run_cells(
                     # slice costs O(n) backend calls, not O(n²/chunk).
                     deferred.extend(work[pos:])
                     break
-                if not cache.claim(specs[i], owner, lease_ttl):
-                    if cache.is_quarantined(specs[i]):
-                        # Poisoned by repeated crashes (here or on a
-                        # peer): drop it — the slot stays None and
-                        # the campaign summary carries the case file.
-                        if progress:
-                            progress.step(fresh=False)
-                    else:
-                        deferred.append(i)  # a live peer holds it
+                answer = cache.claim(specs[i], owner, lease_ttl)
+                if answer is HELD:
+                    deferred.append(i)  # a live peer holds it
                     continue
-                # Claim first, then look: peers put before they
-                # release, so under our own lease an absent result
-                # means no live peer computed the cell — probing
-                # before the claim would leave a gap for a peer's
-                # commit to fall into, and the cell computed twice.
-                cached = cache.adopt(specs[i])
-                if cached is not None:
-                    # A peer committed it since our last look.
-                    cache.release(specs[i], owner)
-                    results[i] = cached
-                    adopted += 1
+                if answer is not YOURS:
+                    # Committed (here or by a peer), or quarantined
+                    # after repeated crashes: its slot stays None, and
+                    # the campaign summary carries the case file.
+                    results[i] = answer
+                    settled += 1
                     if progress:
                         progress.step(fresh=False)
                     continue
@@ -398,14 +382,14 @@ def run_cells(
             retry: List[int] = []
             if claimed:
                 retry = _run_claimed(run_map, claimed)
-            if claimed or adopted:
+            if claimed or settled:
                 last_progress = time.monotonic()
                 backoff = poll_interval
             elif deferred:
                 # Everything left is leased by live peers: wait for
                 # them to commit or for their leases to expire,
                 # backing off so a blocked worker does not hammer the
-                # shared backend with fruitless probe/claim rounds.
+                # shared backend with fruitless claim rounds.
                 if (
                     steal_timeout is not None
                     and time.monotonic() - last_progress > steal_timeout

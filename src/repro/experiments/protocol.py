@@ -37,6 +37,7 @@ from typing import Any, Callable, Dict, FrozenSet, NamedTuple, Optional, Tuple
 __all__ = [
     "PROTOCOL_VERSION",
     "API_PREFIX",
+    "CLAIM_WORDS",
     "ENDPOINTS",
     "Endpoint",
     "WireError",
@@ -56,8 +57,9 @@ __all__ = [
 #: Wire-protocol version; bump on any incompatible change to the
 #: request/response shapes served by ``CellServer``.  Clients and
 #: servers of different versions refuse each other loudly (HTTP 400
-#: naming both versions).
-PROTOCOL_VERSION = 1
+#: naming both versions).  v2: a claim can answer "done", which a v1
+#: client would read as a live peer's lease and wait on forever.
+PROTOCOL_VERSION = 2
 
 #: Path prefix every endpoint lives under.
 API_PREFIX = f"/v{PROTOCOL_VERSION}"
@@ -159,6 +161,10 @@ ENDPOINTS: Dict[str, Endpoint] = {
 }
 
 _ROUTES = {(op.method, op.resource, op.keyed): op for op in ENDPOINTS.values()}
+
+#: a claim's reply: ``{"claim": word}`` for the lease rules' YOURS, HELD
+#: and QUARANTINED, or ``{"claim": "done", "value": <committed text>}``
+CLAIM_WORDS = {True: "yours", False: "held", None: "quarantined"}
 
 
 def path_for(name: str, key: Optional[str] = None) -> str:

@@ -29,7 +29,7 @@ Design decisions worth knowing:
   clears quarantine (deliberate — a restart is the documented way to
   re-try quarantined cells after a fix).
 * **Versioned protocol, described once.**  Every path is prefixed
-  ``/v1``; any other prefix is rejected with HTTP 400 and an error
+  ``/v2``; any other prefix is rejected with HTTP 400 and an error
   naming the version this server speaks, so a client/server mismatch
   fails loudly at the first request instead of corrupting a campaign.
   This module spells none of it: the handler's one dispatch asks
@@ -37,7 +37,7 @@ Design decisions worth knowing:
   matches and what its typed fields are, then calls the
   ``_ServiceState`` method of that name — a field of the wrong type
   is a 400 naming it, and never reaches the state.
-* **Monitoring built in.**  ``GET /v1/stats`` exposes the live lease
+* **Monitoring built in.**  ``GET /v2/stats`` exposes the live lease
   table and per-owner counters (claims, commits, failures, renews) —
   per-worker throughput for a running campaign without touching the
   workers — and a per-endpoint ``requests`` count, so the scheduler's
@@ -71,9 +71,10 @@ from collections import Counter
 from http import HTTPStatus
 from typing import Dict, Optional
 
-from repro.experiments.backends import CacheBackend, MemoryBackend
+from repro.experiments.backends import YOURS, CacheBackend, MemoryBackend
 from repro.experiments.protocol import (
     API_PREFIX,
+    CLAIM_WORDS,
     PROTOCOL_VERSION,
     WireError,
     body_length,
@@ -122,14 +123,16 @@ class _ServiceState:
     quarantine are in-memory (see module docstring for why that is a
     feature) and arbitrated by a private
     :class:`~repro.experiments.backends.MemoryBackend` — the shared
-    lease rules over the memory medium — so the server
-    adds only what is its own: per-owner counters, the request-id
-    dedupe on ``/fail``, and the ``/stats`` view.
+    lease rules over the memory medium, with ``store`` as its cells —
+    so the server adds only what is its own: per-owner counters, the
+    request-id dedupe on ``/fail``, and the ``/stats`` view.
     """
 
     def __init__(self, store: CacheBackend) -> None:
         self.store = store
         self.arbiter = MemoryBackend()
+        # a claim looks at, and a commit writes to, the served cells
+        self.arbiter.get, self.arbiter._save = store.get, store.put
         #: makes "touch the owner, arbitrate, count" one atomic step
         self.lock = threading.Lock()
         self.owners: Dict[str, dict] = {}
@@ -156,12 +159,11 @@ class _ServiceState:
     def claim(self, key: str, owner: str, ttl: float) -> dict:
         with self.lock:
             record = self._touch(owner)
-            granted = self.arbiter.claim(key, owner, ttl)
-            record["claims"] += granted
-            return {
-                "granted": granted,
-                "quarantined": self.arbiter.is_quarantined(key),
-            }
+            answer = self.arbiter.claim(key, owner, ttl)
+            if isinstance(answer, str):
+                return {"claim": "done", "value": answer}
+            record["claims"] += answer is YOURS
+            return {"claim": CLAIM_WORDS[answer]}
 
     def release(self, key: str, owner: str) -> dict:
         with self.lock:
@@ -188,12 +190,13 @@ class _ServiceState:
 
     def put(self, key: str, value: str) -> dict:
         # Attribute the commit to the lease holder (the façade's put
-        # carries no owner; the lease table knows whose cell this is).
+        # carries no owner; the lease table knows whose cell this is),
+        # then store the cell, which ends that lease.
         with self.lock:
             held = self.arbiter.read("leases", key)
             owner = held["owner"] if held is not None else "(unleased)"
             self._touch(owner)["commits"] += 1
-        self.store.put(key, value)
+            self.arbiter.put(key, value)
         return {"stored": True}
 
     # -- failures / quarantine -----------------------------------------

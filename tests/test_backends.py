@@ -23,6 +23,9 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.backends import (
+    HELD,
+    QUARANTINED,
+    YOURS,
     DirectoryBackend,
     MemoryBackend,
     ServiceBackend,
@@ -90,26 +93,26 @@ def test_put_is_last_wins(backend):
 # lease contract (what work stealing is built on)
 # ----------------------------------------------------------------------
 def test_claim_excludes_live_foreign_leases(backend):
-    assert backend.claim("k", "alice", ttl=60.0)
-    assert not backend.claim("k", "bob", ttl=60.0)
+    assert backend.claim("k", "alice", ttl=60.0) is YOURS
+    assert backend.claim("k", "bob", ttl=60.0) is HELD
     # re-claiming your own lease refreshes it
-    assert backend.claim("k", "alice", ttl=60.0)
+    assert backend.claim("k", "alice", ttl=60.0) is YOURS
 
 
 def test_expired_lease_is_stolen(backend):
     assert backend.claim("k", "crashed-worker", ttl=0.05)
     time.sleep(0.06)
-    assert backend.claim("k", "survivor", ttl=60.0)
+    assert backend.claim("k", "survivor", ttl=60.0) is YOURS
     # ...and the takeover is exclusive again
-    assert not backend.claim("k", "third", ttl=60.0)
+    assert backend.claim("k", "third", ttl=60.0) is HELD
 
 
 def test_release_frees_only_own_lease(backend):
     assert backend.claim("k", "alice", ttl=60.0)
     backend.release("k", "bob")  # not the holder: no-op
-    assert not backend.claim("k", "carol", ttl=60.0)
+    assert backend.claim("k", "carol", ttl=60.0) is HELD
     backend.release("k", "alice")
-    assert backend.claim("k", "carol", ttl=60.0)
+    assert backend.claim("k", "carol", ttl=60.0) is YOURS
 
 
 def test_leases_do_not_count_as_cells(backend):
@@ -160,7 +163,7 @@ def test_quarantined_cell_refuses_claims(backend):
     assert not backend.is_quarantined("k")
     backend.quarantine("k")
     assert backend.is_quarantined("k")
-    assert not backend.claim("k", "w2", ttl=60.0)
+    assert backend.claim("k", "w2", ttl=60.0) is QUARANTINED
     table = backend.quarantined()
     assert table["k"]["count"] == 1
     assert table["k"]["failures"][0]["owner"] == "w1"
@@ -228,7 +231,7 @@ def test_reopen_sees_failures_and_quarantine(kind, tmp_path):
     assert second.record_failure("other", "w2", "crash") == 1
     assert second.is_quarantined("k")
     assert second.quarantined()["k"]["count"] == 1
-    assert not second.claim("k", "w2", ttl=60.0)
+    assert second.claim("k", "w2", ttl=60.0) is QUARANTINED
 
 
 def test_sqlite_uses_wal(tmp_path):
@@ -302,10 +305,10 @@ def test_gc_leaves_cells_and_leases_alone(tmp_path):
     root = tmp_path / "cells"
     backend = DirectoryBackend(root)
     backend.put("aabbcc", json.dumps({"v": 1}))
-    backend.claim("aabbcc", "alice", ttl=60.0)
+    backend.claim("ddeeff", "alice", ttl=60.0)
     reopened = DirectoryBackend(root)
     assert reopened.get("aabbcc") == json.dumps({"v": 1})
-    assert not reopened.claim("aabbcc", "bob", ttl=60.0)
+    assert reopened.claim("ddeeff", "bob", ttl=60.0) is HELD
 
 
 @pytest.mark.parametrize("key", ["../escaped", "a/b", ".leases", ".", ""])
@@ -418,21 +421,76 @@ class CountingBackend:
 
 @pytest.mark.parametrize("n", (8, 32))
 def test_stolen_slice_costs_a_linear_number_of_requests(backend, n):
-    """One read in the pre-pass and one more under the lease, when a
-    round reaches the cell; one claim, put and release each.  The loop
-    used to re-read every pending cell every round: n=8 at
-    chunk_size=2 made 28 gets, n=32 made 304."""
+    """A fresh cell is one claim, which takes the lease and finds the
+    cell absent, and one put, which ends the lease: no read, release
+    or quarantine query.  A resumed cell is one claim, which hands the
+    committed cell back.  (The loop once re-read every pending cell
+    every round: n=8 at chunk_size=2 made 28 gets, n=32 made 304; then
+    it cost two reads, a claim, a put and a release a cell.)"""
+    specs = [_spec(seed) for seed in range(n)]
     counting = CountingBackend(backend)
     cache = CellCache(backend=counting)
-    specs = [_spec(seed) for seed in range(n)]
     results = run_cells(
         specs, max_workers=1, cache=cache, steal=True, chunk_size=2, owner="w"
     )
     assert all(result is not None for result in results)
-    calls = counting.calls
-    assert calls["get"] <= 2 * n
-    assert (calls["claim"], calls["put"], calls["release"]) == (n, n, n)
+    assert counting.calls == {"claim": n, "put": n}
     assert (cache.hits, cache.misses, cache.writes) == (0, n, n)
+
+    counting = CountingBackend(backend)
+    cache = CellCache(backend=counting)
+    resumed = run_cells(
+        specs, max_workers=1, cache=cache, steal=True, chunk_size=2, owner="w"
+    )
+    assert [result_to_dict(r) for r in resumed] == [
+        result_to_dict(r) for r in results
+    ]
+    assert counting.calls == {"claim": n}
+    assert (cache.hits, cache.misses, cache.writes) == (n, 0, 0)
+
+
+def _commits_after_the_first_look(backend, key, value):
+    """Make ``backend``'s next claim of ``key`` meet a peer's commit
+    between its read-only first look and its lease."""
+    server = getattr(backend, "_test_server", None)
+    # the medium whose rules run the claim, and a peer's way to commit
+    medium = backend if server is None else server.state.arbiter
+    peer = _peer_handle(backend) if server is None else medium
+    first_look = medium.get
+
+    def look_then_commit(looked_at):
+        found = first_look(looked_at)
+        medium.get = first_look  # once
+        peer.put(key, value)
+        return found
+
+    medium.get = look_then_commit
+    return peer
+
+
+def test_a_claim_never_grants_a_committed_cell(backend):
+    """A committed cell comes back in the claim's answer and keeps no
+    lease — committed before any lease, under a peer's lease (the
+    commit ended it), and by a peer whose commit lands between the
+    claimer's first look and its lease."""
+    backend.put("early", "e")
+    assert backend.claim("early", "w", ttl=60.0) == "e"
+
+    assert backend.claim("leased", "peer", ttl=60.0) is YOURS
+    backend.put("leased", "l")
+    assert backend.claim("leased", "w", ttl=60.0) == "l"
+
+    peer = _commits_after_the_first_look(backend, "raced", "r")
+    try:
+        assert backend.claim("raced", "w", ttl=60.0) == "r"
+    finally:
+        if peer is not backend and hasattr(peer, "close"):
+            close_backend(peer)
+
+    for key, value in (("early", "e"), ("leased", "l"), ("raced", "r")):
+        assert not backend.release(key, "w") and not backend.release(key, "peer")
+        assert backend.claim(key, "other", ttl=60.0) == value
+    assert backend.renew("raced", "w", ttl=60.0) is False  # no lease kept
 
 
 def _peer_handle(backend):
@@ -450,8 +508,8 @@ def test_two_concurrent_owners_each_compute_or_adopt_every_cell(backend):
     """Whatever the interleaving, each owner ends with every result,
     and got each cell exactly one way — computed (one miss, one write)
     or adopted from the peer (one hit) — and no cell is computed by
-    both: a worker reads a cell only under its own lease, and a peer
-    commits before it releases."""
+    both: a claim looks at the store only under the claimer's own
+    lease, and a commit stores the cell before it ends its lease."""
     specs = [_spec(seed) for seed in range(12)]
     reference = [result_to_dict(r) for r in run_cells(specs, max_workers=1)]
     peer = _peer_handle(backend)
@@ -660,7 +718,7 @@ def test_directory_cache_written_by_pr17_still_opens(pr17_cache):
     assert backend.failures("poisoned") == json.loads(log_text)
     assert backend.quarantined() == {"poisoned": json.loads(case_text)}
     assert backend.is_quarantined("poisoned")
-    assert not backend.claim("poisoned", "w2", ttl=60.0)
+    assert backend.claim("poisoned", "w2", ttl=60.0) is QUARANTINED
     # ...the lease, two hours expired when written, was reaped on open...
     assert not (root / ".leases" / "crashed.lease").exists()
     # ...and what is written next has the bytes PR 17 would have written
@@ -693,7 +751,7 @@ def test_sqlite_cache_written_by_pr17_still_opens(pr17_cache):
             assert rows == 1
         assert backend.record_failure("poisoned", "w2", "boom") == 1
         backend.quarantine("poisoned")
-        assert not backend.claim("poisoned", "w3", ttl=60.0)
+        assert backend.claim("poisoned", "w3", ttl=60.0) is QUARANTINED
         # the triage recipes of docs/operations.md name tables that exist
         [(key, record)] = backend._conn.execute(
             "SELECT key, record FROM records WHERE tbl = 'quarantine'"
@@ -705,3 +763,46 @@ def test_sqlite_cache_written_by_pr17_still_opens(pr17_cache):
         assert not backend.is_quarantined("poisoned")
     finally:
         backend.close()
+
+
+# ----------------------------------------------------------------------
+# a cache written before a claim handed committed cells back resumes
+# ----------------------------------------------------------------------
+WRITTEN_AT_EPOCH_3 = Path(__file__).parent / "data" / "cache_written_at_epoch_3"
+
+
+@pytest.mark.parametrize("kind", ("dir", "sqlite"))
+def test_a_cache_written_before_the_one_claim_resumes_with_no_recomputation(
+    kind, tmp_path
+):
+    """``data/cache_written_at_epoch_3`` is a directory cache and a
+    SQLite file written while a claim was only a lease (read under it,
+    released after the commit), by::
+
+        specs = [CellSpec("rcv", 4, seed, ("burst", 1)) for seed in (0, 1)]
+        for backend in (DirectoryBackend(out / "cells"),
+                        SQLiteBackend(out / "cells.sqlite")):
+            cache = CellCache(backend=backend)
+            run_cells(specs, max_workers=1, cache=cache, steal=True, owner="w")
+            # a worker that died between its commit and its release
+            cache.claim(specs[1], "ghost", 10 * 365 * 86400.0)
+
+    Both cells resume as hits, one claim each: nothing is computed, and
+    the dead worker's live lease on a committed cell holds nothing up."""
+    shutil.copytree(WRITTEN_AT_EPOCH_3, tmp_path, dirs_exist_ok=True)
+    specs = [_spec(seed) for seed in (0, 1)]
+    reference = [result_to_dict(r) for r in run_cells(specs, max_workers=1)]
+    backend = make_backend(kind, tmp_path)
+    try:
+        for steal in (True, False):
+            counting = CountingBackend(backend)
+            cache = CellCache(backend=counting)
+            results = run_cells(
+                specs, max_workers=1, cache=cache, steal=steal, owner="w",
+                steal_timeout=5.0,
+            )
+            assert [result_to_dict(r) for r in results] == reference
+            assert counting.calls == {"claim" if steal else "get": 2}
+            assert (cache.hits, cache.misses, cache.writes) == (2, 0, 0)
+    finally:
+        close_backend(backend)

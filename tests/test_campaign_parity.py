@@ -281,7 +281,7 @@ def test_deterministically_crashing_cell_is_quarantined(kind, make_cache):
     # run (pre-quarantine it would ping-pong forever) and its slot
     # stays None.
     assert [r is not None for r in result] == [True, True, False]
-    assert cache.is_quarantined(specs[2])
+    assert cache.backend.is_quarantined(specs[2].cache_key())
     record = cache.quarantined()[specs[2].cache_key()]
     assert record["count"] == 3  # the whole failure budget was spent
     assert "no-such-algorithm" in record["failures"][-1]["error"]

@@ -63,6 +63,11 @@ def test_unparseable_cell_is_recomputed(tmp_path):
     [again] = run_cells([spec], max_workers=1, cache=cache)
     assert result_to_dict(again) == result_to_dict(r)
     assert cache.get(spec) is not None  # ...and rewritten
+    # a stealing worker's claim hands the text back: recomputed too
+    path.write_text("{ not json")
+    [stolen] = run_cells([spec], max_workers=1, cache=cache, steal=True, owner="w")
+    assert result_to_dict(stolen) == result_to_dict(r)
+    assert cache.get(spec) is not None
 
 
 def test_truncated_cell_is_a_miss_and_recomputed(tmp_path):
@@ -242,7 +247,6 @@ def test_backend_oserrors_surface_as_backend_unavailable(exc):
         lambda: cache.renew(_spec(), "w", 60.0),
         lambda: cache.record_failure(_spec(), "w", "boom"),
         lambda: cache.quarantine(_spec()),
-        lambda: cache.is_quarantined(_spec()),
         lambda: cache.quarantined(),
     ]:
         with pytest.raises(BackendUnavailableError) as excinfo:

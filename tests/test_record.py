@@ -40,7 +40,24 @@ def test_record_appends_one_line_with_its_stamp(tmp_path):
     assert set(result["metrics"]) == {m["name"] for m in declared["end_to_end"]}
 
 
+def _is_a_checkout(root: Path) -> bool:
+    top = subprocess.run(
+        ["git", "rev-parse", "--show-toplevel"], cwd=root,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, check=False,
+    ).stdout.strip()
+    return bool(top) and Path(top).resolve() == root.resolve()
+
+
+def _refused_in_one_line(done, why):
+    assert done.returncode == 2, done.stdout
+    assert done.stdout.strip().splitlines() == [done.stdout.strip()]
+    assert why in done.stdout and "Traceback" not in done.stdout
+
+
 def test_pairs_against_head_store_both_sides_and_the_wins(tmp_path):
+    """Inside a checkout: one pair against HEAD.  In a tree exported
+    without ``.git`` (as ``--parent`` itself exports one) there is no
+    HEAD to export: the refusal is one line and exit 2."""
     out = tmp_path / "history.jsonl"
     done = subprocess.run(
         [
@@ -52,6 +69,10 @@ def test_pairs_against_head_store_both_sides_and_the_wins(tmp_path):
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=300,
         env={**os.environ, "TMPDIR": str(tmp_path)},
     )
+    if not _is_a_checkout(ROOT):
+        _refused_in_one_line(done, "is not a git checkout")
+        assert not out.exists()
+        return
     assert done.returncode == 0, done.stdout
     record = json.loads(out.read_text())
     assert record["pairs"] == 1
@@ -68,6 +89,28 @@ def test_pairs_against_head_store_both_sides_and_the_wins(tmp_path):
     assert set(result["won"]) == set(result["ratio"]) == metrics
     assert all(won in (0, 1) for won in result["won"].values())
     assert list(tmp_path.iterdir()) == [out]  # the exported tree is gone
+
+
+def test_a_parent_that_cannot_be_exported_is_refused_in_one_line(tmp_path):
+    """No ``git archive`` traceback: a copy of the script in a tree
+    that is no checkout, and a REV that names no commit, each exit 2
+    with one line saying which."""
+    copy = tmp_path / "tree" / "benchmarks" / "record.py"
+    copy.parent.mkdir(parents=True)
+    copy.write_text((ROOT / "benchmarks" / "record.py").read_text())
+    runs = [([sys.executable, str(copy), "--parent", "HEAD"], "is not a git checkout")]
+    if _is_a_checkout(ROOT):
+        runs.append((
+            [sys.executable, str(ROOT / "benchmarks" / "record.py"),
+             "--parent", "no-such-rev-anywhere", "--pairs", "1"],
+            "does not resolve to a commit",
+        ))
+    for command, why in runs:
+        done = subprocess.run(
+            command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True, timeout=60,
+        )
+        _refused_in_one_line(done, why)
 
 
 def test_pairs_need_a_parent():

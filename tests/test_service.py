@@ -28,6 +28,7 @@ import warnings
 import pytest
 
 from repro.experiments.backends import (
+    QUARANTINED,
     BackendUnavailableError,
     DirectoryBackend,
     ServiceBackend,
@@ -70,14 +71,15 @@ def _raw(server, method, path, body=None):
 # protocol version gate
 # ----------------------------------------------------------------------
 def test_protocol_version_mismatch_is_rejected_loudly(server):
-    for path in ("/v2/stats", "/v0/cells", "/stats", "/"):
+    for path in ("/v1/stats", "/v3/stats", "/v0/cells", "/stats", "/"):
         status, doc = _raw(server, "GET", path)
         assert status == 400, path
         assert f"speaks v{PROTOCOL_VERSION}" in doc["error"]
         assert doc["protocol"] == PROTOCOL_VERSION
-    # ...and the gate guards mutations too, before any state changes
+    # ...and the gate guards mutations too, before any state changes:
+    # a v1 client's claim is refused, never read as a v2 one
     status, doc = _raw(
-        server, "POST", "/v2/claim", {"key": "k", "owner": "w", "ttl": 60}
+        server, "POST", "/v1/claim", {"key": "k", "owner": "w", "ttl": 60}
     )
     assert status == 400
     assert "unsupported protocol version" in doc["error"]
@@ -95,7 +97,7 @@ def test_current_version_paths_are_served(server):
 # ----------------------------------------------------------------------
 def test_stats_shape_is_pinned(server, backend):
     """The monitoring contract: campaign-status and any dashboard a
-    user scripts against /v1/stats depend on exactly these keys."""
+    user scripts against /v2/stats depend on exactly these keys."""
     backend.put("cell-1", "{}")
     assert backend.claim("cell-2", "worker-a", ttl=60.0)
     backend.record_failure("cell-3", "worker-a", "boom")
@@ -146,7 +148,7 @@ def test_requests_outside_the_protocol_are_counted_together(server):
     """The ``requests`` map is keyed by the endpoint the dispatch
     matched: a wrong version, an unknown path and a refused body all
     land in one bucket, so a stray client cannot grow the map."""
-    for path in ("/v2/stats", f"{API_PREFIX}/nope", f"{API_PREFIX}/{'x' * 40}"):
+    for path in ("/v1/stats", f"{API_PREFIX}/nope", f"{API_PREFIX}/{'x' * 40}"):
         _raw(server, "GET", path)
     _raw(server, "POST", f"{API_PREFIX}/claim", {"key": "k"})  # 400: no owner
     _raw(server, "GET", f"{API_PREFIX}/stats")
@@ -163,24 +165,25 @@ def test_expired_leases_drop_out_of_stats(server, backend):
 
 
 def test_claim_response_carries_the_quarantine_flag(server, backend):
-    """Wire-level: a claim refused by quarantine says so, which is
-    what lets a client distinguish 'leased by a live peer, poll
-    again' from 'poisoned, give up'."""
-    status, doc = _raw(
-        server,
-        "POST",
-        f"{API_PREFIX}/claim",
-        {"key": "k", "owner": "w", "ttl": 60},
-    )
-    assert (doc["granted"], doc["quarantined"]) == (True, False)
+    """Wire-level: a claim's reply names its answer — the lease is
+    yours, a live peer holds it (poll again), the cell is poisoned
+    (give up), or it is done and the committed text rides along."""
+
+    def claim(key, owner="w"):
+        return _raw(
+            server,
+            "POST",
+            f"{API_PREFIX}/claim",
+            {"key": key, "owner": owner, "ttl": 60},
+        )[1]
+
+    assert claim("k") == {"claim": "yours"}
+    assert claim("k", owner="peer") == {"claim": "held"}
     backend.quarantine("other")
-    status, doc = _raw(
-        server,
-        "POST",
-        f"{API_PREFIX}/claim",
-        {"key": "other", "owner": "w", "ttl": 60},
-    )
-    assert (doc["granted"], doc["quarantined"]) == (False, True)
+    assert claim("other") == {"claim": "quarantined"}
+    backend.put("k", "{}")
+    assert claim("k", owner="peer") == {"claim": "done", "value": "{}"}
+    assert server.state.leases == {}  # the commit ended w's lease
 
 
 def test_malformed_requests_get_400_not_500(server):
@@ -490,7 +493,7 @@ def test_campaign_cli_requires_server_for_http_backend(tmp_path):
 
 
 def test_duplicate_failure_reports_are_not_double_counted(server, backend):
-    """/v1/fail is retried by the client when a response is lost; the
+    """/v2/fail is retried by the client when a response is lost; the
     echoed request id must keep one real crash from spending two
     units of the quarantine budget."""
     status, doc = _raw(
@@ -526,17 +529,13 @@ def test_client_failure_reports_carry_unique_ids(server, backend):
     assert len(ids) == 2 and all(ids)
 
 
-def test_is_quarantined_reuses_the_claim_response(server, backend):
-    """After a refused claim the steal loop asks is_quarantined; the
-    answer rides on the claim response instead of a second GET."""
+def test_a_claim_answers_quarantined_in_its_own_reply(server, backend):
+    """A stealing worker learns that a cell is poisoned from the claim
+    itself: no quarantine query follows it."""
     backend.quarantine("poisoned")
-    requests_before = server.state.owners  # warm-up
-    assert not backend.claim("poisoned", "w", ttl=60.0)
-    # Kill the server: if is_quarantined needed a round trip now, it
-    # would raise BackendUnavailableError; the cached claim flag
-    # answers locally.
-    server.stop()
-    assert backend.is_quarantined("poisoned") is True
+    server.state.requests.clear()
+    assert backend.claim("poisoned", "w", ttl=60.0) is QUARANTINED
+    assert server.state.requests == {"POST claim": 1}
 
 
 def test_campaign_cli_rejects_malformed_server_url(tmp_path):
@@ -566,13 +565,37 @@ def test_lease_arbitration_survives_wall_clock_jumps(monkeypatch):
     from repro.experiments.service import _ServiceState
 
     state = _ServiceState(MemoryBackend())
-    assert state.claim("k", "alice", ttl=30.0)["granted"]
+    assert state.claim("k", "alice", ttl=30.0) == {"claim": "yours"}
     monkeypatch.setattr(time, "time", lambda: 4e12)  # jump far forward
-    assert not state.claim("k", "bob", ttl=30.0)["granted"]
+    assert state.claim("k", "bob", ttl=30.0) == {"claim": "held"}
     assert state.renew("k", "alice", ttl=30.0)["renewed"]
     stats = state.stats()
     assert [lease["key"] for lease in stats["leases"]] == ["k"]
     assert stats["uptime_seconds"] < 1e6
+
+
+def test_wire_a_fresh_cell_is_two_round_trips_and_a_resumed_cell_one(
+    server, backend
+):
+    """A stealing campaign over the service, counted by the server's
+    own ``requests`` map: a fresh cell is one claim and one commit, a
+    resumed cell one claim, and a clean run asks for no quarantine
+    table, release or read."""
+    from repro.experiments.cache import CellCache
+    from repro.experiments.campaign import Campaign
+    from repro.experiments.parallel import CellSpec
+
+    specs = [CellSpec("rcv", 4, seed, ("burst", 1)) for seed in range(3)]
+    campaign = Campaign("served", specs)
+    for expected in (
+        {"POST claim": 3, "PUT cells": 3},  # fresh
+        {"POST claim": 3},  # resumed
+    ):
+        server.state.requests.clear()
+        cache = CellCache(backend=backend)
+        result = campaign.run(max_workers=1, steal=True, cache=cache)
+        assert result.complete
+        assert backend.stats()["requests"] == expected
 
 
 def test_wire_replies_use_deterministic_key_order(server):
@@ -648,23 +671,26 @@ def test_wire_every_endpoint_round_trips_in_sorted_bytes(
 
 @pytest.mark.parametrize("name", ENDPOINTS)
 def test_wire_version_bump_moves_every_endpoint(server, monkeypatch, name):
-    """With the version patched to 2, each operation is served under
-    /v2 and refused under /v1 — the real paths, whoever builds them."""
+    """With the version patched one past the current, each operation
+    is served under the new prefix and refused under the current one —
+    the real paths, whoever builds them."""
     from repro.experiments import protocol, service
 
-    monkeypatch.setattr(protocol, "PROTOCOL_VERSION", 2)
-    monkeypatch.setattr(protocol, "API_PREFIX", "/v2")
-    monkeypatch.setattr(service, "PROTOCOL_VERSION", 2)
+    new, old = f"/v{PROTOCOL_VERSION + 1}/", f"/v{PROTOCOL_VERSION}/"
+    monkeypatch.setattr(protocol, "PROTOCOL_VERSION", PROTOCOL_VERSION + 1)
+    monkeypatch.setattr(protocol, "API_PREFIX", new.rstrip("/"))
+    monkeypatch.setattr(service, "PROTOCOL_VERSION", PROTOCOL_VERSION + 1)
     op = ENDPOINTS[name]
     bumped = path_for(name, _SAMPLE["key"])
-    assert bumped.startswith("/v2/")
+    assert bumped.startswith(new)
     status, doc = _raw(server, op.method, bumped, _sample_body(name))
     assert status == _served_status(name) and "error" not in doc
 
-    stale = "/v1/" + bumped[len("/v2/") :]
+    stale = old + bumped[len(new) :]
     status, doc = _raw(server, op.method, stale, _sample_body(name))
-    assert status == 400 and doc["protocol"] == 2
-    assert "speaks v2" in doc["error"] and repr(stale) in doc["error"]
+    assert status == 400 and doc["protocol"] == PROTOCOL_VERSION + 1
+    assert f"speaks v{PROTOCOL_VERSION + 1}" in doc["error"]
+    assert repr(stale) in doc["error"]
     assert server.state.requests["other"] == 1
 
 
@@ -778,7 +804,8 @@ def _pinned_server(monkeypatch):
     server = CellServer().start()
     state = server.state
     state.claim("cell-2", "worker-b", 60.0)
-    state.put("cell-2", "{}")
+    state.put("cell-2", "{}")  # a commit, which ends the lease...
+    state.claim("cell-4", "worker-b", 60.0)  # ...so a live one here
     state.record_failure("cell-3", "worker-b", "boom", id="f00d")
     state.quarantine("cell-3")
     state.requests.clear()
@@ -818,7 +845,7 @@ _HEAD = ["Server", "Date", "Content-Type", "Content-Length"]
 _PINNED_REPLIES = {
     'stats': (
         'HTTP/1.1 200 OK',
-        b'{"cells": 1, "leases": [{"expires_in": 60.0, "key": "cell-2", "owner": "worker-b"}], "owners": {"worker-b": {"active_leases": 1, "claims": 1, "commits": 1, "failures": 1, "last_seen_seconds_ago": 0.0, "releases": 0, "renews": 0}}, "protocol": 1, "quarantined": {"cell-3": {"count": 1}}, "requests": {}, "uptime_seconds": 0.0}',
+        b'{"cells": 1, "leases": [{"expires_in": 60.0, "key": "cell-4", "owner": "worker-b"}], "owners": {"worker-b": {"active_leases": 1, "claims": 2, "commits": 1, "failures": 1, "last_seen_seconds_ago": 0.0, "releases": 0, "renews": 0}}, "protocol": 2, "quarantined": {"cell-3": {"count": 1}}, "requests": {}, "uptime_seconds": 0.0}',
     ),
     'cells': (
         'HTTP/1.1 200 OK',
@@ -834,7 +861,7 @@ _PINNED_REPLIES = {
     ),
     'claim': (
         'HTTP/1.1 200 OK',
-        b'{"granted": true, "quarantined": false}',
+        b'{"claim": "yours"}',
     ),
     'renew': (
         'HTTP/1.1 200 OK',
@@ -893,17 +920,17 @@ def test_wire_replies_keep_their_head_and_bytes_for_any_client(
     "method, path, sent, status_line, closes, body",
     [
         (
-            "POST", "/v2/claim", b'{"key": "k"}', "HTTP/1.1 400 Bad Request", True,
-            b'{"error": "unsupported protocol version for path \'/v2/claim\': '
-            b'this server speaks v1 (paths under /v1/). Upgrade the older side '
-            b'so client and server agree.", "protocol": 1}',
+            "POST", "/v1/claim", b'{"key": "k"}', "HTTP/1.1 400 Bad Request", True,
+            b'{"error": "unsupported protocol version for path \'/v1/claim\': '
+            b'this server speaks v2 (paths under /v2/). Upgrade the older side '
+            b'so client and server agree.", "protocol": 2}',
         ),
         (
-            "GET", "/v1/nope", None, "HTTP/1.1 404 Not Found", False,
-            b'{"error": "no such endpoint: GET /v1/nope"}',
+            "GET", "/v2/nope", None, "HTTP/1.1 404 Not Found", False,
+            b'{"error": "no such endpoint: GET /v2/nope"}',
         ),
         (
-            "POST", "/v1/claim", b"{not json", "HTTP/1.1 400 Bad Request", False,
+            "POST", "/v2/claim", b"{not json", "HTTP/1.1 400 Bad Request", False,
             b'{"error": "request body is not valid JSON"}',
         ),
     ],
