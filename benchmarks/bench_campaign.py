@@ -170,7 +170,6 @@ def _victim_worker(locator: str, lease_ttl: float) -> None:
     campaign.run(
         max_workers=1,
         cache=cache,
-        steal=True,
         owner="victim",
         lease_ttl=lease_ttl,
         chunk_size=len(campaign.cells),  # lease the whole campaign
@@ -198,7 +197,6 @@ def test_campaign_work_stealing_smoke(tmp_path=None):
     survivor = campaign.run(
         max_workers=1,
         cache=cache,
-        steal=True,
         owner="survivor",
         lease_ttl=30.0,
         steal_timeout=120.0,
@@ -255,8 +253,7 @@ def test_campaign_http_stealing_smoke(tmp_path=None):
         survivor = campaign.run(
             max_workers=1,
             cache=cache,
-            steal=True,
-            owner="survivor",
+                owner="survivor",
             lease_ttl=30.0,
             steal_timeout=120.0,
         )
@@ -291,7 +288,6 @@ def _stealing_worker(locator: str, index: int) -> None:
     _two_worker_campaign().run(
         max_workers=1,
         cache=CellCache(backend=_shared_backend(locator)),
-        steal=True,
         owner=f"worker-{index}",
         lease_ttl=600.0,
         chunk_size=1,  # claim one cell at a time: finest balancing
@@ -412,11 +408,10 @@ def test_campaign_fault_smoke(tmp_path=None):
     campaign.cells.extend([clean, dup, heavy_drop, partition])
 
     cache = CellCache(backend=SQLiteBackend(root / "cells.sqlite"))
-    steal = dict(
-        max_workers=1, cache=cache, steal=True, owner="worker-1",
-        steal_timeout=120.0,
+    run = dict(
+        max_workers=1, cache=cache, owner="worker-1", steal_timeout=120.0,
     )
-    result = campaign.run(**steal)
+    result = campaign.run(**run)
 
     # No holes, nothing retried: each cell was computed exactly once.
     assert result.complete and not result.quarantined
@@ -441,7 +436,7 @@ def test_campaign_fault_smoke(tmp_path=None):
     # A cell that crashes, added to the same campaign, is still
     # quarantined after the full budget; the rest resume from cache.
     campaign.cells.append(CellSpec("no-such-algorithm", 6, 0, ("burst", 1)))
-    result = campaign.run(**steal)
+    result = campaign.run(**run)
     assert not result.complete and cache.writes == 4
     assert [r is not None for r in result.results] == [True] * 4 + [False]
     assert sorted(result.quarantined) == [4]
@@ -474,7 +469,6 @@ def test_campaign_fault_recovery_smoke(tmp_path=None):
     result = campaign.run(
         max_workers=1,
         cache=cache,
-        steal=True,
         owner="worker-1",
         steal_timeout=120.0,
     )

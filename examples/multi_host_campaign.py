@@ -1,15 +1,15 @@
 #!/usr/bin/env python
-"""A shared-nothing campaign: cell server + two stealing workers.
+"""A shared-nothing campaign: cell server + two workers.
 
 The multi-host deployment from docs/operations.md, demonstrated on
 one machine: a `CellServer` serves the cell cache over HTTP, two
 worker *processes* — which share no filesystem, no database file,
-nothing but the server's URL — run the same work-stealing campaign
-against it, and the lease table doubles as a live monitor
+nothing but the server's URL — run the same campaign against it,
+splitting its cells by leasing them through the server, and the lease table doubles as a live monitor
 (`campaign-status`).  On real hardware the only change is the URL:
 start `python -m repro.cli cell-server --host 0.0.0.0` on one host
-and point `python -m repro.cli campaign --backend http --server ...
---steal` workers at it from any others.
+and point `python -m repro.cli campaign --backend http --server ...`
+workers at it from any others.
 
 Run:  python examples/multi_host_campaign.py
 """
@@ -34,7 +34,6 @@ def worker(url: str, index: int) -> None:
     campaign().run(
         max_workers=1,
         cache=cache,
-        steal=True,
         owner=f"worker-{index}",
         lease_ttl=60.0,
         chunk_size=1,  # finest-grained stealing: claim one cell at a time
@@ -57,7 +56,8 @@ def main() -> None:
     assert all(process.exitcode == 0 for process in workers)
 
     # The union of whatever the two workers claimed is a complete
-    # campaign: aggregate it straight from the server (pure reads).
+    # campaign: aggregate it straight from the server (every claim
+    # answers "done").
     cache = CellCache(backend=ServiceBackend(server.url))
     result = campaign().run(max_workers=1, cache=cache)
     assert result.complete and cache.writes == 0

@@ -7,7 +7,7 @@
     repro-mutex fig6 ...
     repro-mutex fig7 ...
     repro-mutex theory
-    repro-mutex campaign [--n-values 50 100 150 200] [--steal]
+    repro-mutex campaign [--n-values 50 100 150 200]
                  [--backend dir|sqlite|http] [--server URL]
     repro-mutex cell-server [--port 8400] [--store dir:PATH]
     repro-mutex campaign-status --server URL
@@ -192,25 +192,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="cell-server URL for --backend http (e.g. http://10.0.0.5:8400)",
     )
     camp.add_argument(
-        "--steal",
-        action="store_true",
-        help=(
-            "work-stealing scheduling: workers sharing the cache backend "
-            "split the campaign by leasing pending cells through it, and "
-            "recover crashed peers' expired leases"
-        ),
-    )
-    camp.add_argument(
         "--owner",
         default=None,
-        help="lease owner id for --steal (default: host:pid)",
+        help=(
+            "the id this worker leases cells under; workers sharing the "
+            "cache backend split the campaign (default: host:pid)"
+        ),
     )
     camp.add_argument(
         "--lease-ttl",
         type=_positive_finite,
         default=60.0,
         help=(
-            "seconds a --steal lease lives before peers may steal it; "
+            "seconds a lease lives before peers may take the cell over; "
             "set above one cell's wall clock — leases are renewed "
             "between cells within a chunk (default: 60)"
         ),
@@ -221,15 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         metavar="K",
         help=(
-            "quarantine a cell after it crashes K times campaign-wide "
-            "under --steal, instead of retrying it forever (default: 3)"
+            "quarantine a cell after it crashes K times campaign-wide, "
+            "instead of retrying it forever (default: 3)"
         ),
     )
     camp.add_argument(
         "--chunk-size",
         type=_positive_int,
         default=None,
-        help="cells per cache-commit chunk (default: 2x workers)",
+        help="cells claimed per chunk (default: 2x workers)",
     )
     camp.add_argument(
         "--no-progress",
@@ -480,7 +474,8 @@ def _cmd_campaign(args) -> int:
 
 
 def _run_campaign(args, campaign, cache, out) -> int:
-    """Run ``campaign`` through ``cache``; print and write its reports."""
+    """Run ``campaign`` through ``cache``; print and write its reports.
+    Exit status 1 when a cell is quarantined: the campaign has a hole."""
     import json
     from pathlib import Path
 
@@ -489,7 +484,6 @@ def _run_campaign(args, campaign, cache, out) -> int:
         cache=cache,
         chunk_size=args.chunk_size,
         progress=not args.no_progress,
-        steal=args.steal,
         owner=args.owner,
         lease_ttl=args.lease_ttl,
         max_failures=args.max_cell_failures,
@@ -512,8 +506,8 @@ def _run_campaign(args, campaign, cache, out) -> int:
 
     if args.bench_json:
         # Rate over the cells this run actually handled (cache reads
-        # + computed) — for one of several stealing workers that is a
-        # fraction of the campaign.
+        # + computed) — for one of several workers sharing the cache
+        # that is a fraction of the campaign.
         processed = cache.hits + cache.writes
         elapsed = result.elapsed_seconds
         report = {
@@ -530,7 +524,7 @@ def _run_campaign(args, campaign, cache, out) -> int:
         }
         Path(args.bench_json).write_text(json.dumps(report, indent=2) + "\n")
         print(f"(timing report written to {args.bench_json})")
-    return 0
+    return 0 if result.complete else 1
 
 
 def _parse_store(text: str):

@@ -15,8 +15,8 @@ Sweeps and campaigns are the same thing underneath: a
 :func:`~repro.experiments.parallel.run_cells`, with an optional
 content-addressed :class:`~repro.experiments.cache.CellCache`.  A
 :class:`~repro.experiments.campaign.Campaign` names such a grid and
-adds aggregation, reports and the resumable and work-stealing
-schedules (see docs/campaigns.md).
+adds aggregation and reports; with a cache, every run is resumable
+and shareable between workers (see docs/campaigns.md).
 """
 
 from repro.experiments.backends import (

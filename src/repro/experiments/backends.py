@@ -29,7 +29,7 @@ Failure/quarantine contract (see ``docs/operations.md`` for triage):
 returns the total count for the key; ``quarantine(key)`` marks the
 cell poisoned (idempotent) — ``claim`` refuses quarantined cells, so a
 cell that crashes its worker deterministically stops ping-ponging
-between stealers once a worker observes the failure budget spent and
+between workers once a worker observes the failure budget spent and
 quarantines it.
 
 Each rule has one body ("the lease rules" below, bound into the three

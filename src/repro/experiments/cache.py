@@ -22,10 +22,10 @@ entry) is detected at load instead of silently returning the wrong
 cell.
 
 ``hits`` / ``misses`` / ``writes`` count **this process's** work
-only: a stealing worker's :meth:`claim` counts a hit when it finds
-the cell committed and nothing when not (a peer may yet compute it),
-so a ``--bench-json`` report from one of several workers describes
-that worker, not the whole campaign.
+only: :meth:`claim` counts a hit when it finds the cell committed and
+nothing when not (a peer may yet compute it), so a ``--bench-json``
+report from one of several workers describes that worker, not the
+whole campaign.
 """
 
 from __future__ import annotations
@@ -70,9 +70,6 @@ class CellCache:
         self.backend: CacheBackend = (
             backend if backend is not None else DirectoryBackend(root)
         )
-        #: directory root when the backend has one (compat; None for
-        #: memory/sqlite backends)
-        self.root = getattr(self.backend, "root", None)
         #: cells served / absent / written, this process only
         #: (observability — the CLI's --bench-json report prints them)
         self.hits = 0
@@ -161,8 +158,8 @@ class CellCache:
     def get(self, spec) -> Optional[RunResult]:
         """The cached result for ``spec``, or None when absent.
 
-        Counts a hit or a miss; a stealing worker, which may never
-        compute the cell it looks at, reads through :meth:`claim`.
+        Counts a hit or a miss; ``run_cells``, which may never compute
+        the cell it looks at, reads through :meth:`claim`.
         """
         key = spec.cache_key()
         text = self._call(self.backend.get, key)
@@ -202,7 +199,7 @@ class CellCache:
         return key
 
     # ------------------------------------------------------------------
-    # leases (work-stealing support; see backends.CacheBackend)
+    # leases (how run_cells claims a cell; see backends.CacheBackend)
     # ------------------------------------------------------------------
     def claim(self, spec, owner: str, ttl: float):
         """The backend's answer (``YOURS``, ``HELD``, ``QUARANTINED``),
@@ -240,13 +237,8 @@ class CellCache:
         self._call(self.backend.quarantine, spec.cache_key())
 
     def quarantined(self) -> Dict[str, dict]:
-        """All quarantined cells, keyed by cache key, with case files;
-        empty for a custom backend that implements only get, put,
-        claim and release (quarantine is optional)."""
-        fn = getattr(self.backend, "quarantined", None)
-        if fn is None:
-            return {}
-        return self._call(fn)
+        """All quarantined cells, keyed by cache key, with case files."""
+        return self._call(self.backend.quarantined)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

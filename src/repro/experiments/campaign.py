@@ -18,9 +18,9 @@ results are bit-for-bit identical to direct ``run_scenario`` calls.
 Scale campaigns (N=100–200, the range the PR-2 protocol speedup
 unlocked) run through the same path with a
 :class:`~repro.experiments.cache.CellCache` attached: interrupted
-runs resume recomputing only missing cells, and ``steal=True``
-splits the cell list across independent worker processes or hosts
-that lease cells through the cache backend they share.  See
+runs resume recomputing only missing cells, and independent worker
+processes or hosts running the same campaign over one cache backend
+split the cell list by leasing cells through it.  See
 docs/campaigns.md for the recipe.
 """
 
@@ -108,21 +108,21 @@ class Campaign:
         """Execute every cell (optionally in parallel); order stable.
 
         ``cache`` attaches a cell cache (a
-        :class:`~repro.experiments.cache.CellCache`), making the run
-        resumable.
-        ``steal=True`` splits the campaign across workers by
-        lease-based work stealing through the shared cache backend (see
-        :func:`~repro.experiments.parallel.run_cells`): workers claim
-        pending cells, recover crashed peers' expired leases, retry
-        crashing cells up to ``max_failures`` times campaign-wide and
-        then quarantine them.  Quarantined cells come back on
+        :class:`~repro.experiments.cache.CellCache`): every cell is
+        claimed through it (see
+        :func:`~repro.experiments.parallel.run_cells`), so the run is
+        resumable, workers sharing the backend split the campaign and
+        recover crashed peers' expired leases, and a cell that raises
+        is retried up to ``max_failures`` times campaign-wide and then
+        quarantined.  Quarantined cells come back on
         :attr:`CampaignResult.quarantined` (and in the markdown
         summary) with their failure logs — see docs/operations.md for
         triage.  Quarantine is for crashes: a faulted cell that loses
         liveness is a result (``completed_count < issued_count``, the
-        summary's completion column), only a clean cell that strands
-        raises — the one completion rule of ``run_cells``
-        (docs/faults.md).
+        summary's completion column), and only a clean cell that
+        strands is a failure — the one completion rule of
+        ``run_cells`` (docs/faults.md).  ``steal`` selects nothing, as
+        in ``run_cells``.
         """
         start = time.perf_counter()
         results = run_cells(
@@ -317,8 +317,8 @@ def scale_campaign(
     """The N=50..200 scale sweep the incremental protocol unlocked.
 
     Same workload family as Figures 4–5 but extended past the paper's
-    N=50 ceiling; run with a cell cache and (optionally) stealing
-    workers — see docs/campaigns.md for the full recipe and
+    N=50 ceiling; run with a cell cache, by one worker or several —
+    see docs/campaigns.md for the full recipe and
     ``python -m repro.cli campaign`` for the command-line front end.
     ``fields`` go to :meth:`Campaign.add_sweep`: ``faults`` (a spec
     tuple or ``faults(n) -> spec`` callable) runs the whole grid under

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.campaign import _last_error_line
 from repro.experiments.parallel import run_cells
 from repro.experiments.spec import UnrepresentableScenarioError, cell_grid
 from repro.metrics.records import RunResult
@@ -29,6 +30,7 @@ from repro.metrics.summary import Summary, summarize
 
 __all__ = [
     "FigureData",
+    "QuarantinedCellError",
     "burst_sweep",
     "fault_grid",
     "fault_sweep",
@@ -76,6 +78,25 @@ class FigureData:
         return rows
 
 
+class QuarantinedCellError(RuntimeError):
+    """A cached sweep came back with a hole: one of its cells raised
+    ``max_failures`` times and was quarantined, so no figure can be
+    reduced from it.  ``spec`` is the cell, ``record`` its case file
+    (``{"count": int, "failures": [{owner, error, time}, ...]}``)."""
+
+    def __init__(self, spec, record: dict) -> None:
+        failures = record.get("failures") or [{}]
+        error = _last_error_line(failures[-1].get("error", ""))
+        super().__init__(
+            f"sweep cell {spec!r} is quarantined after "
+            f"{record.get('count', '?')} failures; last: "
+            f"{error or 'unknown'}. Triage it (docs/operations.md) and "
+            "re-run the sweep over the same cache."
+        )
+        self.spec = spec
+        self.record = record
+
+
 # ----------------------------------------------------------------------
 # the sweeps: a grid of cells through run_cells
 # ----------------------------------------------------------------------
@@ -83,7 +104,8 @@ def _sweep(
     points, algorithms, seeds, max_workers, cache, fields
 ) -> SweepResults:
     """Run the ``algorithms`` x ``points`` x ``seeds`` grid (see
-    :func:`~repro.experiments.spec.cell_grid`) and regroup the runs."""
+    :func:`~repro.experiments.spec.cell_grid`) and regroup the runs;
+    a cell quarantined in ``cache`` is a :class:`QuarantinedCellError`."""
     for name, value in fields.items():
         if callable(value):
             # A Scenario component (cs-time function, delay model
@@ -94,9 +116,13 @@ def _sweep(
                 f"cs_time=('uniform', 8, 12) or delay=('exponential', 4, 1)"
             )
     grid = cell_grid(algorithms, points, seeds, **fields)
-    runs = run_cells(
-        [cell for _, _, cell in grid], max_workers=max_workers, cache=cache
-    )
+    cells = [cell for _, _, cell in grid]
+    runs = run_cells(cells, max_workers=max_workers, cache=cache)
+    if None in runs:
+        cell = cells[runs.index(None)]
+        raise QuarantinedCellError(
+            cell, cache.quarantined().get(cell.cache_key(), {})
+        )
     results: SweepResults = {a: {x: [] for x in points} for a in algorithms}
     for (algorithm, x, _), run in zip(grid, runs):
         results[algorithm][x].append(run)
@@ -120,7 +146,9 @@ def burst_sweep(
     ``fields`` are the other :class:`~repro.experiments.spec.CellSpec`
     fields in spec form (``cs_time``, ``delay``, ``algo_kwargs``,
     ``faults``, ``retx``; default Tc=10, Tn=5); ``max_workers`` and
-    ``cache`` go to :func:`~repro.experiments.parallel.run_cells`.
+    ``cache`` go to :func:`~repro.experiments.parallel.run_cells`, and
+    a cell quarantined in the cache is a
+    :class:`QuarantinedCellError`.
     """
     points = {
         n: {"n_nodes": n, "workload": ("burst", requests_per_node)}

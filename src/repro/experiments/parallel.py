@@ -17,19 +17,20 @@ bit-for-bit identical per (cell, seed).  What a cell *is* — its
 fields, their codecs, the cache key — lives in
 :mod:`repro.experiments.spec`; this module only schedules.
 
-``run_cells`` optionally reads and writes a
+``run_cells`` has one rule for a run with a
 :class:`~repro.experiments.cache.CellCache` (content-addressed by
-:meth:`CellSpec.cache_key`), runs in cache-committed chunks so an
-interrupted campaign resumes recomputing only missing cells, reports
-progress/ETA, and with ``steal=True`` splits a campaign across
-independent processes or hosts by leasing cells through the cache
-backend they share.  See docs/campaigns.md.
+:meth:`CellSpec.cache_key`): every cell is claimed through it, so an
+interrupted campaign resumes recomputing only missing cells, and
+independent processes or hosts sharing the cache backend split a
+campaign by leasing cells through it.  It also reports progress/ETA.
+See docs/campaigns.md.
 
 Every grid of cells in the repo — the figure sweeps
 (:mod:`repro.experiments.figures`, ``python -m repro.cli fig4``) and
 the campaigns (``python -m repro.cli campaign``) — runs through
-``run_cells``.  With one usable CPU (or one pending cell) it runs the
-cells in this process and creates no pool.
+``run_cells``.  With one usable CPU, or never two cells to compute at
+once (a resumed campaign), it runs the cells in this process and
+creates no pool.
 """
 
 from __future__ import annotations
@@ -65,10 +66,10 @@ def _run_cell(spec: CellSpec) -> RunResult:
 def _run_cell_guarded(spec: CellSpec) -> Tuple[str, object]:
     """``("ok", result)`` or ``("error", traceback_text)``.
 
-    The work-stealing scheduler's worker function: a cell that raises
-    must be *attributed* (which cell, what error) so the campaign can
-    retry and eventually quarantine it — an exception propagating out
-    of a pool batch loses both.
+    A cached run's worker function: a cell that raises must be
+    *attributed* (which cell, what error) so the campaign can retry
+    and eventually quarantine it — an exception propagating out of a
+    pool batch loses both.
     """
     import traceback
 
@@ -140,16 +141,11 @@ class ProgressReporter:
         )
 
 
-def _chunks(seq: List[int], size: int):
-    for i in range(0, len(seq), size):
-        yield seq[i : i + size]
-
-
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
 def default_owner() -> str:
-    """Identity a work-stealing worker leases cells under."""
+    """Identity a worker leases cells under."""
     import socket
 
     return f"{socket.gethostname()}:{os.getpid()}"
@@ -184,17 +180,17 @@ def run_cells(
 
     Results come back in spec order regardless of completion order, so
     parallel and sequential execution produce identical outputs (each
-    cell is internally deterministic from its seed).
+    cell is internally deterministic from its seed).  A pool of
+    ``max_workers`` (default: one per usable CPU) opens only once two
+    or more cells are to be computed at a time.  **Without a cache**
+    every cell is computed, streaming back in order.
 
-    ``cache`` (a :class:`~repro.experiments.cache.CellCache`, over any
-    backend) makes the run resumable: cached cells are loaded instead
-    of re-run, and fresh results are committed chunk by chunk, so an
-    interrupted campaign loses at most the in-flight chunk.
-
-    **Work stealing** — ``steal=True`` (requires ``cache``) splits a
-    campaign across workers by lease-based claiming through the shared
-    backend.  Each worker claims up to ``chunk_size`` cells at a time
-    (``cache.claim(key, owner, lease_ttl)``), the one look at a cell:
+    **With a cache** (a :class:`~repro.experiments.cache.CellCache`,
+    over any backend) every cell is claimed through it, so a run is
+    resumable and any number of workers sharing the backend split the
+    campaign between them.  Each worker claims up to ``chunk_size``
+    cells at a time (default ``2 * max_workers``;
+    ``cache.claim(key, owner, lease_ttl)``), the one look at a cell:
     it answers with the committed result (adopted), the lease (this
     worker computes the cell and commits it, which ends the lease), a
     live peer's lease (re-claimed every ``poll_interval`` seconds until
@@ -206,9 +202,11 @@ def run_cells(
     Leases on claimed-but-uncomputed cells are **renewed** while the
     worker chews through a chunk, so ``lease_ttl`` needs to cover one
     *cell*, not one chunk; a too-short ttl only duplicates
-    deterministic work, never corrupts results.  ``steal_timeout``
-    bounds how long the worker will go *without making progress*
-    while foreign leases block it (None: wait as long as it takes).
+    deterministic work, never corrupts results.  An interrupt loses
+    at most the in-flight chunk, whose leases it releases.
+    ``steal_timeout`` bounds how long the worker will go *without
+    making progress* while foreign leases block it (None: wait as long
+    as it takes).
 
     **Completion** — a cell must complete every request it issues
     exactly when its normalized ``faults`` is ``()``: a clean cell
@@ -217,26 +215,28 @@ def run_cells(
     cached, as a result with ``completed_count < issued_count``
     (docs/faults.md).
 
-    **Retry / quarantine** (stealing runs) — a cell whose computation
-    *crashes* is not re-raised into the campaign: the failure (with
-    traceback) is recorded in the shared backend, the lease released,
-    and the cell retried — by this worker or any peer — until the
-    campaign-wide failure count reaches ``max_failures``, at which
-    point the cell is **quarantined**: claims answer so from then on,
-    and its slot in the result list stays ``None`` (``Campaign.run``
-    surfaces the case file; docs/operations.md covers triage).  A
-    deterministically-crashing cell cannot ping-pong between workers
-    forever, so a stealing run always terminates, and is complete
-    whenever no cell exhausted its failure budget.
+    **Retry / quarantine** (cached runs) — a cell whose computation
+    raises, a clean cell that strands included, is not re-raised into
+    the run: the failure (with traceback) is recorded in the shared
+    backend, the lease released, and the cell retried — by this worker
+    or any peer — until the campaign-wide failure count reaches
+    ``max_failures``, at which point the cell is **quarantined**:
+    claims answer so from then on, and its slot in the result list
+    stays ``None`` (``Campaign.run`` and the sweeps surface the case
+    file; docs/operations.md covers triage).  A deterministically
+    crashing cell cannot ping-pong between workers forever, so a
+    cached run always terminates, and is complete whenever no cell
+    exhausted its failure budget.
 
     ``progress`` is a :class:`ProgressReporter` (or ``True`` for a
     default one); steps fire per completed cell — cached cells step
     with ``fresh=False`` so the ETA tracks fresh throughput.
+
+    ``steal`` selects nothing (every cached run claims its cells); it
+    is accepted for callers written when claiming was opt-in.
     """
     specs = list(specs)
-    if steal:
-        if cache is None:
-            raise ValueError("steal=True requires a cache (shared backend)")
+    if cache is not None:
         if max_failures < 1:
             raise ValueError(
                 f"max_failures must be >= 1, got {max_failures}"
@@ -246,57 +246,39 @@ def run_cells(
                 f"lease_ttl must be a finite number of seconds > 0, got {lease_ttl}"
             )
         owner = owner or default_owner()
-
-    results: List[Optional[RunResult]] = [None] * len(specs)
-    pending: List[int] = []
-    resolved = 0
-    for i, spec in enumerate(specs):
-        # Under steal the claim is the one look at a cell.
-        if cache is not None and not steal:
-            cached = cache.get(spec)
-            if cached is not None:
-                results[i] = cached
-                resolved += 1
-                continue
-        pending.append(i)
-
     if progress is True:
         progress = ProgressReporter(len(specs))
-    if progress and resolved:
-        progress.step(resolved, fresh=False)
-
-    if not pending:
-        return results
-
     if max_workers is None:
-        max_workers = min(len(pending), _usable_cpus())
+        max_workers = min(len(specs), _usable_cpus())
     if chunk_size is None:
         # Chunks bound the work lost to an interrupt while keeping
-        # every worker busy between cache commits.  Without a cache
-        # (or a progress reporter, which only steps at commit time)
-        # there is nothing to commit, so the chunk barrier would only
-        # idle pool workers at each boundary — run one batch.
-        if cache is None and not progress:
-            chunk_size = len(pending)
-        else:
-            chunk_size = max(1, 2 * max_workers)
+        # every worker busy between commits.
+        chunk_size = max(1, 2 * max_workers)
 
-    def _commit(indices, chunk_results):
-        for i, result in zip(indices, chunk_results):
-            results[i] = result
-            if cache is not None:
-                cache.put(specs[i], result)
-            if progress:
-                progress.step()
+    results: List[Optional[RunResult]] = [None] * len(specs)
+    pool = None
 
-    def _run_claimed(run_map, claimed):
+    def run_map(fn, batch):
+        """``fn`` over ``batch``'s cells, lazily and in order, so
+        commits and lease renewals land while the rest computes."""
+        nonlocal pool
+        cells = [specs[i] for i in batch]
+        if max_workers <= 1 or len(cells) <= 1:
+            return map(fn, cells)
+        if pool is None:
+            # Imported here: an inline run never pays for the pool
+            # machinery (15 ms, 1.2 MB, ``multiprocessing`` behind it).
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(max_workers=max_workers)
+        return pool.map(fn, cells, chunksize=1)
+
+    def _run_claimed(claimed):
         """Compute one claimed chunk; returns indices to retry later.
 
-        Results stream back cell by cell (``run_map`` is lazy), so
-        commits land — and still-pending leases get renewed — while
-        the rest of the chunk computes.  A crashed cell is attributed
-        (``_run_cell_guarded``), logged to the shared backend, and
-        retried or quarantined instead of aborting the worker.
+        A crashed cell is attributed (``_run_cell_guarded``), logged
+        to the shared backend, and retried or quarantined instead of
+        aborting the worker.
         """
         retry: List[int] = []
         uncommitted = set(claimed)
@@ -306,12 +288,15 @@ def run_cells(
                 claimed, run_map(_run_cell_guarded, claimed)
             ):
                 if status == "ok":
-                    _commit([i], [payload])  # the commit ends the lease
+                    results[i] = payload
+                    cache.put(specs[i], payload)  # the commit ends the lease
+                    if progress:
+                        progress.step()
                 else:
                     count = cache.record_failure(specs[i], owner, payload)
                     if count >= max_failures:
                         # The campaign-wide budget is spent: poison
-                        # the cell so no stealer ever claims it again.
+                        # the cell so no worker ever claims it again.
                         cache.quarantine(specs[i])
                         if progress:
                             progress.step(fresh=False)
@@ -329,14 +314,14 @@ def run_cells(
                         cache.renew(specs[j], owner, lease_ttl)
                     last_renew = now
         finally:
-            # On an exception mid-chunk (pool breakage, backend gone),
-            # free the unfinished leases immediately so peers take the
-            # cells over now instead of after lease_ttl.
+            # On an exception mid-chunk (an interrupt, pool breakage,
+            # backend gone), free the unfinished leases immediately so
+            # peers take the cells over now instead of after lease_ttl.
             for i in uncommitted:
                 cache.release(specs[i], owner)
         return retry
 
-    def _steal_loop(run_map):
+    def _claim_loop():
         # here: a run without a cache never loads the backends
         from repro.experiments.backends import HELD, YOURS
 
@@ -345,7 +330,7 @@ def run_cells(
         # started, so long healthy runs never trip steal_timeout.
         last_progress = time.monotonic()
         backoff = poll_interval
-        work = list(pending)
+        work = list(range(len(specs)))
         missed: set = set()
         while work:
             claimed: List[int] = []
@@ -381,7 +366,7 @@ def run_cells(
                 claimed.append(i)
             retry: List[int] = []
             if claimed:
-                retry = _run_claimed(run_map, claimed)
+                retry = _run_claimed(claimed)
             if claimed or settled:
                 last_progress = time.monotonic()
                 backoff = poll_interval
@@ -395,7 +380,7 @@ def run_cells(
                     and time.monotonic() - last_progress > steal_timeout
                 ):
                     raise RuntimeError(
-                        f"work-stealing run stalled: {len(deferred)} "
+                        f"cached run stalled: {len(deferred)} "
                         f"cells held by other workers for over "
                         f"{steal_timeout}s without progress"
                     )
@@ -403,27 +388,15 @@ def run_cells(
                 backoff = min(backoff * 2, 1.0)
             work = deferred + retry
 
-    def _execute(run_map):
-        if steal:
-            _steal_loop(run_map)
+    try:
+        if cache is None:
+            for i, result in enumerate(run_map(_run_cell, range(len(specs)))):
+                results[i] = result
+                if progress:
+                    progress.step()
         else:
-            for batch in _chunks(pending, chunk_size):
-                _commit(batch, list(run_map(_run_cell, batch)))
-
-    if max_workers <= 1 or len(pending) <= 1:
-        _execute(lambda fn, batch: map(fn, (specs[i] for i in batch)))
-        return results
-
-    # Imported here: an inline run never pays for the pool machinery
-    # (15 ms, 1.2 MB, ``multiprocessing`` behind it).
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        # pool.map yields in submission order as results complete, so
-        # the steal loop commits/renews incrementally mid-chunk.
-        _execute(
-            lambda fn, batch: pool.map(
-                fn, [specs[i] for i in batch], chunksize=1
-            )
-        )
+            _claim_loop()
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return results

@@ -424,29 +424,35 @@ def test_stolen_slice_costs_a_linear_number_of_requests(backend, n):
     """A fresh cell is one claim, which takes the lease and finds the
     cell absent, and one put, which ends the lease: no read, release
     or quarantine query.  A resumed cell is one claim, which hands the
-    committed cell back.  (The loop once re-read every pending cell
-    every round: n=8 at chunk_size=2 made 28 gets, n=32 made 304; then
-    it cost two reads, a claim, a put and a release a cell.)"""
-    specs = [_spec(seed) for seed in range(n)]
-    counting = CountingBackend(backend)
-    cache = CellCache(backend=counting)
-    results = run_cells(
-        specs, max_workers=1, cache=cache, steal=True, chunk_size=2, owner="w"
-    )
-    assert all(result is not None for result in results)
-    assert counting.calls == {"claim": n, "put": n}
-    assert (cache.hits, cache.misses, cache.writes) == (0, n, n)
+    committed cell back.  Every cached run takes this one path, with
+    ``steal`` omitted or ``steal=True``, in-process or over a pool.
+    (The loop once re-read every pending cell every round: n=8 at
+    chunk_size=2 made 28 gets, n=32 made 304; then it cost two reads,
+    a claim, a put and a release a cell.)"""
+    runs = ((1, {}), (1, {"steal": True}), (2, {}), (2, {"steal": True}))
+    for round_, (max_workers, steal) in enumerate(runs):
+        specs = [_spec(seed) for seed in range(round_ * n, (round_ + 1) * n)]
+        counting = CountingBackend(backend)
+        cache = CellCache(backend=counting)
+        results = run_cells(
+            specs, max_workers=max_workers, cache=cache, chunk_size=2,
+            owner="w", **steal,
+        )
+        assert all(result is not None for result in results)
+        assert counting.calls == {"claim": n, "put": n}
+        assert (cache.hits, cache.misses, cache.writes) == (0, n, n)
 
-    counting = CountingBackend(backend)
-    cache = CellCache(backend=counting)
-    resumed = run_cells(
-        specs, max_workers=1, cache=cache, steal=True, chunk_size=2, owner="w"
-    )
-    assert [result_to_dict(r) for r in resumed] == [
-        result_to_dict(r) for r in results
-    ]
-    assert counting.calls == {"claim": n}
-    assert (cache.hits, cache.misses, cache.writes) == (n, 0, 0)
+        counting = CountingBackend(backend)
+        cache = CellCache(backend=counting)
+        resumed = run_cells(
+            specs, max_workers=max_workers, cache=cache, chunk_size=2,
+            owner="w", **steal,
+        )
+        assert [result_to_dict(r) for r in resumed] == [
+            result_to_dict(r) for r in results
+        ]
+        assert counting.calls == {"claim": n}
+        assert (cache.hits, cache.misses, cache.writes) == (n, 0, 0)
 
 
 def _commits_after_the_first_look(backend, key, value):
@@ -522,7 +528,6 @@ def test_two_concurrent_owners_each_compute_or_adopt_every_cell(backend):
                     specs,
                     max_workers=1,
                     cache=cache,
-                    steal=True,
                     chunk_size=2,
                     owner=f"worker-{index}",
                     poll_interval=0.005,
@@ -794,15 +799,15 @@ def test_a_cache_written_before_the_one_claim_resumes_with_no_recomputation(
     reference = [result_to_dict(r) for r in run_cells(specs, max_workers=1)]
     backend = make_backend(kind, tmp_path)
     try:
-        for steal in (True, False):
+        for steal in ({}, {"steal": True}):
             counting = CountingBackend(backend)
             cache = CellCache(backend=counting)
             results = run_cells(
-                specs, max_workers=1, cache=cache, steal=steal, owner="w",
-                steal_timeout=5.0,
+                specs, max_workers=1, cache=cache, owner="w",
+                steal_timeout=5.0, **steal,
             )
             assert [result_to_dict(r) for r in results] == reference
-            assert counting.calls == {"claim" if steal else "get": 2}
+            assert counting.calls == {"claim": 2}
             assert (cache.hits, cache.misses, cache.writes) == (2, 0, 0)
     finally:
         close_backend(backend)

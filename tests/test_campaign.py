@@ -182,7 +182,6 @@ def test_sharded_result_partial_and_save_rejected(tmp_path):
     partial = campaign.run(
         max_workers=1,
         cache=CellCache(tmp_path / "cells"),
-        steal=True,
         max_failures=1,
         steal_timeout=60.0,
     )

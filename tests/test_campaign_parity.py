@@ -125,7 +125,9 @@ class _InterruptsAfter(ProgressReporter):
             raise KeyboardInterrupt
 
 
-@pytest.mark.parametrize("steal", [False, True], ids=["chunks", "steal"])
+# "chunks" omits ``steal``, "steal" passes ``steal=True``: both name
+# the one claim loop every cached run takes.
+@pytest.mark.parametrize("steal", [{}, {"steal": True}], ids=["chunks", "steal"])
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
 def test_interrupted_run_loses_only_the_in_flight_chunk(
     kind, steal, make_cache, capsys
@@ -143,10 +145,10 @@ def test_interrupted_run_loses_only_the_in_flight_chunk(
             max_workers=1,
             cache=cache,
             chunk_size=3,
-            steal=steal,
             owner="interrupted",
             lease_ttl=600.0,
             progress=_InterruptsAfter(len(specs), committed),
+            **steal,
         )
     assert len(cache) == committed
     assert [cache.peek(spec) is not None for spec in specs] == [
@@ -163,10 +165,10 @@ def test_interrupted_run_loses_only_the_in_flight_chunk(
         specs,
         max_workers=1,
         cache=cache,
-        steal=steal,
         owner="resumed",
         steal_timeout=60.0,
         progress=True,
+        **steal,
     )
     assert _dicts(resumed) == reference
     assert cache.hits == committed
@@ -189,7 +191,6 @@ def test_work_stealing_matches_sequential(kind, tmp_path, make_cache):
         specs,
         max_workers=1,
         cache=cache,
-        steal=True,
         owner="worker-1",
         steal_timeout=60.0,
     )
@@ -206,7 +207,6 @@ def test_work_stealing_matches_sequential(kind, tmp_path, make_cache):
         specs,
         max_workers=1,
         cache=cache,
-        steal=True,
         owner="worker-2",
         steal_timeout=60.0,
     )
@@ -229,7 +229,6 @@ def test_steal_recovers_a_crashed_peers_expired_leases(tmp_path, make_cache):
         specs,
         max_workers=1,
         cache=cache,
-        steal=True,
         owner="survivor",
         lease_ttl=30.0,
         poll_interval=0.02,
@@ -239,11 +238,6 @@ def test_steal_recovers_a_crashed_peers_expired_leases(tmp_path, make_cache):
     assert cache.writes == len(specs)  # ...which the survivor redid
 
 
-def test_steal_requires_a_cache():
-    with pytest.raises(ValueError, match="requires a cache"):
-        run_cells(_steal_specs(), steal=True)
-
-
 @pytest.mark.parametrize("ttl", [-5.0, 0.0, float("inf"), float("nan")])
 def test_steal_refuses_a_lease_ttl_no_lease_can_have(ttl, make_cache):
     """``--lease-ttl -5`` used to make every lease born expired (each
@@ -251,7 +245,7 @@ def test_steal_refuses_a_lease_ttl_no_lease_can_have(ttl, make_cache):
     values with a 400."""
     with pytest.raises(ValueError, match="lease_ttl must be a finite"):
         run_cells(
-            _steal_specs(), cache=make_cache("memory"), steal=True, lease_ttl=ttl
+            _steal_specs(), cache=make_cache("memory"), lease_ttl=ttl
         )
 
 
@@ -272,7 +266,6 @@ def test_deterministically_crashing_cell_is_quarantined(kind, make_cache):
         specs,
         max_workers=1,
         cache=cache,
-        steal=True,
         owner="worker-1",
         max_failures=3,
         steal_timeout=60.0,
@@ -293,14 +286,14 @@ def test_stealers_skip_quarantined_cells(make_cache):
     specs = _steal_specs()[:2] + [_poison_spec()]
     cache = make_cache("sqlite")
     run_cells(
-        specs, max_workers=1, cache=cache, steal=True,
+        specs, max_workers=1, cache=cache,
         owner="worker-1", max_failures=2, steal_timeout=60.0,
     )
     assert cache.quarantined()[specs[2].cache_key()]["count"] == 2
 
     cache.hits = cache.misses = cache.writes = 0
     again = run_cells(
-        specs, max_workers=1, cache=cache, steal=True,
+        specs, max_workers=1, cache=cache,
         owner="worker-2", max_failures=2, steal_timeout=60.0,
     )
     assert [r is not None for r in again] == [True, True, False]
@@ -329,7 +322,7 @@ def test_transient_failures_are_retried_not_quarantined(make_cache):
     parallel_mod._run_cell = flaky
     try:
         result = run_cells(
-            specs, max_workers=1, cache=cache, steal=True,
+            specs, max_workers=1, cache=cache,
             owner="worker-1", max_failures=3, steal_timeout=60.0,
         )
     finally:
@@ -353,7 +346,7 @@ def test_campaign_surfaces_quarantined_cells(tmp_path):
     campaign.cells.append(_poison_spec())
     cache = CellCache(tmp_path / "cells")
     result = campaign.run(
-        max_workers=1, cache=cache, steal=True,
+        max_workers=1, cache=cache,
         owner="worker-1", steal_timeout=60.0,
     )
     assert list(result.quarantined) == [1]
@@ -559,7 +552,7 @@ def test_faulted_cell_that_strands_comes_back_once(kind, steal, make_cache):
     assert cache.writes == 1
 
 
-def test_clean_cell_that_strands_still_raises(make_cache):
+def test_clean_cell_that_strands_still_raises():
     from dataclasses import replace
 
     from repro.workload.runner import IncompleteRunError
@@ -567,27 +560,50 @@ def test_clean_cell_that_strands_still_raises(make_cache):
     spec = _stranding_clean_spec()
     with pytest.raises(IncompleteRunError, match="liveness failure"):
         run_cells([spec], max_workers=1)
-    cache = make_cache("memory")
-    with pytest.raises(IncompleteRunError):
-        run_cells([spec], max_workers=1, cache=cache)
-    assert cache.writes == 0  # a liveness bug is never cached as a result
     # a no-op fault spec IS the clean cell, so it is just as loud
     noop = replace(spec, faults=(("drop", 0.0),))
     with pytest.raises(IncompleteRunError):
         run_cells([noop], max_workers=1)
 
 
-def test_clean_cell_that_strands_is_quarantined_under_steal(make_cache):
+def test_clean_cell_that_strands_is_quarantined_with_a_cache(make_cache):
     spec = _stranding_clean_spec()
-    cache = make_cache("sqlite")
-    (result,) = run_cells(
-        [spec], max_workers=1, cache=cache, steal=True, owner="worker-1",
-        max_failures=2, steal_timeout=60.0,
-    )
-    assert result is None and cache.writes == 0
-    record = cache.quarantined()[spec.cache_key()]
-    assert record["count"] == 2
-    assert "liveness failure" in record["failures"][-1]["error"]
+    for kind in ("memory", "sqlite"):
+        cache = make_cache(kind)
+        (result,) = run_cells(
+            [spec], max_workers=1, cache=cache, owner="worker-1",
+            max_failures=2, steal_timeout=60.0,
+        )
+        # a liveness bug is never cached as a result
+        assert result is None and cache.writes == 0
+        record = cache.quarantined()[spec.cache_key()]
+        assert record["count"] == 2
+        assert "liveness failure" in record["failures"][-1]["error"]
+
+
+def test_a_cached_sweep_with_a_quarantined_cell_raises_naming_it(
+    tmp_path, monkeypatch
+):
+    """A hole in a cached sweep is a typed error naming the cell and
+    its last error, not a ``None`` handed on to the reducers."""
+    from repro.experiments import parallel as parallel_mod
+    from repro.experiments.figures import QuarantinedCellError
+
+    real = parallel_mod._run_cell
+
+    def crash_on_drop(spec):
+        if spec.faults:
+            raise RuntimeError("planted crash")
+        return real(spec)
+
+    monkeypatch.setattr(parallel_mod, "_run_cell", crash_on_drop)
+    grid = lambda n: (("clean", ()), ("drop-10%", (("drop", 0.1),)))
+    cache = CellCache(tmp_path / "cells")
+    with pytest.raises(QuarantinedCellError) as raised:
+        fault_sweep((6,), ("rcv",), grid=grid, max_workers=1, cache=cache)
+    assert raised.value.spec.faults == (("drop", 0.1),)
+    assert "3 failures; last: RuntimeError: planted crash" in str(raised.value)
+    assert cache.writes == 1  # the clean cell is committed all the same
 
 
 # ----------------------------------------------------------------------

@@ -63,11 +63,6 @@ def test_unparseable_cell_is_recomputed(tmp_path):
     [again] = run_cells([spec], max_workers=1, cache=cache)
     assert result_to_dict(again) == result_to_dict(r)
     assert cache.get(spec) is not None  # ...and rewritten
-    # a stealing worker's claim hands the text back: recomputed too
-    path.write_text("{ not json")
-    [stolen] = run_cells([spec], max_workers=1, cache=cache, steal=True, owner="w")
-    assert result_to_dict(stolen) == result_to_dict(r)
-    assert cache.get(spec) is not None
 
 
 def test_truncated_cell_is_a_miss_and_recomputed(tmp_path):
@@ -288,41 +283,3 @@ def test_backend_unavailable_is_not_raised_for_cell_corruption(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="format_version"):
         cache.get(spec)
-
-
-def test_legacy_backend_without_quarantine_support_still_runs(tmp_path):
-    """A custom backend implementing only the original contract
-    (get/put/claim/release/keys/len) must keep working for plain and
-    campaign runs — quarantine reporting is an optional capability,
-    not a new hard requirement."""
-    from repro.experiments import Campaign
-
-    class LegacyBackend:
-        def __init__(self):
-            self._store = {}
-
-        def get(self, key):
-            return self._store.get(key)
-
-        def put(self, key, value):
-            self._store[key] = value
-
-        def claim(self, key, owner, ttl):
-            return True
-
-        def release(self, key, owner):
-            pass
-
-        def keys(self):
-            return iter(list(self._store))
-
-        def __len__(self):
-            return len(self._store)
-
-    cache = CellCache(backend=LegacyBackend())
-    result = Campaign(name="legacy").add_sweep(["rcv"], [4], [0]).run(
-        max_workers=1, cache=cache
-    )
-    assert result.complete
-    assert result.quarantined == {}
-    assert cache.quarantined() == {}

@@ -134,10 +134,11 @@ def test_cli_campaign_runs_and_resumes(capsys, tmp_path):
 def test_cli_campaign_quarantined_run_names_its_cause(
     capsys, tmp_path, monkeypatch
 ):
-    """A --steal run that ends with quarantined cells used to print
+    """A run that ends with quarantined cells used to print
     "(shard run: ...; run without --shard to aggregate)" — wrong cause,
-    wrong remedy.  The only hole a result can have is a quarantined
-    cell, and the CLI and summary.md say so."""
+    wrong remedy — and exit 0.  The only hole a result can have is a
+    quarantined cell: the CLI and summary.md say so, and the exit
+    status is 1."""
     from repro.experiments import parallel
 
     def crash(spec):  # quarantine is for crashes, not lost liveness
@@ -150,13 +151,12 @@ def test_cli_campaign_quarantined_run_names_its_cause(
         "--algorithms", "rcv",
         "--n-values", "6",
         "--seeds", "1",
-        "--steal",
         "--max-cell-failures", "1",
         "--out", str(out_dir),
         "--workers", "1",
         "--no-progress",
     ]
-    assert cli.main(argv) == 0
+    assert cli.main(argv) == 1
     out = capsys.readouterr().out
     assert "(0/1 cells present, 1 quarantined: results.json not written)" in out
     assert "triage recipe in docs/operations.md" in out
@@ -180,11 +180,13 @@ def test_cli_campaign_rejects_malformed_args(tmp_path):
         cli.main(["campaign", "--delay-spec", "constant:-5"])  # bad range
     with pytest.raises(SystemExit, match="bad --cs-spec"):
         cli.main(["campaign", "--cs-spec", "uniform:5:2"])  # lo > hi
-    # static shards are gone, flag included: --steal is the one way
-    # to split a campaign (argparse: "unrecognized arguments", exit 2)
-    with pytest.raises(SystemExit) as removed:
-        cli.main(["campaign", "--shard", "0/2"])
-    assert removed.value.code == 2
+    # static shards and --steal are gone, flags included: workers
+    # sharing a cache split a campaign by claiming its cells
+    # (argparse: "unrecognized arguments", exit 2)
+    for flag in (["--shard", "0/2"], ["--steal"]):
+        with pytest.raises(SystemExit) as removed:
+            cli.main(["campaign", *flag])
+        assert removed.value.code == 2
 
 
 def test_cli_fig6_parallel(capsys, monkeypatch):
@@ -269,8 +271,8 @@ def test_cli_campaign_refuses_non_finite_parameters():
 
 def test_cli_fault_campaign_that_strands_is_complete(capsys, tmp_path):
     """Lost liveness under faults is the measurement: the campaign is
-    complete without --steal, results.json is written, and summary.md
-    says how much completed."""
+    complete, results.json is written, and summary.md says how much
+    completed."""
     out_dir = tmp_path / "camp"
     argv = [
         "campaign",

@@ -164,7 +164,7 @@ def _unknown_flags(path: Path):
 def test_the_flag_check_sees_the_recipes():
     """The check below passes vacuously if the extraction rots."""
     recipes = list(_cli_recipes(REPO / "docs" / "campaigns.md"))
-    assert ("campaign", ["--backend", "--steal", "--out"]) in recipes
+    assert ("campaign", ["--backend", "--out"]) in recipes
     assert ("cell-server", ["--host", "--port"]) in recipes
     verify = list(_verify_recipes(REPO / "docs" / "verification.md"))
     assert [

@@ -2,7 +2,8 @@
 table.  A module set, not a timing — deterministic on any host.
 
 The pool machinery (``concurrent.futures.process``,
-``multiprocessing``) is for ``run_cells(max_workers >= 2)`` only,
+``multiprocessing``) is for ``run_cells(max_workers >= 2)`` with cells
+to compute only,
 ``asyncio`` for ``repro.runtime`` only, and nothing under ``src/``
 needs a third-party numeric package; what each cost when it was on
 the path is in docs/performance.md, "Start-up and footprint".
@@ -47,6 +48,34 @@ def test_running_cells_and_summarizing_imports_no_numeric_or_pool_stack():
     loaded = set(json.loads(out.stdout))
     assert "repro.metrics.summary" in loaded  # the script really ran
     assert not loaded.intersection(FORBIDDEN)
+
+
+RESUMED_SCRIPT = """
+import json, sys
+from repro.experiments import Campaign, CellCache, MemoryBackend
+
+campaign = Campaign("resumed").add_sweep(["rcv"], [5], [0, 1, 2])
+cache = CellCache(backend=MemoryBackend())
+campaign.run(max_workers=1, cache=cache)
+resumed = campaign.run(max_workers=2, cache=cache)
+assert resumed.complete and (cache.hits, cache.writes) == (3, 3)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_a_resumed_campaign_opens_no_pool():
+    """Every claim of a fully committed campaign answers "done", so a
+    resume at two workers has no cell to compute and no pool to open."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", RESUMED_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    loaded = set(json.loads(out.stdout))
+    assert "repro.experiments.campaign" in loaded  # the script really ran
+    assert not loaded.intersection(
+        ("concurrent.futures.process", "multiprocessing")
+    )
 
 
 def test_two_workers_still_pool_and_agree_with_the_inline_run():

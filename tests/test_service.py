@@ -577,7 +577,7 @@ def test_lease_arbitration_survives_wall_clock_jumps(monkeypatch):
 def test_wire_a_fresh_cell_is_two_round_trips_and_a_resumed_cell_one(
     server, backend
 ):
-    """A stealing campaign over the service, counted by the server's
+    """A cached campaign over the service, counted by the server's
     own ``requests`` map: a fresh cell is one claim and one commit, a
     resumed cell one claim, and a clean run asks for no quarantine
     table, release or read."""
@@ -593,7 +593,7 @@ def test_wire_a_fresh_cell_is_two_round_trips_and_a_resumed_cell_one(
     ):
         server.state.requests.clear()
         cache = CellCache(backend=backend)
-        result = campaign.run(max_workers=1, steal=True, cache=cache)
+        result = campaign.run(max_workers=1, cache=cache)
         assert result.complete
         assert backend.stats()["requests"] == expected
 
