@@ -18,8 +18,8 @@ campaign (N=6/8, 2 seeds) interrupted half-way (a
 cell-for-cell against the sequential reference path.
 ``test_campaign_work_stealing_smoke`` is its distributed twin: two
 processes over one shared SQLite backend, one killed after a single
-commit with cells still leased, the survivor stealing the expired
-leases and finishing — union checked bit-for-bit.
+commit while holding the lease of its next cell, the survivor
+stealing the expired lease and finishing — union checked bit-for-bit.
 ``test_campaign_http_stealing_smoke`` is the shared-nothing variant:
 a real ``python -m repro.cli cell-server`` subprocess, a victim worker
 killed mid-campaign, and a survivor that finishes over HTTP alone.
@@ -77,6 +77,7 @@ from repro.experiments import (
     fault_sweep,
     scale_campaign,
 )
+from repro.experiments.backends import YOURS
 from repro.experiments.parallel import ProgressReporter, _usable_cpus
 from repro.metrics.io import result_to_dict
 
@@ -156,31 +157,33 @@ def _shared_backend(locator: str):
 
 
 def _victim_worker(locator: str, lease_ttl: float) -> None:
-    """A stealing worker that leases every cell, commits exactly one,
-    and dies — a deterministic stand-in for a worker killed mid-run
-    (its remaining leases are left dangling until they expire)."""
+    """A worker that commits its first cell, claims its second and
+    dies holding that lease — a deterministic stand-in for a worker
+    killed mid-cell (the lease dangles until it expires)."""
 
-    class _DiesAfterFirstCommit(CellCache):
-        def put(self, spec, result):
-            super().put(spec, result)
-            os._exit(7)
+    class _DiesOnSecondClaim(CellCache):
+        leased = 0
 
-    cache = _DiesAfterFirstCommit(backend=_shared_backend(locator))
-    campaign = _smoke_campaign()
-    campaign.run(
-        max_workers=1,
-        cache=cache,
-        owner="victim",
-        lease_ttl=lease_ttl,
-        chunk_size=len(campaign.cells),  # lease the whole campaign
+        def claim(self, spec, owner, ttl):
+            answer = super().claim(spec, owner, ttl)
+            if answer is YOURS:
+                self.leased += 1
+                if self.leased == 2:
+                    os._exit(7)
+            return answer
+
+    cache = _DiesOnSecondClaim(backend=_shared_backend(locator))
+    _smoke_campaign().run(
+        max_workers=1, cache=cache, owner="victim", lease_ttl=lease_ttl
     )
 
 
 def test_campaign_work_stealing_smoke(tmp_path=None):
     """Two workers share one SQLite backend; the first is killed
-    after a single commit with the other cells still leased.  The
-    survivor must steal the expired leases, recompute exactly the
-    missing cells, and the union must equal the sequential run."""
+    after a single commit, holding the lease of the cell it claimed
+    next.  The survivor must steal the expired lease, recompute
+    exactly the missing cells, and the union must equal the
+    sequential run."""
     root = tmp_path or Path(tempfile.mkdtemp(prefix="campaign-steal-"))
     campaign = _smoke_campaign()
 
@@ -191,7 +194,9 @@ def test_campaign_work_stealing_smoke(tmp_path=None):
     assert victim.exitcode == 7, "victim did not die at its scripted point"
 
     backend = SQLiteBackend(root / "cells.sqlite")
-    assert len(backend) == 1  # one commit made it; the rest dangle leased
+    assert len(backend) == 1  # one commit made it...
+    # ...and the victim died holding the lease on the next cell
+    assert [lease["owner"] for _, lease in backend.items("leases")] == ["victim"]
 
     cache = CellCache(backend=backend)
     survivor = campaign.run(
@@ -235,9 +240,10 @@ def _spawn_cell_server_cli() -> "tuple[subprocess.Popen, str]":
 
 def test_campaign_http_stealing_smoke(tmp_path=None):
     """The multi-host story with zero shared storage: a cell-server
-    CLI subprocess, a victim worker killed after one commit over
-    HTTP, and a survivor that steals the expired leases and finishes
-    the union — bit-for-bit equal to the sequential run."""
+    CLI subprocess, a victim worker killed over HTTP after one commit
+    while holding the lease of its next cell, and a survivor that
+    steals the expired lease and finishes the union — bit-for-bit
+    equal to the sequential run."""
     server_proc, url = _spawn_cell_server_cli()
     try:
         campaign = _smoke_campaign()
@@ -247,13 +253,19 @@ def test_campaign_http_stealing_smoke(tmp_path=None):
         victim.join(timeout=120)
         assert victim.exitcode == 7, "victim did not die at its scripted point"
 
-        cache = CellCache(backend=ServiceBackend(url))
-        assert len(cache) == 1  # one commit arrived; the rest dangle leased
+        backend = ServiceBackend(url)
+        assert len(backend) == 1  # one commit arrived...
+        # ...and the victim died holding the lease on the next cell
+        victim_counts = backend.stats()["owners"]["victim"]
+        assert (victim_counts["claims"], victim_counts["commits"]) == (2, 1)
+        assert victim_counts["releases"] == 0
+
+        cache = CellCache(backend=backend)
 
         survivor = campaign.run(
             max_workers=1,
             cache=cache,
-                owner="survivor",
+            owner="survivor",
             lease_ttl=30.0,
             steal_timeout=120.0,
         )
@@ -290,7 +302,6 @@ def _stealing_worker(locator: str, index: int) -> None:
         cache=CellCache(backend=_shared_backend(locator)),
         owner=f"worker-{index}",
         lease_ttl=600.0,
-        chunk_size=1,  # claim one cell at a time: finest balancing
     )
 
 

@@ -36,7 +36,6 @@ def worker(url: str, index: int) -> None:
         cache=cache,
         owner=f"worker-{index}",
         lease_ttl=60.0,
-        chunk_size=1,  # finest-grained stealing: claim one cell at a time
         steal_timeout=120.0,
     )
 

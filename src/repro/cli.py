@@ -205,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=60.0,
         help=(
             "seconds a lease lives before peers may take the cell over; "
-            "set above one cell's wall clock — leases are renewed "
-            "between cells within a chunk (default: 60)"
+            "set above one cell's wall clock — a worker holds a lease "
+            "only on a cell it is computing (default: 60)"
         ),
     )
     camp.add_argument(
@@ -218,12 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
             "quarantine a cell after it crashes K times campaign-wide, "
             "instead of retrying it forever (default: 3)"
         ),
-    )
-    camp.add_argument(
-        "--chunk-size",
-        type=_positive_int,
-        default=None,
-        help="cells claimed per chunk (default: 2x workers)",
     )
     camp.add_argument(
         "--no-progress",
@@ -281,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     status.add_argument(
         "--json",
         action="store_true",
-        help="print the raw /v2/stats JSON instead of the rendered table",
+        help="print the raw /v3/stats JSON instead of the rendered table",
     )
 
     run_p = sub.add_parser("run", help="run a single scenario")
@@ -482,7 +476,6 @@ def _run_campaign(args, campaign, cache, out) -> int:
     result = campaign.run(
         max_workers=args.workers,
         cache=cache,
-        chunk_size=args.chunk_size,
         progress=not args.no_progress,
         owner=args.owner,
         lease_ttl=args.lease_ttl,
@@ -607,7 +600,7 @@ def _render_status(stats: dict, url: str) -> str:
         for key, entry in stats["quarantined"].items():
             lines.append(f"  {key[:12]:<12}  {entry['count']} failures")
         lines.append(
-            "  (full failure logs: GET /v2/quarantine; triage: "
+            "  (full failure logs: GET /v3/quarantine; triage: "
             "docs/operations.md)"
         )
     return "\n".join(lines)

@@ -17,12 +17,11 @@ lease) or :data:`QUARANTINED`.  ``put`` stores the cell and then ends
 any lease on it, in one atomic step, so a cell absent under its
 claimer's own lease was computed by no live peer.  ``release(key,
 owner)`` drops the lease only if ``owner`` holds it (a cell it did
-not commit), and says whether it did.  ``renew(key, owner, ttl)``
-extends a lease ``owner`` still holds un-expired — and refuses
-otherwise, which is how a slow worker discovers its cell may have
-been stolen.  A lease is advisory: ``put`` never checks one, so the
-worst a misconfigured ttl causes is a duplicate computation of a
-deterministic cell, never a wrong result.
+not commit), and says whether it did.  A worker holds a lease only
+while it computes the cell, so ``ttl`` covers one cell's wall clock
+and nothing extends it.  A lease is advisory: ``put`` never checks
+one, so the worst a misconfigured ttl causes is a duplicate
+computation of a deterministic cell, never a wrong result.
 
 Failure/quarantine contract (see ``docs/operations.md`` for triage):
 ``record_failure(key, owner, error)`` appends a failure record and
@@ -153,11 +152,6 @@ class CacheBackend(Protocol):
     def release(self, key: str, owner: str) -> bool:
         """Drop ``owner``'s lease on ``key``; False when it holds none."""
 
-    def renew(self, key: str, owner: str, ttl: float) -> bool:
-        """Extend a lease ``owner`` still holds un-expired; False when
-        it expired or changed hands — a renewal never takes a lease
-        over, so a slow worker learns its cell may have been stolen."""
-
     def record_failure(self, key: str, owner: str, error: str) -> int:
         """Append a failure record for ``key``; returns the total
         failure count across all workers (the retry budget spent)."""
@@ -231,16 +225,6 @@ def _release(self, key: str, owner: str) -> bool:
         if held.get("owner") != owner:
             return False
         self.delete("leases", key)
-        return True
-
-
-def _renew(self, key: str, owner: str, ttl: float) -> bool:
-    with self._atomic:
-        now = self._now()
-        held = self.read("leases", key) or {}
-        if held.get("owner") != owner or held.get("expires", 0.0) <= now:
-            return False
-        self.write("leases", key, {"owner": owner, "expires": now + ttl})
         return True
 
 
@@ -409,7 +393,7 @@ class DirectoryBackend:
 
     _now = staticmethod(_wall_clock)
 
-    put, claim, release, renew = _put, _claim, _release, _renew
+    put, claim, release = _put, _claim, _release
     record_failure, failures = _record_failure, _failures
     quarantine, is_quarantined, quarantined = _quarantine, _is_quarantined, _quarantined
 
@@ -482,7 +466,7 @@ class MemoryBackend:
 
     _now = staticmethod(time.monotonic)
 
-    put, claim, release, renew = _put, _claim, _release, _renew
+    put, claim, release = _put, _claim, _release
     record_failure, failures = _record_failure, _failures
     quarantine, is_quarantined, quarantined = _quarantine, _is_quarantined, _quarantined
 
@@ -586,7 +570,7 @@ class SQLiteBackend:
             self._conn.execute("BEGIN IMMEDIATE")
             yield
 
-    put, claim, release, renew = _put, _claim, _release, _renew
+    put, claim, release = _put, _claim, _release
     record_failure, failures = _record_failure, _failures
     quarantine, is_quarantined, quarantined = _quarantine, _is_quarantined, _quarantined
 
@@ -625,10 +609,10 @@ class ServiceBackend:
     ``python -m repro.cli cell-server``).
 
     Speaks the versioned JSON protocol documented in
-    ``docs/operations.md``: cells live under ``/v2/cells/<key>``,
+    ``docs/operations.md``: cells live under ``/v3/cells/<key>``,
     leases/failures/quarantine are arbitrated **server-side** (one
     clock, one lease table — no shared filesystem or database file
-    anywhere).  The constructor probes ``/v2/stats`` so a wrong URL or
+    anywhere).  The constructor probes ``/v3/stats`` so a wrong URL or
     a dead server fails fast, at startup, with a
     :class:`BackendUnavailableError` naming the remedy instead of
     hanging a campaign mid-run.
@@ -779,9 +763,6 @@ class ServiceBackend:
     def release(self, key: str, owner: str) -> bool:
         return self._call("release", key, owner=owner)[1]["released"]
 
-    def renew(self, key: str, owner: str, ttl: float) -> bool:
-        return self._call("renew", key, owner=owner, ttl=ttl)[1]["renewed"]
-
     # -- failures / quarantine -----------------------------------------
     def record_failure(self, key: str, owner: str, error: str) -> int:
         # The transport retries on a broken connection, and the fail
@@ -808,7 +789,7 @@ class ServiceBackend:
 
     # -- monitoring ----------------------------------------------------
     def stats(self) -> dict:
-        """The server's ``/v2/stats`` document: lease table, per-owner
+        """The server's ``/v3/stats`` document: lease table, per-owner
         throughput counters, quarantine list (see docs/operations.md)."""
         return self._call("stats")[1]
 

@@ -219,10 +219,6 @@ class CellCache:
         """Drop ``owner``'s lease on ``spec``'s uncommitted cell."""
         self._call(self.backend.release, spec.cache_key(), owner)
 
-    def renew(self, spec, owner: str, ttl: float) -> bool:
-        """Extend ``owner``'s live lease on ``spec``'s cell (see backend)."""
-        return self._call(self.backend.renew, spec.cache_key(), owner, ttl)
-
     # ------------------------------------------------------------------
     # failures / quarantine (campaign-level retry; see backends)
     # ------------------------------------------------------------------

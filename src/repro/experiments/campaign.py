@@ -97,7 +97,6 @@ class Campaign:
         *,
         max_workers: Optional[int] = None,
         cache=None,
-        chunk_size: Optional[int] = None,
         progress=None,
         steal: bool = False,
         owner: Optional[str] = None,
@@ -129,7 +128,6 @@ class Campaign:
             self.cells,
             max_workers=max_workers,
             cache=cache,
-            chunk_size=chunk_size,
             progress=progress,
             steal=steal,
             owner=owner,

@@ -38,6 +38,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from collections import deque
 from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.spec import CellSpec
@@ -167,7 +168,6 @@ def run_cells(
     *,
     max_workers: Optional[int] = None,
     cache=None,
-    chunk_size: Optional[int] = None,
     progress=None,
     steal: bool = False,
     owner: Optional[str] = None,
@@ -188,25 +188,24 @@ def run_cells(
     **With a cache** (a :class:`~repro.experiments.cache.CellCache`,
     over any backend) every cell is claimed through it, so a run is
     resumable and any number of workers sharing the backend split the
-    campaign between them.  Each worker claims up to ``chunk_size``
-    cells at a time (default ``2 * max_workers``;
-    ``cache.claim(key, owner, lease_ttl)``), the one look at a cell:
-    it answers with the committed result (adopted), the lease (this
-    worker computes the cell and commits it, which ends the lease), a
-    live peer's lease (re-claimed every ``poll_interval`` seconds until
-    the peer commits or its lease expires), or quarantine.  A claim
-    takes the lease before it looks at the store, and a commit stores
-    before it ends the lease, so every cell is computed exactly once.
-    Cells after a full chunk wait untouched, so a fresh cell costs the
-    backend two calls (a claim and a write) and a resumed one a claim.
-    Leases on claimed-but-uncomputed cells are **renewed** while the
-    worker chews through a chunk, so ``lease_ttl`` needs to cover one
-    *cell*, not one chunk; a too-short ttl only duplicates
-    deterministic work, never corrupts results.  An interrupt loses
-    at most the in-flight chunk, whose leases it releases.
-    ``steal_timeout`` bounds how long the worker will go *without
-    making progress* while foreign leases block it (None: wait as long
-    as it takes).
+    campaign between them.  Each of the ``max_workers`` slots holds at
+    most one claimed cell: a slot claims its next cell when it frees
+    (``cache.claim(key, owner, lease_ttl)``, the one look at a cell)
+    and commits it when it finishes.  A claim answers with the
+    committed result (adopted), the lease (this worker computes the
+    cell and commits it, which ends the lease), a live peer's lease
+    (re-claimed when a slot frees, or every ``poll_interval`` seconds,
+    backing off to 1 s, while nothing else is left) or quarantine.  A
+    claim takes the lease before it looks at the store, and a commit
+    stores before it ends the lease, so every cell is computed exactly
+    once: a fresh cell costs the backend two calls (a claim and a
+    write) and a resumed one a claim.  A lease lives only while its
+    cell computes, so ``lease_ttl`` needs to cover one cell's wall
+    clock; a too-short ttl only duplicates deterministic work, never
+    corrupts results.  An interrupt loses at most the cells in flight,
+    whose leases it releases.  ``steal_timeout`` bounds how long the
+    worker will go *without making progress* while foreign leases
+    block it (None: wait as long as it takes).
 
     **Completion** — a cell must complete every request it issues
     exactly when its normalized ``faults`` is ``()``: a clean cell
@@ -241,156 +240,157 @@ def run_cells(
             raise ValueError(
                 f"max_failures must be >= 1, got {max_failures}"
             )
-        if not 0 < lease_ttl < float("inf"):  # NaN fails both
-            raise ValueError(
-                f"lease_ttl must be a finite number of seconds > 0, got {lease_ttl}"
-            )
+        seconds = {"lease_ttl": lease_ttl, "poll_interval": poll_interval}
+        if steal_timeout is not None:
+            seconds["steal_timeout"] = steal_timeout
+        for name, value in seconds.items():
+            if not 0 < value < float("inf"):  # NaN fails both
+                raise ValueError(
+                    f"{name} must be a finite number of seconds > 0, got {value}"
+                )
         owner = owner or default_owner()
     if progress is True:
         progress = ProgressReporter(len(specs))
     if max_workers is None:
         max_workers = min(len(specs), _usable_cpus())
-    if chunk_size is None:
-        # Chunks bound the work lost to an interrupt while keeping
-        # every worker busy between commits.
-        chunk_size = max(1, 2 * max_workers)
 
     results: List[Optional[RunResult]] = [None] * len(specs)
     pool = None
 
-    def run_map(fn, batch):
-        """``fn`` over ``batch``'s cells, lazily and in order, so
-        commits and lease renewals land while the rest computes."""
+    def open_pool():
         nonlocal pool
-        cells = [specs[i] for i in batch]
-        if max_workers <= 1 or len(cells) <= 1:
-            return map(fn, cells)
         if pool is None:
             # Imported here: an inline run never pays for the pool
             # machinery (15 ms, 1.2 MB, ``multiprocessing`` behind it).
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(max_workers=max_workers)
-        return pool.map(fn, cells, chunksize=1)
-
-    def _run_claimed(claimed):
-        """Compute one claimed chunk; returns indices to retry later.
-
-        A crashed cell is attributed (``_run_cell_guarded``), logged
-        to the shared backend, and retried or quarantined instead of
-        aborting the worker.
-        """
-        retry: List[int] = []
-        uncommitted = set(claimed)
-        last_renew = time.monotonic()
-        try:
-            for i, (status, payload) in zip(
-                claimed, run_map(_run_cell_guarded, claimed)
-            ):
-                if status == "ok":
-                    results[i] = payload
-                    cache.put(specs[i], payload)  # the commit ends the lease
-                    if progress:
-                        progress.step()
-                else:
-                    count = cache.record_failure(specs[i], owner, payload)
-                    if count >= max_failures:
-                        # The campaign-wide budget is spent: poison
-                        # the cell so no worker ever claims it again.
-                        cache.quarantine(specs[i])
-                        if progress:
-                            progress.step(fresh=False)
-                    else:
-                        retry.append(i)
-                    cache.release(specs[i], owner)
-                uncommitted.discard(i)
-                now = time.monotonic()
-                if uncommitted and now - last_renew > lease_ttl / 3.0:
-                    # Heartbeat: this worker is alive and still owns
-                    # the rest of the chunk — without it, a chunk
-                    # longer than lease_ttl looks like a crash and
-                    # peers duplicate the work.
-                    for j in uncommitted:
-                        cache.renew(specs[j], owner, lease_ttl)
-                    last_renew = now
-        finally:
-            # On an exception mid-chunk (an interrupt, pool breakage,
-            # backend gone), free the unfinished leases immediately so
-            # peers take the cells over now instead of after lease_ttl.
-            for i in uncommitted:
-                cache.release(specs[i], owner)
-        return retry
+        return pool
 
     def _claim_loop():
         # here: a run without a cache never loads the backends
         from repro.experiments.backends import HELD, YOURS
 
+        slots = max(1, max_workers)
+        work = deque(range(len(specs)))  # cells not settled yet
+        held = 0  # HELD answers in a row: the last ``held`` cells of work
+        leased: set = set()  # claimed by a slot, not yet committed
+        running: dict = {}  # pool future -> its cell
+        missed: set = set()
         # Stall clock: time since this worker last made progress
-        # (claimed, settled, or committed) — NOT since the loop
+        # (claimed, settled, or finished a cell) — NOT since the loop
         # started, so long healthy runs never trip steal_timeout.
         last_progress = time.monotonic()
         backoff = poll_interval
-        work = list(range(len(specs)))
-        missed: set = set()
-        while work:
-            claimed: List[int] = []
-            deferred: List[int] = []
-            settled = 0
-            for pos, i in enumerate(work):
-                if len(claimed) == chunk_size:
-                    # The chunk is full: the rest wait untouched — each
-                    # is looked at when a later round reaches it, so a
-                    # slice costs O(n) backend calls, not O(n²/chunk).
-                    deferred.extend(work[pos:])
-                    break
+
+        def claim_next() -> Optional[int]:
+            """The next cell this worker leased, or None once every
+            cell left is leased by a live peer (or none is left)."""
+            nonlocal held, last_progress, backoff
+            while held < len(work):
+                i = work.popleft()
                 answer = cache.claim(specs[i], owner, lease_ttl)
                 if answer is HELD:
-                    deferred.append(i)  # a live peer holds it
+                    work.append(i)  # a live peer is computing it
+                    held += 1
                     continue
-                if answer is not YOURS:
-                    # Committed (here or by a peer), or quarantined
-                    # after repeated crashes: its slot stays None, and
-                    # the campaign summary carries the case file.
-                    results[i] = answer
-                    settled += 1
-                    if progress:
-                        progress.step(fresh=False)
+                last_progress, backoff = time.monotonic(), poll_interval
+                if answer is YOURS:
+                    # The miss is real (and matches a later write).
+                    # Once per cell: a crashed-then-retried cell is
+                    # still one miss, not one per attempt.
+                    if i not in missed:
+                        cache.misses += 1
+                        missed.add(i)
+                    leased.add(i)
+                    return i
+                # Committed (here or by a peer), or quarantined after
+                # repeated crashes: its slot stays None, and the
+                # campaign summary carries the case file.
+                results[i] = answer
+                if progress:
+                    progress.step(fresh=False)
+            return None
+
+        def finish(i: int, outcome: Tuple[str, object]) -> None:
+            """Commit a computed cell, or log its crash (attributed by
+            ``_run_cell_guarded``) and retry or quarantine it."""
+            nonlocal held, last_progress, backoff
+            # A slot frees: the cells peers held are worth a new look.
+            held = 0
+            last_progress, backoff = time.monotonic(), poll_interval
+            status, payload = outcome
+            if status == "ok":
+                results[i] = payload
+                cache.put(specs[i], payload)  # the commit ends the lease
+                leased.discard(i)
+                if progress:
+                    progress.step()
+                return
+            if cache.record_failure(specs[i], owner, payload) >= max_failures:
+                # The campaign-wide budget is spent: poison the cell
+                # so no worker ever claims it again.
+                cache.quarantine(specs[i])
+                if progress:
+                    progress.step(fresh=False)
+            else:
+                work.append(i)
+            cache.release(specs[i], owner)
+            leased.discard(i)
+
+        try:
+            while True:
+                fresh: List[int] = []
+                while len(leased) < slots:
+                    i = claim_next()
+                    if i is None:
+                        break
+                    fresh.append(i)
+                if pool is None and len(fresh) == 1:
+                    # One cell to compute at a time: compute it here.
+                    finish(fresh[0], _run_cell_guarded(specs[fresh[0]]))
                     continue
-                # Now it's this worker's cell to compute: the miss is
-                # real (and matches a later write).  Once per cell — a
-                # crashed-then-retried cell is still one miss, not one
-                # per attempt.
-                if i not in missed:
-                    cache.misses += 1
-                    missed.add(i)
-                claimed.append(i)
-            retry: List[int] = []
-            if claimed:
-                retry = _run_claimed(claimed)
-            if claimed or settled:
-                last_progress = time.monotonic()
-                backoff = poll_interval
-            elif deferred:
+                for i in fresh:
+                    running[open_pool().submit(_run_cell_guarded, specs[i])] = i
+                if running:
+                    from concurrent.futures import FIRST_COMPLETED, wait
+
+                    done, _ = wait(running, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        finish(running.pop(future), future.result())
+                    continue
+                if not work:
+                    return
                 # Everything left is leased by live peers: wait for
                 # them to commit or for their leases to expire,
                 # backing off so a blocked worker does not hammer the
-                # shared backend with fruitless claim rounds.
+                # shared backend with fruitless claims.
                 if (
                     steal_timeout is not None
                     and time.monotonic() - last_progress > steal_timeout
                 ):
                     raise RuntimeError(
-                        f"cached run stalled: {len(deferred)} "
+                        f"cached run stalled: {len(work)} "
                         f"cells held by other workers for over "
                         f"{steal_timeout}s without progress"
                     )
                 time.sleep(backoff)
                 backoff = min(backoff * 2, 1.0)
-            work = deferred + retry
+                held = 0
+        finally:
+            # On an exception (an interrupt, pool breakage, backend
+            # gone), free the leases of the cells in flight now, so
+            # peers take them over at once instead of after lease_ttl.
+            for i in leased:
+                cache.release(specs[i], owner)
 
     try:
         if cache is None:
-            for i, result in enumerate(run_map(_run_cell, range(len(specs)))):
+            if max_workers <= 1 or len(specs) <= 1:
+                computed = map(_run_cell, specs)
+            else:
+                computed = open_pool().map(_run_cell, specs, chunksize=1)
+            for i, result in enumerate(computed):
                 results[i] = result
                 if progress:
                     progress.step()

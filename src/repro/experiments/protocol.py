@@ -58,8 +58,11 @@ __all__ = [
 #: request/response shapes served by ``CellServer``.  Clients and
 #: servers of different versions refuse each other loudly (HTTP 400
 #: naming both versions).  v2: a claim can answer "done", which a v1
-#: client would read as a live peer's lease and wait on forever.
-PROTOCOL_VERSION = 2
+#: client would read as a live peer's lease and wait on forever.  v3:
+#: the lease-extension endpoint went (a lease lives only while its cell
+#: computes), so a v2 client is refused at its start-up probe, not in
+#: the middle of a campaign.
+PROTOCOL_VERSION = 3
 
 #: Path prefix every endpoint lives under.
 API_PREFIX = f"/v{PROTOCOL_VERSION}"
@@ -145,7 +148,6 @@ ENDPOINTS: Dict[str, Endpoint] = {
         Endpoint("get", "GET", "cells", keyed=True),
         Endpoint("put", "PUT", "cells", keyed=True, fields={"value": _text}),
         Endpoint("claim", "POST", "claim", fields=_LEASE),
-        Endpoint("renew", "POST", "renew", fields=_LEASE),
         Endpoint("release", "POST", "release", fields={"key": _key, "owner": _text}),
         Endpoint(
             "record_failure",
@@ -194,7 +196,7 @@ def match(method: str, target: str) -> Tuple[Endpoint, Dict[str, str]]:
     carries.
 
     The version gate comes first: any prefix but this version's
-    (including a future ``/v2``) is refused with an error naming the
+    (an older version's or a future one's) is refused with an error naming the
     version spoken here, so mismatched deployments fail at the first
     request.  ``target`` is a request line's: a path and any query,
     and a path that starts ``//`` is still a path, not a host.

@@ -29,7 +29,7 @@ Design decisions worth knowing:
   clears quarantine (deliberate — a restart is the documented way to
   re-try quarantined cells after a fix).
 * **Versioned protocol, described once.**  Every path is prefixed
-  ``/v2``; any other prefix is rejected with HTTP 400 and an error
+  ``/v3``; any other prefix is rejected with HTTP 400 and an error
   naming the version this server speaks, so a client/server mismatch
   fails loudly at the first request instead of corrupting a campaign.
   This module spells none of it: the handler's one dispatch asks
@@ -37,8 +37,8 @@ Design decisions worth knowing:
   matches and what its typed fields are, then calls the
   ``_ServiceState`` method of that name — a field of the wrong type
   is a 400 naming it, and never reaches the state.
-* **Monitoring built in.**  ``GET /v2/stats`` exposes the live lease
-  table and per-owner counters (claims, commits, failures, renews) —
+* **Monitoring built in.**  ``GET /v3/stats`` exposes the live lease
+  table and per-owner counters (claims, commits, releases, failures) —
   per-worker throughput for a running campaign without touching the
   workers — and a per-endpoint ``requests`` count, so the scheduler's
   request budget (docs/operations.md, "Lease and TTL tuning") is
@@ -110,7 +110,6 @@ def _owner_record() -> dict:
         "claims": 0,
         "commits": 0,
         "releases": 0,
-        "renews": 0,
         "failures": 0,
         "last_seen": 0.0,
     }
@@ -171,13 +170,6 @@ class _ServiceState:
             released = self.arbiter.release(key, owner)
             record["releases"] += released
             return {"released": released}
-
-    def renew(self, key: str, owner: str, ttl: float) -> dict:
-        with self.lock:
-            record = self._touch(owner)
-            renewed = self.arbiter.renew(key, owner, ttl)
-            record["renews"] += renewed
-            return {"renewed": renewed}
 
     # -- cells ---------------------------------------------------------
     def cells(self) -> dict:
@@ -257,7 +249,6 @@ class _ServiceState:
                     "claims": rec["claims"],
                     "commits": rec["commits"],
                     "releases": rec["releases"],
-                    "renews": rec["renews"],
                     "failures": rec["failures"],
                     "active_leases": sum(
                         1 for holder, _ in live.values() if holder == owner

@@ -194,8 +194,6 @@ class MutexNode(Actor):
         self.env = env
         self.hooks = hooks
         self.state = NodeState.IDLE
-        #: time the current request was issued (for metrics)
-        self.request_time: Optional[float] = None
         #: monotonically increasing count of completed CS executions
         self.cs_count = 0
 
@@ -213,7 +211,6 @@ class MutexNode(Actor):
                 f"node {self.node_id} requested CS while {self.state.value}"
             )
         self.state = NodeState.REQUESTING
-        self.request_time = self.env.now()
         self._do_request()
 
     def release_cs(self) -> None:

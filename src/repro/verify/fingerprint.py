@@ -129,8 +129,6 @@ NODE_EXCLUDED: Dict[str, Dict[str, str]] = {
         "env": "infrastructure reference (the run's one ModelEnv)",
         "hooks": "infrastructure reference; grant/release effects are "
         "fully captured by NodeState",
-        "request_time": "metrics-only timestamp; logical time is frozen "
-        "at 0 under the checker",
         "cs_count": "derivable: requests issued (the world's request "
         "ledger) minus the one still outstanding",
     },

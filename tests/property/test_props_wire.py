@@ -63,30 +63,30 @@ from repro.workload import BurstArrivals, Scenario
 BOUND = 5.0
 
 _CLAIM = b'{"key": "cell-1", "owner": "w", "ttl": 60}'
-_STATS = b"GET /v2/stats HTTP/1.1\r\nHost: h\r\n\r\n"
+_STATS = b"GET /v3/stats HTTP/1.1\r\nHost: h\r\n\r\n"
 
 #: request bytes the ``test_wire_*`` examples pin, well-formed or not
 REQUESTS = [
     _STATS,
-    b"GET /v2/stats HTTP/1.0\r\n\r\n",
-    b"GET /v2/cells/cell-1 HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n",
-    b"POST /v2/claim HTTP/1.1\r\nHost: h\r\nContent-Type: application/json\r\n"
+    b"GET /v3/stats HTTP/1.0\r\n\r\n",
+    b"GET /v3/cells/cell-1 HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n",
+    b"POST /v3/claim HTTP/1.1\r\nHost: h\r\nContent-Type: application/json\r\n"
     b"Content-Length: %d\r\n\r\n%s" % (len(_CLAIM), _CLAIM),
-    b"POST /v2/claim HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\n"
+    b"POST /v3/claim HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\n"
     b"%x\r\n%s\r\n0\r\n\r\n" % (len(_CLAIM), _CLAIM),
-    b"POST /v2/claim HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\n"
+    b"POST /v3/claim HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\n"
     b"Content-Length: %d\r\n\r\n%s" % (len(_CLAIM), _CLAIM),
-    b"PUT /v2/cells/cell-1 HTTP/1.1\r\nHost: h\r\nExpect: 100-continue\r\n"
+    b"PUT /v3/cells/cell-1 HTTP/1.1\r\nHost: h\r\nExpect: 100-continue\r\n"
     b'Content-Length: 13\r\n\r\n{"value": "x"}',
-    b"POST /v2/claim HTTP/1.1\r\nHost: h\r\nContent-Length: 99999999999\r\n\r\n",
+    b"POST /v3/claim HTTP/1.1\r\nHost: h\r\nContent-Length: 99999999999\r\n\r\n",
     b"POST /v1/claim HTTP/1.1\r\nHost: h\r\nContent-Length: 12\r\n\r\n"
     b'{"key": "k"}',
-    b"GET /v2/stats HTTP/2.0\r\n\r\n",
-    b"GET /v2/stats HTTP/1.1\r\n folded: v\r\nno colon\r\n\r\n",
-    b"DELETE /v2/stats HTTP/1.1\r\nHost: h\r\n\r\n",
-    b"GET /v2/stats HTTP/1.1\r\n" + b"X-h: v\r\n" * 101 + b"\r\n",
-    b"GET /v2/stats HTTP/1.1\r\nX-h: " + b"v" * 65530 + b"\r\n\r\n",
-    b"GET http://[x/v2/stats HTTP/1.1\r\n\r\n",
+    b"GET /v3/stats HTTP/2.0\r\n\r\n",
+    b"GET /v3/stats HTTP/1.1\r\n folded: v\r\nno colon\r\n\r\n",
+    b"DELETE /v3/stats HTTP/1.1\r\nHost: h\r\n\r\n",
+    b"GET /v3/stats HTTP/1.1\r\n" + b"X-h: v\r\n" * 101 + b"\r\n",
+    b"GET /v3/stats HTTP/1.1\r\nX-h: " + b"v" * 65530 + b"\r\n\r\n",
+    b"GET http://[x/v3/stats HTTP/1.1\r\n\r\n",
 ]
 
 _STATS_BODY = json.dumps({"protocol": PROTOCOL_VERSION}).encode()
@@ -301,7 +301,7 @@ def test_wire_battery_client_ends_in_a_reply_or_a_typed_refusal(reply):
     backend = ServiceBackend(url, timeout=BOUND)
     began = time.perf_counter()
     try:
-        status, text = backend._request("GET", "/v2/stats")
+        status, text = backend._request("GET", "/v3/stats")
     except BackendUnavailableError:
         assert backend._sock is None  # nothing half-read is kept
     else:

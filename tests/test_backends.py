@@ -2,7 +2,7 @@
 
 Every backend (directory, memory, sqlite, HTTP service) must satisfy
 the same storage semantics (opaque key/value, atomic last-wins put),
-the same lease contract (claim/release/renew with ttl expiry and
+the same lease contract (claim/release with ttl expiry and
 takeover), and the same failure/quarantine contract — the
 work-stealing scheduler in ``run_cells`` relies on nothing else.
 """
@@ -119,31 +119,6 @@ def test_leases_do_not_count_as_cells(backend):
     backend.claim("k", "alice", ttl=60.0)
     assert len(backend) == 0
     assert backend.get("k") is None
-
-
-def test_renew_extends_only_a_live_own_lease(backend):
-    assert backend.claim("k", "alice", ttl=60.0)
-    assert backend.renew("k", "alice", ttl=120.0)
-    # not the holder -> refused, and the holder's lease is untouched
-    assert not backend.renew("k", "bob", ttl=120.0)
-    assert not backend.claim("k", "bob", ttl=60.0)
-    # never leased at all -> refused (renew must not create leases)
-    assert not backend.renew("other", "alice", ttl=60.0)
-    assert len(backend) == 0
-
-
-def test_renew_racing_expiry_refuses(backend):
-    """A lease that expired is NOT renewable — the slow worker must
-    re-claim (which can fail), so it learns a peer may already be
-    recomputing its cell instead of silently extending a lease it no
-    longer holds."""
-    assert backend.claim("k", "slow-worker", ttl=0.05)
-    time.sleep(0.06)
-    assert not backend.renew("k", "slow-worker", ttl=60.0)
-    # ...and after a peer steals the expired lease, still refused.
-    assert backend.claim("k", "thief", ttl=60.0)
-    assert not backend.renew("k", "slow-worker", ttl=60.0)
-    assert backend.renew("k", "thief", ttl=60.0)
 
 
 # ----------------------------------------------------------------------
@@ -427,16 +402,15 @@ def test_stolen_slice_costs_a_linear_number_of_requests(backend, n):
     committed cell back.  Every cached run takes this one path, with
     ``steal`` omitted or ``steal=True``, in-process or over a pool.
     (The loop once re-read every pending cell every round: n=8 at
-    chunk_size=2 made 28 gets, n=32 made 304; then it cost two reads,
-    a claim, a put and a release a cell.)"""
+    two cells a chunk made 28 gets, n=32 made 304; then it cost two
+    reads, a claim, a put and a release a cell.)"""
     runs = ((1, {}), (1, {"steal": True}), (2, {}), (2, {"steal": True}))
     for round_, (max_workers, steal) in enumerate(runs):
         specs = [_spec(seed) for seed in range(round_ * n, (round_ + 1) * n)]
         counting = CountingBackend(backend)
         cache = CellCache(backend=counting)
         results = run_cells(
-            specs, max_workers=max_workers, cache=cache, chunk_size=2,
-            owner="w", **steal,
+            specs, max_workers=max_workers, cache=cache, owner="w", **steal,
         )
         assert all(result is not None for result in results)
         assert counting.calls == {"claim": n, "put": n}
@@ -445,14 +419,60 @@ def test_stolen_slice_costs_a_linear_number_of_requests(backend, n):
         counting = CountingBackend(backend)
         cache = CellCache(backend=counting)
         resumed = run_cells(
-            specs, max_workers=max_workers, cache=cache, chunk_size=2,
-            owner="w", **steal,
+            specs, max_workers=max_workers, cache=cache, owner="w", **steal,
         )
         assert [result_to_dict(r) for r in resumed] == [
             result_to_dict(r) for r in results
         ]
         assert counting.calls == {"claim": n}
         assert (cache.hits, cache.misses, cache.writes) == (n, 0, 0)
+
+
+class LeaseCountingBackend(CountingBackend):
+    """A :class:`CountingBackend` that also tracks the leases its
+    caller holds: taken by a claim answered ``YOURS``, ended by a
+    commit or a release."""
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner)
+        self.live: set = set()
+        self.most = 0
+
+    def claim(self, key, owner, ttl):
+        self.calls["claim"] += 1
+        answer = self.inner.claim(key, owner, ttl)
+        if answer is YOURS:
+            self.live.add(key)
+            self.most = max(self.most, len(self.live))
+        return answer
+
+    def put(self, key, value):
+        self.calls["put"] += 1
+        self.inner.put(key, value)
+        self.live.discard(key)
+
+    def release(self, key, owner):
+        self.calls["release"] += 1
+        self.live.discard(key)
+        return self.inner.release(key, owner)
+
+
+@pytest.mark.parametrize("steal", [{}, {"steal": True}], ids=["default", "steal"])
+@pytest.mark.parametrize("max_workers", [1, 2])
+def test_a_cached_run_holds_at_most_one_lease_per_slot(backend, max_workers, steal):
+    """Each worker slot claims a cell when it frees and commits it when
+    it finishes, so a run never leases a cell it is not computing: at
+    most ``max_workers`` leases at any moment, and a pooled run uses
+    every slot."""
+    specs = [_spec(seed) for seed in range(8)]
+    counting = LeaseCountingBackend(backend)
+    cache = CellCache(backend=counting)
+    results = run_cells(
+        specs, max_workers=max_workers, cache=cache, owner="w", **steal
+    )
+    assert all(result is not None for result in results)
+    assert counting.most == max_workers
+    assert counting.live == set()
 
 
 def _commits_after_the_first_look(backend, key, value):
@@ -496,7 +516,6 @@ def test_a_claim_never_grants_a_committed_cell(backend):
     for key, value in (("early", "e"), ("leased", "l"), ("raced", "r")):
         assert not backend.release(key, "w") and not backend.release(key, "peer")
         assert backend.claim(key, "other", ttl=60.0) == value
-    assert backend.renew("raced", "w", ttl=60.0) is False  # no lease kept
 
 
 def _peer_handle(backend):
@@ -528,7 +547,6 @@ def test_two_concurrent_owners_each_compute_or_adopt_every_cell(backend):
                     specs,
                     max_workers=1,
                     cache=cache,
-                    chunk_size=2,
                     owner=f"worker-{index}",
                     poll_interval=0.005,
                     steal_timeout=60.0,
@@ -570,7 +588,7 @@ def test_memory_backend_leases_survive_wall_clock_jumps(monkeypatch):
     assert backend.claim("k", "alice", ttl=30.0)
     monkeypatch.setattr(time, "time", lambda: 4e12)
     assert not backend.claim("k", "bob", ttl=30.0)
-    assert backend.renew("k", "alice", ttl=30.0)
+    assert backend.claim("k", "alice", ttl=30.0) is YOURS
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.backends import HELD, YOURS
 from repro.experiments.cache import CellCache
 from repro.experiments.figures import burst_sweep, fault_sweep, lambda_sweep
 from repro.experiments.parallel import ProgressReporter, run_cells
@@ -125,16 +126,15 @@ class _InterruptsAfter(ProgressReporter):
             raise KeyboardInterrupt
 
 
-# "chunks" omits ``steal``, "steal" passes ``steal=True``: both name
-# the one claim loop every cached run takes.
-@pytest.mark.parametrize("steal", [{}, {"steal": True}], ids=["chunks", "steal"])
+@pytest.mark.parametrize("max_workers", [1, 2], ids=["inline", "pooled"])
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
-def test_interrupted_run_loses_only_the_in_flight_chunk(
-    kind, steal, make_cache, capsys
+def test_interrupted_run_loses_only_the_in_flight_cells(
+    kind, max_workers, make_cache, capsys
 ):
-    """An interrupt two commits into a three-cell chunk keeps exactly
-    those two cells, strands no lease, and the resumed run recomputes
-    only the rest — bit for bit the uncached run."""
+    """An interrupt two commits in keeps exactly those two cells,
+    strands no lease (a pooled run releases the cell its other slot
+    was computing), and the resumed run recomputes only the rest —
+    bit for bit the uncached run."""
     specs = _steal_specs()
     reference = _dicts(run_cells(specs, max_workers=1))
     cache = make_cache(kind)
@@ -142,23 +142,25 @@ def test_interrupted_run_loses_only_the_in_flight_chunk(
     with pytest.raises(KeyboardInterrupt):
         run_cells(
             specs,
-            max_workers=1,
+            max_workers=max_workers,
             cache=cache,
-            chunk_size=3,
             owner="interrupted",
             lease_ttl=600.0,
             progress=_InterruptsAfter(len(specs), committed),
-            **steal,
         )
     assert len(cache) == committed
-    assert [cache.peek(spec) is not None for spec in specs] == [
-        True, True, False, False,
-    ]
-    # The in-flight chunk's leases went with the interrupt: a peer
-    # claims every cell now, not once the ten-minute ttl has run out.
+    if max_workers == 1:
+        assert [cache.peek(spec) is not None for spec in specs] == [
+            True, True, False, False,
+        ]
+    # The in-flight leases went with the interrupt: a peer claims
+    # every uncommitted cell now, not once the ten-minute ttl has run
+    # out.
     for spec in specs:
-        assert cache.claim(spec, "peer", 600.0)
-        cache.release(spec, "peer")
+        answer = cache.claim(spec, "peer", 600.0)
+        assert answer is not HELD
+        if answer is YOURS:
+            cache.release(spec, "peer")
 
     cache.hits = cache.misses = cache.writes = 0
     resumed = run_cells(
@@ -168,7 +170,6 @@ def test_interrupted_run_loses_only_the_in_flight_chunk(
         owner="resumed",
         steal_timeout=60.0,
         progress=True,
-        **steal,
     )
     assert _dicts(resumed) == reference
     assert cache.hits == committed
@@ -247,6 +248,27 @@ def test_steal_refuses_a_lease_ttl_no_lease_can_have(ttl, make_cache):
         run_cells(
             _steal_specs(), cache=make_cache("memory"), lease_ttl=ttl
         )
+
+
+@pytest.mark.parametrize(
+    "knob, value",
+    [
+        ("poll_interval", 0.0),  # the back-off doubles 0: a tight claim loop
+        ("poll_interval", -1.0),  # time.sleep raised mid-run
+        ("poll_interval", float("nan")),
+        ("poll_interval", float("inf")),
+        ("steal_timeout", 0.0),
+        ("steal_timeout", -1.0),
+        ("steal_timeout", float("nan")),  # never timed out
+        ("steal_timeout", float("inf")),
+    ],
+)
+def test_a_cached_run_refuses_loop_knobs_that_cannot_work(knob, value, make_cache):
+    """Refused at call time, before any claim, as ``lease_ttl`` is."""
+    cache = make_cache("memory")
+    with pytest.raises(ValueError, match=f"{knob} must be"):
+        run_cells(_steal_specs(), cache=cache, **{knob: value})
+    assert len(cache) == 0
 
 
 # ----------------------------------------------------------------------

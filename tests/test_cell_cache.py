@@ -200,9 +200,6 @@ class _FlakyBackend:
     def release(self, key, owner):
         raise self.exc
 
-    def renew(self, key, owner, ttl):
-        raise self.exc
-
     def record_failure(self, key, owner, error):
         raise self.exc
 
@@ -239,7 +236,6 @@ def test_backend_oserrors_surface_as_backend_unavailable(exc):
         lambda: cache.peek(_spec()),
         lambda: cache.claim(_spec(), "w", 60.0),
         lambda: cache.release(_spec(), "w"),
-        lambda: cache.renew(_spec(), "w", 60.0),
         lambda: cache.record_failure(_spec(), "w", "boom"),
         lambda: cache.quarantine(_spec()),
         lambda: cache.quarantined(),

@@ -180,10 +180,11 @@ def test_cli_campaign_rejects_malformed_args(tmp_path):
         cli.main(["campaign", "--delay-spec", "constant:-5"])  # bad range
     with pytest.raises(SystemExit, match="bad --cs-spec"):
         cli.main(["campaign", "--cs-spec", "uniform:5:2"])  # lo > hi
-    # static shards and --steal are gone, flags included: workers
-    # sharing a cache split a campaign by claiming its cells
-    # (argparse: "unrecognized arguments", exit 2)
-    for flag in (["--shard", "0/2"], ["--steal"]):
+    # static shards, --steal and --chunk-size are gone, flags
+    # included: workers sharing a cache split a campaign by claiming
+    # its cells, one per slot (argparse: "unrecognized arguments",
+    # exit 2)
+    for flag in (["--shard", "0/2"], ["--steal"], ["--chunk-size", "2"]):
         with pytest.raises(SystemExit) as removed:
             cli.main(["campaign", *flag])
         assert removed.value.code == 2
@@ -329,7 +330,6 @@ def test_cli_campaign_retx_cells_complete_under_drop(capsys, tmp_path):
         ("campaign", "--workers", "0"),  # parent: silently one process
         ("campaign", "--workers", "-2"),
         ("campaign", "--n-values", "0"),  # parent: Scenario traceback
-        ("campaign", "--chunk-size", "0"),  # parent: range() traceback
         ("campaign", "--requests-per-node", "0"),
         ("campaign", "--max-cell-failures", "0"),
         ("campaign", "--lease-ttl", "0"),
@@ -404,11 +404,11 @@ def test_cli_run_and_run_trace_print_the_same_rows(capsys):
 
 def test_cli_count_flags_accept_what_they_always_did():
     args = cli.build_parser().parse_args(
-        "campaign --seeds 1 --workers 1 --n-values 1 200 --chunk-size 1 "
+        "campaign --seeds 1 --workers 1 --n-values 1 200 "
         "--requests-per-node 3 --max-cell-failures 1 --lease-ttl 0.5".split()
     )
     assert (args.seeds, args.workers, args.n_values) == (1, 1, [1, 200])
-    assert (args.chunk_size, args.requests_per_node) == (1, 3)
+    assert args.requests_per_node == 3
     assert (args.max_cell_failures, args.lease_ttl) == (1, 0.5)
     defaults = cli.build_parser().parse_args(["campaign"])
     assert (defaults.seeds, defaults.workers, defaults.n_values) == (3, None, None)

@@ -132,8 +132,8 @@ def test_engine_drivers_hear_only_their_own_node(monkeypatch):
 
 def test_request_time_recorded(toy):
     engine = toy(1, arrivals=TraceArrivals({0: [7.5]}))
-    engine.sim.run()
-    assert engine.nodes[0].request_time == 7.5
+    result = engine.run()
+    assert [record.request_time for record in result.records] == [7.5]
 
 
 def test_peers_excludes_self(toy):

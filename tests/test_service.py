@@ -1,7 +1,7 @@
 """HTTP cell service edge cases (wire level) and monitoring CLI.
 
-The generic backend contract — storage, claim/release/renew with ttl
-expiry (including renewal racing expiry), failure/quarantine — runs
+The generic backend contract — storage, claim/release with ttl
+expiry and takeover, failure/quarantine — runs
 against the live service via the ``http`` kind in
 ``tests/test_backends.py`` / ``tests/test_campaign_parity.py``.  This
 file pins what only the *wire* can get wrong: the versioned protocol
@@ -71,15 +71,15 @@ def _raw(server, method, path, body=None):
 # protocol version gate
 # ----------------------------------------------------------------------
 def test_protocol_version_mismatch_is_rejected_loudly(server):
-    for path in ("/v1/stats", "/v3/stats", "/v0/cells", "/stats", "/"):
+    for path in ("/v1/stats", "/v2/stats", "/v4/stats", "/v0/cells", "/stats", "/"):
         status, doc = _raw(server, "GET", path)
         assert status == 400, path
         assert f"speaks v{PROTOCOL_VERSION}" in doc["error"]
         assert doc["protocol"] == PROTOCOL_VERSION
     # ...and the gate guards mutations too, before any state changes:
-    # a v1 client's claim is refused, never read as a v2 one
+    # a v2 client's claim is refused, never read as a v3 one
     status, doc = _raw(
-        server, "POST", "/v1/claim", {"key": "k", "owner": "w", "ttl": 60}
+        server, "POST", "/v2/claim", {"key": "k", "owner": "w", "ttl": 60}
     )
     assert status == 400
     assert "unsupported protocol version" in doc["error"]
@@ -97,7 +97,7 @@ def test_current_version_paths_are_served(server):
 # ----------------------------------------------------------------------
 def test_stats_shape_is_pinned(server, backend):
     """The monitoring contract: campaign-status and any dashboard a
-    user scripts against /v2/stats depend on exactly these keys."""
+    user scripts against /v3/stats depend on exactly these keys."""
     backend.put("cell-1", "{}")
     assert backend.claim("cell-2", "worker-a", ttl=60.0)
     backend.record_failure("cell-3", "worker-a", "boom")
@@ -128,7 +128,6 @@ def test_stats_shape_is_pinned(server, backend):
         "failures",
         "last_seen_seconds_ago",
         "releases",
-        "renews",
     ]
     assert worker["claims"] == 1 and worker["failures"] == 1
     assert worker["active_leases"] == 1
@@ -493,7 +492,7 @@ def test_campaign_cli_requires_server_for_http_backend(tmp_path):
 
 
 def test_duplicate_failure_reports_are_not_double_counted(server, backend):
-    """/v2/fail is retried by the client when a response is lost; the
+    """/v3/fail is retried by the client when a response is lost; the
     echoed request id must keep one real crash from spending two
     units of the quarantine budget."""
     status, doc = _raw(
@@ -568,7 +567,7 @@ def test_lease_arbitration_survives_wall_clock_jumps(monkeypatch):
     assert state.claim("k", "alice", ttl=30.0) == {"claim": "yours"}
     monkeypatch.setattr(time, "time", lambda: 4e12)  # jump far forward
     assert state.claim("k", "bob", ttl=30.0) == {"claim": "held"}
-    assert state.renew("k", "alice", ttl=30.0)["renewed"]
+    assert state.claim("k", "alice", ttl=30.0) == {"claim": "yours"}
     stats = state.stats()
     assert [lease["key"] for lease in stats["leases"]] == ["k"]
     assert stats["uptime_seconds"] < 1e6
@@ -719,7 +718,7 @@ def test_wire_every_endpoint_names_a_state_method(name):
         ("release", "owner", "7"),
         ("release", "owner", '""'),
         ("claim", "ttl", "1e999"),  # was an immortal lease, and Infinity in /stats
-        ("renew", "ttl", "NaN"),
+        ("claim", "ttl", "NaN"),
         ("claim", "ttl", "-5"),
         ("claim", "ttl", "0"),
         ("claim", "ttl", '"soon"'),
@@ -845,7 +844,7 @@ _HEAD = ["Server", "Date", "Content-Type", "Content-Length"]
 _PINNED_REPLIES = {
     'stats': (
         'HTTP/1.1 200 OK',
-        b'{"cells": 1, "leases": [{"expires_in": 60.0, "key": "cell-4", "owner": "worker-b"}], "owners": {"worker-b": {"active_leases": 1, "claims": 2, "commits": 1, "failures": 1, "last_seen_seconds_ago": 0.0, "releases": 0, "renews": 0}}, "protocol": 2, "quarantined": {"cell-3": {"count": 1}}, "requests": {}, "uptime_seconds": 0.0}',
+        b'{"cells": 1, "leases": [{"expires_in": 60.0, "key": "cell-4", "owner": "worker-b"}], "owners": {"worker-b": {"active_leases": 1, "claims": 2, "commits": 1, "failures": 1, "last_seen_seconds_ago": 0.0, "releases": 0}}, "protocol": 3, "quarantined": {"cell-3": {"count": 1}}, "requests": {}, "uptime_seconds": 0.0}',
     ),
     'cells': (
         'HTTP/1.1 200 OK',
@@ -862,10 +861,6 @@ _PINNED_REPLIES = {
     'claim': (
         'HTTP/1.1 200 OK',
         b'{"claim": "yours"}',
-    ),
-    'renew': (
-        'HTTP/1.1 200 OK',
-        b'{"renewed": false}',
     ),
     'release': (
         'HTTP/1.1 200 OK',
@@ -922,15 +917,15 @@ def test_wire_replies_keep_their_head_and_bytes_for_any_client(
         (
             "POST", "/v1/claim", b'{"key": "k"}', "HTTP/1.1 400 Bad Request", True,
             b'{"error": "unsupported protocol version for path \'/v1/claim\': '
-            b'this server speaks v2 (paths under /v2/). Upgrade the older side '
-            b'so client and server agree.", "protocol": 2}',
+            b'this server speaks v3 (paths under /v3/). Upgrade the older side '
+            b'so client and server agree.", "protocol": 3}',
         ),
         (
-            "GET", "/v2/nope", None, "HTTP/1.1 404 Not Found", False,
-            b'{"error": "no such endpoint: GET /v2/nope"}',
+            "GET", "/v3/nope", None, "HTTP/1.1 404 Not Found", False,
+            b'{"error": "no such endpoint: GET /v3/nope"}',
         ),
         (
-            "POST", "/v2/claim", b"{not json", "HTTP/1.1 400 Bad Request", False,
+            "POST", "/v3/claim", b"{not json", "HTTP/1.1 400 Bad Request", False,
             b'{"error": "request body is not valid JSON"}',
         ),
     ],
