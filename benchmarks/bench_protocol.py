@@ -2,7 +2,7 @@
 
 The RCV Exchange/Order machinery is incremental: copy-on-write
 snapshots, reference-adoption of fresher rows, watermark-amortised
-pruning, and gen-keyed/delta vote caches (see docs/protocol.md,
+pruning, and a live vote histogram (see docs/protocol.md,
 "Performance model").  The historical full-snapshot implementation
 is preserved verbatim in :mod:`repro.core.reference`, and
 ``full_snapshot_mode()`` runs whole scenarios on it (its cost tracks

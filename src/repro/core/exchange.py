@@ -31,13 +31,13 @@ the work is proportional to what actually changed:
 * step 4 adopts a fresher remote row **by reference** (marking it
   shared) instead of cloning it — copy-on-write clones it later iff
   somebody mutates it;
-* re-normalization visits only the adopted rows (which may carry
-  outdated or already-ordered tuples) plus — when the NONL merge
-  learned new ordered tuples — the rows still holding those tuples.
-  Untouched local rows are provably clean: the SI enters every
-  exchange with both pruning invariants holding, so a row that
-  neither changed nor saw the NONL/watermark change cannot need
-  pruning.
+* the same pass over the rows re-normalizes as it goes: an adopted
+  row is swept where it may carry outdated or already-ordered tuples,
+  and — when the NONL merge learned new ordered tuples — an untouched
+  row only if it shares a node with them.  Untouched local rows are
+  otherwise provably clean: the SI enters every exchange with both
+  pruning invariants holding, so a row that neither changed nor saw
+  the NONL/watermark change cannot need pruning.
 
 A brute-force reference implementation of the historical semantics
 lives in :mod:`repro.core.reference`; the property suite
@@ -260,7 +260,7 @@ def exchange(
     # the answer analytically, so the general ``set(nonl)`` difference
     # (O(|NONL|) hashing per exchange) is only built on the rare
     # diverged path.  ``None`` defers the build to the one case that
-    # needs the full local list, and only if rows were adopted.
+    # needs the full local list, and only if the row pass runs.
     # (Both NONLs are pruned against the merged watermark here, so
     # differencing against ``remote_nonl`` equals differencing against
     # the raw message NONL.)
@@ -292,131 +292,76 @@ def exchange(
         new_tuples = _merge_diverged(si, remote_nonl, on_inconsistency, stats)
         extra = set(si.nonl).difference(remote_nonl)
 
-    # 4. per-row freshness sync: adopt fresher remote rows by
-    #    reference (copy-on-write), leave the rest untouched.
+    # 4. per-row NSIT sync (lines 13–22) and clean-up, in one pass over
+    #    the rows.  A fresher remote row is adopted by reference
+    #    (copy-on-write).  It was clean against the sender's watermark
+    #    and NONL at snapshot time, so one of its tuples can need
+    #    pruning only where the receiver knows strictly more: a
+    #    completion the sender had not seen (impossible when the merged
+    #    watermark equals the sender's — ``covered``) or an ordered
+    #    tuple the sender's NONL lacked (``extra``).  An untouched row
+    #    was clean on entry and can only have been dirtied by NONL
+    #    growth (``new_tuples``): one sharing no node with the new
+    #    tuples is skipped with a C-level disjointness test.  MNLs are
+    #    short, so a suspect row sweeps its own entries; dirty entries
+    #    are keyed by node (Lemma 1), so a row is fixed with one
+    #    ``dict.copy`` plus targeted ``del``s.
     rows = si.rows
     mrows = msg_si.rows
     lts = si.row_ts
     mts = msg_si.row_ts
-    adopted = ()
-    if lts != mts:  # C-level freshness sweep: equal vectors ⇒ none fresher
-        adopted = []
+    adopted = adopted_cloned = 0
+    if lts != mts or new_tuples:  # equal vectors ⇒ none fresher
+        if extra is None:
+            extra = set(si.nonl) if si.nonl else ()
+        suspect = not covered or extra
+        nodes = {t[0] for t in new_tuples}
+        stale_add = si._stale.add
         j = -1
         for mt in mts:
             j += 1
             if mt > lts[j]:
                 lts[j] = mt
-                rows[j] = rrow = mrows[j]
-                rrow.shared = True
-                adopted.append(j)
-        if adopted:
-            si._stale.update(adopted)
-            si.gen += 1
-            si.note_ts(max(map(mts.__getitem__, adopted)))
-
-    # Re-establish the pruning invariants *incrementally*.  Adopted
-    # rows may carry tuples we already ordered or know finished; the
-    # untouched local rows were clean on entry and can only have been
-    # dirtied by NONL growth (new_tuples).
-    adopted_cloned = 0
-    if adopted or new_tuples:
-        # An adopted row was clean against the *sender's* watermark
-        # and NONL at snapshot time, so one of its tuples can need
-        # pruning only where the receiver knows strictly more: a
-        # completion the sender had not seen (impossible when the
-        # merged watermark equals the sender's — ``covered``) or an
-        # ordered tuple the sender's NONL lacked (``extra``).  MNLs
-        # are short (a handful of live requests), so the cheapest
-        # dirt test sweeps each adopted row's own entries directly;
-        # dirty entries are keyed by node (Lemma 1), so a row is
-        # fixed with one C-level ``dict.copy`` plus targeted ``del``s
-        # — no Python rebuild of its clean entries.
-        if adopted:
-            if extra is None:
-                extra = set(si.nonl) if si.nonl else ()
-            if not covered and extra:
-                for j in adopted:
-                    cols = rows[j].cols
-                    bad = None
-                    for node, ts in cols.items():
-                        if ts <= done[node] or (node, ts) in extra:
-                            if bad is None:
-                                bad = [node]
-                            else:
-                                bad.append(node)
-                    if bad:
-                        new_cols = cols.copy()
-                        for k in bad:
-                            del new_cols[k]
-                        si._replace_cols(j, new_cols)
-                        adopted_cloned += 1
-            elif not covered:
-                for j in adopted:
-                    cols = rows[j].cols
-                    bad = None
-                    for node, ts in cols.items():
-                        if ts <= done[node]:
-                            if bad is None:
-                                bad = [node]
-                            else:
-                                bad.append(node)
-                    if bad:
-                        new_cols = cols.copy()
-                        for k in bad:
-                            del new_cols[k]
-                        si._replace_cols(j, new_cols)
-                        adopted_cloned += 1
-            elif extra:
-                for j in adopted:
-                    cols = rows[j].cols
-                    bad = None
-                    for node, ts in cols.items():
-                        if (node, ts) in extra:
-                            if bad is None:
-                                bad = [node]
-                            else:
-                                bad.append(node)
-                    if bad:
-                        new_cols = cols.copy()
-                        for k in bad:
-                            del new_cols[k]
-                        si._replace_cols(j, new_cols)
-                        adopted_cloned += 1
-        if new_tuples:
-            # The untouched local rows can hold a newly ordered tuple
-            # only under one of its nodes: a row sharing no node with
-            # the new tuples is skipped with one C-level disjointness
-            # test, and a row that shares one scans its own few
-            # entries against the new tuples.
-            adopted_set = set(adopted)
-            nodes = {t[0] for t in new_tuples}
-            j = -1
-            for row in rows:
-                j += 1
-                if j in adopted_set:
+                rows[j] = row = mrows[j]
+                row.shared = True
+                stale_add(j)
+                adopted += 1
+                if not suspect:
                     continue
-                cols = row.cols
-                if nodes.isdisjoint(cols):
+                fresh = True
+                dirty = extra
+                aged = not covered
+            elif not nodes:
+                continue
+            else:
+                row = rows[j]
+                if nodes.isdisjoint(row.cols):
                     continue
-                bad = None
-                for item in cols.items():
-                    if item in new_tuples:
-                        if bad is None:
-                            bad = [item[0]]
-                        else:
-                            bad.append(item[0])
-                if bad:
-                    new_cols = cols.copy()
-                    for k in bad:
-                        del new_cols[k]
-                    si._replace_cols(j, new_cols)
+                fresh = False
+                dirty = new_tuples
+                aged = False
+            cols = row.cols
+            bad = None
+            for item in cols.items():
+                if item in dirty or (aged and item[1] <= done[item[0]]):
+                    if bad is None:
+                        bad = [item[0]]
+                    else:
+                        bad.append(item[0])
+            if bad:
+                new_cols = cols.copy()
+                for k in bad:
+                    del new_cols[k]
+                si._replace_cols(j, new_cols)
+                adopted_cloned += fresh
+        if adopted:
+            si.note_ts(max(lts))
 
     if stats is not None:
         stats.exchanges += 1
-        n_adopted = len(adopted)
-        stats.rows_merged += n_adopted
-        stats.rows_skipped += si.n - n_adopted
-        stats.clones_avoided += n_adopted - adopted_cloned
+        stats.rows_merged += adopted
+        stats.rows_skipped += si.n - adopted
+        stats.clones_avoided += adopted - adopted_cloned
         if pruned:
             stats.prunes_run += 1
         else:

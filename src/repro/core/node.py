@@ -224,7 +224,10 @@ class RCVNode(MutexNode):
         self.si.row_ts[self.node_id] += 1  # line 18
         self.si.note_ts(self.si.row_ts[self.node_id])
         self.si.mark_done(tup)
-        self.si.normalize()  # removes our tuple from NONL top and MNLs
+        # Our tuple leaves the NONL top and the MNLs.  The SI enters a
+        # release with no ordered tuple in any MNL, so the watermark
+        # prune is all there is to do.
+        self.si.prune_done()
         self.current_tup = None
         if self.next_tup is not None:
             successor = self.next_tup

@@ -57,10 +57,10 @@ def rank_candidates(
 ) -> List[Tuple[ReqTuple, int]]:
     """Candidates ranked by (votes desc, node id asc) — the {TPh} seq.
 
-    O(N + C log C) for C candidates on a dirty SI; the vote tally
-    itself is cached on :attr:`SystemInfo.gen` (see
-    :meth:`~repro.core.state.SystemInfo.tally_votes`).  Pure: does
-    not mutate ``si``.
+    O(|changed rows| + C log C) for C candidates: the tally is the
+    SI's live histogram, reconciled over the rows changed since the
+    last tally (see :meth:`~repro.core.state.SystemInfo.tally_votes`).
+    Pure: does not mutate ``si``.
     """
     votes = si.tally_votes(excluded)
     return sorted(votes.items(), key=lambda kv: (-kv[1], kv[0].node))
@@ -187,10 +187,10 @@ def run_order(
     ``excluded`` is the agreed crashed-membership set (DESIGN.md
     exclusion extension): those rows neither vote nor count as
     unknown.  Mutates ``si`` — committed tuples move from the MNLs to
-    the NONL (through the generation-tracked mutators, so vote
-    caches invalidate and shared rows are copy-on-write-faulted).
-    O(N) per committed tuple; O(N) total when nothing commits and the
-    vote caches are warm.
+    the NONL (through the tracked mutators, so the touched rows'
+    votes are re-tallied and shared rows are copy-on-write-faulted).
+    O(N) per committed tuple; O(|changed rows|) when nothing commits
+    and nothing is excluded.
     """
     outcome = OrderOutcome()
 
@@ -201,8 +201,7 @@ def run_order(
     else:
         while True:
             if excluded:
-                votes = si.tally_votes(excluded)
-                unknown = si.empty_row_count(excluded)
+                votes, unknown = si._vote_scan(excluded)
             else:
                 # The live histogram, read in place: it is consumed
                 # before the commit below moves it, so no frozen copy
@@ -221,9 +220,6 @@ def run_order(
             if home_tup is not None and tp1 == home_tup:
                 outcome.be_ordered = True
                 break  # paper line 17: Continue = false once home commits
-        # The histogram moved past the tally cache's copy: drop the
-        # cache so the next tally_votes copies the live histogram.
-        si._votes_cache = None
 
     if outcome.be_ordered and home_tup is not None:
         outcome.highest_priority = si.on_top(home_tup)

@@ -71,7 +71,6 @@ def _ref_merge_done(si: SystemInfo, other_done) -> None:
             done[j] = ts
             changed = True
     if changed:
-        si.gen += 1
         si._done_gen += 1
 
 
@@ -90,9 +89,7 @@ def _ref_own(si: SystemInfo, j: int):
 def _ref_invalidate(si: SystemInfo) -> None:
     """Rows were mutated outside the tracked mutators: force the next
     vote tally to rebuild the front histogram from scratch."""
-    si.gen += 1
     si._fronts_ok = False
-    si._votes_cache = None
 
 
 def _ref_prune_done(si: SystemInfo) -> None:
@@ -112,7 +109,6 @@ def _ref_prune_done(si: SystemInfo) -> None:
                 for node, ts in row.cols.items()
                 if ts > done[node]
             }
-            row.gen += 1
     si._clean_done_gen = si._done_gen
     _ref_invalidate(si)
 
@@ -131,7 +127,6 @@ def _ref_prune_ordered(si: SystemInfo) -> None:
                 for node, ts in row.cols.items()
                 if (node, ts) not in ordered
             }
-            row.gen += 1
     _ref_invalidate(si)
 
 
@@ -141,7 +136,6 @@ def _ref_remove_everywhere(si: SystemInfo, t) -> None:
         if si.rows[j].cols.get(t.node) == t.ts:
             row = _ref_own(si, j)
             del row.cols[t.node]
-            row.gen += 1
     _ref_invalidate(si)
 
 
@@ -189,7 +183,6 @@ def reference_exchange(
         if msg_si.row_ts[j] > si.row_ts[j]:
             si.rows[j] = msg_si.rows[j].clone()
             si.row_ts[j] = msg_si.row_ts[j]
-            si.gen += 1
             si.note_ts(si.row_ts[j])
 
     # Re-establish pruning invariants over the whole table.
@@ -201,7 +194,6 @@ def reference_exchange(
     # and the front histogram so the next vote tally rescans.
     si._need_share = None
     si._fronts_ok = False
-    si._votes_cache = None
 
 
 def reference_run_order(
@@ -215,7 +207,7 @@ def reference_run_order(
 
     Behaviourally identical to :func:`repro.core.order.run_order`
     (which replaces the sort with a single-pass leader test and the
-    per-call scans with gen-keyed delta caches); kept verbatim so the
+    per-call scans with the live vote histogram); kept verbatim so the
     baseline benchmark pays the historical cost.
     """
     from repro.core.order import OrderOutcome, can_commit
@@ -312,7 +304,6 @@ def full_snapshot_mode():
         if tup not in self.si.nonl:
             row.append_unique(tup)
             self.si._fronts_ok = False
-            self.si._votes_cache = None
         # Historical cost shape: a Python-level scan per RM (the
         # optimised path maintains the maximum in O(1)).
         row_ts = self.si.row_ts
@@ -320,7 +311,6 @@ def full_snapshot_mode():
             max(row_ts[j] for j in range(self.si.n)) + 1
         )
         self.si.note_ts(self.si.row_ts[self.node_id])
-        self.si.gen += 1
         outcome = node_mod.run_order(
             self.si, tup, rule=self.config.rule, excluded=self._excluded
         )

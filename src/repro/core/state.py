@@ -56,10 +56,10 @@ Mutation contract
 -----------------
 
 All protocol-path mutators (``own_row``, ``mark_done``,
-``merge_done``, ``nonl_append``, ``nonl_insert_front``, ``set_nonl``,
-``remove_everywhere``, ``prune_*``) keep the generation bookkeeping
-and copy-on-write invariants.  Code that mutates ``rows[j]``
-*directly* must first take ownership via :meth:`SystemInfo.own_row`;
+``merge_done``, ``remove_everywhere``, ``prune_*``) keep the
+watermark, stale-row and copy-on-write bookkeeping.  Code that
+mutates ``rows[j]`` *directly* must first take ownership via
+:meth:`SystemInfo.own_row`;
 :meth:`Row.append_unique` / :meth:`Row.remove` / the ``mnl`` setter
 raise on a shared row to turn silent snapshot corruption into a loud
 error.  Direct attribute writes (``si.row_ts[j] = x``,
@@ -94,14 +94,12 @@ class Row:
     The row's freshness counter lives in the parallel
     ``SystemInfo.row_ts`` int list (so the Exchange freshness sweep
     is a C-speed list comparison and timestamp bumps never fault a
-    copy-on-write clone).  ``gen`` counts mutations of this row
-    object (the dirty counter); ``shared`` marks the row as
-    referenced by more than one :class:`SystemInfo` (live SI +
-    snapshots) — a shared row must be cloned before mutation
-    (copy-on-write).
+    copy-on-write clone).  ``shared`` marks the row as referenced by
+    more than one :class:`SystemInfo` (live SI + snapshots) — a
+    shared row must be cloned before mutation (copy-on-write).
     """
 
-    __slots__ = ("cols", "gen", "shared")
+    __slots__ = ("cols", "shared")
 
     def __init__(self, mnl: Optional[Iterable[ReqTuple]] = None) -> None:
         if mnl is None:
@@ -113,7 +111,6 @@ class Row:
                 raise ValueError(
                     f"MNL violates Lemma 1 (two tuples of one node): {mnl}"
                 )
-        self.gen = 0
         self.shared = False
 
     # -- historical list-of-tuples view --------------------------------
@@ -140,13 +137,11 @@ class Row:
                 f"MNL violates Lemma 1 (two tuples of one node): {tuples}"
             )
         self.cols = cols
-        self.gen += 1
 
     def clone(self) -> "Row":
         """Unshared copy (O(|MNL|)); the clone starts unshared."""
         row = Row.__new__(Row)
         row.cols = self.cols.copy()
-        row.gen = self.gen
         row.shared = False
         return row
 
@@ -191,7 +186,6 @@ class Row:
                 f"<{node},{t[1]}> would violate Lemma 1"
             )
         cols[node] = t[1]
-        self.gen += 1
         return True
 
     def remove(self, t: ReqTuple) -> None:
@@ -202,7 +196,6 @@ class Row:
         self._assert_owned()
         if self.cols.get(t[0]) == t[1]:
             del self.cols[t[0]]
-            self.gen += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         tuples = ",".join(f"<{n},{t}>" for n, t in self.cols.items())
@@ -214,9 +207,7 @@ class SystemInfo:
     """The SI structure of one node (or the snapshot inside a message).
 
     See the module docstring for the columnar / copy-on-write /
-    incremental-tally design.  ``gen`` is the SI-wide dirty counter:
-    any observable mutation bumps it, and the vote/position caches
-    key off it.
+    incremental-tally design.
     """
 
     __slots__ = (
@@ -226,13 +217,10 @@ class SystemInfo:
         "row_ts",
         "done",
         "next_node",
-        "gen",
         "_done_gen",
         "_clean_done_gen",
         "_adv",
         "_adv_gen",
-        "_votes_cache",
-        "_pos_cache",
         "_max_ts",
         "_need_share",
         "_fronts",
@@ -258,8 +246,6 @@ class SystemInfo:
         self.row_ts: List[int] = [0] * n
         self.done: List[int] = [0] * n
         self.next_node: Optional[int] = None
-        #: SI-wide dirty counter; bumped by every mutating method.
-        self.gen = 0
         # Watermark bookkeeping: ``_done_gen`` counts watermark
         # advances, ``_clean_done_gen`` remembers the watermark
         # generation the rows/NONL were last pruned against.  Equal
@@ -273,8 +259,6 @@ class SystemInfo:
         # rows holding one of those nodes; see prune_done.
         self._adv: set = set()
         self._adv_gen = 0
-        self._votes_cache = None
-        self._pos_cache = None
         self._max_ts = 0
         # Rows unshared since the last snapshot (copy-on-write
         # epoch): the next snapshot needs to re-mark only these.
@@ -336,7 +320,6 @@ class SystemInfo:
         si.row_ts = list(self.row_ts)
         si.done = list(self.done)
         si.next_node = None
-        si.gen = 0
         si._done_gen = 0
         # The snapshot inherits this SI's pruning state: its rows are
         # exactly as clean w.r.t. its watermark as ours are.
@@ -345,8 +328,6 @@ class SystemInfo:
         # starts with the log broken, so its first prune scans all.
         si._adv = set()
         si._adv_gen = si._clean_done_gen
-        si._votes_cache = None
-        si._pos_cache = None
         si._max_ts = self._max_ts
         si._need_share = []  # every row of a fresh snapshot is shared
         si._fronts = []
@@ -368,8 +349,8 @@ class SystemInfo:
 
         Clones the row first iff it is shared (the copy-on-write
         fault, O(|MNL|); O(1) otherwise).  Callers request ownership
-        only to mutate, so this also bumps the SI dirty counter and
-        marks the row's tallied vote stale.
+        only to mutate, so this also marks the row's tallied vote
+        stale.
         """
         row = self.rows[j]
         self._stale.add(j)
@@ -379,12 +360,11 @@ class SystemInfo:
             self.cow_clones += 1
             if self._need_share is not None:
                 self._need_share.append(j)
-        self.gen += 1
         return row
 
     def _replace_cols(self, j: int, new_cols: Dict[int, int]) -> None:
         """Install ``new_cols`` as row ``j``'s MNL with full
-        copy-on-write/dirty bookkeeping, without the intermediate
+        copy-on-write/stale-row bookkeeping, without the intermediate
         copy an ``own_row()`` + filter pair would make. O(1) beyond
         the caller-built dict."""
         rows = self.rows
@@ -393,7 +373,6 @@ class SystemInfo:
         if row.shared:
             new = Row.__new__(Row)
             new.cols = new_cols
-            new.gen = row.gen + 1
             new.shared = False
             rows[j] = new
             self.cow_clones += 1
@@ -402,8 +381,6 @@ class SystemInfo:
                 ns.append(j)
         else:
             row.cols = new_cols
-            row.gen += 1
-        self.gen += 1
 
     # ------------------------------------------------------------------
     # watermark and pruning
@@ -418,7 +395,6 @@ class SystemInfo:
         if self._adv_gen == gen:
             self._adv_gen = gen + 1
         self._done_gen = gen + 1
-        self.gen += 1
 
     def mark_done(self, t: ReqTuple) -> None:
         """Raise the completion watermark to cover ``t``. O(1).
@@ -471,7 +447,6 @@ class SystemInfo:
         done = self.done
         if self.nonl and any(t[1] <= done[t[0]] for t in self.nonl):
             self.nonl = [t for t in self.nonl if t[1] > done[t[0]]]
-            self.gen += 1
         adv = self._adv
         tracked = not force and self._adv_gen == self._done_gen
         j = -1
@@ -517,8 +492,6 @@ class SystemInfo:
                 else:
                     stale_add(j)
                     del cols[node]
-                    row.gen += 1
-                    self.gen += 1
 
     def prune_ordered_from_rows(self) -> None:
         """Remove every NONL member from every MNL. O(N · |MNL|).
@@ -544,42 +517,28 @@ class SystemInfo:
                     del new_cols[k]
                 self._replace_cols(j, new_cols)
 
-    def normalize(self) -> None:
-        """Restore both pruning invariants after any merge.
-
-        Uses the amortised :meth:`prune_done` (skips when the
-        watermark is unchanged); see :meth:`force_normalize` for the
-        unconditional variant.
-        """
-        self.prune_done()
-        self.prune_ordered_from_rows()
-
     def force_normalize(self) -> None:
         """Full, unconditional O(N · |MNL|) restore of both pruning
         invariants — for SIs built or mutated outside the tracked
         mutators (tests, reference implementations)."""
         self._fronts_ok = False
-        self._votes_cache = None
         self.prune_done(force=True)
         self.prune_ordered_from_rows()
 
     # ------------------------------------------------------------------
-    # NONL mutators (keep ``gen`` honest so the caches invalidate)
+    # NONL mutators
     # ------------------------------------------------------------------
     def nonl_append(self, t: ReqTuple) -> None:
         """Commit ``t`` to the back of the NONL. O(1)."""
         self.nonl.append(t)
-        self.gen += 1
 
     def nonl_insert_front(self, t: ReqTuple) -> None:
         """Place ``t`` at the head of the NONL. O(|NONL|)."""
         self.nonl.insert(0, t)
-        self.gen += 1
 
     def set_nonl(self, nonl: List[ReqTuple]) -> None:
         """Replace the NONL wholesale (merge result). O(1)."""
         self.nonl = nonl
-        self.gen += 1
 
     # ------------------------------------------------------------------
     # vote tallying (input to the Order procedure)
@@ -659,85 +618,63 @@ class SystemInfo:
         return changed
 
     def _vote_scan(self, excluded: frozenset) -> tuple:
-        """Produce the vote tally and the empty-row (unknown-vote)
-        count, cached keyed on ``gen``.  O(|stale rows|) on a dirty
-        SI via the incremental histogram; O(N) only on the first
-        tally after the histogram was invalidated wholesale."""
-        cache = self._votes_cache
-        gen = self.gen
-        if cache is not None and cache[0] == gen and cache[1] == excluded:
-            return cache
-        if excluded:
-            # Exclusion experiments are rare: pay a plain scan rather
-            # than maintaining a histogram per exclusion set.
-            votes: Dict[ReqTuple, int] = {}
-            get = votes.get
-            empty = 0
-            for j, row in enumerate(self.rows):
-                if j in excluded:
-                    continue
-                cols = row.cols
-                if cols:
-                    n = next(iter(cols))
-                    f = ReqTuple(n, cols[n])
-                    votes[f] = get(f, 0) + 1
-                else:
-                    empty += 1
-        else:
-            changed = self._sync_fronts()
-            if not changed and cache is not None and cache[1] == excluded:
-                # Rows kept their fronts (only NONL/watermark state
-                # moved): restamp the cached tally.
-                cache = (gen, excluded, cache[2], cache[3])
-                self._votes_cache = cache
-                return cache
-            # Copy so tallies returned earlier stay frozen at their
-            # generation while the live histogram keeps evolving.
-            votes = dict(self._votes)
-            empty = self._empty
-        cache = (gen, excluded, votes, empty)
-        self._votes_cache = cache
-        return cache
+        """The vote tally and the empty-row (unknown-vote) count of
+        the rows outside ``excluded``, by one plain O(N) scan.
+        Exclusion experiments are rare: they pay this scan rather
+        than a histogram kept per exclusion set."""
+        votes: Dict[ReqTuple, int] = {}
+        get = votes.get
+        empty = 0
+        for j, row in enumerate(self.rows):
+            if j in excluded:
+                continue
+            cols = row.cols
+            if cols:
+                n = next(iter(cols))
+                f = ReqTuple(n, cols[n])
+                votes[f] = get(f, 0) + 1
+            else:
+                empty += 1
+        return votes, empty
 
     def tally_votes(self, excluded: frozenset = frozenset()) -> Dict[ReqTuple, int]:
         """Map each candidate tuple to the number of MNLs it fronts.
 
         Rows of ``excluded`` (crashed) nodes do not vote: their fronts
         can never change, so counting them could wedge the election.
-        O(|changed rows|) on a dirty SI; O(1) when the SI is unchanged
-        since the last tally (gen-keyed cache, shared with
-        :meth:`empty_row_count`).  The returned dict is shared with
-        the cache — treat it as read-only.
+        Without exclusions, O(|changed rows|) to reconcile the live
+        histogram plus O(C) to copy it, so the returned dict stays
+        frozen at this call; with them, one O(N) scan.
         """
-        return self._vote_scan(excluded)[2]
+        if excluded:
+            return self._vote_scan(excluded)[0]
+        self._sync_fronts()
+        return dict(self._votes)
 
     def empty_row_count(self, excluded: frozenset = frozenset()) -> int:
         """Rows with no known pending request — the 'unknown votes'.
 
         Excluded rows are not unknown: the membership agreement says
         they will never vote, so the threshold closes without them.
-        Costs are shared with :meth:`tally_votes` (one reconciliation
-        serves both).
         """
-        return self._vote_scan(excluded)[3]
+        if excluded:
+            return self._vote_scan(excluded)[1]
+        self._sync_fronts()
+        return self._empty
 
     # ------------------------------------------------------------------
     # NONL queries
     # ------------------------------------------------------------------
     def position_in_nonl(self, t: ReqTuple) -> Optional[int]:
-        """Index of ``t`` in the NONL, or None. O(|NONL|) to build the
-        position index on a dirty SI, O(1) cached afterwards."""
-        cache = self._pos_cache
-        # The identity check catches tests replacing ``si.nonl``
-        # wholesale without going through set_nonl().
-        if cache is None or cache[0] != self.gen or cache[1] is not self.nonl:
-            index = {t: i for i, t in enumerate(self.nonl)}
-            self._pos_cache = cache = (self.gen, self.nonl, index)
-        return cache[2].get(t)
+        """Index of ``t`` in the NONL, or None. O(|NONL|)."""
+        try:
+            return self.nonl.index(t)
+        except ValueError:
+            return None
 
     def predecessor_of(self, t: ReqTuple) -> Optional[ReqTuple]:
-        """Immediate predecessor of ``t`` in the NONL, if any. O(1)
-        after the position cache is built."""
+        """Immediate predecessor of ``t`` in the NONL, if any.
+        O(|NONL|); the protocol asks once per IM notification."""
         pos = self.position_in_nonl(t)
         if pos is None or pos == 0:
             return None

@@ -125,17 +125,23 @@ class CellCache:
         return str(path_for(key)) if path_for else f"key {key}"
 
     def _decode(self, text: str, spec, key: str) -> Optional[RunResult]:
-        """Parse a stored document, or None for unparseable text.
+        """Parse a stored document, or None when it holds no result
+        of ``spec``'s cell.
 
-        Unparseable text can only arise from external interference —
-        atomic writes never leave partial documents — so it counts as
-        a miss and the cell is recomputed.  A *parseable* document
-        whose format version or embedded spec disagrees raises,
-        because returning it would corrupt the campaign.
+        Unparseable text, a document that is not an object and a
+        result that cannot be rebuilt or whose ``algorithm``,
+        ``n_nodes`` or ``seed`` contradict ``spec`` can only arise from
+        external interference — atomic writes never leave partial
+        documents — so each counts as a miss and the cell is
+        recomputed and overwritten.  A document whose format version
+        or embedded spec disagrees raises, because returning it would
+        corrupt the campaign.
         """
         try:
             doc = json.loads(text)
         except json.JSONDecodeError:
+            return None
+        if type(doc) is not dict:
             return None
         if doc.get("format_version") != FORMAT_VERSION:
             raise ValueError(
@@ -152,7 +158,12 @@ class CellCache:
                 "or key collision; delete the entry (or start a new "
                 "cache) and re-run."
             )
-        return result_from_dict(doc["result"])
+        try:
+            result = result_from_dict(doc["result"])
+        except (AttributeError, KeyError, TypeError, ValueError):
+            return None
+        mine = (result.algorithm, result.n_nodes, result.seed)
+        return result if mine == (spec.algorithm, spec.n_nodes, spec.seed) else None
 
     # ------------------------------------------------------------------
     def get(self, spec) -> Optional[RunResult]:

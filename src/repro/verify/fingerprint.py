@@ -77,7 +77,6 @@ SYSTEMINFO_EXCLUDED = {
         "never written on the protocol path — the RCV successor lives "
         "in RCVNode.next_tup, which is canon"
     ),
-    "gen": "dirty counter for cache invalidation; no semantic content",
     "_done_gen": "watermark-advance counter (prune amortization only)",
     "_clean_done_gen": (
         "prune bookkeeping; affects whether a scan is skipped, never "
@@ -88,8 +87,6 @@ SYSTEMINFO_EXCLUDED = {
         "which rows a prune reads, never its result"
     ),
     "_adv_gen": "prune bookkeeping (whether _adv is complete)",
-    "_votes_cache": "cache keyed on gen; reconstructible from rows",
-    "_pos_cache": "cache keyed on gen; reconstructible from nonl",
     "_max_ts": (
         "always equals max(row_ts): every timestamp write is noted "
         "(note_ts/next_ts/adoption) and row_ts entries are monotone, "

@@ -89,28 +89,26 @@ def _disarm_enable_guard(tree: ast.AST) -> int:
 
 
 def _drop_renormalize(tree: ast.AST) -> int:
-    """``exchange``: delete the incremental re-normalization sweep
-    (``if adopted or new_tuples:``) — adopted rows keep tuples that
-    were already ordered or finished, resurrecting dead votes (the
-    ISSUE's example bug)."""
+    """``exchange``: delete the re-normalization of the row pass (its
+    ``if bad:`` clean-up) — rows are still adopted, but keep tuples
+    that were already ordered or finished, resurrecting dead votes."""
     count = 0
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name == "exchange":
-            kept = []
-            for stmt in node.body:
-                if (
-                    isinstance(stmt, ast.If)
-                    and isinstance(stmt.test, ast.BoolOp)
-                    and isinstance(stmt.test.op, ast.Or)
-                    and [
-                        getattr(v, "id", None) for v in stmt.test.values
-                    ]
-                    == ["adopted", "new_tuples"]
-                ):
-                    count += 1
+            for loop in ast.walk(node):
+                if not isinstance(loop, ast.For):
                     continue
-                kept.append(stmt)
-            node.body = kept
+                kept = []
+                for stmt in loop.body:
+                    if (
+                        isinstance(stmt, ast.If)
+                        and isinstance(stmt.test, ast.Name)
+                        and stmt.test.id == "bad"
+                    ):
+                        count += 1
+                        continue
+                    kept.append(stmt)
+                loop.body = kept
     return count
 
 

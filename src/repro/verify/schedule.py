@@ -63,7 +63,17 @@ def save_schedule(sched: dict, path) -> None:
 
 
 def load_schedule(path) -> dict:
-    sched = json.loads(Path(path).read_text(encoding="utf-8"))
+    """The schedule stored at ``path``; a file that is not UTF-8 JSON,
+    or not a JSON object, is a :class:`VerifyError` naming the file."""
+    try:
+        sched = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise VerifyError(f"{path} is not a schedule: {exc}") from None
+    if type(sched) is not dict:
+        raise VerifyError(
+            f"{path} is not a schedule: it holds a JSON "
+            f"{type(sched).__name__}, not an object"
+        )
     if sched.get("version") != SCHEDULE_VERSION:
         raise VerifyError(
             f"schedule version {sched.get('version')!r} is not "

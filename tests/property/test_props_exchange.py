@@ -42,7 +42,8 @@ def system_infos(draw, n=5):
         ]
     for j in range(n):
         si.done[j] = draw(st.integers(0, 1))
-    si.normalize()
+    si.prune_done()
+    si.prune_ordered_from_rows()
     return si
 
 

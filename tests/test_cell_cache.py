@@ -7,6 +7,7 @@ import pytest
 from repro.experiments.cache import CellCache
 from repro.experiments.parallel import CellSpec, run_cells
 from repro.metrics.io import FORMAT_VERSION, result_to_dict
+from test_backends import make_backend
 
 
 def _spec(seed=0, **kw):
@@ -279,3 +280,91 @@ def test_backend_unavailable_is_not_raised_for_cell_corruption(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="format_version"):
         cache.get(spec)
+
+
+# ----------------------------------------------------------------------
+# a parseable but mis-shaped document is a miss on every reader
+# ----------------------------------------------------------------------
+def _with(**fields):
+    def rewrite(doc):
+        doc["result"].update(fields)
+        return doc
+
+    return rewrite
+
+
+def _result(value):
+    def rewrite(doc):
+        doc["result"] = value
+        return doc
+
+    return rewrite
+
+
+#: name -> rewrite of a good document into a mis-shaped one
+MISSHAPEN = {
+    "list-document": lambda doc: [1, 2],
+    "null-document": lambda doc: None,
+    "string-document": lambda doc: "x",
+    "result-5": _result(5),
+    "result-empty": _result({}),
+    "records-string": _with(records="x"),
+    "records-ints": _with(records=[1, 2]),
+    "other-algorithm": _with(algorithm="x"),
+    "other-n-nodes": _with(n_nodes=99),
+    "other-seed": _with(seed=999),
+}
+
+LOCAL_MEDIA = ("memory", "dir", "sqlite")
+
+
+@pytest.fixture(scope="module")
+def good_document():
+    [fresh] = run_cells([_spec()], max_workers=1)
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "spec": _spec().document(),
+        "result": result_to_dict(fresh),
+    }
+    return json.dumps(doc)
+
+
+def _misshapen_cache(kind, tmp_path, good_document, shape):
+    backend = make_backend(kind, tmp_path)
+    bad = MISSHAPEN[shape](json.loads(good_document))
+    backend.put(_spec().cache_key(), json.dumps(bad))
+    return CellCache(backend=backend)
+
+
+@pytest.mark.parametrize("shape", sorted(MISSHAPEN))
+@pytest.mark.parametrize("kind", LOCAL_MEDIA)
+def test_a_misshapen_document_is_a_miss_on_get(kind, shape, tmp_path, good_document):
+    cache = _misshapen_cache(kind, tmp_path, good_document, shape)
+    assert cache.get(_spec()) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+
+
+@pytest.mark.parametrize("shape", sorted(MISSHAPEN))
+@pytest.mark.parametrize("kind", LOCAL_MEDIA)
+def test_a_misshapen_document_is_a_miss_on_peek_and_adopt(
+    kind, shape, tmp_path, good_document
+):
+    cache = _misshapen_cache(kind, tmp_path, good_document, shape)
+    assert cache.peek(_spec()) is None
+    assert cache.adopt(_spec()) is None
+    assert (cache.hits, cache.misses) == (0, 0)
+
+
+@pytest.mark.parametrize("shape", sorted(MISSHAPEN))
+@pytest.mark.parametrize("kind", LOCAL_MEDIA)
+def test_a_misshapen_document_is_recomputed_and_overwritten_on_claim(
+    kind, shape, tmp_path, good_document
+):
+    """``run_cells`` claims the cell, finds no result in it, computes
+    it and writes it over the bad document."""
+    cache = _misshapen_cache(kind, tmp_path, good_document, shape)
+    [again] = run_cells([_spec()], max_workers=1, cache=cache)
+    assert cache.writes == 1
+    want = json.loads(good_document)["result"]
+    assert result_to_dict(again) == want
+    assert result_to_dict(cache.get(_spec())) == want

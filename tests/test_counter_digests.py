@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from repro.core import RCVConfig
+from repro.core import RCVConfig, RCVNode
 from repro.engine import run_scenario
 from repro.experiments.parallel import CellSpec
 from repro.metrics.io import result_to_dict
@@ -106,6 +106,31 @@ def test_the_table_covers_every_cell():
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_counters_are_pinned(name):
     assert counter_digest(name) == COUNTER_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_a_release_finds_no_ordered_tuple_in_any_mnl(name, monkeypatch):
+    """``_do_release`` prunes only the watermark: that is whole because
+    every Exchange and Order leaves no NONL tuple in any MNL, which this
+    checks at each release of each cell."""
+    releases = []
+    release = RCVNode._do_release
+
+    def checked_release(node):
+        ordered = set(node.si.nonl)
+        stray = [
+            (j, item)
+            for j, row in enumerate(node.si.rows)
+            for item in row.cols.items()
+            if item in ordered
+        ]
+        assert not stray, (node.node_id, stray)
+        releases.append(node.node_id)
+        release(node)
+
+    monkeypatch.setattr(RCVNode, "_do_release", checked_release)
+    CELLS[name]()
+    assert releases
 
 
 if __name__ == "__main__":

@@ -583,6 +583,17 @@ def test_schedule_version_gate(tmp_path):
         load_schedule(path)
 
 
+@pytest.mark.parametrize(
+    "data", [b"[1, 2]", b"", b"5", b"null", b"{ not json", b"\xff\xfe{}"],
+    ids=["list", "empty", "number", "null", "unparseable", "not-utf8"],
+)
+def test_a_file_that_is_not_a_schedule_is_refused_by_name(tmp_path, data):
+    path = tmp_path / "not-a-schedule.json"
+    path.write_bytes(data)
+    with pytest.raises(VerifyError, match="not-a-schedule.json"):
+        load_schedule(path)
+
+
 def test_schedule_against_wrong_build_is_detected():
     result = check("rcv", 2)
     assert result.violations == []
